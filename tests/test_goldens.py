@@ -1,0 +1,86 @@
+"""Golden runs: the behaviour contract pinned byte for byte.
+
+For each scenario below the dispatch digest, the event count and the SHA-256
+of `serialize_report` are stored values, not values compared between two
+runs of the same build.  A refactor or optimisation must leave all three
+unchanged; only a change that means to alter behaviour may update them, and
+it says so in CHANGES.md.
+
+The scenarios are built here, independently of the benchmark's generators:
+the reference corridor, the same corridor without motes, and a k=4 mote grid
+(100 m pitch from (80,130), base stations at (0,200) and (100k+600,200), a
+satellite and a switching centre mid-field, 90 s, seed 1) walked by one or by
+three handsets.
+"""
+
+import hashlib
+
+import pytest
+
+from wsnhandoff.scenario import (NodeSpec, Scenario, reference_scenario,
+                                 strip_wsn, validate_scenario)
+from wsnhandoff.simulation import run, serialize_report
+from wsnhandoff.world import MobilityPath, NodeKind, Point
+
+
+def grid_scenario(k: int, walkers) -> Scenario:
+    """k x k motes between two base stations; `walkers` holds
+    (id, start_y, speed) for handsets walking east from x = 0 toward bs2
+    and halting halfway."""
+    width = 100.0 * k + 600.0
+    nodes = [NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 200.0)),
+             NodeSpec("bs2", NodeKind.BASE_STATION, Point(width, 200.0)),
+             NodeSpec("msc1", NodeKind.MSC, Point(width / 2, 200.0)),
+             NodeSpec("sat1", NodeKind.SATELLITE, Point(width / 2, 800.0))]
+    idx = 1
+    for row in range(k):
+        for col in range(k):
+            nodes.append(NodeSpec(f"m{idx:03d}", NodeKind.MOTE,
+                                  Point(80.0 + 100 * col, 130.0 + 100 * row)))
+            idx += 1
+    mobility = {}
+    for ms_id, y, speed in walkers:
+        nodes.append(NodeSpec(ms_id, NodeKind.MOBILE_STATION, Point(0.0, y)))
+        mobility[ms_id] = MobilityPath((Point(width, y),), speed, 0.5)
+    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
+                 duration=90.0, seed=1)
+    validate_scenario(s)
+    return s
+
+
+SCENARIOS = {
+    "reference": reference_scenario,
+    "reference-no-motes": lambda: strip_wsn(reference_scenario()),
+    "grid4-one-walker": lambda: grid_scenario(4, [("ms1", 190.0, 8.0)]),
+    "grid4-three-walkers": lambda: grid_scenario(
+        4, [(f"ms{i + 1}", 190.0 - 7 * i, 8.0 + 0.25 * i) for i in range(3)]),
+}
+
+# name -> (digest, events_processed, sha256 of serialize_report)
+GOLDENS = {
+    "reference": (
+        "abde5ea624a0308ff9eff814f7f44fb08bc53bd16de0298852f6e69774951483",
+        2428,
+        "08f0b590850ec0905ad44622ff09a64b0aea79dadf1c54a9d8c491210384d48e"),
+    "reference-no-motes": (
+        "f89f9d2c847cfac395cc150d0e701c9d875f4325f7b2353768a331a25c584102",
+        270,
+        "23e8ea03d29e03c30f03772a12af03231a2637d8048cbe356a3b2d73c30c52e4"),
+    "grid4-one-walker": (
+        "115a8d809c707c07294838840e3988e1f363c5055d71157a438c0482155ad2d8",
+        2271,
+        "782dcae370117530568806c8cd1b5e09ec29c82d942c73e05335eb91ca18a992"),
+    "grid4-three-walkers": (
+        "ec31ef8c008e1f23ef0a0a8df49c0c4c400643fea14509e3865dc7eabfee6e03",
+        4085,
+        "468efe3de7152c86e7efa9e891a6a3d0888a134067024b863380480a41ede547"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_matches_golden(name):
+    report = run(SCENARIOS[name]())
+    text = serialize_report(report)
+    got = (report.digest, report.events_processed,
+           hashlib.sha256(text.encode()).hexdigest())
+    assert got == GOLDENS[name]
