@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .scenario import (ParseError, ValidationError, load_scenario,
@@ -15,6 +16,18 @@ def _load(source: str):
         return reference_scenario()
     with open(source, encoding="utf-8") as fh:
         return load_scenario(fh.read())
+
+
+def _duration(text: str) -> float:
+    """argparse type for --until: a positive, finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number of seconds, got {text!r}")
+    return value
 
 
 def cmd_run(args) -> int:
@@ -102,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario file path, or 'reference' for the "
                             "built-in two-cell corridor")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--until", type=float, default=None,
+    p_run.add_argument("--until", type=_duration, default=None,
                        help="override the simulated duration in seconds")
     p_run.add_argument("--out", default=None,
                        help="write the machine-readable report here")

@@ -7,20 +7,28 @@ is the global scheduling counter.
 """
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 
 class PastTimeError(ValueError):
     """Raised when an event is scheduled before the current clock."""
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
+    """One scheduled event; the heap holds these tuples as they are.
+
+    Tuples compare field by field in C.  seq is unique per queue, so two
+    events never tie on (fire_time, seq) and target and payload are never
+    compared.  schedule() builds them with tuple.__new__, which skips the
+    Python-level constructor and gives the same object.
+    """
     fire_time: float
     seq: int
-    target: str = field(compare=False)
-    payload: Any = field(compare=False)
+    target: str
+    payload: Any
+
+
+_new_tuple = tuple.__new__
 
 
 class EventQueue:
@@ -43,7 +51,7 @@ class EventQueue:
         if fire_time < self.clock:
             raise PastTimeError(
                 f"cannot schedule at {fire_time} before clock {self.clock}")
-        ev = Event(fire_time, self._next_seq, target, payload)
+        ev = _new_tuple(Event, (fire_time, self._next_seq, target, payload))
         self._next_seq += 1
         heapq.heappush(self._heap, ev)
         return ev
@@ -60,7 +68,8 @@ class EventQueue:
         even when the queue drains early.
         """
         processed = 0
-        while self._heap and self._heap[0].fire_time <= t_end:
+        heap = self._heap
+        while heap and heap[0][0] <= t_end:
             dispatch(self.pop())
             processed += 1
         self.clock = t_end

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 INFINITY_METRIC = 16
 LINK_COST = 1
+_UNREACHABLE = (INFINITY_METRIC, None)
 
 
 class UnknownNeighborError(ValueError):
@@ -27,10 +28,10 @@ class DistanceVector:
     entries: dict
 
     def metric(self, dst: str) -> int:
-        return self.entries.get(dst, (INFINITY_METRIC, None))[0]
+        return self.entries.get(dst, _UNREACHABLE)[0]
 
     def next_hop(self, dst: str):
-        return self.entries.get(dst, (INFINITY_METRIC, None))[1]
+        return self.entries.get(dst, _UNREACHABLE)[1]
 
 
 @dataclass(frozen=True)
@@ -56,23 +57,29 @@ def apply_update(table: DistanceVector, update: RouteUpdate,
     """Merge a neighbor's advertisement into `table`.
 
     For each advertised destination the candidate metric is
-    min(INFINITY_METRIC, advertised + LINK_COST).  The candidate is adopted
-    when it improves on the current metric, or when the current route
-    already goes through the sender and the candidate differs (the route is
-    re-learned, even if it got worse).  Returns the set of destinations
-    whose entry changed; a non-empty set obliges the caller to send a
-    triggered update.
+    min(INFINITY_METRIC, advertised + LINK_COST), and a missing entry counts
+    as (INFINITY_METRIC, None).  The candidate is adopted when it improves
+    on the current metric, or when the current route already goes through
+    the sender and the candidate differs (the route is re-learned, even if
+    it got worse).  Each destination's decision reads and writes only its
+    own entry, so the order of the vector does not matter.  Returns the set
+    of destinations whose entry changed; a non-empty set obliges the caller
+    to send a triggered update.
     """
-    if update.sender not in neighbors:
+    sender = update.sender
+    if sender not in neighbors:
         raise UnknownNeighborError(
-            f"{table.owner} got update from non-neighbor {update.sender}")
+            f"{table.owner} got update from non-neighbor {sender}")
+    entries = table.entries
+    get = entries.get
     changed = set()
-    for dst in sorted(update.vector):
-        candidate = min(INFINITY_METRIC, update.vector[dst] + LINK_COST)
-        current = table.metric(dst)
-        via_sender = table.next_hop(dst) == update.sender
-        if candidate < current or (via_sender and candidate != current):
-            table.entries[dst] = (candidate, update.sender)
+    for dst, advertised in update.vector.items():
+        candidate = advertised + LINK_COST
+        if candidate > INFINITY_METRIC:
+            candidate = INFINITY_METRIC
+        current, hop = get(dst, _UNREACHABLE)
+        if candidate < current or (hop == sender and candidate != current):
+            entries[dst] = (candidate, sender)
             changed.add(dst)
     return changed
 

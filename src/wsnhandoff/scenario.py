@@ -20,8 +20,13 @@ Format (UTF-8, `#` starts a comment, blank lines ignored):
 Node kinds: mobile_station, base_station, mote, satellite, msc.
 Profile override keys: tx_power, sensitivity, error_margin,
 path_loss_exponent, reference_loss.
+
+Every number must be finite; `seed`, `default_ttl`, `queue_capacity` and
+`epsilon` must be integers.  A value that does not parse raises ParseError
+with its line number.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .world import (MobilityPath, NodeKind, Point, RadioProfile,
@@ -59,6 +64,9 @@ class SimParams:
 
 
 _INT_PARAMS = {"default_ttl", "queue_capacity", "epsilon"}
+_PERIODS = ("coverage_check_period", "tx_slot", "dv_period", "app_interval")
+_DELAYS = ("hop_delay", "backhaul_delay", "steering_delay",
+           "satellite_acquisition_delay")
 _PARAM_NAMES = [f.name for f in fields(SimParams)]
 
 
@@ -129,11 +137,14 @@ def _parse_kv(token: str, line_no: int):
     return key.strip(), value.strip()
 
 
-def _parse_float(value: str, line_no: int, what: str) -> float:
+def _parse_number(value: str, line_no: int, what: str, kind=float):
     try:
-        return float(value)
+        x = kind(value)
     except ValueError:
         raise ParseError(line_no, f"bad {what}: {value!r}") from None
+    if kind is float and not math.isfinite(x):
+        raise ParseError(line_no, f"{what} must be finite, got {value!r}")
+    return x
 
 
 def _parse_node(parts, line_no: int) -> NodeSpec:
@@ -143,8 +154,8 @@ def _parse_node(parts, line_no: int) -> NodeSpec:
     if kind_tok not in _KIND_TOKENS:
         raise ParseError(line_no, f"unknown node kind {kind_tok!r}")
     kind = _KIND_TOKENS[kind_tok]
-    pos = Point(_parse_float(parts[2], line_no, "x"),
-                _parse_float(parts[3], line_no, "y"))
+    pos = Point(_parse_number(parts[2], line_no, "x"),
+                _parse_number(parts[3], line_no, "y"))
     profile = None
     if len(parts) > 4:
         if kind is NodeKind.MSC:
@@ -155,7 +166,7 @@ def _parse_node(parts, line_no: int) -> NodeSpec:
             key, value = _parse_kv(tok, line_no)
             if key not in _OVERRIDE_FIELDS:
                 raise ParseError(line_no, f"unknown profile key {key!r}")
-            changes[_OVERRIDE_FIELDS[key]] = _parse_float(value, line_no, key)
+            changes[_OVERRIDE_FIELDS[key]] = _parse_number(value, line_no, key)
         try:
             profile = replace(base, **changes)
         except ValueError as e:
@@ -171,17 +182,17 @@ def _parse_mobility(parts, line_no: int):
     for tok in parts[1:]:
         key, value = _parse_kv(tok, line_no)
         if key == "speed":
-            speed = _parse_float(value, line_no, "speed")
+            speed = _parse_number(value, line_no, "speed")
         elif key == "halt":
-            halt = _parse_float(value, line_no, "halt")
+            halt = _parse_number(value, line_no, "halt")
         elif key == "waypoints":
             waypoints = []
             for pair in value.split(";"):
                 xy = pair.split(",")
                 if len(xy) != 2:
                     raise ParseError(line_no, f"bad waypoint {pair!r}")
-                waypoints.append(Point(_parse_float(xy[0], line_no, "x"),
-                                       _parse_float(xy[1], line_no, "y")))
+                waypoints.append(Point(_parse_number(xy[0], line_no, "x"),
+                                       _parse_number(xy[1], line_no, "y")))
         else:
             raise ParseError(line_no, f"unknown mobility key {key!r}")
     if speed is None or waypoints is None:
@@ -214,12 +225,10 @@ def load_scenario(text: str) -> Scenario:
         parts = line.split()
         if section == "params":
             key, value = _parse_kv(line.replace(" ", ""), line_no)
-            if key in ("duration", "seed"):
-                raw_params[key] = value
-            elif key in _PARAM_NAMES:
-                raw_params[key] = value
-            else:
+            if key not in ("duration", "seed") and key not in _PARAM_NAMES:
                 raise ParseError(line_no, f"unknown param {key!r}")
+            kind = int if key == "seed" or key in _INT_PARAMS else float
+            raw_params[key] = _parse_number(value, line_no, key, kind)
         elif section == "node":
             nodes.append(_parse_node(parts, line_no))
         else:
@@ -228,20 +237,10 @@ def load_scenario(text: str) -> Scenario:
                 raise ParseError(line_no, f"duplicate mobility for {node_id!r}")
             mobility[node_id] = path
 
-    duration = 90.0
-    seed = 1
-    param_kwargs = {}
-    for key, value in raw_params.items():
-        if key == "duration":
-            duration = float(value)
-        elif key == "seed":
-            seed = int(value)
-        elif key in _INT_PARAMS:
-            param_kwargs[key] = int(value)
-        else:
-            param_kwargs[key] = float(value)
+    duration = raw_params.pop("duration", 90.0)
+    seed = raw_params.pop("seed", 1)
     scenario = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)),
-                        mobility, duration, seed, SimParams(**param_kwargs))
+                        mobility, duration, seed, SimParams(**raw_params))
     validate_scenario(scenario)
     return scenario
 
@@ -266,12 +265,21 @@ def validate_scenario(s: Scenario):
             problems.append(f"mobility for unknown node {node_id!r}")
         elif s.node(node_id).kind is not NodeKind.MOBILE_STATION:
             problems.append(f"mobility on non-mobile node {node_id!r}")
-    if s.duration <= 0:
+    if not s.duration > 0:  # also catches nan
         problems.append("duration must be positive")
     if s.params.default_ttl < 1:
         problems.append("default_ttl must be >= 1")
     if s.params.queue_capacity < 1:
         problems.append("queue_capacity must be >= 1")
+    # A zero period would reschedule its event at the same instant forever,
+    # and a negative delay would schedule into the past.  The negated
+    # comparisons also reject nan in a Scenario built without the parser.
+    for name in _PERIODS:
+        if not getattr(s.params, name) > 0:
+            problems.append(f"{name} must be positive")
+    for name in _DELAYS:
+        if not getattr(s.params, name) >= 0:
+            problems.append(f"{name} must be >= 0")
     if problems:
         raise ValidationError(problems)
 

@@ -10,28 +10,35 @@ counters, classifies the reception for every receiver against the radio
 model and schedules per-receiver delivery one hop_delay later.  Steered
 beams and satellite links are logical channels: their frames always arrive.
 
-The dispatch log (one line per event) is hashed into the report digest, so
-two runs of the same scenario and seed must match byte for byte.
+Events are dispatched through a table keyed by kind.  Each dispatched event
+contributes one `time seq target kind` line to the report digest: the
+SHA-256 of the lines joined by newlines, hashed as they happen (the first
+line alone, every later one with a leading newline), so no log is kept.  Two
+runs of the same scenario and seed must match byte for byte.
+
+Only mobile stations move (validation rejects mobility on other nodes), so a
+coverage check positions each handset once and tests it against the fixed
+nodes and the other handsets; the full graph is built once, at start.
+Radio outcomes between two nodes that do not move are computed once.
 """
 
 import hashlib
 from dataclasses import dataclass, field
 
 from .engine import EventQueue, RngStream
-from .protocol import (DecisionOutcome, DiscoveryRequest, Escalation,
-                       FloodToMotes, LinkRecord, MoteMode, MoteState,
-                       MscDecision, RequestIdSource, UnicastToBs,
+from .protocol import (DecisionOutcome, FloodToMotes, LinkRecord, MoteMode,
+                       MoteState, MscDecision, RequestIdSource, UnicastToBs,
                        bs_notify_msc, detect_loss, establish_link,
                        make_discovery, mote_forward, msc_decide,
                        release_motes)
-from .queues import FifoQueue, Packet, StrictPriorityQueue
-from .routing import (RouteUpdate, RoutingLoopError, UnreachableError,
-                      apply_update, init_table, periodic_update,
-                      shortest_path)
+from .queues import EnqueueResult, FifoQueue, Packet, StrictPriorityQueue
+from .routing import (RoutingLoopError, UnreachableError, apply_update,
+                      init_table, periodic_update, shortest_path)
 from .scenario import Scenario, effective_profile
-from .stats import CounterKey, Layer, StatsLedger
-from .world import (NodeKind, PacketOutcome, comm_graph, halt_time,
-                    packet_outcome, position_at, received_power)
+from .stats import CounterKey, Layer, StatsLedger, slot
+from .world import (CommGraph, NodeKind, PacketOutcome, check_distinct,
+                    comm_graph, halt_time, neighbors_of, packet_outcome,
+                    position_at, received_power)
 
 FRAME_SIZES = {"discovery": 64, "dv": 96, "payload": 512,
                "sat_request": 64, "sat_grant": 64,
@@ -39,6 +46,41 @@ FRAME_SIZES = {"discovery": 64, "dv": 96, "payload": 512,
 CONTROL_CLASS = 0
 PAYLOAD_CLASS = 1
 DEFAULT_IP_TTL = 16
+
+
+def _slot(layer: Layer, name: str) -> int:
+    return slot(CounterKey(layer, name))
+
+
+# Ledger slots, resolved at import so a misspelt counter fails there.
+PHY_TX = _slot(Layer.PHY_80211, "signals_transmitted")
+PHY_TO_MAC = _slot(Layer.PHY_80211, "signals_received_forwarded_to_mac")
+PHY_LOCKED = _slot(Layer.PHY_80211, "signals_locked")
+PHY_ERRORS = _slot(Layer.PHY_80211, "signals_received_with_errors")
+MAC_FROM_NET = _slot(Layer.MAC_80211, "packets_from_network")
+MAC_BCAST_SENT = _slot(Layer.MAC_80211, "broadcast_sent")
+MAC_BCAST_RX = _slot(Layer.MAC_80211, "broadcast_received_clearly")
+DCF_BCAST_SENT = _slot(Layer.MAC_DCF, "broadcast_sent")
+DCF_BCAST_RX = _slot(Layer.MAC_DCF, "broadcast_received")
+LINK_SENT = _slot(Layer.MAC_LINK, "frames_sent")
+LINK_RX = _slot(Layer.MAC_LINK, "frames_received")
+LINK_UTIL = _slot(Layer.MAC_LINK, "link_utilization")
+SAT_SENT = _slot(Layer.MAC_SATCOM, "frames_sent")
+SAT_RX = _slot(Layer.MAC_SATCOM, "frames_received")
+SAT_RELAYED = _slot(Layer.MAC_SATCOM, "frames_relayed")
+IP_IN_RECEIVED = _slot(Layer.NET_IP, "in_received")
+IP_IN_DELIVERS = _slot(Layer.NET_IP, "in_delivers")
+IP_OUT_REQUESTS = _slot(Layer.NET_IP, "out_requests")
+IP_TTL_SUM = _slot(Layer.NET_IP, "in_delivers_ttl_sum")
+PRIO_QUEUED = _slot(Layer.NET_STRICT_PRIOR, "packets_queued")
+PRIO_DEQUEUED = _slot(Layer.NET_STRICT_PRIOR, "packets_dequeued")
+FIFO_QUEUED = _slot(Layer.NET_FIFO, "packets_queued")
+FIFO_DEQUEUED = _slot(Layer.NET_FIFO, "packets_dequeued")
+FIFO_PEAK = _slot(Layer.NET_FIFO, "peak_queue_size")
+UDP_FROM_APP = _slot(Layer.TRANSPORT_UDP, "packets_from_app")
+UDP_TO_APP = _slot(Layer.TRANSPORT_UDP, "packets_to_app")
+DV_TRIGGERED = _slot(Layer.APP_BELLMAN_FORD, "triggered_updates")
+DV_RECEIVED = _slot(Layer.APP_BELLMAN_FORD, "update_packets_received")
 
 
 @dataclass
@@ -84,7 +126,9 @@ class Simulation:
         self.queue = EventQueue()
         self.rng = RngStream(scenario.seed)
         self.ledger = StatsLedger()
-        self.log = []
+        self.counts = self.ledger.values
+        self._digest = hashlib.sha256()
+        self._line_sep = ""      # becomes "\n" after the first event
         self.ids = RequestIdSource()
         self._next_packet_id = 1
         self._inflight = {}
@@ -93,6 +137,11 @@ class Simulation:
         self.profiles = {n.node_id: effective_profile(n)
                          for n in scenario.nodes}
         self.start_pos = {n.node_id: n.position for n in scenario.nodes}
+        # Positions at the latest coverage check; only handsets get updated.
+        self.here = dict(self.start_pos)
+        self.halt_at = {n: halt_time(path, self.start_pos[n])
+                        for n, path in scenario.mobility.items()}
+        self._fixed_outcomes = {}  # (src, rx) -> PacketOutcome, both fixed
         self.mote_states = {n.node_id: MoteState()
                             for n in scenario.by_kind(NodeKind.MOTE)}
         self.ms_states = {n.node_id: MsState()
@@ -132,6 +181,22 @@ class Simulation:
         self.decision_log = []
         self.escalation_log = []
 
+        self._handlers = {"coverage": self._on_coverage,
+                          "drain": self._on_drain,
+                          "deliver": self._on_deliver,
+                          "dv_send": self._on_dv_send,
+                          "backhaul": self._on_backhaul,
+                          "sat_locate": self._on_sat_locate,
+                          "establish": self._on_establish,
+                          "app": self._on_app}
+        self._receivers = {"discovery": self._rx_discovery,
+                           "dv": self._rx_dv,
+                           "payload": self._rx_payload,
+                           "sat_request": self._rx_sat_request,
+                           "sat_grant": self._rx_sat_grant,
+                           "sat_page": self._rx_sat_page,
+                           "sat_ack": self._rx_sat_ack}
+
     # ---- geometry helpers -------------------------------------------
 
     def position(self, node_id: str, t: float):
@@ -141,60 +206,67 @@ class Simulation:
         return position_at(path, self.start_pos[node_id], t)
 
     def halted(self, node_id: str, t: float) -> bool:
-        path = self.s.mobility.get(node_id)
-        if path is None:
-            return True
-        return t >= halt_time(path, self.start_pos[node_id])
+        return t >= self.halt_at.get(node_id, 0.0)
 
-    def graph_at(self, t: float):
-        positions = {n: self.position(n, t) for n in self.start_pos}
-        return comm_graph(positions, self.kinds, self.profiles, t)
+    def handset_graph(self, t: float) -> CommGraph:
+        """The handsets' rows of the communication graph at time t.
 
-    # ---- counter shorthand ------------------------------------------
+        Moves every handset to its position at t (self.here), raises
+        CoLocatedError when any two nodes then share a point, and returns a
+        graph whose only rows are the handsets'.
+        """
+        here = self.here
+        for n, path in self.s.mobility.items():
+            here[n] = position_at(path, self.start_pos[n], t)
+        check_distinct(here)
+        return CommGraph(t, {
+            ms: neighbors_of(ms, here, self.kinds, self.profiles)
+            for ms in self.ms_states})
 
-    def count(self, layer: Layer, name: str, delta: int = 1):
-        self.ledger.record(CounterKey(layer, name), delta)
+    def _radio_outcome(self, src: str, rx: str, t: float) -> PacketOutcome:
+        key = (src, rx)
+        outcome = self._fixed_outcomes.get(key)
+        if outcome is None:
+            profile = self.profiles[rx]
+            d = self.position(src, t).distance_to(self.position(rx, t))
+            outcome = packet_outcome(profile, received_power(profile, d))
+            if src not in self.s.mobility and rx not in self.s.mobility:
+                self._fixed_outcomes[key] = outcome
+        return outcome
 
     # ---- frame pipeline ---------------------------------------------
 
     def _send(self, node_id: str, frame: Frame):
-        self.count(Layer.TRANSPORT_UDP, "packets_from_app")
-        self.count(Layer.NET_IP, "out_requests")
+        c = self.counts
+        c[UDP_FROM_APP] += 1
+        c[IP_OUT_REQUESTS] += 1
         q = self.node_queues[node_id]
         pkt = Packet(self._next_packet_id, frame.src,
                      frame.dst or "*", frame.priority_class,
                      FRAME_SIZES[frame.kind])
         self._next_packet_id += 1
-        is_mote = self.kinds[node_id] is NodeKind.MOTE
-        if is_mote:
-            self.count(Layer.NET_STRICT_PRIOR, "packets_queued")
-        else:
-            self.count(Layer.NET_FIFO, "packets_queued")
+        is_mote = node_id in self.mote_states
+        c[PRIO_QUEUED if is_mote else FIFO_QUEUED] += 1
         result = q.enqueue(pkt)
-        if not is_mote:
-            self.ledger.record_peak(
-                CounterKey(Layer.NET_FIFO, "peak_queue_size"), q.peak_size)
-        if result.name == "ACCEPTED":
+        if not is_mote and q.peak_size > c[FIFO_PEAK]:
+            c[FIFO_PEAK] = q.peak_size
+        if result is EnqueueResult.ACCEPTED:
             self._inflight[pkt.packet_id] = frame
         if not self._draining[node_id]:
             self._draining[node_id] = True
             self.queue.schedule(self.queue.clock, node_id, ("drain", node_id))
 
-    def _on_drain(self, t: float, node_id: str):
+    def _on_drain(self, t: float, payload):
+        node_id = payload[1]
         q = self.node_queues[node_id]
         pkt = q.dequeue()
         if pkt is None:
             self._draining[node_id] = False
             return
-        is_mote = self.kinds[node_id] is NodeKind.MOTE
-        if is_mote:
-            self.count(Layer.NET_STRICT_PRIOR, "packets_dequeued")
-        else:
-            self.count(Layer.NET_FIFO, "packets_dequeued")
+        mote = self.mote_states.get(node_id)
+        self.counts[FIFO_DEQUEUED if mote is None else PRIO_DEQUEUED] += 1
         frame = self._inflight.pop(pkt.packet_id)
-        asleep = (is_mote and
-                  self.mote_states[node_id].mode is MoteMode.SLEEPING)
-        if not asleep:
+        if mote is None or mote.mode is not MoteMode.SLEEPING:
             self._transmit(t, node_id, frame)
         if len(q):
             self.queue.schedule(t + self.p.tx_slot, node_id,
@@ -204,58 +276,56 @@ class Simulation:
 
     def _transmit(self, t: float, node_id: str, frame: Frame):
         # discovery forwards pre-pay their energy inside mote_forward
-        if (self.kinds[node_id] is NodeKind.MOTE
-                and frame.kind != "discovery"):
-            self.mote_states[node_id].energy_consumed += 1
-        self.count(Layer.PHY_80211, "signals_transmitted")
-        self.count(Layer.MAC_80211, "packets_from_network")
-        self.count(Layer.MAC_LINK, "link_utilization")
+        mote = self.mote_states.get(node_id)
+        if mote is not None and frame.kind != "discovery":
+            mote.energy_consumed += 1
+        c = self.counts
+        c[PHY_TX] += 1
+        c[MAC_FROM_NET] += 1
+        c[LINK_UTIL] += 1
         if frame.dst is None:
-            self.count(Layer.MAC_80211, "broadcast_sent")
-            self.count(Layer.MAC_DCF, "broadcast_sent")
+            c[MAC_BCAST_SENT] += 1
+            c[DCF_BCAST_SENT] += 1
             receivers = frame.targets
         else:
-            if frame.channel == "satlink":
-                self.count(Layer.MAC_SATCOM, "frames_sent")
-            else:
-                self.count(Layer.MAC_LINK, "frames_sent")
+            c[SAT_SENT if frame.channel == "satlink" else LINK_SENT] += 1
             receivers = (frame.dst,)
-        src_pos = self.position(node_id, t)
-        for rx in receivers:
-            if frame.channel == "radio":
-                d = src_pos.distance_to(self.position(rx, t))
-                outcome = packet_outcome(self.profiles[rx],
-                                         received_power(self.profiles[rx], d))
-            else:
-                outcome = PacketOutcome.DELIVERED
-            self.queue.schedule(t + self.p.hop_delay, rx,
-                                ("deliver", frame, rx, outcome))
+        at = t + self.p.hop_delay
+        schedule = self.queue.schedule
+        if frame.channel == "radio":
+            for rx in receivers:
+                schedule(at, rx, ("deliver", frame, rx,
+                                  self._radio_outcome(node_id, rx, t)))
+        else:
+            for rx in receivers:
+                schedule(at, rx, ("deliver", frame, rx,
+                                  PacketOutcome.DELIVERED))
 
-    def _on_deliver(self, t: float, frame: Frame, rx: str,
-                    outcome: PacketOutcome):
-        if (self.kinds[rx] is NodeKind.MOTE
-                and self.mote_states[rx].mode is MoteMode.SLEEPING):
+    def _on_deliver(self, t: float, payload):
+        _, frame, rx, outcome = payload
+        mote = self.mote_states.get(rx)
+        if mote is not None and mote.mode is MoteMode.SLEEPING:
             return  # radio powered down
         if outcome is PacketOutcome.LOST:
             return
-        self.count(Layer.PHY_80211, "signals_locked")
+        c = self.counts
+        c[PHY_LOCKED] += 1
         if outcome is PacketOutcome.ERRORED:
-            self.count(Layer.PHY_80211, "signals_received_with_errors")
+            c[PHY_ERRORS] += 1
             return
-        self.count(Layer.PHY_80211, "signals_received_forwarded_to_mac")
+        c[PHY_TO_MAC] += 1
         if frame.dst is None:
-            self.count(Layer.MAC_80211, "broadcast_received_clearly")
-            self.count(Layer.MAC_DCF, "broadcast_received")
+            c[MAC_BCAST_RX] += 1
+            c[DCF_BCAST_RX] += 1
         elif frame.channel == "satlink":
-            self.count(Layer.MAC_SATCOM, "frames_received")
+            c[SAT_RX] += 1
         else:
-            self.count(Layer.MAC_LINK, "frames_received")
-        self.count(Layer.NET_IP, "in_received")
-        self.count(Layer.NET_IP, "in_delivers")
-        self.count(Layer.NET_IP, "in_delivers_ttl_sum", frame.ip_ttl)
-        self.count(Layer.TRANSPORT_UDP, "packets_to_app")
-        handler = getattr(self, f"_rx_{frame.kind}")
-        handler(t, frame, rx)
+            c[LINK_RX] += 1
+        c[IP_IN_RECEIVED] += 1
+        c[IP_IN_DELIVERS] += 1
+        c[IP_TTL_SUM] += frame.ip_ttl
+        c[UDP_TO_APP] += 1
+        self._receivers[frame.kind](t, frame, rx)
 
     # ---- per-kind receive handlers ----------------------------------
 
@@ -282,19 +352,19 @@ class Simulation:
                                      ip_ttl=action.request.ttl))
 
     def _rx_dv(self, t: float, frame: Frame, rx: str):
-        self.count(Layer.APP_BELLMAN_FORD, "update_packets_received")
-        update = frame.payload
-        changed = apply_update(self.tables[rx], update,
+        c = self.counts
+        c[DV_RECEIVED] += 1
+        changed = apply_update(self.tables[rx], frame.payload,
                                self.mote_neighbors[rx])
         if changed:
-            self.count(Layer.APP_BELLMAN_FORD, "triggered_updates")
+            c[DV_TRIGGERED] += 1
             self._broadcast_dv(rx, triggered=True)
 
     def _rx_payload(self, t: float, frame: Frame, rx: str):
         if self.kinds[rx] is NodeKind.SATELLITE and frame.relay:
             # bent-pipe to the switching centre
-            self.count(Layer.MAC_SATCOM, "frames_relayed")
-            self.count(Layer.MAC_SATCOM, "frames_sent")
+            self.counts[SAT_RELAYED] += 1
+            self.counts[SAT_SENT] += 1
 
     def _rx_sat_request(self, t: float, frame: Frame, rx: str):
         self._send(rx, Frame(0, "sat_grant", rx, dst=frame.src,
@@ -309,8 +379,8 @@ class Simulation:
 
     def _rx_sat_ack(self, t: float, frame: Frame, rx: str):
         # forward the confirmation to the switching centre
-        self.count(Layer.MAC_SATCOM, "frames_relayed")
-        self.count(Layer.MAC_SATCOM, "frames_sent")
+        self.counts[SAT_RELAYED] += 1
+        self.counts[SAT_SENT] += 1
 
     # ---- distance-vector plumbing -----------------------------------
 
@@ -323,7 +393,8 @@ class Simulation:
         self._send(mote, Frame(0, "dv", mote, targets=targets,
                                payload=update))
 
-    def _on_dv_send(self, t: float, mote: str):
+    def _on_dv_send(self, t: float, payload):
+        mote = payload[1]
         if self.mote_states[mote].mode is MoteMode.SLEEPING:
             return
         self._broadcast_dv(mote, triggered=False)
@@ -331,8 +402,8 @@ class Simulation:
 
     # ---- coverage checks and the handoff state machine ---------------
 
-    def _on_coverage(self, t: float):
-        graph = self.graph_at(t)
+    def _on_coverage(self, t: float, payload):
+        graph = self.handset_graph(t)
         for ms_id in sorted(self.ms_states):
             self._check_ms(t, ms_id, graph)
         nxt = t + self.p.coverage_check_period
@@ -344,7 +415,7 @@ class Simulation:
         if st.link is not None:
             if st.link.endpoint.kind is NodeKind.BASE_STATION:
                 bs_pos = self.bs_positions[st.link.endpoint.node_id]
-                if (bs_pos.distance_to(self.position(ms_id, t))
+                if (bs_pos.distance_to(self.here[ms_id])
                         > self.p.max_steer_range):
                     st.link = None  # walked out of the steered beam
             if st.link is not None:
@@ -364,7 +435,7 @@ class Simulation:
                  and self.mote_states[m].mode is MoteMode.ACTIVE]
         halted = self.halted(ms_id, t)
         if motes and not (halted and st.failed_after_halt > 0):
-            req = make_discovery(ms_id, self.position(ms_id, t), motes,
+            req = make_discovery(ms_id, self.here[ms_id], motes,
                                  self.ids, self.p.default_ttl)
             st.pending_request = req.request_id
             st.pending_deadline = t + self.p.discovery_timeout
@@ -393,7 +464,8 @@ class Simulation:
 
     # ---- escalation, decision, establishment ------------------------
 
-    def _on_backhaul(self, t: float, esc: Escalation):
+    def _on_backhaul(self, t: float, payload):
+        esc = payload[1]
         self.escalation_log.append(esc)
         paths = self.msc_paths.setdefault(esc.request_id, [])
         paths.append(esc.relay_path)
@@ -423,16 +495,17 @@ class Simulation:
                             ("establish", esc.ms_id, record,
                              esc.request_id))
 
-    def _on_sat_locate(self, t: float, ms_id: str):
+    def _on_sat_locate(self, t: float, payload):
         # the switching centre uplinks the mobile's location; the satellite
         # relays it down as a page
-        self.count(Layer.MAC_SATCOM, "frames_received")
-        self.count(Layer.MAC_SATCOM, "frames_relayed")
+        ms_id = payload[1]
+        self.counts[SAT_RX] += 1
+        self.counts[SAT_RELAYED] += 1
         self._send(self.satellite_id, Frame(0, "sat_page", self.satellite_id,
                                             dst=ms_id, channel="satlink"))
 
-    def _on_establish(self, t: float, ms_id: str, record: LinkRecord,
-                      request_id: int):
+    def _on_establish(self, t: float, payload):
+        _, ms_id, record, request_id = payload
         st = self.ms_states[ms_id]
         st.awaiting_link = False
         if st.link is not None:
@@ -458,7 +531,8 @@ class Simulation:
         except (UnreachableError, RoutingLoopError):
             return None
 
-    def _on_app(self, t: float, ms_id: str, link_stamp: float):
+    def _on_app(self, t: float, payload):
+        _, ms_id, link_stamp = payload
         st = self.ms_states[ms_id]
         if st.link is None or st.link.established_at != link_stamp:
             return  # that link is gone; a new one starts its own cycle
@@ -477,30 +551,12 @@ class Simulation:
     # ---- main loop ----------------------------------------------------
 
     def _dispatch(self, ev):
-        payload = ev.payload
-        self.log.append(f"{ev.fire_time:.6f} {ev.seq} {ev.target} "
-                        f"{payload[0]}")
+        t, seq, target, payload = ev
         kind = payload[0]
-        if kind == "coverage":
-            self._on_coverage(ev.fire_time)
-        elif kind == "drain":
-            self._on_drain(ev.fire_time, payload[1])
-        elif kind == "deliver":
-            self._on_deliver(ev.fire_time, payload[1], payload[2],
-                             payload[3])
-        elif kind == "dv_send":
-            self._on_dv_send(ev.fire_time, payload[1])
-        elif kind == "backhaul":
-            self._on_backhaul(ev.fire_time, payload[1])
-        elif kind == "sat_locate":
-            self._on_sat_locate(ev.fire_time, payload[1])
-        elif kind == "establish":
-            self._on_establish(ev.fire_time, payload[1], payload[2],
-                               payload[3])
-        elif kind == "app":
-            self._on_app(ev.fire_time, payload[1], payload[2])
-        else:
-            raise RuntimeError(f"unknown event {kind!r}")
+        self._digest.update(
+            f"{self._line_sep}{t:.6f} {seq} {target} {kind}".encode())
+        self._line_sep = "\n"
+        self._handlers[kind](t, payload)
 
     def run(self) -> RunReport:
         self.queue.schedule(0.0, "sim", ("coverage",))
@@ -508,7 +564,7 @@ class Simulation:
             self.queue.schedule(self.rng.draw() * self.p.dv_period, mote,
                                 ("dv_send", mote))
         processed = self.queue.run_until(self.s.duration, self._dispatch)
-        digest = hashlib.sha256("\n".join(self.log).encode()).hexdigest()
+        digest = self._digest.hexdigest()
         energy = {m: (st.energy_consumed, st.mode.value)
                   for m, st in sorted(self.mote_states.items())}
         return RunReport(self.ledger, tuple(self.links), energy, digest,

@@ -84,8 +84,17 @@ REGISTRY = (
     CounterKey(Layer.APP_BELLMAN_FORD, "update_packets_received"),
 )
 
-_REGISTRY_SET = frozenset(REGISTRY)
+_SLOTS = {key: i for i, key in enumerate(REGISTRY)}
 _BY_TOKEN = {k.token(): k for k in REGISTRY}
+
+
+def slot(key: CounterKey) -> int:
+    """Index of `key` in REGISTRY order, which is how StatsLedger.values is
+    laid out.  Hot paths resolve their slots once and bump the list."""
+    try:
+        return _SLOTS[key]
+    except KeyError:
+        raise UnknownCounterError(key) from None
 
 
 class Direction(Enum):
@@ -108,31 +117,32 @@ DEFAULT_DIRECTIONS[CounterKey(Layer.NET_FIFO, "packets_queued")] = \
 
 
 class StatsLedger:
-    """Monotone counter store over the fixed registry."""
+    """Monotone counter store over the fixed registry.
+
+    `values` holds one integer per counter in REGISTRY order; code that
+    bumps it directly must use indices from slot().
+    """
 
     def __init__(self):
-        self._values = {key: 0 for key in REGISTRY}
+        self.values = [0] * len(REGISTRY)
 
     def record(self, key: CounterKey, delta: int = 1):
-        if key not in _REGISTRY_SET:
-            raise UnknownCounterError(key)
+        i = slot(key)
         if delta < 0:
             raise ValueError("counters only move forward")
-        self._values[key] += delta
+        self.values[i] += delta
 
     def record_peak(self, key: CounterKey, value: int):
         """Raise a high-water-mark counter to `value` if it is higher."""
-        current = self.get(key)
-        if value > current:
-            self.record(key, value - current)
+        i = slot(key)
+        if value > self.values[i]:
+            self.values[i] = value
 
     def get(self, key: CounterKey) -> int:
-        if key not in _REGISTRY_SET:
-            raise UnknownCounterError(key)
-        return self._values[key]
+        return self.values[slot(key)]
 
     def as_dict(self) -> dict:
-        return dict(self._values)
+        return dict(zip(REGISTRY, self.values))
 
 
 class Category(Enum):

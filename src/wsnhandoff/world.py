@@ -189,6 +189,51 @@ class CommGraph:
         return b in self._adj.get(a, ())
 
 
+def check_distinct(positions: dict):
+    """Raise CoLocatedError when two nodes occupy the same Point.
+
+    The pair named is the first repeat in node id order, so every caller
+    reports the same pair for the same positions.
+    """
+    seen = {}
+    for n in sorted(positions):
+        p = positions[n]
+        key = (p.x, p.y)
+        if key in seen:
+            raise CoLocatedError(f"nodes {seen[key]} and {n} share {key}")
+        seen[key] = n
+
+
+def linked(a: str, b: str, positions: dict, kinds: dict,
+           profiles: dict) -> bool:
+    """The edge rule of the communication graph for one pair of nodes.
+
+    Switching centres link to nothing, satellites to every other node, and
+    any other pair links when each end hears the other under its own
+    profile.  The rule is symmetric in a and b.
+    """
+    ka, kb = kinds[a], kinds[b]
+    if ka is NodeKind.MSC or kb is NodeKind.MSC:
+        return False
+    if ka is NodeKind.SATELLITE or kb is NodeKind.SATELLITE:
+        return True
+    pa, pb = profiles.get(a), profiles.get(b)
+    if pa is None or pb is None:
+        return False
+    return (in_range(positions[a], positions[b], pa)
+            and in_range(positions[a], positions[b], pb))
+
+
+def neighbors_of(node_id: str, positions: dict, kinds: dict,
+                 profiles: dict) -> set:
+    """The row of `node_id` in comm_graph(positions, kinds, profiles),
+    without building the other rows.  Co-location is the caller's check
+    (check_distinct)."""
+    return {b for b in positions
+            if b != node_id and linked(node_id, b, positions, kinds,
+                                       profiles)}
+
+
 def comm_graph(positions: dict, kinds: dict, profiles: dict,
                t: float = 0.0) -> CommGraph:
     """Build the communication graph for one instant.
@@ -197,28 +242,12 @@ def comm_graph(positions: dict, kinds: dict, profiles: dict,
     (profile may be None for nodes without a radio).  Raises CoLocatedError
     when two nodes occupy the same Point.
     """
+    check_distinct(positions)
     ids = sorted(positions)
-    seen = {}
-    for n in ids:
-        p = positions[n]
-        key = (p.x, p.y)
-        if key in seen:
-            raise CoLocatedError(f"nodes {seen[key]} and {n} share {key}")
-        seen[key] = n
     adj = {n: set() for n in ids}
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            if kinds[a] is NodeKind.MSC or kinds[b] is NodeKind.MSC:
-                continue
-            if kinds[a] is NodeKind.SATELLITE or kinds[b] is NodeKind.SATELLITE:
-                adj[a].add(b)
-                adj[b].add(a)
-                continue
-            pa, pb = profiles.get(a), profiles.get(b)
-            if pa is None or pb is None:
-                continue
-            if (in_range(positions[a], positions[b], pa)
-                    and in_range(positions[a], positions[b], pb)):
+            if linked(a, b, positions, kinds, profiles):
                 adj[a].add(b)
                 adj[b].add(a)
     return CommGraph(t, adj)

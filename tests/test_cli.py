@@ -1,7 +1,13 @@
 """Command line behavior: exit codes, outputs, comparisons."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wsnhandoff
 from wsnhandoff.cli import main
 from wsnhandoff.scenario import reference_scenario, serialize_scenario, strip_wsn
 from wsnhandoff.simulation import run, serialize_report
@@ -51,6 +57,34 @@ def test_usage_errors_exit_two(capsys):
         main(["run"])  # --scenario is required
     assert e.value.code == 2
     capsys.readouterr()
+
+
+def _cli(*args):
+    """Run the CLI in a fresh interpreter with a timeout, so that an input
+    that makes it hang fails the test instead of stalling the suite."""
+    src = str(Path(wsnhandoff.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "wsnhandoff.cli", *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("until", ["inf", "nan", "-5", "0", "abc"])
+def test_bad_until_is_a_usage_error(until):
+    proc = _cli("run", "--scenario", "reference", "--until", until)
+    assert proc.returncode == 2
+    assert "--until" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("params", ["hop_delay = abc", "seed = 1.5",
+                                    "coverage_check_period = 0",
+                                    "duration = inf"])
+def test_bad_scenario_numbers_exit_one_without_traceback(tmp_path, params):
+    scen = tmp_path / "bad.scn"
+    scen.write_text(f"[params]\n{params}\n[node]\nm1 mote 0 0\n")
+    proc = _cli("run", "--scenario", str(scen))
+    assert proc.returncode == 1
+    assert "invalid scenario" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_compare_auto_baseline(tmp_path, capsys):

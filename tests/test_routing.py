@@ -5,10 +5,11 @@ from collections import deque
 
 import pytest
 
-from wsnhandoff.routing import (INFINITY_METRIC, DistanceVector, RouteUpdate,
-                                RoutingLoopError, UnknownNeighborError,
-                                UnreachableError, apply_update, init_table,
-                                periodic_update, shortest_path)
+from wsnhandoff.routing import (INFINITY_METRIC, LINK_COST, DistanceVector,
+                                RouteUpdate, RoutingLoopError,
+                                UnknownNeighborError, UnreachableError,
+                                apply_update, init_table, periodic_update,
+                                shortest_path)
 
 
 def test_init_table_self_entry():
@@ -189,3 +190,75 @@ def test_inconsistent_tables_raise_loop_error():
     }
     with pytest.raises(RoutingLoopError):
         shortest_path(tables, "a", "x")
+
+
+# ---- apply_update against the original merge ----------------------------
+
+
+def _reference_apply_update(table, update, neighbors):
+    """The merge as first written, per-entry metric()/next_hop() lookups over
+    the sorted vector; kept as the oracle for the plain-dict loop."""
+    if update.sender not in neighbors:
+        raise UnknownNeighborError(
+            f"{table.owner} got update from non-neighbor {update.sender}")
+    changed = set()
+    for dst in sorted(update.vector):
+        candidate = min(INFINITY_METRIC, update.vector[dst] + LINK_COST)
+        current = table.metric(dst)
+        via_sender = table.next_hop(dst) == update.sender
+        if candidate < current or (via_sender and candidate != current):
+            table.entries[dst] = (candidate, update.sender)
+            changed.add(dst)
+    return changed
+
+
+def _random_table(rng, owner, names, senders):
+    entries = {owner: (0, owner)}
+    for dst in names:
+        if dst != owner and rng.random() < 0.7:  # the rest stay missing
+            entries[dst] = (rng.randint(1, INFINITY_METRIC),
+                            rng.choice(senders))
+    return DistanceVector(owner, entries)
+
+
+def test_apply_update_matches_reference_merge_on_random_tables():
+    rng = random.Random(2024)
+    names = [f"n{i:02d}" for i in range(20)]
+    cases = {"adopted": 0, "missing": 0, "worse_via_sender": 0,
+             "clamped": 0}
+    for _ in range(400):
+        owner, sender, other = rng.sample(names, 3)
+        table = _random_table(rng, owner, names, [sender, other])
+        dsts = rng.sample(names, rng.randint(0, len(names)))
+        # advertised metrics include 15 and 16, which clamp at infinity
+        vector = {d: rng.randint(0, INFINITY_METRIC) for d in dsts}
+        if rng.random() < 0.5:  # most adverts arrive in sorted order
+            vector = dict(sorted(vector.items()))
+        update = RouteUpdate(sender, vector)
+        for dst, adv in vector.items():
+            metric, hop = table.entries.get(dst, (INFINITY_METRIC, None))
+            cases["missing"] += dst not in table.entries
+            cases["worse_via_sender"] += hop == sender and adv + 1 > metric
+            cases["clamped"] += adv + 1 > INFINITY_METRIC
+        expected = DistanceVector(owner, dict(table.entries))
+        want = _reference_apply_update(expected, update, {sender, other})
+        got = apply_update(table, update, {sender, other})
+        assert got == want
+        assert table.entries == expected.entries
+        cases["adopted"] += len(got)
+    assert all(n > 50 for n in cases.values()), cases
+
+
+def test_apply_update_rejects_non_neighbours_like_the_reference():
+    rng = random.Random(5)
+    names = [f"n{i}" for i in range(6)]
+    for _ in range(20):
+        owner, sender, other = rng.sample(names, 3)
+        table = _random_table(rng, owner, names, [sender, other])
+        before = dict(table.entries)
+        update = RouteUpdate(sender, {d: 1 for d in names})
+        with pytest.raises(UnknownNeighborError):
+            _reference_apply_update(table, update, {other})
+        with pytest.raises(UnknownNeighborError):
+            apply_update(table, update, {other})
+        assert table.entries == before

@@ -7,12 +7,14 @@ from collections import deque
 import pytest
 
 from wsnhandoff.protocol import DecisionOutcome, MoteMode
-from wsnhandoff.scenario import (NodeSpec, Scenario, reference_scenario,
-                                 strip_wsn, validate_scenario)
-from wsnhandoff.simulation import (RunReport, parse_report_ledger, run,
-                                   serialize_report)
+from wsnhandoff.scenario import (NodeSpec, Scenario, effective_profile,
+                                 reference_scenario, strip_wsn,
+                                 validate_scenario)
+from wsnhandoff.simulation import (RunReport, Simulation, parse_report_ledger,
+                                   run, serialize_report)
 from wsnhandoff.stats import (Layer, RegistryMismatchError, counter_by_token)
-from wsnhandoff.world import NodeKind, Point, profile_for_range
+from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind, Point,
+                              comm_graph, position_at, profile_for_range)
 
 
 def _get(report: RunReport, token: str) -> int:
@@ -348,3 +350,103 @@ def test_flood_delivery_is_sound_with_two_cells():
             assert pos[esc.relay_path[-1]].distance_to(
                 s.node(esc.bs_id).position) <= RADIO_RANGE
             assert set(esc.relay_path) <= set(motes)
+
+
+# ---- per-handset coverage against the full communication graph ----------
+
+
+def _full_graph_at(s: Scenario, t: float):
+    """Oracle: every node positioned at t and the whole graph rebuilt."""
+    positions = {n.node_id: (position_at(s.mobility[n.node_id], n.position, t)
+                             if n.node_id in s.mobility else n.position)
+                 for n in s.nodes}
+    return comm_graph(positions, {n.node_id: n.kind for n in s.nodes},
+                      {n.node_id: effective_profile(n) for n in s.nodes}, t)
+
+
+def _random_walk_world(rng) -> Scenario:
+    nodes = [NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 200.0)),
+             NodeSpec("bs2", NodeKind.BASE_STATION, Point(900.0, 200.0)),
+             NodeSpec("msc1", NodeKind.MSC, Point(450.0, 200.0)),
+             NodeSpec("sat1", NodeKind.SATELLITE, Point(450.0, 900.0))]
+    for i in range(rng.randint(0, 30)):
+        # some motes get a hotter or deafer radio, so links go one-way
+        profile = (profile_for_range(rng.uniform(60.0, 260.0),
+                                     error_margin_db=1.0)
+                   if rng.random() < 0.3 else None)
+        nodes.append(NodeSpec(f"m{i:02d}", NodeKind.MOTE,
+                              Point(rng.uniform(0.0, 900.0),
+                                    rng.uniform(0.0, 400.0)), profile))
+    mobility = {}
+    for i in range(rng.randint(1, 4)):
+        ms_id = f"ms{i}"
+        nodes.append(NodeSpec(ms_id, NodeKind.MOBILE_STATION,
+                              Point(rng.uniform(0.0, 900.0),
+                                    rng.uniform(0.0, 400.0))))
+        if rng.random() < 0.8:  # the rest stand still
+            waypoints = tuple(Point(rng.uniform(0.0, 900.0),
+                                    rng.uniform(0.0, 400.0))
+                              for _ in range(rng.randint(1, 3)))
+            mobility[ms_id] = MobilityPath(waypoints, rng.uniform(2.0, 30.0),
+                                           rng.uniform(0.2, 1.0))
+    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
+                 duration=60.0, seed=1)
+    validate_scenario(s)
+    return s
+
+
+def test_handset_rows_match_a_full_graph_rebuild():
+    rng = random.Random(4242)
+    compared = 0
+    for _ in range(40):
+        s = _random_walk_world(rng)
+        sim = Simulation(s)
+        for t in [0.0, 0.5, 1.0, 7.25, 13.0, 31.5, 60.0]:
+            oracle = _full_graph_at(s, t)
+            rows = sim.handset_graph(t)
+            for ms_id in sim.ms_states:
+                assert rows.neighbors(ms_id) == oracle.neighbors(ms_id)
+                compared += 1
+    assert compared > 300
+
+
+def _crossing_world(walkers) -> Scenario:
+    nodes = [NodeSpec("bs1", NodeKind.BASE_STATION, Point(-300.0, 0.0)),
+             NodeSpec("m01", NodeKind.MOTE, Point(64.0, 0.0)),
+             NodeSpec("m02", NodeKind.MOTE, Point(160.0, 0.0)),
+             NodeSpec("msc1", NodeKind.MSC, Point(0.0, 500.0)),
+             NodeSpec("sat1", NodeKind.SATELLITE, Point(0.0, 900.0))]
+    mobility = {}
+    for ms_id, start, end in walkers:
+        nodes.append(NodeSpec(ms_id, NodeKind.MOBILE_STATION, start))
+        mobility[ms_id] = MobilityPath((end,), 8.0, 1.0)
+    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
+                 duration=20.0, seed=1)
+    validate_scenario(s)
+    return s
+
+
+@pytest.mark.parametrize("walkers", [
+    # walks through m01's exact point at t = 8 (powers of two keep the
+    # walk exact)
+    [("ms1", Point(0.0, 0.0), Point(1024.0, 0.0))],
+    # two handsets meet at (64, -64) at t = 8, beside no other node
+    [("ms1", Point(0.0, -64.0), Point(1024.0, -64.0)),
+     ("ms2", Point(64.0, -128.0), Point(64.0, 896.0))],
+])
+def test_walking_onto_another_node_raises_at_the_oracle_tick(walkers):
+    s = _crossing_world(walkers)
+    t, expected = 0.0, None
+    while expected is None:
+        try:
+            _full_graph_at(s, t)
+        except CoLocatedError as e:
+            expected = str(e)
+        else:
+            t += s.params.coverage_check_period
+    assert t == 8.0
+    sim = Simulation(s)
+    with pytest.raises(CoLocatedError) as e:
+        sim.run()
+    assert str(e.value) == expected
+    assert sim.queue.clock == t

@@ -1,6 +1,8 @@
 """Scenario text format, validation, and the built-in deployment."""
 
+import dataclasses
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, Scenario,
                                  effective_profile, load_scenario,
                                  reference_scenario, serialize_scenario,
                                  strip_wsn, validate_scenario)
+from wsnhandoff.simulation import run
 from wsnhandoff.world import (NodeKind, Point, comm_graph, halt_time,
                               position_at)
 
@@ -101,6 +104,71 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         load_scenario("[mobility]\nms1 speed=1 waypoints=1,2;3\n")
     assert "bad waypoint" in e.value.reason
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("[params]\nhop_delay = abc\n", 2, "bad hop_delay"),
+    ("[params]\n\nseed = 1.5\n", 3, "bad seed"),
+    ("[params]\nqueue_capacity = 2.5\n", 2, "bad queue_capacity"),
+    ("[params]\nduration = nan\n", 2, "duration must be finite"),
+    ("[params]\ndv_period = inf\n", 2, "dv_period must be finite"),
+    ("[node]\nbs1 base_station nan 0\n", 2, "x must be finite"),
+    ("[node]\nbs1 base_station 0 -inf\n", 2, "y must be finite"),
+    ("[node]\nm1 mote 0 0 tx_power=inf\n", 2, "tx_power must be finite"),
+    ("[mobility]\nms1 speed=1 waypoints=nan,0\n", 2, "x must be finite"),
+    ("[mobility]\nms1 speed=inf waypoints=1,0\n", 2,
+     "speed must be finite"),
+])
+def test_bad_numbers_are_parse_errors(text, line, reason):
+    with pytest.raises(ParseError) as e:
+        load_scenario(text)
+    assert _line_no(e) == line and reason in e.value.reason
+
+
+@pytest.mark.parametrize("param, value", [
+    ("coverage_check_period", "0"), ("tx_slot", "0"), ("dv_period", "-1"),
+    ("app_interval", "0"), ("hop_delay", "-0.01"),
+    ("backhaul_delay", "-1"), ("steering_delay", "-1"),
+    ("satellite_acquisition_delay", "-1"),
+])
+def test_nonpositive_periods_and_negative_delays_rejected(param, value):
+    with pytest.raises(ValidationError) as e:
+        load_scenario(f"[params]\n{param} = {value}\n[node]\nm1 mote 0 0\n")
+    assert e.value.problems == [
+        f"{param} must be {'>= 0' if 'delay' in param else 'positive'}"]
+
+
+def test_zero_delays_are_allowed():
+    s = load_scenario("[params]\nhop_delay = 0\nbackhaul_delay = 0\n"
+                      "[node]\nm1 mote 0 0\n")
+    assert s.params.hop_delay == 0.0 and s.params.backhaul_delay == 0.0
+
+
+def test_nan_timings_rejected_in_a_scenario_built_in_code():
+    nan = float("nan")
+    s = dataclasses.replace(
+        reference_scenario(), duration=nan,
+        params=SimParams(dv_period=nan, hop_delay=nan))
+    with pytest.raises(ValidationError) as e:
+        validate_scenario(s)
+    assert e.value.problems == ["duration must be positive",
+                                "dv_period must be positive",
+                                "hop_delay must be >= 0"]
+
+
+def _readme_scenario() -> str:
+    """The example under README's "Scenario files" heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_scenario_example_loads_and_runs():
+    s = load_scenario(_readme_scenario())
+    assert load_scenario(serialize_scenario(s)) == s
+    assert s.mobility and s.by_kind(NodeKind.MOTE)
+    report = run(s)
+    assert report.links  # the example walks into a handoff
 
 
 def test_validation_problems_are_collected():

@@ -7,7 +7,7 @@ from wsnhandoff.stats import (DEFAULT_DIRECTIONS, REGISTRY, Category,
                               NoSignificantChangeError, StatsLedger,
                               UnknownCounterError, classify,
                               counter_by_token, qos_improvement,
-                              render_report)
+                              render_report, slot)
 
 ERRORS = CounterKey(Layer.PHY_80211, "signals_received_with_errors")
 LOCKED = CounterKey(Layer.PHY_80211, "signals_locked")
@@ -48,6 +48,29 @@ def test_ledger_records_and_rejects_unknown_keys():
         led.record(CounterKey(Layer.PHY_80211, "nope"))
     with pytest.raises(ValueError):
         led.record(LOCKED, -1)
+
+
+def test_ledger_checks_every_public_entry_point():
+    led = StatsLedger()
+    bogus = CounterKey(Layer.MAC_LINK, "frames_dropped")
+    for call in (lambda: led.record(bogus), lambda: led.get(bogus),
+                 lambda: led.record_peak(bogus, 3), lambda: slot(bogus)):
+        with pytest.raises(UnknownCounterError):
+            call()
+    led.record(LOCKED, 2)
+    with pytest.raises(ValueError):
+        led.record(LOCKED, -1)
+    assert led.get(LOCKED) == 2  # a rejected delta changes nothing
+
+
+def test_ledger_slots_and_as_dict_follow_registry_order():
+    led = StatsLedger()
+    for i, key in enumerate(REGISTRY):
+        assert slot(key) == i
+        led.record(key, i + 1)
+    assert list(led.as_dict()) == list(REGISTRY)
+    assert list(led.as_dict().values()) == list(range(1, len(REGISTRY) + 1))
+    assert led.values == list(range(1, len(REGISTRY) + 1))
 
 
 def test_peak_counter_is_a_high_water_mark():
