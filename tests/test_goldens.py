@@ -10,16 +10,20 @@ The scenarios are built here, independently of the benchmark's generators:
 the reference corridor, the same corridor without motes, and a k=4 mote grid
 (100 m pitch from (80,130), base stations at (0,200) and (100k+600,200), a
 satellite and a switching centre mid-field, 90 s, seed 1) walked by one or by
-three handsets.
+three handsets.  "reference-drops" is the reference corridor cut to 20 s with
+one-frame queues and a payload every millisecond: its motes tail-drop frames
+during the first distance-vector exchanges, which pins the drop path.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from wsnhandoff.scenario import (NodeSpec, Scenario, reference_scenario,
-                                 strip_wsn, validate_scenario)
-from wsnhandoff.simulation import run, serialize_report
+from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
+                                 reference_scenario, strip_wsn,
+                                 validate_scenario)
+from wsnhandoff.simulation import Simulation, run, serialize_report
 from wsnhandoff.world import MobilityPath, NodeKind, Point
 
 
@@ -48,12 +52,19 @@ def grid_scenario(k: int, walkers) -> Scenario:
     return s
 
 
+def drop_scenario() -> Scenario:
+    return dataclasses.replace(
+        reference_scenario(), duration=20.0,
+        params=SimParams(queue_capacity=1, app_interval=0.001))
+
+
 SCENARIOS = {
     "reference": reference_scenario,
     "reference-no-motes": lambda: strip_wsn(reference_scenario()),
     "grid4-one-walker": lambda: grid_scenario(4, [("ms1", 190.0, 8.0)]),
     "grid4-three-walkers": lambda: grid_scenario(
         4, [(f"ms{i + 1}", 190.0 - 7 * i, 8.0 + 0.25 * i) for i in range(3)]),
+    "reference-drops": drop_scenario,
 }
 
 # name -> (digest, events_processed, sha256 of serialize_report)
@@ -74,6 +85,10 @@ GOLDENS = {
         "ec31ef8c008e1f23ef0a0a8df49c0c4c400643fea14509e3865dc7eabfee6e03",
         4085,
         "468efe3de7152c86e7efa9e891a6a3d0888a134067024b863380480a41ede547"),
+    "reference-drops": (
+        "45afc0b80772544a37cde4aeea10369bba0df8f9adfd9f3222456d9ec9832986",
+        2112,
+        "e765ef9d942b4d9def4bd82ab9f6d8a0b58413f518491b6104251026b55cb192"),
 }
 
 
@@ -84,3 +99,10 @@ def test_run_matches_golden(name):
     got = (report.digest, report.events_processed,
            hashlib.sha256(text.encode()).hexdigest())
     assert got == GOLDENS[name]
+
+
+def test_drop_scenario_drops_frames_and_streams_payload():
+    sim = Simulation(drop_scenario())
+    report = sim.run()
+    assert sum(q.dropped for q in sim.node_queues.values()) > 0
+    assert report.links  # the payload stream runs over an established link
