@@ -12,10 +12,18 @@ from .stats import RegistryMismatchError, classify, render_report
 
 
 def _load(source: str):
-    if source == "reference":
-        return reference_scenario()
-    with open(source, encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    """The scenario named by --scenario, or None once the reason it cannot
+    be loaded is printed."""
+    try:
+        if source == "reference":
+            return reference_scenario()
+        with open(source, encoding="utf-8") as fh:
+            return load_scenario(fh.read())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, ValidationError) as exc:
+        print(f"error: invalid scenario: {exc}", file=sys.stderr)
+    return None
 
 
 def _duration(text: str) -> float:
@@ -31,13 +39,8 @@ def _duration(text: str) -> float:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = _load(args.scenario)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ValidationError) as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
+    scenario = _load(args.scenario)
+    if scenario is None:
         return 1
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
@@ -69,13 +72,8 @@ def cmd_compare(args) -> int:
             print("error: --auto-baseline needs --scenario",
                   file=sys.stderr)
             return 2
-        try:
-            scenario = _load(args.scenario)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (ParseError, ValidationError) as exc:
-            print(f"error: invalid scenario: {exc}", file=sys.stderr)
+        scenario = _load(args.scenario)
+        if scenario is None:
             return 1
         baseline = run(strip_wsn(scenario)).ledger
         candidate = run(scenario).ledger

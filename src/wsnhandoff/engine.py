@@ -69,8 +69,11 @@ class EventQueue:
         """
         processed = 0
         heap = self._heap
+        heappop = heapq.heappop
         while heap and heap[0][0] <= t_end:
-            dispatch(self.pop())
+            ev = heappop(heap)  # the body of pop(), inlined
+            self.clock = ev[0]
+            dispatch(ev)
             processed += 1
         self.clock = t_end
         return processed

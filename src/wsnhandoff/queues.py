@@ -1,5 +1,8 @@
 """Network-layer queues: per-class FIFOs under a strict-priority scheduler.
 
+The queues read only an item's `priority_class`: the simulator queues its
+frames as they are, and Packet is a validated item for direct use.
+
 Counter convention: `queued` counts every enqueue attempt (accepted or
 dropped), so at any instant
 
@@ -8,6 +11,7 @@ dropped), so at any instant
 holds for both queue types.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,7 +46,7 @@ class FifoQueue:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items = []
+        self._items = deque()
         self.queued = 0
         self.dequeued = 0
         self.dropped = 0
@@ -51,21 +55,22 @@ class FifoQueue:
     def __len__(self):
         return len(self._items)
 
-    def enqueue(self, packet: Packet) -> EnqueueResult:
+    def enqueue(self, item) -> EnqueueResult:
         self.queued += 1
-        if len(self._items) >= self.capacity:
+        size = len(self._items)
+        if size >= self.capacity:
             self.dropped += 1
             return EnqueueResult.DROPPED
-        self._items.append(packet)
-        if len(self._items) > self.peak_size:
-            self.peak_size = len(self._items)
+        self._items.append(item)
+        if size >= self.peak_size:
+            self.peak_size = size + 1
         return EnqueueResult.ACCEPTED
 
     def dequeue(self):
         if not self._items:
             return None
         self.dequeued += 1
-        return self._items.pop(0)
+        return self._items.popleft()
 
 
 class StrictPriorityQueue:
@@ -76,29 +81,18 @@ class StrictPriorityQueue:
                         for _ in range(PRIORITY_CLASSES)]
 
     def __len__(self):
-        return sum(len(q) for q in self.classes)
+        return sum(map(len, self.classes))
 
-    def enqueue(self, packet: Packet) -> EnqueueResult:
-        return self.classes[packet.priority_class].enqueue(packet)
+    def enqueue(self, item) -> EnqueueResult:
+        return self.classes[item.priority_class].enqueue(item)
 
     def dequeue(self):
         for q in self.classes:
-            if len(q):
+            if q._items:
                 return q.dequeue()
         return None
 
-    @property
-    def queued(self):
-        return sum(q.queued for q in self.classes)
-
-    @property
-    def dequeued(self):
-        return sum(q.dequeued for q in self.classes)
-
-    @property
-    def dropped(self):
-        return sum(q.dropped for q in self.classes)
-
-    @property
-    def peak_size(self):
-        return max(q.peak_size for q in self.classes)
+    queued = property(lambda self: sum(q.queued for q in self.classes))
+    dequeued = property(lambda self: sum(q.dequeued for q in self.classes))
+    dropped = property(lambda self: sum(q.dropped for q in self.classes))
+    peak_size = property(lambda self: max(q.peak_size for q in self.classes))

@@ -27,7 +27,7 @@ with its line number.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .world import (MobilityPath, NodeKind, Point, RadioProfile,
                     profile_for_range)
@@ -280,6 +280,19 @@ def validate_scenario(s: Scenario):
     for name in _DELAYS:
         if not getattr(s.params, name) >= 0:
             problems.append(f"{name} must be >= 0")
+    # Every number must be finite, as in scenario text, or serialize_scenario
+    # could not write it; a name reported above is not reported again.
+    for name, value in {"duration": s.duration, **asdict(s.params)}.items():
+        if not (math.isfinite(value)
+                or any(p.startswith(f"{name} ") for p in problems)):
+            problems.append(f"{name} must be finite")
+    for n in s.nodes:
+        if not (math.isfinite(n.position.x) and math.isfinite(n.position.y)):
+            problems.append(f"position of {n.node_id!r} must be finite")
+    for node_id, path in s.mobility.items():
+        if not all(map(math.isfinite, [path.speed, *(
+                c for w in path.waypoints for c in (w.x, w.y))])):
+            problems.append(f"mobility of {node_id!r} must be finite")
     if problems:
         raise ValidationError(problems)
 

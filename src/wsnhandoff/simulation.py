@@ -3,18 +3,21 @@ floods, distance-vector chatter, queue transit, handoffs and the counter
 ledger, all on the deterministic event queue.
 
 Frame life cycle: a protocol handler calls _send(), which books the
-transport/IP counters and drops the frame into the node's network queue
-(strict-priority on motes, plain FIFO elsewhere).  A drain event serialises
-the node's transmissions one tx_slot apart; transmit() books the PHY/MAC
-counters, classifies the reception for every receiver against the radio
-model and schedules per-receiver delivery one hop_delay later.  Steered
-beams and satellite links are logical channels: their frames always arrive.
+transport/IP counters and puts the Frame itself into the node's network
+queue (strict-priority on motes, plain FIFO elsewhere; a full one drops it).
+A drain event dequeues the node's frames one tx_slot apart; _transmit()
+books the PHY/MAC counters, classifies the reception for every receiver
+against the radio model and schedules per-receiver delivery one hop_delay
+later.  Steered beams and satellite links are logical channels: their
+frames always arrive.  No frame is changed after _send(), so one object can
+be queued and delivered many times, like a link's payload frame.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the report digest: the
 SHA-256 of the lines joined by newlines, hashed as they happen (the first
-line alone, every later one with a leading newline), so no log is kept.  Two
-runs of the same scenario and seed must match byte for byte.
+line alone, every later one with a leading newline), so no log is kept.  The
+formatted time is reused while consecutive events share it.  Two runs of the
+same scenario and seed must match byte for byte.
 
 Only mobile stations move (validation rejects mobility on other nodes), so a
 coverage check positions each handset once and tests it against the fixed
@@ -23,7 +26,7 @@ Radio outcomes between two nodes that do not move are computed once.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import EventQueue, RngStream
 from .protocol import (DecisionOutcome, FloodToMotes, LinkRecord, MoteMode,
@@ -31,18 +34,16 @@ from .protocol import (DecisionOutcome, FloodToMotes, LinkRecord, MoteMode,
                        bs_notify_msc, detect_loss, establish_link,
                        make_discovery, mote_forward, msc_decide,
                        release_motes)
-from .queues import EnqueueResult, FifoQueue, Packet, StrictPriorityQueue
+from .queues import FifoQueue, StrictPriorityQueue
 from .routing import (RoutingLoopError, UnreachableError, apply_update,
                       init_table, periodic_update, shortest_path)
 from .scenario import Scenario, effective_profile
-from .stats import CounterKey, Layer, StatsLedger, slot
+from .stats import (REGISTRY, CounterKey, Layer, RegistryMismatchError,
+                    StatsLedger, UnknownCounterError, counter_by_token, slot)
 from .world import (CommGraph, NodeKind, PacketOutcome, check_distinct,
                     comm_graph, halt_time, neighbors_of, packet_outcome,
                     position_at, received_power)
 
-FRAME_SIZES = {"discovery": 64, "dv": 96, "payload": 512,
-               "sat_request": 64, "sat_grant": 64,
-               "sat_page": 64, "sat_ack": 64}
 CONTROL_CLASS = 0
 PAYLOAD_CLASS = 1
 DEFAULT_IP_TTL = 16
@@ -83,9 +84,8 @@ DV_TRIGGERED = _slot(Layer.APP_BELLMAN_FORD, "triggered_updates")
 DV_RECEIVED = _slot(Layer.APP_BELLMAN_FORD, "update_packets_received")
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
-    frame_id: int
     kind: str
     src: str
     dst: str = None          # None means broadcast
@@ -103,7 +103,7 @@ class MsState:
     pending_deadline: float = 0.0
     awaiting_link: bool = False
     link: LinkRecord = None
-    links: list = field(default_factory=list)
+    payload_frame: Frame = None  # what `link` carries every app_interval
     failed_after_halt: int = 0
 
 
@@ -128,10 +128,10 @@ class Simulation:
         self.ledger = StatsLedger()
         self.counts = self.ledger.values
         self._digest = hashlib.sha256()
-        self._line_sep = ""      # becomes "\n" after the first event
+        self._hash = self._hash_first_line
+        self._stamp_t = None     # time of the last event, and its
+        self._stamp = ""         # "\n{t:.6f} " prefix
         self.ids = RequestIdSource()
-        self._next_packet_id = 1
-        self._inflight = {}
 
         self.kinds = {n.node_id: n.kind for n in scenario.nodes}
         self.profiles = {n.node_id: effective_profile(n)
@@ -193,7 +193,8 @@ class Simulation:
                            "dv": self._rx_dv,
                            "payload": self._rx_payload,
                            "sat_request": self._rx_sat_request,
-                           "sat_grant": self._rx_sat_grant,
+                           # the grant's link comes up by its own event
+                           "sat_grant": lambda t, frame, rx: None,
                            "sat_page": self._rx_sat_page,
                            "sat_ack": self._rx_sat_ack}
 
@@ -241,17 +242,13 @@ class Simulation:
         c[UDP_FROM_APP] += 1
         c[IP_OUT_REQUESTS] += 1
         q = self.node_queues[node_id]
-        pkt = Packet(self._next_packet_id, frame.src,
-                     frame.dst or "*", frame.priority_class,
-                     FRAME_SIZES[frame.kind])
-        self._next_packet_id += 1
-        is_mote = node_id in self.mote_states
-        c[PRIO_QUEUED if is_mote else FIFO_QUEUED] += 1
-        result = q.enqueue(pkt)
-        if not is_mote and q.peak_size > c[FIFO_PEAK]:
-            c[FIFO_PEAK] = q.peak_size
-        if result is EnqueueResult.ACCEPTED:
-            self._inflight[pkt.packet_id] = frame
+        q.enqueue(frame)
+        if node_id in self.mote_states:
+            c[PRIO_QUEUED] += 1
+        else:
+            c[FIFO_QUEUED] += 1
+            if q.peak_size > c[FIFO_PEAK]:
+                c[FIFO_PEAK] = q.peak_size
         if not self._draining[node_id]:
             self._draining[node_id] = True
             self.queue.schedule(self.queue.clock, node_id, ("drain", node_id))
@@ -259,18 +256,16 @@ class Simulation:
     def _on_drain(self, t: float, payload):
         node_id = payload[1]
         q = self.node_queues[node_id]
-        pkt = q.dequeue()
-        if pkt is None:
+        frame = q.dequeue()
+        if frame is None:
             self._draining[node_id] = False
             return
         mote = self.mote_states.get(node_id)
         self.counts[FIFO_DEQUEUED if mote is None else PRIO_DEQUEUED] += 1
-        frame = self._inflight.pop(pkt.packet_id)
         if mote is None or mote.mode is not MoteMode.SLEEPING:
             self._transmit(t, node_id, frame)
         if len(q):
-            self.queue.schedule(t + self.p.tx_slot, node_id,
-                                ("drain", node_id))
+            self.queue.schedule(t + self.p.tx_slot, node_id, payload)
         else:
             self._draining[node_id] = False
 
@@ -342,12 +337,11 @@ class Simulation:
                                self.mote_states)
         for action in actions:
             if isinstance(action, UnicastToBs):
-                self._send(rx, Frame(0, "discovery", rx, dst=action.bs_id,
+                self._send(rx, Frame("discovery", rx, dst=action.bs_id,
                                      payload=action.request,
                                      ip_ttl=action.request.ttl))
             elif isinstance(action, FloodToMotes):
-                self._send(rx, Frame(0, "discovery", rx,
-                                     targets=action.targets,
+                self._send(rx, Frame("discovery", rx, targets=action.targets,
                                      payload=action.request,
                                      ip_ttl=action.request.ttl))
 
@@ -367,14 +361,11 @@ class Simulation:
             self.counts[SAT_SENT] += 1
 
     def _rx_sat_request(self, t: float, frame: Frame, rx: str):
-        self._send(rx, Frame(0, "sat_grant", rx, dst=frame.src,
+        self._send(rx, Frame("sat_grant", rx, dst=frame.src,
                              channel="satlink"))
 
-    def _rx_sat_grant(self, t: float, frame: Frame, rx: str):
-        pass  # link activation rides on its own establish event
-
     def _rx_sat_page(self, t: float, frame: Frame, rx: str):
-        self._send(rx, Frame(0, "sat_ack", rx, dst=frame.src,
+        self._send(rx, Frame("sat_ack", rx, dst=frame.src,
                              channel="satlink"))
 
     def _rx_sat_ack(self, t: float, frame: Frame, rx: str):
@@ -390,7 +381,7 @@ class Simulation:
         if not targets:
             return
         update = periodic_update(self.tables[mote], triggered)
-        self._send(mote, Frame(0, "dv", mote, targets=targets,
+        self._send(mote, Frame("dv", mote, targets=targets,
                                payload=update))
 
     def _on_dv_send(self, t: float, payload):
@@ -398,7 +389,7 @@ class Simulation:
         if self.mote_states[mote].mode is MoteMode.SLEEPING:
             return
         self._broadcast_dv(mote, triggered=False)
-        self.queue.schedule(t + self.p.dv_period, mote, ("dv_send", mote))
+        self.queue.schedule(t + self.p.dv_period, mote, payload)
 
     # ---- coverage checks and the handoff state machine ---------------
 
@@ -408,7 +399,7 @@ class Simulation:
             self._check_ms(t, ms_id, graph)
         nxt = t + self.p.coverage_check_period
         if nxt <= self.s.duration:
-            self.queue.schedule(nxt, "sim", ("coverage",))
+            self.queue.schedule(nxt, "sim", payload)
 
     def _check_ms(self, t: float, ms_id: str, graph):
         st = self.ms_states[ms_id]
@@ -439,9 +430,8 @@ class Simulation:
                                  self.ids, self.p.default_ttl)
             st.pending_request = req.request_id
             st.pending_deadline = t + self.p.discovery_timeout
-            self._send(ms_id, Frame(0, "discovery", ms_id,
-                                    targets=tuple(motes), payload=req,
-                                    ip_ttl=req.ttl))
+            self._send(ms_id, Frame("discovery", ms_id, targets=tuple(motes),
+                                    payload=req, ip_ttl=req.ttl))
         elif halted and self.satellite_id is not None:
             # persistent isolation once the walk is over: go to satellite
             self._direct_satellite_fallback(t, ms_id)
@@ -456,7 +446,7 @@ class Simulation:
                                 self.p.satellite_acquisition_delay,
                                 self.satellite_id)
         st.awaiting_link = True
-        self._send(ms_id, Frame(0, "sat_request", ms_id,
+        self._send(ms_id, Frame("sat_request", ms_id,
                                 dst=self.satellite_id, channel="satlink"))
         self.queue.schedule(record.established_at, ms_id,
                             ("establish", ms_id, record,
@@ -501,7 +491,7 @@ class Simulation:
         ms_id = payload[1]
         self.counts[SAT_RX] += 1
         self.counts[SAT_RELAYED] += 1
-        self._send(self.satellite_id, Frame(0, "sat_page", self.satellite_id,
+        self._send(self.satellite_id, Frame("sat_page", self.satellite_id,
                                             dst=ms_id, channel="satlink"))
 
     def _on_establish(self, t: float, payload):
@@ -511,7 +501,12 @@ class Simulation:
         if st.link is not None:
             return
         st.link = record
-        st.links.append(record)
+        # Frames are never changed after _send(), so one serves the link.
+        sat = record.endpoint.kind is NodeKind.SATELLITE
+        st.payload_frame = Frame("payload", ms_id, dst=record.endpoint.node_id,
+                                 priority_class=PAYLOAD_CLASS,
+                                 channel="satlink" if sat else "steered",
+                                 relay=sat and bool(record.relay_path))
         self.links.append(record)
         self.dv_paths.append(self._dv_route(record))
         self.msc_established.add(request_id)
@@ -536,26 +531,25 @@ class Simulation:
         st = self.ms_states[ms_id]
         if st.link is None or st.link.established_at != link_stamp:
             return  # that link is gone; a new one starts its own cycle
-        if st.link.endpoint.kind is NodeKind.SATELLITE:
-            frame = Frame(0, "payload", ms_id, dst=st.link.endpoint.node_id,
-                          priority_class=PAYLOAD_CLASS, channel="satlink",
-                          relay=bool(st.link.relay_path))
-        else:
-            frame = Frame(0, "payload", ms_id, dst=st.link.endpoint.node_id,
-                          priority_class=PAYLOAD_CLASS, channel="steered")
-        self._send(ms_id, frame)
+        self._send(ms_id, st.payload_frame)
         nxt = t + self.p.app_interval
         if nxt <= self.s.duration:
-            self.queue.schedule(nxt, ms_id, ("app", ms_id, link_stamp))
+            self.queue.schedule(nxt, ms_id, payload)
 
     # ---- main loop ----------------------------------------------------
+
+    def _hash_first_line(self, line: bytes):
+        # lines are joined by newlines: the first one has none before it
+        self._hash = self._digest.update
+        self._digest.update(line[1:])
 
     def _dispatch(self, ev):
         t, seq, target, payload = ev
         kind = payload[0]
-        self._digest.update(
-            f"{self._line_sep}{t:.6f} {seq} {target} {kind}".encode())
-        self._line_sep = "\n"
+        if t != self._stamp_t:
+            self._stamp_t = t
+            self._stamp = f"\n{t:.6f} "
+        self._hash(f"{self._stamp}{seq} {target} {kind}".encode())
         self._handlers[kind](t, payload)
 
     def run(self) -> RunReport:
@@ -579,7 +573,6 @@ def run(scenario: Scenario) -> RunReport:
 # ---- report file round trip ------------------------------------------
 
 def serialize_report(report: RunReport) -> str:
-    from .stats import REGISTRY
     lines = [f"{key.token()}={report.ledger.get(key)}" for key in REGISTRY]
     for link in report.links:
         path = ",".join(link.relay_path) if link.relay_path else "-"
@@ -598,8 +591,6 @@ def parse_report_ledger(text: str) -> StatsLedger:
     Raises RegistryMismatchError when counters are missing, repeated or
     unknown, so reports from incompatible builds cannot be compared.
     """
-    from .stats import REGISTRY, RegistryMismatchError, counter_by_token
-    from .stats import UnknownCounterError
     ledger = StatsLedger()
     seen = set()
     for raw in text.splitlines():

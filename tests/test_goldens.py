@@ -24,6 +24,7 @@ from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
 from wsnhandoff.simulation import Simulation, run, serialize_report
+from wsnhandoff.stats import counter_by_token
 from wsnhandoff.world import MobilityPath, NodeKind, Point
 
 
@@ -106,3 +107,23 @@ def test_drop_scenario_drops_frames_and_streams_payload():
     report = sim.run()
     assert sum(q.dropped for q in sim.node_queues.values()) > 0
     assert report.links  # the payload stream runs over an established link
+
+
+@pytest.mark.parametrize("name", ["reference", "grid4-three-walkers",
+                                  "reference-drops"])
+def test_queues_conserve_frames_and_match_the_ledger(name):
+    sim = Simulation(SCENARIOS[name]())
+    ledger = sim.run().ledger
+    for node_id, q in sim.node_queues.items():
+        assert q.queued == q.dequeued + q.dropped + len(q), node_id
+    motes = [q for n, q in sim.node_queues.items()
+             if sim.kinds[n] is NodeKind.MOTE]
+    others = [q for n, q in sim.node_queues.items()
+              if sim.kinds[n] is not NodeKind.MOTE]
+    for layer, queues in (("net_strict_prior", motes), ("net_fifo", others)):
+        for counter, attr in (("packets_queued", "queued"),
+                              ("packets_dequeued", "dequeued")):
+            got = ledger.get(counter_by_token(f"{layer}.{counter}"))
+            assert got == sum(getattr(q, attr) for q in queues)
+    assert (ledger.get(counter_by_token("net_fifo.peak_queue_size"))
+            == max(q.peak_size for q in others))

@@ -1,12 +1,15 @@
 """FIFO and strict-priority queues against a naive reference model."""
 
 import random
+from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
 from wsnhandoff.queues import (DEFAULT_CAPACITY, PRIORITY_CLASSES,
                                EnqueueResult, FifoQueue, Packet,
                                StrictPriorityQueue)
+from wsnhandoff.simulation import Frame
 
 
 def _pkt(pid, cls=0, size=64):
@@ -144,3 +147,37 @@ def test_fifo_random_trace_conservation():
             assert q.dequeue() == (shadow.pop(0) if shadow else None)
         assert q.queued == q.dequeued + q.dropped + len(q)
         assert len(q) == len(shadow)
+
+
+@pytest.mark.parametrize("make", [
+    lambda i, cls: Frame("dv", f"n{i}", priority_class=cls),
+    lambda i, cls: SimpleNamespace(priority_class=cls, i=i),
+], ids=["frame", "namespace"])
+def test_queues_hold_any_item_with_a_priority_class(make):
+    """Strict-priority order, FIFO order within a class and len() through
+    interleaved enqueues, dequeues and tail drops, for items that are not
+    Packets.  Dequeues must hand back the very objects enqueued."""
+    rng = random.Random(31)
+    prio, fifo = StrictPriorityQueue(capacity_per_class=4), FifoQueue(6)
+    lanes, shadow = [deque() for _ in range(PRIORITY_CLASSES)], deque()
+    for i in range(3000):
+        if rng.random() < 0.55:
+            item = make(i, rng.randrange(PRIORITY_CLASSES))
+            lane = lanes[item.priority_class]
+            accepted = prio.enqueue(item) is EnqueueResult.ACCEPTED
+            assert accepted == (len(lane) < 4)
+            if accepted:
+                lane.append(item)
+            accepted = fifo.enqueue(item) is EnqueueResult.ACCEPTED
+            assert accepted == (len(shadow) < 6)
+            if accepted:
+                shadow.append(item)
+        else:
+            want = next((lane.popleft() for lane in lanes if lane), None)
+            assert prio.dequeue() is want
+            assert fifo.dequeue() is (shadow.popleft() if shadow else None)
+        assert len(prio) == sum(map(len, lanes))
+        assert len(fifo) == len(shadow)
+    assert prio.dropped > 0 and fifo.dropped > 0
+    assert prio.queued == prio.dequeued + prio.dropped + len(prio)
+    assert fifo.queued == fifo.dequeued + fifo.dropped + len(fifo)

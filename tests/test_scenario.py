@@ -12,8 +12,8 @@ from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, Scenario,
                                  reference_scenario, serialize_scenario,
                                  strip_wsn, validate_scenario)
 from wsnhandoff.simulation import run
-from wsnhandoff.world import (NodeKind, Point, comm_graph, halt_time,
-                              position_at)
+from wsnhandoff.world import (MobilityPath, NodeKind, Point, comm_graph,
+                              halt_time, position_at)
 
 GOOD = """\
 # minimal two-node world
@@ -154,6 +154,68 @@ def test_nan_timings_rejected_in_a_scenario_built_in_code():
     assert e.value.problems == ["duration must be positive",
                                 "dv_period must be positive",
                                 "hop_delay must be >= 0"]
+
+
+def _with_ms1_path(s: Scenario, path: MobilityPath) -> Scenario:
+    return dataclasses.replace(s, mobility={**s.mobility, "ms1": path})
+
+
+def _with_m01_at(s: Scenario, point: Point) -> Scenario:
+    return dataclasses.replace(s, nodes=tuple(
+        dataclasses.replace(n, position=point) if n.node_id == "m01" else n
+        for n in s.nodes))
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("change, problem", [
+    (dict(params=SimParams(max_steer_range=INF)),
+     "max_steer_range must be finite"),
+    (dict(params=SimParams(max_steer_range=NAN)),
+     "max_steer_range must be finite"),
+    (dict(params=SimParams(discovery_timeout=-INF)),
+     "discovery_timeout must be finite"),
+    (dict(params=SimParams(default_ttl=INF)), "default_ttl must be finite"),
+    (dict(params=SimParams(queue_capacity=INF)),
+     "queue_capacity must be finite"),
+    (dict(params=SimParams(tx_slot=INF)), "tx_slot must be finite"),
+    (dict(params=SimParams(tx_slot=-INF)), "tx_slot must be positive"),
+    (dict(params=SimParams(hop_delay=INF)), "hop_delay must be finite"),
+    (dict(duration=INF), "duration must be finite"),
+])
+def test_non_finite_values_rejected_in_a_scenario_built_in_code(change,
+                                                                 problem):
+    # Each of these once passed validation and then made
+    # serialize_scenario raise OverflowError or ValueError.
+    s = dataclasses.replace(reference_scenario(), **change)
+    with pytest.raises(ValidationError) as e:
+        validate_scenario(s)
+    assert e.value.problems == [problem]
+
+
+@pytest.mark.parametrize("build, problem", [
+    (lambda s: _with_m01_at(s, Point(INF, 0.0)),
+     "position of 'm01' must be finite"),
+    (lambda s: _with_m01_at(s, Point(5.0, NAN)),
+     "position of 'm01' must be finite"),
+    (lambda s: _with_ms1_path(s, MobilityPath((Point(5.0, 1.0),), INF)),
+     "mobility of 'ms1' must be finite"),
+    (lambda s: _with_ms1_path(s, MobilityPath((Point(-INF, 1.0),), 8.0)),
+     "mobility of 'ms1' must be finite"),
+])
+def test_non_finite_coordinates_rejected_in_a_scenario_built_in_code(
+        build, problem):
+    with pytest.raises(ValidationError) as e:
+        validate_scenario(build(reference_scenario()))
+    assert e.value.problems == [problem]
+
+
+def test_every_valid_scenario_built_in_code_serializes():
+    s = dataclasses.replace(reference_scenario(),
+                            params=SimParams(max_steer_range=1e300))
+    validate_scenario(s)
+    assert load_scenario(serialize_scenario(s)) == s
 
 
 def _readme_scenario() -> str:
