@@ -38,6 +38,18 @@ def _duration(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type for --epsilon: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def cmd_run(args) -> int:
     scenario = _load(args.scenario)
     if scenario is None:
@@ -128,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--auto-baseline", action="store_true",
                        help="derive the baseline by stripping the motes "
                             "from --scenario")
-    p_cmp.add_argument("--epsilon", type=int, default=0,
+    p_cmp.add_argument("--epsilon", type=_count, default=0,
                        help="ignore counter moves of at most this size")
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)

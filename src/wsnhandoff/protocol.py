@@ -11,7 +11,7 @@ mobile or falls back to a satellite link; once the link is up, every mote
 on the delivered path goes to sleep to save its battery.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .world import NodeKind, Point
@@ -127,31 +127,33 @@ def make_discovery(ms_id: str, location: Point, adjacent_active_motes,
 
 
 def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
-                 graph, kinds: dict, mote_states: dict):
+                 bs_neighbors: tuple, mote_neighbors: tuple,
+                 mote_states: dict):
     """Process one received discovery copy at a mote.
 
-    Returns a list of actions (UnicastToBs / FloodToMotes).  Sleeping
-    motes, duplicates, exhausted TTLs and path revisits all produce no
-    actions; the request id still lands in `seen` so later copies are
-    recognised.  A forwarding mote appends itself to the path, decrements
-    the TTL, pays one energy unit for the transmission, and either hands
-    the request to an adjacent base station or re-floods it to adjacent
-    active motes not already on the path.
+    `bs_neighbors` and `mote_neighbors` are the mote's base-station and
+    mote neighbours in the static graph, each sorted by id.  Returns a list
+    of actions (UnicastToBs / FloodToMotes).  Sleeping motes, duplicates,
+    exhausted TTLs and path revisits all produce no actions; the request id
+    still lands in `seen` so later copies are recognised.  A forwarding mote
+    appends itself to the path, decrements the TTL, pays one energy unit for
+    the transmission, and either hands the request to the first adjacent
+    base station or re-floods it to adjacent active motes not already on the
+    path.
     """
     duplicate = req.request_id in state.seen
     state.seen.add(req.request_id)
     if (state.mode is MoteMode.SLEEPING or duplicate
             or req.ttl == 0 or mote_id in req.path):
         return []
-    fwd = replace(req, ttl=req.ttl - 1, path=req.path + (mote_id,))
+    path = req.path + (mote_id,)
+    fwd = DiscoveryRequest(req.request_id, req.ms_id, req.ms_location,
+                           req.ttl - 1, path)
     state.energy_consumed += ENERGY_PER_TX
-    bs_neighbors = sorted(n for n in graph.neighbors(mote_id)
-                          if kinds[n] is NodeKind.BASE_STATION)
     if bs_neighbors:
         return [UnicastToBs(bs_neighbors[0], fwd)]
-    targets = tuple(n for n in graph.neighbors(mote_id)
-                    if kinds[n] is NodeKind.MOTE
-                    and n not in fwd.path
+    targets = tuple(n for n in mote_neighbors
+                    if n not in path
                     and mote_states[n].mode is MoteMode.ACTIVE)
     # an empty target tuple still keys the radio once, hence the charge above
     return [FloodToMotes(targets, fwd)]

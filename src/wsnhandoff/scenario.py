@@ -21,8 +21,8 @@ Node kinds: mobile_station, base_station, mote, satellite, msc.
 Profile override keys: tx_power, sensitivity, error_margin,
 path_loss_exponent, reference_loss.
 
-Every number must be finite; `seed`, `default_ttl`, `queue_capacity` and
-`epsilon` must be integers.  A value that does not parse raises ParseError
+Every number must be finite; `seed`, `default_ttl` and `queue_capacity`
+must be integers.  A value that does not parse raises ParseError
 with its line number.
 """
 
@@ -60,10 +60,9 @@ class SimParams:
     dv_period: float = 10.0
     app_interval: float = 1.0
     discovery_timeout: float = 1.0
-    epsilon: int = 0
 
 
-_INT_PARAMS = {"default_ttl", "queue_capacity", "epsilon"}
+_INT_PARAMS = {"default_ttl", "queue_capacity"}
 _PERIODS = ("coverage_check_period", "tx_slot", "dv_period", "app_interval")
 _DELAYS = ("hop_delay", "backhaul_delay", "steering_delay",
            "satellite_acquisition_delay")

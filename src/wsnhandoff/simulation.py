@@ -19,13 +19,18 @@ line alone, every later one with a leading newline), so no log is kept.  The
 formatted time is reused while consecutive events share it.  Two runs of the
 same scenario and seed must match byte for byte.
 
-Only mobile stations move (validation rejects mobility on other nodes), so a
-coverage check positions each handset once and tests it against the fixed
-nodes and the other handsets; the full graph is built once, at start.
-Radio outcomes between two nodes that do not move are computed once.
+Only mobile stations move (validation rejects mobility on other nodes), so
+the full graph is built once, at start, and read into fixed tables: each
+mote's sorted base-station and mote neighbours, which drive discovery floods
+and distance-vector broadcasts, and the fixed radio nodes with their squared
+reach.  A coverage check positions each handset once, joins it to every
+satellite, and puts through the graph's edge rule only the fixed nodes and
+other handsets within reach of both ends, each handset pair once.  Radio
+outcomes between two nodes that do not move are computed once.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .engine import EventQueue, RngStream
@@ -37,12 +42,12 @@ from .protocol import (DecisionOutcome, FloodToMotes, LinkRecord, MoteMode,
 from .queues import FifoQueue, StrictPriorityQueue
 from .routing import (RoutingLoopError, UnreachableError, apply_update,
                       init_table, periodic_update, shortest_path)
-from .scenario import Scenario, effective_profile
+from .scenario import Scenario, effective_profile, validate_scenario
 from .stats import (REGISTRY, CounterKey, Layer, RegistryMismatchError,
                     StatsLedger, UnknownCounterError, counter_by_token, slot)
-from .world import (CommGraph, NodeKind, PacketOutcome, check_distinct,
-                    comm_graph, halt_time, neighbors_of, packet_outcome,
-                    position_at, received_power)
+from .world import (CommGraph, NodeKind, PacketOutcome, Point, RadioProfile,
+                    check_distinct, comm_graph, halt_time, in_range, linked,
+                    packet_outcome, position_at, received_power)
 
 CONTROL_CLASS = 0
 PAYLOAD_CLASS = 1
@@ -51,6 +56,22 @@ DEFAULT_IP_TTL = 16
 
 def _slot(layer: Layer, name: str) -> int:
     return slot(CounterKey(layer, name))
+
+
+def _reach_sq(profile: RadioProfile) -> float:
+    """A squared distance beyond which `profile` hears nothing:
+    (1 + 1e-6) * range_radius()**2, or inf when that radius is out of float
+    range or rounding still puts a node just past it in range (dB values
+    of huge magnitude).  Received power only falls with distance, so a pair
+    of nodes farther apart than either end's reach is not linked."""
+    try:
+        r = profile.range_radius()
+    except OverflowError:
+        return math.inf
+    edge = Point(r * (1 + 4e-7), 0.0)
+    if r == 0 or in_range(Point(0.0, 0.0), edge, profile):
+        return math.inf
+    return (1 + 1e-6) * r * r
 
 
 # Ledger slots, resolved at import so a misspelt counter fails there.
@@ -121,6 +142,7 @@ class RunReport:
 
 class Simulation:
     def __init__(self, scenario: Scenario):
+        validate_scenario(scenario)
         self.s = scenario
         self.p = scenario.params
         self.queue = EventQueue()
@@ -164,14 +186,30 @@ class Simulation:
         self._draining = {n: False for n in self.node_queues}
 
         # Motes and base stations never move, so their adjacency is fixed;
-        # the static graph drives all flood forwarding decisions.
+        # the static graph drives all flood forwarding decisions through
+        # each mote's sorted base-station and mote neighbours.
         self.static_graph = comm_graph(dict(self.start_pos), self.kinds,
                                        self.profiles, 0.0)
-        self.mote_neighbors = {
-            m: set(n for n in self.static_graph.neighbors(m)
-                   if self.kinds[n] is NodeKind.MOTE)
-            for m in self.mote_states}
+        self.bs_rows, self.mote_rows = {}, {}
+        for m in self.mote_states:
+            row = self.static_graph.neighbors(m)
+            self.bs_rows[m] = tuple(n for n in row if self.kinds[n]
+                                    is NodeKind.BASE_STATION)
+            self.mote_rows[m] = tuple(n for n in row
+                                      if self.kinds[n] is NodeKind.MOTE)
         self.tables = {m: init_table(m) for m in sorted(self.mote_states)}
+        # What a coverage check tests each handset against: satellites
+        # (always linked) and the fixed radio nodes with their reach.
+        self.satellites = tuple(sats)
+        self.handset_reach = {ms: _reach_sq(self.profiles[ms])
+                              for ms in self.ms_states}
+        self.fixed_radios = [
+            (n.node_id, n.position.x, n.position.y,
+             _reach_sq(self.profiles[n.node_id]))
+            for n in scenario.nodes
+            if n.node_id not in self.ms_states
+            and n.kind is not NodeKind.SATELLITE
+            and self.profiles[n.node_id] is not None]
 
         self.msc_paths = {}        # request id -> escalated relay paths
         self.msc_decisions = {}    # request id -> MscDecision
@@ -214,15 +252,32 @@ class Simulation:
 
         Moves every handset to its position at t (self.here), raises
         CoLocatedError when any two nodes then share a point, and returns a
-        graph whose only rows are the handsets'.
+        graph whose only rows are the handsets'.  A pair within both ends'
+        reach still goes through world.linked, so every edge decision is the
+        full graph's.
         """
         here = self.here
         for n, path in self.s.mobility.items():
             here[n] = position_at(path, self.start_pos[n], t)
         check_distinct(here)
-        return CommGraph(t, {
-            ms: neighbors_of(ms, here, self.kinds, self.profiles)
-            for ms in self.ms_states})
+        kinds, profiles = self.kinds, self.profiles
+        moving = []
+        for ms, reach in self.handset_reach.items():
+            p = here[ms]
+            moving.append((ms, p.x, p.y, reach))
+        rows = {ms: set(self.satellites) for ms in self.handset_reach}
+        for i, (a, x, y, reach_a) in enumerate(moving):
+            row = rows[a]
+            # the fixed radios, then the handsets not yet tested against a
+            for b, bx, by, reach_b in self.fixed_radios + moving[i + 1:]:
+                dx, dy = x - bx, y - by
+                d2 = dx * dx + dy * dy
+                if (d2 <= reach_a and d2 <= reach_b
+                        and linked(a, b, here, kinds, profiles)):
+                    row.add(b)
+                    if b in rows:
+                        rows[b].add(a)
+        return CommGraph(t, rows)
 
     def _radio_outcome(self, src: str, rx: str, t: float) -> PacketOutcome:
         key = (src, rx)
@@ -333,7 +388,7 @@ class Simulation:
                                     ("backhaul", esc))
             return
         actions = mote_forward(rx, self.mote_states[rx], req,
-                               self.static_graph, self.kinds,
+                               self.bs_rows[rx], self.mote_rows[rx],
                                self.mote_states)
         for action in actions:
             if isinstance(action, UnicastToBs):
@@ -349,7 +404,7 @@ class Simulation:
         c = self.counts
         c[DV_RECEIVED] += 1
         changed = apply_update(self.tables[rx], frame.payload,
-                               self.mote_neighbors[rx])
+                               self.mote_rows[rx])
         if changed:
             c[DV_TRIGGERED] += 1
             self._broadcast_dv(rx, triggered=True)
@@ -376,7 +431,7 @@ class Simulation:
     # ---- distance-vector plumbing -----------------------------------
 
     def _broadcast_dv(self, mote: str, triggered: bool):
-        targets = tuple(n for n in sorted(self.mote_neighbors[mote])
+        targets = tuple(n for n in self.mote_rows[mote]
                         if self.mote_states[n].mode is MoteMode.ACTIVE)
         if not targets:
             return

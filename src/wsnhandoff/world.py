@@ -224,16 +224,6 @@ def linked(a: str, b: str, positions: dict, kinds: dict,
             and in_range(positions[a], positions[b], pb))
 
 
-def neighbors_of(node_id: str, positions: dict, kinds: dict,
-                 profiles: dict) -> set:
-    """The row of `node_id` in comm_graph(positions, kinds, profiles),
-    without building the other rows.  Co-location is the caller's check
-    (check_distinct)."""
-    return {b for b in positions
-            if b != node_id and linked(node_id, b, positions, kinds,
-                                       profiles)}
-
-
 def comm_graph(positions: dict, kinds: dict, profiles: dict,
                t: float = 0.0) -> CommGraph:
     """Build the communication graph for one instant.

@@ -123,6 +123,14 @@ def test_compare_epsilon_suppresses_small_moves(tmp_path, capsys):
     assert "undefined (no significant change)" in stdout
 
 
+@pytest.mark.parametrize("epsilon", ["-1", "1.5", "abc"])
+def test_bad_epsilon_is_a_usage_error(epsilon):
+    proc = _cli("compare", "--scenario", "reference", "--auto-baseline",
+                "--epsilon", epsilon)
+    assert proc.returncode == 2
+    assert "--epsilon" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_compare_rejects_corrupt_report(tmp_path, capsys):
     good = tmp_path / "good.txt"
     bad = tmp_path / "bad.txt"

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 
 import pytest
+from invariants import check_relay_paths
 
 from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  reference_scenario, strip_wsn,
@@ -127,3 +128,11 @@ def test_queues_conserve_frames_and_match_the_ledger(name):
             assert got == sum(getattr(q, attr) for q in queues)
     assert (ledger.get(counter_by_token("net_fifo.peak_queue_size"))
             == max(q.peak_size for q in others))
+
+
+def test_relay_paths_are_mote_paths_within_the_ttl():
+    checked = 0
+    for name in sorted(SCENARIOS):
+        s = SCENARIOS[name]()
+        checked += check_relay_paths(s, run(s))
+    assert checked >= 10  # most golden runs hand off through the mesh

@@ -24,6 +24,14 @@ def _line_world():
     return comm_graph(positions, kinds, profiles), kinds
 
 
+def _rows(graph, kinds, mote):
+    """The mote's sorted base-station and mote neighbours, as mote_forward
+    takes them."""
+    row = graph.neighbors(mote)
+    return (tuple(n for n in row if kinds[n] is NodeKind.BASE_STATION),
+            tuple(n for n in row if kinds[n] is NodeKind.MOTE))
+
+
 def test_detect_loss():
     graph, kinds = _line_world()
     assert detect_loss("ms", graph, kinds)  # bs1 is 320 m away
@@ -54,7 +62,8 @@ def test_forward_unicasts_to_adjacent_base_station():
     graph, kinds = _line_world()
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16, path=("m1", "m2"))
-    actions = mote_forward("m3", states["m3"], req, graph, kinds, states)
+    actions = mote_forward("m3", states["m3"], req,
+                           *_rows(graph, kinds, "m3"), states)
     assert actions == [UnicastToBs("bs1", DiscoveryRequest(
         1, "ms", Point(0, 0), ttl=15, path=("m1", "m2", "m3")))]
     assert states["m3"].energy_consumed == 1
@@ -65,7 +74,8 @@ def test_forward_floods_when_no_base_station_adjacent():
     graph, kinds = _line_world()
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(7, "ms", Point(0, 0), ttl=16)
-    actions = mote_forward("m1", states["m1"], req, graph, kinds, states)
+    actions = mote_forward("m1", states["m1"], req,
+                           *_rows(graph, kinds, "m1"), states)
     assert len(actions) == 1
     flood = actions[0]
     assert isinstance(flood, FloodToMotes)
@@ -79,7 +89,8 @@ def test_forward_excludes_path_and_sleeping_targets():
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     states["m3"].mode = MoteMode.SLEEPING
     req = DiscoveryRequest(9, "ms", Point(0, 0), ttl=16, path=("m1",))
-    actions = mote_forward("m2", states["m2"], req, graph, kinds, states)
+    actions = mote_forward("m2", states["m2"], req,
+                           *_rows(graph, kinds, "m2"), states)
     # m1 is on the path and m3 sleeps: the radio still keys, to nobody
     assert actions == [FloodToMotes((), DiscoveryRequest(
         9, "ms", Point(0, 0), ttl=15, path=("m1", "m2")))]
@@ -90,9 +101,11 @@ def test_forward_drops_duplicates_without_energy_cost():
     graph, kinds = _line_world()
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(4, "ms", Point(0, 0), ttl=16)
-    first = mote_forward("m1", states["m1"], req, graph, kinds, states)
+    first = mote_forward("m1", states["m1"], req,
+                         *_rows(graph, kinds, "m1"), states)
     assert first and states["m1"].energy_consumed == 1
-    again = mote_forward("m1", states["m1"], req, graph, kinds, states)
+    again = mote_forward("m1", states["m1"], req,
+                         *_rows(graph, kinds, "m1"), states)
     assert again == []
     assert states["m1"].energy_consumed == 1
 
@@ -101,11 +114,12 @@ def test_forward_ignores_exhausted_ttl_and_path_revisit():
     graph, kinds = _line_world()
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     dead = DiscoveryRequest(5, "ms", Point(0, 0), ttl=0)
-    assert mote_forward("m1", states["m1"], dead, graph, kinds, states) == []
+    assert mote_forward("m1", states["m1"], dead,
+                        *_rows(graph, kinds, "m1"), states) == []
     assert 5 in states["m1"].seen
     looped = DiscoveryRequest(6, "ms", Point(0, 0), ttl=16, path=("m2",))
-    assert mote_forward("m2", states["m2"], looped, graph, kinds,
-                        states) == []
+    assert mote_forward("m2", states["m2"], looped,
+                        *_rows(graph, kinds, "m2"), states) == []
     assert states["m1"].energy_consumed == 0
     assert states["m2"].energy_consumed == 0
 
@@ -115,7 +129,8 @@ def test_sleeping_mote_is_inert_but_remembers():
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     states["m1"].mode = MoteMode.SLEEPING
     req = DiscoveryRequest(8, "ms", Point(0, 0), ttl=16)
-    assert mote_forward("m1", states["m1"], req, graph, kinds, states) == []
+    assert mote_forward("m1", states["m1"], req,
+                        *_rows(graph, kinds, "m1"), states) == []
     assert 8 in states["m1"].seen
     assert states["m1"].energy_consumed == 0
 
@@ -126,11 +141,14 @@ def test_hand_traced_flood_along_the_line():
     ids = RequestIdSource()
     req = make_discovery("ms", Point(0, 0), ["m1"], ids)
     # hop 1: m1 floods to m2
-    [a1] = mote_forward("m1", states["m1"], req, graph, kinds, states)
+    [a1] = mote_forward("m1", states["m1"], req,
+                        *_rows(graph, kinds, "m1"), states)
     # hop 2: m2 floods to m3
-    [a2] = mote_forward("m2", states["m2"], a1.request, graph, kinds, states)
+    [a2] = mote_forward("m2", states["m2"], a1.request,
+                        *_rows(graph, kinds, "m2"), states)
     # hop 3: m3 sees bs1 and unicasts
-    [a3] = mote_forward("m3", states["m3"], a2.request, graph, kinds, states)
+    [a3] = mote_forward("m3", states["m3"], a2.request,
+                        *_rows(graph, kinds, "m3"), states)
     assert isinstance(a3, UnicastToBs) and a3.bs_id == "bs1"
     assert a3.request.path == ("m1", "m2", "m3")
     assert a3.request.ttl == 13
@@ -145,7 +163,8 @@ def test_multi_bs_unicast_picks_smallest_id():
                        {n: profile_for_range(100) for n in positions})
     states = {"m1": MoteState()}
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16)
-    [action] = mote_forward("m1", states["m1"], req, graph, kinds, states)
+    [action] = mote_forward("m1", states["m1"], req,
+                            *_rows(graph, kinds, "m1"), states)
     assert action.bs_id == "bs2"
 
 
@@ -237,5 +256,6 @@ def test_release_motes_sleeps_path_and_freezes_energy():
     assert states["m1"].mode is MoteMode.SLEEPING
     # a released mote no longer forwards or spends energy
     req = DiscoveryRequest(11, "ms", Point(0, 0), ttl=16)
-    assert mote_forward("m1", states["m1"], req, graph, kinds, states) == []
+    assert mote_forward("m1", states["m1"], req,
+                        *_rows(graph, kinds, "m1"), states) == []
     assert states["m1"].energy_consumed == 4

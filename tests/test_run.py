@@ -1,20 +1,24 @@
 """Whole-run behavior: coverage loss, discovery, handoff, reports."""
 
 import dataclasses
+import math
 import random
 from collections import deque
 
 import pytest
+from invariants import check_relay_paths
 
 from wsnhandoff.protocol import DecisionOutcome, MoteMode
-from wsnhandoff.scenario import (NodeSpec, Scenario, effective_profile,
+from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
+                                 ValidationError, effective_profile,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
 from wsnhandoff.simulation import (RunReport, Simulation, parse_report_ledger,
                                    run, serialize_report)
 from wsnhandoff.stats import (Layer, RegistryMismatchError, counter_by_token)
 from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind, Point,
-                              comm_graph, position_at, profile_for_range)
+                              RadioProfile, comm_graph, position_at,
+                              profile_for_range)
 
 
 def _get(report: RunReport, token: str) -> int:
@@ -74,6 +78,15 @@ def test_isolated_station_without_satellite_keeps_searching():
     )
     rep = run(Scenario(nodes, {}, duration=5.0, seed=1))
     assert rep.links == () and rep.decisions == ()
+
+
+def test_construction_validates_a_scenario_built_in_code():
+    # run() would reschedule this coverage check at t = 0 forever
+    s = dataclasses.replace(reference_scenario(), duration=5.0,
+                            params=SimParams(coverage_check_period=0.0))
+    with pytest.raises(ValidationError) as e:
+        Simulation(s)
+    assert e.value.problems == ["coverage_check_period must be positive"]
 
 
 def test_run_is_deterministic():
@@ -352,6 +365,21 @@ def test_flood_delivery_is_sound_with_two_cells():
             assert set(esc.relay_path) <= set(motes)
 
 
+def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl():
+    rng = random.Random(31337)
+    checked = 0
+    for _ in range(30):
+        s = _random_walk_world(rng)
+        s = dataclasses.replace(
+            s, params=SimParams(default_ttl=rng.randint(1, 6)))
+        checked += check_relay_paths(s, run(s))
+    for n in (3, 5):  # chains the flood crosses with its last hop of TTL
+        s = dataclasses.replace(_line_scenario(n),
+                                params=SimParams(default_ttl=n))
+        checked += check_relay_paths(s, run(s))
+    assert checked > 50
+
+
 # ---- per-handset coverage against the full communication graph ----------
 
 
@@ -395,11 +423,54 @@ def _random_walk_world(rng) -> Scenario:
     return s
 
 
+def _boundary_worlds() -> list:
+    """Stationary handsets around one fixed node at the origin: exactly at
+    the binding range_radius() of the pair, one float step inside it and
+    one step outside, on the axes so that each distance is exact.  Two more
+    handsets stand exactly one handset radius and one step more from a
+    third.  The fixed node is a mote or a base station, with the smaller
+    radius on either end of the pair.  The last worlds hold radios whose
+    range_radius() overflows, underflows, or is blurred by rounding of dB
+    values of huge magnitude (a handset 0.5% past it still links)."""
+    hot = profile_for_range(400.0, error_margin_db=1.0)
+    huge = RadioProfile(1e15, 1e15 - 83.52, 1.0)
+    cases = [(NodeKind.MOTE, None, None), (NodeKind.BASE_STATION, None, hot),
+             (NodeKind.MOTE, hot, None)]
+    worlds = []
+    for kind, fixed_profile, ms_profile in cases:
+        node = NodeSpec("n0", kind, Point(0.0, 0.0), fixed_profile)
+        ms = effective_profile(NodeSpec("ms", NodeKind.MOBILE_STATION,
+                                        Point(0.0, 0.0), ms_profile))
+        r = min(effective_profile(node).range_radius(), ms.range_radius())
+        r_ms = ms.range_radius()
+        spots = [Point(r, 0.0), Point(0.0, math.nextafter(r, 0.0)),
+                 Point(-math.nextafter(r, math.inf), 0.0),
+                 Point(0.0, 5000.0), Point(r_ms, 5000.0),
+                 Point(-math.nextafter(r_ms, math.inf), 5000.0)]
+        worlds.append([node] + [
+            NodeSpec(f"ms{i}", NodeKind.MOBILE_STATION, p, ms_profile)
+            for i, p in enumerate(spots)])
+    edge = huge.range_radius()
+    worlds.append([
+        NodeSpec("n0", NodeKind.MOTE, Point(0.0, 0.0), huge),
+        NodeSpec("n1", NodeKind.MOTE, Point(0.0, 3000.0),
+                 RadioProfile(7000.0, -90.0, 1.0)),
+        NodeSpec("n2", NodeKind.MOTE, Point(0.0, 6000.0),
+                 RadioProfile(0.0, 7000.0, 1.0)),
+        NodeSpec("ms0", NodeKind.MOBILE_STATION, Point(edge * 1.005, 0.0),
+                 hot),
+        NodeSpec("ms1", NodeKind.MOBILE_STATION, Point(0.0, 3100.0)),
+        NodeSpec("ms2", NodeKind.MOBILE_STATION, Point(0.0, 6000.5))])
+    sat = NodeSpec("sat1", NodeKind.SATELLITE, Point(0.0, -9000.0))
+    return [Scenario(tuple(sorted(nodes + [sat], key=lambda n: n.node_id)),
+                     {}, duration=60.0, seed=1) for nodes in worlds]
+
+
 def test_handset_rows_match_a_full_graph_rebuild():
     rng = random.Random(4242)
+    worlds = [_random_walk_world(rng) for _ in range(40)]
     compared = 0
-    for _ in range(40):
-        s = _random_walk_world(rng)
+    for s in worlds + _boundary_worlds():
         sim = Simulation(s)
         for t in [0.0, 0.5, 1.0, 7.25, 13.0, 31.5, 60.0]:
             oracle = _full_graph_at(s, t)

@@ -125,6 +125,12 @@ def test_bad_numbers_are_parse_errors(text, line, reason):
     assert _line_no(e) == line and reason in e.value.reason
 
 
+def test_epsilon_is_no_longer_a_parameter():
+    with pytest.raises(ParseError) as e:
+        load_scenario("[params]\nepsilon = 1\n[node]\nm1 mote 0 0\n")
+    assert _line_no(e) == 2 and "unknown param 'epsilon'" in e.value.reason
+
+
 @pytest.mark.parametrize("param, value", [
     ("coverage_check_period", "0"), ("tx_slot", "0"), ("dv_period", "-1"),
     ("app_interval", "0"), ("hop_delay", "-0.01"),
