@@ -190,13 +190,14 @@ class Simulation:
         # each mote's sorted base-station and mote neighbours.
         self.static_graph = comm_graph(dict(self.start_pos), self.kinds,
                                        self.profiles, 0.0)
+        kinds = self.kinds
         self.bs_rows, self.mote_rows = {}, {}
         for m in self.mote_states:
             row = self.static_graph.neighbors(m)
-            self.bs_rows[m] = tuple(n for n in row if self.kinds[n]
-                                    is NodeKind.BASE_STATION)
-            self.mote_rows[m] = tuple(n for n in row
-                                      if self.kinds[n] is NodeKind.MOTE)
+            self.bs_rows[m] = tuple(
+                n for n in row if kinds[n] is NodeKind.BASE_STATION)
+            self.mote_rows[m] = tuple(
+                n for n in row if kinds[n] is NodeKind.MOTE)
         self.tables = {m: init_table(m) for m in sorted(self.mote_states)}
         # What a coverage check tests each handset against: satellites
         # (always linked) and the fixed radio nodes with their reach.
