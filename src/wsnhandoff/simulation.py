@@ -59,11 +59,9 @@ def _slot(layer: Layer, name: str) -> int:
 
 
 def _reach_sq(profile: RadioProfile) -> float:
-    """A squared distance beyond which `profile` hears nothing:
-    (1 + 1e-6) * range_radius()**2, or inf when that radius is out of float
-    range or rounding still puts a node just past it in range (dB values
-    of huge magnitude).  Received power only falls with distance, so a pair
-    of nodes farther apart than either end's reach is not linked."""
+    """Squared distance past which `profile` hears nothing, as received
+    power only falls with distance: (1 + 1e-6) * range_radius()**2, or inf
+    when that radius overflows or rounding still hears a node just past it."""
     try:
         r = profile.range_radius()
     except OverflowError:
@@ -262,10 +260,8 @@ class Simulation:
             here[n] = position_at(path, self.start_pos[n], t)
         check_distinct(here)
         kinds, profiles = self.kinds, self.profiles
-        moving = []
-        for ms, reach in self.handset_reach.items():
-            p = here[ms]
-            moving.append((ms, p.x, p.y, reach))
+        moving = [(ms, here[ms].x, here[ms].y, reach)
+                  for ms, reach in self.handset_reach.items()]
         rows = {ms: set(self.satellites) for ms in self.handset_reach}
         for i, (a, x, y, reach_a) in enumerate(moving):
             row = rows[a]
