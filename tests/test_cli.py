@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, outputs, comparisons."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,49 @@ def test_run_builtin_scenario(tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("phy80211.signals_transmitted=")
     assert "digest " in text
+
+
+# SHA-256 of what the CLI prints and writes for the reference corridor.  The
+# report text has one writer per layout, so any byte that moves shows here.
+RUN_STDOUT_SHA = \
+    "1dae5de770fef22786986eb38038a51077bd93814ef8d8607cafb8d3c8243300"
+RUN_FILE_SHA = \
+    "08f0b590850ec0905ad44622ff09a64b0aea79dadf1c54a9d8c491210384d48e"
+# compare prints and writes the same bytes, from a re-run or saved reports
+COMPARE_SHA = \
+    "9d23841bf29f2b41c5249ce3a7eb6252bc677ab7408a8279c8eab207538bd779"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_run_text_is_pinned(tmp_path, capsys):
+    out = tmp_path / "with-wsn.report"
+    assert main(["run", "--scenario", "reference", "--out", str(out)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == RUN_STDOUT_SHA
+    assert _sha(out.read_bytes()) == RUN_FILE_SHA
+
+
+def test_compare_auto_baseline_text_is_pinned(tmp_path, capsys):
+    out = tmp_path / "cmp.txt"
+    assert main(["compare", "--scenario", "reference", "--auto-baseline",
+                 "--out", str(out)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == COMPARE_SHA
+    assert _sha(out.read_bytes()) == COMPARE_SHA
+
+
+def test_compare_report_files_text_is_pinned(tmp_path, capsys):
+    s = reference_scenario()
+    base = tmp_path / "base.report"
+    cand = tmp_path / "cand.report"
+    base.write_text(serialize_report(run(strip_wsn(s))))
+    cand.write_text(serialize_report(run(s)))
+    out = tmp_path / "cmp.txt"
+    assert main(["compare", "--baseline", str(base), "--with-wsn", str(cand),
+                 "--out", str(out)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == COMPARE_SHA
+    assert _sha(out.read_bytes()) == COMPARE_SHA
 
 
 def test_run_scenario_file_with_overrides(tmp_path, capsys):
