@@ -8,12 +8,13 @@ from .protocol import (DecisionOutcome, DiscoveryRequest, Escalation,
 from .queues import FifoQueue, Packet, StrictPriorityQueue
 from .routing import (INFINITY_METRIC, RoutingLoopError, UnknownNeighborError,
                       UnreachableError)
+from .report import parse_report_ledger, render_report, serialize_report
 from .scenario import (ParseError, Scenario, SimParams, ValidationError,
                        load_scenario, reference_scenario, serialize_scenario,
                        strip_wsn)
-from .simulation import RunReport, Simulation, run, serialize_report
+from .simulation import RunReport, Simulation, run
 from .stats import (Category, Layer, NoSignificantChangeError, StatsLedger,
-                    classify, qos_improvement, render_report)
+                    classify, qos_improvement)
 from .world import (CoLocatedError, MobilityPath, NodeKind, PacketOutcome,
                     Point, RadioProfile, ZeroDistanceError, comm_graph,
                     packet_outcome, position_at, profile_for_range)

@@ -5,73 +5,53 @@ import dataclasses
 import math
 import sys
 
+from .protocol import NoSatelliteError
+from .report import (parse_report_ledger, render_report, render_run,
+                     serialize_report)
 from .scenario import (ParseError, ValidationError, load_scenario,
                        reference_scenario, strip_wsn)
-from .simulation import parse_report_ledger, run, serialize_report
-from .stats import RegistryMismatchError, classify, render_report
+from .simulation import run
+from .stats import RegistryMismatchError, classify
+from .world import CoLocatedError
 
 
-def _load(source: str):
-    """The scenario named by --scenario, or None once the reason it cannot
-    be loaded is printed."""
-    try:
-        if source == "reference":
-            return reference_scenario()
-        with open(source, encoding="utf-8") as fh:
-            return load_scenario(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
-    return None
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
-def _duration(text: str) -> float:
-    """argparse type for --until: a positive, finite number of seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+def _scenario(source: str):
+    """The scenario named by --scenario: 'reference' or a file path."""
+    return (reference_scenario() if source == "reference"
+            else load_scenario(_read(source)))
+
+
+def seconds(text: str) -> float:
+    """argparse type for --until: a positive, finite number of seconds.
+    argparse reports the ValueError of a non-number as a usage error."""
+    value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number of seconds, got {text!r}")
     return value
 
 
-def _count(text: str) -> int:
+def count(text: str) -> int:
     """argparse type for --epsilon: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not an integer: {text!r}") from None
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
 def cmd_run(args) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
-        return 1
+    scenario = _scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     if args.until is not None:
         scenario = dataclasses.replace(scenario, duration=args.until)
     report = run(scenario)
-    print(render_report(report.ledger))
-    for link in report.links:
-        path = ",".join(link.relay_path) if link.relay_path else "-"
-        print(f"link: {link.ms_id} -> {link.endpoint.kind.value}:"
-              f"{link.endpoint.node_id} at t={link.established_at:.3f} "
-              f"via {path}")
-    total = sum(units for units, _ in report.mote_energy.values())
-    asleep = sum(1 for _, mode in report.mote_energy.values()
-                 if mode == "sleeping")
-    print(f"motes: {len(report.mote_energy)} total, {asleep} released "
-          f"to sleep, {total} energy units spent")
-    print(f"events: {report.events_processed}")
-    print(f"digest: {report.digest}")
+    print(render_run(report), end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(serialize_report(report))
@@ -84,9 +64,7 @@ def cmd_compare(args) -> int:
             print("error: --auto-baseline needs --scenario",
                   file=sys.stderr)
             return 2
-        scenario = _load(args.scenario)
-        if scenario is None:
-            return 1
+        scenario = _scenario(args.scenario)
         baseline = run(strip_wsn(scenario)).ledger
         candidate = run(scenario).ledger
     else:
@@ -94,17 +72,8 @@ def cmd_compare(args) -> int:
             print("error: need --baseline and --with-wsn, or "
                   "--scenario with --auto-baseline", file=sys.stderr)
             return 2
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = parse_report_ledger(fh.read())
-            with open(args.with_wsn, encoding="utf-8") as fh:
-                candidate = parse_report_ledger(fh.read())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except RegistryMismatchError as exc:
-            print(f"error: bad report: {exc}", file=sys.stderr)
-            return 1
+        baseline = parse_report_ledger(_read(args.baseline))
+        candidate = parse_report_ledger(_read(args.with_wsn))
     result = classify(baseline, candidate, epsilon=args.epsilon)
     text = render_report(candidate, result)
     print(text)
@@ -125,10 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario file path, or 'reference' for the "
                             "built-in two-cell corridor")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--until", type=_duration, default=None,
+    p_run.add_argument("--until", type=seconds, default=None,
                        help="override the simulated duration in seconds")
-    p_run.add_argument("--out", default=None,
-                       help="write the machine-readable report here")
+    p_run.add_argument("--out", help="write the machine-readable report here")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare",
@@ -140,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--auto-baseline", action="store_true",
                        help="derive the baseline by stripping the motes "
                             "from --scenario")
-    p_cmp.add_argument("--epsilon", type=_count, default=0,
+    p_cmp.add_argument("--epsilon", type=count, default=0,
                        help="ignore counter moves of at most this size")
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)
@@ -148,8 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit 0 on success, 2 on a usage error, and 1 with one `error:` line
+    when a file cannot be read or parsed or its scenario cannot be run."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, ValidationError) as exc:
+        reason = f"invalid scenario: {exc}"
+    except RegistryMismatchError as exc:
+        reason = f"bad report: {exc}"
+    except (OSError, UnicodeDecodeError, CoLocatedError,
+            NoSatelliteError) as exc:
+        reason = str(exc)
+    print(f"error: {reason}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

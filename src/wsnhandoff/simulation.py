@@ -13,7 +13,7 @@ frames always arrive.  No frame is changed after _send(), so one object can
 be queued and delivered many times, like a link's payload frame.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
-contributes one `time seq target kind` line to the report digest: the
+contributes one `time seq target kind` line to the run's digest: the
 SHA-256 of the lines joined by newlines, hashed as they happen (the first
 line alone, every later one with a leading newline), so no log is kept.  The
 formatted time is reused while consecutive events share it.  Two runs of the
@@ -43,8 +43,7 @@ from .queues import FifoQueue, StrictPriorityQueue
 from .routing import (RoutingLoopError, UnreachableError, apply_update,
                       init_table, periodic_update, shortest_path)
 from .scenario import Scenario, effective_profile, validate_scenario
-from .stats import (REGISTRY, CounterKey, Layer, RegistryMismatchError,
-                    StatsLedger, UnknownCounterError, counter_by_token, slot)
+from .stats import CounterKey, Layer, StatsLedger, slot
 from .world import (CommGraph, NodeKind, PacketOutcome, Point, RadioProfile,
                     check_distinct, comm_graph, halt_time, in_range, linked,
                     packet_outcome, position_at, received_power)
@@ -621,46 +620,3 @@ class Simulation:
 def run(scenario: Scenario) -> RunReport:
     return Simulation(scenario).run()
 
-
-# ---- report file round trip ------------------------------------------
-
-def serialize_report(report: RunReport) -> str:
-    lines = [f"{key.token()}={report.ledger.get(key)}" for key in REGISTRY]
-    for link in report.links:
-        path = ",".join(link.relay_path) if link.relay_path else "-"
-        endpoint = f"{link.endpoint.kind.value}:{link.endpoint.node_id}"
-        lines.append(f"link {link.ms_id} {endpoint} "
-                     f"{link.established_at:.6f} {path}")
-    for mote, (units, mode) in report.mote_energy.items():
-        lines.append(f"energy {mote} {units} {mode}")
-    lines.append(f"digest {report.digest}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_report_ledger(text: str) -> StatsLedger:
-    """Rebuild the counter ledger from a report file.
-
-    Raises RegistryMismatchError when counters are missing, repeated or
-    unknown, so reports from incompatible builds cannot be compared.
-    """
-    ledger = StatsLedger()
-    seen = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("link ", "energy ", "digest ")):
-            continue
-        if "=" not in line:
-            raise RegistryMismatchError(f"unparseable report line {line!r}")
-        token, _, value = line.partition("=")
-        try:
-            key = counter_by_token(token.strip())
-        except UnknownCounterError:
-            raise RegistryMismatchError(f"unknown counter {token!r}") from None
-        if key in seen:
-            raise RegistryMismatchError(f"duplicate counter {token!r}")
-        seen.add(key)
-        ledger.record(key, int(value))
-    missing = [k.token() for k in REGISTRY if k not in seen]
-    if missing:
-        raise RegistryMismatchError(f"missing counters: {missing}")
-    return ledger

@@ -1,4 +1,4 @@
-"""Per-layer counter registry, classification of deltas and report text.
+"""Per-layer counter registry, ledger and classification of deltas.
 
 The registry is a closed set: 28 counters spread over ten protocol layers,
 mirroring what the simulator's stack can actually produce.  Recording into
@@ -6,9 +6,8 @@ an unknown counter is an error, which keeps report files from two runs
 field-compatible by construction.
 
 A classification compares a baseline ledger against a candidate ledger
-counter by counter.  Each counter has a direction: GOOD_INCREASING deltas
-count as desirable when they rise, BAD_INCREASING the opposite, NEUTRAL
-never counts either way.  The headline quality-of-service figure is
+counter by counter.  A rise is desirable, except for the counters in
+BAD_WHEN_RISING, where a fall is.  The headline quality-of-service figure is
 
     100 * desirable / (desirable + undesirable)
 
@@ -97,23 +96,13 @@ def slot(key: CounterKey) -> int:
         raise UnknownCounterError(key) from None
 
 
-class Direction(Enum):
-    GOOD_INCREASING = "good_increasing"
-    BAD_INCREASING = "bad_increasing"
-    NEUTRAL = "neutral"
-
-
 # Queue occupancy growth and corrupted receptions are the undesirable
-# movers; everything else defaults to more-is-better.
-DEFAULT_DIRECTIONS = {
-    key: Direction.GOOD_INCREASING for key in REGISTRY
-}
-DEFAULT_DIRECTIONS[CounterKey(Layer.PHY_80211, "signals_received_with_errors")] = \
-    Direction.BAD_INCREASING
-DEFAULT_DIRECTIONS[CounterKey(Layer.NET_STRICT_PRIOR, "packets_queued")] = \
-    Direction.BAD_INCREASING
-DEFAULT_DIRECTIONS[CounterKey(Layer.NET_FIFO, "packets_queued")] = \
-    Direction.BAD_INCREASING
+# movers; everything else is more-is-better.
+BAD_WHEN_RISING = frozenset({
+    CounterKey(Layer.PHY_80211, "signals_received_with_errors"),
+    CounterKey(Layer.NET_STRICT_PRIOR, "packets_queued"),
+    CounterKey(Layer.NET_FIFO, "packets_queued"),
+})
 
 
 class StatsLedger:
@@ -160,20 +149,18 @@ class Classification:
 
 
 def classify(baseline: StatsLedger, candidate: StatsLedger,
-             directions: dict = None, epsilon: int = 0) -> Classification:
+             epsilon: int = 0) -> Classification:
     """Label every registry counter by how it moved baseline -> candidate."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    directions = DEFAULT_DIRECTIONS if directions is None else directions
     per = {}
     counts = {Category.DESIRABLE: 0, Category.UNDESIRABLE: 0,
               Category.INSIGNIFICANT: 0}
     for key in REGISTRY:
         delta = candidate.get(key) - baseline.get(key)
-        direction = directions.get(key, Direction.GOOD_INCREASING)
-        if abs(delta) <= epsilon or direction is Direction.NEUTRAL:
+        if abs(delta) <= epsilon:
             cat = Category.INSIGNIFICANT
-        elif (delta > 0) == (direction is Direction.GOOD_INCREASING):
+        elif (delta > 0) != (key in BAD_WHEN_RISING):
             cat = Category.DESIRABLE
         else:
             cat = Category.UNDESIRABLE
@@ -190,22 +177,6 @@ def qos_improvement(c: Classification) -> float:
     if moved == 0:
         raise NoSignificantChangeError("no counter moved beyond epsilon")
     return 100.0 * c.desirable / moved
-
-
-def render_report(ledger: StatsLedger, classification: Classification = None) -> str:
-    """Deterministic text: counters in registry order, then the verdict."""
-    lines = [f"{key.token()}={ledger.get(key)}" for key in REGISTRY]
-    if classification is not None:
-        lines.append("")
-        for key in REGISTRY:
-            delta, cat = classification.per_counter[key]
-            lines.append(f"{key.token()}: {cat.value} ({delta:+d})")
-        try:
-            pct = qos_improvement(classification)
-            lines.append(f"QoS improvement: {pct:.2f}%")
-        except NoSignificantChangeError:
-            lines.append("QoS improvement: undefined (no significant change)")
-    return "\n".join(lines) + "\n"
 
 
 def counter_by_token(token: str) -> CounterKey:

@@ -20,10 +20,10 @@ from wsnhandoff.routing import (INFINITY_METRIC, apply_update, init_table,
 from wsnhandoff.scenario import (NodeSpec, Scenario, effective_profile,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
-from wsnhandoff.simulation import run, serialize_report
-from wsnhandoff.stats import (DEFAULT_DIRECTIONS, REGISTRY, Direction,
-                              StatsLedger, classify, counter_by_token,
-                              qos_improvement)
+from wsnhandoff.report import serialize_report
+from wsnhandoff.simulation import run
+from wsnhandoff.stats import (BAD_WHEN_RISING, REGISTRY, StatsLedger,
+                              classify, counter_by_token, qos_improvement)
 from wsnhandoff.world import (NodeKind, Point, comm_graph, halt_time,
                               position_at, profile_for_range)
 
@@ -55,8 +55,7 @@ def test_criterion_1_qos_arithmetic():
         fifo_q = counter_by_token("net_fifo.packets_queued")
         base, cand = StatsLedger(), StatsLedger()
         improvers = [k for k in REGISTRY
-                     if DEFAULT_DIRECTIONS[k] is Direction.GOOD_INCREASING
-                     and k != sat_rx][:11]
+                     if k not in BAD_WHEN_RISING and k != sat_rx][:11]
         assert len(improvers) == 11
         for k in improvers:
             cand.record(k, 10)

@@ -11,7 +11,8 @@ import pytest
 import wsnhandoff
 from wsnhandoff.cli import main
 from wsnhandoff.scenario import reference_scenario, serialize_scenario, strip_wsn
-from wsnhandoff.simulation import run, serialize_report
+from wsnhandoff.report import serialize_report
+from wsnhandoff.simulation import run
 
 
 def test_run_builtin_scenario(tmp_path, capsys):
@@ -129,6 +130,64 @@ def test_bad_scenario_numbers_exit_one_without_traceback(tmp_path, params):
     assert proc.returncode == 1
     assert "invalid scenario" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _fails_cleanly(proc):
+    """Exit 1 with one `error:` line on stderr and no traceback."""
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+# ms1 walks onto m01's point at t = 8
+COLOCATED_WALK = """[node]
+bs1 base_station -300 0
+m01 mote 64 0
+ms1 mobile_station 0 0
+[mobility]
+ms1 speed=8 halt=1 waypoints=1024,0
+"""
+
+# ms1 walks from bs1 along a three-row mote strip towards an empty stretch;
+# with no base station within steering range and no satellite, the
+# switching centre has nothing to offer
+NO_SATELLITE_WORLD = "\n".join(
+    ["[node]", "bs1 base_station 0 200", "bs2 base_station 3000 200",
+     "msc1 msc 1500 900"]
+    + [f"m{x}y{y} mote {x} {y}"
+       for y in (120, 200, 280) for x in range(100, 800, 100)]
+    + ["ms1 mobile_station 10 190", "[mobility]",
+       "ms1 speed=20 halt=1 waypoints=2000,190", ""])
+
+
+@pytest.mark.parametrize("world, reason", [
+    (COLOCATED_WALK, "nodes m01 and ms1 share"),
+    (NO_SATELLITE_WORLD, "no feasible base station and no satellite")],
+    ids=["colocated-walk", "no-satellite"])
+def test_scenario_failing_during_the_run_exits_one(tmp_path, world, reason):
+    scen = tmp_path / "world.scn"
+    scen.write_text(world)
+    proc = _cli("run", "--scenario", str(scen))
+    _fails_cleanly(proc)
+    assert reason in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_file_that_is_not_utf8_exits_one(tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("[node]\nm1 mote 0 0  # caf\xe9\n".encode("latin-1"))
+    if command == "run":
+        proc = _cli("run", "--scenario", str(path))
+    else:
+        proc = _cli("compare", "--baseline", str(path),
+                    "--with-wsn", str(path))
+    _fails_cleanly(proc)
+
+
+def test_run_out_to_a_directory_exits_one(tmp_path):
+    _fails_cleanly(_cli("run", "--scenario", "reference",
+                        "--out", str(tmp_path)))
 
 
 def test_compare_auto_baseline(tmp_path, capsys):

@@ -24,7 +24,8 @@ from invariants import check_relay_paths
 from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
-from wsnhandoff.simulation import Simulation, run, serialize_report
+from wsnhandoff.report import serialize_report
+from wsnhandoff.simulation import Simulation, run
 from wsnhandoff.stats import counter_by_token
 from wsnhandoff.world import MobilityPath, NodeKind, Point
 

@@ -13,8 +13,8 @@ from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  ValidationError, effective_profile,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
-from wsnhandoff.simulation import (RunReport, Simulation, parse_report_ledger,
-                                   run, serialize_report)
+from wsnhandoff.report import parse_report_ledger, serialize_report
+from wsnhandoff.simulation import RunReport, Simulation, run
 from wsnhandoff.stats import (Layer, RegistryMismatchError, counter_by_token)
 from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind, Point,
                               RadioProfile, comm_graph, position_at,
@@ -224,6 +224,16 @@ def test_report_parser_rejects_foreign_or_broken_registries():
         parse_report_ledger("\n".join(lines))
     with pytest.raises(RegistryMismatchError):
         parse_report_ledger("what even is this\n")
+
+
+@pytest.mark.parametrize("value", ["x61", "-59", "1.5", ""])
+def test_report_parser_rejects_a_value_that_is_not_a_count(value):
+    text = serialize_report(run(strip_wsn(reference_scenario())))
+    lines = [f"phy80211.signals_locked={value}"
+             if ln.startswith("phy80211.signals_locked=") else ln
+             for ln in text.splitlines()]
+    with pytest.raises(RegistryMismatchError):
+        parse_report_ledger("\n".join(lines))
 
 
 # ---- flooding vs breadth-first search ------------------------------------

@@ -2,12 +2,11 @@
 
 import pytest
 
-from wsnhandoff.stats import (DEFAULT_DIRECTIONS, REGISTRY, Category,
-                              CounterKey, Direction, Layer,
-                              NoSignificantChangeError, StatsLedger,
-                              UnknownCounterError, classify,
-                              counter_by_token, qos_improvement,
-                              render_report, slot)
+from wsnhandoff.report import render_report
+from wsnhandoff.stats import (BAD_WHEN_RISING, REGISTRY, Category,
+                              CounterKey, Layer, NoSignificantChangeError,
+                              StatsLedger, UnknownCounterError, classify,
+                              counter_by_token, qos_improvement, slot)
 
 ERRORS = CounterKey(Layer.PHY_80211, "signals_received_with_errors")
 LOCKED = CounterKey(Layer.PHY_80211, "signals_locked")
@@ -83,11 +82,7 @@ def test_peak_counter_is_a_high_water_mark():
 
 
 def test_default_directions_mark_three_bad_movers():
-    bad = {k for k, d in DEFAULT_DIRECTIONS.items()
-           if d is Direction.BAD_INCREASING}
-    assert bad == {ERRORS, SP_QUEUED, FIFO_QUEUED}
-    assert all(DEFAULT_DIRECTIONS[k] is Direction.GOOD_INCREASING
-               for k in REGISTRY if k not in bad)
+    assert BAD_WHEN_RISING == {ERRORS, SP_QUEUED, FIFO_QUEUED}
 
 
 def test_classify_good_and_bad_movement():
@@ -128,8 +123,7 @@ def test_eleven_four_thirteen_split_yields_7333_percent():
     # eleven significant improvements, four significant regressions
     base, cand = StatsLedger(), StatsLedger()
     good = [k for k in REGISTRY
-            if DEFAULT_DIRECTIONS[k] is Direction.GOOD_INCREASING
-            and k is not SAT_RECEIVED]
+            if k not in BAD_WHEN_RISING and k is not SAT_RECEIVED]
     for k in good[:11]:
         cand.record(k, 10)
     cand.record(ERRORS, 6)
@@ -158,18 +152,14 @@ def test_qos_undefined_when_nothing_moved():
 def test_render_report_layout_and_determinism():
     led = StatsLedger()
     led.record(LOCKED, 3)
-    text = render_report(led)
+    text = render_report(led, classify(StatsLedger(), led))
     lines = text.splitlines()
-    assert len(lines) == len(REGISTRY)
+    assert lines[len(REGISTRY)] == ""  # the counters, then the verdicts
     assert lines[0] == "phy80211.signals_transmitted=0"
     assert "phy80211.signals_locked=3" in lines
-    assert render_report(led) == text
-
-    cand = StatsLedger()
-    cand.record(LOCKED, 3)
-    with_cls = render_report(cand, classify(StatsLedger(), cand))
-    assert "phy80211.signals_locked: Desirable (+3)" in with_cls
-    assert with_cls.splitlines()[-1] == "QoS improvement: 100.00%"
+    assert render_report(led, classify(StatsLedger(), led)) == text
+    assert "phy80211.signals_locked: Desirable (+3)" in lines
+    assert lines[-1] == "QoS improvement: 100.00%"
 
 
 def test_render_report_undefined_qos_line():
