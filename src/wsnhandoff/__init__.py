@@ -5,7 +5,7 @@ from .engine import Event, EventQueue, PastTimeError, RngStream
 from .protocol import (DecisionOutcome, DiscoveryRequest, Escalation,
                        LinkRecord, MoteMode, MoteState, MscDecision,
                        NoMotesInRangeError, NoSatelliteError)
-from .queues import FifoQueue, Packet, StrictPriorityQueue
+from .queues import FifoQueue, StrictPriorityQueue
 from .routing import (INFINITY_METRIC, RoutingLoopError, UnknownNeighborError,
                       UnreachableError)
 from .report import parse_report_ledger, render_report, serialize_report

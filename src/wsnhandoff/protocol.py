@@ -49,30 +49,6 @@ class MoteState:
     energy_consumed: int = 0
 
 
-class RequestIdSource:
-    """Per-simulation counter handing out distinct request ids from 1."""
-
-    def __init__(self):
-        self._next = 1
-
-    def next_id(self) -> int:
-        rid = self._next
-        self._next += 1
-        return rid
-
-
-@dataclass(frozen=True)
-class UnicastToBs:
-    bs_id: str
-    request: DiscoveryRequest
-
-
-@dataclass(frozen=True)
-class FloodToMotes:
-    targets: tuple
-    request: DiscoveryRequest
-
-
 @dataclass(frozen=True)
 class Escalation:
     request_id: int
@@ -108,22 +84,23 @@ class LinkRecord:
     relay_path: tuple = ()
 
 
-def detect_loss(ms_id: str, graph, kinds: dict) -> bool:
-    """True when no base station is adjacent to the mobile station."""
-    return not any(kinds[n] is NodeKind.BASE_STATION
-                   for n in graph.neighbors(ms_id))
+def detect_loss(row, kinds: dict) -> bool:
+    """True when no base station is in `row`, a mobile station's
+    neighbours in the communication graph."""
+    return not any(kinds[n] is NodeKind.BASE_STATION for n in row)
 
 
 def make_discovery(ms_id: str, location: Point, adjacent_active_motes,
-                   ids: RequestIdSource, ttl: int = DEFAULT_TTL) -> DiscoveryRequest:
-    """Create a fresh discovery request for broadcast to nearby motes.
+                   ids, ttl: int = DEFAULT_TTL) -> DiscoveryRequest:
+    """Create a fresh discovery request for broadcast to nearby motes,
+    its id the next one from the iterator `ids`.
 
     Raises NoMotesInRangeError when the adjacency list is empty; total
     isolation is the caller's cue for a direct satellite fallback.
     """
     if not adjacent_active_motes:
         raise NoMotesInRangeError(f"{ms_id} hears no active motes")
-    return DiscoveryRequest(ids.next_id(), ms_id, location, ttl)
+    return DiscoveryRequest(next(ids), ms_id, location, ttl)
 
 
 def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
@@ -132,31 +109,31 @@ def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
     """Process one received discovery copy at a mote.
 
     `bs_neighbors` and `mote_neighbors` are the mote's base-station and
-    mote neighbours in the static graph, each sorted by id.  Returns a list
-    of actions (UnicastToBs / FloodToMotes).  Sleeping motes, duplicates,
-    exhausted TTLs and path revisits all produce no actions; the request id
-    still lands in `seen` so later copies are recognised.  A forwarding mote
-    appends itself to the path, decrements the TTL, pays one energy unit for
-    the transmission, and either hands the request to the first adjacent
-    base station or re-floods it to adjacent active motes not already on the
-    path.
+    mote neighbours in the static graph, each sorted by id.  Sleeping
+    motes, duplicates, exhausted TTLs and path revisits return None; the
+    request id still lands in `seen` so later copies are recognised.  A
+    forwarding mote appends itself to the path, decrements the TTL, pays one
+    energy unit for the transmission, and returns (request, bs_id, targets):
+    either (fwd, first adjacent base station, ()) to hand the request over,
+    or (fwd, None, adjacent active motes not already on the path) to
+    re-flood it.
     """
     duplicate = req.request_id in state.seen
     state.seen.add(req.request_id)
     if (state.mode is MoteMode.SLEEPING or duplicate
             or req.ttl == 0 or mote_id in req.path):
-        return []
+        return None
     path = req.path + (mote_id,)
     fwd = DiscoveryRequest(req.request_id, req.ms_id, req.ms_location,
                            req.ttl - 1, path)
     state.energy_consumed += ENERGY_PER_TX
     if bs_neighbors:
-        return [UnicastToBs(bs_neighbors[0], fwd)]
+        return fwd, bs_neighbors[0], ()
     targets = tuple(n for n in mote_neighbors
                     if n not in path
                     and mote_states[n].mode is MoteMode.ACTIVE)
     # an empty target tuple still keys the radio once, hence the charge above
-    return [FloodToMotes(targets, fwd)]
+    return fwd, None, targets
 
 
 def bs_notify_msc(bs_id: str, req: DiscoveryRequest, seen_at_bs: set):

@@ -1,7 +1,8 @@
 """Network-layer queues: per-class FIFOs under a strict-priority scheduler.
 
-The queues read only an item's `priority_class`: the simulator queues its
-frames as they are, and Packet is a validated item for direct use.
+The queues read only an item's `priority_class`, which must be in
+range(PRIORITY_CLASSES) for the strict-priority queue; the simulator queues
+its frames as they are.
 
 Counter convention: `queued` counts every enqueue attempt (accepted or
 dropped), so at any instant
@@ -12,26 +13,10 @@ holds for both queue types.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 PRIORITY_CLASSES = 3
 DEFAULT_CAPACITY = 50
-
-
-@dataclass(frozen=True)
-class Packet:
-    packet_id: int
-    src: str
-    dst: str
-    priority_class: int
-    size: int
-
-    def __post_init__(self):
-        if not 0 <= self.priority_class < PRIORITY_CLASSES:
-            raise ValueError("priority_class out of range")
-        if self.size <= 0:
-            raise ValueError("size must be positive")
 
 
 class EnqueueResult(Enum):

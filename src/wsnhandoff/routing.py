@@ -38,18 +38,16 @@ class DistanceVector:
 class RouteUpdate:
     sender: str
     vector: dict  # destination -> advertised metric
-    triggered: bool = False
 
 
 def init_table(owner: str) -> DistanceVector:
     return DistanceVector(owner, {owner: (0, owner)})
 
 
-def periodic_update(table: DistanceVector, triggered: bool = False) -> RouteUpdate:
+def periodic_update(table: DistanceVector) -> RouteUpdate:
     """Snapshot the full table as an advertisement."""
     return RouteUpdate(table.owner,
-                       {d: m for d, (m, _) in sorted(table.entries.items())},
-                       triggered)
+                       {d: m for d, (m, _) in sorted(table.entries.items())})
 
 
 def apply_update(table: DistanceVector, update: RouteUpdate,

@@ -85,12 +85,6 @@ class Scenario:
     seed: int = 1
     params: SimParams = field(default_factory=SimParams)
 
-    def node(self, node_id: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def by_kind(self, kind: NodeKind) -> list:
         return [n for n in self.nodes if n.kind is kind]
 
@@ -246,12 +240,12 @@ def load_scenario(text: str) -> Scenario:
 
 def validate_scenario(s: Scenario):
     problems = []
-    seen_ids = set()
+    kinds = {}
     positions = {}
     for n in s.nodes:
-        if n.node_id in seen_ids:
+        if n.node_id in kinds:
             problems.append(f"duplicate node id {n.node_id!r}")
-        seen_ids.add(n.node_id)
+        kinds.setdefault(n.node_id, n.kind)
         key = (n.position.x, n.position.y)
         if key in positions:
             problems.append(
@@ -260,9 +254,9 @@ def validate_scenario(s: Scenario):
     if len(s.by_kind(NodeKind.MSC)) > 1:
         problems.append("more than one msc")
     for node_id in s.mobility:
-        if node_id not in seen_ids:
+        if node_id not in kinds:
             problems.append(f"mobility for unknown node {node_id!r}")
-        elif s.node(node_id).kind is not NodeKind.MOBILE_STATION:
+        elif kinds[node_id] is not NodeKind.MOBILE_STATION:
             problems.append(f"mobility on non-mobile node {node_id!r}")
     if not s.duration > 0:  # also catches nan
         problems.append("duration must be positive")

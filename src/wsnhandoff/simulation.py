@@ -30,13 +30,13 @@ outcomes between two nodes that do not move are computed once.
 """
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
 from .engine import EventQueue, RngStream
-from .protocol import (DecisionOutcome, FloodToMotes, LinkRecord, MoteMode,
-                       MoteState, MscDecision, RequestIdSource, UnicastToBs,
-                       bs_notify_msc, detect_loss, establish_link,
+from .protocol import (DecisionOutcome, LinkRecord, MoteMode, MoteState,
+                       MscDecision, bs_notify_msc, detect_loss, establish_link,
                        make_discovery, mote_forward, msc_decide,
                        release_motes)
 from .queues import FifoQueue, StrictPriorityQueue
@@ -44,7 +44,7 @@ from .routing import (RoutingLoopError, UnreachableError, apply_update,
                       init_table, periodic_update, shortest_path)
 from .scenario import Scenario, effective_profile, validate_scenario
 from .stats import CounterKey, Layer, StatsLedger, slot
-from .world import (CommGraph, NodeKind, PacketOutcome, Point, RadioProfile,
+from .world import (NodeKind, PacketOutcome, Point, RadioProfile,
                     check_distinct, comm_graph, halt_time, in_range, linked,
                     packet_outcome, position_at, received_power)
 
@@ -150,7 +150,7 @@ class Simulation:
         self._hash = self._hash_first_line
         self._stamp_t = None     # time of the last event, and its
         self._stamp = ""         # "\n{t:.6f} " prefix
-        self.ids = RequestIdSource()
+        self.ids = itertools.count(1)  # request ids
 
         self.kinds = {n.node_id: n.kind for n in scenario.nodes}
         self.profiles = {n.node_id: effective_profile(n)
@@ -186,11 +186,11 @@ class Simulation:
         # the static graph drives all flood forwarding decisions through
         # each mote's sorted base-station and mote neighbours.
         self.static_graph = comm_graph(dict(self.start_pos), self.kinds,
-                                       self.profiles, 0.0)
+                                       self.profiles)
         kinds = self.kinds
         self.bs_rows, self.mote_rows = {}, {}
         for m in self.mote_states:
-            row = self.static_graph.neighbors(m)
+            row = sorted(self.static_graph[m])
             self.bs_rows[m] = tuple(
                 n for n in row if kinds[n] is NodeKind.BASE_STATION)
             self.mote_rows[m] = tuple(
@@ -245,14 +245,14 @@ class Simulation:
     def halted(self, node_id: str, t: float) -> bool:
         return t >= self.halt_at.get(node_id, 0.0)
 
-    def handset_graph(self, t: float) -> CommGraph:
+    def handset_graph(self, t: float) -> dict:
         """The handsets' rows of the communication graph at time t.
 
         Moves every handset to its position at t (self.here), raises
-        CoLocatedError when any two nodes then share a point, and returns a
-        graph whose only rows are the handsets'.  A pair within both ends'
-        reach still goes through world.linked, so every edge decision is the
-        full graph's.
+        CoLocatedError when any two nodes then share a point, and returns
+        handset id -> set of neighbour ids.  A pair within both ends' reach
+        still goes through world.linked, so every edge decision is the full
+        graph's.
         """
         here = self.here
         for n, path in self.s.mobility.items():
@@ -273,7 +273,7 @@ class Simulation:
                     row.add(b)
                     if b in rows:
                         rows[b].add(a)
-        return CommGraph(t, rows)
+        return rows
 
     def _radio_outcome(self, src: str, rx: str, t: float) -> PacketOutcome:
         key = (src, rx)
@@ -383,18 +383,13 @@ class Simulation:
                 self.queue.schedule(t + self.p.backhaul_delay, self.msc_id,
                                     ("backhaul", esc))
             return
-        actions = mote_forward(rx, self.mote_states[rx], req,
+        forward = mote_forward(rx, self.mote_states[rx], req,
                                self.bs_rows[rx], self.mote_rows[rx],
                                self.mote_states)
-        for action in actions:
-            if isinstance(action, UnicastToBs):
-                self._send(rx, Frame("discovery", rx, dst=action.bs_id,
-                                     payload=action.request,
-                                     ip_ttl=action.request.ttl))
-            elif isinstance(action, FloodToMotes):
-                self._send(rx, Frame("discovery", rx, targets=action.targets,
-                                     payload=action.request,
-                                     ip_ttl=action.request.ttl))
+        if forward is not None:
+            fwd, dst, targets = forward
+            self._send(rx, Frame("discovery", rx, dst=dst, targets=targets,
+                                 payload=fwd, ip_ttl=fwd.ttl))
 
     def _rx_dv(self, t: float, frame: Frame, rx: str):
         c = self.counts
@@ -403,7 +398,7 @@ class Simulation:
                                self.mote_rows[rx])
         if changed:
             c[DV_TRIGGERED] += 1
-            self._broadcast_dv(rx, triggered=True)
+            self._broadcast_dv(rx)
 
     def _rx_payload(self, t: float, frame: Frame, rx: str):
         if self.kinds[rx] is NodeKind.SATELLITE and frame.relay:
@@ -426,33 +421,32 @@ class Simulation:
 
     # ---- distance-vector plumbing -----------------------------------
 
-    def _broadcast_dv(self, mote: str, triggered: bool):
+    def _broadcast_dv(self, mote: str):
         targets = tuple(n for n in self.mote_rows[mote]
                         if self.mote_states[n].mode is MoteMode.ACTIVE)
         if not targets:
             return
-        update = periodic_update(self.tables[mote], triggered)
         self._send(mote, Frame("dv", mote, targets=targets,
-                               payload=update))
+                               payload=periodic_update(self.tables[mote])))
 
     def _on_dv_send(self, t: float, payload):
         mote = payload[1]
         if self.mote_states[mote].mode is MoteMode.SLEEPING:
             return
-        self._broadcast_dv(mote, triggered=False)
+        self._broadcast_dv(mote)
         self.queue.schedule(t + self.p.dv_period, mote, payload)
 
     # ---- coverage checks and the handoff state machine ---------------
 
     def _on_coverage(self, t: float, payload):
-        graph = self.handset_graph(t)
+        rows = self.handset_graph(t)
         for ms_id in sorted(self.ms_states):
-            self._check_ms(t, ms_id, graph)
+            self._check_ms(t, ms_id, rows[ms_id])
         nxt = t + self.p.coverage_check_period
         if nxt <= self.s.duration:
             self.queue.schedule(nxt, "sim", payload)
 
-    def _check_ms(self, t: float, ms_id: str, graph):
+    def _check_ms(self, t: float, ms_id: str, row: set):
         st = self.ms_states[ms_id]
         if st.link is not None:
             if st.link.endpoint.kind is NodeKind.BASE_STATION:
@@ -470,9 +464,9 @@ class Simulation:
             st.pending_request = None  # discovery went unanswered
             if self.halted(ms_id, t):
                 st.failed_after_halt += 1
-        if not detect_loss(ms_id, graph, self.kinds):
+        if not detect_loss(row, self.kinds):
             return
-        motes = [m for m in graph.neighbors(ms_id)
+        motes = [m for m in sorted(row)
                  if self.kinds[m] is NodeKind.MOTE
                  and self.mote_states[m].mode is MoteMode.ACTIVE]
         halted = self.halted(ms_id, t)
@@ -489,7 +483,7 @@ class Simulation:
 
     def _direct_satellite_fallback(self, t: float, ms_id: str):
         st = self.ms_states[ms_id]
-        decision = MscDecision(self.ids.next_id(),
+        decision = MscDecision(next(self.ids),
                                DecisionOutcome.SATELLITE_FALLBACK)
         self.decision_log.append((ms_id, decision))
         record = establish_link(decision, ms_id, (), t,

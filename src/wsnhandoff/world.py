@@ -172,23 +172,6 @@ def position_at(path: MobilityPath, start: Point, t: float) -> Point:
     return _point_at_arc(_route_points(path, start), s)
 
 
-class CommGraph:
-    """Undirected adjacency snapshot of who can exchange frames at time t."""
-
-    def __init__(self, t: float, adjacency: dict):
-        self.t = t
-        self._adj = adjacency
-
-    def nodes(self) -> list:
-        return sorted(self._adj)
-
-    def neighbors(self, node_id: str) -> list:
-        return sorted(self._adj[node_id])
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return b in self._adj.get(a, ())
-
-
 def check_distinct(positions: dict):
     """Raise CoLocatedError when two nodes occupy the same Point.
 
@@ -224,9 +207,9 @@ def linked(a: str, b: str, positions: dict, kinds: dict,
             and in_range(positions[a], positions[b], pb))
 
 
-def comm_graph(positions: dict, kinds: dict, profiles: dict,
-               t: float = 0.0) -> CommGraph:
-    """Build the communication graph for one instant.
+def comm_graph(positions: dict, kinds: dict, profiles: dict) -> dict:
+    """Build the communication graph for one instant: node id -> set of
+    neighbour ids, symmetric, one row per node.
 
     positions/kinds/profiles map node id to Point / NodeKind / RadioProfile
     (profile may be None for nodes without a radio).  Raises CoLocatedError
@@ -240,4 +223,4 @@ def comm_graph(positions: dict, kinds: dict, profiles: dict,
             if linked(a, b, positions, kinds, profiles):
                 adj[a].add(b)
                 adj[b].add(a)
-    return CommGraph(t, adj)
+    return adj

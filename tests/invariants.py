@@ -21,7 +21,7 @@ def check_relay_paths(s: Scenario, report) -> int:
         assert len(set(path)) == len(path), path
         assert len(path) <= s.params.default_ttl, path
         for a, b in zip(path, path[1:]):
-            assert graph.has_edge(a, b), (a, b, path)
+            assert b in graph[a], (a, b, path)
         assert any(kinds[n] is NodeKind.BASE_STATION
-                   for n in graph.neighbors(path[-1])), path
+                   for n in graph[path[-1]]), path
     return len(paths)

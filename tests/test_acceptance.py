@@ -10,11 +10,12 @@ import dataclasses
 import random
 import time
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
 from wsnhandoff.protocol import DecisionOutcome, detect_loss
-from wsnhandoff.queues import Packet, StrictPriorityQueue
+from wsnhandoff.queues import StrictPriorityQueue
 from wsnhandoff.routing import (INFINITY_METRIC, apply_update, init_table,
                                 periodic_update)
 from wsnhandoff.scenario import (NodeSpec, Scenario, effective_profile,
@@ -88,8 +89,8 @@ def test_criterion_2_reference_scenario_behavior():
             for other in ("ms1", "ms2"):
                 at_halt[other] = position_at(s.mobility[other],
                                              positions[other], t)
-            g = comm_graph(at_halt, kinds, profiles, t)
-            assert detect_loss(ms_id, g, kinds), ms_id
+            g = comm_graph(at_halt, kinds, profiles)
+            assert detect_loss(g[ms_id], kinds), ms_id
 
         rep = run(s)
 
@@ -308,7 +309,9 @@ def test_criterion_7_queue_trace_properties():
         peaks = [0, 0, 0]
         for op in range(1000):
             if rng.random() < 0.6:
-                pkt = Packet(op, "s", "d", rng.randrange(3), 64)
+                # the queue reads only priority_class
+                pkt = SimpleNamespace(packet_id=op,
+                                      priority_class=rng.randrange(3))
                 attempts += 1
                 lane = lanes[pkt.priority_class]
                 if len(lane) >= 4:

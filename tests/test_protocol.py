@@ -1,15 +1,15 @@
 """Discovery flooding, escalation and the switching-centre decision."""
 
+from itertools import count
+
 import pytest
 
 from wsnhandoff.protocol import (DEFAULT_TTL, DecisionOutcome,
-                                 DiscoveryRequest, FloodToMotes, MoteMode,
-                                 MoteState, NoMotesInRangeError,
-                                 NoSatelliteError, RequestIdSource,
-                                 UnicastToBs, bs_notify_msc, detect_loss,
-                                 establish_link, make_discovery,
-                                 mote_forward, msc_decide, release_motes,
-                                 steer_feasible)
+                                 DiscoveryRequest, MoteMode, MoteState,
+                                 NoMotesInRangeError, NoSatelliteError,
+                                 bs_notify_msc, detect_loss, establish_link,
+                                 make_discovery, mote_forward, msc_decide,
+                                 release_motes, steer_feasible)
 from wsnhandoff.world import NodeKind, Point, comm_graph, profile_for_range
 
 
@@ -27,23 +27,23 @@ def _line_world():
 def _rows(graph, kinds, mote):
     """The mote's sorted base-station and mote neighbours, as mote_forward
     takes them."""
-    row = graph.neighbors(mote)
+    row = sorted(graph[mote])
     return (tuple(n for n in row if kinds[n] is NodeKind.BASE_STATION),
             tuple(n for n in row if kinds[n] is NodeKind.MOTE))
 
 
 def test_detect_loss():
     graph, kinds = _line_world()
-    assert detect_loss("ms", graph, kinds)  # bs1 is 320 m away
+    assert detect_loss(graph["ms"], kinds)  # bs1 is 320 m away
     positions = {"ms": Point(0, 0), "bs1": Point(90, 0)}
     kinds2 = {"ms": NodeKind.MOBILE_STATION, "bs1": NodeKind.BASE_STATION}
     near = comm_graph(positions, kinds2,
                       {n: profile_for_range(100) for n in positions})
-    assert not detect_loss("ms", near, kinds2)
+    assert not detect_loss(near["ms"], kinds2)
 
 
 def test_make_discovery_ids_and_fields():
-    ids = RequestIdSource()
+    ids = count(1)
     loc = Point(5, 5)
     r1 = make_discovery("ms", loc, ["m1", "m2"], ids)
     r2 = make_discovery("ms", loc, ["m1"], ids, ttl=3)
@@ -55,17 +55,17 @@ def test_make_discovery_ids_and_fields():
 
 def test_make_discovery_requires_a_mote():
     with pytest.raises(NoMotesInRangeError):
-        make_discovery("ms", Point(0, 0), [], RequestIdSource())
+        make_discovery("ms", Point(0, 0), [], count(1))
 
 
 def test_forward_unicasts_to_adjacent_base_station():
     graph, kinds = _line_world()
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16, path=("m1", "m2"))
-    actions = mote_forward("m3", states["m3"], req,
+    forward = mote_forward("m3", states["m3"], req,
                            *_rows(graph, kinds, "m3"), states)
-    assert actions == [UnicastToBs("bs1", DiscoveryRequest(
-        1, "ms", Point(0, 0), ttl=15, path=("m1", "m2", "m3")))]
+    assert forward == (DiscoveryRequest(
+        1, "ms", Point(0, 0), ttl=15, path=("m1", "m2", "m3")), "bs1", ())
     assert states["m3"].energy_consumed == 1
     assert 1 in states["m3"].seen
 
@@ -74,14 +74,12 @@ def test_forward_floods_when_no_base_station_adjacent():
     graph, kinds = _line_world()
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(7, "ms", Point(0, 0), ttl=16)
-    actions = mote_forward("m1", states["m1"], req,
-                           *_rows(graph, kinds, "m1"), states)
-    assert len(actions) == 1
-    flood = actions[0]
-    assert isinstance(flood, FloodToMotes)
-    assert flood.targets == ("m2",)  # ms is not a mote, m1 now on the path
-    assert flood.request.ttl == 15
-    assert flood.request.path == ("m1",)
+    fwd, bs_id, targets = mote_forward("m1", states["m1"], req,
+                                       *_rows(graph, kinds, "m1"), states)
+    assert bs_id is None
+    assert targets == ("m2",)  # ms is not a mote, m1 now on the path
+    assert fwd.ttl == 15
+    assert fwd.path == ("m1",)
 
 
 def test_forward_excludes_path_and_sleeping_targets():
@@ -89,11 +87,11 @@ def test_forward_excludes_path_and_sleeping_targets():
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     states["m3"].mode = MoteMode.SLEEPING
     req = DiscoveryRequest(9, "ms", Point(0, 0), ttl=16, path=("m1",))
-    actions = mote_forward("m2", states["m2"], req,
+    forward = mote_forward("m2", states["m2"], req,
                            *_rows(graph, kinds, "m2"), states)
     # m1 is on the path and m3 sleeps: the radio still keys, to nobody
-    assert actions == [FloodToMotes((), DiscoveryRequest(
-        9, "ms", Point(0, 0), ttl=15, path=("m1", "m2")))]
+    assert forward == (DiscoveryRequest(
+        9, "ms", Point(0, 0), ttl=15, path=("m1", "m2")), None, ())
     assert states["m2"].energy_consumed == 1
 
 
@@ -106,7 +104,7 @@ def test_forward_drops_duplicates_without_energy_cost():
     assert first and states["m1"].energy_consumed == 1
     again = mote_forward("m1", states["m1"], req,
                          *_rows(graph, kinds, "m1"), states)
-    assert again == []
+    assert again is None
     assert states["m1"].energy_consumed == 1
 
 
@@ -115,11 +113,11 @@ def test_forward_ignores_exhausted_ttl_and_path_revisit():
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     dead = DiscoveryRequest(5, "ms", Point(0, 0), ttl=0)
     assert mote_forward("m1", states["m1"], dead,
-                        *_rows(graph, kinds, "m1"), states) == []
+                        *_rows(graph, kinds, "m1"), states) is None
     assert 5 in states["m1"].seen
     looped = DiscoveryRequest(6, "ms", Point(0, 0), ttl=16, path=("m2",))
     assert mote_forward("m2", states["m2"], looped,
-                        *_rows(graph, kinds, "m2"), states) == []
+                        *_rows(graph, kinds, "m2"), states) is None
     assert states["m1"].energy_consumed == 0
     assert states["m2"].energy_consumed == 0
 
@@ -130,7 +128,7 @@ def test_sleeping_mote_is_inert_but_remembers():
     states["m1"].mode = MoteMode.SLEEPING
     req = DiscoveryRequest(8, "ms", Point(0, 0), ttl=16)
     assert mote_forward("m1", states["m1"], req,
-                        *_rows(graph, kinds, "m1"), states) == []
+                        *_rows(graph, kinds, "m1"), states) is None
     assert 8 in states["m1"].seen
     assert states["m1"].energy_consumed == 0
 
@@ -138,20 +136,19 @@ def test_sleeping_mote_is_inert_but_remembers():
 def test_hand_traced_flood_along_the_line():
     graph, kinds = _line_world()
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
-    ids = RequestIdSource()
-    req = make_discovery("ms", Point(0, 0), ["m1"], ids)
+    req = make_discovery("ms", Point(0, 0), ["m1"], count(1))
     # hop 1: m1 floods to m2
-    [a1] = mote_forward("m1", states["m1"], req,
-                        *_rows(graph, kinds, "m1"), states)
+    r1, _, _ = mote_forward("m1", states["m1"], req,
+                            *_rows(graph, kinds, "m1"), states)
     # hop 2: m2 floods to m3
-    [a2] = mote_forward("m2", states["m2"], a1.request,
-                        *_rows(graph, kinds, "m2"), states)
+    r2, _, _ = mote_forward("m2", states["m2"], r1,
+                            *_rows(graph, kinds, "m2"), states)
     # hop 3: m3 sees bs1 and unicasts
-    [a3] = mote_forward("m3", states["m3"], a2.request,
-                        *_rows(graph, kinds, "m3"), states)
-    assert isinstance(a3, UnicastToBs) and a3.bs_id == "bs1"
-    assert a3.request.path == ("m1", "m2", "m3")
-    assert a3.request.ttl == 13
+    r3, bs_id, targets = mote_forward("m3", states["m3"], r2,
+                                      *_rows(graph, kinds, "m3"), states)
+    assert bs_id == "bs1" and targets == ()
+    assert r3.path == ("m1", "m2", "m3")
+    assert r3.ttl == 13
     assert all(states[m].energy_consumed == 1 for m in states)
 
 
@@ -163,9 +160,9 @@ def test_multi_bs_unicast_picks_smallest_id():
                        {n: profile_for_range(100) for n in positions})
     states = {"m1": MoteState()}
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16)
-    [action] = mote_forward("m1", states["m1"], req,
-                            *_rows(graph, kinds, "m1"), states)
-    assert action.bs_id == "bs2"
+    _, bs_id, _ = mote_forward("m1", states["m1"], req,
+                               *_rows(graph, kinds, "m1"), states)
+    assert bs_id == "bs2"
 
 
 def test_bs_escalates_each_request_once():
@@ -257,5 +254,5 @@ def test_release_motes_sleeps_path_and_freezes_energy():
     # a released mote no longer forwards or spends energy
     req = DiscoveryRequest(11, "ms", Point(0, 0), ttl=16)
     assert mote_forward("m1", states["m1"], req,
-                        *_rows(graph, kinds, "m1"), states) == []
+                        *_rows(graph, kinds, "m1"), states) is None
     assert states["m1"].energy_consumed == 4

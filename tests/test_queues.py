@@ -7,22 +7,13 @@ from types import SimpleNamespace
 import pytest
 
 from wsnhandoff.queues import (DEFAULT_CAPACITY, PRIORITY_CLASSES,
-                               EnqueueResult, FifoQueue, Packet,
-                               StrictPriorityQueue)
+                               EnqueueResult, FifoQueue, StrictPriorityQueue)
 from wsnhandoff.simulation import Frame
 
 
 def _pkt(pid, cls=0, size=64):
-    return Packet(pid, "a", "b", cls, size)
-
-
-def test_packet_validation():
-    with pytest.raises(ValueError):
-        _pkt(1, cls=-1)
-    with pytest.raises(ValueError):
-        _pkt(1, cls=PRIORITY_CLASSES)
-    with pytest.raises(ValueError):
-        _pkt(1, size=0)
+    """A stand-in item: the queues read only its priority_class."""
+    return SimpleNamespace(packet_id=pid, priority_class=cls, size=size)
 
 
 def test_fifo_order_and_counters():
@@ -155,8 +146,9 @@ def test_fifo_random_trace_conservation():
 ], ids=["frame", "namespace"])
 def test_queues_hold_any_item_with_a_priority_class(make):
     """Strict-priority order, FIFO order within a class and len() through
-    interleaved enqueues, dequeues and tail drops, for items that are not
-    Packets.  Dequeues must hand back the very objects enqueued."""
+    interleaved enqueues, dequeues and tail drops, for the simulator's
+    frames and for any other item.  Dequeues must hand back the very objects
+    enqueued."""
     rng = random.Random(31)
     prio, fifo = StrictPriorityQueue(capacity_per_class=4), FifoQueue(6)
     lanes, shadow = [deque() for _ in range(PRIORITY_CLASSES)], deque()

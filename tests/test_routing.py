@@ -30,8 +30,6 @@ def test_periodic_update_snapshots_metrics():
     up = periodic_update(t)
     assert up.sender == "a"
     assert up.vector == {"a": 0, "b": 1, "c": 2}
-    assert up.triggered is False
-    assert periodic_update(t, triggered=True).triggered is True
 
 
 def test_apply_update_learns_new_routes():

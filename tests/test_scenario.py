@@ -41,9 +41,10 @@ def test_load_good_scenario():
     assert s.params.hop_delay == SimParams().hop_delay  # untouched default
     assert [n.node_id for n in s.nodes] == ["bs1", "m1", "ms1", "msc1",
                                             "sat1"]
-    assert s.node("ms1").kind is NodeKind.MOBILE_STATION
-    assert s.node("m1").profile.tx_power_dbm == 3.0
-    assert s.node("bs1").profile is None
+    node = {n.node_id: n for n in s.nodes}
+    assert node["ms1"].kind is NodeKind.MOBILE_STATION
+    assert node["m1"].profile.tx_power_dbm == 3.0
+    assert node["bs1"].profile is None
     assert s.mobility["ms1"].speed == 4.0
     assert s.mobility["ms1"].waypoints == (Point(0, 0),)
 
@@ -54,10 +55,10 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_effective_profile_falls_back_to_kind_default():
-    s = load_scenario(GOOD)
-    assert effective_profile(s.node("bs1")) == \
+    node = {n.node_id: n for n in load_scenario(GOOD).nodes}
+    assert effective_profile(node["bs1"]) == \
         DEFAULT_PROFILES[NodeKind.BASE_STATION]
-    assert effective_profile(s.node("m1")).tx_power_dbm == 3.0
+    assert effective_profile(node["m1"]).tx_power_dbm == 3.0
 
 
 def _line_no(excinfo):
@@ -313,10 +314,11 @@ def test_builtin_census():
 
 def test_builtin_walkers_halt_midway_between_cells():
     s = reference_scenario()
+    positions = {n.node_id: n.position for n in s.nodes}
     for ms_id, want in (("ms1", Point(500.0, 190.0)),
                         ("ms2", Point(500.0, 210.0))):
         path = s.mobility[ms_id]
-        start = s.node(ms_id).position
+        start = positions[ms_id]
         t = halt_time(path, start)
         frozen = position_at(path, start, t)
         assert frozen.x == pytest.approx(want.x)
@@ -336,12 +338,12 @@ def test_builtin_mesh_is_connected_and_touches_a_base_station():
     dq = deque(seen)
     while dq:
         u = dq.popleft()
-        for v in g.neighbors(u):
+        for v in g[u]:
             if kinds[v] is NodeKind.MOTE and v not in seen:
                 seen.add(v)
                 dq.append(v)
     assert seen == set(motes)
-    bs_contacts = [m for m in motes if g.has_edge(m, "bs1")]
+    bs_contacts = [m for m in motes if "bs1" in g[m]]
     assert bs_contacts  # the mesh can hand requests to the western cell
     # and at least one mote hears each halted walker
     for ms_id in ("ms1", "ms2"):
@@ -350,14 +352,15 @@ def test_builtin_mesh_is_connected_and_touches_a_base_station():
         halted = {**positions,
                   ms_id: position_at(path, start, halt_time(path, start))}
         g2 = comm_graph({k: halted[k] for k in positions}, kinds, profiles)
-        assert any(kinds[v] is NodeKind.MOTE for v in g2.neighbors(ms_id))
+        assert any(kinds[v] is NodeKind.MOTE for v in g2[ms_id])
 
 
 def test_builtin_halt_points_beyond_steering_reach():
     s = reference_scenario()
+    positions = {n.node_id: n.position for n in s.nodes}
     for ms_id in ("ms1", "ms2"):
         path = s.mobility[ms_id]
-        start = s.node(ms_id).position
+        start = positions[ms_id]
         frozen = position_at(path, start, halt_time(path, start))
         for bs in s.by_kind(NodeKind.BASE_STATION):
             assert frozen.distance_to(bs.position) > s.params.max_steer_range
