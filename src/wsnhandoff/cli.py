@@ -1,8 +1,10 @@
 """Command line front end: run scenarios and compare counter reports."""
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import os
 import sys
 
 from .protocol import NoSatelliteError
@@ -15,15 +17,47 @@ from .stats import RegistryMismatchError, classify
 from .world import CoLocatedError
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+class Failure(Exception):
+    """A failure main() reports as it is: its message names the file."""
+
+
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, (ParseError, ValidationError)):
+        return f"invalid scenario: {exc}"
+    if isinstance(exc, RegistryMismatchError):
+        return f"bad report: {exc}"
+    return getattr(exc, "strerror", None) or str(exc)
+
+
+def _load(path: str, parse):
+    """parse() the text of a UTF-8 file; a failure names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError,
+            RegistryMismatchError) as exc:
+        raise Failure(f"{path}: {_reason(exc)}") from None
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """The --out file: opened before the work, removed if the work fails."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise Failure(f"{path}: {_reason(exc)}") from None
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _scenario(source: str):
     """The scenario named by --scenario: 'reference' or a file path."""
     return (reference_scenario() if source == "reference"
-            else load_scenario(_read(source)))
+            else _load(source, load_scenario))
 
 
 def seconds(text: str) -> float:
@@ -50,11 +84,11 @@ def cmd_run(args) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     if args.until is not None:
         scenario = dataclasses.replace(scenario, duration=args.until)
-    report = run(scenario)
-    print(render_run(report), end="")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_report(report))
+    with _output(args.out) if args.out else contextlib.nullcontext() as out:
+        report = run(scenario)
+        print(render_run(report), end="")
+        if out:
+            out.write(serialize_report(report))
     return 0
 
 
@@ -64,22 +98,23 @@ def cmd_compare(args) -> int:
             print("error: --auto-baseline needs --scenario",
                   file=sys.stderr)
             return 2
-        scenario = _scenario(args.scenario)
-        baseline = run(strip_wsn(scenario)).ledger
-        candidate = run(scenario).ledger
-    else:
-        if not (args.baseline and args.with_wsn):
-            print("error: need --baseline and --with-wsn, or "
-                  "--scenario with --auto-baseline", file=sys.stderr)
-            return 2
-        baseline = parse_report_ledger(_read(args.baseline))
-        candidate = parse_report_ledger(_read(args.with_wsn))
-    result = classify(baseline, candidate, epsilon=args.epsilon)
-    text = render_report(candidate, result)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    elif not (args.baseline and args.with_wsn):
+        print("error: need --baseline and --with-wsn, or "
+              "--scenario with --auto-baseline", file=sys.stderr)
+        return 2
+    with _output(args.out) if args.out else contextlib.nullcontext() as out:
+        if args.auto_baseline:
+            scenario = _scenario(args.scenario)
+            baseline = run(strip_wsn(scenario)).ledger
+            candidate = run(scenario).ledger
+        else:
+            baseline = _load(args.baseline, parse_report_ledger)
+            candidate = _load(args.with_wsn, parse_report_ledger)
+        result = classify(baseline, candidate, epsilon=args.epsilon)
+        text = render_report(candidate, result)
+        print(text)
+        if out:
+            out.write(text + "\n")
     return 0
 
 
@@ -117,19 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Exit 0 on success, 2 on a usage error, and 1 with one `error:` line
-    when a file cannot be read or parsed or its scenario cannot be run."""
+    when a file, which it names, cannot be used or a scenario cannot run."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        reason = f"invalid scenario: {exc}"
-    except RegistryMismatchError as exc:
-        reason = f"bad report: {exc}"
-    except (OSError, UnicodeDecodeError, CoLocatedError,
-            NoSatelliteError) as exc:
-        reason = str(exc)
-    print(f"error: {reason}", file=sys.stderr)
-    return 1
+    except (Failure, ParseError, ValidationError, RegistryMismatchError,
+            OSError, CoLocatedError, NoSatelliteError) as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

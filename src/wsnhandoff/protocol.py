@@ -85,15 +85,13 @@ class LinkRecord:
 
 
 def detect_loss(row, kinds: dict) -> bool:
-    """True when no base station is in `row`, a mobile station's
-    neighbours in the communication graph."""
+    """True when no base station is in a mobile station's graph row."""
     return not any(kinds[n] is NodeKind.BASE_STATION for n in row)
 
 
 def make_discovery(ms_id: str, location: Point, adjacent_active_motes,
                    ids, ttl: int = DEFAULT_TTL) -> DiscoveryRequest:
-    """Create a fresh discovery request for broadcast to nearby motes,
-    its id the next one from the iterator `ids`.
+    """Create a fresh discovery request, id next(ids), for nearby motes.
 
     Raises NoMotesInRangeError when the adjacency list is empty; total
     isolation is the caller's cue for a direct satellite fallback.
@@ -113,10 +111,9 @@ def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
     motes, duplicates, exhausted TTLs and path revisits return None; the
     request id still lands in `seen` so later copies are recognised.  A
     forwarding mote appends itself to the path, decrements the TTL, pays one
-    energy unit for the transmission, and returns (request, bs_id, targets):
-    either (fwd, first adjacent base station, ()) to hand the request over,
-    or (fwd, None, adjacent active motes not already on the path) to
-    re-flood it.
+    energy unit for the transmission, and returns (request, dst, targets):
+    (fwd, first adjacent base station, ()) to hand the request over, else
+    (fwd, None, adjacent active motes not on the path) to re-flood it.
     """
     duplicate = req.request_id in state.seen
     state.seen.add(req.request_id)

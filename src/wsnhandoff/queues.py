@@ -1,8 +1,7 @@
 """Network-layer queues: per-class FIFOs under a strict-priority scheduler.
 
-The queues read only an item's `priority_class`, which must be in
-range(PRIORITY_CLASSES) for the strict-priority queue; the simulator queues
-its frames as they are.
+The queues read only an item's `priority_class` (below PRIORITY_CLASSES),
+so the simulator queues its frames as they are.
 
 Counter convention: `queued` counts every enqueue attempt (accepted or
 dropped), so at any instant

@@ -21,9 +21,9 @@ Node kinds: mobile_station, base_station, mote, satellite, msc.
 Profile override keys: tx_power, sensitivity, error_margin,
 path_loss_exponent, reference_loss.
 
-Every number must be finite; `seed`, `default_ttl` and `queue_capacity`
-must be integers.  A value that does not parse raises ParseError
-with its line number.
+A `[params]` value is one token.  Every number must be finite; `seed`,
+`default_ttl` and `queue_capacity` must be integers.  A value that does not
+parse raises ParseError with its line number.
 """
 
 import math
@@ -217,7 +217,9 @@ def load_scenario(text: str) -> Scenario:
             raise ParseError(line_no, "content before any section header")
         parts = line.split()
         if section == "params":
-            key, value = _parse_kv(line.replace(" ", ""), line_no)
+            key, value = _parse_kv(line, line_no)
+            if len(value.split()) != 1:
+                raise ParseError(line_no, f"{key} takes one value: {value!r}")
             if key not in ("duration", "seed") and key not in _PARAM_NAMES:
                 raise ParseError(line_no, f"unknown param {key!r}")
             kind = int if key == "seed" or key in _INT_PARAMS else float
@@ -264,12 +266,15 @@ def validate_scenario(s: Scenario):
         problems.append("default_ttl must be >= 1")
     if s.params.queue_capacity < 1:
         problems.append("queue_capacity must be >= 1")
-    # A zero period would reschedule its event at the same instant forever,
-    # and a negative delay would schedule into the past.  The negated
-    # comparisons also reject nan in a Scenario built without the parser.
+    # A period that cannot move the clock at `duration` would reschedule its
+    # event at the same instant forever, and a negative delay would schedule
+    # into the past.  The negated comparisons also reject nan.
     for name in _PERIODS:
-        if not getattr(s.params, name) > 0:
+        period = getattr(s.params, name)
+        if not period > 0:
             problems.append(f"{name} must be positive")
+        elif s.duration + period == s.duration and math.isfinite(s.duration):
+            problems.append(f"{name} is too small to advance the clock")
     for name in _DELAYS:
         if not getattr(s.params, name) >= 0:
             problems.append(f"{name} must be >= 0")

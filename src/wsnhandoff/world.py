@@ -208,8 +208,7 @@ def linked(a: str, b: str, positions: dict, kinds: dict,
 
 
 def comm_graph(positions: dict, kinds: dict, profiles: dict) -> dict:
-    """Build the communication graph for one instant: node id -> set of
-    neighbour ids, symmetric, one row per node.
+    """The communication graph at one instant: node id -> neighbour ids.
 
     positions/kinds/profiles map node id to Point / NodeKind / RadioProfile
     (profile may be None for nodes without a radio).  Raises CoLocatedError

@@ -84,14 +84,15 @@ def test_run_scenario_file_with_overrides(tmp_path, capsys):
 
 def test_run_missing_file_fails(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.scn")]) == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and str(tmp_path / "nope.scn") in err
 
 
 def test_run_invalid_scenario_fails(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("[node]\na mote 0 0\na mote 0 0\n")
     assert main(["run", "--scenario", str(bad)]) == 1
-    assert "invalid scenario" in capsys.readouterr().err
+    assert f"error: {bad}: invalid scenario" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -168,9 +169,11 @@ NO_SATELLITE_WORLD = "\n".join(
 def test_scenario_failing_during_the_run_exits_one(tmp_path, world, reason):
     scen = tmp_path / "world.scn"
     scen.write_text(world)
-    proc = _cli("run", "--scenario", str(scen))
+    out = tmp_path / "r.report"
+    proc = _cli("run", "--scenario", str(scen), "--out", str(out))
     _fails_cleanly(proc)
     assert reason in proc.stderr
+    assert not out.exists()  # no partial report is left behind
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -183,11 +186,14 @@ def test_file_that_is_not_utf8_exits_one(tmp_path, command):
         proc = _cli("compare", "--baseline", str(path),
                     "--with-wsn", str(path))
     _fails_cleanly(proc)
+    assert f"error: {path}: " in proc.stderr
 
 
 def test_run_out_to_a_directory_exits_one(tmp_path):
-    _fails_cleanly(_cli("run", "--scenario", "reference",
-                        "--out", str(tmp_path)))
+    proc = _cli("run", "--scenario", "reference", "--out", str(tmp_path))
+    _fails_cleanly(proc)
+    assert f"error: {tmp_path}: " in proc.stderr
+    assert proc.stdout == ""  # rejected before the run, not after it
 
 
 def test_compare_auto_baseline(tmp_path, capsys):
@@ -241,7 +247,8 @@ def test_compare_rejects_corrupt_report(tmp_path, capsys):
     bad.write_text("not a report\n")
     assert main(["compare", "--baseline", str(bad),
                  "--with-wsn", str(good)]) == 1
-    assert "bad report" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {bad}: bad report" in err and str(good) not in err
 
 
 def test_compare_requires_a_mode(capsys):

@@ -11,7 +11,7 @@ from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, Scenario,
                                  effective_profile, load_scenario,
                                  reference_scenario, serialize_scenario,
                                  strip_wsn, validate_scenario)
-from wsnhandoff.simulation import run
+from wsnhandoff.simulation import Simulation, run
 from wsnhandoff.world import (MobilityPath, NodeKind, Point, comm_graph,
                               halt_time, position_at)
 
@@ -113,6 +113,10 @@ def test_parse_errors_carry_line_numbers():
     ("[params]\nqueue_capacity = 2.5\n", 2, "bad queue_capacity"),
     ("[params]\nduration = nan\n", 2, "duration must be finite"),
     ("[params]\ndv_period = inf\n", 2, "dv_period must be finite"),
+    # a value is one token: these once loaded as 10.0 and 1e-323
+    ("[params]\nduration = 1 0\n", 2, "duration takes one value"),
+    ("[params]\napp_interval = 0.001 1e-320\n", 2,
+     "app_interval takes one value"),
     ("[node]\nbs1 base_station nan 0\n", 2, "x must be finite"),
     ("[node]\nbs1 base_station 0 -inf\n", 2, "y must be finite"),
     ("[node]\nm1 mote 0 0 tx_power=inf\n", 2, "tx_power must be finite"),
@@ -143,6 +147,26 @@ def test_nonpositive_periods_and_negative_delays_rejected(param, value):
         load_scenario(f"[params]\n{param} = {value}\n[node]\nm1 mote 0 0\n")
     assert e.value.problems == [
         f"{param} must be {'>= 0' if 'delay' in param else 'positive'}"]
+
+
+@pytest.mark.parametrize("param", ["coverage_check_period", "tx_slot",
+                                   "dv_period", "app_interval"])
+def test_a_period_too_small_to_advance_time_is_rejected(param):
+    # duration + 1e-320 == duration, so the event would be rescheduled at
+    # the same instant forever: with app_interval = 1e-320 the reference
+    # run never returned
+    s = dataclasses.replace(reference_scenario(),
+                            params=SimParams(**{param: 1e-320}))
+    problem = f"{param} is too small to advance the clock"
+    with pytest.raises(ValidationError) as e:
+        Simulation(s)
+    assert e.value.problems == [problem]
+    with pytest.raises(ValidationError) as e:
+        load_scenario(serialize_scenario(s))
+    assert e.value.problems == [problem]
+    # a small period that still moves the clock is accepted
+    validate_scenario(dataclasses.replace(s, params=SimParams(
+        **{param: 1e-12})))
 
 
 def test_zero_delays_are_allowed():
