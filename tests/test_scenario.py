@@ -113,7 +113,7 @@ def test_parse_errors_carry_line_numbers():
     ("[params]\nqueue_capacity = 2.5\n", 2, "bad queue_capacity"),
     ("[params]\nduration = nan\n", 2, "duration must be finite"),
     ("[params]\ndv_period = inf\n", 2, "dv_period must be finite"),
-    # a value is one token: these once loaded as 10.0 and 1e-323
+    # a value is one token, not its tokens run together (10.0, 1e-323)
     ("[params]\nduration = 1 0\n", 2, "duration takes one value"),
     ("[params]\napp_interval = 0.001 1e-320\n", 2,
      "app_interval takes one value"),
@@ -153,8 +153,7 @@ def test_nonpositive_periods_and_negative_delays_rejected(param, value):
                                    "dv_period", "app_interval"])
 def test_a_period_too_small_to_advance_time_is_rejected(param):
     # duration + 1e-320 == duration, so the event would be rescheduled at
-    # the same instant forever: with app_interval = 1e-320 the reference
-    # run never returned
+    # the same instant forever and run() would never return
     s = dataclasses.replace(reference_scenario(),
                             params=SimParams(**{param: 1e-320}))
     problem = f"{param} is too small to advance the clock"
