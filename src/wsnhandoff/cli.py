@@ -98,23 +98,22 @@ def cmd_compare(args) -> int:
             print("error: --auto-baseline needs --scenario",
                   file=sys.stderr)
             return 2
-    elif not (args.baseline and args.with_wsn):
-        print("error: need --baseline and --with-wsn, or "
-              "--scenario with --auto-baseline", file=sys.stderr)
-        return 2
-    with _output(args.out) if args.out else contextlib.nullcontext() as out:
-        if args.auto_baseline:
-            scenario = _scenario(args.scenario)
-            baseline = run(strip_wsn(scenario)).ledger
-            candidate = run(scenario).ledger
-        else:
-            baseline = _load(args.baseline, parse_report_ledger)
-            candidate = _load(args.with_wsn, parse_report_ledger)
-        result = classify(baseline, candidate, epsilon=args.epsilon)
-        text = render_report(candidate, result)
-        print(text)
-        if out:
-            out.write(text + "\n")
+        scenario = _scenario(args.scenario)
+        baseline = run(strip_wsn(scenario)).ledger
+        candidate = run(scenario).ledger
+    else:
+        if not (args.baseline and args.with_wsn):
+            print("error: need --baseline and --with-wsn, or "
+                  "--scenario with --auto-baseline", file=sys.stderr)
+            return 2
+        baseline = _load(args.baseline, parse_report_ledger)
+        candidate = _load(args.with_wsn, parse_report_ledger)
+    result = classify(baseline, candidate, epsilon=args.epsilon)
+    text = render_report(candidate, result)
+    print(text)
+    if args.out:
+        with _output(args.out) as fh:
+            fh.write(text + "\n")
     return 0
 
 
