@@ -1,7 +1,6 @@
 """Command line front end: run scenarios and compare counter reports."""
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import os
@@ -39,19 +38,20 @@ def _load(path: str, parse):
         raise Failure(f"{path}: {_reason(exc)}") from None
 
 
-@contextlib.contextmanager
-def _output(path: str):
-    """The --out file: opened before the work, removed if the work fails."""
+def _output(path: str, text: str | None = None) -> None:
+    """Write text to the --out file. With no text, only check that path can
+    be written, leaving an existing file as it was. Failures name the path."""
     try:
-        fh = open(path, "w", encoding="utf-8")
+        if text is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif os.path.lexists(path):
+            open(path, "a").close()
+        else:
+            open(path, "x").close()  # made by this call, so ours to remove
+            os.remove(path)
     except OSError as exc:
         raise Failure(f"{path}: {_reason(exc)}") from None
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        os.remove(path)
-        raise
 
 
 def _scenario(source: str):
@@ -84,11 +84,12 @@ def cmd_run(args) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     if args.until is not None:
         scenario = dataclasses.replace(scenario, duration=args.until)
-    with _output(args.out) if args.out else contextlib.nullcontext() as out:
-        report = run(scenario)
-        print(render_run(report), end="")
-        if out:
-            out.write(serialize_report(report))
+    if args.out:
+        _output(args.out)  # before the run, which may be long
+    report = run(scenario)
+    print(render_run(report), end="")
+    if args.out:
+        _output(args.out, serialize_report(report))
     return 0
 
 
@@ -112,8 +113,7 @@ def cmd_compare(args) -> int:
     text = render_report(candidate, result)
     print(text)
     if args.out:
-        with _output(args.out) as fh:
-            fh.write(text + "\n")
+        _output(args.out, text + "\n")
     return 0
 
 

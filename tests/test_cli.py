@@ -166,14 +166,24 @@ NO_SATELLITE_WORLD = "\n".join(
     (COLOCATED_WALK, "nodes m01 and ms1 share"),
     (NO_SATELLITE_WORLD, "no feasible base station and no satellite")],
     ids=["colocated-walk", "no-satellite"])
-def test_scenario_failing_during_the_run_exits_one(tmp_path, world, reason):
+@pytest.mark.parametrize("out", [None, "new", "existing", "scenario"])
+def test_scenario_failing_during_the_run_exits_one(tmp_path, world, reason,
+                                                   out):
     scen = tmp_path / "world.scn"
     scen.write_text(world)
-    out = tmp_path / "r.report"
-    proc = _cli("run", "--scenario", str(scen), "--out", str(out))
+    old = tmp_path / "old.report"
+    old.write_bytes(b"an earlier report\n")
+    path = {"new": tmp_path / "r.report", "existing": old,
+            "scenario": scen}.get(out)
+    proc = _cli("run", "--scenario", str(scen),
+                *(["--out", str(path)] if path else []))
     _fails_cleanly(proc)
     assert reason in proc.stderr
-    assert not out.exists()  # no partial report is left behind
+    assert proc.stdout == ""
+    # a failed run creates no file and leaves an existing one byte for byte
+    assert not (tmp_path / "r.report").exists()
+    assert old.read_bytes() == b"an earlier report\n"
+    assert scen.read_text() == world
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -194,6 +204,16 @@ def test_run_out_to_a_directory_exits_one(tmp_path):
     _fails_cleanly(proc)
     assert f"error: {tmp_path}: " in proc.stderr
     assert proc.stdout == ""  # rejected before the run, not after it
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses writes")
+def test_run_out_write_error_names_the_path():
+    proc = _cli("run", "--scenario", "reference", "--until", "2",
+                "--out", "/dev/full")
+    _fails_cleanly(proc)
+    assert "error: /dev/full: " in proc.stderr
+    assert os.path.exists("/dev/full")
 
 
 def test_compare_auto_baseline(tmp_path, capsys):
