@@ -162,21 +162,32 @@ NO_SATELLITE_WORLD = "\n".join(
        "ms1 speed=20 halt=1 waypoints=2000,190", ""])
 
 
-@pytest.mark.parametrize("world, reason", [
+FAILING_RUNS = pytest.mark.parametrize("world, reason", [
     (COLOCATED_WALK, "nodes m01 and ms1 share"),
     (NO_SATELLITE_WORLD, "no feasible base station and no satellite")],
     ids=["colocated-walk", "no-satellite"])
-@pytest.mark.parametrize("out", [None, "new", "existing", "scenario"])
-def test_scenario_failing_during_the_run_exits_one(tmp_path, world, reason,
-                                                   out):
+
+
+@FAILING_RUNS
+def test_scenario_failing_during_the_run_exits_one(tmp_path, world, reason):
+    scen = tmp_path / "world.scn"
+    scen.write_text(world)
+    proc = _cli("run", "--scenario", str(scen))
+    _fails_cleanly(proc)
+    assert reason in proc.stderr
+
+
+@FAILING_RUNS
+@pytest.mark.parametrize("out", ["new", "existing", "scenario"])
+def test_failing_run_leaves_the_out_path_as_it_was(tmp_path, world, reason,
+                                                    out):
     scen = tmp_path / "world.scn"
     scen.write_text(world)
     old = tmp_path / "old.report"
     old.write_bytes(b"an earlier report\n")
     path = {"new": tmp_path / "r.report", "existing": old,
-            "scenario": scen}.get(out)
-    proc = _cli("run", "--scenario", str(scen),
-                *(["--out", str(path)] if path else []))
+            "scenario": scen}[out]
+    proc = _cli("run", "--scenario", str(scen), "--out", str(path))
     _fails_cleanly(proc)
     assert reason in proc.stderr
     assert proc.stdout == ""
