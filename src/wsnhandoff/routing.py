@@ -1,12 +1,20 @@
 """Distance-vector routing over the mote mesh (Bellman-Ford with metric 16
 as infinity, unit link cost, triggered updates and no route aging).
-"""
 
-from dataclasses import dataclass
+Each mote has a lane, its index in the sorted mote names of one shared
+`Lanes`.  A table's metrics are one int, 8 bits per destination lane (16
+unreachable, the owner's 0); its next hops are a {neighbour: mask} dict of
+disjoint masks setting bit 7 of each lane routed through that neighbour.
+An advert is (sender, C), C = min(16, T + 1) lane-wise for the sender's
+metrics T, as every link costs LINK_COST.  The receiver adopts C where it
+beats the current metric, or where the route goes through the sender and C
+differs: the rule of a per-destination merge that counts a missing entry as
+(16, no next hop), which is what a lane never heard of holds, done in a few
+big-int operations.  Lanes stay in 0..17, so no carry or borrow leaves one.
+"""
 
 INFINITY_METRIC = 16
 LINK_COST = 1
-_UNREACHABLE = (INFINITY_METRIC, None)
 
 
 class UnknownNeighborError(ValueError):
@@ -21,89 +29,80 @@ class RoutingLoopError(ValueError):
     """next_hop chain revisited a node; tables are inconsistent."""
 
 
-@dataclass
-class DistanceVector:
-    """Routing table of one node: destination -> (metric, next_hop)."""
-    owner: str
-    entries: dict
+class Lanes:
+    """The lane of every mote; `ones` sets bit 0 and `high` bit 7 of each."""
+    __slots__ = ("names", "index", "ones", "high")
+
+    def __init__(self, motes):
+        self.names = tuple(sorted(motes))
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.ones = int.from_bytes(b"\x01" * len(self.names), "little")
+        self.high = self.ones << 7
+
+
+class Table:
+    """Routing table of one mote: packed metrics and next-hop masks."""
+    __slots__ = ("owner", "lanes", "metrics", "via")
+
+    def __init__(self, owner: str, lanes: Lanes):
+        self.owner, self.lanes, self.via = owner, lanes, {}
+        self.metrics = (lanes.ones * INFINITY_METRIC
+                        & ~(0xFF << 8 * lanes.index[owner]))
 
     def metric(self, dst: str) -> int:
-        return self.entries.get(dst, _UNREACHABLE)[0]
+        return self.metrics >> 8 * self.lanes.index[dst] & 0xFF
 
     def next_hop(self, dst: str):
-        return self.entries.get(dst, _UNREACHABLE)[1]
+        if dst == self.owner:
+            return dst
+        bit = 0x80 << 8 * self.lanes.index[dst]
+        return next((n for n, mask in self.via.items() if mask & bit), None)
 
 
-@dataclass(frozen=True)
-class RouteUpdate:
-    sender: str
-    vector: dict  # destination -> advertised metric
+def periodic_update(table: Table) -> tuple:
+    """The advert (owner, C) of the table as it is now."""
+    t, ones = table.metrics, table.lanes.ones
+    return table.owner, t + ones - (t >> 4 & ones)
 
 
-def init_table(owner: str) -> DistanceVector:
-    return DistanceVector(owner, {owner: (0, owner)})
-
-
-def periodic_update(table: DistanceVector) -> RouteUpdate:
-    """Snapshot the full table as an advertisement."""
-    return RouteUpdate(table.owner,
-                       {d: m for d, (m, _) in sorted(table.entries.items())})
-
-
-def apply_update(table: DistanceVector, update: RouteUpdate,
-                 neighbors) -> set:
-    """Merge a neighbor's advertisement into `table`.
-
-    For each advertised destination the candidate metric is
-    min(INFINITY_METRIC, advertised + LINK_COST), and a missing entry counts
-    as (INFINITY_METRIC, None).  The candidate is adopted when it improves
-    on the current metric, or when the current route already goes through
-    the sender and the candidate differs (the route is re-learned, even if
-    it got worse).  Each destination's decision reads and writes only its
-    own entry, so the order of the vector does not matter.  Returns the set
-    of destinations whose entry changed; a non-empty set obliges the caller
-    to send a triggered update.
-    """
-    sender = update.sender
+def apply_update(table: Table, update: tuple, neighbors) -> int:
+    """Merge a neighbour's advert into `table`.  Returns the changed lanes'
+    mask; a non-zero one obliges the caller to send a triggered update."""
+    sender, cand = update
     if sender not in neighbors:
         raise UnknownNeighborError(
             f"{table.owner} got update from non-neighbor {sender}")
-    entries = table.entries
-    get = entries.get
-    changed = set()
-    for dst, advertised in update.vector.items():
-        candidate = advertised + LINK_COST
-        if candidate > INFINITY_METRIC:
-            candidate = INFINITY_METRIC
-        current, hop = get(dst, _UNREACHABLE)
-        if candidate < current or (hop == sender and candidate != current):
-            entries[dst] = (candidate, sender)
-            changed.add(dst)
+    lanes, via, cur = table.lanes, table.via, table.metrics
+    high = lanes.high
+    through = via.get(sender, 0)
+    changed = ((cur | high) - cand - lanes.ones) & high   # cand < cur
+    if through:  # cand != cur
+        changed |= through & ((cand ^ cur) + high - lanes.ones)
+    if changed:
+        table.metrics = cur ^ ((cur ^ cand) & (changed >> 7) * 0xFF)
+        gained = changed & ~through
+        if gained:
+            for n, mask in via.items():
+                if mask & gained:
+                    via[n] = mask & ~gained
+            via[sender] = through | gained
     return changed
 
 
 def shortest_path(tables: dict, src: str, dst: str) -> list:
-    """Follow next_hop pointers from src to dst on converged tables.
-
-    Returns the node list including both endpoints; its length minus one
-    equals src's metric for dst.
-    """
+    """The node list from src to dst, both included, along next_hop
+    pointers; on converged tables it has src's metric for dst in hops."""
     if src == dst:
         return [src]
-    if src not in tables:
-        raise UnreachableError(f"no table for {src}")
-    if tables[src].metric(dst) >= INFINITY_METRIC:
-        raise UnreachableError(f"{dst} unreachable from {src}")
-    path = [src]
-    node = src
-    visited = {src}
+    if src not in tables or dst not in tables[src].lanes.index:
+        raise UnreachableError(f"no table for {src} or lane for {dst}")
+    path, node = [src], src
     while node != dst:
         nxt = tables[node].next_hop(dst)
         if nxt is None or tables[node].metric(dst) >= INFINITY_METRIC:
             raise UnreachableError(f"{dst} unreachable from {src} at {node}")
-        if nxt in visited:
+        if nxt in path:
             raise RoutingLoopError(f"loop via {nxt} routing {src}->{dst}")
         path.append(nxt)
-        visited.add(nxt)
         node = nxt
     return path

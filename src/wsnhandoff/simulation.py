@@ -40,8 +40,8 @@ from .protocol import (DecisionOutcome, LinkRecord, MoteMode, MoteState,
                        make_discovery, mote_forward, msc_decide,
                        release_motes)
 from .queues import FifoQueue, StrictPriorityQueue
-from .routing import (RoutingLoopError, UnreachableError, apply_update,
-                      init_table, periodic_update, shortest_path)
+from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
+                      apply_update, periodic_update, shortest_path)
 from .scenario import Scenario, effective_profile, validate_scenario
 from .stats import CounterKey, Layer, StatsLedger, slot
 from .world import (NodeKind, PacketOutcome, Point, RadioProfile,
@@ -195,7 +195,8 @@ class Simulation:
                 n for n in row if kinds[n] is NodeKind.BASE_STATION)
             self.mote_rows[m] = tuple(
                 n for n in row if kinds[n] is NodeKind.MOTE)
-        self.tables = {m: init_table(m) for m in sorted(self.mote_states)}
+        self.lanes = Lanes(self.mote_states)
+        self.tables = {m: Table(m, self.lanes) for m in self.lanes.names}
         # What a coverage check tests each handset against: satellites
         # (always linked) and the fixed radio nodes with their reach.
         self.satellites = tuple(sats)

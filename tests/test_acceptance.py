@@ -16,7 +16,7 @@ import pytest
 
 from wsnhandoff.protocol import DecisionOutcome, detect_loss
 from wsnhandoff.queues import StrictPriorityQueue
-from wsnhandoff.routing import (INFINITY_METRIC, apply_update, init_table,
+from wsnhandoff.routing import (INFINITY_METRIC, Lanes, Table, apply_update,
                                 periodic_update)
 from wsnhandoff.scenario import (NodeSpec, Scenario, effective_profile,
                                  reference_scenario, strip_wsn,
@@ -251,7 +251,8 @@ def test_criterion_5_distance_vector_equals_bfs():
                     if rng.random() < 0.3:
                         adj[names[i]].add(names[j])
                         adj[names[j]].add(names[i])
-            tables = {m: init_table(m) for m in names}
+            lanes = Lanes(names)
+            tables = {m: Table(m, lanes) for m in names}
             for _ in range(n + 2):
                 updates = {m: periodic_update(tables[m]) for m in names}
                 changed = False
@@ -279,7 +280,7 @@ def test_criterion_5_distance_vector_equals_bfs():
             for m in sorted(names):
                 up = periodic_update(tables[m])
                 for nb in sorted(adj[m]):
-                    assert apply_update(tables[nb], up, adj[nb]) == set()
+                    assert apply_update(tables[nb], up, adj[nb]) == 0
 
     _gate(5, "converged metrics equal BFS hops, 30 graphs", 30.0, body)
 

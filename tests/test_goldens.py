@@ -19,13 +19,13 @@ import dataclasses
 import hashlib
 
 import pytest
-from invariants import check_relay_paths
+from invariants import check_dv_tables, check_relay_paths
 
 from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
 from wsnhandoff.report import serialize_report
-from wsnhandoff.simulation import Simulation, run
+from wsnhandoff.simulation import Simulation
 from wsnhandoff.stats import counter_by_token
 from wsnhandoff.world import MobilityPath, NodeKind, Point
 
@@ -97,7 +97,9 @@ GOLDENS = {
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_matches_golden(name):
-    report = run(SCENARIOS[name]())
+    sim = Simulation(SCENARIOS[name]())
+    report = sim.run()
+    check_dv_tables(sim)
     text = serialize_report(report)
     got = (report.digest, report.events_processed,
            hashlib.sha256(text.encode()).hexdigest())
@@ -107,6 +109,7 @@ def test_run_matches_golden(name):
 def test_drop_scenario_drops_frames_and_streams_payload():
     sim = Simulation(drop_scenario())
     report = sim.run()
+    check_dv_tables(sim)
     assert sum(q.dropped for q in sim.node_queues.values()) > 0
     assert report.links  # the payload stream runs over an established link
 
@@ -116,6 +119,7 @@ def test_drop_scenario_drops_frames_and_streams_payload():
 def test_queues_conserve_frames_and_match_the_ledger(name):
     sim = Simulation(SCENARIOS[name]())
     ledger = sim.run().ledger
+    check_dv_tables(sim)
     for node_id, q in sim.node_queues.items():
         assert q.queued == q.dequeued + q.dropped + len(q), node_id
     motes = [q for n, q in sim.node_queues.items()
@@ -132,8 +136,10 @@ def test_queues_conserve_frames_and_match_the_ledger(name):
 
 
 def test_relay_paths_are_mote_paths_within_the_ttl():
-    checked = 0
+    checked = routes = 0
     for name in sorted(SCENARIOS):
-        s = SCENARIOS[name]()
-        checked += check_relay_paths(s, run(s))
+        sim = Simulation(SCENARIOS[name]())
+        checked += check_relay_paths(sim.s, sim.run())
+        routes += check_dv_tables(sim)
     assert checked >= 10  # most golden runs hand off through the mesh
+    assert routes >= 3  # links whose relay path has two or more motes

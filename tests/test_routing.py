@@ -1,79 +1,147 @@
-"""Distance-vector routing against an all-pairs BFS oracle."""
+"""Distance-vector routing against an all-pairs BFS oracle and against the
+per-destination dict merge that the packed tables replaced."""
 
+import heapq
+import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
-from wsnhandoff.routing import (INFINITY_METRIC, LINK_COST, DistanceVector,
-                                RouteUpdate, RoutingLoopError,
+from wsnhandoff.routing import (INFINITY_METRIC, LINK_COST, Lanes,
+                                RoutingLoopError, Table,
                                 UnknownNeighborError, UnreachableError,
-                                apply_update, init_table, periodic_update,
+                                apply_update, periodic_update,
                                 shortest_path)
 
 
+def _pack(owner, lanes, entries):
+    """A packed table holding `entries`, the dict form
+    {destination: (metric, next_hop)}."""
+    t = Table(owner, lanes)
+    for dst, (metric, hop) in entries.items():
+        i = lanes.index[dst]
+        t.metrics = t.metrics & ~(0xFF << 8 * i) | metric << 8 * i
+        if dst != owner:
+            t.via[hop] = t.via.get(hop, 0) | 0x80 << 8 * i
+    return t
+
+
+def _entries(t):
+    """The dict form of a packed table: every destination with a metric
+    below 16 or a next hop (a missing entry reads as (16, None))."""
+    return {dst: (t.metric(dst), t.next_hop(dst)) for dst in t.lanes.names
+            if t.metric(dst) < INFINITY_METRIC or t.next_hop(dst) is not None}
+
+
+def _advert(sender, lanes, vector):
+    """The packed advert of a dict vector {destination: advertised metric}:
+    min(16, advertised + 1) per lane, 16 where nothing is advertised."""
+    cand = lanes.ones * INFINITY_METRIC
+    for dst, adv in vector.items():
+        i = lanes.index[dst]
+        c = min(INFINITY_METRIC, adv + LINK_COST)
+        cand = cand & ~(0xFF << 8 * i) | c << 8 * i
+    return sender, cand
+
+
+def _names(mask, lanes):
+    """The destinations whose lane is set in a changed or next-hop mask."""
+    return {n for i, n in enumerate(lanes.names) if mask >> 8 * i & 0x80}
+
+
 def test_init_table_self_entry():
-    t = init_table("m3")
+    t = Table("m3", Lanes(["m3"]))
     assert t.owner == "m3"
-    assert t.entries == {"m3": (0, "m3")}
+    assert _entries(t) == {"m3": (0, "m3")}
     assert t.metric("m3") == 0 and t.next_hop("m3") == "m3"
 
 
+def test_lanes_are_sorted_and_shared():
+    lanes = Lanes({"m2", "m10", "m1"})
+    assert lanes.names == ("m1", "m10", "m2")
+    assert lanes.index == {"m1": 0, "m10": 1, "m2": 2}
+    a, b = Table("m10", lanes), Table("m2", lanes)
+    assert a.lanes is b.lanes
+    assert a.metrics == 0x100010 and a.via == {}
+
+
 def test_missing_destination_reads_as_infinity():
-    t = init_table("a")
+    t = Table("a", Lanes(["a", "nowhere"]))
     assert t.metric("nowhere") == INFINITY_METRIC
     assert t.next_hop("nowhere") is None
 
 
 def test_periodic_update_snapshots_metrics():
-    t = DistanceVector("a", {"a": (0, "a"), "b": (1, "b"), "c": (2, "b")})
-    up = periodic_update(t)
-    assert up.sender == "a"
-    assert up.vector == {"a": 0, "b": 1, "c": 2}
+    lanes = Lanes("abcde")
+    t = _pack("a", lanes, {"a": (0, "a"), "b": (1, "b"), "c": (2, "b"),
+                           "d": (15, "b")})
+    sender, cand = periodic_update(t)
+    assert sender == "a"
+    # one link more than the table's metric, clamped at infinity
+    assert cand.to_bytes(5, "little") == bytes([1, 2, 3, 16, 16])
+    assert periodic_update(t) == (sender, cand)
 
 
 def test_apply_update_learns_new_routes():
-    t = init_table("a")
-    changed = apply_update(t, RouteUpdate("b", {"b": 0, "c": 1}), {"b"})
-    assert changed == {"b", "c"}
-    assert t.entries["b"] == (1, "b")
-    assert t.entries["c"] == (2, "b")
+    lanes = Lanes("abc")
+    t = Table("a", lanes)
+    changed = apply_update(t, _advert("b", lanes, {"b": 0, "c": 1}), {"b"})
+    assert _names(changed, lanes) == {"b", "c"}
+    assert _entries(t)["b"] == (1, "b")
+    assert _entries(t)["c"] == (2, "b")
 
 
 def test_apply_update_keeps_better_existing_route():
-    t = DistanceVector("a", {"a": (0, "a"), "c": (1, "c")})
-    changed = apply_update(t, RouteUpdate("b", {"c": 3}), {"b", "c"})
-    assert changed == set()
-    assert t.entries["c"] == (1, "c")
+    lanes = Lanes("abc")
+    t = _pack("a", lanes, {"a": (0, "a"), "c": (1, "c")})
+    changed = apply_update(t, _advert("b", lanes, {"c": 3}), {"b", "c"})
+    assert changed == 0
+    assert _entries(t)["c"] == (1, "c")
 
 
 def test_route_through_sender_is_relearned_even_when_worse():
-    t = DistanceVector("a", {"a": (0, "a"), "c": (2, "b")})
-    changed = apply_update(t, RouteUpdate("b", {"c": 5}), {"b"})
-    assert changed == {"c"}
-    assert t.entries["c"] == (6, "b")
+    lanes = Lanes("abc")
+    t = _pack("a", lanes, {"a": (0, "a"), "c": (2, "b")})
+    changed = apply_update(t, _advert("b", lanes, {"c": 5}), {"b"})
+    assert _names(changed, lanes) == {"c"}
+    assert _entries(t)["c"] == (6, "b")
+
+
+def test_adopted_route_leaves_the_previous_next_hop():
+    lanes = Lanes("abcd")
+    t = _pack("a", lanes, {"a": (0, "a"), "c": (3, "c"), "d": (4, "c")})
+    changed = apply_update(t, _advert("b", lanes, {"c": 1}), {"b", "c"})
+    assert _names(changed, lanes) == {"c"}
+    assert _entries(t) == {"a": (0, "a"), "c": (2, "b"), "d": (4, "c")}
+    assert _names(t.via["c"], lanes) == {"d"}
 
 
 def test_metric_clamps_at_infinity():
-    t = init_table("a")
-    apply_update(t, RouteUpdate("b", {"x": INFINITY_METRIC}), {"b"})
+    lanes = Lanes(["a", "b", "x"])
+    t = Table("a", lanes)
+    apply_update(t, _advert("b", lanes, {"x": INFINITY_METRIC}), {"b"})
     assert t.metric("x") == INFINITY_METRIC
-    # unreachable via the sender stays16, no matter how often repeated
-    apply_update(t, RouteUpdate("b", {"x": INFINITY_METRIC}), {"b"})
+    # unreachable via the sender stays 16, no matter how often repeated
+    apply_update(t, _advert("b", lanes, {"x": INFINITY_METRIC}), {"b"})
     assert t.metric("x") == INFINITY_METRIC
 
 
 def test_update_from_unknown_neighbor_rejected():
-    t = init_table("a")
+    lanes = Lanes(["a", "b", "c", "stranger"])
+    t = Table("a", lanes)
     with pytest.raises(UnknownNeighborError):
-        apply_update(t, RouteUpdate("stranger", {"stranger": 0}), {"b", "c"})
+        apply_update(t, _advert("stranger", lanes, {"stranger": 0}),
+                     {"b", "c"})
 
 
 def test_apply_update_is_idempotent():
-    t = init_table("a")
-    up = RouteUpdate("b", {"b": 0, "c": 1, "d": 2})
-    assert apply_update(t, up, {"b"}) == {"b", "c", "d"}
-    assert apply_update(t, up, {"b"}) == set()
+    lanes = Lanes("abcd")
+    t = Table("a", lanes)
+    up = _advert("b", lanes, {"b": 0, "c": 1, "d": 2})
+    assert _names(apply_update(t, up, {"b"}), lanes) == {"b", "c", "d"}
+    assert apply_update(t, up, {"b"}) == 0
 
 
 # ---- convergence vs BFS -------------------------------------------------
@@ -93,7 +161,8 @@ def _bfs_hops(adj, src):
 
 def _converge(adj):
     """Synchronous rounds of full-table exchange until nothing changes."""
-    tables = {n: init_table(n) for n in adj}
+    lanes = Lanes(adj)
+    tables = {n: Table(n, lanes) for n in adj}
     for _ in range(len(adj) + 2):
         updates = {n: periodic_update(tables[n]) for n in sorted(adj)}
         any_change = False
@@ -149,7 +218,7 @@ def test_quiescent_tables_are_stable_under_reapplication():
         for n in sorted(adj):
             up = periodic_update(tables[n])
             for nb in sorted(adj[n]):
-                assert apply_update(tables[nb], up, adj[nb]) == set()
+                assert apply_update(tables[nb], up, adj[nb]) == 0
 
 
 def test_shortest_path_on_a_line():
@@ -159,6 +228,14 @@ def test_shortest_path_on_a_line():
     assert path == ["a", "b", "c", "d"]
     assert len(path) - 1 == tables["a"].metric("d")
     assert shortest_path(tables, "c", "c") == ["c"]
+
+
+def test_shortest_path_to_a_node_without_a_lane_is_unreachable():
+    tables = _converge({"a": {"b"}, "b": {"a"}})
+    with pytest.raises(UnreachableError):
+        shortest_path(tables, "a", "bs1")
+    with pytest.raises(UnreachableError):
+        shortest_path(tables, "bs1", "a")
 
 
 def test_shortest_path_length_matches_metric_on_random_graphs():
@@ -182,20 +259,48 @@ def test_shortest_path_length_matches_metric_on_random_graphs():
 
 def test_inconsistent_tables_raise_loop_error():
     # a and b each claim the route goes through the other
+    lanes = Lanes(["a", "b", "x"])
     tables = {
-        "a": DistanceVector("a", {"a": (0, "a"), "x": (2, "b")}),
-        "b": DistanceVector("b", {"b": (0, "b"), "x": (2, "a")}),
+        "a": _pack("a", lanes, {"a": (0, "a"), "x": (2, "b")}),
+        "b": _pack("b", lanes, {"b": (0, "b"), "x": (2, "a")}),
     }
     with pytest.raises(RoutingLoopError):
         shortest_path(tables, "a", "x")
 
 
-# ---- apply_update against the original merge ----------------------------
+# ---- the packed merge against the per-destination dict merge ------------
+
+
+_UNREACHABLE = (INFINITY_METRIC, None)
+
+
+@dataclass
+class DistanceVector:
+    """The dict table the packed one replaced: dst -> (metric, next_hop)."""
+    owner: str
+    entries: dict
+
+    def metric(self, dst: str) -> int:
+        return self.entries.get(dst, _UNREACHABLE)[0]
+
+    def next_hop(self, dst: str):
+        return self.entries.get(dst, _UNREACHABLE)[1]
+
+
+@dataclass(frozen=True)
+class RouteUpdate:
+    sender: str
+    vector: dict  # destination -> advertised metric
+
+
+def _reference_periodic_update(table):
+    return RouteUpdate(table.owner,
+                       {d: m for d, (m, _) in sorted(table.entries.items())})
 
 
 def _reference_apply_update(table, update, neighbors):
     """The merge as first written, per-entry metric()/next_hop() lookups over
-    the sorted vector; kept as the oracle for the plain-dict loop."""
+    the sorted vector; kept as the oracle for the packed merge."""
     if update.sender not in neighbors:
         raise UnknownNeighborError(
             f"{table.owner} got update from non-neighbor {update.sender}")
@@ -219,44 +324,108 @@ def _random_table(rng, owner, names, senders):
     return DistanceVector(owner, entries)
 
 
+def _assert_same_table(packed, reference):
+    assert _entries(packed) == reference.entries
+    for dst in packed.lanes.names:
+        assert (packed.metric(dst), packed.next_hop(dst)) == \
+            (reference.metric(dst), reference.next_hop(dst)), dst
+
+
 def test_apply_update_matches_reference_merge_on_random_tables():
     rng = random.Random(2024)
     names = [f"n{i:02d}" for i in range(20)]
-    cases = {"adopted": 0, "missing": 0, "worse_via_sender": 0,
-             "clamped": 0}
+    lanes = Lanes(names)
+    cases = {"adopted": 0, "missing": 0, "sixteen_via_sender": 0,
+             "worse_via_sender": 0, "advertised_15": 0, "advertised_16": 0}
     for _ in range(400):
         owner, sender, other = rng.sample(names, 3)
-        table = _random_table(rng, owner, names, [sender, other])
-        dsts = rng.sample(names, rng.randint(0, len(names)))
-        # advertised metrics include 15 and 16, which clamp at infinity
-        vector = {d: rng.randint(0, INFINITY_METRIC) for d in dsts}
-        if rng.random() < 0.5:  # most adverts arrive in sorted order
-            vector = dict(sorted(vector.items()))
-        update = RouteUpdate(sender, vector)
+        expected = _random_table(rng, owner, names, [sender, other])
+        table = _pack(owner, lanes, expected.entries)
+        # an advert is a snapshot of a whole table: every destination is
+        # advertised, and metrics include 15 and 16, which clamp at 16
+        vector = {d: rng.randint(0, INFINITY_METRIC) for d in names}
         for dst, adv in vector.items():
-            metric, hop = table.entries.get(dst, (INFINITY_METRIC, None))
-            cases["missing"] += dst not in table.entries
+            metric, hop = expected.entries.get(dst, _UNREACHABLE)
+            cases["missing"] += dst not in expected.entries
+            cases["sixteen_via_sender"] += (hop == sender
+                                            and metric == INFINITY_METRIC)
             cases["worse_via_sender"] += hop == sender and adv + 1 > metric
-            cases["clamped"] += adv + 1 > INFINITY_METRIC
-        expected = DistanceVector(owner, dict(table.entries))
-        want = _reference_apply_update(expected, update, {sender, other})
-        got = apply_update(table, update, {sender, other})
-        assert got == want
-        assert table.entries == expected.entries
-        cases["adopted"] += len(got)
+            cases["advertised_15"] += adv == INFINITY_METRIC - 1
+            cases["advertised_16"] += adv == INFINITY_METRIC
+        want = _reference_apply_update(expected, RouteUpdate(sender, vector),
+                                       {sender, other})
+        got = apply_update(table, _advert(sender, lanes, vector),
+                           {sender, other})
+        assert _names(got, lanes) == want
+        assert bool(got) == bool(want)
+        _assert_same_table(table, expected)
+        cases["adopted"] += len(want)
     assert all(n > 50 for n in cases.values()), cases
 
 
 def test_apply_update_rejects_non_neighbours_like_the_reference():
     rng = random.Random(5)
     names = [f"n{i}" for i in range(6)]
+    lanes = Lanes(names)
     for _ in range(20):
         owner, sender, other = rng.sample(names, 3)
-        table = _random_table(rng, owner, names, [sender, other])
-        before = dict(table.entries)
-        update = RouteUpdate(sender, {d: 1 for d in names})
+        reference = _random_table(rng, owner, names, [sender, other])
+        table = _pack(owner, lanes, reference.entries)
+        before = (table.metrics, dict(table.via))
+        vector = {d: 1 for d in names}
         with pytest.raises(UnknownNeighborError):
-            _reference_apply_update(table, update, {other})
+            _reference_apply_update(reference, RouteUpdate(sender, vector),
+                                    {other})
         with pytest.raises(UnknownNeighborError):
-            apply_update(table, update, {other})
-        assert table.entries == before
+            apply_update(table, _advert(sender, lanes, vector), {other})
+        assert (table.metrics, table.via) == before
+
+
+def test_packed_and_dict_tables_agree_in_lockstep_until_converged():
+    """Both implementations receive one schedule of adverts on seeded random
+    adjacencies: periodic broadcasts in a random order and triggered ones
+    after a change, each arriving after a random delay.  As over a mote's
+    FIFO queue, one sender's adverts arrive in the order sent, while
+    adverts of different senders interleave."""
+    rng = random.Random(4242)
+    merges = changes = 0
+    for _ in range(25):
+        adj = _random_graph(rng, max_nodes=14)
+        lanes = Lanes(adj)
+        packed = {n: Table(n, lanes) for n in adj}
+        dicts = {n: DistanceVector(n, {n: (0, n)}) for n in adj}
+        in_flight, last_at, seq = [], dict.fromkeys(adj, 0), itertools.count()
+
+        def send(n, now):
+            last_at[n] = max(last_at[n], now + rng.randint(1, 4))
+            heapq.heappush(in_flight, (last_at[n], next(seq), n,
+                                       periodic_update(packed[n]),
+                                       _reference_periodic_update(dicts[n])))
+
+        now, quiet = 0, 0
+        while quiet < 2:  # two rounds of periodic broadcasts change nothing
+            order = sorted(adj)
+            rng.shuffle(order)
+            for n in order:
+                send(n, now)
+            changed_any = False
+            while in_flight:
+                now, _, sender, advert, update = heapq.heappop(in_flight)
+                for rx in sorted(adj[sender]):
+                    got = apply_update(packed[rx], advert, adj[rx])
+                    want = _reference_apply_update(dicts[rx], update,
+                                                   adj[rx])
+                    assert _names(got, lanes) == want
+                    _assert_same_table(packed[rx], dicts[rx])
+                    merges += 1
+                    if want:
+                        changes += 1
+                        changed_any = True
+                        send(rx, now)
+            quiet = 0 if changed_any else quiet + 1
+        for src in adj:
+            hops = _bfs_hops(adj, src)
+            for dst in adj:
+                want = min(hops.get(dst, INFINITY_METRIC), INFINITY_METRIC)
+                assert packed[src].metric(dst) == want, (src, dst)
+    assert merges > 1000 and changes > 200, (merges, changes)

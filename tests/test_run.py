@@ -6,7 +6,7 @@ import random
 from collections import deque
 
 import pytest
-from invariants import check_relay_paths
+from invariants import check_dv_tables, check_relay_paths
 
 from wsnhandoff.protocol import DecisionOutcome, MoteMode
 from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
@@ -377,17 +377,19 @@ def test_flood_delivery_is_sound_with_two_cells():
 
 def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl():
     rng = random.Random(31337)
-    checked = 0
+    checked = routes = 0
     for _ in range(30):
         s = _random_walk_world(rng)
-        s = dataclasses.replace(
-            s, params=SimParams(default_ttl=rng.randint(1, 6)))
-        checked += check_relay_paths(s, run(s))
+        sim = Simulation(dataclasses.replace(
+            s, params=SimParams(default_ttl=rng.randint(1, 6))))
+        checked += check_relay_paths(sim.s, sim.run())
+        routes += check_dv_tables(sim)
     for n in (3, 5):  # chains the flood crosses with its last hop of TTL
         s = dataclasses.replace(_line_scenario(n),
                                 params=SimParams(default_ttl=n))
         checked += check_relay_paths(s, run(s))
     assert checked > 50
+    assert routes >= 10
 
 
 # ---- per-handset coverage against the full communication graph ----------
