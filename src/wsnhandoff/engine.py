@@ -4,6 +4,11 @@ Every moving part of the simulator runs through this module.  Two runs with
 the same inputs must dispatch the exact same event sequence, so ordering is
 fully specified: events fire in ascending (fire_time, seq) order, where seq
 is the global scheduling counter.
+
+A burst is k events that share one fire time, kept as one heap entry: its
+target is the tuple of the k targets and it holds the seqs seq .. seq+k-1.
+Nothing can sort between those seqs, so dispatching the burst once, for its
+targets in order, is the same sequence as k separate events.
 """
 
 import heapq
@@ -19,12 +24,12 @@ class Event(NamedTuple):
 
     Tuples compare field by field in C.  seq is unique per queue, so two
     events never tie on (fire_time, seq) and target and payload are never
-    compared.  schedule() builds them with tuple.__new__, which skips the
+    compared.  target is a node id, or the tuple of targets of a burst.  schedule() builds them with tuple.__new__, which skips the
     Python-level constructor and gives the same object.
     """
     fire_time: float
     seq: int
-    target: str
+    target: str | tuple
     payload: Any
 
 
@@ -34,7 +39,7 @@ _new_tuple = tuple.__new__
 class EventQueue:
     """Min-heap of events keyed by (fire_time, seq).
 
-    seq starts at 1 and increases by 1 per schedule() call, so ties on
+    seq starts at 1 and increases by 1 per event scheduled, so ties on
     fire_time always resolve in scheduling order and the dispatch sequence
     is reproducible byte for byte.
     """
@@ -56,6 +61,28 @@ class EventQueue:
         heapq.heappush(self._heap, ev)
         return ev
 
+    def schedule_burst(self, fire_time: float, targets: tuple,
+                       payload: Any) -> Event:
+        """Schedule one event per target at fire_time as a single heap entry
+        whose target is `targets`, taking the next len(targets) seqs.  An
+        empty `targets` raises ValueError: a burst stands for at least one
+        event."""
+        if fire_time < self.clock:
+            raise PastTimeError(
+                f"cannot schedule at {fire_time} before clock {self.clock}")
+        if not targets:
+            raise ValueError("a burst needs at least one target")
+        ev = _new_tuple(Event, (fire_time, self._next_seq, targets, payload))
+        self._next_seq += len(targets)
+        heapq.heappush(self._heap, ev)
+        return ev
+
+    def _pending(self) -> int:
+        """Events the heap holds: one per entry and one more per extra
+        target of a burst."""
+        return len(self._heap) + sum(len(ev[2]) - 1 for ev in self._heap
+                                     if ev[2].__class__ is tuple)
+
     def pop(self) -> Event:
         ev = heapq.heappop(self._heap)
         self.clock = ev.fire_time
@@ -64,19 +91,21 @@ class EventQueue:
     def run_until(self, t_end: float, dispatch: Callable[[Event], None]) -> int:
         """Dispatch every event with fire_time <= t_end, in order.
 
-        Returns the number of events processed.  The clock ends at t_end
-        even when the queue drains early.
+        Returns the number of events processed, a burst counting once per
+        target.  Every seq numbers one event, so that is the events pending
+        at the start plus the seqs taken during the run, less the events
+        still pending; the loop itself counts nothing.  The clock ends at
+        t_end even when the queue drains early.
         """
-        processed = 0
+        before = self._pending() - self._next_seq
         heap = self._heap
         heappop = heapq.heappop
         while heap and heap[0][0] <= t_end:
             ev = heappop(heap)  # the body of pop(), inlined
             self.clock = ev[0]
             dispatch(ev)
-            processed += 1
         self.clock = t_end
-        return processed
+        return before + self._next_seq - self._pending()
 
 
 MASK64 = (1 << 64) - 1

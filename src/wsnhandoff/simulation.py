@@ -7,17 +7,21 @@ transport/IP counters and puts the Frame itself into the node's network
 queue (strict-priority on motes, plain FIFO elsewhere; a full one drops it).
 A drain event dequeues the node's frames one tx_slot apart; _transmit()
 books the PHY/MAC counters, classifies the reception for every receiver
-against the radio model and schedules per-receiver delivery one hop_delay
-later.  Steered beams and satellite links are logical channels: their
-frames always arrive.  No frame is changed after _send(), so one object can
-be queued and delivered many times, like a link's payload frame.
+against the radio model and schedules delivery one hop_delay later: a radio
+broadcast to two or more receivers as one engine burst (one heap entry whose
+seqs and targets are the receivers', in order), anything else as one deliver
+event per receiver.  Steered beams and satellite links are logical channels:
+their frames always arrive.  No frame is changed after _send(), so one object
+can be queued and delivered many times, like a link's payload frame.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the run's digest: the
 SHA-256 of the lines joined by newlines, hashed as they happen (the first
 line alone, every later one with a leading newline), so no log is kept.  The
 formatted time is reused while consecutive events share it.  Two runs of the
-same scenario and seed must match byte for byte.
+same scenario and seed must match byte for byte.  A burst hashes the lines
+of its receivers in one update and then delivers to them in order, so it
+leaves the same digest as one event per receiver.
 
 Only mobile stations move (validation rejects mobility on other nodes), so
 the full graph is built once, at start, and read into fixed tables: each
@@ -26,7 +30,8 @@ and distance-vector broadcasts, and the fixed radio nodes with their squared
 reach.  A coverage check positions each handset once, joins it to every
 satellite, and puts through the graph's edge rule only the fixed nodes and
 other handsets within reach of both ends, each handset pair once.  Radio
-outcomes between two nodes that do not move are computed once.
+outcomes between two nodes that do not move are computed once, on the
+sender's first transmit, into a row per sender.
 """
 
 import hashlib
@@ -160,7 +165,7 @@ class Simulation:
         self.here = dict(self.start_pos)
         self.halt_at = {n: halt_time(path, self.start_pos[n])
                         for n, path in scenario.mobility.items()}
-        self._fixed_outcomes = {}  # (src, rx) -> PacketOutcome, both fixed
+        self._fixed_outcomes = {}  # src -> {rx: PacketOutcome}, both fixed
         self.mote_states = {n.node_id: MoteState()
                             for n in scenario.by_kind(NodeKind.MOTE)}
         self.ms_states = {n.node_id: MsState()
@@ -276,16 +281,31 @@ class Simulation:
                         rows[b].add(a)
         return rows
 
-    def _radio_outcome(self, src: str, rx: str, t: float) -> PacketOutcome:
-        key = (src, rx)
-        outcome = self._fixed_outcomes.get(key)
-        if outcome is None:
-            profile = self.profiles[rx]
-            d = self.position(src, t).distance_to(self.position(rx, t))
-            outcome = packet_outcome(profile, received_power(profile, d))
-            if src not in self.s.mobility and rx not in self.s.mobility:
-                self._fixed_outcomes[key] = outcome
-        return outcome
+    def _radio_outcomes(self, src: str, receivers: tuple, t: float) -> tuple:
+        """The PacketOutcome of a radio frame sent by src at t, for each
+        receiver in order.  A fixed sender keeps a row of its outcomes at
+        fixed receivers, so each such pair is computed once per run."""
+        row = self._fixed_outcomes.get(src)
+        if row is not None:
+            try:
+                return tuple([row[rx] for rx in receivers])
+            except KeyError:
+                pass  # a receiver not heard from src yet, or a handset
+        mobility = self.s.mobility
+        if row is None and src not in mobility:
+            row = self._fixed_outcomes[src] = {}
+        here = self.position(src, t)
+        outcomes = []
+        for rx in receivers:
+            outcome = None if row is None else row.get(rx)
+            if outcome is None:
+                profile = self.profiles[rx]
+                d = here.distance_to(self.position(rx, t))
+                outcome = packet_outcome(profile, received_power(profile, d))
+                if row is not None and rx not in mobility:
+                    row[rx] = outcome
+            outcomes.append(outcome)
+        return tuple(outcomes)
 
     # ---- frame pipeline ---------------------------------------------
 
@@ -338,15 +358,18 @@ class Simulation:
             c[SAT_SENT if frame.channel == "satlink" else LINK_SENT] += 1
             receivers = (frame.dst,)
         at = t + self.p.hop_delay
-        schedule = self.queue.schedule
-        if frame.channel == "radio":
+        if frame.channel != "radio":
             for rx in receivers:
-                schedule(at, rx, ("deliver", frame, rx,
-                                  self._radio_outcome(node_id, rx, t)))
-        else:
-            for rx in receivers:
-                schedule(at, rx, ("deliver", frame, rx,
-                                  PacketOutcome.DELIVERED))
+                self.queue.schedule(at, rx, ("deliver", frame, rx,
+                                             PacketOutcome.DELIVERED))
+        elif len(receivers) > 1:
+            outcomes = self._radio_outcomes(node_id, receivers, t)
+            self.queue.schedule_burst(at, receivers,
+                                      ("deliver", frame, outcomes))
+        elif receivers:
+            (rx,) = receivers
+            (outcome,) = self._radio_outcomes(node_id, receivers, t)
+            self.queue.schedule(at, rx, ("deliver", frame, rx, outcome))
 
     def _on_deliver(self, t: float, payload):
         _, frame, rx, outcome = payload
@@ -373,6 +396,36 @@ class Simulation:
         c[IP_TTL_SUM] += frame.ip_ttl
         c[UDP_TO_APP] += 1
         self._receivers[frame.kind](t, frame, rx)
+
+    def _deliver_burst(self, t: float, seq: int, receivers: tuple, payload):
+        """A broadcast's deliveries, in receiver order: the body of
+        _on_deliver for each, with the reception counters added once."""
+        stamp = self._stamp
+        self._hash("".join([f"{stamp}{seq + i} {rx} deliver"
+                            for i, rx in enumerate(receivers)]).encode())
+        _, frame, outcomes = payload
+        receive = self._receivers[frame.kind]
+        motes = self.mote_states
+        locked = errors = 0
+        for rx, outcome in zip(receivers, outcomes):
+            mote = motes.get(rx)
+            if mote is not None and mote.mode is MoteMode.SLEEPING:
+                continue  # radio powered down
+            if outcome is PacketOutcome.LOST:
+                continue
+            locked += 1
+            if outcome is PacketOutcome.ERRORED:
+                errors += 1
+                continue
+            receive(t, frame, rx)
+        clear = locked - errors
+        c = self.counts
+        c[PHY_LOCKED] += locked
+        c[PHY_ERRORS] += errors
+        for counter in (PHY_TO_MAC, MAC_BCAST_RX, DCF_BCAST_RX,
+                        IP_IN_RECEIVED, IP_IN_DELIVERS, UDP_TO_APP):
+            c[counter] += clear
+        c[IP_TTL_SUM] += clear * frame.ip_ttl
 
     # ---- per-kind receive handlers ----------------------------------
 
@@ -591,10 +644,13 @@ class Simulation:
 
     def _dispatch(self, ev):
         t, seq, target, payload = ev
-        kind = payload[0]
         if t != self._stamp_t:
             self._stamp_t = t
             self._stamp = f"\n{t:.6f} "
+        if target.__class__ is tuple:
+            self._deliver_burst(t, seq, target, payload)
+            return
+        kind = payload[0]
         self._hash(f"{self._stamp}{seq} {target} {kind}".encode())
         self._handlers[kind](t, payload)
 

@@ -136,3 +136,102 @@ def test_rng_draw_count():
     for _ in range(7):
         r.draw()
     assert r.draw_count == 7
+
+
+def _drive(q, bursts: bool, seed: int):
+    """Feed q a seeded random mix of single events and bursts, some of them
+    scheduled from inside dispatch at the current clock, and run it in
+    windows.  With bursts=False every burst goes in as one schedule() per
+    target.  Returns the dispatched (fire_time, seq, target) sequence, each
+    window's run_until count and the seq of one more event scheduled at the
+    end."""
+    rng = random.Random(seed)
+
+    def add(t, targets):
+        if isinstance(targets, str):
+            q.schedule(t, targets, None)
+        elif bursts:
+            q.schedule_burst(t, targets, None)
+        else:
+            for target in targets:
+                q.schedule(t, target, None)
+
+    def new_targets():
+        if rng.random() < 0.4:
+            return f"n{rng.randrange(9)}"
+        return tuple(f"n{rng.randrange(9)}" for _ in range(rng.randint(1, 6)))
+
+    fired = []
+
+    def dispatch(ev):
+        t, seq, target, _ = ev
+        group = target if isinstance(target, tuple) else (target,)
+        for i, one in enumerate(group):
+            fired.append((t, seq + i, one))
+            if len(fired) < 300 and rng.random() < 0.3:
+                add(t + rng.choice([0.0, 0.0, 0.5, 1.25]), new_targets())
+
+    for _ in range(rng.randint(1, 12)):
+        add(rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, rng.uniform(0, 4)]),
+            new_targets())
+    counts = []
+    for t_end in sorted(rng.sample([0.6, 1.0, 1.1, 2.0, 3.3], 2)) + [1e6]:
+        counts.append(q.run_until(t_end, dispatch))
+        with pytest.raises(PastTimeError):
+            add(t_end - 0.1, ("late", "late"))
+    assert len(q) == 0
+    return fired, counts, q.schedule(2e6, "end", None).seq
+
+
+def test_bursts_dispatch_like_one_event_per_target():
+    for seed in range(250):
+        fired, counts, end_seq = _drive(EventQueue(), True, seed)
+        assert (fired, counts, end_seq) == _drive(EventQueue(), False, seed)
+        # gapless: every seq up to the last numbers exactly one event
+        assert sorted(seq for _, seq, _ in fired) == list(range(1, end_seq))
+        assert sum(counts) == len(fired)
+
+
+def test_burst_takes_one_heap_entry_and_len_targets_seqs():
+    q = EventQueue()
+    q.schedule(1.0, "a", None)
+    ev = q.schedule_burst(1.0, ("b", "c", "d"), "p")
+    assert ev == (1.0, 2, ("b", "c", "d"), "p") and len(q) == 2
+    assert q.schedule(1.0, "e", None).seq == 5
+
+
+def test_burst_at_the_clock_from_inside_dispatch_fires_in_the_window():
+    q = EventQueue()
+    fired = []
+
+    def dispatch(ev):
+        fired.append((ev.seq, ev.target))
+        if ev.target == "a":
+            q.schedule_burst(q.clock, ("x", "y"), None)
+
+    q.schedule(1.0, "a", None)
+    q.schedule(1.0, "b", None)
+    assert q.run_until(1.0, dispatch) == 4
+    assert fired == [(1, "a"), (2, "b"), (3, ("x", "y"))]
+
+
+def test_run_until_between_bursts_counts_only_the_fired_ones():
+    q = EventQueue()
+    q.schedule_burst(1.0, ("a", "b"), None)
+    q.schedule_burst(2.0, ("c", "d", "e"), None)
+    assert q.run_until(1.5, lambda ev: None) == 2
+    assert len(q) == 1 and q.clock == 1.5
+    assert q.run_until(3.0, lambda ev: None) == 3
+
+
+def test_burst_before_the_clock_or_without_targets_is_rejected():
+    q = EventQueue()
+    q.schedule(2.0, "a", None)
+    q.pop()
+    with pytest.raises(PastTimeError):
+        q.schedule_burst(1.5, ("b", "c"), None)
+    with pytest.raises(ValueError):
+        q.schedule_burst(2.0, (), None)
+    # neither call scheduled anything or used a seq
+    assert len(q) == 0
+    assert q.schedule(2.0, "d", None).seq == 2

@@ -106,6 +106,38 @@ def test_run_matches_golden(name):
     assert got == GOLDENS[name]
 
 
+class _DigestRecorder:
+    """Stands in for a run's SHA-256 object: keeps every update and hashes
+    it on."""
+
+    def __init__(self):
+        self.updates = []
+        self._sha = hashlib.sha256()
+
+    def update(self, data: bytes):
+        self.updates.append(data)
+        self._sha.update(data)
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_digest_hashes_one_line_per_event(name):
+    sim = Simulation(SCENARIOS[name]())
+    sim._digest = recorder = _DigestRecorder()
+    report = sim.run()
+    text = b"".join(recorder.updates)
+    assert hashlib.sha256(text).hexdigest() == report.digest
+    assert report.digest == GOLDENS[name][0]
+    lines = [line.split(" ") for line in text.decode().split("\n")]
+    assert len(lines) == report.events_processed
+    seqs = [int(seq) for _, seq, _, _ in lines]
+    assert len(set(seqs)) == len(seqs)
+    for (t0, seq0, _, _), (t1, seq1, _, _) in zip(lines, lines[1:]):
+        assert float(t0) < float(t1) or (t0 == t1 and int(seq0) < int(seq1))
+
+
 def test_drop_scenario_drops_frames_and_streams_payload():
     sim = Simulation(drop_scenario())
     report = sim.run()

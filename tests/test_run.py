@@ -8,17 +8,19 @@ from collections import deque
 import pytest
 from invariants import check_dv_tables, check_relay_paths
 
+from wsnhandoff import simulation
 from wsnhandoff.protocol import DecisionOutcome, MoteMode
 from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  ValidationError, effective_profile,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
 from wsnhandoff.report import parse_report_ledger, serialize_report
-from wsnhandoff.simulation import RunReport, Simulation, run
+from wsnhandoff.routing import periodic_update
+from wsnhandoff.simulation import Frame, RunReport, Simulation, run
 from wsnhandoff.stats import (Layer, RegistryMismatchError, counter_by_token)
-from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind, Point,
-                              RadioProfile, comm_graph, position_at,
-                              profile_for_range)
+from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind,
+                              PacketOutcome, Point, RadioProfile, comm_graph,
+                              position_at, profile_for_range)
 
 
 def _get(report: RunReport, token: str) -> int:
@@ -97,6 +99,77 @@ def test_run_is_deterministic():
     assert a.ledger.as_dict() == b.ledger.as_dict()
     assert a.links == b.links
     assert a.mote_energy == b.mote_energy
+
+
+def test_fixed_pairs_are_classified_once_and_handset_pairs_per_transmit(
+        monkeypatch):
+    sim = Simulation(reference_scenario())
+    classified = []
+    real_outcome = simulation.packet_outcome
+
+    def counted_outcome(profile, rx_power_dbm):
+        classified.append(rx_power_dbm)
+        return real_outcome(profile, rx_power_dbm)
+
+    monkeypatch.setattr(simulation, "packet_outcome", counted_outcome)
+    transmits = []  # (t, src, radio receivers, classifications made)
+    real_transmit = sim._transmit
+
+    def counted_transmit(t, node_id, frame):
+        before = len(classified)
+        real_transmit(t, node_id, frame)
+        if frame.channel == "radio":
+            receivers = frame.targets if frame.dst is None else (frame.dst,)
+            transmits.append((t, node_id, receivers,
+                              len(classified) - before))
+
+    sim._transmit = counted_transmit
+    sim.run()
+    moving = sim.s.mobility
+    fixed_seen, fixed_sends, handset_times = set(), 0, set()
+    for t, src, receivers, made in transmits:
+        expected = 0
+        for rx in receivers:
+            if src in moving or rx in moving:
+                expected += 1  # a handset moves: classified every time
+                handset_times.add(t)
+            else:
+                fixed_sends += 1
+                expected += (src, rx) not in fixed_seen
+                fixed_seen.add((src, rx))
+        assert made == expected, (t, src, receivers)
+    assert fixed_sends > len(fixed_seen)  # fixed pairs were heard again
+    assert len(handset_times) >= 2
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_burst_delivers_like_one_deliver_event_per_receiver(seed):
+    # a distance-vector advert from m06 to a random set of its neighbours,
+    # with random receptions and some receivers asleep
+    rng = random.Random(seed)
+    sims = [Simulation(reference_scenario()) for _ in range(2)]
+    receivers = tuple(rng.sample(sims[0].mote_rows["m06"], rng.randint(2, 8)))
+    outcomes = tuple(rng.choice(list(PacketOutcome)) for _ in receivers)
+    asleep = rng.sample(receivers, rng.randint(0, 2))
+    got = []
+    for sim in sims:
+        for m in asleep:
+            sim.mote_states[m].mode = MoteMode.SLEEPING
+        frame = Frame("dv", "m06", targets=receivers,
+                      payload=periodic_update(sim.tables["m06"]))
+        if seed % 2:  # else the burst's first line opens the digest
+            sim.queue.schedule(0.0, "m06", ("drain", "m06"))
+        if sim is sims[0]:
+            sim.queue.schedule_burst(0.0, receivers,
+                                     ("deliver", frame, outcomes))
+        else:
+            for rx, outcome in zip(receivers, outcomes):
+                sim.queue.schedule(0.0, rx, ("deliver", frame, rx, outcome))
+        processed = sim.queue.run_until(0.5 * sim.p.hop_delay, sim._dispatch)
+        got.append((processed, sim._digest.hexdigest(), sim.counts[:],
+                    {m: t.metrics for m, t in sim.tables.items()},
+                    sorted(sim.queue._heap)))
+    assert got[0] == got[1]
 
 
 def test_seed_moves_the_route_gossip_schedule():
