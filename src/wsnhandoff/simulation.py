@@ -7,10 +7,10 @@ transport/IP counters and puts the Frame itself into the node's network
 queue (strict-priority on motes, plain FIFO elsewhere; a full one drops it).
 A drain event dequeues the node's frames one tx_slot apart; _transmit()
 books the PHY/MAC counters, classifies the reception for every receiver
-against the radio model and schedules delivery one hop_delay later: a radio
-broadcast to two or more receivers as one engine burst (one heap entry whose
-seqs and targets are the receivers', in order), anything else as one deliver
-event per receiver.  Steered beams and satellite links are logical channels:
+against the radio model and schedules delivery one hop_delay later: a
+broadcast, always by radio, as one engine burst (one heap entry whose seqs
+and targets are the receivers', in order), a unicast frame as one deliver
+event.  Steered beams and satellite links are logical channels:
 their frames always arrive.  No frame is changed after _send(), so one object
 can be queued and delivered many times, like a link's payload frame.
 
@@ -350,26 +350,23 @@ class Simulation:
         c[PHY_TX] += 1
         c[MAC_FROM_NET] += 1
         c[LINK_UTIL] += 1
-        if frame.dst is None:
+        at = t + self.p.hop_delay
+        if frame.dst is None:  # a broadcast, always by radio
             c[MAC_BCAST_SENT] += 1
             c[DCF_BCAST_SENT] += 1
             receivers = frame.targets
+            if receivers:
+                self.queue.schedule_burst(at, receivers, (
+                    "deliver", frame,
+                    self._radio_outcomes(node_id, receivers, t)))
+            return
+        c[SAT_SENT if frame.channel == "satlink" else LINK_SENT] += 1
+        rx = frame.dst
+        if frame.channel == "radio":
+            (outcome,) = self._radio_outcomes(node_id, (rx,), t)
         else:
-            c[SAT_SENT if frame.channel == "satlink" else LINK_SENT] += 1
-            receivers = (frame.dst,)
-        at = t + self.p.hop_delay
-        if frame.channel != "radio":
-            for rx in receivers:
-                self.queue.schedule(at, rx, ("deliver", frame, rx,
-                                             PacketOutcome.DELIVERED))
-        elif len(receivers) > 1:
-            outcomes = self._radio_outcomes(node_id, receivers, t)
-            self.queue.schedule_burst(at, receivers,
-                                      ("deliver", frame, outcomes))
-        elif receivers:
-            (rx,) = receivers
-            (outcome,) = self._radio_outcomes(node_id, receivers, t)
-            self.queue.schedule(at, rx, ("deliver", frame, rx, outcome))
+            outcome = PacketOutcome.DELIVERED
+        self.queue.schedule(at, rx, ("deliver", frame, rx, outcome))
 
     def _on_deliver(self, t: float, payload):
         _, frame, rx, outcome = payload
@@ -384,13 +381,7 @@ class Simulation:
             c[PHY_ERRORS] += 1
             return
         c[PHY_TO_MAC] += 1
-        if frame.dst is None:
-            c[MAC_BCAST_RX] += 1
-            c[DCF_BCAST_RX] += 1
-        elif frame.channel == "satlink":
-            c[SAT_RX] += 1
-        else:
-            c[LINK_RX] += 1
+        c[SAT_RX if frame.channel == "satlink" else LINK_RX] += 1
         c[IP_IN_RECEIVED] += 1
         c[IP_IN_DELIVERS] += 1
         c[IP_TTL_SUM] += frame.ip_ttl
@@ -398,8 +389,8 @@ class Simulation:
         self._receivers[frame.kind](t, frame, rx)
 
     def _deliver_burst(self, t: float, seq: int, receivers: tuple, payload):
-        """A broadcast's deliveries, in receiver order: the body of
-        _on_deliver for each, with the reception counters added once."""
+        """A broadcast's deliveries, in receiver order: what _on_deliver
+        does for a unicast frame, with the reception counters added once."""
         stamp = self._stamp
         self._hash("".join([f"{stamp}{seq + i} {rx} deliver"
                             for i, rx in enumerate(receivers)]).encode())

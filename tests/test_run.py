@@ -1,6 +1,7 @@
 """Whole-run behavior: coverage loss, discovery, handoff, reports."""
 
 import dataclasses
+import hashlib
 import math
 import random
 from collections import deque
@@ -15,7 +16,6 @@ from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
 from wsnhandoff.report import parse_report_ledger, serialize_report
-from wsnhandoff.routing import periodic_update
 from wsnhandoff.simulation import Frame, RunReport, Simulation, run
 from wsnhandoff.stats import (Layer, RegistryMismatchError, counter_by_token)
 from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind,
@@ -143,33 +143,38 @@ def test_fixed_pairs_are_classified_once_and_handset_pairs_per_transmit(
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_a_burst_delivers_like_one_deliver_event_per_receiver(seed):
-    # a distance-vector advert from m06 to a random set of its neighbours,
-    # with random receptions and some receivers asleep
+def test_a_burst_reaches_its_awake_receivers_that_hear_it_in_order(seed):
+    # an advert from m06 to a random set of its neighbours, with random
+    # receptions and some receivers asleep
     rng = random.Random(seed)
-    sims = [Simulation(reference_scenario()) for _ in range(2)]
-    receivers = tuple(rng.sample(sims[0].mote_rows["m06"], rng.randint(2, 8)))
+    sim = Simulation(reference_scenario())
+    receivers = tuple(rng.sample(sim.mote_rows["m06"], rng.randint(1, 8)))
     outcomes = tuple(rng.choice(list(PacketOutcome)) for _ in receivers)
-    asleep = rng.sample(receivers, rng.randint(0, 2))
-    got = []
-    for sim in sims:
-        for m in asleep:
-            sim.mote_states[m].mode = MoteMode.SLEEPING
-        frame = Frame("dv", "m06", targets=receivers,
-                      payload=periodic_update(sim.tables["m06"]))
-        if seed % 2:  # else the burst's first line opens the digest
-            sim.queue.schedule(0.0, "m06", ("drain", "m06"))
-        if sim is sims[0]:
-            sim.queue.schedule_burst(0.0, receivers,
-                                     ("deliver", frame, outcomes))
-        else:
-            for rx, outcome in zip(receivers, outcomes):
-                sim.queue.schedule(0.0, rx, ("deliver", frame, rx, outcome))
-        processed = sim.queue.run_until(0.5 * sim.p.hop_delay, sim._dispatch)
-        got.append((processed, sim._digest.hexdigest(), sim.counts[:],
-                    {m: t.metrics for m, t in sim.tables.items()},
-                    sorted(sim.queue._heap)))
-    assert got[0] == got[1]
+    asleep = rng.sample(receivers, rng.randint(0, min(2, len(receivers))))
+    for m in asleep:
+        sim.mote_states[m].mode = MoteMode.SLEEPING
+    heard = []
+    sim._receivers["dv"] = lambda t, frame, rx: heard.append(rx)
+    frame = Frame("dv", "m06", targets=receivers, ip_ttl=9)
+    sim.queue.schedule_burst(0.0, receivers, ("deliver", frame, outcomes))
+    assert sim.queue.run_until(0.0, sim._dispatch) == len(receivers)
+    lines = [f"0.000000 {i + 1} {rx} deliver" for i, rx in enumerate(receivers)]
+    assert sim._digest.hexdigest() == hashlib.sha256(
+        "\n".join(lines).encode()).hexdigest()
+    locked = [(rx, outcome) for rx, outcome in zip(receivers, outcomes)
+              if rx not in asleep and outcome is not PacketOutcome.LOST]
+    assert heard == [rx for rx, outcome in locked
+                     if outcome is PacketOutcome.DELIVERED]
+    clear = len(heard)
+    got = lambda token: sim.ledger.get(counter_by_token(token))
+    assert got("phy80211.signals_locked") == len(locked)
+    assert got("phy80211.signals_received_with_errors") == len(locked) - clear
+    for token in ("phy80211.signals_received_forwarded_to_mac",
+                  "mac80211.broadcast_received_clearly",
+                  "mac_dcf.broadcast_received", "net_ip.in_received",
+                  "net_ip.in_delivers", "transport_udp.packets_to_app"):
+        assert got(token) == clear, token
+    assert got("net_ip.in_delivers_ttl_sum") == 9 * clear
 
 
 def test_seed_moves_the_route_gossip_schedule():
