@@ -24,8 +24,9 @@ class Event(NamedTuple):
 
     Tuples compare field by field in C.  seq is unique per queue, so two
     events never tie on (fire_time, seq) and target and payload are never
-    compared.  target is a node id, or the tuple of targets of a burst.  schedule() builds them with tuple.__new__, which skips the
-    Python-level constructor and gives the same object.
+    compared.  target is a node id, or the tuple of targets of a burst.
+    schedule() builds them with tuple.__new__, which skips the Python-level
+    constructor and gives the same object.
     """
     fire_time: float
     seq: int
@@ -94,8 +95,8 @@ class EventQueue:
         Returns the number of events processed, a burst counting once per
         target.  Every seq numbers one event, so that is the events pending
         at the start plus the seqs taken during the run, less the events
-        still pending; the loop itself counts nothing.  The clock ends at
-        t_end even when the queue drains early.
+        still pending, and the loop pays nothing per event to count.  The
+        clock ends at t_end even when the queue drains early.
         """
         before = self._pending() - self._next_seq
         heap = self._heap

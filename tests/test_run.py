@@ -158,7 +158,8 @@ def test_a_burst_reaches_its_awake_receivers_that_hear_it_in_order(seed):
     frame = Frame("dv", "m06", targets=receivers, ip_ttl=9)
     sim.queue.schedule_burst(0.0, receivers, ("deliver", frame, outcomes))
     assert sim.queue.run_until(0.0, sim._dispatch) == len(receivers)
-    lines = [f"0.000000 {i + 1} {rx} deliver" for i, rx in enumerate(receivers)]
+    lines = [f"0.000000 {seq} {rx} deliver"
+             for seq, rx in enumerate(receivers, 1)]
     assert sim._digest.hexdigest() == hashlib.sha256(
         "\n".join(lines).encode()).hexdigest()
     locked = [(rx, outcome) for rx, outcome in zip(receivers, outcomes)
