@@ -10,9 +10,9 @@ books the PHY/MAC counters, classifies the reception for every receiver
 against the radio model and schedules delivery one hop_delay later: a
 broadcast, always by radio, as one engine burst (one heap entry whose seqs
 and targets are the receivers', in order), a unicast frame as one deliver
-event.  Steered beams and satellite links are logical channels:
-their frames always arrive.  No frame is changed after _send(), so one object
-can be queued and delivered many times, like a link's payload frame.
+event.  Steered beams and satellite links are logical channels: their
+frames always arrive.  No frame is changed after _send(), so one object can
+be queued and delivered many times, like a link's payload frame.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the run's digest: the

@@ -178,6 +178,14 @@ def test_a_burst_reaches_its_awake_receivers_that_hear_it_in_order(seed):
     assert got("net_ip.in_delivers_ttl_sum") == 9 * clear
 
 
+def test_a_broadcast_without_receivers_keys_the_radio_and_schedules_nothing():
+    # a discovery forward with no eligible neighbour is still transmitted
+    sim = Simulation(reference_scenario())
+    sim._transmit(0.0, "m06", Frame("discovery", "m06", targets=()))
+    assert len(sim.queue) == 0
+    assert sim.ledger.get(counter_by_token("mac80211.broadcast_sent")) == 1
+
+
 def test_seed_moves_the_route_gossip_schedule():
     s = reference_scenario()
     a = run(s)
