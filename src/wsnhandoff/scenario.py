@@ -287,6 +287,9 @@ def validate_scenario(s: Scenario):
     for n in s.nodes:
         if not (math.isfinite(n.position.x) and math.isfinite(n.position.y)):
             problems.append(f"position of {n.node_id!r} must be finite")
+        if n.profile is not None and not all(
+                map(math.isfinite, asdict(n.profile).values())):
+            problems.append(f"profile of {n.node_id!r} must be finite")
     for node_id, path in s.mobility.items():
         if not all(map(math.isfinite, [path.speed, *(
                 c for w in path.waypoints for c in (w.x, w.y))])):

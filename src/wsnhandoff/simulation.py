@@ -27,11 +27,11 @@ Only mobile stations move (validation rejects mobility on other nodes), so
 the full graph is built once, at start, and read into fixed tables: each
 mote's sorted base-station and mote neighbours, which drive discovery floods
 and distance-vector broadcasts, and the fixed radio nodes with their squared
-reach.  A coverage check positions each handset once, joins it to every
-satellite, and puts through the graph's edge rule only the fixed nodes and
-other handsets within reach of both ends, each handset pair once.  Radio
-outcomes between two nodes that do not move are computed once, on the
-sender's first transmit, into a row per sender.
+reach.  A coverage check positions each handset once and puts through the
+graph's edge rule only the base stations and motes within reach of both
+ends: they are all it reads.  Radio frames are heard only by motes and base
+stations, which never move, so a fixed sender's outcomes are computed once
+per receiver, on its first transmit to it, into a row per sender.
 """
 
 import hashlib
@@ -165,7 +165,7 @@ class Simulation:
         self.here = dict(self.start_pos)
         self.halt_at = {n: halt_time(path, self.start_pos[n])
                         for n, path in scenario.mobility.items()}
-        self._fixed_outcomes = {}  # src -> {rx: PacketOutcome}, both fixed
+        self._fixed_outcomes = {}  # src -> {rx: PacketOutcome}, src fixed
         self.mote_states = {n.node_id: MoteState()
                             for n in scenario.by_kind(NodeKind.MOTE)}
         self.ms_states = {n.node_id: MsState()
@@ -173,8 +173,8 @@ class Simulation:
         self.bs_positions = {n.node_id: n.position
                              for n in scenario.by_kind(NodeKind.BASE_STATION)}
         self.bs_seen = {b: set() for b in self.bs_positions}
-        sats = sorted(n.node_id for n in scenario.by_kind(NodeKind.SATELLITE))
-        self.satellite_id = sats[0] if sats else None
+        self.satellite_id = min((n.node_id for n in scenario.by_kind(
+            NodeKind.SATELLITE)), default=None)
         mscs = scenario.by_kind(NodeKind.MSC)
         self.msc_id = mscs[0].node_id if mscs else None
 
@@ -190,33 +190,30 @@ class Simulation:
         # Motes and base stations never move, so their adjacency is fixed;
         # the static graph drives all flood forwarding decisions through
         # each mote's sorted base-station and mote neighbours.
-        self.static_graph = comm_graph(dict(self.start_pos), self.kinds,
-                                       self.profiles)
+        static_graph = comm_graph(dict(self.start_pos), self.kinds,
+                                  self.profiles)
         kinds = self.kinds
         self.bs_rows, self.mote_rows = {}, {}
         for m in self.mote_states:
-            row = sorted(self.static_graph[m])
+            row = sorted(static_graph[m])
             self.bs_rows[m] = tuple(
                 n for n in row if kinds[n] is NodeKind.BASE_STATION)
             self.mote_rows[m] = tuple(
                 n for n in row if kinds[n] is NodeKind.MOTE)
         self.lanes = Lanes(self.mote_states)
         self.tables = {m: Table(m, self.lanes) for m in self.lanes.names}
-        # What a coverage check tests each handset against: satellites
-        # (always linked) and the fixed radio nodes with their reach.
-        self.satellites = tuple(sats)
+        # The squared reach of each handset and of what a coverage check
+        # tests it against: the base stations and motes.
         self.handset_reach = {ms: _reach_sq(self.profiles[ms])
                               for ms in self.ms_states}
         self.fixed_radios = [
             (n.node_id, n.position.x, n.position.y,
              _reach_sq(self.profiles[n.node_id]))
             for n in scenario.nodes
-            if n.node_id not in self.ms_states
-            and n.kind is not NodeKind.SATELLITE
-            and self.profiles[n.node_id] is not None]
+            if n.kind in (NodeKind.BASE_STATION, NodeKind.MOTE)]
 
         self.msc_paths = {}        # request id -> escalated relay paths
-        self.msc_decisions = {}    # request id -> MscDecision
+        self.msc_decided = set()   # request ids
         self.msc_established = set()
         self.links = []
         self.dv_paths = []
@@ -252,7 +249,7 @@ class Simulation:
         return t >= self.halt_at.get(node_id, 0.0)
 
     def handset_graph(self, t: float) -> dict:
-        """The handsets' rows of the communication graph at time t.
+        """The handsets' base-station and mote neighbours at time t.
 
         Moves every handset to its position at t (self.here), raises
         CoLocatedError when any two nodes then share a point, and returns
@@ -265,45 +262,41 @@ class Simulation:
             here[n] = position_at(path, self.start_pos[n], t)
         check_distinct(here)
         kinds, profiles = self.kinds, self.profiles
-        moving = [(ms, here[ms].x, here[ms].y, reach)
-                  for ms, reach in self.handset_reach.items()]
-        rows = {ms: set(self.satellites) for ms in self.handset_reach}
-        for i, (a, x, y, reach_a) in enumerate(moving):
-            row = rows[a]
-            # the fixed radios, then the handsets not yet tested against a
-            for b, bx, by, reach_b in self.fixed_radios + moving[i + 1:]:
+        rows = {}
+        for a, reach_a in self.handset_reach.items():
+            x, y = here[a].x, here[a].y
+            row = rows[a] = set()
+            for b, bx, by, reach_b in self.fixed_radios:
                 dx, dy = x - bx, y - by
                 d2 = dx * dx + dy * dy
                 if (d2 <= reach_a and d2 <= reach_b
                         and linked(a, b, here, kinds, profiles)):
                     row.add(b)
-                    if b in rows:
-                        rows[b].add(a)
         return rows
 
     def _radio_outcomes(self, src: str, receivers: tuple, t: float) -> tuple:
         """The PacketOutcome of a radio frame sent by src at t, for each
-        receiver in order.  A fixed sender keeps a row of its outcomes at
-        fixed receivers, so each such pair is computed once per run."""
+        receiver in order.  Receivers never move, so a fixed sender keeps a
+        row of its outcomes and computes each pair once per run; a moving
+        handset's row lasts one transmit."""
         row = self._fixed_outcomes.get(src)
-        if row is not None:
-            try:
-                return tuple([row[rx] for rx in receivers])
-            except KeyError:
-                pass  # a receiver not heard from src yet, or a handset
-        mobility = self.s.mobility
-        if row is None and src not in mobility:
-            row = self._fixed_outcomes[src] = {}
+        if row is None:
+            row = {}
+            if src not in self.s.mobility:
+                self._fixed_outcomes[src] = row
+        try:
+            return tuple([row[rx] for rx in receivers])
+        except KeyError:
+            pass  # a receiver not heard from src yet
         here = self.position(src, t)
         outcomes = []
         for rx in receivers:
-            outcome = None if row is None else row.get(rx)
+            outcome = row.get(rx)
             if outcome is None:
                 profile = self.profiles[rx]
-                d = here.distance_to(self.position(rx, t))
-                outcome = packet_outcome(profile, received_power(profile, d))
-                if row is not None and rx not in mobility:
-                    row[rx] = outcome
+                d = here.distance_to(self.start_pos[rx])
+                outcome = row[rx] = packet_outcome(
+                    profile, received_power(profile, d))
             outcomes.append(outcome)
         return tuple(outcomes)
 
@@ -329,9 +322,6 @@ class Simulation:
         node_id = payload[1]
         q = self.node_queues[node_id]
         frame = q.dequeue()
-        if frame is None:
-            self._draining[node_id] = False
-            return
         mote = self.mote_states.get(node_id)
         self.counts[FIFO_DEQUEUED if mote is None else PRIO_DEQUEUED] += 1
         if mote is None or mote.mode is not MoteMode.SLEEPING:
@@ -370,9 +360,6 @@ class Simulation:
 
     def _on_deliver(self, t: float, payload):
         _, frame, rx, outcome = payload
-        mote = self.mote_states.get(rx)
-        if mote is not None and mote.mode is MoteMode.SLEEPING:
-            return  # radio powered down
         if outcome is PacketOutcome.LOST:
             return
         c = self.counts
@@ -527,17 +514,21 @@ class Simulation:
             self._direct_satellite_fallback(t, ms_id)
 
     def _direct_satellite_fallback(self, t: float, ms_id: str):
-        st = self.ms_states[ms_id]
         decision = MscDecision(next(self.ids),
                                DecisionOutcome.SATELLITE_FALLBACK)
         self.decision_log.append((ms_id, decision))
-        record = establish_link(decision, ms_id, (), t,
+        self._send(ms_id, Frame("sat_request", ms_id,
+                                dst=self.satellite_id, channel="satlink"))
+        self._bring_up(t, ms_id, decision, ())
+
+    def _bring_up(self, t: float, ms_id: str, decision: MscDecision,
+                  relay_path: tuple):
+        """Start the link `decision` chose; an establish event ends it."""
+        self.ms_states[ms_id].awaiting_link = True
+        record = establish_link(decision, ms_id, relay_path, t,
                                 self.p.steering_delay,
                                 self.p.satellite_acquisition_delay,
                                 self.satellite_id)
-        st.awaiting_link = True
-        self._send(ms_id, Frame("sat_request", ms_id,
-                                dst=self.satellite_id, channel="satlink"))
         self.queue.schedule(record.established_at, ms_id,
                             ("establish", ms_id, record,
                              decision.request_id))
@@ -552,28 +543,21 @@ class Simulation:
         if esc.request_id in self.msc_established:
             release_motes(esc.relay_path, self.mote_states)
             return
-        if esc.request_id in self.msc_decisions:
+        if esc.request_id in self.msc_decided:
             return  # duplicate from a second base station
         decision = msc_decide(esc.request_id, esc.ms_location,
                               self.bs_positions, self.p.max_steer_range,
                               self.satellite_id is not None)
-        self.msc_decisions[esc.request_id] = decision
+        self.msc_decided.add(esc.request_id)
         self.decision_log.append((esc.ms_id, decision))
         st = self.ms_states[esc.ms_id]
         if st.link is not None:
             return  # stale answer, the mobile is already served
         st.pending_request = None
-        st.awaiting_link = True
-        record = establish_link(decision, esc.ms_id, esc.relay_path, t,
-                                self.p.steering_delay,
-                                self.p.satellite_acquisition_delay,
-                                self.satellite_id)
         if decision.outcome is DecisionOutcome.SATELLITE_FALLBACK:
             self.queue.schedule(t + self.p.backhaul_delay, self.satellite_id,
                                 ("sat_locate", esc.ms_id))
-        self.queue.schedule(record.established_at, esc.ms_id,
-                            ("establish", esc.ms_id, record,
-                             esc.request_id))
+        self._bring_up(t, esc.ms_id, decision, esc.relay_path)
 
     def _on_sat_locate(self, t: float, payload):
         # the switching centre uplinks the mobile's location; the satellite

@@ -1,8 +1,98 @@
-"""Invariants a finished run must satisfy, shared by the test modules."""
+"""Invariants a run must satisfy, shared by the test modules."""
 
+import math
+
+from wsnhandoff import simulation
+from wsnhandoff.protocol import MoteMode
 from wsnhandoff.routing import INFINITY_METRIC
 from wsnhandoff.scenario import Scenario, effective_profile
+from wsnhandoff.stats import counter_by_token
 from wsnhandoff.world import NodeKind, comm_graph
+
+RADIO_SENDERS = (NodeKind.MOTE, NodeKind.MOBILE_STATION)
+RADIO_RECEIVERS = (NodeKind.MOTE, NodeKind.BASE_STATION)
+
+
+def _watch_traffic(sim):
+    """Wrap `sim`'s transmit and drain so that, as it runs, they assert the
+    traffic facts simulation.py relies on: every radio sender is a mote or
+    a handset, every radio receiver a mote or a base station, no unicast
+    frame is addressed to a mote, and no drain finds its queue empty."""
+    kinds = sim.kinds
+    transmit, drain = sim._transmit, sim._handlers["drain"]
+
+    def watched_transmit(t, node_id, frame):
+        if frame.dst is None or frame.channel == "radio":
+            assert kinds[node_id] in RADIO_SENDERS, (t, node_id, frame.kind)
+            for rx in frame.targets if frame.dst is None else (frame.dst,):
+                assert kinds[rx] in RADIO_RECEIVERS, (t, node_id, rx,
+                                                      frame.kind)
+        if frame.dst is not None:
+            assert kinds[frame.dst] is not NodeKind.MOTE, (t, node_id,
+                                                           frame.kind)
+        transmit(t, node_id, frame)
+
+    def watched_drain(t, payload):
+        assert len(sim.node_queues[payload[1]]), (t, payload[1])
+        drain(t, payload)
+
+    sim._transmit = watched_transmit
+    sim._handlers["drain"] = watched_drain
+
+
+def check_run(sim):
+    """Run `sim` and assert the model's invariants; returns its report.
+
+    During the run: the traffic facts of _watch_traffic, and a dispatch
+    clock that never goes back.  At the end: every node queue conserves
+    its frames (queued == dequeued + dropped + backlog), the ledger's
+    queue counters equal the sums over the mote queues and over the
+    others, net_fifo.peak_queue_size is the largest FIFO peak, and each
+    sleeping mote has spent exactly the energy it had when release_motes
+    (watched through the name simulation.py calls) put it to sleep."""
+    _watch_traffic(sim)
+    dispatch = sim._dispatch
+    clock = -math.inf
+
+    def watched_dispatch(ev):
+        nonlocal clock
+        assert ev[0] >= clock, (clock, ev)
+        clock = ev[0]
+        dispatch(ev)
+
+    frozen = {}  # mote -> energy spent when first put to sleep
+    release = simulation.release_motes
+
+    def watched_release(path, mote_states):
+        release(path, mote_states)
+        if mote_states is sim.mote_states:
+            for m in path:
+                frozen.setdefault(m, mote_states[m].energy_consumed)
+
+    sim._dispatch = watched_dispatch
+    simulation.release_motes = watched_release
+    try:
+        report = sim.run()
+    finally:
+        simulation.release_motes = release
+
+    for node_id, q in sim.node_queues.items():
+        assert q.queued == q.dequeued + q.dropped + len(q), node_id
+    motes = [q for n, q in sim.node_queues.items() if n in sim.mote_states]
+    others = [q for n, q in sim.node_queues.items()
+              if n not in sim.mote_states]
+    ledger = report.ledger
+    for layer, queues in (("net_strict_prior", motes), ("net_fifo", others)):
+        for counter in ("queued", "dequeued"):
+            got = ledger.get(counter_by_token(f"{layer}.packets_{counter}"))
+            assert got == sum(getattr(q, counter) for q in queues), (layer,
+                                                                    counter)
+    assert (ledger.get(counter_by_token("net_fifo.peak_queue_size"))
+            == max((q.peak_size for q in others), default=0))
+    sleeping = {m: st.energy_consumed for m, st in sim.mote_states.items()
+                if st.mode is MoteMode.SLEEPING}
+    assert sleeping == frozen
+    return report
 
 
 def _static_graph(s: Scenario):

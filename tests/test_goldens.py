@@ -19,14 +19,13 @@ import dataclasses
 import hashlib
 
 import pytest
-from invariants import check_dv_tables, check_relay_paths
+from invariants import check_dv_tables, check_relay_paths, check_run
 
 from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
 from wsnhandoff.report import serialize_report
 from wsnhandoff.simulation import Simulation
-from wsnhandoff.stats import counter_by_token
 from wsnhandoff.world import MobilityPath, NodeKind, Point
 
 
@@ -98,7 +97,7 @@ GOLDENS = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_matches_golden(name):
     sim = Simulation(SCENARIOS[name]())
-    report = sim.run()
+    report = check_run(sim)
     check_dv_tables(sim)
     text = serialize_report(report)
     got = (report.digest, report.events_processed,
@@ -126,7 +125,7 @@ class _DigestRecorder:
 def test_digest_hashes_one_line_per_event(name):
     sim = Simulation(SCENARIOS[name]())
     sim._digest = recorder = _DigestRecorder()
-    report = sim.run()
+    report = check_run(sim)
     text = b"".join(recorder.updates)
     assert hashlib.sha256(text).hexdigest() == report.digest
     assert report.digest == GOLDENS[name][0]
@@ -140,7 +139,7 @@ def test_digest_hashes_one_line_per_event(name):
 
 def test_drop_scenario_drops_frames_and_streams_payload():
     sim = Simulation(drop_scenario())
-    report = sim.run()
+    report = check_run(sim)
     check_dv_tables(sim)
     assert sum(q.dropped for q in sim.node_queues.values()) > 0
     assert report.links  # the payload stream runs over an established link
@@ -150,28 +149,15 @@ def test_drop_scenario_drops_frames_and_streams_payload():
                                   "reference-drops"])
 def test_queues_conserve_frames_and_match_the_ledger(name):
     sim = Simulation(SCENARIOS[name]())
-    ledger = sim.run().ledger
+    check_run(sim)
     check_dv_tables(sim)
-    for node_id, q in sim.node_queues.items():
-        assert q.queued == q.dequeued + q.dropped + len(q), node_id
-    motes = [q for n, q in sim.node_queues.items()
-             if sim.kinds[n] is NodeKind.MOTE]
-    others = [q for n, q in sim.node_queues.items()
-              if sim.kinds[n] is not NodeKind.MOTE]
-    for layer, queues in (("net_strict_prior", motes), ("net_fifo", others)):
-        for counter, attr in (("packets_queued", "queued"),
-                              ("packets_dequeued", "dequeued")):
-            got = ledger.get(counter_by_token(f"{layer}.{counter}"))
-            assert got == sum(getattr(q, attr) for q in queues)
-    assert (ledger.get(counter_by_token("net_fifo.peak_queue_size"))
-            == max(q.peak_size for q in others))
 
 
 def test_relay_paths_are_mote_paths_within_the_ttl():
     checked = routes = 0
     for name in sorted(SCENARIOS):
         sim = Simulation(SCENARIOS[name]())
-        checked += check_relay_paths(sim.s, sim.run())
+        checked += check_relay_paths(sim.s, check_run(sim))
         routes += check_dv_tables(sim)
     assert checked >= 10  # most golden runs hand off through the mesh
     assert routes >= 3  # links whose relay path has two or more motes

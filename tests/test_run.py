@@ -7,7 +7,7 @@ import random
 from collections import deque
 
 import pytest
-from invariants import check_dv_tables, check_relay_paths
+from invariants import check_dv_tables, check_relay_paths, check_run
 
 from wsnhandoff import simulation
 from wsnhandoff.protocol import DecisionOutcome, MoteMode
@@ -469,7 +469,7 @@ def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl():
         s = _random_walk_world(rng)
         sim = Simulation(dataclasses.replace(
             s, params=SimParams(default_ttl=rng.randint(1, 6))))
-        checked += check_relay_paths(sim.s, sim.run())
+        checked += check_relay_paths(sim.s, check_run(sim))
         routes += check_dv_tables(sim)
     for n in (3, 5):  # chains the flood crosses with its last hop of TTL
         s = dataclasses.replace(_line_scenario(n),
@@ -525,10 +525,9 @@ def _random_walk_world(rng) -> Scenario:
 def _boundary_worlds() -> list:
     """Stationary handsets around one fixed node at the origin: exactly at
     the binding range_radius() of the pair, one float step inside it and
-    one step outside, on the axes so that each distance is exact.  Two more
-    handsets stand exactly one handset radius and one step more from a
-    third.  The fixed node is a mote or a base station, with the smaller
-    radius on either end of the pair.  The last worlds hold radios whose
+    one step outside, on the axes so that each distance is exact.  The
+    fixed node is a mote or a base station, with the smaller radius on
+    either end of the pair.  The last worlds hold radios whose
     range_radius() overflows, underflows, or is blurred by rounding of dB
     values of huge magnitude (a handset 0.5% past it still links)."""
     hot = profile_for_range(400.0, error_margin_db=1.0)
@@ -541,11 +540,8 @@ def _boundary_worlds() -> list:
         ms = effective_profile(NodeSpec("ms", NodeKind.MOBILE_STATION,
                                         Point(0.0, 0.0), ms_profile))
         r = min(effective_profile(node).range_radius(), ms.range_radius())
-        r_ms = ms.range_radius()
         spots = [Point(r, 0.0), Point(0.0, math.nextafter(r, 0.0)),
-                 Point(-math.nextafter(r, math.inf), 0.0),
-                 Point(0.0, 5000.0), Point(r_ms, 5000.0),
-                 Point(-math.nextafter(r_ms, math.inf), 5000.0)]
+                 Point(-math.nextafter(r, math.inf), 0.0)]
         worlds.append([node] + [
             NodeSpec(f"ms{i}", NodeKind.MOBILE_STATION, p, ms_profile)
             for i, p in enumerate(spots)])
@@ -566,6 +562,8 @@ def _boundary_worlds() -> list:
 
 
 def test_handset_rows_match_a_full_graph_rebuild():
+    # a coverage check reads only a handset's base stations and motes
+    fixed = (NodeKind.BASE_STATION, NodeKind.MOTE)
     rng = random.Random(4242)
     worlds = [_random_walk_world(rng) for _ in range(40)]
     compared = 0
@@ -575,7 +573,8 @@ def test_handset_rows_match_a_full_graph_rebuild():
             oracle = _full_graph_at(s, t)
             rows = sim.handset_graph(t)
             for ms_id in sim.ms_states:
-                assert rows[ms_id] == oracle[ms_id]
+                assert rows[ms_id] == {n for n in oracle[ms_id]
+                                       if sim.kinds[n] in fixed}
                 compared += 1
     assert compared > 300
 

@@ -196,6 +196,13 @@ def _with_m01_at(s: Scenario, point: Point) -> Scenario:
         for n in s.nodes))
 
 
+def _with_m01_profile(s: Scenario, **change) -> Scenario:
+    return dataclasses.replace(s, nodes=tuple(
+        dataclasses.replace(n, profile=dataclasses.replace(
+            effective_profile(n), **change)) if n.node_id == "m01" else n
+        for n in s.nodes))
+
+
 INF, NAN = float("inf"), float("nan")
 
 
@@ -229,6 +236,16 @@ def test_non_finite_values_rejected_in_a_scenario_built_in_code(change,
      "position of 'm01' must be finite"),
     (lambda s: _with_m01_at(s, Point(5.0, NAN)),
      "position of 'm01' must be finite"),
+    (lambda s: _with_m01_profile(s, tx_power_dbm=NAN),
+     "profile of 'm01' must be finite"),
+    (lambda s: _with_m01_profile(s, tx_power_dbm=INF),
+     "profile of 'm01' must be finite"),
+    (lambda s: _with_m01_profile(s, sensitivity_dbm=-INF),
+     "profile of 'm01' must be finite"),
+    (lambda s: _with_m01_profile(s, error_margin_db=NAN),
+     "profile of 'm01' must be finite"),
+    (lambda s: _with_m01_profile(s, reference_loss_db=INF),
+     "profile of 'm01' must be finite"),
     (lambda s: _with_ms1_path(s, MobilityPath((Point(5.0, 1.0),), INF)),
      "mobility of 'ms1' must be finite"),
     (lambda s: _with_ms1_path(s, MobilityPath((Point(-INF, 1.0),), 8.0)),
