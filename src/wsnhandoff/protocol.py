@@ -13,6 +13,7 @@ on the delivered path goes to sleep to save its battery.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .world import NodeKind, Point
 
@@ -28,8 +29,7 @@ class NoSatelliteError(RuntimeError):
     """Fallback required but the scenario deploys no satellite."""
 
 
-@dataclass(frozen=True)
-class DiscoveryRequest:
+class DiscoveryRequest(NamedTuple):
     request_id: int
     ms_id: str
     ms_location: Point
@@ -40,6 +40,12 @@ class DiscoveryRequest:
 class MoteMode(Enum):
     ACTIVE = "active"
     SLEEPING = "sleeping"
+
+
+# Members compared on every received copy, bound once: a module global is
+# read several times faster than an Enum class attribute.
+SLEEPING = MoteMode.SLEEPING
+BASE_STATION = NodeKind.BASE_STATION
 
 
 @dataclass
@@ -86,7 +92,7 @@ class LinkRecord:
 
 def detect_loss(row, kinds: dict) -> bool:
     """True when no base station is in a mobile station's graph row."""
-    return not any(kinds[n] is NodeKind.BASE_STATION for n in row)
+    return not any(kinds[n] is BASE_STATION for n in row)
 
 
 def make_discovery(ms_id: str, location: Point, adjacent_active_motes,
@@ -102,22 +108,22 @@ def make_discovery(ms_id: str, location: Point, adjacent_active_motes,
 
 
 def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
-                 bs_neighbors: tuple, mote_neighbors: tuple,
-                 mote_states: dict):
+                 bs_neighbors: tuple, active_neighbors: tuple):
     """Process one received discovery copy at a mote.
 
-    `bs_neighbors` and `mote_neighbors` are the mote's base-station and
-    mote neighbours in the static graph, each sorted by id.  Sleeping
-    motes, duplicates, exhausted TTLs and path revisits return None; the
-    request id still lands in `seen` so later copies are recognised.  A
-    forwarding mote appends itself to the path, decrements the TTL, pays one
-    energy unit for the transmission, and returns (request, dst, targets):
-    (fwd, first adjacent base station, ()) to hand the request over, else
-    (fwd, None, adjacent active motes not on the path) to re-flood it.
+    `bs_neighbors` are the mote's base-station neighbours in the static
+    graph and `active_neighbors` its mote neighbours that are awake, each
+    sorted by id.  Sleeping motes, duplicates, exhausted TTLs and path
+    revisits return None; the request id still lands in `seen` so later
+    copies are recognised.  A forwarding mote appends itself to the path,
+    decrements the TTL, pays one energy unit for the transmission, and
+    returns (request, dst, targets): (fwd, first adjacent base station, ())
+    to hand the request over, else (fwd, None, active neighbours not on the
+    path) to re-flood it.
     """
     duplicate = req.request_id in state.seen
     state.seen.add(req.request_id)
-    if (state.mode is MoteMode.SLEEPING or duplicate
+    if (state.mode is SLEEPING or duplicate
             or req.ttl == 0 or mote_id in req.path):
         return None
     path = req.path + (mote_id,)
@@ -126,9 +132,7 @@ def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
     state.energy_consumed += ENERGY_PER_TX
     if bs_neighbors:
         return fwd, bs_neighbors[0], ()
-    targets = tuple(n for n in mote_neighbors
-                    if n not in path
-                    and mote_states[n].mode is MoteMode.ACTIVE)
+    targets = tuple(n for n in active_neighbors if n not in path)
     # an empty target tuple still keys the radio once, hence the charge above
     return fwd, None, targets
 
@@ -195,4 +199,4 @@ def release_motes(path, mote_states: dict):
     and re-releasing an already sleeping mote is a no-op.
     """
     for m in path:
-        mote_states[m].mode = MoteMode.SLEEPING
+        mote_states[m].mode = SLEEPING

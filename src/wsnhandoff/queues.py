@@ -63,9 +63,10 @@ class StrictPriorityQueue:
     def __init__(self, capacity_per_class: int = DEFAULT_CAPACITY):
         self.classes = [FifoQueue(capacity_per_class)
                         for _ in range(PRIORITY_CLASSES)]
+        self._lanes = [q._items for q in self.classes]
 
     def __len__(self):
-        return sum(map(len, self.classes))
+        return sum(map(len, self._lanes))  # no Python-level call per lane
 
     def enqueue(self, item) -> EnqueueResult:
         return self.classes[item.priority_class].enqueue(item)

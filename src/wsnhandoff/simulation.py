@@ -25,18 +25,24 @@ leaves the same digest as one event per receiver.
 
 Only mobile stations move (validation rejects mobility on other nodes), so
 the full graph is built once, at start, and read into fixed tables: each
-mote's sorted base-station and mote neighbours, which drive discovery floods
-and distance-vector broadcasts, and the fixed radio nodes with their squared
-reach.  A coverage check positions each handset once and puts through the
-graph's edge rule only the base stations and motes within reach of both
-ends: they are all it reads.  Radio frames are heard only by motes and base
-stations, which never move, so a fixed sender's outcomes are computed once
-per receiver, on its first transmit to it, into a row per sender.
+mote's sorted base-station and mote neighbours, and the fixed radio nodes
+with their squared reach.  A mote's awake mote neighbours, the targets of
+its discovery floods and distance-vector broadcasts, are kept as one tuple
+per mote (active_rows) and refreshed only when motes are put to sleep,
+since nothing else changes a mote's mode.  A coverage check positions each
+handset once and puts through the graph's edge rule only the base stations
+and motes within reach of both ends: they are all it reads.  Radio frames
+are heard only by motes and base stations, which never move, so a fixed
+sender's outcomes are computed once per receiver, on its first transmit to
+it, into a row per sender.
+
+The per-event paths compare against Enum members bound once at import
+(LOST, SLEEPING, BASE_STATION, ...), like the ledger slots, as a module
+global is read several times faster than an Enum class attribute.
 """
 
 import hashlib
 import itertools
-import math
 from dataclasses import dataclass
 
 from .engine import EventQueue, RngStream
@@ -49,9 +55,9 @@ from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
                       apply_update, periodic_update, shortest_path)
 from .scenario import Scenario, effective_profile, validate_scenario
 from .stats import CounterKey, Layer, StatsLedger, slot
-from .world import (NodeKind, PacketOutcome, Point, RadioProfile,
-                    check_distinct, comm_graph, halt_time, in_range, linked,
-                    packet_outcome, position_at, received_power)
+from .world import (NodeKind, PacketOutcome, check_distinct, comm_graph,
+                    halt_time, linked, packet_outcome, position_at,
+                    reach_sq, received_power)
 
 CONTROL_CLASS = 0
 PAYLOAD_CLASS = 1
@@ -60,20 +66,6 @@ DEFAULT_IP_TTL = 16
 
 def _slot(layer: Layer, name: str) -> int:
     return slot(CounterKey(layer, name))
-
-
-def _reach_sq(profile: RadioProfile) -> float:
-    """Squared distance past which `profile` hears nothing, as received
-    power only falls with distance: (1 + 1e-6) * range_radius()**2, or inf
-    when that radius overflows or rounding still hears a node just past it."""
-    try:
-        r = profile.range_radius()
-    except OverflowError:
-        return math.inf
-    edge = Point(r * (1 + 4e-7), 0.0)
-    if r == 0 or in_range(Point(0.0, 0.0), edge, profile):
-        return math.inf
-    return (1 + 1e-6) * r * r
 
 
 # Ledger slots, resolved at import so a misspelt counter fails there.
@@ -105,6 +97,16 @@ UDP_FROM_APP = _slot(Layer.TRANSPORT_UDP, "packets_from_app")
 UDP_TO_APP = _slot(Layer.TRANSPORT_UDP, "packets_to_app")
 DV_TRIGGERED = _slot(Layer.APP_BELLMAN_FORD, "triggered_updates")
 DV_RECEIVED = _slot(Layer.APP_BELLMAN_FORD, "update_packets_received")
+
+# Enum members the per-event paths compare against, bound at import.
+LOST = PacketOutcome.LOST
+ERRORED = PacketOutcome.ERRORED
+DELIVERED = PacketOutcome.DELIVERED
+ACTIVE = MoteMode.ACTIVE
+SLEEPING = MoteMode.SLEEPING
+MOTE = NodeKind.MOTE
+BASE_STATION = NodeKind.BASE_STATION
+SATELLITE = NodeKind.SATELLITE
 
 
 @dataclass(slots=True)
@@ -167,20 +169,20 @@ class Simulation:
                         for n, path in scenario.mobility.items()}
         self._fixed_outcomes = {}  # src -> {rx: PacketOutcome}, src fixed
         self.mote_states = {n.node_id: MoteState()
-                            for n in scenario.by_kind(NodeKind.MOTE)}
+                            for n in scenario.by_kind(MOTE)}
         self.ms_states = {n.node_id: MsState()
                           for n in scenario.by_kind(NodeKind.MOBILE_STATION)}
         self.bs_positions = {n.node_id: n.position
-                             for n in scenario.by_kind(NodeKind.BASE_STATION)}
+                             for n in scenario.by_kind(BASE_STATION)}
         self.bs_seen = {b: set() for b in self.bs_positions}
         self.satellite_id = min((n.node_id for n in scenario.by_kind(
-            NodeKind.SATELLITE)), default=None)
+            SATELLITE)), default=None)
         mscs = scenario.by_kind(NodeKind.MSC)
         self.msc_id = mscs[0].node_id if mscs else None
 
         self.node_queues = {}
         for n in scenario.nodes:
-            if n.kind is NodeKind.MOTE:
+            if n.kind is MOTE:
                 self.node_queues[n.node_id] = \
                     StrictPriorityQueue(self.p.queue_capacity)
             elif n.kind is not NodeKind.MSC:
@@ -197,20 +199,23 @@ class Simulation:
         for m in self.mote_states:
             row = sorted(static_graph[m])
             self.bs_rows[m] = tuple(
-                n for n in row if kinds[n] is NodeKind.BASE_STATION)
+                n for n in row if kinds[n] is BASE_STATION)
             self.mote_rows[m] = tuple(
-                n for n in row if kinds[n] is NodeKind.MOTE)
+                n for n in row if kinds[n] is MOTE)
+        # Each mote's awake mote neighbours, in mote_rows order; _release
+        # keeps them current, as only release_motes changes a mode.
+        self.active_rows = dict(self.mote_rows)
         self.lanes = Lanes(self.mote_states)
         self.tables = {m: Table(m, self.lanes) for m in self.lanes.names}
         # The squared reach of each handset and of what a coverage check
         # tests it against: the base stations and motes.
-        self.handset_reach = {ms: _reach_sq(self.profiles[ms])
+        self.handset_reach = {ms: reach_sq(self.profiles[ms])
                               for ms in self.ms_states}
         self.fixed_radios = [
             (n.node_id, n.position.x, n.position.y,
-             _reach_sq(self.profiles[n.node_id]))
+             reach_sq(self.profiles[n.node_id]))
             for n in scenario.nodes
-            if n.kind in (NodeKind.BASE_STATION, NodeKind.MOTE)]
+            if n.kind in (BASE_STATION, MOTE)]
 
         self.msc_paths = {}        # request id -> escalated relay paths
         self.msc_decided = set()   # request ids
@@ -324,7 +329,7 @@ class Simulation:
         frame = q.dequeue()
         mote = self.mote_states.get(node_id)
         self.counts[FIFO_DEQUEUED if mote is None else PRIO_DEQUEUED] += 1
-        if mote is None or mote.mode is not MoteMode.SLEEPING:
+        if mote is None or mote.mode is not SLEEPING:
             self._transmit(t, node_id, frame)
         if len(q):
             self.queue.schedule(t + self.p.tx_slot, node_id, payload)
@@ -355,16 +360,16 @@ class Simulation:
         if frame.channel == "radio":
             (outcome,) = self._radio_outcomes(node_id, (rx,), t)
         else:
-            outcome = PacketOutcome.DELIVERED
+            outcome = DELIVERED
         self.queue.schedule(at, rx, ("deliver", frame, rx, outcome))
 
     def _on_deliver(self, t: float, payload):
         _, frame, rx, outcome = payload
-        if outcome is PacketOutcome.LOST:
+        if outcome is LOST:
             return
         c = self.counts
         c[PHY_LOCKED] += 1
-        if outcome is PacketOutcome.ERRORED:
+        if outcome is ERRORED:
             c[PHY_ERRORS] += 1
             return
         c[PHY_TO_MAC] += 1
@@ -387,12 +392,12 @@ class Simulation:
         locked = errors = 0
         for rx, outcome in zip(receivers, outcomes):
             mote = motes.get(rx)
-            if mote is not None and mote.mode is MoteMode.SLEEPING:
+            if mote is not None and mote.mode is SLEEPING:
                 continue  # radio powered down
-            if outcome is PacketOutcome.LOST:
+            if outcome is LOST:
                 continue
             locked += 1
-            if outcome is PacketOutcome.ERRORED:
+            if outcome is ERRORED:
                 errors += 1
                 continue
             receive(t, frame, rx)
@@ -409,15 +414,14 @@ class Simulation:
 
     def _rx_discovery(self, t: float, frame: Frame, rx: str):
         req = frame.payload
-        if self.kinds[rx] is NodeKind.BASE_STATION:
+        if self.kinds[rx] is BASE_STATION:
             esc = bs_notify_msc(rx, req, self.bs_seen[rx])
             if esc is not None and self.msc_id is not None:
                 self.queue.schedule(t + self.p.backhaul_delay, self.msc_id,
                                     ("backhaul", esc))
             return
         forward = mote_forward(rx, self.mote_states[rx], req,
-                               self.bs_rows[rx], self.mote_rows[rx],
-                               self.mote_states)
+                               self.bs_rows[rx], self.active_rows[rx])
         if forward is not None:
             fwd, dst, targets = forward
             self._send(rx, Frame("discovery", rx, dst=dst, targets=targets,
@@ -430,10 +434,10 @@ class Simulation:
                                self.mote_rows[rx])
         if changed:
             c[DV_TRIGGERED] += 1
-            self._broadcast_dv(rx)
+            self._broadcast_dv(rx, self.active_rows[rx])
 
     def _rx_payload(self, t: float, frame: Frame, rx: str):
-        if self.kinds[rx] is NodeKind.SATELLITE and frame.relay:
+        if self.kinds[rx] is SATELLITE and frame.relay:
             # bent-pipe to the switching centre
             self.counts[SAT_RELAYED] += 1
             self.counts[SAT_SENT] += 1
@@ -453,9 +457,7 @@ class Simulation:
 
     # ---- distance-vector plumbing -----------------------------------
 
-    def _broadcast_dv(self, mote: str):
-        targets = tuple(n for n in self.mote_rows[mote]
-                        if self.mote_states[n].mode is MoteMode.ACTIVE)
+    def _broadcast_dv(self, mote: str, targets: tuple):
         if not targets:
             return
         self._send(mote, Frame("dv", mote, targets=targets,
@@ -463,9 +465,9 @@ class Simulation:
 
     def _on_dv_send(self, t: float, payload):
         mote = payload[1]
-        if self.mote_states[mote].mode is MoteMode.SLEEPING:
+        if self.mote_states[mote].mode is SLEEPING:
             return
-        self._broadcast_dv(mote)
+        self._broadcast_dv(mote, self.active_rows[mote])
         self.queue.schedule(t + self.p.dv_period, mote, payload)
 
     # ---- coverage checks and the handoff state machine ---------------
@@ -481,7 +483,7 @@ class Simulation:
     def _check_ms(self, t: float, ms_id: str, row: set):
         st = self.ms_states[ms_id]
         if st.link is not None:
-            if st.link.endpoint.kind is NodeKind.BASE_STATION:
+            if st.link.endpoint.kind is BASE_STATION:
                 bs_pos = self.bs_positions[st.link.endpoint.node_id]
                 if (bs_pos.distance_to(self.here[ms_id])
                         > self.p.max_steer_range):
@@ -499,8 +501,8 @@ class Simulation:
         if not detect_loss(row, self.kinds):
             return
         motes = [m for m in sorted(row)
-                 if self.kinds[m] is NodeKind.MOTE
-                 and self.mote_states[m].mode is MoteMode.ACTIVE]
+                 if self.kinds[m] is MOTE
+                 and self.mote_states[m].mode is ACTIVE]
         halted = self.halted(ms_id, t)
         if motes and not (halted and st.failed_after_halt > 0):
             req = make_discovery(ms_id, self.here[ms_id], motes,
@@ -541,7 +543,7 @@ class Simulation:
         paths = self.msc_paths.setdefault(esc.request_id, [])
         paths.append(esc.relay_path)
         if esc.request_id in self.msc_established:
-            release_motes(esc.relay_path, self.mote_states)
+            self._release(esc.relay_path)
             return
         if esc.request_id in self.msc_decided:
             return  # duplicate from a second base station
@@ -576,7 +578,7 @@ class Simulation:
             return
         st.link = record
         # Frames are never changed after _send(), so one serves the link.
-        sat = record.endpoint.kind is NodeKind.SATELLITE
+        sat = record.endpoint.kind is SATELLITE
         st.payload_frame = Frame("payload", ms_id, dst=record.endpoint.node_id,
                                  priority_class=PAYLOAD_CLASS,
                                  channel="satlink" if sat else "steered",
@@ -585,9 +587,18 @@ class Simulation:
         self.dv_paths.append(self._dv_route(record))
         self.msc_established.add(request_id)
         for path in self.msc_paths.get(request_id, []):
-            release_motes(path, self.mote_states)
+            self._release(path)
         self.queue.schedule(t + self.p.app_interval, ms_id,
                             ("app", ms_id, record.established_at))
+
+    def _release(self, path: tuple):
+        """Put the motes on `path` to sleep and refresh the awake rows of
+        their neighbours, the only rows that can hold them."""
+        release_motes(path, self.mote_states)
+        states, rows = self.mote_states, self.mote_rows
+        for n in {n for m in path for n in rows[m]}:
+            self.active_rows[n] = tuple(
+                x for x in rows[n] if states[x].mode is ACTIVE)
 
     def _dv_route(self, record: LinkRecord):
         """Converged-table route between the relay path's endpoints, kept
@@ -621,7 +632,7 @@ class Simulation:
         t, seq, target, payload = ev
         if t != self._stamp_t:
             self._stamp_t = t
-            self._stamp = f"\n{t:.6f} "
+            self._stamp = "\n%.6f " % t
         if target.__class__ is tuple:
             self._deliver_burst(t, seq, target, payload)
             return

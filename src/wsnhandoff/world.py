@@ -92,6 +92,12 @@ class PacketOutcome(Enum):
     LOST = "lost"
 
 
+# Members the per-pair edge rule compares against, bound once: a module
+# global is read several times faster than an Enum class attribute.
+MSC = NodeKind.MSC
+SATELLITE = NodeKind.SATELLITE
+
+
 def packet_outcome(profile: RadioProfile, rx_power_dbm: float) -> PacketOutcome:
     """Classify a reception.
 
@@ -196,9 +202,9 @@ def linked(a: str, b: str, positions: dict, kinds: dict,
     profile.  The rule is symmetric in a and b.
     """
     ka, kb = kinds[a], kinds[b]
-    if ka is NodeKind.MSC or kb is NodeKind.MSC:
+    if ka is MSC or kb is MSC:
         return False
-    if ka is NodeKind.SATELLITE or kb is NodeKind.SATELLITE:
+    if ka is SATELLITE or kb is SATELLITE:
         return True
     pa, pb = profiles.get(a), profiles.get(b)
     if pa is None or pb is None:
@@ -207,18 +213,47 @@ def linked(a: str, b: str, positions: dict, kinds: dict,
             and in_range(positions[a], positions[b], pb))
 
 
+def reach_sq(profile: RadioProfile) -> float:
+    """Squared distance past which `profile` hears nothing, as received
+    power only falls with distance: (1 + 1e-6) * range_radius()**2, or inf
+    when that radius overflows or rounding still hears a node just past it."""
+    try:
+        r = profile.range_radius()
+    except OverflowError:
+        return math.inf
+    edge = Point(r * (1 + 4e-7), 0.0)
+    if r == 0 or in_range(Point(0.0, 0.0), edge, profile):
+        return math.inf
+    return (1 + 1e-6) * r * r
+
+
 def comm_graph(positions: dict, kinds: dict, profiles: dict) -> dict:
     """The communication graph at one instant: node id -> neighbour ids.
 
     positions/kinds/profiles map node id to Point / NodeKind / RadioProfile
     (profile may be None for nodes without a radio).  Raises CoLocatedError
-    when two nodes occupy the same Point.
+    when two nodes occupy the same Point.  A pair of radio nodes farther
+    apart than either end's reach_sq cannot link and skips the edge rule;
+    every other pair goes through `linked`.
     """
     check_distinct(positions)
     ids = sorted(positions)
     adj = {n: set() for n in ids}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
+    # (id, x, y, squared reach); the reach is None where the rule ignores
+    # distance: no radio, a switching centre or a satellite
+    nodes = []
+    for n in ids:
+        profile = profiles.get(n)
+        radio = profile is not None and kinds[n] not in (MSC, SATELLITE)
+        nodes.append((n, positions[n].x, positions[n].y,
+                      reach_sq(profile) if radio else None))
+    for i, (a, ax, ay, reach_a) in enumerate(nodes):
+        for b, bx, by, reach_b in nodes[i + 1:]:
+            if reach_a is not None and reach_b is not None:
+                dx, dy = ax - bx, ay - by
+                d2 = dx * dx + dy * dy
+                if d2 > reach_a or d2 > reach_b:
+                    continue
             if linked(a, b, positions, kinds, profiles):
                 adj[a].add(b)
                 adj[b].add(a)

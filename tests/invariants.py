@@ -47,9 +47,11 @@ def check_run(sim):
     clock that never goes back.  At the end: every node queue conserves
     its frames (queued == dequeued + dropped + backlog), the ledger's
     queue counters equal the sums over the mote queues and over the
-    others, net_fifo.peak_queue_size is the largest FIFO peak, and each
+    others, net_fifo.peak_queue_size is the largest FIFO peak, each
     sleeping mote has spent exactly the energy it had when release_motes
-    (watched through the name simulation.py calls) put it to sleep."""
+    (watched through the name simulation.py calls) put it to sleep, and
+    each mote's awake row holds its mote neighbours in the static graph
+    (rebuilt here) that are awake, sorted by id."""
     _watch_traffic(sim)
     dispatch = sim._dispatch
     clock = -math.inf
@@ -92,6 +94,12 @@ def check_run(sim):
     sleeping = {m: st.energy_consumed for m, st in sim.mote_states.items()
                 if st.mode is MoteMode.SLEEPING}
     assert sleeping == frozen
+    graph, kinds = _static_graph(sim.s), sim.kinds
+    assert sorted(sim.active_rows) == sorted(sim.mote_states)
+    for m, row in sim.active_rows.items():
+        assert row == tuple(n for n in sorted(graph[m])
+                            if kinds[n] is NodeKind.MOTE
+                            and sim.mote_states[n].mode is MoteMode.ACTIVE), m
     return report
 
 

@@ -10,23 +10,27 @@ from wsnhandoff.protocol import (DEFAULT_TTL, DecisionOutcome,
                                  bs_notify_msc, detect_loss, establish_link,
                                  make_discovery, mote_forward, msc_decide,
                                  release_motes, steer_feasible)
+from wsnhandoff.scenario import NodeSpec, Scenario
+from wsnhandoff.simulation import Simulation
 from wsnhandoff.world import NodeKind, Point, comm_graph, profile_for_range
+
+
+LINE_POSITIONS = {"ms": Point(0, 0), "m1": Point(80, 0), "m2": Point(160, 0),
+                  "m3": Point(240, 0), "bs1": Point(320, 0)}
+LINE_KINDS = {"ms": NodeKind.MOBILE_STATION, "m1": NodeKind.MOTE,
+              "m2": NodeKind.MOTE, "m3": NodeKind.MOTE,
+              "bs1": NodeKind.BASE_STATION}
 
 
 def _line_world():
     """ms - m1 - m2 - m3 - bs1 chain, 80 m spacing, 100 m radios."""
-    positions = {"ms": Point(0, 0), "m1": Point(80, 0), "m2": Point(160, 0),
-                 "m3": Point(240, 0), "bs1": Point(320, 0)}
-    kinds = {"ms": NodeKind.MOBILE_STATION, "m1": NodeKind.MOTE,
-             "m2": NodeKind.MOTE, "m3": NodeKind.MOTE,
-             "bs1": NodeKind.BASE_STATION}
-    profiles = {n: profile_for_range(100) for n in positions}
-    return comm_graph(positions, kinds, profiles), kinds
+    profiles = {n: profile_for_range(100) for n in LINE_POSITIONS}
+    return comm_graph(LINE_POSITIONS, LINE_KINDS, profiles), LINE_KINDS
 
 
 def _rows(graph, kinds, mote):
     """The mote's sorted base-station and mote neighbours, as mote_forward
-    takes them."""
+    takes them while every mote is awake."""
     row = sorted(graph[mote])
     return (tuple(n for n in row if kinds[n] is NodeKind.BASE_STATION),
             tuple(n for n in row if kinds[n] is NodeKind.MOTE))
@@ -63,7 +67,7 @@ def test_forward_unicasts_to_adjacent_base_station():
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16, path=("m1", "m2"))
     forward = mote_forward("m3", states["m3"], req,
-                           *_rows(graph, kinds, "m3"), states)
+                           *_rows(graph, kinds, "m3"))
     assert forward == (DiscoveryRequest(
         1, "ms", Point(0, 0), ttl=15, path=("m1", "m2", "m3")), "bs1", ())
     assert states["m3"].energy_consumed == 1
@@ -75,7 +79,7 @@ def test_forward_floods_when_no_base_station_adjacent():
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(7, "ms", Point(0, 0), ttl=16)
     fwd, bs_id, targets = mote_forward("m1", states["m1"], req,
-                                       *_rows(graph, kinds, "m1"), states)
+                                       *_rows(graph, kinds, "m1"))
     assert bs_id is None
     assert targets == ("m2",)  # ms is not a mote, m1 now on the path
     assert fwd.ttl == 15
@@ -83,16 +87,33 @@ def test_forward_floods_when_no_base_station_adjacent():
 
 
 def test_forward_excludes_path_and_sleeping_targets():
-    graph, kinds = _line_world()
-    states = {m: MoteState() for m in ("m1", "m2", "m3")}
-    states["m3"].mode = MoteMode.SLEEPING
+    sim = Simulation(Scenario(tuple(
+        NodeSpec(n, LINE_KINDS[n], p, profile_for_range(100))
+        for n, p in sorted(LINE_POSITIONS.items())), {}))
+    assert sim.active_rows["m2"] == ("m1", "m3")
+    sim._release(("m3",))
+    assert sim.mote_states["m3"].mode is MoteMode.SLEEPING
+    assert not any("m3" in row for row in sim.active_rows.values())
+    states = sim.mote_states
     req = DiscoveryRequest(9, "ms", Point(0, 0), ttl=16, path=("m1",))
-    forward = mote_forward("m2", states["m2"], req,
-                           *_rows(graph, kinds, "m2"), states)
+    forward = mote_forward("m2", states["m2"], req, sim.bs_rows["m2"],
+                           sim.active_rows["m2"])
     # m1 is on the path and m3 sleeps: the radio still keys, to nobody
     assert forward == (DiscoveryRequest(
         9, "ms", Point(0, 0), ttl=15, path=("m1", "m2")), None, ())
     assert states["m2"].energy_consumed == 1
+
+
+def test_discovery_request_is_immutable_and_compares_by_field():
+    req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16)
+    with pytest.raises(AttributeError):
+        req.ttl = 15
+    assert req.path == () and req.ttl == 16
+    same = DiscoveryRequest(1, "ms", Point(0.0, 0.0), 16, ())
+    assert req == same and hash(req) == hash(same)
+    assert req != DiscoveryRequest(1, "ms", Point(0, 0), ttl=15)
+    assert req != DiscoveryRequest(1, "ms", Point(0, 0), 16, ("m1",))
+    assert len({req, same, DiscoveryRequest(2, "ms", Point(0, 0), 16)}) == 2
 
 
 def test_forward_drops_duplicates_without_energy_cost():
@@ -100,10 +121,10 @@ def test_forward_drops_duplicates_without_energy_cost():
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(4, "ms", Point(0, 0), ttl=16)
     first = mote_forward("m1", states["m1"], req,
-                         *_rows(graph, kinds, "m1"), states)
+                         *_rows(graph, kinds, "m1"))
     assert first and states["m1"].energy_consumed == 1
     again = mote_forward("m1", states["m1"], req,
-                         *_rows(graph, kinds, "m1"), states)
+                         *_rows(graph, kinds, "m1"))
     assert again is None
     assert states["m1"].energy_consumed == 1
 
@@ -113,11 +134,11 @@ def test_forward_ignores_exhausted_ttl_and_path_revisit():
     states = {m: MoteState() for m in ("m1", "m2", "m3")}
     dead = DiscoveryRequest(5, "ms", Point(0, 0), ttl=0)
     assert mote_forward("m1", states["m1"], dead,
-                        *_rows(graph, kinds, "m1"), states) is None
+                        *_rows(graph, kinds, "m1")) is None
     assert 5 in states["m1"].seen
     looped = DiscoveryRequest(6, "ms", Point(0, 0), ttl=16, path=("m2",))
     assert mote_forward("m2", states["m2"], looped,
-                        *_rows(graph, kinds, "m2"), states) is None
+                        *_rows(graph, kinds, "m2")) is None
     assert states["m1"].energy_consumed == 0
     assert states["m2"].energy_consumed == 0
 
@@ -128,7 +149,7 @@ def test_sleeping_mote_is_inert_but_remembers():
     states["m1"].mode = MoteMode.SLEEPING
     req = DiscoveryRequest(8, "ms", Point(0, 0), ttl=16)
     assert mote_forward("m1", states["m1"], req,
-                        *_rows(graph, kinds, "m1"), states) is None
+                        *_rows(graph, kinds, "m1")) is None
     assert 8 in states["m1"].seen
     assert states["m1"].energy_consumed == 0
 
@@ -139,13 +160,13 @@ def test_hand_traced_flood_along_the_line():
     req = make_discovery("ms", Point(0, 0), ["m1"], count(1))
     # hop 1: m1 floods to m2
     r1, _, _ = mote_forward("m1", states["m1"], req,
-                            *_rows(graph, kinds, "m1"), states)
+                            *_rows(graph, kinds, "m1"))
     # hop 2: m2 floods to m3
     r2, _, _ = mote_forward("m2", states["m2"], r1,
-                            *_rows(graph, kinds, "m2"), states)
+                            *_rows(graph, kinds, "m2"))
     # hop 3: m3 sees bs1 and unicasts
     r3, bs_id, targets = mote_forward("m3", states["m3"], r2,
-                                      *_rows(graph, kinds, "m3"), states)
+                                      *_rows(graph, kinds, "m3"))
     assert bs_id == "bs1" and targets == ()
     assert r3.path == ("m1", "m2", "m3")
     assert r3.ttl == 13
@@ -161,7 +182,7 @@ def test_multi_bs_unicast_picks_smallest_id():
     states = {"m1": MoteState()}
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16)
     _, bs_id, _ = mote_forward("m1", states["m1"], req,
-                               *_rows(graph, kinds, "m1"), states)
+                               *_rows(graph, kinds, "m1"))
     assert bs_id == "bs2"
 
 
@@ -254,5 +275,5 @@ def test_release_motes_sleeps_path_and_freezes_energy():
     # a released mote no longer forwards or spends energy
     req = DiscoveryRequest(11, "ms", Point(0, 0), ttl=16)
     assert mote_forward("m1", states["m1"], req,
-                        *_rows(graph, kinds, "m1"), states) is None
+                        *_rows(graph, kinds, "m1")) is None
     assert states["m1"].energy_consumed == 4

@@ -19,7 +19,8 @@ from wsnhandoff.report import parse_report_ledger, serialize_report
 from wsnhandoff.simulation import Frame, RunReport, Simulation, run
 from wsnhandoff.stats import (Layer, RegistryMismatchError, counter_by_token)
 from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind,
-                              PacketOutcome, Point, RadioProfile, comm_graph,
+                              PacketOutcome, Point, RadioProfile,
+                              check_distinct, comm_graph, linked,
                               position_at, profile_for_range)
 
 
@@ -482,13 +483,33 @@ def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl():
 # ---- per-handset coverage against the full communication graph ----------
 
 
-def _full_graph_at(s: Scenario, t: float):
-    """Oracle: every node positioned at t and the whole graph rebuilt."""
+def _all_pairs_comm_graph(positions: dict, kinds: dict,
+                          profiles: dict) -> dict:
+    """Oracle: world.comm_graph before it skipped pairs out of reach, which
+    puts every pair of nodes through the edge rule."""
+    check_distinct(positions)
+    ids = sorted(positions)
+    adj = {n: set() for n in ids}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if linked(a, b, positions, kinds, profiles):
+                adj[a].add(b)
+                adj[b].add(a)
+    return adj
+
+
+def _graph_inputs_at(s: Scenario, t: float):
+    """comm_graph's arguments with every node positioned at t."""
     positions = {n.node_id: (position_at(s.mobility[n.node_id], n.position, t)
                              if n.node_id in s.mobility else n.position)
                  for n in s.nodes}
-    return comm_graph(positions, {n.node_id: n.kind for n in s.nodes},
-                      {n.node_id: effective_profile(n) for n in s.nodes})
+    return (positions, {n.node_id: n.kind for n in s.nodes},
+            {n.node_id: effective_profile(n) for n in s.nodes})
+
+
+def _full_graph_at(s: Scenario, t: float):
+    """Oracle: every node positioned at t and the whole graph rebuilt."""
+    return _all_pairs_comm_graph(*_graph_inputs_at(s, t))
 
 
 def _random_walk_world(rng) -> Scenario:
@@ -577,6 +598,15 @@ def test_handset_rows_match_a_full_graph_rebuild():
                                        if sim.kinds[n] in fixed}
                 compared += 1
     assert compared > 300
+
+
+def test_comm_graph_matches_the_all_pairs_oracle():
+    rng = random.Random(4343)
+    worlds = [_random_walk_world(rng) for _ in range(40)] + _boundary_worlds()
+    for s in worlds:
+        for t in [0.0, 1.0, 13.0, 60.0]:
+            inputs = _graph_inputs_at(s, t)
+            assert comm_graph(*inputs) == _all_pairs_comm_graph(*inputs), t
 
 
 def _crossing_world(walkers) -> Scenario:
