@@ -125,14 +125,11 @@ class RngStream:
         z = z XOR (z >> 31)
         draw = (z >> 11) / 2^53
 
-    Each draw() advances the state exactly once; draw_count tracks how many
-    values have been produced.
+    Each draw() advances the state exactly once.
     """
 
     def __init__(self, seed: int):
         self._state = seed & MASK64
-        self.seed = seed & MASK64
-        self.draw_count = 0
 
     def _next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & MASK64
@@ -142,5 +139,4 @@ class RngStream:
         return z ^ (z >> 31)
 
     def draw(self) -> float:
-        self.draw_count += 1
         return (self._next_u64() >> 11) / float(1 << 53)

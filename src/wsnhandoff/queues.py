@@ -12,15 +12,9 @@ holds for both queue types.
 """
 
 from collections import deque
-from enum import Enum
 
 PRIORITY_CLASSES = 3
 DEFAULT_CAPACITY = 50
-
-
-class EnqueueResult(Enum):
-    ACCEPTED = "accepted"
-    DROPPED = "dropped"
 
 
 class FifoQueue:
@@ -39,16 +33,16 @@ class FifoQueue:
     def __len__(self):
         return len(self._items)
 
-    def enqueue(self, item) -> EnqueueResult:
+    def enqueue(self, item) -> bool:
         self.queued += 1
         size = len(self._items)
         if size >= self.capacity:
             self.dropped += 1
-            return EnqueueResult.DROPPED
+            return False
         self._items.append(item)
         if size >= self.peak_size:
             self.peak_size = size + 1
-        return EnqueueResult.ACCEPTED
+        return True
 
     def dequeue(self):
         if not self._items:
@@ -68,7 +62,7 @@ class StrictPriorityQueue:
     def __len__(self):
         return sum(map(len, self._lanes))  # no Python-level call per lane
 
-    def enqueue(self, item) -> EnqueueResult:
+    def enqueue(self, item) -> bool:
         return self.classes[item.priority_class].enqueue(item)
 
     def dequeue(self):

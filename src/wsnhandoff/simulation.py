@@ -2,17 +2,19 @@
 floods, distance-vector chatter, queue transit, handoffs and the counter
 ledger, all on the deterministic event queue.
 
-Frame life cycle: a protocol handler calls _send(), which books the
-transport/IP counters and puts the Frame itself into the node's network
-queue (strict-priority on motes, plain FIFO elsewhere; a full one drops it).
-A drain event dequeues the node's frames one tx_slot apart; _transmit()
-books the PHY/MAC counters, classifies the reception for every receiver
-against the radio model and schedules delivery one hop_delay later: a
-broadcast, always by radio, as one engine burst (one heap entry whose seqs
-and targets are the receivers', in order), a unicast frame as one deliver
-event.  Steered beams and satellite links are logical channels: their
-frames always arrive.  No frame is changed after _send(), so one object can
-be queued and delivered many times, like a link's payload frame.
+Frame life cycle: a protocol handler calls _send(), which puts the Frame
+itself into the node's network queue (strict-priority on motes, plain FIFO
+elsewhere; a full one drops it), scheduling a drain at the current clock if
+the queue was empty.  A drain dequeues one frame, and another follows one
+tx_slot later while the queue holds more; _transmit() books the PHY/MAC
+counters, classifies the reception for every receiver against the radio
+model and schedules delivery one hop_delay later: a broadcast, always by
+radio, as one engine burst (one heap entry whose seqs and targets are the
+receivers', in order), a unicast frame as one deliver event.  Steered beams
+and satellite links are logical channels: their frames always arrive.  No
+frame is changed after _send(), so one object can be queued and delivered
+many times, like a link's payload frame.  run() reads the queue counters,
+and the send counters (one per offer), from the queues once it ends.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the run's digest: the
@@ -187,7 +189,6 @@ class Simulation:
                     StrictPriorityQueue(self.p.queue_capacity)
             elif n.kind is not NodeKind.MSC:
                 self.node_queues[n.node_id] = FifoQueue(self.p.queue_capacity)
-        self._draining = {n: False for n in self.node_queues}
 
         # Motes and base stations never move, so their adjacency is fixed;
         # the static graph drives all flood forwarding decisions through
@@ -308,33 +309,20 @@ class Simulation:
     # ---- frame pipeline ---------------------------------------------
 
     def _send(self, node_id: str, frame: Frame):
-        c = self.counts
-        c[UDP_FROM_APP] += 1
-        c[IP_OUT_REQUESTS] += 1
         q = self.node_queues[node_id]
-        q.enqueue(frame)
-        if node_id in self.mote_states:
-            c[PRIO_QUEUED] += 1
-        else:
-            c[FIFO_QUEUED] += 1
-            if q.peak_size > c[FIFO_PEAK]:
-                c[FIFO_PEAK] = q.peak_size
-        if not self._draining[node_id]:
-            self._draining[node_id] = True
+        if not q:  # empty before the offer: no drain is pending
             self.queue.schedule(self.queue.clock, node_id, ("drain", node_id))
+        q.enqueue(frame)
 
     def _on_drain(self, t: float, payload):
         node_id = payload[1]
         q = self.node_queues[node_id]
         frame = q.dequeue()
         mote = self.mote_states.get(node_id)
-        self.counts[FIFO_DEQUEUED if mote is None else PRIO_DEQUEUED] += 1
         if mote is None or mote.mode is not SLEEPING:
             self._transmit(t, node_id, frame)
         if len(q):
             self.queue.schedule(t + self.p.tx_slot, node_id, payload)
-        else:
-            self._draining[node_id] = False
 
     def _transmit(self, t: float, node_id: str, frame: Frame):
         # discovery forwards pre-pay their energy inside mote_forward
@@ -646,6 +634,15 @@ class Simulation:
             self.queue.schedule(self.rng.draw() * self.p.dv_period, mote,
                                 ("dv_send", mote))
         processed = self.queue.run_until(self.s.duration, self._dispatch)
+        c, queues = self.counts, self.node_queues
+        motes = [queues[m] for m in self.mote_states]
+        others = [q for n, q in queues.items() if n not in self.mote_states]
+        c[PRIO_QUEUED] = sum(q.queued for q in motes)
+        c[PRIO_DEQUEUED] = sum(q.dequeued for q in motes)
+        c[FIFO_QUEUED] = sum(q.queued for q in others)
+        c[FIFO_DEQUEUED] = sum(q.dequeued for q in others)
+        c[FIFO_PEAK] = max((q.peak_size for q in others), default=0)
+        c[UDP_FROM_APP] = c[IP_OUT_REQUESTS] = c[PRIO_QUEUED] + c[FIFO_QUEUED]
         digest = self._digest.hexdigest()
         energy = {m: (st.energy_consumed, st.mode.value)
                   for m, st in sorted(self.mote_states.items())}

@@ -14,12 +14,40 @@ RADIO_RECEIVERS = (NodeKind.MOTE, NodeKind.BASE_STATION)
 
 
 def _watch_traffic(sim):
-    """Wrap `sim`'s transmit and drain so that, as it runs, they assert the
-    traffic facts simulation.py relies on: every radio sender is a mote or
-    a handset, every radio receiver a mote or a base station, no unicast
-    frame is addressed to a mote, and no drain finds its queue empty."""
-    kinds = sim.kinds
-    transmit, drain = sim._transmit, sim._handlers["drain"]
+    """Wrap `sim`'s send, transmit and drain so that, as it runs, they
+    assert the traffic facts simulation.py relies on: every radio sender is
+    a mote or a handset, every radio receiver a mote or a base station, no
+    unicast frame is addressed to a mote, and no drain finds its queue
+    empty.  They also count what the ledger must report, apart from the
+    queues' own counters: the frames sent, the offers and drains per queue
+    family (mote or other), and the largest FIFO backlog, which a shadow
+    count of each FIFO's frames tracks and checks at every drain.  Returns
+    those counts, keyed by counter token, filled in as the run goes."""
+    kinds, capacity = sim.kinds, sim.p.queue_capacity
+    send, transmit = sim._send, sim._transmit
+    drain = sim._handlers["drain"]
+    counts = dict.fromkeys((
+        "transport_udp.packets_from_app", "net_ip.out_requests",
+        "net_strict_prior.packets_queued", "net_strict_prior.packets_dequeued",
+        "net_fifo.packets_queued", "net_fifo.packets_dequeued",
+        "net_fifo.peak_queue_size"), 0)
+    backlog = {}  # node other than a mote -> frames its FIFO holds
+
+    def layer(node_id):
+        return ("net_strict_prior" if kinds[node_id] is NodeKind.MOTE
+                else "net_fifo")
+
+    def watched_send(node_id, frame):
+        family = layer(node_id)
+        counts["transport_udp.packets_from_app"] += 1
+        counts["net_ip.out_requests"] += 1
+        counts[family + ".packets_queued"] += 1
+        held = backlog.get(node_id, 0)
+        if family == "net_fifo" and held < capacity:
+            backlog[node_id] = held + 1
+            counts["net_fifo.peak_queue_size"] = max(
+                counts["net_fifo.peak_queue_size"], held + 1)
+        send(node_id, frame)
 
     def watched_transmit(t, node_id, frame):
         if frame.dst is None or frame.channel == "radio":
@@ -33,11 +61,20 @@ def _watch_traffic(sim):
         transmit(t, node_id, frame)
 
     def watched_drain(t, payload):
-        assert len(sim.node_queues[payload[1]]), (t, payload[1])
+        node_id = payload[1]
+        q = sim.node_queues[node_id]
+        assert len(q), (t, node_id)
+        family = layer(node_id)
+        counts[family + ".packets_dequeued"] += 1
+        if family == "net_fifo":
+            assert len(q) == backlog[node_id], (t, node_id)
+            backlog[node_id] -= 1
         drain(t, payload)
 
+    sim._send = watched_send
     sim._transmit = watched_transmit
     sim._handlers["drain"] = watched_drain
+    return counts
 
 
 def check_run(sim):
@@ -45,14 +82,15 @@ def check_run(sim):
 
     During the run: the traffic facts of _watch_traffic, and a dispatch
     clock that never goes back.  At the end: every node queue conserves
-    its frames (queued == dequeued + dropped + backlog), the ledger's
-    queue counters equal the sums over the mote queues and over the
-    others, net_fifo.peak_queue_size is the largest FIFO peak, each
-    sleeping mote has spent exactly the energy it had when release_motes
-    (watched through the name simulation.py calls) put it to sleep, and
-    each mote's awake row holds its mote neighbours in the static graph
-    (rebuilt here) that are awake, sorted by id."""
-    _watch_traffic(sim)
+    its frames (queued == dequeued + dropped + backlog); the ledger's send
+    and queue counters equal the counts _watch_traffic made, and so do the
+    sums of the queues' own counters over the mote queues and over the
+    others, and the largest FIFO peak; each sleeping mote has spent
+    exactly the energy it had when release_motes (watched through the name
+    simulation.py calls) put it to sleep; and each mote's awake row holds
+    its mote neighbours in the static graph (rebuilt here) that are awake,
+    sorted by id."""
+    counts = _watch_traffic(sim)
     dispatch = sim._dispatch
     clock = -math.inf
 
@@ -83,14 +121,14 @@ def check_run(sim):
     motes = [q for n, q in sim.node_queues.items() if n in sim.mote_states]
     others = [q for n, q in sim.node_queues.items()
               if n not in sim.mote_states]
-    ledger = report.ledger
+    for token, want in counts.items():
+        assert report.ledger.get(counter_by_token(token)) == want, token
     for layer, queues in (("net_strict_prior", motes), ("net_fifo", others)):
         for counter in ("queued", "dequeued"):
-            got = ledger.get(counter_by_token(f"{layer}.packets_{counter}"))
-            assert got == sum(getattr(q, counter) for q in queues), (layer,
-                                                                    counter)
-    assert (ledger.get(counter_by_token("net_fifo.peak_queue_size"))
-            == max((q.peak_size for q in others), default=0))
+            assert (sum(getattr(q, counter) for q in queues)
+                    == counts[f"{layer}.packets_{counter}"]), (layer, counter)
+    assert (max((q.peak_size for q in others), default=0)
+            == counts["net_fifo.peak_queue_size"])
     sleeping = {m: st.energy_consumed for m, st in sim.mote_states.items()
                 if st.mode is MoteMode.SLEEPING}
     assert sleeping == frozen

@@ -317,12 +317,12 @@ def test_criterion_7_queue_trace_properties():
                 lane = lanes[pkt.priority_class]
                 if len(lane) >= 4:
                     lost += 1
-                    assert q.enqueue(pkt).value == "dropped"
+                    assert q.enqueue(pkt) is False
                 else:
                     lane.append(pkt)
                     peaks[pkt.priority_class] = max(
                         peaks[pkt.priority_class], len(lane))
-                    assert q.enqueue(pkt).value == "accepted"
+                    assert q.enqueue(pkt) is True
             else:
                 lowest = next((i for i, lane in enumerate(lanes) if lane),
                               None)

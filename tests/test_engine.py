@@ -130,14 +130,6 @@ def test_rng_same_seed_same_stream_different_seed_differs():
     assert a != c
 
 
-def test_rng_draw_count():
-    r = RngStream(5)
-    assert r.draw_count == 0
-    for _ in range(7):
-        r.draw()
-    assert r.draw_count == 7
-
-
 def _drive(q, bursts: bool, seed: int):
     """Feed q a seeded random mix of single events and bursts, some of them
     scheduled from inside dispatch at the current clock, and run it in

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from wsnhandoff.queues import (DEFAULT_CAPACITY, PRIORITY_CLASSES,
-                               EnqueueResult, FifoQueue, StrictPriorityQueue)
+                               FifoQueue, StrictPriorityQueue)
 from wsnhandoff.simulation import Frame
 
 
@@ -19,7 +19,7 @@ def _pkt(pid, cls=0, size=64):
 def test_fifo_order_and_counters():
     q = FifoQueue(capacity=10)
     for i in range(5):
-        assert q.enqueue(_pkt(i)) is EnqueueResult.ACCEPTED
+        assert q.enqueue(_pkt(i)) is True
     assert [q.dequeue().packet_id for _ in range(5)] == [0, 1, 2, 3, 4]
     assert q.dequeue() is None
     assert (q.queued, q.dequeued, q.dropped, q.peak_size) == (5, 5, 0, 5)
@@ -29,7 +29,7 @@ def test_fifo_tail_drop_counts_the_attempt():
     q = FifoQueue(capacity=2)
     q.enqueue(_pkt(1))
     q.enqueue(_pkt(2))
-    assert q.enqueue(_pkt(3)) is EnqueueResult.DROPPED
+    assert q.enqueue(_pkt(3)) is False
     assert q.queued == 3 and q.dropped == 1 and len(q) == 2
     # the dropped packet never surfaces
     assert [q.dequeue().packet_id, q.dequeue().packet_id] == [1, 2]
@@ -53,9 +53,9 @@ def test_strict_priority_lower_class_always_first():
 
 def test_strict_priority_capacity_is_per_class():
     q = StrictPriorityQueue(capacity_per_class=1)
-    assert q.enqueue(_pkt(1, cls=0)) is EnqueueResult.ACCEPTED
-    assert q.enqueue(_pkt(2, cls=0)) is EnqueueResult.DROPPED
-    assert q.enqueue(_pkt(3, cls=1)) is EnqueueResult.ACCEPTED
+    assert q.enqueue(_pkt(1, cls=0)) is True
+    assert q.enqueue(_pkt(2, cls=0)) is False
+    assert q.enqueue(_pkt(3, cls=1)) is True
     assert q.queued == 3 and q.dropped == 1 and len(q) == 2
 
 
@@ -80,11 +80,11 @@ class _RefStrictPriority:
         lane = self.lists[pkt.priority_class]
         if len(lane) >= self.capacity:
             self.lost += 1
-            return "dropped"
+            return False
         lane.append(pkt)
         self.peaks[pkt.priority_class] = max(
             self.peaks[pkt.priority_class], len(lane))
-        return "accepted"
+        return True
 
     def dequeue(self):
         for lane in self.lists:
@@ -104,7 +104,7 @@ def test_thousand_op_random_trace_matches_reference():
                        size=rng.choice([64, 512]))
             got = q.enqueue(pkt)
             want = ref.enqueue(pkt)
-            assert got.value == want
+            assert got is want
         else:
             got = q.dequeue()
             want = ref.dequeue()
@@ -132,7 +132,7 @@ def test_fifo_random_trace_conservation():
     for op in range(1000):
         if rng.random() < 0.55:
             pkt = _pkt(op)
-            if q.enqueue(pkt) is EnqueueResult.ACCEPTED:
+            if q.enqueue(pkt) is True:
                 shadow.append(pkt)
         else:
             assert q.dequeue() == (shadow.pop(0) if shadow else None)
@@ -156,12 +156,12 @@ def test_queues_hold_any_item_with_a_priority_class(make):
         if rng.random() < 0.55:
             item = make(i, rng.randrange(PRIORITY_CLASSES))
             lane = lanes[item.priority_class]
-            accepted = prio.enqueue(item) is EnqueueResult.ACCEPTED
-            assert accepted == (len(lane) < 4)
+            accepted = prio.enqueue(item)
+            assert accepted is (len(lane) < 4)
             if accepted:
                 lane.append(item)
-            accepted = fifo.enqueue(item) is EnqueueResult.ACCEPTED
-            assert accepted == (len(shadow) < 6)
+            accepted = fifo.enqueue(item)
+            assert accepted is (len(shadow) < 6)
             if accepted:
                 shadow.append(item)
         else:
