@@ -187,6 +187,23 @@ def test_a_broadcast_without_receivers_keys_the_radio_and_schedules_nothing():
     assert sim.ledger.get(counter_by_token("mac80211.broadcast_sent")) == 1
 
 
+def test_a_full_one_frame_queue_drops_the_offer_and_keeps_one_drain():
+    # the drain is scheduled on an empty queue only: a dropped offer at
+    # queue_capacity=1 also leaves one frame, and must not add a drain
+    s = dataclasses.replace(reference_scenario(),
+                            params=SimParams(queue_capacity=1))
+    sim = Simulation(s)
+    for _ in range(2):
+        sim._send("ms1", Frame("sat_request", "ms1", dst="sat1"))
+    q = sim.node_queues["ms1"]
+    assert (q.queued, q.dropped, len(q)) == (2, 1, 1)
+    assert [ev[3] for ev in sim.queue._heap] == [("drain", "ms1")]
+    t, _, _, payload = sim.queue.pop()
+    sim._on_drain(t, payload)
+    assert (q.dequeued, len(q)) == (1, 0)
+    assert all(ev[3][0] != "drain" for ev in sim.queue._heap)
+
+
 def test_seed_moves_the_route_gossip_schedule():
     s = reference_scenario()
     a = run(s)
