@@ -96,8 +96,12 @@ class EventQueue:
         target.  Every seq numbers one event, so that is the events pending
         at the start plus the seqs taken during the run, less the events
         still pending, and the loop pays nothing per event to count.  The
-        clock ends at t_end even when the queue drains early.
+        clock ends at t_end even when the queue drains early.  A t_end
+        before the clock raises PastTimeError and changes nothing.
         """
+        if t_end < self.clock:
+            raise PastTimeError(
+                f"cannot run until {t_end} before clock {self.clock}")
         before = self._pending() - self._next_seq
         heap = self._heap
         heappop = heapq.heappop

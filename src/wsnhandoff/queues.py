@@ -1,7 +1,7 @@
-"""Network-layer queues: per-class FIFOs under a strict-priority scheduler.
+"""Network-layer queues: a bounded FIFO, and FIFOs under a strict priority.
 
-The queues read only an item's `priority_class` (below PRIORITY_CLASSES),
-so the simulator queues its frames as they are.
+The strict-priority queue reads only an item's `priority_class` (below
+PRIORITY_CLASSES); the FIFO reads nothing, and holds the simulator's frames.
 
 Counter convention: `queued` counts every enqueue attempt (accepted or
 dropped), so at any instant

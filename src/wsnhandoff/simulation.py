@@ -3,18 +3,18 @@ floods, distance-vector chatter, queue transit, handoffs and the counter
 ledger, all on the deterministic event queue.
 
 Frame life cycle: a protocol handler calls _send(), which puts the Frame
-itself into the node's network queue (strict-priority on motes, plain FIFO
-elsewhere; a full one drops it), scheduling a drain at the current clock if
-the queue was empty.  A drain dequeues one frame, and another follows one
-tx_slot later while the queue holds more; _transmit() books the PHY/MAC
-counters, classifies the reception for every receiver against the radio
-model and schedules delivery one hop_delay later: a broadcast, always by
-radio, as one engine burst (one heap entry whose seqs and targets are the
-receivers', in order), a unicast frame as one deliver event.  Steered beams
-and satellite links are logical channels: their frames always arrive.  No
-frame is changed after _send(), so one object can be queued and delivered
-many times, like a link's payload frame.  run() reads the queue counters,
-and the send counters (one per offer), from the queues once it ends.
+itself into the node's FIFO network queue (a full one drops it; motes offer
+only control frames, so no node needs priorities), scheduling a drain at
+the current clock if the queue was empty.  A drain dequeues one frame,
+charges a transmitting mote's energy, and another follows one tx_slot
+later while the queue holds more; _transmit() counts the frame, classifies
+the reception for every receiver against the radio model and schedules
+delivery one hop_delay later: a broadcast, always by radio, as one engine
+burst (one heap entry whose seqs and targets are the receivers', in order),
+a unicast frame as one deliver event.  Steered beams and satellite links
+are logical channels: their frames always arrive.  No frame is changed
+after _send(), so one object can be queued and delivered many times.
+_close_ledger() sets the counters that copy or add up others once at the end.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the run's digest: the
@@ -52,7 +52,7 @@ from .protocol import (DecisionOutcome, LinkRecord, MoteMode, MoteState,
                        MscDecision, bs_notify_msc, detect_loss, establish_link,
                        make_discovery, mote_forward, msc_decide,
                        release_motes)
-from .queues import FifoQueue, StrictPriorityQueue
+from .queues import FifoQueue
 from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
                       apply_update, periodic_update, shortest_path)
 from .scenario import Scenario, effective_profile, validate_scenario
@@ -61,8 +61,6 @@ from .world import (NodeKind, PacketOutcome, check_distinct, comm_graph,
                     halt_time, linked, packet_outcome, position_at,
                     reach_sq, received_power)
 
-CONTROL_CLASS = 0
-PAYLOAD_CLASS = 1
 DEFAULT_IP_TTL = 16
 
 
@@ -118,7 +116,6 @@ class Frame:
     dst: str = None          # None means broadcast
     targets: tuple = ()      # receivers of a broadcast, fixed at emission
     payload: object = None
-    priority_class: int = CONTROL_CLASS
     ip_ttl: int = DEFAULT_IP_TTL
     channel: str = "radio"   # radio | steered | satlink
     relay: bool = False      # satellite forwards this traffic to the core
@@ -182,13 +179,9 @@ class Simulation:
         mscs = scenario.by_kind(NodeKind.MSC)
         self.msc_id = mscs[0].node_id if mscs else None
 
-        self.node_queues = {}
-        for n in scenario.nodes:
-            if n.kind is MOTE:
-                self.node_queues[n.node_id] = \
-                    StrictPriorityQueue(self.p.queue_capacity)
-            elif n.kind is not NodeKind.MSC:
-                self.node_queues[n.node_id] = FifoQueue(self.p.queue_capacity)
+        self.node_queues = {n.node_id: FifoQueue(self.p.queue_capacity)
+                            for n in scenario.nodes
+                            if n.kind is not NodeKind.MSC}
 
         # Motes and base stations never move, so their adjacency is fixed;
         # the static graph drives all flood forwarding decisions through
@@ -320,23 +313,19 @@ class Simulation:
         frame = q.dequeue()
         mote = self.mote_states.get(node_id)
         if mote is None or mote.mode is not SLEEPING:
+            # discovery forwards pre-pay their energy inside mote_forward
+            if mote is not None and frame.kind != "discovery":
+                mote.energy_consumed += 1
             self._transmit(t, node_id, frame)
         if len(q):
             self.queue.schedule(t + self.p.tx_slot, node_id, payload)
 
     def _transmit(self, t: float, node_id: str, frame: Frame):
-        # discovery forwards pre-pay their energy inside mote_forward
-        mote = self.mote_states.get(node_id)
-        if mote is not None and frame.kind != "discovery":
-            mote.energy_consumed += 1
         c = self.counts
         c[PHY_TX] += 1
-        c[MAC_FROM_NET] += 1
-        c[LINK_UTIL] += 1
         at = t + self.p.hop_delay
         if frame.dst is None:  # a broadcast, always by radio
             c[MAC_BCAST_SENT] += 1
-            c[DCF_BCAST_SENT] += 1
             receivers = frame.targets
             if receivers:
                 self.queue.schedule_burst(at, receivers, (
@@ -356,16 +345,12 @@ class Simulation:
         if outcome is LOST:
             return
         c = self.counts
-        c[PHY_LOCKED] += 1
         if outcome is ERRORED:
             c[PHY_ERRORS] += 1
             return
         c[PHY_TO_MAC] += 1
         c[SAT_RX if frame.channel == "satlink" else LINK_RX] += 1
-        c[IP_IN_RECEIVED] += 1
-        c[IP_IN_DELIVERS] += 1
         c[IP_TTL_SUM] += frame.ip_ttl
-        c[UDP_TO_APP] += 1
         self._receivers[frame.kind](t, frame, rx)
 
     def _deliver_burst(self, t: float, seq: int, receivers: tuple, payload):
@@ -377,25 +362,22 @@ class Simulation:
         _, frame, outcomes = payload
         receive = self._receivers[frame.kind]
         motes = self.mote_states
-        locked = errors = 0
+        clear = errors = 0
         for rx, outcome in zip(receivers, outcomes):
             mote = motes.get(rx)
             if mote is not None and mote.mode is SLEEPING:
                 continue  # radio powered down
             if outcome is LOST:
                 continue
-            locked += 1
             if outcome is ERRORED:
                 errors += 1
                 continue
+            clear += 1
             receive(t, frame, rx)
-        clear = locked - errors
         c = self.counts
-        c[PHY_LOCKED] += locked
         c[PHY_ERRORS] += errors
-        for counter in (PHY_TO_MAC, MAC_BCAST_RX, DCF_BCAST_RX,
-                        IP_IN_RECEIVED, IP_IN_DELIVERS, UDP_TO_APP):
-            c[counter] += clear
+        c[PHY_TO_MAC] += clear
+        c[MAC_BCAST_RX] += clear
         c[IP_TTL_SUM] += clear * frame.ip_ttl
 
     # ---- per-kind receive handlers ----------------------------------
@@ -568,7 +550,6 @@ class Simulation:
         # Frames are never changed after _send(), so one serves the link.
         sat = record.endpoint.kind is SATELLITE
         st.payload_frame = Frame("payload", ms_id, dst=record.endpoint.node_id,
-                                 priority_class=PAYLOAD_CLASS,
                                  channel="satlink" if sat else "steered",
                                  relay=sat and bool(record.relay_path))
         self.links.append(record)
@@ -628,12 +609,8 @@ class Simulation:
         self._hash(f"{self._stamp}{seq} {target} {kind}".encode())
         self._handlers[kind](t, payload)
 
-    def run(self) -> RunReport:
-        self.queue.schedule(0.0, "sim", ("coverage",))
-        for mote in sorted(self.mote_states):
-            self.queue.schedule(self.rng.draw() * self.p.dv_period, mote,
-                                ("dv_send", mote))
-        processed = self.queue.run_until(self.s.duration, self._dispatch)
+    def _close_ledger(self):
+        """Set the counters that the queues and other counters determine."""
         c, queues = self.counts, self.node_queues
         motes = [queues[m] for m in self.mote_states]
         others = [q for n, q in queues.items() if n not in self.mote_states]
@@ -643,6 +620,19 @@ class Simulation:
         c[FIFO_DEQUEUED] = sum(q.dequeued for q in others)
         c[FIFO_PEAK] = max((q.peak_size for q in others), default=0)
         c[UDP_FROM_APP] = c[IP_OUT_REQUESTS] = c[PRIO_QUEUED] + c[FIFO_QUEUED]
+        c[MAC_FROM_NET] = c[LINK_UTIL] = c[PHY_TX]
+        c[DCF_BCAST_SENT] = c[MAC_BCAST_SENT]
+        c[DCF_BCAST_RX] = c[MAC_BCAST_RX]
+        c[IP_IN_RECEIVED] = c[IP_IN_DELIVERS] = c[UDP_TO_APP] = c[PHY_TO_MAC]
+        c[PHY_LOCKED] = c[PHY_TO_MAC] + c[PHY_ERRORS]
+
+    def run(self) -> RunReport:
+        self.queue.schedule(0.0, "sim", ("coverage",))
+        for mote in sorted(self.mote_states):
+            self.queue.schedule(self.rng.draw() * self.p.dv_period, mote,
+                                ("dv_send", mote))
+        processed = self.queue.run_until(self.s.duration, self._dispatch)
+        self._close_ledger()
         digest = self._digest.hexdigest()
         energy = {m: (st.energy_consumed, st.mode.value)
                   for m, st in sorted(self.mote_states.items())}

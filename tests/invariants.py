@@ -7,30 +7,41 @@ from wsnhandoff.protocol import MoteMode
 from wsnhandoff.routing import INFINITY_METRIC
 from wsnhandoff.scenario import Scenario, effective_profile
 from wsnhandoff.stats import counter_by_token
-from wsnhandoff.world import NodeKind, comm_graph
+from wsnhandoff.world import NodeKind, PacketOutcome, comm_graph
 
 RADIO_SENDERS = (NodeKind.MOTE, NodeKind.MOBILE_STATION)
 RADIO_RECEIVERS = (NodeKind.MOTE, NodeKind.BASE_STATION)
+MOTE_FRAMES = ("discovery", "dv")  # what a mote may offer to its queue
 
 
 def _watch_traffic(sim):
     """Wrap `sim`'s send, transmit and drain so that, as it runs, they
-    assert the traffic facts simulation.py relies on: every radio sender is
-    a mote or a handset, every radio receiver a mote or a base station, no
-    unicast frame is addressed to a mote, and no drain finds its queue
-    empty.  They also count what the ledger must report, apart from the
-    queues' own counters: the frames sent, the offers and drains per queue
-    family (mote or other), and the largest FIFO backlog, which a shadow
-    count of each FIFO's frames tracks and checks at every drain.  Returns
-    those counts, keyed by counter token, filled in as the run goes."""
+    assert the traffic facts simulation.py relies on: motes offer only
+    discovery forwards and distance-vector adverts (all of one class, which
+    is why a mote's queue is a plain FIFO), every radio sender is a mote or
+    a handset, every radio receiver a mote or a base station, no unicast
+    frame is addressed to a mote, and no drain finds its queue empty.  They
+    also count what the ledger must report, apart from the queues' own
+    counters: the frames sent, the offers and drains per queue family (mote
+    or other), and the largest backlog of a queue other than a mote's,
+    which a shadow count of each such queue's frames tracks and checks at
+    every drain.  Wrappers on the two delivery paths and on every receive
+    handler count the receptions, clear and errored, of unicast and of
+    broadcast frames; the transmit wrapper counts transmits and broadcasts.
+    Returns the first counts keyed by counter token and the second keyed by
+    name, both filled in as the run goes."""
     kinds, capacity = sim.kinds, sim.p.queue_capacity
     send, transmit = sim._send, sim._transmit
     drain = sim._handlers["drain"]
+    deliver, deliver_burst = sim._handlers["deliver"], sim._deliver_burst
     counts = dict.fromkeys((
         "transport_udp.packets_from_app", "net_ip.out_requests",
         "net_strict_prior.packets_queued", "net_strict_prior.packets_dequeued",
         "net_fifo.packets_queued", "net_fifo.packets_dequeued",
         "net_fifo.peak_queue_size"), 0)
+    traffic = dict.fromkeys((
+        "transmits", "broadcasts", "unicast_clear", "unicast_errored",
+        "broadcast_clear", "broadcast_errored"), 0)
     backlog = {}  # node other than a mote -> frames its FIFO holds
 
     def layer(node_id):
@@ -39,6 +50,8 @@ def _watch_traffic(sim):
 
     def watched_send(node_id, frame):
         family = layer(node_id)
+        if family == "net_strict_prior":
+            assert frame.kind in MOTE_FRAMES, (node_id, frame.kind)
         counts["transport_udp.packets_from_app"] += 1
         counts["net_ip.out_requests"] += 1
         counts[family + ".packets_queued"] += 1
@@ -58,7 +71,30 @@ def _watch_traffic(sim):
         if frame.dst is not None:
             assert kinds[frame.dst] is not NodeKind.MOTE, (t, node_id,
                                                            frame.kind)
+        traffic["transmits"] += 1
+        traffic["broadcasts"] += frame.dst is None
         transmit(t, node_id, frame)
+
+    def watched_deliver(t, payload):
+        traffic["unicast_errored"] += payload[3] is PacketOutcome.ERRORED
+        deliver(t, payload)
+
+    def watched_burst(t, seq, receivers, payload):
+        # no handler changes a mote's mode, so the receivers awake now are
+        # those the burst reaches
+        for rx, outcome in zip(receivers, payload[2]):
+            mote = sim.mote_states.get(rx)
+            traffic["broadcast_errored"] += (
+                outcome is PacketOutcome.ERRORED
+                and (mote is None or mote.mode is MoteMode.ACTIVE))
+        deliver_burst(t, seq, receivers, payload)
+
+    def counted(receive):
+        def watched_receive(t, frame, rx):
+            traffic["broadcast_clear" if frame.dst is None
+                    else "unicast_clear"] += 1
+            receive(t, frame, rx)
+        return watched_receive
 
     def watched_drain(t, payload):
         node_id = payload[1]
@@ -74,7 +110,11 @@ def _watch_traffic(sim):
     sim._send = watched_send
     sim._transmit = watched_transmit
     sim._handlers["drain"] = watched_drain
-    return counts
+    sim._handlers["deliver"] = watched_deliver
+    sim._deliver_burst = watched_burst
+    for kind, receive in list(sim._receivers.items()):
+        sim._receivers[kind] = counted(receive)
+    return counts, traffic
 
 
 def check_run(sim):
@@ -85,12 +125,15 @@ def check_run(sim):
     its frames (queued == dequeued + dropped + backlog); the ledger's send
     and queue counters equal the counts _watch_traffic made, and so do the
     sums of the queues' own counters over the mote queues and over the
-    others, and the largest FIFO peak; each sleeping mote has spent
+    others, and the largest FIFO peak; the ledger's transmit, broadcast
+    and reception counters, the eight that the run sets at its end from
+    the others among them, equal what _watch_traffic counted of the
+    frames and receptions; each sleeping mote has spent
     exactly the energy it had when release_motes (watched through the name
     simulation.py calls) put it to sleep; and each mote's awake row holds
     its mote neighbours in the static graph (rebuilt here) that are awake,
     sorted by id."""
-    counts = _watch_traffic(sim)
+    counts, traffic = _watch_traffic(sim)
     dispatch = sim._dispatch
     clock = -math.inf
 
@@ -121,6 +164,22 @@ def check_run(sim):
     motes = [q for n, q in sim.node_queues.items() if n in sim.mote_states]
     others = [q for n, q in sim.node_queues.items()
               if n not in sim.mote_states]
+    clear = traffic["unicast_clear"] + traffic["broadcast_clear"]
+    errored = traffic["unicast_errored"] + traffic["broadcast_errored"]
+    counts.update({
+        "phy80211.signals_transmitted": traffic["transmits"],
+        "mac80211.packets_from_network": traffic["transmits"],
+        "mac_link.link_utilization": traffic["transmits"],
+        "mac80211.broadcast_sent": traffic["broadcasts"],
+        "mac_dcf.broadcast_sent": traffic["broadcasts"],
+        "mac80211.broadcast_received_clearly": traffic["broadcast_clear"],
+        "mac_dcf.broadcast_received": traffic["broadcast_clear"],
+        "phy80211.signals_received_forwarded_to_mac": clear,
+        "net_ip.in_received": clear,
+        "net_ip.in_delivers": clear,
+        "transport_udp.packets_to_app": clear,
+        "phy80211.signals_received_with_errors": errored,
+        "phy80211.signals_locked": clear + errored})
     for token, want in counts.items():
         assert report.ledger.get(counter_by_token(token)) == want, token
     for layer, queues in (("net_strict_prior", motes), ("net_fifo", others)):

@@ -61,6 +61,25 @@ def test_run_until_sets_clock_even_when_queue_drains_early():
     assert q.clock == 9.0
 
 
+def test_run_until_before_the_clock_raises_and_leaves_the_queue_as_it_was():
+    # a window that ends before the clock must not move the clock back: an
+    # event at 3.0 could then be scheduled and fire after one at 5.0
+    q = EventQueue()
+    fired = []
+    q.schedule(5.0, "a", None)
+    q.schedule(7.0, "b", None)
+    assert q.run_until(6.0, lambda ev: fired.append(ev.fire_time)) == 1
+    with pytest.raises(PastTimeError):
+        q.run_until(2.0, lambda ev: fired.append(ev.fire_time))
+    assert (q.clock, len(q), fired) == (6.0, 1, [5.0])
+    with pytest.raises(PastTimeError):
+        q.schedule(3.0, "c", None)
+    assert q.run_until(6.0, lambda ev: fired.append(ev.fire_time)) == 0
+    assert q.run_until(8.0, lambda ev: fired.append(ev.fire_time)) == 1
+    assert fired == [5.0, 7.0]
+    assert q.schedule(8.0, "d", None).seq == 3
+
+
 def test_dispatch_may_schedule_followups_inside_window():
     q = EventQueue()
     fired = []

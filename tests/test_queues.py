@@ -140,21 +140,17 @@ def test_fifo_random_trace_conservation():
         assert len(q) == len(shadow)
 
 
-@pytest.mark.parametrize("make", [
-    lambda i, cls: Frame("dv", f"n{i}", priority_class=cls),
-    lambda i, cls: SimpleNamespace(priority_class=cls, i=i),
-], ids=["frame", "namespace"])
-def test_queues_hold_any_item_with_a_priority_class(make):
+def test_queues_hold_any_item_with_a_priority_class():
     """Strict-priority order, FIFO order within a class and len() through
-    interleaved enqueues, dequeues and tail drops, for the simulator's
-    frames and for any other item.  Dequeues must hand back the very objects
-    enqueued."""
+    interleaved enqueues, dequeues and tail drops, for any item with a
+    priority_class.  Dequeues must hand back the very objects enqueued."""
     rng = random.Random(31)
     prio, fifo = StrictPriorityQueue(capacity_per_class=4), FifoQueue(6)
     lanes, shadow = [deque() for _ in range(PRIORITY_CLASSES)], deque()
     for i in range(3000):
         if rng.random() < 0.55:
-            item = make(i, rng.randrange(PRIORITY_CLASSES))
+            item = SimpleNamespace(priority_class=rng.randrange(
+                PRIORITY_CLASSES), i=i)
             lane = lanes[item.priority_class]
             accepted = prio.enqueue(item)
             assert accepted is (len(lane) < 4)
@@ -173,3 +169,49 @@ def test_queues_hold_any_item_with_a_priority_class(make):
     assert prio.dropped > 0 and fifo.dropped > 0
     assert prio.queued == prio.dequeued + prio.dropped + len(prio)
     assert fifo.queued == fifo.dequeued + fifo.dropped + len(fifo)
+
+
+def test_a_fifo_queue_holds_the_simulators_frames():
+    """FIFO order and len() through interleaved enqueues, dequeues and tail
+    drops of the simulator's frames, which carry no priority class.
+    Dequeues must hand back the very objects enqueued."""
+    rng = random.Random(31)
+    fifo, shadow = FifoQueue(6), deque()
+    for i in range(3000):
+        if rng.random() < 0.55:
+            item = Frame("dv", f"n{i}")
+            accepted = fifo.enqueue(item)
+            assert accepted is (len(shadow) < 6)
+            if accepted:
+                shadow.append(item)
+        else:
+            assert fifo.dequeue() is (shadow.popleft() if shadow else None)
+        assert len(fifo) == len(shadow)
+    assert fifo.dropped > 0
+    assert fifo.queued == fifo.dequeued + fifo.dropped + len(fifo)
+
+
+@pytest.mark.parametrize("capacity", range(1, 6))
+def test_a_fifo_queue_matches_a_strict_priority_queue_fed_one_class(
+        capacity):
+    """Motes offer only control-class frames, so the FifoQueue each mote
+    runs must behave as a StrictPriorityQueue of the same capacity per
+    class: the same result for every offer, the very same item from every
+    dequeue, and the same len() and four counters after every step of a
+    seeded mix that alternates offer-heavy and dequeue-heavy phases."""
+    rng = random.Random(capacity)
+    prio, fifo = StrictPriorityQueue(capacity), FifoQueue(capacity)
+    empty_dequeues = 0
+    for i in range(2000):
+        if rng.random() < (0.8 if i // 50 % 2 else 0.2):
+            item = SimpleNamespace(priority_class=0, i=i)
+            assert prio.enqueue(item) is fifo.enqueue(item)
+        else:
+            got = fifo.dequeue()
+            assert prio.dequeue() is got
+            empty_dequeues += got is None
+        assert len(prio) == len(fifo)
+        assert ((prio.queued, prio.dequeued, prio.dropped, prio.peak_size)
+                == (fifo.queued, fifo.dequeued, fifo.dropped, fifo.peak_size))
+    assert fifo.dropped > 0 and empty_dequeues > 0
+    assert fifo.peak_size == capacity
