@@ -34,9 +34,10 @@ per mote (active_rows) and refreshed only when motes are put to sleep,
 since nothing else changes a mote's mode.  A coverage check positions each
 handset once and puts through the graph's edge rule only the base stations
 and motes within reach of both ends: they are all it reads.  Radio frames
-are heard only by motes and base stations, which never move, so a fixed
-sender's outcomes are computed once per receiver, on its first transmit to
-it, into a row per sender.
+are heard only by motes and base stations, which never move, so how each
+static neighbour hears a mote is classified once, at start, into the mote's
+outcome row; a handset's outcomes are worked out on each transmit, from
+where it is then.
 
 The per-event paths compare against Enum members bound once at import
 (LOST, SLEEPING, BASE_STATION, ...), like the ledger slots, as a module
@@ -58,8 +59,8 @@ from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
 from .scenario import Scenario, effective_profile, validate_scenario
 from .stats import CounterKey, Layer, StatsLedger, slot
 from .world import (NodeKind, PacketOutcome, check_distinct, comm_graph,
-                    halt_time, linked, packet_outcome, position_at,
-                    reach_sq, received_power)
+                    halt_time, links_within_reach, packet_outcome,
+                    position_at, reach_sq, received_power)
 
 DEFAULT_IP_TTL = 16
 
@@ -166,7 +167,6 @@ class Simulation:
         self.here = dict(self.start_pos)
         self.halt_at = {n: halt_time(path, self.start_pos[n])
                         for n, path in scenario.mobility.items()}
-        self._fixed_outcomes = {}  # src -> {rx: PacketOutcome}, src fixed
         self.mote_states = {n.node_id: MoteState()
                             for n in scenario.by_kind(MOTE)}
         self.ms_states = {n.node_id: MsState()
@@ -185,17 +185,21 @@ class Simulation:
 
         # Motes and base stations never move, so their adjacency is fixed;
         # the static graph drives all flood forwarding decisions through
-        # each mote's sorted base-station and mote neighbours.
+        # each mote's sorted base-station and mote neighbours, and how each
+        # of them hears the mote is classified here, once.
         static_graph = comm_graph(dict(self.start_pos), self.kinds,
                                   self.profiles)
         kinds = self.kinds
-        self.bs_rows, self.mote_rows = {}, {}
+        self.bs_rows, self.mote_rows, self.outcome_rows = {}, {}, {}
         for m in self.mote_states:
             row = sorted(static_graph[m])
             self.bs_rows[m] = tuple(
                 n for n in row if kinds[n] is BASE_STATION)
             self.mote_rows[m] = tuple(
                 n for n in row if kinds[n] is MOTE)
+            self.outcome_rows[m] = {
+                rx: self._outcome(self.start_pos[m], rx)
+                for rx in self.bs_rows[m] + self.mote_rows[m]}
         # Each mote's awake mote neighbours, in mote_rows order; _release
         # keeps them current, as only release_motes changes a mode.
         self.active_rows = dict(self.mote_rows)
@@ -238,12 +242,6 @@ class Simulation:
 
     # ---- geometry helpers -------------------------------------------
 
-    def position(self, node_id: str, t: float):
-        path = self.s.mobility.get(node_id)
-        if path is None:
-            return self.start_pos[node_id]
-        return position_at(path, self.start_pos[node_id], t)
-
     def halted(self, node_id: str, t: float) -> bool:
         return t >= self.halt_at.get(node_id, 0.0)
 
@@ -252,52 +250,36 @@ class Simulation:
 
         Moves every handset to its position at t (self.here), raises
         CoLocatedError when any two nodes then share a point, and returns
-        handset id -> set of neighbour ids.  A pair within both ends' reach
-        still goes through world.linked, so every edge decision is the full
-        graph's.
+        handset id -> set of neighbour ids, by world.links_within_reach, so
+        every edge decision is the full graph's.
         """
         here = self.here
         for n, path in self.s.mobility.items():
             here[n] = position_at(path, self.start_pos[n], t)
         check_distinct(here)
-        kinds, profiles = self.kinds, self.profiles
-        rows = {}
-        for a, reach_a in self.handset_reach.items():
-            x, y = here[a].x, here[a].y
-            row = rows[a] = set()
-            for b, bx, by, reach_b in self.fixed_radios:
-                dx, dy = x - bx, y - by
-                d2 = dx * dx + dy * dy
-                if (d2 <= reach_a and d2 <= reach_b
-                        and linked(a, b, here, kinds, profiles)):
-                    row.add(b)
-        return rows
+        return {a: set(links_within_reach(
+                    (a, here[a].x, here[a].y, reach), self.fixed_radios,
+                    here, self.kinds, self.profiles))
+                for a, reach in self.handset_reach.items()}
+
+    def _outcome(self, here, rx: str):
+        """How rx, which never moves, hears a frame sent from point here."""
+        profile = self.profiles[rx]
+        return packet_outcome(profile, received_power(
+            profile, here.distance_to(self.start_pos[rx])))
 
     def _radio_outcomes(self, src: str, receivers: tuple, t: float) -> tuple:
         """The PacketOutcome of a radio frame sent by src at t, for each
-        receiver in order.  Receivers never move, so a fixed sender keeps a
-        row of its outcomes and computes each pair once per run; a moving
-        handset's row lasts one transmit."""
-        row = self._fixed_outcomes.get(src)
-        if row is None:
-            row = {}
-            if src not in self.s.mobility:
-                self._fixed_outcomes[src] = row
-        try:
+        receiver in order: a mote's from its outcome row, a handset's from
+        where it is at t.  A handset on a receiver's point raises
+        CoLocatedError, as a coverage check would."""
+        row = self.outcome_rows.get(src)
+        if row is not None:
             return tuple([row[rx] for rx in receivers])
-        except KeyError:
-            pass  # a receiver not heard from src yet
-        here = self.position(src, t)
-        outcomes = []
-        for rx in receivers:
-            outcome = row.get(rx)
-            if outcome is None:
-                profile = self.profiles[rx]
-                d = here.distance_to(self.start_pos[rx])
-                outcome = row[rx] = packet_outcome(
-                    profile, received_power(profile, d))
-            outcomes.append(outcome)
-        return tuple(outcomes)
+        path, start = self.s.mobility.get(src), self.start_pos
+        here = start[src] if path is None else position_at(path, start[src], t)
+        check_distinct({src: here, **{rx: start[rx] for rx in receivers}})
+        return tuple([self._outcome(here, rx) for rx in receivers])
 
     # ---- frame pipeline ---------------------------------------------
 

@@ -227,34 +227,49 @@ def reach_sq(profile: RadioProfile) -> float:
     return (1 + 1e-6) * r * r
 
 
+def links_within_reach(node: tuple, others, positions: dict, kinds: dict,
+                       profiles: dict):
+    """Yield the ids of the `others` that `node` links with, in order.
+
+    `node` and each of `others` is an (id, x, y, squared reach) entry; the
+    reach is None where the edge rule ignores distance.  A pair farther
+    apart than either end's reach_sq cannot link and skips the edge rule;
+    every other pair goes through `linked`.
+    """
+    a, x, y, reach_a = node
+    for b, bx, by, reach_b in others:
+        if reach_a is not None and reach_b is not None:
+            dx, dy = x - bx, y - by
+            d2 = dx * dx + dy * dy
+            if d2 > reach_a or d2 > reach_b:
+                continue
+        if linked(a, b, positions, kinds, profiles):
+            yield b
+
+
 def comm_graph(positions: dict, kinds: dict, profiles: dict) -> dict:
     """The communication graph at one instant: node id -> neighbour ids.
 
     positions/kinds/profiles map node id to Point / NodeKind / RadioProfile
     (profile may be None for nodes without a radio).  Raises CoLocatedError
-    when two nodes occupy the same Point.  A pair of radio nodes farther
-    apart than either end's reach_sq cannot link and skips the edge rule;
-    every other pair goes through `linked`.
+    when two nodes occupy the same Point.  Each node is put through
+    links_within_reach against the nodes after it in id order, so each
+    pair is tested once.
     """
     check_distinct(positions)
     ids = sorted(positions)
     adj = {n: set() for n in ids}
-    # (id, x, y, squared reach); the reach is None where the rule ignores
-    # distance: no radio, a switching centre or a satellite
+    # the reach is None where the rule ignores distance: no radio, a
+    # switching centre or a satellite
     nodes = []
     for n in ids:
         profile = profiles.get(n)
         radio = profile is not None and kinds[n] not in (MSC, SATELLITE)
         nodes.append((n, positions[n].x, positions[n].y,
                       reach_sq(profile) if radio else None))
-    for i, (a, ax, ay, reach_a) in enumerate(nodes):
-        for b, bx, by, reach_b in nodes[i + 1:]:
-            if reach_a is not None and reach_b is not None:
-                dx, dy = ax - bx, ay - by
-                d2 = dx * dx + dy * dy
-                if d2 > reach_a or d2 > reach_b:
-                    continue
-            if linked(a, b, positions, kinds, profiles):
-                adj[a].add(b)
-                adj[b].add(a)
+    for i, node in enumerate(nodes):
+        for b in links_within_reach(node, nodes[i + 1:], positions, kinds,
+                                    profiles):
+            adj[node[0]].add(b)
+            adj[b].add(node[0])
     return adj

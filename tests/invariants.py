@@ -7,7 +7,8 @@ from wsnhandoff.protocol import MoteMode
 from wsnhandoff.routing import INFINITY_METRIC
 from wsnhandoff.scenario import Scenario, effective_profile
 from wsnhandoff.stats import counter_by_token
-from wsnhandoff.world import NodeKind, PacketOutcome, comm_graph
+from wsnhandoff.world import (NodeKind, PacketOutcome, comm_graph,
+                              packet_outcome, received_power)
 
 RADIO_SENDERS = (NodeKind.MOTE, NodeKind.MOBILE_STATION)
 RADIO_RECEIVERS = (NodeKind.MOTE, NodeKind.BASE_STATION)
@@ -130,9 +131,12 @@ def check_run(sim):
     the others among them, equal what _watch_traffic counted of the
     frames and receptions; each sleeping mote has spent
     exactly the energy it had when release_motes (watched through the name
-    simulation.py calls) put it to sleep; and each mote's awake row holds
+    simulation.py calls) put it to sleep; each mote's awake row holds
     its mote neighbours in the static graph (rebuilt here) that are awake,
-    sorted by id."""
+    sorted by id; and each mote's outcome row is keyed by exactly its
+    base-station and mote neighbours in that graph, each entry the outcome
+    worked out here from the start positions, and none LOST, since the edge
+    rule means every neighbour hears the mote."""
     counts, traffic = _watch_traffic(sim)
     dispatch = sim._dispatch
     clock = -math.inf
@@ -197,6 +201,17 @@ def check_run(sim):
         assert row == tuple(n for n in sorted(graph[m])
                             if kinds[n] is NodeKind.MOTE
                             and sim.mote_states[n].mode is MoteMode.ACTIVE), m
+    nodes = {n.node_id: n for n in sim.s.nodes}
+    assert sorted(sim.outcome_rows) == sorted(sim.mote_states)
+    for m, row in sim.outcome_rows.items():
+        assert set(row) == {n for n in graph[m]
+                            if kinds[n] in RADIO_RECEIVERS}, m
+        for rx, outcome in row.items():
+            profile = effective_profile(nodes[rx])
+            d = nodes[m].position.distance_to(nodes[rx].position)
+            assert outcome is packet_outcome(
+                profile, received_power(profile, d)), (m, rx)
+            assert outcome is not PacketOutcome.LOST, (m, rx)
     return report
 
 

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_run import DISCOVERY_FROM_A_MOTE_POINT
 
 import wsnhandoff
 from wsnhandoff.cli import main
@@ -164,8 +165,10 @@ NO_SATELLITE_WORLD = "\n".join(
 
 FAILING_RUNS = pytest.mark.parametrize("world, reason", [
     (COLOCATED_WALK, "nodes m01 and ms1 share"),
+    (DISCOVERY_FROM_A_MOTE_POINT.format(mx_x=455),
+     "nodes ms1 and mx share (455.0, 190.0)"),
     (NO_SATELLITE_WORLD, "no feasible base station and no satellite")],
-    ids=["colocated-walk", "no-satellite"])
+    ids=["colocated-walk", "colocated-transmit", "no-satellite"])
 
 
 @FAILING_RUNS

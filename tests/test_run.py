@@ -13,7 +13,7 @@ from wsnhandoff import simulation
 from wsnhandoff.protocol import DecisionOutcome, MoteMode
 from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  ValidationError, effective_profile,
-                                 reference_scenario, strip_wsn,
+                                 load_scenario, reference_scenario, strip_wsn,
                                  validate_scenario)
 from wsnhandoff.report import parse_report_ledger, serialize_report
 from wsnhandoff.simulation import Frame, RunReport, Simulation, run
@@ -104,7 +104,6 @@ def test_run_is_deterministic():
 
 def test_fixed_pairs_are_classified_once_and_handset_pairs_per_transmit(
         monkeypatch):
-    sim = Simulation(reference_scenario())
     classified = []
     real_outcome = simulation.packet_outcome
 
@@ -113,6 +112,12 @@ def test_fixed_pairs_are_classified_once_and_handset_pairs_per_transmit(
         return real_outcome(profile, rx_power_dbm)
 
     monkeypatch.setattr(simulation, "packet_outcome", counted_outcome)
+    sim = Simulation(reference_scenario())
+    # set-up classifies each mote's static neighbours once each
+    rows = {(m, rx) for m, row in sim.outcome_rows.items() for rx in row}
+    assert rows == {(m, rx) for m in sim.mote_states
+                    for rx in sim.bs_rows[m] + sim.mote_rows[m]}
+    assert len(classified) == len(rows)
     transmits = []  # (t, src, radio receivers, classifications made)
     real_transmit = sim._transmit
 
@@ -129,16 +134,16 @@ def test_fixed_pairs_are_classified_once_and_handset_pairs_per_transmit(
     moving = sim.s.mobility
     fixed_seen, fixed_sends, handset_times = set(), 0, set()
     for t, src, receivers, made in transmits:
-        expected = 0
-        for rx in receivers:
-            if src in moving or rx in moving:
-                expected += 1  # a handset moves: classified every time
-                handset_times.add(t)
-            else:
-                fixed_sends += 1
-                expected += (src, rx) not in fixed_seen
-                fixed_seen.add((src, rx))
-        assert made == expected, (t, src, receivers)
+        if src in moving:
+            # a handset moves: classified on every transmit
+            assert made == len(receivers), (t, src, receivers)
+            handset_times.add(t)
+        else:
+            # a mote reads its row and classifies nothing
+            assert made == 0, (t, src, receivers)
+            fixed_sends += len(receivers)
+            fixed_seen.update((src, rx) for rx in receivers)
+    assert fixed_seen <= rows
     assert fixed_sends > len(fixed_seen)  # fixed pairs were heard again
     assert len(handset_times) >= 2
 
@@ -667,3 +672,34 @@ def test_walking_onto_another_node_raises_at_the_oracle_tick(walkers):
         sim.run()
     assert str(e.value) == expected
     assert sim.queue.clock == t
+
+
+# At t = 45 ms1 queues a payload for bs1, then loses the steered beam and
+# queues a discovery for mx; the payload takes the t = 45 slot, so the
+# discovery goes out at 45.5 from (455, 190), mx's point, where no coverage
+# tick looked.
+DISCOVERY_FROM_A_MOTE_POINT = """[params]
+duration = 50
+app_interval = 29.43
+tx_slot = 0.5
+[node]
+bs1 base_station 0 200
+msc1 msc 500 -400
+ms1 mobile_station 0 190
+m00 mote 60 130
+mx mote {mx_x} 190
+[mobility]
+ms1 speed=10 halt=1 waypoints=1000,190
+"""
+
+
+def test_a_handset_transmitting_from_a_receivers_point_raises_co_located():
+    sim = Simulation(load_scenario(DISCOVERY_FROM_A_MOTE_POINT.format(
+        mx_x=455)))
+    with pytest.raises(CoLocatedError) as e:
+        sim.run()
+    assert str(e.value) == "nodes ms1 and mx share (455.0, 190.0)"
+    assert sim.queue.clock == 45.5
+    # a metre further on, the same discovery is heard and the run completes
+    report = run(load_scenario(DISCOVERY_FROM_A_MOTE_POINT.format(mx_x=456)))
+    assert report.events_processed == 83
