@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulator of sensor-mote assisted cellular
 handoff with satellite fallback."""
 
-from .engine import Event, EventQueue, PastTimeError, RngStream
+from .engine import EventQueue, PastTimeError, RngStream
 from .protocol import (DecisionOutcome, DiscoveryRequest, Escalation,
                        LinkRecord, MoteMode, MoteState, MscDecision,
                        NoMotesInRangeError, NoSatelliteError)

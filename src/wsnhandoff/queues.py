@@ -18,37 +18,37 @@ DEFAULT_CAPACITY = 50
 
 
 class FifoQueue:
-    """Bounded FIFO with tail drop and lifetime counters."""
+    """Bounded FIFO over the deque `items`, with tail drop and counters."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items = deque()
+        self.items = deque()
         self.queued = 0
         self.dequeued = 0
         self.dropped = 0
         self.peak_size = 0
 
     def __len__(self):
-        return len(self._items)
+        return len(self.items)
 
     def enqueue(self, item) -> bool:
         self.queued += 1
-        size = len(self._items)
+        size = len(self.items)
         if size >= self.capacity:
             self.dropped += 1
             return False
-        self._items.append(item)
+        self.items.append(item)
         if size >= self.peak_size:
             self.peak_size = size + 1
         return True
 
     def dequeue(self):
-        if not self._items:
+        if not self.items:
             return None
         self.dequeued += 1
-        return self._items.popleft()
+        return self.items.popleft()
 
 
 class StrictPriorityQueue:
@@ -57,7 +57,7 @@ class StrictPriorityQueue:
     def __init__(self, capacity_per_class: int = DEFAULT_CAPACITY):
         self.classes = [FifoQueue(capacity_per_class)
                         for _ in range(PRIORITY_CLASSES)]
-        self._lanes = [q._items for q in self.classes]
+        self._lanes = [q.items for q in self.classes]
 
     def __len__(self):
         return sum(map(len, self._lanes))  # no Python-level call per lane
@@ -67,7 +67,7 @@ class StrictPriorityQueue:
 
     def dequeue(self):
         for q in self.classes:
-            if q._items:
+            if q.items:
                 return q.dequeue()
         return None
 

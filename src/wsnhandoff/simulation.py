@@ -18,11 +18,12 @@ _close_ledger() sets the counters that copy or add up others once at the end.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the run's digest: the
-SHA-256 of the lines joined by newlines, hashed as they happen (the first
-line alone, every later one with a leading newline), so no log is kept.  The
+SHA-256 of the lines joined by newlines.  Lines are buffered, each with a
+leading newline (cut from the run's first), and hashed in one update per
+HASH_BLOCK entries and when the window ends, so no log is kept.  The
 formatted time is reused while consecutive events share it.  Two runs of the
-same scenario and seed must match byte for byte.  A burst hashes the lines
-of its receivers in one update and then delivers to them in order, so it
+same scenario and seed must match byte for byte.  A burst buffers the lines
+of its receivers as one entry and then delivers to them in order, so it
 leaves the same digest as one event per receiver.
 
 Only mobile stations move (validation rejects mobility on other nodes), so
@@ -63,6 +64,7 @@ from .world import (NodeKind, PacketOutcome, check_distinct, comm_graph,
                     position_at, reach_sq, received_power)
 
 DEFAULT_IP_TTL = 16
+HASH_BLOCK = 256  # digest lines hashed per update
 
 
 def _slot(layer: Layer, name: str) -> int:
@@ -154,7 +156,8 @@ class Simulation:
         self.ledger = StatsLedger()
         self.counts = self.ledger.values
         self._digest = hashlib.sha256()
-        self._hash = self._hash_first_line
+        self._lines = []         # digest lines not yet hashed
+        self._cut = 1            # the first line has no newline before it
         self._stamp_t = None     # time of the last event, and its
         self._stamp = ""         # "\n{t:.6f} " prefix
         self.ids = itertools.count(1)  # request ids
@@ -285,7 +288,7 @@ class Simulation:
 
     def _send(self, node_id: str, frame: Frame):
         q = self.node_queues[node_id]
-        if not q:  # empty before the offer: no drain is pending
+        if not q.items:  # empty before the offer: no drain is pending
             self.queue.schedule(self.queue.clock, node_id, ("drain", node_id))
         q.enqueue(frame)
 
@@ -299,7 +302,7 @@ class Simulation:
             if mote is not None and frame.kind != "discovery":
                 mote.energy_consumed += 1
             self._transmit(t, node_id, frame)
-        if len(q):
+        if q.items:
             self.queue.schedule(t + self.p.tx_slot, node_id, payload)
 
     def _transmit(self, t: float, node_id: str, frame: Frame):
@@ -339,8 +342,8 @@ class Simulation:
         """A broadcast's deliveries, in receiver order: what _on_deliver
         does for a unicast frame, with the reception counters added once."""
         stamp = self._stamp
-        self._hash("".join([f"{stamp}{seq + i} {rx} deliver"
-                            for i, rx in enumerate(receivers)]).encode())
+        self._lines.append("".join([f"{stamp}{seq + i} {rx} deliver"
+                                    for i, rx in enumerate(receivers)]))
         _, frame, outcomes = payload
         receive = self._receivers[frame.kind]
         motes = self.mote_states
@@ -574,21 +577,27 @@ class Simulation:
 
     # ---- main loop ----------------------------------------------------
 
-    def _hash_first_line(self, line: bytes):
-        # lines are joined by newlines: the first one has none before it
-        self._hash = self._digest.update
-        self._digest.update(line[1:])
+    def _hash_lines(self):
+        """Hash the buffered digest lines in one update."""
+        lines = self._lines
+        if lines:
+            self._digest.update("".join(lines)[self._cut:].encode())
+            self._cut = 0
+            lines.clear()
 
     def _dispatch(self, ev):
         t, seq, target, payload = ev
         if t != self._stamp_t:
             self._stamp_t = t
             self._stamp = "\n%.6f " % t
+        lines = self._lines
+        if len(lines) >= HASH_BLOCK:
+            self._hash_lines()
         if target.__class__ is tuple:
             self._deliver_burst(t, seq, target, payload)
             return
         kind = payload[0]
-        self._hash(f"{self._stamp}{seq} {target} {kind}".encode())
+        lines.append(f"{self._stamp}{seq} {target} {kind}")
         self._handlers[kind](t, payload)
 
     def _close_ledger(self):
@@ -614,6 +623,7 @@ class Simulation:
             self.queue.schedule(self.rng.draw() * self.p.dv_period, mote,
                                 ("dv_send", mote))
         processed = self.queue.run_until(self.s.duration, self._dispatch)
+        self._hash_lines()
         self._close_ledger()
         digest = self._digest.hexdigest()
         energy = {m: (st.energy_consumed, st.mode.value)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wsnhandoff.engine import Event, EventQueue, PastTimeError, RngStream
+from wsnhandoff.engine import EventQueue, PastTimeError, RngStream
 
 
 def test_events_fire_in_time_then_seq_order():
@@ -16,7 +16,7 @@ def test_events_fire_in_time_then_seq_order():
         scheduled.append(q.schedule(t, "n", None))
     popped = [q.pop() for _ in range(500)]
     # oracle: plain sort of the scheduled events by (fire_time, seq)
-    assert popped == sorted(scheduled, key=lambda e: (e.fire_time, e.seq))
+    assert popped == sorted(scheduled, key=lambda e: (e[0], e[1]))
 
 
 def test_equal_times_pop_in_scheduling_order():
@@ -27,7 +27,7 @@ def test_equal_times_pop_in_scheduling_order():
 
 def test_seq_is_gapless_from_one():
     q = EventQueue()
-    seqs = [q.schedule(float(i % 3), "n", None).seq for i in range(10)]
+    seqs = [q.schedule(float(i % 3), "n", None)[1] for i in range(10)]
     assert seqs == list(range(1, 11))
 
 
@@ -35,8 +35,8 @@ def test_pop_advances_clock_and_past_scheduling_is_rejected():
     q = EventQueue()
     q.schedule(5.0, "a", None)
     q.schedule(2.0, "b", None)
-    ev = q.pop()
-    assert ev.target == "b" and q.clock == 2.0
+    _, _, target, _ = q.pop()
+    assert target == "b" and q.clock == 2.0
     with pytest.raises(PastTimeError):
         q.schedule(1.9, "c", None)
     q.schedule(2.0, "c", None)  # scheduling exactly at the clock is fine
@@ -47,7 +47,7 @@ def test_run_until_processes_window_and_leaves_rest():
     for t in (0.5, 1.0, 1.5, 2.0, 2.5):
         q.schedule(t, "n", None)
     seen = []
-    processed = q.run_until(2.0, lambda ev: seen.append(ev.fire_time))
+    processed = q.run_until(2.0, lambda ev: seen.append(ev[0]))
     assert processed == 4
     assert seen == [0.5, 1.0, 1.5, 2.0]
     assert q.clock == 2.0
@@ -68,16 +68,16 @@ def test_run_until_before_the_clock_raises_and_leaves_the_queue_as_it_was():
     fired = []
     q.schedule(5.0, "a", None)
     q.schedule(7.0, "b", None)
-    assert q.run_until(6.0, lambda ev: fired.append(ev.fire_time)) == 1
+    assert q.run_until(6.0, lambda ev: fired.append(ev[0])) == 1
     with pytest.raises(PastTimeError):
-        q.run_until(2.0, lambda ev: fired.append(ev.fire_time))
+        q.run_until(2.0, lambda ev: fired.append(ev[0]))
     assert (q.clock, len(q), fired) == (6.0, 1, [5.0])
     with pytest.raises(PastTimeError):
         q.schedule(3.0, "c", None)
-    assert q.run_until(6.0, lambda ev: fired.append(ev.fire_time)) == 0
-    assert q.run_until(8.0, lambda ev: fired.append(ev.fire_time)) == 1
+    assert q.run_until(6.0, lambda ev: fired.append(ev[0])) == 0
+    assert q.run_until(8.0, lambda ev: fired.append(ev[0])) == 1
     assert fired == [5.0, 7.0]
-    assert q.schedule(8.0, "d", None).seq == 3
+    assert q.schedule(8.0, "d", None)[1] == 3
 
 
 def test_dispatch_may_schedule_followups_inside_window():
@@ -85,9 +85,10 @@ def test_dispatch_may_schedule_followups_inside_window():
     fired = []
 
     def dispatch(ev):
-        fired.append(ev.fire_time)
-        if ev.fire_time < 3.0:
-            q.schedule(ev.fire_time + 1.0, "n", None)
+        t = ev[0]
+        fired.append(t)
+        if t < 3.0:
+            q.schedule(t + 1.0, "n", None)
 
     q.schedule(0.0, "n", None)
     processed = q.run_until(10.0, dispatch)
@@ -96,9 +97,11 @@ def test_dispatch_may_schedule_followups_inside_window():
 
 
 def test_event_ordering_ignores_target_and_payload():
-    a = Event(1.0, 1, "zzz", {"x": 1})
-    b = Event(1.0, 2, "aaa", None)
-    assert a < b
+    q = EventQueue()
+    a = q.schedule(1.0, "zzz", {"x": 1})
+    b = q.schedule(1.0, "aaa", None)
+    assert a == (1.0, 1, "zzz", {"x": 1}) and a < b
+    assert [q.pop(), q.pop()] == [a, b]
 
 
 def _reference_splitmix64(seed, n):
@@ -191,7 +194,7 @@ def _drive(q, bursts: bool, seed: int):
         with pytest.raises(PastTimeError):
             add(t_end - 0.1, ("late", "late"))
     assert len(q) == 0
-    return fired, counts, q.schedule(2e6, "end", None).seq
+    return fired, counts, q.schedule(2e6, "end", None)[1]
 
 
 def test_bursts_dispatch_like_one_event_per_target():
@@ -208,7 +211,7 @@ def test_burst_takes_one_heap_entry_and_len_targets_seqs():
     q.schedule(1.0, "a", None)
     ev = q.schedule_burst(1.0, ("b", "c", "d"), "p")
     assert ev == (1.0, 2, ("b", "c", "d"), "p") and len(q) == 2
-    assert q.schedule(1.0, "e", None).seq == 5
+    assert q.schedule(1.0, "e", None)[1] == 5
 
 
 def test_burst_at_the_clock_from_inside_dispatch_fires_in_the_window():
@@ -216,8 +219,9 @@ def test_burst_at_the_clock_from_inside_dispatch_fires_in_the_window():
     fired = []
 
     def dispatch(ev):
-        fired.append((ev.seq, ev.target))
-        if ev.target == "a":
+        _, seq, target, _ = ev
+        fired.append((seq, target))
+        if target == "a":
             q.schedule_burst(q.clock, ("x", "y"), None)
 
     q.schedule(1.0, "a", None)
@@ -245,4 +249,92 @@ def test_burst_before_the_clock_or_without_targets_is_rejected():
         q.schedule_burst(2.0, (), None)
     # neither call scheduled anything or used a seq
     assert len(q) == 0
-    assert q.schedule(2.0, "d", None).seq == 2
+    assert q.schedule(2.0, "d", None)[1] == 2
+
+
+@pytest.mark.parametrize("call", ["schedule", "schedule_burst", "run_until"])
+def test_a_nan_time_is_rejected_and_changes_nothing(call):
+    nan = float("nan")
+    q = EventQueue()
+    q.schedule(1.0, "a", None)
+    q.schedule(0.0, "now", None)  # held by the lane
+    with pytest.raises(PastTimeError):
+        if call == "schedule":
+            q.schedule(nan, "b", None)
+        elif call == "schedule_burst":
+            q.schedule_burst(nan, ("b", "c"), None)
+        else:
+            q.run_until(nan, lambda ev: None)
+    # nothing was queued, no seq was used and the clock did not move
+    assert (len(q), q.clock) == (2, 0.0)
+    q.schedule(0.5, "c", None)
+    fired = []
+    assert q.run_until(2.0, lambda ev: fired.append(ev[1:3])) == 3
+    assert fired == [(2, "now"), (3, "c"), (1, "a")]
+    assert len(q) == 0 and q.clock == 2.0
+    with pytest.raises(PastTimeError):
+        q.schedule(-5.0, "d", None)
+    assert q.schedule(2.0, "d", None)[1] == 4
+
+
+def _oracle_mix(seed: int):
+    """Drive one queue with a seeded mix of single events, bursts and
+    same-instant events (scheduled inside dispatch, between run_until
+    windows at q.clock, and popped between windows), and check it against
+    an independent oracle: a plain sort by (fire_time, seq) of everything
+    scheduled.  Returns the number of events dispatched."""
+    rng = random.Random(seed)
+    q = EventQueue()
+    scheduled = []      # (fire_time, seq, target): one per event
+    pending = set()     # seqs of the queued entries, one per burst
+    fired = []
+
+    def add(t):
+        if rng.random() < 0.25:
+            targets = tuple(f"n{rng.randrange(9)}"
+                            for _ in range(rng.randint(1, 5)))
+            t, seq, _, _ = q.schedule_burst(t, targets, None)
+        else:
+            targets = (f"n{rng.randrange(9)}",)
+            t, seq, _, _ = q.schedule(t, targets[0], None)
+        scheduled.extend((t, seq + i, one) for i, one in enumerate(targets))
+        pending.add(seq)
+
+    def take(ev):
+        t, seq, target, _ = ev
+        assert t == q.clock
+        pending.remove(seq)
+        group = target if isinstance(target, tuple) else (target,)
+        fired.extend((t, seq + i, one) for i, one in enumerate(group))
+
+    def dispatch(ev):
+        take(ev)
+        if len(fired) < 400:
+            for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+                add(q.clock + rng.choice([0.0, 0.0, 0.0, 0.25, 1.0]))
+
+    for _ in range(rng.randint(1, 10)):
+        add(rng.choice([0.0, 0.0, 0.5, 1.0, rng.uniform(0, 4)]))
+    for t_end in sorted(rng.sample([0.0, 0.5, 0.6, 1.0, 2.0, 3.3], 3)):
+        t_end = max(t_end, q.clock)  # a pop() may have moved the clock
+        before = len(fired)
+        assert q.run_until(t_end, dispatch) == len(fired) - before
+        assert len(q) == len(pending)
+        for _ in range(rng.randint(0, 3)):
+            add(q.clock)  # at the clock, between windows
+        if len(q) and rng.random() < 0.5:
+            take(q.pop())
+            assert len(q) == len(pending)
+    before = len(fired)
+    assert q.run_until(1e6, dispatch) == len(fired) - before
+    assert len(q) == 0 and not pending
+    assert fired == sorted(scheduled)  # targets never decide: seqs differ
+    # gapless: every seq up to the last numbers exactly one event
+    seqs = sorted(seq for _, seq, _ in fired)
+    assert seqs == list(range(1, q.schedule(2e6, "end")[1]))
+    return len(fired)
+
+
+def test_the_same_instant_lane_keeps_time_then_seq_order():
+    dispatched = [_oracle_mix(seed) for seed in range(300)]
+    assert sum(dispatched) > 300 * 20

@@ -25,7 +25,7 @@ from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  reference_scenario, strip_wsn,
                                  validate_scenario)
 from wsnhandoff.report import serialize_report
-from wsnhandoff.simulation import Simulation
+from wsnhandoff.simulation import HASH_BLOCK, Simulation
 from wsnhandoff.world import MobilityPath, NodeKind, Point
 
 
@@ -135,6 +135,32 @@ def test_digest_hashes_one_line_per_event(name):
     assert len(set(seqs)) == len(seqs)
     for (t0, seq0, _, _), (t1, seq1, _, _) in zip(lines, lines[1:]):
         assert float(t0) < float(t1) or (t0 == t1 and int(seq0) < int(seq1))
+
+
+def test_digest_lines_are_hashed_in_bounded_blocks():
+    # a run that hashes many blocks, bursts among them: the digest is still
+    # the SHA-256 of every event's line, formatted here, joined by newlines
+    sim = Simulation(SCENARIOS["grid4-three-walkers"]())
+    sim._digest = recorder = _DigestRecorder()
+    lines, pending = [], []
+    dispatch = sim._dispatch
+
+    def recording_dispatch(ev):
+        t, seq, target, payload = ev
+        group = target if isinstance(target, tuple) else (target,)
+        lines.extend(f"{t:.6f} {seq + i} {rx} {payload[0]}"
+                     for i, rx in enumerate(group))
+        dispatch(ev)
+        pending.append(len(sim._lines))
+
+    sim._dispatch = recording_dispatch
+    report = sim.run()
+    assert len(lines) == report.events_processed == GOLDENS[
+        "grid4-three-walkers"][1]
+    assert report.digest == hashlib.sha256(
+        "\n".join(lines).encode()).hexdigest()
+    assert len(recorder.updates) >= 5
+    assert max(pending) <= HASH_BLOCK  # the buffer stays bounded
 
 
 def test_drop_scenario_drops_frames_and_streams_payload():
