@@ -137,15 +137,12 @@ def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
     return fwd, None, targets
 
 
-def bs_notify_msc(bs_id: str, req: DiscoveryRequest, seen_at_bs: set):
-    """Escalate a delivered request to the switching centre, once per id.
-
-    `seen_at_bs` is the base station's memory of request ids already
-    escalated; duplicates return None.
-    """
-    if req.request_id in seen_at_bs:
+def bs_notify_msc(bs_id: str, req: DiscoveryRequest, escalated_by: set):
+    """Escalate req to the switching centre, once per base station: None
+    when bs_id is already in `escalated_by`, the set that escalated req."""
+    if bs_id in escalated_by:
         return None
-    seen_at_bs.add(req.request_id)
+    escalated_by.add(bs_id)
     return Escalation(req.request_id, req.ms_id, req.ms_location,
                       req.path, bs_id)
 

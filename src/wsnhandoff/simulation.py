@@ -40,6 +40,12 @@ static neighbour hears a mote is classified once, at start, into the mote's
 outcome row; a handset's outcomes are worked out on each transmit, from
 where it is then.
 
+Each request id, a discovery's or a direct satellite fallback's, names one
+Handoff in self.handoffs: its discovery deadline, the base stations that
+escalated it and the relay paths that reached the switching centre, then its
+decision and link.  A handset's MsState points at its pending discovery's
+record and says whether a bring-up is in flight.
+
 The per-event paths compare against Enum members bound once at import
 (LOST, SLEEPING, BASE_STATION, ...), like the ledger slots, as a module
 global is read several times faster than an Enum class attribute.
@@ -47,13 +53,13 @@ global is read several times faster than an Enum class attribute.
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import EventQueue, RngStream
-from .protocol import (DecisionOutcome, LinkRecord, MoteMode, MoteState,
-                       MscDecision, bs_notify_msc, detect_loss, establish_link,
-                       make_discovery, mote_forward, msc_decide,
-                       release_motes)
+from .protocol import (ENERGY_PER_TX, DecisionOutcome, LinkRecord, MoteMode,
+                       MoteState, MscDecision, bs_notify_msc, detect_loss,
+                       establish_link, make_discovery, mote_forward,
+                       msc_decide, release_motes, steer_feasible)
 from .queues import FifoQueue
 from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
                       apply_update, periodic_update, shortest_path)
@@ -124,10 +130,19 @@ class Frame:
     relay: bool = False      # satellite forwards this traffic to the core
 
 
+@dataclass(slots=True)
+class Handoff:
+    """One request's progress, from its discovery to its link."""
+    deadline: float           # when an unanswered discovery times out
+    bases: set = field(default_factory=set)    # escalated by these
+    paths: list = field(default_factory=list)  # as they reach the msc
+    decision: MscDecision = None
+    link: LinkRecord = None
+
+
 @dataclass
 class MsState:
-    pending_request: int = None
-    pending_deadline: float = 0.0
+    pending: Handoff = None   # the discovery awaiting an answer
     awaiting_link: bool = False
     link: LinkRecord = None
     payload_frame: Frame = None  # what `link` carries every app_interval
@@ -176,7 +191,6 @@ class Simulation:
                           for n in scenario.by_kind(NodeKind.MOBILE_STATION)}
         self.bs_positions = {n.node_id: n.position
                              for n in scenario.by_kind(BASE_STATION)}
-        self.bs_seen = {b: set() for b in self.bs_positions}
         self.satellite_id = min((n.node_id for n in scenario.by_kind(
             SATELLITE)), default=None)
         mscs = scenario.by_kind(NodeKind.MSC)
@@ -218,9 +232,7 @@ class Simulation:
             for n in scenario.nodes
             if n.kind in (BASE_STATION, MOTE)]
 
-        self.msc_paths = {}        # request id -> escalated relay paths
-        self.msc_decided = set()   # request ids
-        self.msc_established = set()
+        self.handoffs = {}  # request id -> Handoff
         self.links = []
         self.dv_paths = []
         self.decision_log = []
@@ -244,9 +256,6 @@ class Simulation:
                            "sat_ack": self._rx_sat_ack}
 
     # ---- geometry helpers -------------------------------------------
-
-    def halted(self, node_id: str, t: float) -> bool:
-        return t >= self.halt_at.get(node_id, 0.0)
 
     def handset_graph(self, t: float) -> dict:
         """The handsets' base-station and mote neighbours at time t.
@@ -300,7 +309,7 @@ class Simulation:
         if mote is None or mote.mode is not SLEEPING:
             # discovery forwards pre-pay their energy inside mote_forward
             if mote is not None and frame.kind != "discovery":
-                mote.energy_consumed += 1
+                mote.energy_consumed += ENERGY_PER_TX
             self._transmit(t, node_id, frame)
         if q.items:
             self.queue.schedule(t + self.p.tx_slot, node_id, payload)
@@ -370,7 +379,7 @@ class Simulation:
     def _rx_discovery(self, t: float, frame: Frame, rx: str):
         req = frame.payload
         if self.kinds[rx] is BASE_STATION:
-            esc = bs_notify_msc(rx, req, self.bs_seen[rx])
+            esc = bs_notify_msc(rx, req, self.handoffs[req.request_id].bases)
             if esc is not None and self.msc_id is not None:
                 self.queue.schedule(t + self.p.backhaul_delay, self.msc_id,
                                     ("backhaul", esc))
@@ -437,33 +446,30 @@ class Simulation:
 
     def _check_ms(self, t: float, ms_id: str, row: set):
         st = self.ms_states[ms_id]
-        if st.link is not None:
-            if st.link.endpoint.kind is BASE_STATION:
-                bs_pos = self.bs_positions[st.link.endpoint.node_id]
-                if (bs_pos.distance_to(self.here[ms_id])
-                        > self.p.max_steer_range):
-                    st.link = None  # walked out of the steered beam
-            if st.link is not None:
+        link = st.link
+        if link is not None:
+            if link.endpoint.kind is SATELLITE or steer_feasible(
+                    self.bs_positions[link.endpoint.node_id],
+                    self.here[ms_id], self.p.max_steer_range):
                 return
+            st.link = None  # walked out of the steered beam
         if st.awaiting_link:
             return
-        if st.pending_request is not None:
-            if t < st.pending_deadline:
+        halted = t >= self.halt_at.get(ms_id, 0.0)
+        if st.pending is not None:
+            if t < st.pending.deadline:
                 return
-            st.pending_request = None  # discovery went unanswered
-            if self.halted(ms_id, t):
-                st.failed_after_halt += 1
+            st.pending = None  # discovery went unanswered
+            st.failed_after_halt += halted
         if not detect_loss(row, self.kinds):
             return
-        motes = [m for m in sorted(row)
-                 if self.kinds[m] is MOTE
+        motes = [m for m in sorted(row) if self.kinds[m] is MOTE
                  and self.mote_states[m].mode is ACTIVE]
-        halted = self.halted(ms_id, t)
         if motes and not (halted and st.failed_after_halt > 0):
             req = make_discovery(ms_id, self.here[ms_id], motes,
                                  self.ids, self.p.default_ttl)
-            st.pending_request = req.request_id
-            st.pending_deadline = t + self.p.discovery_timeout
+            st.pending = self.handoffs[req.request_id] = Handoff(
+                t + self.p.discovery_timeout)
             self._send(ms_id, Frame("discovery", ms_id, targets=tuple(motes),
                                     payload=req, ip_ttl=req.ttl))
         elif halted and self.satellite_id is not None:
@@ -471,50 +477,48 @@ class Simulation:
             self._direct_satellite_fallback(t, ms_id)
 
     def _direct_satellite_fallback(self, t: float, ms_id: str):
-        decision = MscDecision(next(self.ids),
-                               DecisionOutcome.SATELLITE_FALLBACK)
-        self.decision_log.append((ms_id, decision))
+        request_id = next(self.ids)
+        handoff = self.handoffs[request_id] = Handoff(t, decision=MscDecision(
+            request_id, DecisionOutcome.SATELLITE_FALLBACK))
+        self.decision_log.append((ms_id, handoff.decision))
         self._send(ms_id, Frame("sat_request", ms_id,
                                 dst=self.satellite_id, channel="satlink"))
-        self._bring_up(t, ms_id, decision, ())
+        self._bring_up(t, ms_id, handoff, ())
 
-    def _bring_up(self, t: float, ms_id: str, decision: MscDecision,
+    def _bring_up(self, t: float, ms_id: str, handoff: Handoff,
                   relay_path: tuple):
-        """Start the link `decision` chose; an establish event ends it."""
+        """Start the link `handoff`'s decision chose; establish ends it."""
         self.ms_states[ms_id].awaiting_link = True
-        record = establish_link(decision, ms_id, relay_path, t,
+        record = establish_link(handoff.decision, ms_id, relay_path, t,
                                 self.p.steering_delay,
                                 self.p.satellite_acquisition_delay,
                                 self.satellite_id)
         self.queue.schedule(record.established_at, ms_id,
-                            ("establish", ms_id, record,
-                             decision.request_id))
+                            ("establish", ms_id, record, handoff))
 
     # ---- escalation, decision, establishment ------------------------
 
     def _on_backhaul(self, t: float, payload):
         esc = payload[1]
         self.escalation_log.append(esc)
-        paths = self.msc_paths.setdefault(esc.request_id, [])
-        paths.append(esc.relay_path)
-        if esc.request_id in self.msc_established:
+        handoff = self.handoffs[esc.request_id]
+        handoff.paths.append(esc.relay_path)
+        if handoff.link is not None:  # decided too: put the path to sleep
             self._release(esc.relay_path)
-            return
-        if esc.request_id in self.msc_decided:
-            return  # duplicate from a second base station
-        decision = msc_decide(esc.request_id, esc.ms_location,
-                              self.bs_positions, self.p.max_steer_range,
-                              self.satellite_id is not None)
-        self.msc_decided.add(esc.request_id)
+        if handoff.decision is not None:
+            return  # from a second base station, or after the link is up
+        handoff.decision = decision = msc_decide(
+            esc.request_id, esc.ms_location, self.bs_positions,
+            self.p.max_steer_range, self.satellite_id is not None)
         self.decision_log.append((esc.ms_id, decision))
         st = self.ms_states[esc.ms_id]
         if st.link is not None:
             return  # stale answer, the mobile is already served
-        st.pending_request = None
+        st.pending = None  # whichever request of the handset it answers
         if decision.outcome is DecisionOutcome.SATELLITE_FALLBACK:
             self.queue.schedule(t + self.p.backhaul_delay, self.satellite_id,
                                 ("sat_locate", esc.ms_id))
-        self._bring_up(t, esc.ms_id, decision, esc.relay_path)
+        self._bring_up(t, esc.ms_id, handoff, esc.relay_path)
 
     def _on_sat_locate(self, t: float, payload):
         # the switching centre uplinks the mobile's location; the satellite
@@ -526,12 +530,12 @@ class Simulation:
                                             dst=ms_id, channel="satlink"))
 
     def _on_establish(self, t: float, payload):
-        _, ms_id, record, request_id = payload
+        _, ms_id, record, handoff = payload
         st = self.ms_states[ms_id]
-        st.awaiting_link = False
+        st.awaiting_link = False  # by any request's establish
         if st.link is not None:
-            return
-        st.link = record
+            return  # the first link up wins
+        st.link = handoff.link = record
         # Frames are never changed after _send(), so one serves the link.
         sat = record.endpoint.kind is SATELLITE
         st.payload_frame = Frame("payload", ms_id, dst=record.endpoint.node_id,
@@ -539,8 +543,7 @@ class Simulation:
                                  relay=sat and bool(record.relay_path))
         self.links.append(record)
         self.dv_paths.append(self._dv_route(record))
-        self.msc_established.add(request_id)
-        for path in self.msc_paths.get(request_id, []):
+        for path in handoff.paths:
             self._release(path)
         self.queue.schedule(t + self.p.app_interval, ms_id,
                             ("app", ms_id, record.established_at))

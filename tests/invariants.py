@@ -136,7 +136,8 @@ def check_run(sim):
     sorted by id; and each mote's outcome row is keyed by exactly its
     base-station and mote neighbours in that graph, each entry the outcome
     worked out here from the start positions, and none LOST, since the edge
-    rule means every neighbour hears the mote."""
+    rule means every neighbour hears the mote.  Last, the handoff records
+    (check_handoffs)."""
     counts, traffic = _watch_traffic(sim)
     dispatch = sim._dispatch
     clock = -math.inf
@@ -149,6 +150,8 @@ def check_run(sim):
 
     frozen = {}  # mote -> energy spent when first put to sleep
     release = simulation.release_motes
+    establish = simulation.establish_link
+    brought_up = set()  # ids of the decisions links were set up for
 
     def watched_release(path, mote_states):
         release(path, mote_states)
@@ -156,12 +159,18 @@ def check_run(sim):
             for m in path:
                 frozen.setdefault(m, mote_states[m].energy_consumed)
 
+    def watched_establish(decision, *args):
+        brought_up.add(id(decision))
+        return establish(decision, *args)
+
     sim._dispatch = watched_dispatch
     simulation.release_motes = watched_release
+    simulation.establish_link = watched_establish
     try:
         report = sim.run()
     finally:
         simulation.release_motes = release
+        simulation.establish_link = establish
 
     for node_id, q in sim.node_queues.items():
         assert q.queued == q.dequeued + q.dropped + len(q), node_id
@@ -212,7 +221,42 @@ def check_run(sim):
             assert outcome is packet_outcome(
                 profile, received_power(profile, d)), (m, rx)
             assert outcome is not PacketOutcome.LOST, (m, rx)
+    check_handoffs(sim, report, brought_up)
     return report
+
+
+def check_handoffs(sim, report, brought_up: set):
+    """Assert that the finished run `sim` keeps one Handoff record per
+    request id it issued, and that the records account for the report:
+    each link and each decision is that of exactly one record, and the
+    records' relay paths number the escalations.  A record with a link has
+    a decision; a record holds no more paths than base stations that
+    escalated it (no switching centre, no paths); and a handset's pending
+    record, when there is one, has no link and no decision that a link was
+    set up for (`brought_up` holds the ids of those decisions).  It may
+    hold a decision: one that reached the handset while a link served it,
+    which is logged and brings nothing up."""
+    records = sim.handoffs
+    assert list(records) == list(range(1, next(sim.ids))), list(records)
+    assert len({id(h) for h in records.values()}) == len(records)
+    for request_id, h in records.items():
+        assert h.link is None or h.decision is not None, request_id
+        assert h.decision is None or h.decision.request_id == request_id
+        assert len(h.paths) <= len(h.bases), request_id
+    for name, logged in (("link", report.links),
+                         ("decision", [d for _, d in report.decisions])):
+        held = [getattr(h, name) for h in records.values()]
+        held = sorted(id(x) for x in held if x is not None)
+        assert held == sorted(id(x) for x in logged), name
+        assert len(set(held)) == len(held), name
+    assert (sum(len(h.paths) for h in records.values())
+            == len(report.escalations))
+    for ms_id, st in sim.ms_states.items():
+        if st.pending is not None:
+            assert st.pending.link is None, ms_id
+            assert (st.pending.decision is None
+                    or id(st.pending.decision) not in brought_up), ms_id
+            assert any(h is st.pending for h in records.values()), ms_id
 
 
 def _static_graph(s: Scenario):

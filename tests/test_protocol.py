@@ -187,15 +187,24 @@ def test_multi_bs_unicast_picks_smallest_id():
 
 
 def test_bs_escalates_each_request_once():
-    seen = set()
+    # each request carries the set of base stations that escalated it
+    escalated_by = set()
     req = DiscoveryRequest(3, "ms", Point(1, 2), ttl=12, path=("m1", "m2"))
-    esc = bs_notify_msc("bs1", req, seen)
+    esc = bs_notify_msc("bs1", req, escalated_by)
     assert esc.request_id == 3 and esc.bs_id == "bs1"
     assert esc.relay_path == ("m1", "m2")
     assert esc.ms_location == Point(1, 2)
-    assert bs_notify_msc("bs1", req, seen) is None
+    assert bs_notify_msc("bs1", req, escalated_by) is None
+    assert escalated_by == {"bs1"}
     other = DiscoveryRequest(4, "ms", Point(1, 2), ttl=12)
-    assert bs_notify_msc("bs1", other, seen) is not None
+    assert bs_notify_msc("bs1", other, set()) is not None
+    # a second base station escalates the same request, once
+    again = DiscoveryRequest(3, "ms", Point(1, 2), ttl=11, path=("m5",))
+    esc = bs_notify_msc("bs2", again, escalated_by)
+    assert esc.request_id == 3 and esc.bs_id == "bs2"
+    assert esc.relay_path == ("m5",)
+    assert bs_notify_msc("bs2", again, escalated_by) is None
+    assert escalated_by == {"bs1", "bs2"}
 
 
 def test_steer_feasible_boundary_inclusive():

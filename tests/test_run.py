@@ -570,6 +570,109 @@ def _random_walk_world(rng) -> Scenario:
     return s
 
 
+def _timed_world(seed: int) -> Scenario:
+    """A _random_walk_world under non-default timing.  Short discovery
+    timeouts against slow backhaul let one handset hold several requests
+    at once; a quarter of the worlds bring links up with no delay, so an
+    escalation can reach the switching centre after its link is up."""
+    rng = random.Random(seed)
+    s = _random_walk_world(rng)
+    if rng.random() < 0.25:
+        steer = acquire = 0.0
+        hop = rng.choice((0.05, 0.2))
+    else:
+        steer = rng.choice((0.5, 3.0))
+        acquire = rng.choice((2.0, 5.0))
+        hop = rng.choice((0.01, 0.05, 0.2))
+    return dataclasses.replace(s, params=SimParams(
+        discovery_timeout=rng.choice((0.02, 0.05, 0.2, 1.0)),
+        hop_delay=hop, backhaul_delay=rng.choice((0.05, 0.5, 1.5)),
+        steering_delay=steer, satellite_acquisition_delay=acquire,
+        coverage_check_period=rng.choice((0.25, 1.0)),
+        default_ttl=rng.randint(2, 16)))
+
+
+# seed -> (digest, events_processed, sha256 of serialize_report, sha256 of
+# repr((decisions, escalations))).  Seeds picked from 0..7999 so that
+# together the worlds reach each cross-request corner of the handoff state
+# machine: a decision for a handset that already has a link; a decision for
+# an older request that ends a newer pending discovery; a second bring-up
+# while one is in flight; a decision after its discovery timed out; an
+# establish dropped because a link is up; an establish arriving after
+# another one cleared awaiting_link; a link that comes up while a newer
+# discovery is pending; an escalation after its request's link is up, whose
+# path is put to sleep; a duplicate escalation from a second base station;
+# and (7252) a decision for the discovery a served handset holds pending.
+CORNER_WORLDS = {
+    65: (
+        "54c8a32d496c06cdf0cba557e3441da7791ef6c2f55b97b49486bb181e1e652a",
+        3141,
+        "4f1ad6cd0ac9f15a043cd6d490c88407f81a15940ff8e2ef2808f31f65980786",
+        "42c0f82cfbae3e93f17608acf1438387da9ce67d5e121689d5fd96f892c5141f"),
+    628: (
+        "6329805f247b0b53bdf691b157e489336265e4f46e2fa609eea4a470533265b9",
+        4832,
+        "359733e8f443476031c1b8e4543ee0c95a0f85c48c7bd86cc2145db52279ee76",
+        "956e6dba7788af7418605117f6a594b33ddeb18a90de76442c87b763574f59f6"),
+    832: (
+        "c373e2253a33c21054bef82fd916a6a1b8baccbc3908f7d686dbb1c8a5965f4e",
+        4013,
+        "9a4900dbf1e8320d1a75ac4d07b4ea95fa58ce9e91ce99e7dbf22562614910d5",
+        "3cd98d7f3563e0488c5654d53b97cb56d227e08d1c4218589445ca24e3475e00"),
+    1072: (
+        "264e8ed40261d8a1912fa3bcc8a9e2440825fac8be97798d90c6d62a688a6a18",
+        3804,
+        "82704b216cce2cb2c6bf4faea760fb03e6e37313081ce965a874e911b430ba0b",
+        "1cdd1d0627db99c0d3e682c0a4d204c7d500fbf555e30cb6303e208b2d213ed3"),
+    1273: (
+        "c39f05764947eee183850b4002808d5be81e93e0db53cf5485a8ad05ba83f5a7",
+        2054,
+        "2f1a64e81427369c75e58f3e1bf4ebbbb086e538bb316e3e8dc06f42c23f65b2",
+        "867246fc370691bc3c37cc6f308927b58a4c0ea2cccfbad4e1b2b60671fb9171"),
+    2670: (
+        "aa893ed7f9eb9f5229cee4ce6be69f2af6937efa33c1e102f69b17fcd8e716ce",
+        4068,
+        "535ed19b28fc9a3b7a3d7fc2851d173a355fab876ee6a549a84cdf36cfe4f887",
+        "4d7cee0874b477ea2bd30aef804fe332a756baf4edb7143700792852f685f2b3"),
+    4868: (
+        "286ab492bf31db65e9b2fd3a48b1841991055a92e35f3406ea5f3b3ccdeabc5a",
+        4212,
+        "3be4ad69942273e1768e148fd4734cdac7e497a94eac9dc02edc9640c74d7dcd",
+        "f6ac6e8a78d58930f045214f77e0e188273231e694a49a054ed6958fc3d9af63"),
+    5184: (
+        "a50f484eec181add84fbc73b703251385aa19813e4a27d909648fccddae18965",
+        4224,
+        "5fd84a347b08376c1d3f9a6d98558108181a9cb6d02343f19b58927e0f5b891a",
+        "0782bc74ac73ff64cae7909760a5e0f32e1d4311d76f40b79cbc2fe86d50827e"),
+    7252: (
+        "cd2203dee95bfab825b5a19d482d884d0ce210805644bfd112f483c3a662d3cc",
+        3849,
+        "8771fe2c20fcf2a5fa0fd16128ace6ec4e0ccda4bc4f545491a2d87d00489c6a",
+        "d3624ea870e9b0cd89cc2b445761823ffab113cadbf00cab604f6c261abec27a"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORNER_WORLDS))
+def test_cross_request_corners_match_their_pins(seed):
+    report = check_run(Simulation(_timed_world(seed)))
+    logs = repr((report.decisions, report.escalations))
+    got = (report.digest, report.events_processed,
+           hashlib.sha256(serialize_report(report).encode()).hexdigest(),
+           hashlib.sha256(logs.encode()).hexdigest())
+    assert got == CORNER_WORLDS[seed]
+
+
+def test_a_decision_for_a_served_handset_leaves_its_discovery_pending():
+    # the decision is logged but brings nothing up, so the discovery it
+    # answers stays pending until its deadline: world 7252 ends so
+    sim = Simulation(_timed_world(7252))
+    report = sim.run()
+    st = sim.ms_states["ms1"]
+    assert st.link is not None
+    assert ("ms1", st.pending.decision) in report.decisions
+    assert st.pending.link is None
+
+
 def _boundary_worlds() -> list:
     """Stationary handsets around one fixed node at the origin: exactly at
     the binding range_radius() of the pair, one float step inside it and
