@@ -18,7 +18,6 @@ from typing import NamedTuple
 from .world import NodeKind, Point
 
 DEFAULT_TTL = 16
-ENERGY_PER_TX = 1
 
 
 class NoMotesInRangeError(RuntimeError):
@@ -116,10 +115,10 @@ def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
     sorted by id.  Sleeping motes, duplicates, exhausted TTLs and path
     revisits return None; the request id still lands in `seen` so later
     copies are recognised.  A forwarding mote appends itself to the path,
-    decrements the TTL, pays one energy unit for the transmission, and
-    returns (request, dst, targets): (fwd, first adjacent base station, ())
-    to hand the request over, else (fwd, None, active neighbours not on the
-    path) to re-flood it.
+    decrements the TTL and returns (request, dst, targets): (fwd, first
+    adjacent base station, ()) to hand the request over, else (fwd, None,
+    active neighbours not on the path) to re-flood it.  It spends no energy
+    here: the mote pays when its queue transmits the forward.
     """
     duplicate = req.request_id in state.seen
     state.seen.add(req.request_id)
@@ -129,12 +128,9 @@ def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
     path = req.path + (mote_id,)
     fwd = DiscoveryRequest(req.request_id, req.ms_id, req.ms_location,
                            req.ttl - 1, path)
-    state.energy_consumed += ENERGY_PER_TX
     if bs_neighbors:
         return fwd, bs_neighbors[0], ()
-    targets = tuple(n for n in active_neighbors if n not in path)
-    # an empty target tuple still keys the radio once, hence the charge above
-    return fwd, None, targets
+    return fwd, None, tuple(n for n in active_neighbors if n not in path)
 
 
 def bs_notify_msc(bs_id: str, req: DiscoveryRequest, escalated_by: set):

@@ -21,9 +21,10 @@ Node kinds: mobile_station, base_station, mote, satellite, msc.
 Profile override keys: tx_power, sensitivity, error_margin,
 path_loss_exponent, reference_loss.
 
-A `[params]` value is one token.  Every number must be finite; `seed`,
-`default_ttl` and `queue_capacity` must be integers.  A value that does not
-parse raises ParseError with its line number.
+A `[params]` key appears once, with a one-token value.  Every number must
+be finite; `seed`, `default_ttl` and `queue_capacity` must be integers.  A
+value that does not parse, or a repeated key, raises ParseError with its
+line number.
 """
 
 import math
@@ -62,7 +63,7 @@ class SimParams:
     discovery_timeout: float = 1.0
 
 
-_INT_PARAMS = {"default_ttl", "queue_capacity"}
+_INT_PARAMS = ("default_ttl", "queue_capacity")
 _PERIODS = ("coverage_check_period", "tx_slot", "dv_period", "app_interval")
 _DELAYS = ("hop_delay", "backhaul_delay", "steering_delay",
            "satellite_acquisition_delay")
@@ -222,6 +223,8 @@ def load_scenario(text: str) -> Scenario:
                 raise ParseError(line_no, f"{key} takes one value: {value!r}")
             if key not in ("duration", "seed") and key not in _PARAM_NAMES:
                 raise ParseError(line_no, f"unknown param {key!r}")
+            if key in raw_params:
+                raise ParseError(line_no, f"duplicate param {key!r}")
             kind = int if key == "seed" or key in _INT_PARAMS else float
             raw_params[key] = _parse_number(value, line_no, key, kind)
         elif section == "node":
@@ -278,12 +281,17 @@ def validate_scenario(s: Scenario):
     for name in _DELAYS:
         if not getattr(s.params, name) >= 0:
             problems.append(f"{name} must be >= 0")
-    # Every number must be finite, as in scenario text, or serialize_scenario
-    # could not write it; a name reported above is not reported again.
+    # Every number must be finite, and the counts ints, as in scenario text,
+    # or serialize_scenario could not write them.  A name reported above is
+    # not reported as not finite, nor a name not finite as not an int.
     for name, value in {"duration": s.duration, **asdict(s.params)}.items():
         if not (math.isfinite(value)
                 or any(p.startswith(f"{name} ") for p in problems)):
             problems.append(f"{name} must be finite")
+    for name in ("seed", *_INT_PARAMS):
+        value = getattr(s if name == "seed" else s.params, name)
+        if type(value) is not int and f"{name} must be finite" not in problems:
+            problems.append(f"{name} must be an integer")
     for n in s.nodes:
         if not (math.isfinite(n.position.x) and math.isfinite(n.position.y)):
             problems.append(f"position of {n.node_id!r} must be finite")

@@ -5,9 +5,10 @@ ledger, all on the deterministic event queue.
 Frame life cycle: a protocol handler calls _send(), which puts the Frame
 itself into the node's FIFO network queue (a full one drops it; motes offer
 only control frames, so no node needs priorities), scheduling a drain at
-the current clock if the queue was empty.  A drain dequeues one frame,
-charges a transmitting mote's energy, and another follows one tx_slot
-later while the queue holds more; _transmit() counts the frame, classifies
+the current clock if the queue was empty.  A drain dequeues one frame and
+transmits it, charging a mote ENERGY_PER_TX (a sleeping mote's frame goes
+unsent and free), and another follows one tx_slot later while the queue
+holds more; _transmit() counts the frame, classifies
 the reception for every receiver against the radio model and schedules
 delivery one hop_delay later: a broadcast, always by radio, as one engine
 burst (one heap entry whose seqs and targets are the receivers', in order),
@@ -44,7 +45,8 @@ Each request id, a discovery's or a direct satellite fallback's, names one
 Handoff in self.handoffs: its discovery deadline, the base stations that
 escalated it and the relay paths that reached the switching centre, then its
 decision and link.  A handset's MsState points at its pending discovery's
-record and says whether a bring-up is in flight.
+record and says whether a bring-up is in flight.  Any decision, stale ones
+included, ends its handset's pending discovery.
 
 The per-event paths compare against Enum members bound once at import
 (LOST, SLEEPING, BASE_STATION, ...), like the ledger slots, as a module
@@ -56,10 +58,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .engine import EventQueue, RngStream
-from .protocol import (ENERGY_PER_TX, DecisionOutcome, LinkRecord, MoteMode,
-                       MoteState, MscDecision, bs_notify_msc, detect_loss,
-                       establish_link, make_discovery, mote_forward,
-                       msc_decide, release_motes, steer_feasible)
+from .protocol import (DecisionOutcome, LinkRecord, MoteMode, MoteState,
+                       MscDecision, bs_notify_msc, detect_loss, establish_link,
+                       make_discovery, mote_forward, msc_decide,
+                       release_motes, steer_feasible)
 from .queues import FifoQueue
 from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
                       apply_update, periodic_update, shortest_path)
@@ -70,6 +72,7 @@ from .world import (NodeKind, PacketOutcome, check_distinct, comm_graph,
                     position_at, reach_sq, received_power)
 
 DEFAULT_IP_TTL = 16
+ENERGY_PER_TX = 1  # what a mote pays for each frame it transmits
 HASH_BLOCK = 256  # digest lines hashed per update
 
 
@@ -307,8 +310,7 @@ class Simulation:
         frame = q.dequeue()
         mote = self.mote_states.get(node_id)
         if mote is None or mote.mode is not SLEEPING:
-            # discovery forwards pre-pay their energy inside mote_forward
-            if mote is not None and frame.kind != "discovery":
+            if mote is not None:
                 mote.energy_consumed += ENERGY_PER_TX
             self._transmit(t, node_id, frame)
         if q.items:
@@ -512,9 +514,9 @@ class Simulation:
             self.p.max_steer_range, self.satellite_id is not None)
         self.decision_log.append((esc.ms_id, decision))
         st = self.ms_states[esc.ms_id]
+        st.pending = None  # whichever request of the handset it answers
         if st.link is not None:
             return  # stale answer, the mobile is already served
-        st.pending = None  # whichever request of the handset it answers
         if decision.outcome is DecisionOutcome.SATELLITE_FALLBACK:
             self.queue.schedule(t + self.p.backhaul_delay, self.satellite_id,
                                 ("sat_locate", esc.ms_id))

@@ -28,9 +28,10 @@ def _watch_traffic(sim):
     which a shadow count of each such queue's frames tracks and checks at
     every drain.  Wrappers on the two delivery paths and on every receive
     handler count the receptions, clear and errored, of unicast and of
-    broadcast frames; the transmit wrapper counts transmits and broadcasts.
-    Returns the first counts keyed by counter token and the second keyed by
-    name, both filled in as the run goes."""
+    broadcast frames; the transmit wrapper counts transmits and broadcasts,
+    and each mote's transmits.  Returns the first counts keyed by counter
+    token, the second keyed by name and the third keyed by mote, all filled
+    in as the run goes."""
     kinds, capacity = sim.kinds, sim.p.queue_capacity
     send, transmit = sim._send, sim._transmit
     drain = sim._handlers["drain"]
@@ -44,6 +45,7 @@ def _watch_traffic(sim):
         "transmits", "broadcasts", "unicast_clear", "unicast_errored",
         "broadcast_clear", "broadcast_errored"), 0)
     backlog = {}  # node other than a mote -> frames its FIFO holds
+    sent = dict.fromkeys(sim.mote_states, 0)  # mote -> frames it transmitted
 
     def layer(node_id):
         return ("net_strict_prior" if kinds[node_id] is NodeKind.MOTE
@@ -74,6 +76,8 @@ def _watch_traffic(sim):
                                                            frame.kind)
         traffic["transmits"] += 1
         traffic["broadcasts"] += frame.dst is None
+        if node_id in sent:
+            sent[node_id] += 1
         transmit(t, node_id, frame)
 
     def watched_deliver(t, payload):
@@ -115,7 +119,7 @@ def _watch_traffic(sim):
     sim._deliver_burst = watched_burst
     for kind, receive in list(sim._receivers.items()):
         sim._receivers[kind] = counted(receive)
-    return counts, traffic
+    return counts, traffic, sent
 
 
 def check_run(sim):
@@ -129,16 +133,17 @@ def check_run(sim):
     others, and the largest FIFO peak; the ledger's transmit, broadcast
     and reception counters, the eight that the run sets at its end from
     the others among them, equal what _watch_traffic counted of the
-    frames and receptions; each sleeping mote has spent
-    exactly the energy it had when release_motes (watched through the name
-    simulation.py calls) put it to sleep; each mote's awake row holds
+    frames and receptions; each mote has spent ENERGY_PER_TX for each
+    frame it transmitted, and each sleeping mote exactly the energy it had
+    when release_motes (watched through the name simulation.py calls) put
+    it to sleep; each mote's awake row holds
     its mote neighbours in the static graph (rebuilt here) that are awake,
     sorted by id; and each mote's outcome row is keyed by exactly its
     base-station and mote neighbours in that graph, each entry the outcome
     worked out here from the start positions, and none LOST, since the edge
     rule means every neighbour hears the mote.  Last, the handoff records
     (check_handoffs)."""
-    counts, traffic = _watch_traffic(sim)
+    counts, traffic, sent = _watch_traffic(sim)
     dispatch = sim._dispatch
     clock = -math.inf
 
@@ -150,8 +155,6 @@ def check_run(sim):
 
     frozen = {}  # mote -> energy spent when first put to sleep
     release = simulation.release_motes
-    establish = simulation.establish_link
-    brought_up = set()  # ids of the decisions links were set up for
 
     def watched_release(path, mote_states):
         release(path, mote_states)
@@ -159,18 +162,12 @@ def check_run(sim):
             for m in path:
                 frozen.setdefault(m, mote_states[m].energy_consumed)
 
-    def watched_establish(decision, *args):
-        brought_up.add(id(decision))
-        return establish(decision, *args)
-
     sim._dispatch = watched_dispatch
     simulation.release_motes = watched_release
-    simulation.establish_link = watched_establish
     try:
         report = sim.run()
     finally:
         simulation.release_motes = release
-        simulation.establish_link = establish
 
     for node_id, q in sim.node_queues.items():
         assert q.queued == q.dequeued + q.dropped + len(q), node_id
@@ -201,9 +198,10 @@ def check_run(sim):
                     == counts[f"{layer}.packets_{counter}"]), (layer, counter)
     assert (max((q.peak_size for q in others), default=0)
             == counts["net_fifo.peak_queue_size"])
-    sleeping = {m: st.energy_consumed for m, st in sim.mote_states.items()
-                if st.mode is MoteMode.SLEEPING}
-    assert sleeping == frozen
+    energy = {m: st.energy_consumed for m, st in sim.mote_states.items()}
+    assert energy == {m: n * simulation.ENERGY_PER_TX for m, n in sent.items()}
+    assert frozen == {m: energy[m] for m, st in sim.mote_states.items()
+                      if st.mode is MoteMode.SLEEPING}
     graph, kinds = _static_graph(sim.s), sim.kinds
     assert sorted(sim.active_rows) == sorted(sim.mote_states)
     for m, row in sim.active_rows.items():
@@ -221,21 +219,19 @@ def check_run(sim):
             assert outcome is packet_outcome(
                 profile, received_power(profile, d)), (m, rx)
             assert outcome is not PacketOutcome.LOST, (m, rx)
-    check_handoffs(sim, report, brought_up)
+    check_handoffs(sim, report)
     return report
 
 
-def check_handoffs(sim, report, brought_up: set):
+def check_handoffs(sim, report):
     """Assert that the finished run `sim` keeps one Handoff record per
     request id it issued, and that the records account for the report:
     each link and each decision is that of exactly one record, and the
     records' relay paths number the escalations.  A record with a link has
     a decision; a record holds no more paths than base stations that
     escalated it (no switching centre, no paths); and a handset's pending
-    record, when there is one, has no link and no decision that a link was
-    set up for (`brought_up` holds the ids of those decisions).  It may
-    hold a decision: one that reached the handset while a link served it,
-    which is logged and brings nothing up."""
+    record, when there is one, has neither a decision nor a link: any
+    decision for a handset ends its pending discovery."""
     records = sim.handoffs
     assert list(records) == list(range(1, next(sim.ids))), list(records)
     assert len({id(h) for h in records.values()}) == len(records)
@@ -253,9 +249,7 @@ def check_handoffs(sim, report, brought_up: set):
             == len(report.escalations))
     for ms_id, st in sim.ms_states.items():
         if st.pending is not None:
-            assert st.pending.link is None, ms_id
-            assert (st.pending.decision is None
-                    or id(st.pending.decision) not in brought_up), ms_id
+            assert st.pending.decision is None, ms_id
             assert any(h is st.pending for h in records.values()), ms_id
 
 

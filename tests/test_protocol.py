@@ -70,7 +70,8 @@ def test_forward_unicasts_to_adjacent_base_station():
                            *_rows(graph, kinds, "m3"))
     assert forward == (DiscoveryRequest(
         1, "ms", Point(0, 0), ttl=15, path=("m1", "m2", "m3")), "bs1", ())
-    assert states["m3"].energy_consumed == 1
+    # the mote pays when its queue transmits the forward, not here
+    assert states["m3"].energy_consumed == 0
     assert 1 in states["m3"].seen
 
 
@@ -101,7 +102,7 @@ def test_forward_excludes_path_and_sleeping_targets():
     # m1 is on the path and m3 sleeps: the radio still keys, to nobody
     assert forward == (DiscoveryRequest(
         9, "ms", Point(0, 0), ttl=15, path=("m1", "m2")), None, ())
-    assert states["m2"].energy_consumed == 1
+    assert states["m2"].energy_consumed == 0
 
 
 def test_discovery_request_is_immutable_and_compares_by_field():
@@ -122,11 +123,11 @@ def test_forward_drops_duplicates_without_energy_cost():
     req = DiscoveryRequest(4, "ms", Point(0, 0), ttl=16)
     first = mote_forward("m1", states["m1"], req,
                          *_rows(graph, kinds, "m1"))
-    assert first and states["m1"].energy_consumed == 1
+    assert first and states["m1"].energy_consumed == 0
     again = mote_forward("m1", states["m1"], req,
                          *_rows(graph, kinds, "m1"))
     assert again is None
-    assert states["m1"].energy_consumed == 1
+    assert states["m1"].energy_consumed == 0
 
 
 def test_forward_ignores_exhausted_ttl_and_path_revisit():
@@ -170,7 +171,7 @@ def test_hand_traced_flood_along_the_line():
     assert bs_id == "bs1" and targets == ()
     assert r3.path == ("m1", "m2", "m3")
     assert r3.ttl == 13
-    assert all(states[m].energy_consumed == 1 for m in states)
+    assert all(states[m].energy_consumed == 0 for m in states)
 
 
 def test_multi_bs_unicast_picks_smallest_id():

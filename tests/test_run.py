@@ -10,7 +10,8 @@ import pytest
 from invariants import check_dv_tables, check_relay_paths, check_run
 
 from wsnhandoff import simulation
-from wsnhandoff.protocol import DecisionOutcome, MoteMode
+from wsnhandoff.protocol import (DecisionOutcome, DiscoveryRequest,
+                                 MoteMode)
 from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  ValidationError, effective_profile,
                                  load_scenario, reference_scenario, strip_wsn,
@@ -212,6 +213,26 @@ def test_a_full_one_frame_queue_drops_the_offer_and_keeps_one_drain():
     # what the drain scheduled: its transmission, and no further drain
     pending = [sim.queue.pop() for _ in range(len(sim.queue))]
     assert pending and all(ev[3][0] != "drain" for ev in pending)
+
+
+def test_a_forward_queued_at_a_mote_that_sleeps_before_its_drain_costs_nothing():
+    # two motes decide to forward a discovery; m06 is put to sleep before
+    # its queue drains, so only m11 transmits, and only m11 pays
+    sim = Simulation(reference_scenario())
+    copy = Frame("discovery", "ms1",
+                 payload=DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 16))
+    for mote in ("m06", "m11"):
+        sim._rx_discovery(0.0, copy, mote)
+    assert all(len(sim.node_queues[m]) == 1 for m in ("m06", "m11"))
+    sim._release(("m06",))
+    for _ in range(2):
+        t, _, _, payload = sim.queue.pop()
+        sim._on_drain(t, payload)
+    assert all(len(sim.node_queues[m]) == 0 for m in ("m06", "m11"))
+    assert sim.mote_states["m06"].energy_consumed == 0
+    assert sim.mote_states["m11"].energy_consumed == simulation.ENERGY_PER_TX
+    assert sim.ledger.get(counter_by_token(
+        "phy80211.signals_transmitted")) == 1
 
 
 def test_seed_moves_the_route_gossip_schedule():
@@ -602,7 +623,7 @@ def _timed_world(seed: int) -> Scenario:
 # another one cleared awaiting_link; a link that comes up while a newer
 # discovery is pending; an escalation after its request's link is up, whose
 # path is put to sleep; a duplicate escalation from a second base station;
-# and (7252) a decision for the discovery a served handset holds pending.
+# and (7252) a decision that ends the discovery a served handset holds.
 CORNER_WORLDS = {
     65: (
         "54c8a32d496c06cdf0cba557e3441da7791ef6c2f55b97b49486bb181e1e652a",
@@ -627,7 +648,7 @@ CORNER_WORLDS = {
     1273: (
         "c39f05764947eee183850b4002808d5be81e93e0db53cf5485a8ad05ba83f5a7",
         2054,
-        "2f1a64e81427369c75e58f3e1bf4ebbbb086e538bb316e3e8dc06f42c23f65b2",
+        "9e6bfc9759b1034bf813f677543e6abdccbe2fd2e2c017865430b6e4ad973890",
         "867246fc370691bc3c37cc6f308927b58a4c0ea2cccfbad4e1b2b60671fb9171"),
     2670: (
         "aa893ed7f9eb9f5229cee4ce6be69f2af6937efa33c1e102f69b17fcd8e716ce",
@@ -662,15 +683,16 @@ def test_cross_request_corners_match_their_pins(seed):
     assert got == CORNER_WORLDS[seed]
 
 
-def test_a_decision_for_a_served_handset_leaves_its_discovery_pending():
-    # the decision is logged but brings nothing up, so the discovery it
-    # answers stays pending until its deadline: world 7252 ends so
+def test_a_decision_for_a_served_handset_clears_its_pending_discovery():
+    # the decision for request 9 reaches ms1 while a link serves it: it is
+    # logged and brings nothing up, but it still ends the discovery, which
+    # would otherwise stay pending until its deadline
     sim = Simulation(_timed_world(7252))
     report = sim.run()
-    st = sim.ms_states["ms1"]
-    assert st.link is not None
-    assert ("ms1", st.pending.decision) in report.decisions
-    assert st.pending.link is None
+    st, answered = sim.ms_states["ms1"], sim.handoffs[9]
+    assert st.link is not None and st.pending is None
+    assert ("ms1", answered.decision) in report.decisions
+    assert answered.link is None
 
 
 def _boundary_worlds() -> list:

@@ -123,6 +123,11 @@ def test_parse_errors_carry_line_numbers():
     ("[mobility]\nms1 speed=1 waypoints=nan,0\n", 2, "x must be finite"),
     ("[mobility]\nms1 speed=inf waypoints=1,0\n", 2,
      "speed must be finite"),
+    # a key given twice, even with one value, as a mobility line given twice
+    ("[params]\nseed = 2\nduration = 30\nseed = 3\n", 4,
+     "duplicate param 'seed'"),
+    ("[params]\nhop_delay = 0.1\n[node]\nm1 mote 0 0\n[params]\n"
+     "hop_delay = 0.1\n", 6, "duplicate param 'hop_delay'"),
 ])
 def test_bad_numbers_are_parse_errors(text, line, reason):
     with pytest.raises(ParseError) as e:
@@ -228,6 +233,23 @@ def test_non_finite_values_rejected_in_a_scenario_built_in_code(change,
     s = dataclasses.replace(reference_scenario(), **change)
     with pytest.raises(ValidationError) as e:
         validate_scenario(s)
+    assert e.value.problems == [problem]
+
+
+@pytest.mark.parametrize("change, problem", [
+    (dict(seed=1.5), "seed must be an integer"),
+    (dict(seed=INF), "seed must be an integer"),
+    (dict(params=SimParams(default_ttl=2.5)), "default_ttl must be an integer"),
+    (dict(params=SimParams(queue_capacity=3.0)),
+     "queue_capacity must be an integer"),
+])
+def test_non_integer_counts_rejected_in_a_scenario_built_in_code(change,
+                                                                 problem):
+    # seed = 1.5 once raised a raw TypeError from Simulation, and
+    # default_ttl = 2.5 ran but serialized to text that did not load
+    s = dataclasses.replace(reference_scenario(), **change)
+    with pytest.raises(ValidationError) as e:
+        Simulation(s)
     assert e.value.problems == [problem]
 
 
