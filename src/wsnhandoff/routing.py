@@ -11,6 +11,20 @@ beats the current metric, or where the route goes through the sender and C
 differs: the rule of a per-destination merge that counts a missing entry as
 (16, no next hop), which is what a lane never heard of holds, done in a few
 big-int operations.  Lanes stay in 0..17, so no carry or borrow leaves one.
+
+No lane of any table rises during a run.  By induction over the merges in
+run order: while none has raised a lane, every table's metrics have only
+fallen, and so have a sender's adverts, each C taken from its table when
+the advert is queued, in the order it sends them (C is monotone in T).  A
+receiver merges them in that order, as the sender's FIFO queue transmits
+them in order and each arrives one hop_delay later; one lost, errored,
+dropped from a full queue or unsent by a sleeping mote only leaves a
+subsequence.  Every metric but the owner's starts at 16 with no next hop,
+and nothing ages a route, so a lane routed through a sender holds C of the
+last advert from it that the receiver merged: the lane took that value
+when it went through the sender or changed while it did.  The rule for a
+route through the sender then takes a C no larger, and the other rule only
+a smaller one.
 """
 
 INFINITY_METRIC = 16

@@ -21,10 +21,10 @@ Node kinds: mobile_station, base_station, mote, satellite, msc.
 Profile override keys: tx_power, sensitivity, error_margin,
 path_loss_exponent, reference_loss.
 
-A `[params]` key appears once, with a one-token value.  Every number must
-be finite; `seed`, `default_ttl` and `queue_capacity` must be integers.  A
-value that does not parse, or a repeated key, raises ParseError with its
-line number.
+A key appears once in `[params]`, with a one-token value, and once on a
+`[node]` or `[mobility]` line.  Every number must be finite; `seed`,
+`default_ttl` and `queue_capacity` must be integers.  A value that does not
+parse, or a repeated key, raises ParseError with its line number.
 """
 
 import math
@@ -160,6 +160,8 @@ def _parse_node(parts, line_no: int) -> NodeSpec:
             key, value = _parse_kv(tok, line_no)
             if key not in _OVERRIDE_FIELDS:
                 raise ParseError(line_no, f"unknown profile key {key!r}")
+            if _OVERRIDE_FIELDS[key] in changes:
+                raise ParseError(line_no, f"duplicate profile key {key!r}")
             changes[_OVERRIDE_FIELDS[key]] = _parse_number(value, line_no, key)
         try:
             profile = replace(base, **changes)
@@ -173,8 +175,12 @@ def _parse_mobility(parts, line_no: int):
         raise ParseError(line_no, "mobility line needs: id key=value...")
     node_id = parts[0]
     speed = halt = waypoints = None
+    seen = set()
     for tok in parts[1:]:
         key, value = _parse_kv(tok, line_no)
+        if key in seen:
+            raise ParseError(line_no, f"duplicate mobility key {key!r}")
+        seen.add(key)
         if key == "speed":
             speed = _parse_number(value, line_no, "speed")
         elif key == "halt":
@@ -263,6 +269,25 @@ def validate_scenario(s: Scenario):
             problems.append(f"mobility for unknown node {node_id!r}")
         elif kinds[node_id] is not NodeKind.MOBILE_STATION:
             problems.append(f"mobility on non-mobile node {node_id!r}")
+    # Each node's position and profile, and each walk, is checked whole.
+    groups = []
+    for n in s.nodes:
+        groups.append((f"position of {n.node_id!r}", n.position.x,
+                       n.position.y))
+        if n.profile is not None:
+            groups.append((f"profile of {n.node_id!r}",
+                           *asdict(n.profile).values()))
+    groups += [(f"mobility of {node_id!r}", path.speed,
+                *(c for w in path.waypoints for c in (w.x, w.y)))
+               for node_id, path in s.mobility.items()]
+    # A value that is not an int or a float is reported before any range
+    # check, which could not compare it.
+    scalars = {"duration": s.duration, "seed": s.seed, **asdict(s.params)}
+    bad = [name for name, *values in (*scalars.items(), *groups)
+           if not all(isinstance(v, (int, float)) for v in values)]
+    if bad:
+        raise ValidationError(
+            problems + [f"{name} must be a number" for name in bad])
     if not s.duration > 0:  # also catches nan
         problems.append("duration must be positive")
     if s.params.default_ttl < 1:
@@ -284,24 +309,16 @@ def validate_scenario(s: Scenario):
     # Every number must be finite, and the counts ints, as in scenario text,
     # or serialize_scenario could not write them.  A name reported above is
     # not reported as not finite, nor a name not finite as not an int.
-    for name, value in {"duration": s.duration, **asdict(s.params)}.items():
-        if not (math.isfinite(value)
+    for name, value in scalars.items():
+        if not (name == "seed" or math.isfinite(value)
                 or any(p.startswith(f"{name} ") for p in problems)):
             problems.append(f"{name} must be finite")
     for name in ("seed", *_INT_PARAMS):
         value = getattr(s if name == "seed" else s.params, name)
         if type(value) is not int and f"{name} must be finite" not in problems:
             problems.append(f"{name} must be an integer")
-    for n in s.nodes:
-        if not (math.isfinite(n.position.x) and math.isfinite(n.position.y)):
-            problems.append(f"position of {n.node_id!r} must be finite")
-        if n.profile is not None and not all(
-                map(math.isfinite, asdict(n.profile).values())):
-            problems.append(f"profile of {n.node_id!r} must be finite")
-    for node_id, path in s.mobility.items():
-        if not all(map(math.isfinite, [path.speed, *(
-                c for w in path.waypoints for c in (w.x, w.y))])):
-            problems.append(f"mobility of {node_id!r} must be finite")
+    problems += [f"{name} must be finite" for name, *values in groups
+                 if not all(map(math.isfinite, values))]
     if problems:
         raise ValidationError(problems)
 

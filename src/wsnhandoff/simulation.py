@@ -120,6 +120,11 @@ MOTE = NodeKind.MOTE
 BASE_STATION = NodeKind.BASE_STATION
 SATELLITE = NodeKind.SATELLITE
 
+# How the receiver answers a satellite-signalling frame: (kind, relay).  A
+# handset's ack to a page goes on to the switching centre.
+SAT_REPLIES = {"sat_request": ("sat_grant", False),
+               "sat_page": ("sat_ack", True)}
+
 
 @dataclass(slots=True)
 class Frame:
@@ -148,7 +153,6 @@ class MsState:
     pending: Handoff = None   # the discovery awaiting an answer
     awaiting_link: bool = False
     link: LinkRecord = None
-    payload_frame: Frame = None  # what `link` carries every app_interval
     failed_after_halt: int = 0
 
 
@@ -251,12 +255,12 @@ class Simulation:
                           "app": self._on_app}
         self._receivers = {"discovery": self._rx_discovery,
                            "dv": self._rx_dv,
-                           "payload": self._rx_payload,
-                           "sat_request": self._rx_sat_request,
-                           # the grant's link comes up by its own event
-                           "sat_grant": lambda t, frame, rx: None,
-                           "sat_page": self._rx_sat_page,
-                           "sat_ack": self._rx_sat_ack}
+                           "payload": self._rx_relay,
+                           "sat_request": self._rx_sat_signal,
+                           # not relayed: its link comes up by its own event
+                           "sat_grant": self._rx_relay,
+                           "sat_page": self._rx_sat_signal,
+                           "sat_ack": self._rx_relay}
 
     # ---- geometry helpers -------------------------------------------
 
@@ -360,8 +364,7 @@ class Simulation:
         motes = self.mote_states
         clear = errors = 0
         for rx, outcome in zip(receivers, outcomes):
-            mote = motes.get(rx)
-            if mote is not None and mote.mode is SLEEPING:
+            if motes[rx].mode is SLEEPING:
                 continue  # radio powered down
             if outcome is LOST:
                 continue
@@ -402,24 +405,15 @@ class Simulation:
             c[DV_TRIGGERED] += 1
             self._broadcast_dv(rx, self.active_rows[rx])
 
-    def _rx_payload(self, t: float, frame: Frame, rx: str):
-        if self.kinds[rx] is SATELLITE and frame.relay:
-            # bent-pipe to the switching centre
+    def _rx_relay(self, t: float, frame: Frame, rx: str):
+        if frame.relay:  # bent-pipe: the satellite forwards it to the core
             self.counts[SAT_RELAYED] += 1
             self.counts[SAT_SENT] += 1
 
-    def _rx_sat_request(self, t: float, frame: Frame, rx: str):
-        self._send(rx, Frame("sat_grant", rx, dst=frame.src,
-                             channel="satlink"))
-
-    def _rx_sat_page(self, t: float, frame: Frame, rx: str):
-        self._send(rx, Frame("sat_ack", rx, dst=frame.src,
-                             channel="satlink"))
-
-    def _rx_sat_ack(self, t: float, frame: Frame, rx: str):
-        # forward the confirmation to the switching centre
-        self.counts[SAT_RELAYED] += 1
-        self.counts[SAT_SENT] += 1
+    def _rx_sat_signal(self, t: float, frame: Frame, rx: str):
+        kind, relay = SAT_REPLIES[frame.kind]
+        self._send(rx, Frame(kind, rx, dst=frame.src, channel="satlink",
+                             relay=relay))
 
     # ---- distance-vector plumbing -----------------------------------
 
@@ -538,17 +532,17 @@ class Simulation:
         if st.link is not None:
             return  # the first link up wins
         st.link = handoff.link = record
-        # Frames are never changed after _send(), so one serves the link.
-        sat = record.endpoint.kind is SATELLITE
-        st.payload_frame = Frame("payload", ms_id, dst=record.endpoint.node_id,
-                                 channel="satlink" if sat else "steered",
-                                 relay=sat and bool(record.relay_path))
         self.links.append(record)
         self.dv_paths.append(self._dv_route(record))
         for path in handoff.paths:
             self._release(path)
+        # Frames are never changed after _send(), so one serves the link.
+        sat = record.endpoint.kind is SATELLITE
+        frame = Frame("payload", ms_id, dst=record.endpoint.node_id,
+                      channel="satlink" if sat else "steered",
+                      relay=sat and bool(record.relay_path))
         self.queue.schedule(t + self.p.app_interval, ms_id,
-                            ("app", ms_id, record.established_at))
+                            ("app", ms_id, record, frame))
 
     def _release(self, path: tuple):
         """Put the motes on `path` to sleep and refresh the awake rows of
@@ -571,11 +565,10 @@ class Simulation:
             return None
 
     def _on_app(self, t: float, payload):
-        _, ms_id, link_stamp = payload
-        st = self.ms_states[ms_id]
-        if st.link is None or st.link.established_at != link_stamp:
+        _, ms_id, record, frame = payload
+        if self.ms_states[ms_id].link is not record:
             return  # that link is gone; a new one starts its own cycle
-        self._send(ms_id, st.payload_frame)
+        self._send(ms_id, frame)
         nxt = t + self.p.app_interval
         if nxt <= self.s.duration:
             self.queue.schedule(nxt, ms_id, payload)

@@ -132,30 +132,18 @@ class MobilityPath:
             raise ValueError("halt_fraction must be in (0, 1]")
 
 
-def _route_points(path: MobilityPath, start: Point) -> list:
+def _route(path: MobilityPath, start: Point) -> tuple:
+    """The route's corners and its segments' lengths, in walking order.  A
+    corner equal to the one before is dropped, so no length is zero."""
     pts = [start]
     for wp in path.waypoints:
         if wp != pts[-1]:
             pts.append(wp)
-    return pts
+    return pts, [a.distance_to(b) for a, b in zip(pts, pts[1:])]
 
 
 def route_length(path: MobilityPath, start: Point) -> float:
-    pts = _route_points(path, start)
-    return sum(pts[i].distance_to(pts[i + 1]) for i in range(len(pts) - 1))
-
-
-def _point_at_arc(pts: list, s: float) -> Point:
-    for i in range(len(pts) - 1):
-        seg = pts[i].distance_to(pts[i + 1])
-        if s <= seg:
-            if seg == 0:
-                return pts[i]
-            f = s / seg
-            return Point(pts[i].x + f * (pts[i + 1].x - pts[i].x),
-                         pts[i].y + f * (pts[i + 1].y - pts[i].y))
-        s -= seg
-    return pts[-1]
+    return sum(_route(path, start)[1])
 
 
 def halt_time(path: MobilityPath, start: Point) -> float:
@@ -172,10 +160,14 @@ def position_at(path: MobilityPath, start: Point, t: float) -> Point:
     """
     if t < 0:
         raise ValueError("time must be >= 0")
-    total = route_length(path, start)
-    halt_arc = path.halt_fraction * total
-    s = min(path.speed * t, halt_arc)
-    return _point_at_arc(_route_points(path, start), s)
+    pts, segs = _route(path, start)
+    s = min(path.speed * t, path.halt_fraction * sum(segs))
+    for a, b, seg in zip(pts, pts[1:], segs):
+        if s <= seg:
+            f = s / seg
+            return Point(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+        s -= seg
+    return pts[-1]
 
 
 def check_distinct(positions: dict):

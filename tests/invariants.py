@@ -20,18 +20,19 @@ def _watch_traffic(sim):
     assert the traffic facts simulation.py relies on: motes offer only
     discovery forwards and distance-vector adverts (all of one class, which
     is why a mote's queue is a plain FIFO), every radio sender is a mote or
-    a handset, every radio receiver a mote or a base station, no unicast
-    frame is addressed to a mote, and no drain finds its queue empty.  They
-    also count what the ledger must report, apart from the queues' own
-    counters: the frames sent, the offers and drains per queue family (mote
-    or other), and the largest backlog of a queue other than a mote's,
-    which a shadow count of each such queue's frames tracks and checks at
-    every drain.  Wrappers on the two delivery paths and on every receive
-    handler count the receptions, clear and errored, of unicast and of
-    broadcast frames; the transmit wrapper counts transmits and broadcasts,
-    and each mote's transmits.  Returns the first counts keyed by counter
-    token, the second keyed by name and the third keyed by mote, all filled
-    in as the run goes."""
+    a handset, every radio receiver a mote or a base station, every
+    broadcast target a mote, no unicast frame addressed to a mote, every
+    relay frame addressed to a satellite, and no drain finds its queue
+    empty.  They also count what the ledger must report, apart from the
+    queues' own counters: the frames sent, the offers and drains per queue
+    family (mote or other), and the largest backlog of a queue other than a
+    mote's, which a shadow count of each such queue's frames tracks and
+    checks at every drain.  Wrappers on the two delivery paths and on every
+    receive handler count the receptions, clear and errored, of unicast and
+    of broadcast frames; the transmit wrapper counts transmits and
+    broadcasts, and each mote's transmits.  Returns the first counts keyed
+    by counter token, the second keyed by name and the third keyed by mote,
+    all filled in as the run goes."""
     kinds, capacity = sim.kinds, sim.p.queue_capacity
     send, transmit = sim._send, sim._transmit
     drain = sim._handlers["drain"]
@@ -68,12 +69,16 @@ def _watch_traffic(sim):
     def watched_transmit(t, node_id, frame):
         if frame.dst is None or frame.channel == "radio":
             assert kinds[node_id] in RADIO_SENDERS, (t, node_id, frame.kind)
-            for rx in frame.targets if frame.dst is None else (frame.dst,):
-                assert kinds[rx] in RADIO_RECEIVERS, (t, node_id, rx,
-                                                      frame.kind)
-        if frame.dst is not None:
+        if frame.dst is None:
+            for rx in frame.targets:
+                assert kinds[rx] is NodeKind.MOTE, (t, node_id, rx, frame.kind)
+        else:
             assert kinds[frame.dst] is not NodeKind.MOTE, (t, node_id,
                                                            frame.kind)
+            assert frame.channel != "radio" or kinds[frame.dst] in (
+                RADIO_RECEIVERS), (t, node_id, frame.kind)
+        assert not frame.relay or kinds[frame.dst] is NodeKind.SATELLITE, (
+            t, node_id, frame.kind)
         traffic["transmits"] += 1
         traffic["broadcasts"] += frame.dst is None
         if node_id in sent:
@@ -88,10 +93,9 @@ def _watch_traffic(sim):
         # no handler changes a mote's mode, so the receivers awake now are
         # those the burst reaches
         for rx, outcome in zip(receivers, payload[2]):
-            mote = sim.mote_states.get(rx)
             traffic["broadcast_errored"] += (
                 outcome is PacketOutcome.ERRORED
-                and (mote is None or mote.mode is MoteMode.ACTIVE))
+                and sim.mote_states[rx].mode is MoteMode.ACTIVE)
         deliver_burst(t, seq, receivers, payload)
 
     def counted(receive):
@@ -125,24 +129,25 @@ def _watch_traffic(sim):
 def check_run(sim):
     """Run `sim` and assert the model's invariants; returns its report.
 
-    During the run: the traffic facts of _watch_traffic, and a dispatch
-    clock that never goes back.  At the end: every node queue conserves
-    its frames (queued == dequeued + dropped + backlog); the ledger's send
-    and queue counters equal the counts _watch_traffic made, and so do the
-    sums of the queues' own counters over the mote queues and over the
-    others, and the largest FIFO peak; the ledger's transmit, broadcast
-    and reception counters, the eight that the run sets at its end from
-    the others among them, equal what _watch_traffic counted of the
-    frames and receptions; each mote has spent ENERGY_PER_TX for each
-    frame it transmitted, and each sleeping mote exactly the energy it had
-    when release_motes (watched through the name simulation.py calls) put
-    it to sleep; each mote's awake row holds
-    its mote neighbours in the static graph (rebuilt here) that are awake,
-    sorted by id; and each mote's outcome row is keyed by exactly its
-    base-station and mote neighbours in that graph, each entry the outcome
-    worked out here from the start positions, and none LOST, since the edge
-    rule means every neighbour hears the mote.  Last, the handoff records
-    (check_handoffs)."""
+    During the run: the traffic facts of _watch_traffic, a dispatch clock
+    that never goes back, and no distance-vector merge (apply_update,
+    watched through the name simulation.py calls) that raises a lane of its
+    table, as routing.py proves none can.  At the end: every node queue
+    conserves its frames (queued == dequeued + dropped + backlog); the
+    ledger's send and queue counters equal the counts _watch_traffic made,
+    and so do the sums of the queues' own counters over the mote queues and
+    over the others, and the largest FIFO peak; the ledger's transmit,
+    broadcast and reception counters, the eight that the run sets at its end
+    from the others among them, equal what _watch_traffic counted of the
+    frames and receptions; each mote has spent ENERGY_PER_TX for each frame
+    it transmitted, and each sleeping mote exactly the energy it had when
+    release_motes (watched through the name simulation.py calls) put it to
+    sleep; each mote's awake row holds its mote neighbours in the static
+    graph (rebuilt here) that are awake, sorted by id; and each mote's
+    outcome row is keyed by exactly its base-station and mote neighbours in
+    that graph, each entry the outcome worked out here from the start
+    positions, and none LOST, since the edge rule means every neighbour
+    hears the mote.  Last, the handoff records (check_handoffs)."""
     counts, traffic, sent = _watch_traffic(sim)
     dispatch = sim._dispatch
     clock = -math.inf
@@ -162,12 +167,25 @@ def check_run(sim):
             for m in path:
                 frozen.setdefault(m, mote_states[m].energy_consumed)
 
+    merge, high = simulation.apply_update, sim.lanes.high
+
+    def watched_merge(table, update, neighbors):
+        before = table.metrics
+        changed = merge(table, update, neighbors)
+        # lanes hold at most 16, so bit 7 of each lane of (before | high) -
+        # after stays set exactly where the lane did not rise
+        assert ((before | high) - table.metrics) & high == high, (
+            "a lane rose", table.owner, update[0])
+        return changed
+
     sim._dispatch = watched_dispatch
     simulation.release_motes = watched_release
+    simulation.apply_update = watched_merge
     try:
         report = sim.run()
     finally:
         simulation.release_motes = release
+        simulation.apply_update = merge
 
     for node_id, q in sim.node_queues.items():
         assert q.queued == q.dequeued + q.dropped + len(q), node_id

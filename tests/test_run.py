@@ -235,6 +235,55 @@ def test_a_forward_queued_at_a_mote_that_sleeps_before_its_drain_costs_nothing()
         "phy80211.signals_transmitted")) == 1
 
 
+# ms1 is steered to bs1 from a discovery at t = 0, and the link comes up at
+# t = 2, just before that instant's coverage check.  By then ms1 has halted
+# 800 m out, past the steering range with no radio neighbour, so the check
+# drops the link and a satellite link comes up at once (no acquisition
+# delay): two links established at the same instant.
+SAME_INSTANT_LINKS = """[params]
+duration = 6
+hop_delay = 0.125
+backhaul_delay = 0.25
+steering_delay = 1.5
+satellite_acquisition_delay = 0
+[node]
+bs1 base_station 0 0
+m1 mote 100 0
+ms1 mobile_station 200 0
+sat1 satellite 0 5000
+msc1 msc 0 -500
+[mobility]
+ms1 speed=400 halt=0.5 waypoints=1400,0
+"""
+
+
+def test_a_link_dropped_at_its_bring_up_instant_ends_its_payload_cycle():
+    # each payload cycle belongs to one link record, so the dropped link's
+    # cycle ends and ms1 sends one payload a second, not two
+    sim = Simulation(load_scenario(SAME_INSTANT_LINKS))
+    report = check_run(sim)
+    assert [(link.endpoint.node_id, link.established_at)
+            for link in report.links] == [("bs1", 2.0), ("sat1", 2.0)]
+    # the discovery, the satellite request and one payload at t = 3..6
+    assert sim.node_queues["ms1"].queued == 6
+    assert _get(report, "mac_satcom.frames_relayed") == 0
+
+
+def test_check_run_fails_a_merge_that_raises_a_lane(monkeypatch):
+    # routing.py proves that no merge raises a lane, and check_run asserts
+    # it on every merge
+    merge = simulation.apply_update
+
+    def raise_one_lane(table, update, neighbors):
+        changed = merge(table, update, neighbors)
+        table.metrics += 1 << 8 * table.lanes.index[table.owner]  # 0 to 1
+        return changed
+
+    monkeypatch.setattr(simulation, "apply_update", raise_one_lane)
+    with pytest.raises(AssertionError, match="a lane rose"):
+        check_run(Simulation(reference_scenario()))
+
+
 def test_seed_moves_the_route_gossip_schedule():
     s = reference_scenario()
     a = run(s)

@@ -128,6 +128,12 @@ def test_parse_errors_carry_line_numbers():
      "duplicate param 'seed'"),
     ("[params]\nhop_delay = 0.1\n[node]\nm1 mote 0 0\n[params]\n"
      "hop_delay = 0.1\n", 6, "duplicate param 'hop_delay'"),
+    # and a key given twice on one node or mobility line
+    ("[node]\nbs1 base_station 0 0\nm1 mote 0 0 tx_power=1 tx_power=5\n", 3,
+     "duplicate profile key 'tx_power'"),
+    ("[node]\nms1 mobile_station 0 0\n[mobility]\n"
+     "ms1 speed=1 speed=9 waypoints=5,5\n", 4,
+     "duplicate mobility key 'speed'"),
 ])
 def test_bad_numbers_are_parse_errors(text, line, reason):
     with pytest.raises(ParseError) as e:
@@ -250,6 +256,23 @@ def test_non_integer_counts_rejected_in_a_scenario_built_in_code(change,
     s = dataclasses.replace(reference_scenario(), **change)
     with pytest.raises(ValidationError) as e:
         Simulation(s)
+    assert e.value.problems == [problem]
+
+
+@pytest.mark.parametrize("build, problem", [
+    (lambda s: dataclasses.replace(s, params=SimParams(hop_delay="0.1")),
+     "hop_delay must be a number"),
+    (lambda s: dataclasses.replace(s, duration="90"),
+     "duration must be a number"),
+    (lambda s: dataclasses.replace(s, params=SimParams(queue_capacity=None)),
+     "queue_capacity must be a number"),
+    (lambda s: _with_m01_at(s, Point("5", 0.0)),
+     "position of 'm01' must be a number"),
+])
+def test_non_numbers_rejected_in_a_scenario_built_in_code(build, problem):
+    # each of these once raised a raw TypeError from Simulation
+    with pytest.raises(ValidationError) as e:
+        Simulation(build(reference_scenario()))
     assert e.value.problems == [problem]
 
 
