@@ -22,9 +22,10 @@ Profile override keys: tx_power, sensitivity, error_margin,
 path_loss_exponent, reference_loss.
 
 A key appears once in `[params]`, with a one-token value, and once on a
-`[node]` or `[mobility]` line.  Every number must be finite; `seed`,
-`default_ttl` and `queue_capacity` must be integers.  A value that does not
-parse, or a repeated key, raises ParseError with its line number.
+`[node]` or `[mobility]` line.  Every number but `seed` must be finite, so
+not an int too large for a float; `seed`, `default_ttl` and
+`queue_capacity` must be integers.  A value that does not parse, or a
+repeated key, raises ParseError with its line number.
 """
 
 import math
@@ -68,6 +69,10 @@ _PERIODS = ("coverage_check_period", "tx_slot", "dv_period", "app_interval")
 _DELAYS = ("hop_delay", "backhaul_delay", "steering_delay",
            "satellite_acquisition_delay")
 _PARAM_NAMES = [f.name for f in fields(SimParams)]
+_INTEGERS = ("seed", *_INT_PARAMS)
+# Every scalar, in the order validate_scenario checks them.
+_SCALARS = ("duration", "seed", *_INT_PARAMS, *_PERIODS, *_DELAYS,
+            "max_steer_range", "discovery_timeout")
 
 
 @dataclass(frozen=True)
@@ -124,11 +129,30 @@ def effective_profile(node: NodeSpec) -> RadioProfile:
         else DEFAULT_PROFILES[node.kind]
 
 
-def _parse_kv(token: str, line_no: int):
-    if "=" not in token:
-        raise ParseError(line_no, f"expected key=value, got {token!r}")
-    key, _, value = token.partition("=")
-    return key.strip(), value.strip()
+def _finite(x) -> bool:
+    """True only for an int or float that is a finite float: not nan, not
+    inf, and not an int too large to convert to one."""
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _read_pairs(tokens, line_no: int, what: str, known, seen=()) -> dict:
+    """The `key=value` tokens as a dict of value texts.  A key not in
+    `known`, or one given twice or already in `seen`, raises ParseError."""
+    pairs = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise ParseError(line_no, f"expected key=value, got {tok!r}")
+        key, _, value = tok.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise ParseError(line_no, f"unknown {what} {key!r}")
+        if key in pairs or key in seen:
+            raise ParseError(line_no, f"duplicate {what} {key!r}")
+        pairs[key] = value.strip()
+    return pairs
 
 
 def _parse_number(value: str, line_no: int, what: str, kind=float):
@@ -136,7 +160,7 @@ def _parse_number(value: str, line_no: int, what: str, kind=float):
         x = kind(value)
     except ValueError:
         raise ParseError(line_no, f"bad {what}: {value!r}") from None
-    if kind is float and not math.isfinite(x):
+    if what != "seed" and not _finite(x):
         raise ParseError(line_no, f"{what} must be finite, got {value!r}")
     return x
 
@@ -154,17 +178,12 @@ def _parse_node(parts, line_no: int) -> NodeSpec:
     if len(parts) > 4:
         if kind is NodeKind.MSC:
             raise ParseError(line_no, "msc nodes carry no radio profile")
-        base = DEFAULT_PROFILES[kind]
-        changes = {}
-        for tok in parts[4:]:
-            key, value = _parse_kv(tok, line_no)
-            if key not in _OVERRIDE_FIELDS:
-                raise ParseError(line_no, f"unknown profile key {key!r}")
-            if _OVERRIDE_FIELDS[key] in changes:
-                raise ParseError(line_no, f"duplicate profile key {key!r}")
-            changes[_OVERRIDE_FIELDS[key]] = _parse_number(value, line_no, key)
+        overrides = _read_pairs(parts[4:], line_no, "profile key",
+                                _OVERRIDE_FIELDS)
+        changes = {_OVERRIDE_FIELDS[key]: _parse_number(value, line_no, key)
+                   for key, value in overrides.items()}
         try:
-            profile = replace(base, **changes)
+            profile = replace(DEFAULT_PROFILES[kind], **changes)
         except ValueError as e:
             raise ParseError(line_no, str(e)) from None
     return NodeSpec(node_id, kind, pos, profile)
@@ -173,33 +192,21 @@ def _parse_node(parts, line_no: int) -> NodeSpec:
 def _parse_mobility(parts, line_no: int):
     if len(parts) < 2:
         raise ParseError(line_no, "mobility line needs: id key=value...")
-    node_id = parts[0]
-    speed = halt = waypoints = None
-    seen = set()
-    for tok in parts[1:]:
-        key, value = _parse_kv(tok, line_no)
-        if key in seen:
-            raise ParseError(line_no, f"duplicate mobility key {key!r}")
-        seen.add(key)
-        if key == "speed":
-            speed = _parse_number(value, line_no, "speed")
-        elif key == "halt":
-            halt = _parse_number(value, line_no, "halt")
-        elif key == "waypoints":
-            waypoints = []
-            for pair in value.split(";"):
-                xy = pair.split(",")
-                if len(xy) != 2:
-                    raise ParseError(line_no, f"bad waypoint {pair!r}")
-                waypoints.append(Point(_parse_number(xy[0], line_no, "x"),
-                                       _parse_number(xy[1], line_no, "y")))
-        else:
-            raise ParseError(line_no, f"unknown mobility key {key!r}")
-    if speed is None or waypoints is None:
+    keys = _read_pairs(parts[1:], line_no, "mobility key",
+                       ("speed", "halt", "waypoints"))
+    if "speed" not in keys or "waypoints" not in keys:
         raise ParseError(line_no, "mobility needs speed= and waypoints=")
+    speed = _parse_number(keys["speed"], line_no, "speed")
+    halt = _parse_number(keys.get("halt", "0.5"), line_no, "halt")
+    waypoints = []
+    for pair in keys["waypoints"].split(";"):
+        xy = pair.split(",")
+        if len(xy) != 2:
+            raise ParseError(line_no, f"bad waypoint {pair!r}")
+        waypoints.append(Point(_parse_number(xy[0], line_no, "x"),
+                               _parse_number(xy[1], line_no, "y")))
     try:
-        return node_id, MobilityPath(tuple(waypoints), speed,
-                                     0.5 if halt is None else halt)
+        return parts[0], MobilityPath(tuple(waypoints), speed, halt)
     except ValueError as e:
         raise ParseError(line_no, str(e)) from None
 
@@ -224,15 +231,12 @@ def load_scenario(text: str) -> Scenario:
             raise ParseError(line_no, "content before any section header")
         parts = line.split()
         if section == "params":
-            key, value = _parse_kv(line, line_no)
+            [(key, value)] = _read_pairs([line], line_no, "param", _SCALARS,
+                                         raw_params).items()
             if len(value.split()) != 1:
                 raise ParseError(line_no, f"{key} takes one value: {value!r}")
-            if key not in ("duration", "seed") and key not in _PARAM_NAMES:
-                raise ParseError(line_no, f"unknown param {key!r}")
-            if key in raw_params:
-                raise ParseError(line_no, f"duplicate param {key!r}")
-            kind = int if key == "seed" or key in _INT_PARAMS else float
-            raw_params[key] = _parse_number(value, line_no, key, kind)
+            raw_params[key] = _parse_number(
+                value, line_no, key, int if key in _INTEGERS else float)
         elif section == "node":
             nodes.append(_parse_node(parts, line_no))
         else:
@@ -249,10 +253,38 @@ def load_scenario(text: str) -> Scenario:
     return scenario
 
 
+def _broken_rule(name: str, values: tuple, duration):
+    """The first rule that `values`, checked together as `name`, break, or
+    None.  A position, a profile or a walk need only be finite numbers; the
+    scalars also have range, period and integer rules."""
+    if not all(isinstance(v, (int, float)) for v in values):
+        return "must be a number"
+    value = values[0]
+    # The negated comparisons also reject nan.
+    if (name == "duration" or name in _PERIODS) and not value > 0:
+        return "must be positive"
+    if name in _INT_PARAMS and not value >= 1:
+        return "must be >= 1"
+    if name in _DELAYS and not value >= 0:  # or it schedules into the past
+        return "must be >= 0"
+    # serialize_scenario could not write a number that is not finite
+    if name != "seed" and not all(map(_finite, values)):
+        return "must be finite"
+    # A period that cannot move the clock at `duration` would reschedule its
+    # event at the same instant forever.
+    if name in _PERIODS and _finite(duration) and duration + value == duration:
+        return "is too small to advance the clock"
+    if name in _INTEGERS and type(value) is not int:
+        return "must be an integer"
+    return None
+
+
 def validate_scenario(s: Scenario):
     problems = []
     kinds = {}
     positions = {}
+    scalars = {"duration": s.duration, "seed": s.seed, **asdict(s.params)}
+    checks = [(name, (scalars[name],)) for name in _SCALARS]
     for n in s.nodes:
         if n.node_id in kinds:
             problems.append(f"duplicate node id {n.node_id!r}")
@@ -262,63 +294,23 @@ def validate_scenario(s: Scenario):
             problems.append(
                 f"nodes {positions[key]!r} and {n.node_id!r} co-located")
         positions[key] = n.node_id
+        checks.append((f"position of {n.node_id!r}", key))
+        if n.profile is not None:
+            checks.append((f"profile of {n.node_id!r}",
+                           tuple(asdict(n.profile).values())))
     if len(s.by_kind(NodeKind.MSC)) > 1:
         problems.append("more than one msc")
-    for node_id in s.mobility:
+    for node_id, path in s.mobility.items():
         if node_id not in kinds:
             problems.append(f"mobility for unknown node {node_id!r}")
         elif kinds[node_id] is not NodeKind.MOBILE_STATION:
             problems.append(f"mobility on non-mobile node {node_id!r}")
-    # Each node's position and profile, and each walk, is checked whole.
-    groups = []
-    for n in s.nodes:
-        groups.append((f"position of {n.node_id!r}", n.position.x,
-                       n.position.y))
-        if n.profile is not None:
-            groups.append((f"profile of {n.node_id!r}",
-                           *asdict(n.profile).values()))
-    groups += [(f"mobility of {node_id!r}", path.speed,
-                *(c for w in path.waypoints for c in (w.x, w.y)))
-               for node_id, path in s.mobility.items()]
-    # A value that is not an int or a float is reported before any range
-    # check, which could not compare it.
-    scalars = {"duration": s.duration, "seed": s.seed, **asdict(s.params)}
-    bad = [name for name, *values in (*scalars.items(), *groups)
-           if not all(isinstance(v, (int, float)) for v in values)]
-    if bad:
-        raise ValidationError(
-            problems + [f"{name} must be a number" for name in bad])
-    if not s.duration > 0:  # also catches nan
-        problems.append("duration must be positive")
-    if s.params.default_ttl < 1:
-        problems.append("default_ttl must be >= 1")
-    if s.params.queue_capacity < 1:
-        problems.append("queue_capacity must be >= 1")
-    # A period that cannot move the clock at `duration` would reschedule its
-    # event at the same instant forever, and a negative delay would schedule
-    # into the past.  The negated comparisons also reject nan.
-    for name in _PERIODS:
-        period = getattr(s.params, name)
-        if not period > 0:
-            problems.append(f"{name} must be positive")
-        elif s.duration + period == s.duration and math.isfinite(s.duration):
-            problems.append(f"{name} is too small to advance the clock")
-    for name in _DELAYS:
-        if not getattr(s.params, name) >= 0:
-            problems.append(f"{name} must be >= 0")
-    # Every number must be finite, and the counts ints, as in scenario text,
-    # or serialize_scenario could not write them.  A name reported above is
-    # not reported as not finite, nor a name not finite as not an int.
-    for name, value in scalars.items():
-        if not (name == "seed" or math.isfinite(value)
-                or any(p.startswith(f"{name} ") for p in problems)):
-            problems.append(f"{name} must be finite")
-    for name in ("seed", *_INT_PARAMS):
-        value = getattr(s if name == "seed" else s.params, name)
-        if type(value) is not int and f"{name} must be finite" not in problems:
-            problems.append(f"{name} must be an integer")
-    problems += [f"{name} must be finite" for name, *values in groups
-                 if not all(map(math.isfinite, values))]
+        checks.append((f"mobility of {node_id!r}", (path.speed, *(
+            c for w in path.waypoints for c in (w.x, w.y)))))
+    # Each scalar, each node's position and profile, and each walk gets at
+    # most one problem: the first rule it breaks.
+    problems += [f"{name} {rule}" for name, values in checks
+                 if (rule := _broken_rule(name, values, s.duration))]
     if problems:
         raise ValidationError(problems)
 
@@ -343,9 +335,12 @@ def serialize_scenario(s: Scenario) -> str:
         line = (f"{n.node_id} {n.kind.value} "
                 f"{_fmt(n.position.x)} {_fmt(n.position.y)}")
         if n.profile is not None:
+            # a profile equal to its kind's default still writes tx_power,
+            # or it would reload as no profile
             base = DEFAULT_PROFILES[n.kind]
             for short, attr in _OVERRIDE_FIELDS.items():
-                if getattr(n.profile, attr) != getattr(base, attr):
+                if getattr(n.profile, attr) != getattr(base, attr) or (
+                        short == "tx_power" and n.profile == base):
                     line += f" {short}={repr(getattr(n.profile, attr))}"
         out.append(line)
     if s.mobility:

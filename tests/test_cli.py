@@ -96,6 +96,19 @@ def test_run_invalid_scenario_fails(tmp_path, capsys):
     assert f"error: {bad}: invalid scenario" in capsys.readouterr().err
 
 
+def test_an_int_too_large_for_a_float_is_one_error_naming_the_file(
+        tmp_path, capsys):
+    # once an OverflowError traceback
+    bad = tmp_path / "big.scn"
+    bad.write_text(f"[params]\nqueue_capacity = {'9' * 400}\n"
+                   "[node]\nm1 mote 0 0\n")
+    assert main(["run", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: {bad}: invalid scenario: line 2: queue_capacity must be "
+        "finite"), err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main([])
@@ -124,7 +137,9 @@ def test_bad_until_is_a_usage_error(until):
 
 @pytest.mark.parametrize("params", ["hop_delay = abc", "seed = 1.5",
                                     "coverage_check_period = 0",
-                                    "duration = inf"])
+                                    "duration = inf",
+                                    pytest.param(f"default_ttl = {'9' * 400}",
+                                                 id="default_ttl = 9...9")])
 def test_bad_scenario_numbers_exit_one_without_traceback(tmp_path, params):
     scen = tmp_path / "bad.scn"
     scen.write_text(f"[params]\n{params}\n[node]\nm1 mote 0 0\n")

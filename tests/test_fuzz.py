@@ -1,9 +1,18 @@
-"""Seeded mutation fuzz of the scenario text format.
+"""Seeded mutation fuzz of the scenario text format, and seeded corruption
+of scenarios built in code.
 
 Mutants of the three benchmark workload texts and of the README example
-must either load or raise ParseError/ValidationError.  Every mutant that
-loads must round-trip through serialize_scenario and finish a short run,
-bounded in-process by SIGALRM.
+must either load or raise ParseError/ValidationError.  Corruptions of the
+reference scenario must either validate or raise ValidationError, with at
+most one problem per value.  Every mutant or corruption that is accepted
+must round-trip through serialize_scenario and finish a short run, bounded
+in-process by SIGALRM.
+
+`corrupted_scenario` and `check_corrupted` take only a seed, so a longer
+sweep can import them from this file:
+
+    PYTHONPATH=src:tests python3 -c "from test_fuzz import check_corrupted
+    for seed in range(20_000): check_corrupted(seed)"
 """
 
 import dataclasses
@@ -17,10 +26,12 @@ import pytest
 
 from test_scenario import _readme_scenario
 from wsnhandoff.protocol import NoSatelliteError
-from wsnhandoff.scenario import (_PARAM_NAMES, ParseError, ValidationError,
-                                 load_scenario, serialize_scenario)
+from wsnhandoff.scenario import (_PARAM_NAMES, ParseError, SimParams,
+                                 ValidationError, load_scenario,
+                                 reference_scenario, serialize_scenario,
+                                 validate_scenario)
 from wsnhandoff.simulation import run
-from wsnhandoff.world import CoLocatedError
+from wsnhandoff.world import CoLocatedError, Point
 
 # Mutants per text, 300 in all.  A mesh-dv run costs about 1 s whatever its
 # length (its first route adverts cascade over 100 motes), so the small
@@ -89,12 +100,12 @@ def _on_alarm(signum, frame):
     raise _Timeout
 
 
-def _short_run(s):
-    """Run `s` for at most RUN_SECONDS of simulated time.  CoLocatedError
+def _short_run(s, seconds=RUN_SECONDS):
+    """Run `s` for at most `seconds` of simulated time.  CoLocatedError
     and NoSatelliteError are the run's own documented failures."""
     signal.alarm(TIMEOUT_S)
     try:
-        run(dataclasses.replace(s, duration=min(s.duration, RUN_SECONDS)))
+        run(dataclasses.replace(s, duration=min(s.duration, seconds)))
     except (CoLocatedError, NoSatelliteError):
         pass
     finally:
@@ -125,3 +136,69 @@ def test_mutated_scenarios_load_or_are_rejected_and_loaded_ones_run():
         signal.signal(signal.SIGALRM, previous)
     # both outcomes must be exercised for the fuzz to mean anything
     assert loaded >= 50 and rejected >= 50, (loaded, rejected)
+
+
+# Values a scenario built in code may carry: nan and infinities, ints too
+# large for a float, numbers out of range, values that are not numbers or
+# not ints, a float on the edge of overflow, and plain valid numbers.
+CORRUPT_VALUES = [float("nan"), float("inf"), float("-inf"), 10**400,
+                  -10**400, -1, 0, 1e-320, 2.5, "1", None, True, 1e308, 3]
+CORRUPT_NAMES = ["duration", "seed", *_PARAM_NAMES]
+CORRUPTIONS = 1000  # seeds swept in tier-1
+CORRUPT_RUN_S = 5.0  # simulated seconds of each accepted corruption's run
+PROBLEM_NAME = re.compile(r"(.*?) (?:must be|is too small)")
+
+
+def corrupted_scenario(seed: int):
+    """The reference scenario with one to three of `duration`, `seed` and
+    the SimParams fields, and one time in four m05's x, set to values drawn
+    from CORRUPT_VALUES."""
+    rng = random.Random(seed)
+    names = rng.sample(CORRUPT_NAMES, rng.randint(1, 3))
+    change = {name: rng.choice(CORRUPT_VALUES) for name in names}
+    top = {name: change.pop(name) for name in ("duration", "seed")
+           if name in change}
+    s = dataclasses.replace(reference_scenario(), params=SimParams(**change),
+                            **top)
+    if rng.random() < 0.25:
+        x = rng.choice(CORRUPT_VALUES)
+        s = dataclasses.replace(s, nodes=tuple(
+            dataclasses.replace(n, position=Point(x, n.position.y))
+            if n.node_id == "m05" else n for n in s.nodes))
+    return s
+
+
+def check_corrupted(seed: int):
+    """Validate corrupted_scenario(seed).  A rejection must be a
+    ValidationError naming no value twice; an accepted scenario must
+    round-trip through its text, and is returned."""
+    s = corrupted_scenario(seed)
+    try:
+        validate_scenario(s)
+    except ValidationError as e:
+        names = [m.group(1) for m in map(PROBLEM_NAME.match, e.problems)
+                 if m]
+        assert len(names) == len(set(names)), (seed, e.problems)
+        return None
+    assert load_scenario(serialize_scenario(s)) == s, seed
+    return s
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_corrupted_scenarios_built_in_code_are_rejected_or_run():
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    accepted = []
+    try:
+        for seed in range(CORRUPTIONS):
+            s = check_corrupted(seed)
+            if s is not None:
+                try:
+                    _short_run(s, CORRUPT_RUN_S)
+                except _Timeout:
+                    pytest.fail(f"run of corruption {seed} exceeded "
+                                f"{TIMEOUT_S} s")
+                accepted.append(seed)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    # both outcomes must be exercised for the sweep to mean anything
+    assert 50 <= len(accepted) <= CORRUPTIONS - 50, len(accepted)

@@ -107,6 +107,9 @@ def test_parse_errors_carry_line_numbers():
     assert "bad waypoint" in e.value.reason
 
 
+NINES = "9" * 400  # an int too large for a float
+
+
 @pytest.mark.parametrize("text, line, reason", [
     ("[params]\nhop_delay = abc\n", 2, "bad hop_delay"),
     ("[params]\n\nseed = 1.5\n", 3, "bad seed"),
@@ -134,11 +137,22 @@ def test_parse_errors_carry_line_numbers():
     ("[node]\nms1 mobile_station 0 0\n[mobility]\n"
      "ms1 speed=1 speed=9 waypoints=5,5\n", 4,
      "duplicate mobility key 'speed'"),
+    # a count too large for a float, which once raised OverflowError
+    pytest.param(f"[params]\nqueue_capacity = {NINES}\n", 2,
+                 "queue_capacity must be finite", id="queue_capacity-nines"),
+    pytest.param(f"[params]\ndefault_ttl = {NINES}\n", 2,
+                 "default_ttl must be finite", id="default_ttl-nines"),
 ])
 def test_bad_numbers_are_parse_errors(text, line, reason):
     with pytest.raises(ParseError) as e:
         load_scenario(text)
     assert _line_no(e) == line and reason in e.value.reason
+
+
+def test_a_seed_too_large_for_a_float_loads():
+    s = load_scenario(f"[params]\nseed = {NINES}\n[node]\nm1 mote 0 0\n")
+    assert s.seed == int(NINES)
+    assert load_scenario(serialize_scenario(s)) == s
 
 
 def test_epsilon_is_no_longer_a_parameter():
@@ -215,6 +229,16 @@ def _with_m01_profile(s: Scenario, **change) -> Scenario:
 
 
 INF, NAN = float("inf"), float("nan")
+# The first rule nan breaks in each SimParams field: a range where the field
+# has one, else finiteness.
+NAN_PROBLEMS = {
+    "default_ttl": "must be >= 1", "queue_capacity": "must be >= 1",
+    **dict.fromkeys(["coverage_check_period", "tx_slot", "dv_period",
+                     "app_interval"], "must be positive"),
+    **dict.fromkeys(["hop_delay", "backhaul_delay", "steering_delay",
+                     "satellite_acquisition_delay"], "must be >= 0"),
+    "max_steer_range": "must be finite", "discovery_timeout": "must be finite",
+}
 
 
 @pytest.mark.parametrize("change, problem", [
@@ -231,6 +255,13 @@ INF, NAN = float("inf"), float("nan")
     (dict(params=SimParams(tx_slot=-INF)), "tx_slot must be positive"),
     (dict(params=SimParams(hop_delay=INF)), "hop_delay must be finite"),
     (dict(duration=INF), "duration must be finite"),
+    # ints too large for a float, which once raised OverflowError
+    (dict(duration=10**400), "duration must be finite"),
+    (dict(params=SimParams(tx_slot=10**400)), "tx_slot must be finite"),
+    # nan in every field, so that no field goes unchecked
+    *[(dict(params=SimParams(**{f.name: NAN})),
+       f"{f.name} {NAN_PROBLEMS[f.name]}")
+      for f in dataclasses.fields(SimParams)],
 ])
 def test_non_finite_values_rejected_in_a_scenario_built_in_code(change,
                                                                  problem):
@@ -295,12 +326,36 @@ def test_non_numbers_rejected_in_a_scenario_built_in_code(build, problem):
      "mobility of 'ms1' must be finite"),
     (lambda s: _with_ms1_path(s, MobilityPath((Point(-INF, 1.0),), 8.0)),
      "mobility of 'ms1' must be finite"),
+    (lambda s: _with_m01_at(s, Point(10**400, 0.0)),
+     "position of 'm01' must be finite"),
 ])
 def test_non_finite_coordinates_rejected_in_a_scenario_built_in_code(
         build, problem):
     with pytest.raises(ValidationError) as e:
         validate_scenario(build(reference_scenario()))
     assert e.value.problems == [problem]
+
+
+def test_each_value_gets_at_most_one_problem_in_a_fixed_order():
+    # A value that is not a number no longer hides the other problems, and
+    # each value reports only the first rule it breaks: default_ttl = 0.5 is
+    # out of range, and is not also reported as not an integer.
+    s = _with_m01_at(dataclasses.replace(
+        reference_scenario(), duration="90", seed=2.5,
+        mobility={**reference_scenario().mobility,
+                  "ghost": MobilityPath((Point(1.0, 1.0),), 1.0)},
+        params=SimParams(default_ttl=0.5, hop_delay=-1, tx_slot=10**400,
+                         max_steer_range=NAN)), Point(None, 0.0))
+    with pytest.raises(ValidationError) as e:
+        validate_scenario(s)
+    assert e.value.problems == ["mobility for unknown node 'ghost'",
+                                "duration must be a number",
+                                "seed must be an integer",
+                                "default_ttl must be >= 1",
+                                "tx_slot must be finite",
+                                "hop_delay must be >= 0",
+                                "max_steer_range must be finite",
+                                "position of 'm01' must be a number"]
 
 
 def test_every_valid_scenario_built_in_code_serializes():
@@ -372,6 +427,18 @@ def test_roundtrip_is_stable():
 def test_roundtrip_of_builtin_scenario():
     s = reference_scenario()
     assert load_scenario(serialize_scenario(s)) == s
+
+
+def test_roundtrip_of_a_profile_equal_to_its_kind_default():
+    # a profile set to the default once serialized to no override at all,
+    # and reloaded as no profile
+    from_text = load_scenario("[node]\nm1 mote 0 0 tx_power=0\n")
+    built = dataclasses.replace(reference_scenario(), nodes=tuple(
+        dataclasses.replace(n, profile=effective_profile(n))
+        if n.node_id == "bs1" else n for n in reference_scenario().nodes))
+    for s in (from_text, built):
+        assert any(n.profile == DEFAULT_PROFILES[n.kind] for n in s.nodes)
+        assert load_scenario(serialize_scenario(s)) == s
 
 
 def test_serialize_emits_only_nondefault_params():
