@@ -13,7 +13,7 @@ from .scenario import (ParseError, Scenario, SimParams, ValidationError,
                        load_scenario, reference_scenario, serialize_scenario,
                        strip_wsn)
 from .simulation import RunReport, Simulation, run
-from .stats import (Category, Layer, NoSignificantChangeError, StatsLedger,
+from .stats import (Category, NoSignificantChangeError, StatsLedger,
                     classify, qos_improvement)
 from .world import (CoLocatedError, MobilityPath, NodeKind, PacketOutcome,
                     Point, RadioProfile, ZeroDistanceError, comm_graph,

@@ -158,7 +158,7 @@ def msc_decide(request_id: int, ms_location: Point, bs_set: dict,
     scenario has no satellite.
     """
     feasible = [(ms_location.distance_to(p), b)
-                for b, p in sorted(bs_set.items())
+                for b, p in bs_set.items()
                 if steer_feasible(p, ms_location, max_steer_range)]
     if feasible:
         _, best = min(feasible)

@@ -4,12 +4,11 @@ with one `layer.name=value` line per counter, in registry order."""
 
 from .simulation import RunReport
 from .stats import (REGISTRY, Classification, NoSignificantChangeError,
-                    RegistryMismatchError, StatsLedger, UnknownCounterError,
-                    counter_by_token, qos_improvement)
+                    RegistryMismatchError, StatsLedger, qos_improvement)
 
 
 def _counter_lines(ledger: StatsLedger) -> list:
-    return [f"{key.token()}={value}" for key, value in ledger.as_dict().items()]
+    return [f"{token}={value}" for token, value in ledger.as_dict().items()]
 
 
 def _link_lines(report: RunReport, layout: str) -> list:
@@ -48,9 +47,9 @@ def render_run(report: RunReport) -> str:
 def render_report(ledger: StatsLedger, classification: Classification) -> str:
     """What `compare` prints: counters, each counter's verdict, the QoS."""
     lines = _counter_lines(ledger) + [""]
-    for key in REGISTRY:
-        delta, cat = classification.per_counter[key]
-        lines.append(f"{key.token()}: {cat.value} ({delta:+d})")
+    for token in REGISTRY:
+        delta, cat = classification.per_counter[token]
+        lines.append(f"{token}: {cat.value} ({delta:+d})")
     try:
         pct = qos_improvement(classification)
         lines.append(f"QoS improvement: {pct:.2f}%")
@@ -75,17 +74,16 @@ def parse_report_ledger(text: str) -> StatsLedger:
         if "=" not in line:
             raise RegistryMismatchError(f"unparseable report line {line!r}")
         token, _, value = line.partition("=")
-        try:
-            key = counter_by_token(token.strip())
-        except UnknownCounterError:
-            raise RegistryMismatchError(f"unknown counter {token!r}") from None
+        key = token.strip()
+        if key not in REGISTRY:
+            raise RegistryMismatchError(f"unknown counter {token!r}")
         if key in seen:
             raise RegistryMismatchError(f"duplicate counter {token!r}")
         seen.add(key)
         if not (value.isascii() and value.strip().isdigit()):
             raise RegistryMismatchError(f"not a count: {line!r}")
         ledger.record(key, int(value))
-    missing = [k.token() for k in REGISTRY if k not in seen]
+    missing = [k for k in REGISTRY if k not in seen]
     if missing:
         raise RegistryMismatchError(f"missing counters: {missing}")
     return ledger

@@ -85,11 +85,15 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    nodes: tuple            # NodeSpec, sorted by node_id
+    nodes: tuple            # NodeSpec, sorted by node_id when built
     mobility: dict          # node_id -> MobilityPath
     duration: float = 90.0
     seed: int = 1
     params: SimParams = field(default_factory=SimParams)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(
+            sorted(self.nodes, key=lambda n: n.node_id)))
 
     def by_kind(self, kind: NodeKind) -> list:
         return [n for n in self.nodes if n.kind is kind]
@@ -247,8 +251,8 @@ def load_scenario(text: str) -> Scenario:
 
     duration = raw_params.pop("duration", 90.0)
     seed = raw_params.pop("seed", 1)
-    scenario = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)),
-                        mobility, duration, seed, SimParams(**raw_params))
+    scenario = Scenario(tuple(nodes), mobility, duration, seed,
+                        SimParams(**raw_params))
     validate_scenario(scenario)
     return scenario
 
@@ -295,7 +299,9 @@ def validate_scenario(s: Scenario):
                 f"nodes {positions[key]!r} and {n.node_id!r} co-located")
         positions[key] = n.node_id
         checks.append((f"position of {n.node_id!r}", key))
-        if n.profile is not None:
+        if n.profile is not None and n.kind is NodeKind.MSC:
+            problems.append(f"msc {n.node_id!r} carries a radio profile")
+        elif n.profile is not None:
             checks.append((f"profile of {n.node_id!r}",
                            tuple(asdict(n.profile).values())))
     if len(s.by_kind(NodeKind.MSC)) > 1:
@@ -331,7 +337,7 @@ def serialize_scenario(s: Scenario) -> str:
             out.append(f"{name} = {value if name in _INT_PARAMS else _fmt(value)}")
     out.append("")
     out.append("[node]")
-    for n in sorted(s.nodes, key=lambda n: n.node_id):
+    for n in s.nodes:
         line = (f"{n.node_id} {n.kind.value} "
                 f"{_fmt(n.position.x)} {_fmt(n.position.y)}")
         if n.profile is not None:
@@ -384,8 +390,7 @@ def reference_scenario() -> Scenario:
         "ms2": MobilityPath((Point(0.0, 210.0),), speed=9.0,
                             halt_fraction=0.5),
     }
-    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
-                 duration=90.0, seed=1)
+    s = Scenario(tuple(nodes), mobility, duration=90.0, seed=1)
     validate_scenario(s)
     return s
 

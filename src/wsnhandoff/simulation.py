@@ -15,7 +15,8 @@ burst (one heap entry whose seqs and targets are the receivers', in order),
 a unicast frame as one deliver event.  Steered beams and satellite links
 are logical channels: their frames always arrive.  No frame is changed
 after _send(), so one object can be queued and delivered many times.
-_close_ledger() sets the counters that copy or add up others once at the end.
+_close_ledger() sets the queue counters, then those that copy or add up
+others (stats.DERIVED), once at the end.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the run's digest: the
@@ -66,7 +67,7 @@ from .queues import FifoQueue
 from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
                       apply_update, periodic_update, shortest_path)
 from .scenario import Scenario, effective_profile, validate_scenario
-from .stats import CounterKey, Layer, StatsLedger, slot
+from .stats import StatsLedger, slot
 from .world import (NodeKind, PacketOutcome, check_distinct, comm_graph,
                     halt_time, links_within_reach, packet_outcome,
                     position_at, reach_sq, received_power)
@@ -75,40 +76,25 @@ DEFAULT_IP_TTL = 16
 ENERGY_PER_TX = 1  # what a mote pays for each frame it transmits
 HASH_BLOCK = 256  # digest lines hashed per update
 
-
-def _slot(layer: Layer, name: str) -> int:
-    return slot(CounterKey(layer, name))
-
-
 # Ledger slots, resolved at import so a misspelt counter fails there.
-PHY_TX = _slot(Layer.PHY_80211, "signals_transmitted")
-PHY_TO_MAC = _slot(Layer.PHY_80211, "signals_received_forwarded_to_mac")
-PHY_LOCKED = _slot(Layer.PHY_80211, "signals_locked")
-PHY_ERRORS = _slot(Layer.PHY_80211, "signals_received_with_errors")
-MAC_FROM_NET = _slot(Layer.MAC_80211, "packets_from_network")
-MAC_BCAST_SENT = _slot(Layer.MAC_80211, "broadcast_sent")
-MAC_BCAST_RX = _slot(Layer.MAC_80211, "broadcast_received_clearly")
-DCF_BCAST_SENT = _slot(Layer.MAC_DCF, "broadcast_sent")
-DCF_BCAST_RX = _slot(Layer.MAC_DCF, "broadcast_received")
-LINK_SENT = _slot(Layer.MAC_LINK, "frames_sent")
-LINK_RX = _slot(Layer.MAC_LINK, "frames_received")
-LINK_UTIL = _slot(Layer.MAC_LINK, "link_utilization")
-SAT_SENT = _slot(Layer.MAC_SATCOM, "frames_sent")
-SAT_RX = _slot(Layer.MAC_SATCOM, "frames_received")
-SAT_RELAYED = _slot(Layer.MAC_SATCOM, "frames_relayed")
-IP_IN_RECEIVED = _slot(Layer.NET_IP, "in_received")
-IP_IN_DELIVERS = _slot(Layer.NET_IP, "in_delivers")
-IP_OUT_REQUESTS = _slot(Layer.NET_IP, "out_requests")
-IP_TTL_SUM = _slot(Layer.NET_IP, "in_delivers_ttl_sum")
-PRIO_QUEUED = _slot(Layer.NET_STRICT_PRIOR, "packets_queued")
-PRIO_DEQUEUED = _slot(Layer.NET_STRICT_PRIOR, "packets_dequeued")
-FIFO_QUEUED = _slot(Layer.NET_FIFO, "packets_queued")
-FIFO_DEQUEUED = _slot(Layer.NET_FIFO, "packets_dequeued")
-FIFO_PEAK = _slot(Layer.NET_FIFO, "peak_queue_size")
-UDP_FROM_APP = _slot(Layer.TRANSPORT_UDP, "packets_from_app")
-UDP_TO_APP = _slot(Layer.TRANSPORT_UDP, "packets_to_app")
-DV_TRIGGERED = _slot(Layer.APP_BELLMAN_FORD, "triggered_updates")
-DV_RECEIVED = _slot(Layer.APP_BELLMAN_FORD, "update_packets_received")
+PHY_TX = slot("phy80211.signals_transmitted")
+PHY_TO_MAC = slot("phy80211.signals_received_forwarded_to_mac")
+PHY_ERRORS = slot("phy80211.signals_received_with_errors")
+MAC_BCAST_SENT = slot("mac80211.broadcast_sent")
+MAC_BCAST_RX = slot("mac80211.broadcast_received_clearly")
+LINK_SENT = slot("mac_link.frames_sent")
+LINK_RX = slot("mac_link.frames_received")
+SAT_SENT = slot("mac_satcom.frames_sent")
+SAT_RX = slot("mac_satcom.frames_received")
+SAT_RELAYED = slot("mac_satcom.frames_relayed")
+IP_TTL_SUM = slot("net_ip.in_delivers_ttl_sum")
+PRIO_QUEUED = slot("net_strict_prior.packets_queued")
+PRIO_DEQUEUED = slot("net_strict_prior.packets_dequeued")
+FIFO_QUEUED = slot("net_fifo.packets_queued")
+FIFO_DEQUEUED = slot("net_fifo.packets_dequeued")
+FIFO_PEAK = slot("net_fifo.peak_queue_size")
+DV_TRIGGERED = slot("app_bellman_ford.triggered_updates")
+DV_RECEIVED = slot("app_bellman_ford.update_packets_received")
 
 # Enum members the per-event paths compare against, bound at import.
 LOST = PacketOutcome.LOST
@@ -341,9 +327,9 @@ class Simulation:
         self.queue.schedule(at, rx, ("deliver", frame, rx, outcome))
 
     def _on_deliver(self, t: float, payload):
+        # Never LOST: a radio unicast is a mote's discovery to a base
+        # station in its bs_row, and the other channels always arrive.
         _, frame, rx, outcome = payload
-        if outcome is LOST:
-            return
         c = self.counts
         if outcome is ERRORED:
             c[PHY_ERRORS] += 1
@@ -608,12 +594,7 @@ class Simulation:
         c[FIFO_QUEUED] = sum(q.queued for q in others)
         c[FIFO_DEQUEUED] = sum(q.dequeued for q in others)
         c[FIFO_PEAK] = max((q.peak_size for q in others), default=0)
-        c[UDP_FROM_APP] = c[IP_OUT_REQUESTS] = c[PRIO_QUEUED] + c[FIFO_QUEUED]
-        c[MAC_FROM_NET] = c[LINK_UTIL] = c[PHY_TX]
-        c[DCF_BCAST_SENT] = c[MAC_BCAST_SENT]
-        c[DCF_BCAST_RX] = c[MAC_BCAST_RX]
-        c[IP_IN_RECEIVED] = c[IP_IN_DELIVERS] = c[UDP_TO_APP] = c[PHY_TO_MAC]
-        c[PHY_LOCKED] = c[PHY_TO_MAC] + c[PHY_ERRORS]
+        self.ledger.derive()
 
     def run(self) -> RunReport:
         self.queue.schedule(0.0, "sim", ("coverage",))

@@ -1,8 +1,9 @@
 """Per-layer counter registry, ledger and classification of deltas.
 
 The registry is a closed set: 28 counters spread over ten protocol layers,
-mirroring what the simulator's stack can actually produce.  Recording into
-an unknown counter is an error, which keeps report files from two runs
+mirroring what the simulator's stack can actually produce.  A counter's
+only name is its `layer.name` report token.  Recording into an unknown
+counter is an error, which keeps report files from two runs
 field-compatible by construction.
 
 A classification compares a baseline ledger against a candidate ledger
@@ -16,11 +17,10 @@ over the significant movers.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 
 class UnknownCounterError(KeyError):
-    """Counter key outside the fixed registry."""
+    """Counter token outside the fixed registry."""
 
 
 class RegistryMismatchError(ValueError):
@@ -31,78 +31,75 @@ class NoSignificantChangeError(ValueError):
     """QoS improvement undefined: nothing moved beyond epsilon."""
 
 
-class Layer(Enum):
-    PHY_80211 = "phy80211"
-    MAC_80211 = "mac80211"
-    MAC_DCF = "mac_dcf"
-    MAC_LINK = "mac_link"
-    MAC_SATCOM = "mac_satcom"
-    NET_IP = "net_ip"
-    NET_STRICT_PRIOR = "net_strict_prior"
-    NET_FIFO = "net_fifo"
-    TRANSPORT_UDP = "transport_udp"
-    APP_BELLMAN_FORD = "app_bellman_ford"
-
-
-class CounterKey(NamedTuple):
-    layer: Layer
-    name: str
-
-    def token(self) -> str:
-        return f"{self.layer.value}.{self.name}"
-
-
 REGISTRY = (
-    CounterKey(Layer.PHY_80211, "signals_transmitted"),
-    CounterKey(Layer.PHY_80211, "signals_received_forwarded_to_mac"),
-    CounterKey(Layer.PHY_80211, "signals_locked"),
-    CounterKey(Layer.PHY_80211, "signals_received_with_errors"),
-    CounterKey(Layer.MAC_80211, "packets_from_network"),
-    CounterKey(Layer.MAC_80211, "broadcast_sent"),
-    CounterKey(Layer.MAC_80211, "broadcast_received_clearly"),
-    CounterKey(Layer.MAC_DCF, "broadcast_sent"),
-    CounterKey(Layer.MAC_DCF, "broadcast_received"),
-    CounterKey(Layer.MAC_LINK, "frames_sent"),
-    CounterKey(Layer.MAC_LINK, "frames_received"),
-    CounterKey(Layer.MAC_LINK, "link_utilization"),
-    CounterKey(Layer.MAC_SATCOM, "frames_sent"),
-    CounterKey(Layer.MAC_SATCOM, "frames_received"),
-    CounterKey(Layer.MAC_SATCOM, "frames_relayed"),
-    CounterKey(Layer.NET_IP, "in_received"),
-    CounterKey(Layer.NET_IP, "in_delivers"),
-    CounterKey(Layer.NET_IP, "out_requests"),
-    CounterKey(Layer.NET_IP, "in_delivers_ttl_sum"),
-    CounterKey(Layer.NET_STRICT_PRIOR, "packets_queued"),
-    CounterKey(Layer.NET_STRICT_PRIOR, "packets_dequeued"),
-    CounterKey(Layer.NET_FIFO, "packets_queued"),
-    CounterKey(Layer.NET_FIFO, "packets_dequeued"),
-    CounterKey(Layer.NET_FIFO, "peak_queue_size"),
-    CounterKey(Layer.TRANSPORT_UDP, "packets_from_app"),
-    CounterKey(Layer.TRANSPORT_UDP, "packets_to_app"),
-    CounterKey(Layer.APP_BELLMAN_FORD, "triggered_updates"),
-    CounterKey(Layer.APP_BELLMAN_FORD, "update_packets_received"),
+    "phy80211.signals_transmitted",
+    "phy80211.signals_received_forwarded_to_mac",
+    "phy80211.signals_locked",
+    "phy80211.signals_received_with_errors",
+    "mac80211.packets_from_network",
+    "mac80211.broadcast_sent",
+    "mac80211.broadcast_received_clearly",
+    "mac_dcf.broadcast_sent",
+    "mac_dcf.broadcast_received",
+    "mac_link.frames_sent",
+    "mac_link.frames_received",
+    "mac_link.link_utilization",
+    "mac_satcom.frames_sent",
+    "mac_satcom.frames_received",
+    "mac_satcom.frames_relayed",
+    "net_ip.in_received",
+    "net_ip.in_delivers",
+    "net_ip.out_requests",
+    "net_ip.in_delivers_ttl_sum",
+    "net_strict_prior.packets_queued",
+    "net_strict_prior.packets_dequeued",
+    "net_fifo.packets_queued",
+    "net_fifo.packets_dequeued",
+    "net_fifo.peak_queue_size",
+    "transport_udp.packets_from_app",
+    "transport_udp.packets_to_app",
+    "app_bellman_ford.triggered_updates",
+    "app_bellman_ford.update_packets_received",
 )
 
-_SLOTS = {key: i for i, key in enumerate(REGISTRY)}
-_BY_TOKEN = {k.token(): k for k in REGISTRY}
+_SLOTS = {token: i for i, token in enumerate(REGISTRY)}
 
 
-def slot(key: CounterKey) -> int:
-    """Index of `key` in REGISTRY order, which is how StatsLedger.values is
-    laid out.  Hot paths resolve their slots once and bump the list."""
+def slot(token: str) -> int:
+    """Index of `token` in REGISTRY order, which is how StatsLedger.values
+    is laid out.  Hot paths resolve their slots once and bump the list."""
     try:
-        return _SLOTS[key]
+        return _SLOTS[token]
     except KeyError:
-        raise UnknownCounterError(key) from None
+        raise UnknownCounterError(token) from None
 
 
 # Queue occupancy growth and corrupted receptions are the undesirable
 # movers; everything else is more-is-better.
 BAD_WHEN_RISING = frozenset({
-    CounterKey(Layer.PHY_80211, "signals_received_with_errors"),
-    CounterKey(Layer.NET_STRICT_PRIOR, "packets_queued"),
-    CounterKey(Layer.NET_FIFO, "packets_queued"),
+    "phy80211.signals_received_with_errors",
+    "net_strict_prior.packets_queued",
+    "net_fifo.packets_queued",
 })
+
+# The counters that only copy or add up others: each is the sum of its
+# sources.  No source is itself derived, so the order does not matter.
+DERIVED = {
+    "phy80211.signals_locked": ("phy80211.signals_received_forwarded_to_mac",
+                                "phy80211.signals_received_with_errors"),
+    "mac80211.packets_from_network": ("phy80211.signals_transmitted",),
+    "mac_dcf.broadcast_sent": ("mac80211.broadcast_sent",),
+    "mac_dcf.broadcast_received": ("mac80211.broadcast_received_clearly",),
+    "mac_link.link_utilization": ("phy80211.signals_transmitted",),
+    "net_ip.in_received": ("phy80211.signals_received_forwarded_to_mac",),
+    "net_ip.in_delivers": ("phy80211.signals_received_forwarded_to_mac",),
+    "net_ip.out_requests": ("net_strict_prior.packets_queued",
+                            "net_fifo.packets_queued"),
+    "transport_udp.packets_from_app": ("net_strict_prior.packets_queued",
+                                       "net_fifo.packets_queued"),
+    "transport_udp.packets_to_app": (
+        "phy80211.signals_received_forwarded_to_mac",),
+}
 
 
 class StatsLedger:
@@ -115,23 +112,29 @@ class StatsLedger:
     def __init__(self):
         self.values = [0] * len(REGISTRY)
 
-    def record(self, key: CounterKey, delta: int = 1):
-        i = slot(key)
+    def record(self, token: str, delta: int = 1):
+        i = slot(token)
         if delta < 0:
             raise ValueError("counters only move forward")
         self.values[i] += delta
 
-    def record_peak(self, key: CounterKey, value: int):
+    def record_peak(self, token: str, value: int):
         """Raise a high-water-mark counter to `value` if it is higher."""
-        i = slot(key)
+        i = slot(token)
         if value > self.values[i]:
             self.values[i] = value
 
-    def get(self, key: CounterKey) -> int:
-        return self.values[slot(key)]
+    def get(self, token: str) -> int:
+        return self.values[slot(token)]
 
     def as_dict(self) -> dict:
         return dict(zip(REGISTRY, self.values))
+
+    def derive(self):
+        """Set every DERIVED counter to the sum of its sources."""
+        v = self.values
+        for token, sources in DERIVED.items():
+            v[slot(token)] = sum(v[slot(source)] for source in sources)
 
 
 class Category(Enum):
@@ -142,7 +145,7 @@ class Category(Enum):
 
 @dataclass
 class Classification:
-    per_counter: dict  # CounterKey -> (delta, Category)
+    per_counter: dict  # token -> (delta, Category)
     desirable: int
     undesirable: int
     insignificant: int
@@ -156,15 +159,15 @@ def classify(baseline: StatsLedger, candidate: StatsLedger,
     per = {}
     counts = {Category.DESIRABLE: 0, Category.UNDESIRABLE: 0,
               Category.INSIGNIFICANT: 0}
-    for key in REGISTRY:
-        delta = candidate.get(key) - baseline.get(key)
+    for token in REGISTRY:
+        delta = candidate.get(token) - baseline.get(token)
         if abs(delta) <= epsilon:
             cat = Category.INSIGNIFICANT
-        elif (delta > 0) != (key in BAD_WHEN_RISING):
+        elif (delta > 0) != (token in BAD_WHEN_RISING):
             cat = Category.DESIRABLE
         else:
             cat = Category.UNDESIRABLE
-        per[key] = (delta, cat)
+        per[token] = (delta, cat)
         counts[cat] += 1
     return Classification(per, counts[Category.DESIRABLE],
                           counts[Category.UNDESIRABLE],
@@ -178,8 +181,3 @@ def qos_improvement(c: Classification) -> float:
         raise NoSignificantChangeError("no counter moved beyond epsilon")
     return 100.0 * c.desirable / moved
 
-
-def counter_by_token(token: str) -> CounterKey:
-    if token not in _BY_TOKEN:
-        raise UnknownCounterError(token)
-    return _BY_TOKEN[token]

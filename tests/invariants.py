@@ -6,7 +6,6 @@ from wsnhandoff import simulation
 from wsnhandoff.protocol import MoteMode
 from wsnhandoff.routing import INFINITY_METRIC
 from wsnhandoff.scenario import Scenario, effective_profile
-from wsnhandoff.stats import counter_by_token
 from wsnhandoff.world import (NodeKind, PacketOutcome, comm_graph,
                               packet_outcome, received_power)
 
@@ -22,17 +21,17 @@ def _watch_traffic(sim):
     is why a mote's queue is a plain FIFO), every radio sender is a mote or
     a handset, every radio receiver a mote or a base station, every
     broadcast target a mote, no unicast frame addressed to a mote, every
-    relay frame addressed to a satellite, and no drain finds its queue
-    empty.  They also count what the ledger must report, apart from the
-    queues' own counters: the frames sent, the offers and drains per queue
-    family (mote or other), and the largest backlog of a queue other than a
-    mote's, which a shadow count of each such queue's frames tracks and
-    checks at every drain.  Wrappers on the two delivery paths and on every
-    receive handler count the receptions, clear and errored, of unicast and
-    of broadcast frames; the transmit wrapper counts transmits and
-    broadcasts, and each mote's transmits.  Returns the first counts keyed
-    by counter token, the second keyed by name and the third keyed by mote,
-    all filled in as the run goes."""
+    relay frame addressed to a satellite, no unicast frame delivered LOST,
+    and no drain finds its queue empty.  They also count what the ledger
+    must report, apart from the queues' own counters: the frames sent, the
+    offers and drains per queue family (mote or other), and the largest
+    backlog of a queue other than a mote's, which a shadow count of each
+    such queue's frames tracks and checks at every drain.  Wrappers on the
+    two delivery paths and on every receive handler count the receptions,
+    clear and errored, of unicast and of broadcast frames; the transmit
+    wrapper counts transmits and broadcasts, and each mote's transmits.
+    Returns the first counts keyed by counter token, the second keyed by
+    name and the third keyed by mote, all filled in as the run goes."""
     kinds, capacity = sim.kinds, sim.p.queue_capacity
     send, transmit = sim._send, sim._transmit
     drain = sim._handlers["drain"]
@@ -86,6 +85,7 @@ def _watch_traffic(sim):
         transmit(t, node_id, frame)
 
     def watched_deliver(t, payload):
+        assert payload[3] is not PacketOutcome.LOST, (t, payload[2])
         traffic["unicast_errored"] += payload[3] is PacketOutcome.ERRORED
         deliver(t, payload)
 
@@ -209,7 +209,7 @@ def check_run(sim):
         "phy80211.signals_received_with_errors": errored,
         "phy80211.signals_locked": clear + errored})
     for token, want in counts.items():
-        assert report.ledger.get(counter_by_token(token)) == want, token
+        assert report.ledger.get(token) == want, token
     for layer, queues in (("net_strict_prior", motes), ("net_fifo", others)):
         for counter in ("queued", "dequeued"):
             assert (sum(getattr(q, counter) for q in queues)

@@ -24,7 +24,7 @@ from wsnhandoff.scenario import (NodeSpec, Scenario, effective_profile,
 from wsnhandoff.report import serialize_report
 from wsnhandoff.simulation import run
 from wsnhandoff.stats import (BAD_WHEN_RISING, REGISTRY, StatsLedger,
-                              classify, counter_by_token, qos_improvement)
+                              classify, qos_improvement)
 from wsnhandoff.world import (NodeKind, Point, comm_graph, halt_time,
                               position_at, profile_for_range)
 
@@ -50,10 +50,10 @@ def test_criterion_1_qos_arithmetic():
         # the reference comparison: 11 significant improvements, 4
         # significant regressions (errors up from nil, satcom receptions
         # down, both queue families growing), 13 unmoved counters
-        errors = counter_by_token("phy80211.signals_received_with_errors")
-        sat_rx = counter_by_token("mac_satcom.frames_received")
-        sp_q = counter_by_token("net_strict_prior.packets_queued")
-        fifo_q = counter_by_token("net_fifo.packets_queued")
+        errors = "phy80211.signals_received_with_errors"
+        sat_rx = "mac_satcom.frames_received"
+        sp_q = "net_strict_prior.packets_queued"
+        fifo_q = "net_fifo.packets_queued"
         base, cand = StatsLedger(), StatsLedger()
         improvers = [k for k in REGISTRY
                      if k not in BAD_WHEN_RISING and k != sat_rx][:11]
@@ -128,13 +128,12 @@ def test_criterion_3_directions_reproduce_across_seeds():
                    "mac_satcom.frames_relayed",
                    "app_bellman_ford.triggered_updates",
                    "app_bellman_ford.update_packets_received"]
-        keys = [counter_by_token(t) for t in watched]
         s = reference_scenario()
         for seed in range(1, 11):
             with_wsn = run(dataclasses.replace(s, seed=seed))
             without = run(dataclasses.replace(strip_wsn(s), seed=seed))
-            for token, key in zip(watched, keys):
-                a, b = with_wsn.ledger.get(key), without.ledger.get(key)
+            for token in watched:
+                a, b = with_wsn.ledger.get(token), without.ledger.get(token)
                 assert a > b, f"seed {seed}: {token} {a} !> {b}"
 
     _gate(3, "five counters strictly higher with motes, 10 seeds", 60.0,

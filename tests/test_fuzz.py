@@ -26,12 +26,12 @@ import pytest
 
 from test_scenario import _readme_scenario
 from wsnhandoff.protocol import NoSatelliteError
-from wsnhandoff.scenario import (_PARAM_NAMES, ParseError, SimParams,
-                                 ValidationError, load_scenario,
+from wsnhandoff.scenario import (_PARAM_NAMES, DEFAULT_PROFILES, ParseError,
+                                 SimParams, ValidationError, load_scenario,
                                  reference_scenario, serialize_scenario,
                                  validate_scenario)
 from wsnhandoff.simulation import run
-from wsnhandoff.world import CoLocatedError, Point
+from wsnhandoff.world import CoLocatedError, NodeKind, Point
 
 # Mutants per text, 300 in all.  A mesh-dv run costs about 1 s whatever its
 # length (its first route adverts cascade over 100 motes), so the small
@@ -152,7 +152,8 @@ PROBLEM_NAME = re.compile(r"(.*?) (?:must be|is too small)")
 def corrupted_scenario(seed: int):
     """The reference scenario with one to three of `duration`, `seed` and
     the SimParams fields, and one time in four m05's x, set to values drawn
-    from CORRUPT_VALUES."""
+    from CORRUPT_VALUES.  Then, one time in four, its nodes are shuffled,
+    and one time in eight msc1 is given a radio profile."""
     rng = random.Random(seed)
     names = rng.sample(CORRUPT_NAMES, rng.randint(1, 3))
     change = {name: rng.choice(CORRUPT_VALUES) for name in names}
@@ -165,6 +166,13 @@ def corrupted_scenario(seed: int):
         s = dataclasses.replace(s, nodes=tuple(
             dataclasses.replace(n, position=Point(x, n.position.y))
             if n.node_id == "m05" else n for n in s.nodes))
+    if rng.random() < 0.25:
+        s = dataclasses.replace(s, nodes=rng.sample(s.nodes, len(s.nodes)))
+    if rng.random() < 0.125:
+        s = dataclasses.replace(s, nodes=tuple(
+            dataclasses.replace(n, profile=DEFAULT_PROFILES[
+                NodeKind.BASE_STATION]) if n.node_id == "msc1" else n
+            for n in s.nodes))
     return s
 
 

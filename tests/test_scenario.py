@@ -411,6 +411,18 @@ def test_two_switching_centres_rejected():
         load_scenario("[node]\nmsc1 msc 0 0\nmsc2 msc 1 1\n")
 
 
+def test_an_msc_built_in_code_with_a_profile_is_rejected():
+    # the text format refuses it at parse time, with its line number
+    s = reference_scenario()
+    s = dataclasses.replace(s, nodes=tuple(
+        dataclasses.replace(n, profile=DEFAULT_PROFILES[NodeKind.BASE_STATION])
+        if n.kind is NodeKind.MSC else n for n in s.nodes))
+    for build in (validate_scenario, Simulation):
+        with pytest.raises(ValidationError) as e:
+            build(s)
+        assert e.value.problems == ["msc 'msc1' carries a radio profile"]
+
+
 def test_nonpositive_duration_rejected():
     with pytest.raises(ValidationError):
         load_scenario("[params]\nduration = 0\n[node]\nm1 mote 0 0\n")
@@ -426,6 +438,14 @@ def test_roundtrip_is_stable():
 
 def test_roundtrip_of_builtin_scenario():
     s = reference_scenario()
+    assert load_scenario(serialize_scenario(s)) == s
+
+
+def test_nodes_are_sorted_by_id_when_built():
+    ref = reference_scenario()
+    s = dataclasses.replace(ref, nodes=reversed(ref.nodes))
+    assert s == ref
+    assert [n.node_id for n in s.nodes] == sorted(n.node_id for n in ref.nodes)
     assert load_scenario(serialize_scenario(s)) == s
 
 

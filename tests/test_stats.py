@@ -1,40 +1,54 @@
 """Counter registry, ledger, movement classification and QoS score."""
 
+from collections import Counter
+
 import pytest
 
 from wsnhandoff.report import render_report
-from wsnhandoff.stats import (BAD_WHEN_RISING, REGISTRY, Category,
-                              CounterKey, Layer, NoSignificantChangeError,
-                              StatsLedger, UnknownCounterError, classify,
-                              counter_by_token, qos_improvement, slot)
+from wsnhandoff.stats import (BAD_WHEN_RISING, DERIVED, REGISTRY, Category,
+                              NoSignificantChangeError, StatsLedger,
+                              UnknownCounterError, classify, qos_improvement,
+                              slot)
 
-ERRORS = CounterKey(Layer.PHY_80211, "signals_received_with_errors")
-LOCKED = CounterKey(Layer.PHY_80211, "signals_locked")
-SP_QUEUED = CounterKey(Layer.NET_STRICT_PRIOR, "packets_queued")
-FIFO_QUEUED = CounterKey(Layer.NET_FIFO, "packets_queued")
-FIFO_PEAK = CounterKey(Layer.NET_FIFO, "peak_queue_size")
-SAT_RECEIVED = CounterKey(Layer.MAC_SATCOM, "frames_received")
+ERRORS = "phy80211.signals_received_with_errors"
+LOCKED = "phy80211.signals_locked"
+SP_QUEUED = "net_strict_prior.packets_queued"
+FIFO_QUEUED = "net_fifo.packets_queued"
+FIFO_PEAK = "net_fifo.peak_queue_size"
+SAT_RECEIVED = "mac_satcom.frames_received"
 
 
 def test_registry_is_the_full_layer_census():
     assert len(REGISTRY) == 28
     assert len(set(REGISTRY)) == 28
-    tokens = [k.token() for k in REGISTRY]
-    assert len(set(tokens)) == 28
-    per_layer = {layer: sum(1 for k in REGISTRY if k.layer is layer)
-                 for layer in Layer}
-    assert per_layer == {Layer.PHY_80211: 4, Layer.MAC_80211: 3,
-                         Layer.MAC_DCF: 2, Layer.MAC_LINK: 3,
-                         Layer.MAC_SATCOM: 3, Layer.NET_IP: 4,
-                         Layer.NET_STRICT_PRIOR: 2, Layer.NET_FIFO: 3,
-                         Layer.TRANSPORT_UDP: 2, Layer.APP_BELLMAN_FORD: 2}
+    assert all(token.count(".") == 1 for token in REGISTRY)
+    per_layer = Counter(token.partition(".")[0] for token in REGISTRY)
+    assert per_layer == {"phy80211": 4, "mac80211": 3, "mac_dcf": 2,
+                         "mac_link": 3, "mac_satcom": 3, "net_ip": 4,
+                         "net_strict_prior": 2, "net_fifo": 3,
+                         "transport_udp": 2, "app_bellman_ford": 2}
 
 
 def test_token_lookup_roundtrip():
-    for key in REGISTRY:
-        assert counter_by_token(key.token()) == key
+    for i, token in enumerate(REGISTRY):
+        assert slot(token) == i
     with pytest.raises(UnknownCounterError):
-        counter_by_token("phy80211.bogus")
+        slot("phy80211.bogus")
+
+
+def test_derived_counters_sum_sources_that_are_not_derived():
+    assert len(DERIVED) == 10
+    for token, sources in DERIVED.items():
+        assert token in REGISTRY and sources
+        assert all(s in REGISTRY and s not in DERIVED for s in sources)
+    led = StatsLedger()
+    for i, token in enumerate(REGISTRY):
+        led.record(token, i + 1)
+    led.derive()
+    for token in REGISTRY:
+        want = (sum(REGISTRY.index(s) + 1 for s in DERIVED[token])
+                if token in DERIVED else REGISTRY.index(token) + 1)
+        assert led.get(token) == want, token
 
 
 def test_ledger_records_and_rejects_unknown_keys():
@@ -44,14 +58,14 @@ def test_ledger_records_and_rejects_unknown_keys():
     led.record(LOCKED, 4)
     assert led.get(LOCKED) == 5
     with pytest.raises(UnknownCounterError):
-        led.record(CounterKey(Layer.PHY_80211, "nope"))
+        led.record("phy80211.nope")
     with pytest.raises(ValueError):
         led.record(LOCKED, -1)
 
 
 def test_ledger_checks_every_public_entry_point():
     led = StatsLedger()
-    bogus = CounterKey(Layer.MAC_LINK, "frames_dropped")
+    bogus = "mac_link.frames_dropped"
     for call in (lambda: led.record(bogus), lambda: led.get(bogus),
                  lambda: led.record_peak(bogus, 3), lambda: slot(bogus)):
         with pytest.raises(UnknownCounterError):
@@ -123,7 +137,7 @@ def test_eleven_four_thirteen_split_yields_7333_percent():
     # eleven significant improvements, four significant regressions
     base, cand = StatsLedger(), StatsLedger()
     good = [k for k in REGISTRY
-            if k not in BAD_WHEN_RISING and k is not SAT_RECEIVED]
+            if k not in BAD_WHEN_RISING and k != SAT_RECEIVED]
     for k in good[:11]:
         cand.record(k, 10)
     cand.record(ERRORS, 6)
