@@ -11,7 +11,7 @@ Format (UTF-8, `#` starts a comment, blank lines ignored):
     [node]
     # id kind x y [profile overrides as key=value]
     bs1 base_station 0 200
-    m01 mote 80 130 tx_power=0
+    m01 mote 80 130 tx_power=3
 
     [mobility]
     # id speed=<m/s> halt=<fraction> waypoints=x,y[;x,y...]
@@ -22,10 +22,10 @@ Profile override keys: tx_power, sensitivity, error_margin,
 path_loss_exponent, reference_loss.
 
 A key appears once in `[params]`, with a one-token value, and once on a
-`[node]` or `[mobility]` line.  Every number but `seed` must be finite, so
-not an int too large for a float; `seed`, `default_ttl` and
-`queue_capacity` must be integers.  A value that does not parse, or a
-repeated key, raises ParseError with its line number.
+`[node]` or `[mobility]` line.  Text that cannot be read, such as a repeated
+key or a number that does not parse (`seed`, `default_ttl` and
+`queue_capacity` parse as ints), raises ParseError with its line number.
+validate_scenario alone judges the values, read or built in code.
 """
 
 import math
@@ -85,15 +85,17 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    nodes: tuple            # NodeSpec, sorted by node_id when built
+    nodes: tuple            # NodeSpec, sorted by str(node_id) when built
     mobility: dict          # node_id -> MobilityPath
     duration: float = 90.0
     seed: int = 1
     params: SimParams = field(default_factory=SimParams)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(
-            sorted(self.nodes, key=lambda n: n.node_id)))
+        object.__setattr__(self, "nodes", tuple(sorted(
+            (replace(n, profile=None)
+             if n.profile == DEFAULT_PROFILES.get(n.kind) else n
+             for n in self.nodes), key=lambda n: str(n.node_id))))
 
     def by_kind(self, kind: NodeKind) -> list:
         return [n for n in self.nodes if n.kind is kind]
@@ -161,12 +163,9 @@ def _read_pairs(tokens, line_no: int, what: str, known, seen=()) -> dict:
 
 def _parse_number(value: str, line_no: int, what: str, kind=float):
     try:
-        x = kind(value)
+        return kind(value)
     except ValueError:
         raise ParseError(line_no, f"bad {what}: {value!r}") from None
-    if what != "seed" and not _finite(x):
-        raise ParseError(line_no, f"{what} must be finite, got {value!r}")
-    return x
 
 
 def _parse_node(parts, line_no: int) -> NodeSpec:
@@ -186,10 +185,7 @@ def _parse_node(parts, line_no: int) -> NodeSpec:
                                 _OVERRIDE_FIELDS)
         changes = {_OVERRIDE_FIELDS[key]: _parse_number(value, line_no, key)
                    for key, value in overrides.items()}
-        try:
-            profile = replace(DEFAULT_PROFILES[kind], **changes)
-        except ValueError as e:
-            raise ParseError(line_no, str(e)) from None
+        profile = replace(DEFAULT_PROFILES[kind], **changes)
     return NodeSpec(node_id, kind, pos, profile)
 
 
@@ -209,10 +205,7 @@ def _parse_mobility(parts, line_no: int):
             raise ParseError(line_no, f"bad waypoint {pair!r}")
         waypoints.append(Point(_parse_number(xy[0], line_no, "x"),
                                _parse_number(xy[1], line_no, "y")))
-    try:
-        return parts[0], MobilityPath(tuple(waypoints), speed, halt)
-    except ValueError as e:
-        raise ParseError(line_no, str(e)) from None
+    return parts[0], MobilityPath(tuple(waypoints), speed, halt)
 
 
 def load_scenario(text: str) -> Scenario:
@@ -259,8 +252,8 @@ def load_scenario(text: str) -> Scenario:
 
 def _broken_rule(name: str, values: tuple, duration):
     """The first rule that `values`, checked together as `name`, break, or
-    None.  A position, a profile or a walk need only be finite numbers; the
-    scalars also have range, period and integer rules."""
+    None.  A position need only be finite numbers; the scalars also have
+    range, period and integer rules, and a finite profile or walk its own."""
     if not all(isinstance(v, (int, float)) for v in values):
         return "must be a number"
     value = values[0]
@@ -280,6 +273,20 @@ def _broken_rule(name: str, values: tuple, duration):
         return "is too small to advance the clock"
     if name in _INTEGERS and type(value) is not int:
         return "must be an integer"
+    if name.startswith("profile of "):
+        _, _, margin, exponent, _ = values
+        if margin < 0:
+            return "must be error_margin_db >= 0"
+        if not 1 <= exponent <= 6:
+            return "must be 1 <= path_loss_exponent <= 6"
+    if name.startswith("mobility of "):
+        speed, halt, *coords = values
+        if not coords:
+            return "must be a walk to at least one waypoint"
+        if speed <= 0:
+            return "must be speed > 0"
+        if not 0 < halt <= 1:
+            return "must be 0 < halt_fraction <= 1"
     return None
 
 
@@ -290,6 +297,12 @@ def validate_scenario(s: Scenario):
     scalars = {"duration": s.duration, "seed": s.seed, **asdict(s.params)}
     checks = [(name, (scalars[name],)) for name in _SCALARS]
     for n in s.nodes:
+        # an id that a `[node]` line reads back as itself
+        if not (isinstance(n.node_id, str) and "#" not in n.node_id and
+                n.node_id.split() == [n.node_id] and n.node_id[0] != "["):
+            problems.append(f"node id {n.node_id!r} must be one token, "
+                            "without '#' and not starting with '['")
+            continue
         if n.node_id in kinds:
             problems.append(f"duplicate node id {n.node_id!r}")
         kinds.setdefault(n.node_id, n.kind)
@@ -311,8 +324,9 @@ def validate_scenario(s: Scenario):
             problems.append(f"mobility for unknown node {node_id!r}")
         elif kinds[node_id] is not NodeKind.MOBILE_STATION:
             problems.append(f"mobility on non-mobile node {node_id!r}")
-        checks.append((f"mobility of {node_id!r}", (path.speed, *(
-            c for w in path.waypoints for c in (w.x, w.y)))))
+        checks.append((f"mobility of {node_id!r}", (
+            path.speed, path.halt_fraction,
+            *(c for w in path.waypoints for c in (w.x, w.y)))))
     # Each scalar, each node's position and profile, and each walk gets at
     # most one problem: the first rule it breaks.
     problems += [f"{name} {rule}" for name, values in checks
@@ -341,13 +355,10 @@ def serialize_scenario(s: Scenario) -> str:
         line = (f"{n.node_id} {n.kind.value} "
                 f"{_fmt(n.position.x)} {_fmt(n.position.y)}")
         if n.profile is not None:
-            # a profile equal to its kind's default still writes tx_power,
-            # or it would reload as no profile
             base = DEFAULT_PROFILES[n.kind]
             for short, attr in _OVERRIDE_FIELDS.items():
-                if getattr(n.profile, attr) != getattr(base, attr) or (
-                        short == "tx_power" and n.profile == base):
-                    line += f" {short}={repr(getattr(n.profile, attr))}"
+                if getattr(n.profile, attr) != getattr(base, attr):
+                    line += f" {short}={_fmt(getattr(n.profile, attr))}"
         out.append(line)
     if s.mobility:
         out.append("")

@@ -44,17 +44,12 @@ class NodeKind(Enum):
 
 @dataclass(frozen=True)
 class RadioProfile:
+    """A radio's link budget; `scenario.validate_scenario` checks it."""
     tx_power_dbm: float
     sensitivity_dbm: float
     error_margin_db: float = 0.0
     path_loss_exponent: float = 2.0
     reference_loss_db: float = 40.0
-
-    def __post_init__(self):
-        if self.error_margin_db < 0:
-            raise ValueError("error_margin_db must be >= 0")
-        if not 1.0 <= self.path_loss_exponent <= 6.0:
-            raise ValueError("path_loss_exponent out of plausible range")
 
     def range_radius(self) -> float:
         """Distance at which received power equals sensitivity exactly."""
@@ -118,18 +113,11 @@ class MobilityPath:
     The route is the polyline from the node's start position through the
     waypoints.  Once arc-length progress reaches halt_fraction of the total
     route length the position stays at that point forever.
+    `scenario.validate_scenario` checks the route, speed and halt_fraction.
     """
     waypoints: tuple
     speed: float
     halt_fraction: float = 0.5
-
-    def __post_init__(self):
-        if not self.waypoints:
-            raise ValueError("mobility path needs at least one waypoint")
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
-        if not 0.0 < self.halt_fraction <= 1.0:
-            raise ValueError("halt_fraction must be in (0, 1]")
 
 
 def _route(path: MobilityPath, start: Point) -> tuple:

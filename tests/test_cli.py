@@ -104,9 +104,8 @@ def test_an_int_too_large_for_a_float_is_one_error_naming_the_file(
                    "[node]\nm1 mote 0 0\n")
     assert main(["run", "--scenario", str(bad)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(
-        f"error: {bad}: invalid scenario: line 2: queue_capacity must be "
-        "finite"), err
+    assert err == [f"error: {bad}: invalid scenario: queue_capacity must be "
+                   "finite"], err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -155,6 +154,16 @@ def _fails_cleanly(proc):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_a_walk_that_breaks_a_rule_is_one_error_naming_the_file(tmp_path):
+    scen = tmp_path / "still.scn"
+    scen.write_text("[node]\nms1 mobile_station 0 0\n[mobility]\n"
+                    "ms1 speed=0 waypoints=5,5\n")
+    proc = _cli("run", "--scenario", str(scen))
+    _fails_cleanly(proc)
+    assert proc.stderr.startswith(f"error: {scen}: invalid scenario: ")
+    assert "mobility of 'ms1'" in proc.stderr
 
 
 # ms1 walks onto m01's point at t = 8

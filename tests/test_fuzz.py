@@ -27,7 +27,8 @@ import pytest
 from test_scenario import _readme_scenario
 from wsnhandoff.protocol import NoSatelliteError
 from wsnhandoff.scenario import (_PARAM_NAMES, DEFAULT_PROFILES, ParseError,
-                                 SimParams, ValidationError, load_scenario,
+                                 SimParams, ValidationError,
+                                 effective_profile, load_scenario,
                                  reference_scenario, serialize_scenario,
                                  validate_scenario)
 from wsnhandoff.simulation import run
@@ -144,6 +145,8 @@ def test_mutated_scenarios_load_or_are_rejected_and_loaded_ones_run():
 CORRUPT_VALUES = [float("nan"), float("inf"), float("-inf"), 10**400,
                   -10**400, -1, 0, 1e-320, 2.5, "1", None, True, 1e308, 3]
 CORRUPT_NAMES = ["duration", "seed", *_PARAM_NAMES]
+# Ids that a `[node]` line could not read back as themselves.
+BAD_IDS = [7, "", "#x", "a#b", "[node]", "x y"]
 CORRUPTIONS = 1000  # seeds swept in tier-1
 CORRUPT_RUN_S = 5.0  # simulated seconds of each accepted corruption's run
 PROBLEM_NAME = re.compile(r"(.*?) (?:must be|is too small)")
@@ -153,7 +156,11 @@ def corrupted_scenario(seed: int):
     """The reference scenario with one to three of `duration`, `seed` and
     the SimParams fields, and one time in four m05's x, set to values drawn
     from CORRUPT_VALUES.  Then, one time in four, its nodes are shuffled,
-    and one time in eight msc1 is given a radio profile."""
+    and one time in eight msc1 is given a radio profile.  Last, one time in
+    eight each, ms1's speed or halt is drawn from CORRUPT_VALUES or its
+    waypoints emptied, and a node's error_margin_db or path_loss_exponent
+    is drawn from CORRUPT_VALUES; one time in sixteen a node gets a bad
+    id."""
     rng = random.Random(seed)
     names = rng.sample(CORRUPT_NAMES, rng.randint(1, 3))
     change = {name: rng.choice(CORRUPT_VALUES) for name in names}
@@ -173,6 +180,24 @@ def corrupted_scenario(seed: int):
             dataclasses.replace(n, profile=DEFAULT_PROFILES[
                 NodeKind.BASE_STATION]) if n.node_id == "msc1" else n
             for n in s.nodes))
+    if rng.random() < 0.125:
+        field = rng.choice(["speed", "halt_fraction", "waypoints"])
+        value = () if field == "waypoints" else rng.choice(CORRUPT_VALUES)
+        s = dataclasses.replace(s, mobility={**s.mobility, "ms1": (
+            dataclasses.replace(s.mobility["ms1"], **{field: value}))})
+    if rng.random() < 0.125:
+        node = rng.choice([n for n in s.nodes if n.kind is not NodeKind.MSC])
+        field = rng.choice(["error_margin_db", "path_loss_exponent"])
+        profile = dataclasses.replace(effective_profile(node), **{
+            field: rng.choice(CORRUPT_VALUES)})
+        s = dataclasses.replace(s, nodes=tuple(
+            dataclasses.replace(n, profile=profile) if n is node else n
+            for n in s.nodes))
+    if rng.random() < 0.0625:
+        node = rng.choice(s.nodes)
+        s = dataclasses.replace(s, nodes=tuple(
+            dataclasses.replace(n, node_id=rng.choice(BAD_IDS))
+            if n is node else n for n in s.nodes))
     return s
 
 

@@ -6,14 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, Scenario,
-                                 SimParams, ValidationError,
+from wsnhandoff.scenario import (DEFAULT_PROFILES, NodeSpec, ParseError,
+                                 Scenario, SimParams, ValidationError,
                                  effective_profile, load_scenario,
                                  reference_scenario, serialize_scenario,
                                  strip_wsn, validate_scenario)
 from wsnhandoff.simulation import Simulation, run
-from wsnhandoff.world import (MobilityPath, NodeKind, Point, comm_graph,
-                              halt_time, position_at)
+from wsnhandoff.world import (MobilityPath, NodeKind, Point, RadioProfile,
+                              comm_graph, halt_time, position_at)
 
 GOOD = """\
 # minimal two-node world
@@ -106,6 +106,11 @@ def test_parse_errors_carry_line_numbers():
         load_scenario("[mobility]\nms1 speed=1 waypoints=1,2;3\n")
     assert "bad waypoint" in e.value.reason
 
+    # a walk with no waypoints cannot be written
+    with pytest.raises(ParseError) as e:
+        load_scenario("[mobility]\nms1 speed=1 waypoints=\n")
+    assert "bad waypoint ''" in e.value.reason
+
 
 NINES = "9" * 400  # an int too large for a float
 
@@ -114,18 +119,10 @@ NINES = "9" * 400  # an int too large for a float
     ("[params]\nhop_delay = abc\n", 2, "bad hop_delay"),
     ("[params]\n\nseed = 1.5\n", 3, "bad seed"),
     ("[params]\nqueue_capacity = 2.5\n", 2, "bad queue_capacity"),
-    ("[params]\nduration = nan\n", 2, "duration must be finite"),
-    ("[params]\ndv_period = inf\n", 2, "dv_period must be finite"),
     # a value is one token, not its tokens run together (10.0, 1e-323)
     ("[params]\nduration = 1 0\n", 2, "duration takes one value"),
     ("[params]\napp_interval = 0.001 1e-320\n", 2,
      "app_interval takes one value"),
-    ("[node]\nbs1 base_station nan 0\n", 2, "x must be finite"),
-    ("[node]\nbs1 base_station 0 -inf\n", 2, "y must be finite"),
-    ("[node]\nm1 mote 0 0 tx_power=inf\n", 2, "tx_power must be finite"),
-    ("[mobility]\nms1 speed=1 waypoints=nan,0\n", 2, "x must be finite"),
-    ("[mobility]\nms1 speed=inf waypoints=1,0\n", 2,
-     "speed must be finite"),
     # a key given twice, even with one value, as a mobility line given twice
     ("[params]\nseed = 2\nduration = 30\nseed = 3\n", 4,
      "duplicate param 'seed'"),
@@ -137,16 +134,52 @@ NINES = "9" * 400  # an int too large for a float
     ("[node]\nms1 mobile_station 0 0\n[mobility]\n"
      "ms1 speed=1 speed=9 waypoints=5,5\n", 4,
      "duplicate mobility key 'speed'"),
-    # a count too large for a float, which once raised OverflowError
-    pytest.param(f"[params]\nqueue_capacity = {NINES}\n", 2,
-                 "queue_capacity must be finite", id="queue_capacity-nines"),
-    pytest.param(f"[params]\ndefault_ttl = {NINES}\n", 2,
-                 "default_ttl must be finite", id="default_ttl-nines"),
 ])
 def test_bad_numbers_are_parse_errors(text, line, reason):
     with pytest.raises(ParseError) as e:
         load_scenario(text)
     assert _line_no(e) == line and reason in e.value.reason
+
+
+WALKER = "[node]\nms1 mobile_station 0 0\n[mobility]\nms1 "
+
+
+@pytest.mark.parametrize("text, problem", [
+    # Numbers that read but are not finite.  These were ParseErrors; nan
+    # now reports the range rule it breaks first, as in code.
+    ("[params]\nduration = nan\n", "duration must be positive"),
+    ("[params]\ndv_period = inf\n", "dv_period must be finite"),
+    ("[node]\nbs1 base_station nan 0\n", "position of 'bs1' must be finite"),
+    ("[node]\nbs1 base_station 0 -inf\n", "position of 'bs1' must be finite"),
+    ("[node]\nm1 mote 0 0 tx_power=inf\n", "profile of 'm1' must be finite"),
+    ("[mobility]\nms1 speed=1 waypoints=nan,0\n",
+     "mobility of 'ms1' must be finite"),
+    ("[mobility]\nms1 speed=inf waypoints=1,0\n",
+     "mobility of 'ms1' must be finite"),
+    # a count too large for a float, which once raised OverflowError
+    pytest.param(f"[params]\nqueue_capacity = {NINES}\n",
+                 "queue_capacity must be finite", id="queue_capacity-nines"),
+    pytest.param(f"[params]\ndefault_ttl = {NINES}\n",
+                 "default_ttl must be finite", id="default_ttl-nines"),
+    # rules that RadioProfile and MobilityPath once enforced when built
+    ("[node]\nm1 mote 0 0 error_margin=-0.1\n",
+     "profile of 'm1' must be error_margin_db >= 0"),
+    ("[node]\nm1 mote 0 0 path_loss_exponent=0.5\n",
+     "profile of 'm1' must be 1 <= path_loss_exponent <= 6"),
+    ("[node]\nm1 mote 0 0 path_loss_exponent=7.0\n",
+     "profile of 'm1' must be 1 <= path_loss_exponent <= 6"),
+    (WALKER + "speed=0 waypoints=1,1\n",
+     "mobility of 'ms1' must be speed > 0"),
+    (WALKER + "speed=1 halt=0 waypoints=1,1\n",
+     "mobility of 'ms1' must be 0 < halt_fraction <= 1"),
+    (WALKER + "speed=1 halt=1.1 waypoints=1,1\n",
+     "mobility of 'ms1' must be 0 < halt_fraction <= 1"),
+])
+def test_values_read_from_text_are_judged_by_validate_scenario(text,
+                                                               problem):
+    with pytest.raises(ValidationError) as e:
+        load_scenario(text)
+    assert problem in e.value.problems
 
 
 def test_a_seed_too_large_for_a_float_loads():
@@ -215,9 +248,9 @@ def _with_ms1_path(s: Scenario, path: MobilityPath) -> Scenario:
     return dataclasses.replace(s, mobility={**s.mobility, "ms1": path})
 
 
-def _with_m01_at(s: Scenario, point: Point) -> Scenario:
+def _with_m01(s: Scenario, **change) -> Scenario:
     return dataclasses.replace(s, nodes=tuple(
-        dataclasses.replace(n, position=point) if n.node_id == "m01" else n
+        dataclasses.replace(n, **change) if n.node_id == "m01" else n
         for n in s.nodes))
 
 
@@ -297,8 +330,10 @@ def test_non_integer_counts_rejected_in_a_scenario_built_in_code(change,
      "duration must be a number"),
     (lambda s: dataclasses.replace(s, params=SimParams(queue_capacity=None)),
      "queue_capacity must be a number"),
-    (lambda s: _with_m01_at(s, Point("5", 0.0)),
+    (lambda s: _with_m01(s, position=Point("5", 0.0)),
      "position of 'm01' must be a number"),
+    (lambda s: _with_ms1_path(s, MobilityPath((Point(5.0, 1.0),), 8.0, "1")),
+     "mobility of 'ms1' must be a number"),
 ])
 def test_non_numbers_rejected_in_a_scenario_built_in_code(build, problem):
     # each of these once raised a raw TypeError from Simulation
@@ -308,9 +343,9 @@ def test_non_numbers_rejected_in_a_scenario_built_in_code(build, problem):
 
 
 @pytest.mark.parametrize("build, problem", [
-    (lambda s: _with_m01_at(s, Point(INF, 0.0)),
+    (lambda s: _with_m01(s, position=Point(INF, 0.0)),
      "position of 'm01' must be finite"),
-    (lambda s: _with_m01_at(s, Point(5.0, NAN)),
+    (lambda s: _with_m01(s, position=Point(5.0, NAN)),
      "position of 'm01' must be finite"),
     (lambda s: _with_m01_profile(s, tx_power_dbm=NAN),
      "profile of 'm01' must be finite"),
@@ -326,8 +361,10 @@ def test_non_numbers_rejected_in_a_scenario_built_in_code(build, problem):
      "mobility of 'ms1' must be finite"),
     (lambda s: _with_ms1_path(s, MobilityPath((Point(-INF, 1.0),), 8.0)),
      "mobility of 'ms1' must be finite"),
-    (lambda s: _with_m01_at(s, Point(10**400, 0.0)),
+    (lambda s: _with_m01(s, position=Point(10**400, 0.0)),
      "position of 'm01' must be finite"),
+    (lambda s: _with_ms1_path(s, MobilityPath((Point(5.0, 1.0),), 8.0, NAN)),
+     "mobility of 'ms1' must be finite"),
 ])
 def test_non_finite_coordinates_rejected_in_a_scenario_built_in_code(
         build, problem):
@@ -336,26 +373,93 @@ def test_non_finite_coordinates_rejected_in_a_scenario_built_in_code(
     assert e.value.problems == [problem]
 
 
+@pytest.mark.parametrize("build, problem", [
+    (lambda s: _with_m01(s, profile=RadioProfile(0, -80,
+                                                 error_margin_db=-0.1)),
+     "profile of 'm01' must be error_margin_db >= 0"),
+    (lambda s: _with_m01(s, profile=RadioProfile(0, -80,
+                                                 path_loss_exponent=0.5)),
+     "profile of 'm01' must be 1 <= path_loss_exponent <= 6"),
+    (lambda s: _with_m01(s, profile=RadioProfile(0, -80,
+                                                 path_loss_exponent=7.0)),
+     "profile of 'm01' must be 1 <= path_loss_exponent <= 6"),
+    (lambda s: _with_ms1_path(s, MobilityPath((), speed=1.0)),
+     "mobility of 'ms1' must be a walk to at least one waypoint"),
+    (lambda s: _with_ms1_path(s, MobilityPath((Point(1, 1),), speed=0.0)),
+     "mobility of 'ms1' must be speed > 0"),
+    (lambda s: _with_ms1_path(s, MobilityPath((Point(1, 1),), speed=1.0,
+                                              halt_fraction=0.0)),
+     "mobility of 'ms1' must be 0 < halt_fraction <= 1"),
+    (lambda s: _with_ms1_path(s, MobilityPath((Point(1, 1),), speed=1.0,
+                                              halt_fraction=1.1)),
+     "mobility of 'ms1' must be 0 < halt_fraction <= 1"),
+])
+def test_profile_and_walk_rules_in_a_scenario_built_in_code(build, problem):
+    # RadioProfile and MobilityPath once raised a ValueError for each of
+    # these when built.  A walk with no waypoints has no text form.
+    s = build(reference_scenario())
+    for check in (validate_scenario, Simulation):
+        with pytest.raises(ValidationError) as e:
+            check(s)
+        assert e.value.problems == [problem]
+    if s.mobility["ms1"].waypoints:
+        with pytest.raises(ValidationError) as e:
+            load_scenario(serialize_scenario(s))
+        assert e.value.problems == [problem]
+
+
+def _with_mote_named(node_id) -> Scenario:
+    ref = reference_scenario()
+    return dataclasses.replace(ref, nodes=(
+        *ref.nodes, NodeSpec(node_id, NodeKind.MOTE, Point(5.0, 5.0))))
+
+
+@pytest.mark.parametrize("node_id", [7, "", "#x", "a#b", "[node]", "x y"])
+def test_bad_node_ids_are_rejected(node_id):
+    # 7 once raised a raw TypeError when the scenario was built, and 'x y'
+    # validated and then failed its own round trip
+    s = _with_mote_named(node_id)
+    for check in (validate_scenario, Simulation):
+        with pytest.raises(ValidationError) as e:
+            check(s)
+        assert e.value.problems == [
+            f"node id {node_id!r} must be one token, without '#' and not "
+            "starting with '['"]
+
+
+@pytest.mark.parametrize("node_id", ["7", "a[b]", "x=y", "n'1", "]", "ü"])
+def test_accepted_node_ids_round_trip(node_id):
+    s = _with_mote_named(node_id)
+    validate_scenario(s)
+    assert load_scenario(serialize_scenario(s)) == s
+
+
 def test_each_value_gets_at_most_one_problem_in_a_fixed_order():
     # A value that is not a number no longer hides the other problems, and
     # each value reports only the first rule it breaks: default_ttl = 0.5 is
-    # out of range, and is not also reported as not an integer.
-    s = _with_m01_at(dataclasses.replace(
-        reference_scenario(), duration="90", seed=2.5,
+    # out of range, and is not also reported as not an integer, and ms2's
+    # walk, with no waypoint, no speed and no halt, is reported once.
+    s = _with_m01(dataclasses.replace(
+        _with_mote_named("x y"), duration="90", seed=2.5,
         mobility={**reference_scenario().mobility,
-                  "ghost": MobilityPath((Point(1.0, 1.0),), 1.0)},
+                  "ghost": MobilityPath((Point(1.0, 1.0),), 1.0),
+                  "ms2": MobilityPath((), 0.0, 0.0)},
         params=SimParams(default_ttl=0.5, hop_delay=-1, tx_slot=10**400,
-                         max_steer_range=NAN)), Point(None, 0.0))
+                         max_steer_range=NAN)), position=Point(None, 0.0))
     with pytest.raises(ValidationError) as e:
         validate_scenario(s)
-    assert e.value.problems == ["mobility for unknown node 'ghost'",
+    assert e.value.problems == ["node id 'x y' must be one token, without "
+                                "'#' and not starting with '['",
+                                "mobility for unknown node 'ghost'",
                                 "duration must be a number",
                                 "seed must be an integer",
                                 "default_ttl must be >= 1",
                                 "tx_slot must be finite",
                                 "hop_delay must be >= 0",
                                 "max_steer_range must be finite",
-                                "position of 'm01' must be a number"]
+                                "position of 'm01' must be a number",
+                                "mobility of 'ms2' must be a walk to at "
+                                "least one waypoint"]
 
 
 def test_every_valid_scenario_built_in_code_serializes():
@@ -450,14 +554,15 @@ def test_nodes_are_sorted_by_id_when_built():
 
 
 def test_roundtrip_of_a_profile_equal_to_its_kind_default():
-    # a profile set to the default once serialized to no override at all,
-    # and reloaded as no profile
+    # a profile equal to its kind's default is stored as no profile, as
+    # text without overrides loads
     from_text = load_scenario("[node]\nm1 mote 0 0 tx_power=0\n")
     built = dataclasses.replace(reference_scenario(), nodes=tuple(
         dataclasses.replace(n, profile=effective_profile(n))
         if n.node_id == "bs1" else n for n in reference_scenario().nodes))
+    assert built == reference_scenario()
     for s in (from_text, built):
-        assert any(n.profile == DEFAULT_PROFILES[n.kind] for n in s.nodes)
+        assert all(n.profile is None for n in s.nodes)
         assert load_scenario(serialize_scenario(s)) == s
 
 

@@ -37,15 +37,6 @@ def test_received_power_rejects_zero_distance():
         received_power(profile, 0.0)
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        RadioProfile(0, -80, error_margin_db=-0.1)
-    with pytest.raises(ValueError):
-        RadioProfile(0, -80, path_loss_exponent=0.5)
-    with pytest.raises(ValueError):
-        RadioProfile(0, -80, path_loss_exponent=7.0)
-
-
 def test_range_radius_against_bisection_oracle():
     rng = random.Random(23)
     for _ in range(50):
@@ -185,14 +176,7 @@ def test_route_length_and_multi_segment_walk():
 
 
 def test_mobility_validation():
-    with pytest.raises(ValueError):
-        MobilityPath((), speed=1.0)
-    with pytest.raises(ValueError):
-        MobilityPath((Point(1, 1),), speed=0.0)
-    with pytest.raises(ValueError):
-        MobilityPath((Point(1, 1),), speed=1.0, halt_fraction=0.0)
-    with pytest.raises(ValueError):
-        MobilityPath((Point(1, 1),), speed=1.0, halt_fraction=1.1)
+    # the walk's own rules are validate_scenario's (tests/test_scenario.py)
     with pytest.raises(ValueError):
         path = MobilityPath((Point(1, 1),), speed=1.0)
         position_at(path, Point(0, 0), -0.1)
