@@ -294,8 +294,17 @@ def validate_scenario(s: Scenario):
     problems = []
     kinds = {}
     positions = {}
-    scalars = {"duration": s.duration, "seed": s.seed, **asdict(s.params)}
-    checks = [(name, (scalars[name],)) for name in _SCALARS]
+
+    def typed(name: str, value, cls) -> bool:
+        """True when value is a cls, else one problem naming the part."""
+        if not isinstance(value, cls):
+            problems.append(f"{name} must be a {cls.__name__}")
+        return isinstance(value, cls)
+
+    scalars = {"duration": s.duration, "seed": s.seed}
+    if typed("params", s.params, SimParams):
+        scalars.update(asdict(s.params))
+    checks = [(name, (scalars[name],)) for name in _SCALARS if name in scalars]
     for n in s.nodes:
         # an id that a `[node]` line reads back as itself
         if not (isinstance(n.node_id, str) and "#" not in n.node_id and
@@ -306,27 +315,35 @@ def validate_scenario(s: Scenario):
         if n.node_id in kinds:
             problems.append(f"duplicate node id {n.node_id!r}")
         kinds.setdefault(n.node_id, n.kind)
-        key = (n.position.x, n.position.y)
-        if key in positions:
-            problems.append(
-                f"nodes {positions[key]!r} and {n.node_id!r} co-located")
-        positions[key] = n.node_id
-        checks.append((f"position of {n.node_id!r}", key))
+        typed(f"kind of {n.node_id!r}", n.kind, NodeKind)
+        if typed(f"position of {n.node_id!r}", n.position, Point):
+            key = (n.position.x, n.position.y)
+            if key in positions:
+                problems.append(
+                    f"nodes {positions[key]!r} and {n.node_id!r} co-located")
+            positions[key] = n.node_id
+            checks.append((f"position of {n.node_id!r}", key))
         if n.profile is not None and n.kind is NodeKind.MSC:
             problems.append(f"msc {n.node_id!r} carries a radio profile")
-        elif n.profile is not None:
+        elif n.profile is not None and typed(f"profile of {n.node_id!r}",
+                                             n.profile, RadioProfile):
             checks.append((f"profile of {n.node_id!r}",
                            tuple(asdict(n.profile).values())))
     if len(s.by_kind(NodeKind.MSC)) > 1:
         problems.append("more than one msc")
-    for node_id, path in s.mobility.items():
+    walks = s.mobility.items() if typed("mobility", s.mobility, dict) else ()
+    for node_id, path in walks:
         if node_id not in kinds:
             problems.append(f"mobility for unknown node {node_id!r}")
         elif kinds[node_id] is not NodeKind.MOBILE_STATION:
             problems.append(f"mobility on non-mobile node {node_id!r}")
-        checks.append((f"mobility of {node_id!r}", (
-            path.speed, path.halt_fraction,
-            *(c for w in path.waypoints for c in (w.x, w.y)))))
+        if (typed(f"mobility of {node_id!r}", path, MobilityPath)
+                and typed(f"waypoints of {node_id!r}", path.waypoints, tuple)
+                and all(typed(f"waypoint of {node_id!r}", w, Point)
+                        for w in path.waypoints)):
+            checks.append((f"mobility of {node_id!r}", (
+                path.speed, path.halt_fraction,
+                *(c for w in path.waypoints for c in (w.x, w.y)))))
     # Each scalar, each node's position and profile, and each walk gets at
     # most one problem: the first rule it breaks.
     problems += [f"{name} {rule}" for name, values in checks

@@ -29,18 +29,20 @@ of its receivers as one entry and then delivers to them in order, so it
 leaves the same digest as one event per receiver.
 
 Only mobile stations move (validation rejects mobility on other nodes), so
-the full graph is built once, at start, and read into fixed tables: each
-mote's sorted base-station and mote neighbours, and the fixed radio nodes
-with their squared reach.  A mote's awake mote neighbours, the targets of
-its discovery floods and distance-vector broadcasts, are kept as one tuple
-per mote (active_rows) and refreshed only when motes are put to sleep,
-since nothing else changes a mote's mode.  A coverage check positions each
-handset once and puts through the graph's edge rule only the base stations
-and motes within reach of both ends: they are all it reads.  Radio frames
-are heard only by motes and base stations, which never move, so how each
-static neighbour hears a mote is classified once, at start, into the mote's
-outcome row; a handset's outcomes are worked out on each transmit, from
-where it is then.
+the graph of the base stations and motes is built once, at start, and read
+into fixed tables: each mote's sorted base-station and mote neighbours, and
+the fixed radio nodes with their squared reach.  Satellites and switching
+centres are reached over engineered links, not by radio, so no graph holds
+them and a handset may pass over their points.  A mote's awake mote
+neighbours, the targets of its discovery floods and distance-vector
+broadcasts, are kept as one tuple per mote (active_rows) and refreshed only
+when motes are put to sleep, since nothing else changes a mote's mode.  A
+coverage check positions each handset once and puts through the graph's
+edge rule only the base stations and motes within reach of both ends: they
+are all it reads.  Radio frames are heard only by motes and base stations,
+which never move, so how each static neighbour hears a mote is classified
+once, at start, into the mote's outcome row; a handset's outcomes are
+worked out on each transmit, from where it is then.
 
 Each request id, a discovery's or a direct satellite fallback's, names one
 Handoff in self.handoffs: its discovery deadline, the base stations that
@@ -174,8 +176,6 @@ class Simulation:
         self.profiles = {n.node_id: effective_profile(n)
                          for n in scenario.nodes}
         self.start_pos = {n.node_id: n.position for n in scenario.nodes}
-        # Positions at the latest coverage check; only handsets get updated.
-        self.here = dict(self.start_pos)
         self.halt_at = {n: halt_time(path, self.start_pos[n])
                         for n, path in scenario.mobility.items()}
         self.mote_states = {n.node_id: MoteState()
@@ -193,12 +193,17 @@ class Simulation:
                             for n in scenario.nodes
                             if n.kind is not NodeKind.MSC}
 
+        # The radios' positions at the latest coverage check; only handsets
+        # get updated.
+        fixed = {n.node_id: n.position for n in scenario.nodes
+                 if n.kind in (BASE_STATION, MOTE)}
+        self.here = {**fixed, **{ms: self.start_pos[ms]
+                                 for ms in self.ms_states}}
         # Motes and base stations never move, so their adjacency is fixed;
         # the static graph drives all flood forwarding decisions through
         # each mote's sorted base-station and mote neighbours, and how each
         # of them hears the mote is classified here, once.
-        static_graph = comm_graph(dict(self.start_pos), self.kinds,
-                                  self.profiles)
+        static_graph = comm_graph(fixed, self.profiles)
         kinds = self.kinds
         self.bs_rows, self.mote_rows, self.outcome_rows = {}, {}, {}
         for m in self.mote_states:
@@ -219,11 +224,8 @@ class Simulation:
         # tests it against: the base stations and motes.
         self.handset_reach = {ms: reach_sq(self.profiles[ms])
                               for ms in self.ms_states}
-        self.fixed_radios = [
-            (n.node_id, n.position.x, n.position.y,
-             reach_sq(self.profiles[n.node_id]))
-            for n in scenario.nodes
-            if n.kind in (BASE_STATION, MOTE)]
+        self.fixed_radios = [(n, p.x, p.y, reach_sq(self.profiles[n]))
+                             for n, p in fixed.items()]
 
         self.handoffs = {}  # request id -> Handoff
         self.links = []
@@ -254,7 +256,7 @@ class Simulation:
         """The handsets' base-station and mote neighbours at time t.
 
         Moves every handset to its position at t (self.here), raises
-        CoLocatedError when any two nodes then share a point, and returns
+        CoLocatedError when any two radios then share a point, and returns
         handset id -> set of neighbour ids, by world.links_within_reach, so
         every edge decision is the full graph's.
         """
@@ -264,7 +266,7 @@ class Simulation:
         check_distinct(here)
         return {a: set(links_within_reach(
                     (a, here[a].x, here[a].y, reach), self.fixed_radios,
-                    here, self.kinds, self.profiles))
+                    here, self.profiles))
                 for a, reach in self.handset_reach.items()}
 
     def _outcome(self, here, rx: str):

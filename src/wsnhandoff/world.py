@@ -5,11 +5,12 @@ log-distance path loss model
 
     rx_dbm = tx_power_dbm - reference_loss_db - 10 * exponent * log10(d)
 
-and a link between two nodes exists only when each end would hear the other
+and a link between two radios exists only when each end would hear the other
 under its own profile, i.e. the more restrictive of the two range radii
-decides.  Satellites are a special case: their coverage is global, so they
-are adjacent to every radio-bearing node regardless of geometry.  Switching
-centres have no radio at all and never appear on an edge.
+decides.  The communication graph holds radios only: handsets, base stations
+and motes.  Satellites and switching centres are reached over engineered
+links (satellite frames, backhaul), which the caller models, so it never
+hands them to the graph functions here.
 """
 
 import math
@@ -85,12 +86,6 @@ class PacketOutcome(Enum):
     DELIVERED = "delivered"
     ERRORED = "errored"
     LOST = "lost"
-
-
-# Members the per-pair edge rule compares against, bound once: a module
-# global is read several times faster than an Enum class attribute.
-MSC = NodeKind.MSC
-SATELLITE = NodeKind.SATELLITE
 
 
 def packet_outcome(profile: RadioProfile, rx_power_dbm: float) -> PacketOutcome:
@@ -173,24 +168,11 @@ def check_distinct(positions: dict):
         seen[key] = n
 
 
-def linked(a: str, b: str, positions: dict, kinds: dict,
-           profiles: dict) -> bool:
-    """The edge rule of the communication graph for one pair of nodes.
-
-    Switching centres link to nothing, satellites to every other node, and
-    any other pair links when each end hears the other under its own
-    profile.  The rule is symmetric in a and b.
-    """
-    ka, kb = kinds[a], kinds[b]
-    if ka is MSC or kb is MSC:
-        return False
-    if ka is SATELLITE or kb is SATELLITE:
-        return True
-    pa, pb = profiles.get(a), profiles.get(b)
-    if pa is None or pb is None:
-        return False
-    return (in_range(positions[a], positions[b], pa)
-            and in_range(positions[a], positions[b], pb))
+def linked(a: str, b: str, positions: dict, profiles: dict) -> bool:
+    """The edge rule of the communication graph for one pair of radios: each
+    end hears the other under its own profile.  Symmetric in a and b."""
+    return (in_range(positions[a], positions[b], profiles[a])
+            and in_range(positions[a], positions[b], profiles[b]))
 
 
 def reach_sq(profile: RadioProfile) -> float:
@@ -207,49 +189,39 @@ def reach_sq(profile: RadioProfile) -> float:
     return (1 + 1e-6) * r * r
 
 
-def links_within_reach(node: tuple, others, positions: dict, kinds: dict,
-                       profiles: dict):
+def links_within_reach(node: tuple, others, positions: dict, profiles: dict):
     """Yield the ids of the `others` that `node` links with, in order.
 
-    `node` and each of `others` is an (id, x, y, squared reach) entry; the
-    reach is None where the edge rule ignores distance.  A pair farther
-    apart than either end's reach_sq cannot link and skips the edge rule;
-    every other pair goes through `linked`.
+    `node` and each of `others` is an (id, x, y, reach_sq) entry.  A pair
+    farther apart than either end's reach cannot link and skips the edge
+    rule; every other pair goes through `linked`.
     """
     a, x, y, reach_a = node
     for b, bx, by, reach_b in others:
-        if reach_a is not None and reach_b is not None:
-            dx, dy = x - bx, y - by
-            d2 = dx * dx + dy * dy
-            if d2 > reach_a or d2 > reach_b:
-                continue
-        if linked(a, b, positions, kinds, profiles):
+        dx, dy = x - bx, y - by
+        d2 = dx * dx + dy * dy
+        if d2 > reach_a or d2 > reach_b:
+            continue
+        if linked(a, b, positions, profiles):
             yield b
 
 
-def comm_graph(positions: dict, kinds: dict, profiles: dict) -> dict:
-    """The communication graph at one instant: node id -> neighbour ids.
+def comm_graph(positions: dict, profiles: dict) -> dict:
+    """The communication graph of some radios at one instant: radio id ->
+    neighbour ids.
 
-    positions/kinds/profiles map node id to Point / NodeKind / RadioProfile
-    (profile may be None for nodes without a radio).  Raises CoLocatedError
-    when two nodes occupy the same Point.  Each node is put through
-    links_within_reach against the nodes after it in id order, so each
-    pair is tested once.
+    positions/profiles map each radio's id to its Point / RadioProfile.
+    Raises CoLocatedError when two radios occupy the same Point.  Each
+    radio is put through links_within_reach against the radios after it in
+    id order, so each pair is tested once.
     """
     check_distinct(positions)
     ids = sorted(positions)
     adj = {n: set() for n in ids}
-    # the reach is None where the rule ignores distance: no radio, a
-    # switching centre or a satellite
-    nodes = []
-    for n in ids:
-        profile = profiles.get(n)
-        radio = profile is not None and kinds[n] not in (MSC, SATELLITE)
-        nodes.append((n, positions[n].x, positions[n].y,
-                      reach_sq(profile) if radio else None))
+    nodes = [(n, positions[n].x, positions[n].y, reach_sq(profiles[n]))
+             for n in ids]
     for i, node in enumerate(nodes):
-        for b in links_within_reach(node, nodes[i + 1:], positions, kinds,
-                                    profiles):
+        for b in links_within_reach(node, nodes[i + 1:], positions, profiles):
             adj[node[0]].add(b)
             adj[b].add(node[0])
     return adj

@@ -6,11 +6,13 @@ from wsnhandoff import simulation
 from wsnhandoff.protocol import MoteMode
 from wsnhandoff.routing import INFINITY_METRIC
 from wsnhandoff.scenario import Scenario, effective_profile
-from wsnhandoff.world import (NodeKind, PacketOutcome, comm_graph,
-                              packet_outcome, received_power)
+from wsnhandoff.world import (NodeKind, PacketOutcome, check_distinct,
+                              comm_graph, in_range, packet_outcome,
+                              received_power)
 
 RADIO_SENDERS = (NodeKind.MOTE, NodeKind.MOBILE_STATION)
 RADIO_RECEIVERS = (NodeKind.MOTE, NodeKind.BASE_STATION)
+RADIOS = (NodeKind.MOBILE_STATION, *RADIO_RECEIVERS)  # what a graph holds
 MOTE_FRAMES = ("discovery", "dv")  # what a mote may offer to its queue
 
 
@@ -271,10 +273,31 @@ def check_handoffs(sim, report):
             assert any(h is st.pending for h in records.values()), ms_id
 
 
+def radio_positions(s: Scenario) -> dict:
+    """Radio id -> start position, for every handset, base station and mote
+    of `s`: the nodes of its communication graph."""
+    return {n.node_id: n.position for n in s.nodes if n.kind in RADIOS}
+
+
+def all_pairs_graph(positions: dict, profiles: dict) -> dict:
+    """Oracle for world.comm_graph: after the same co-location check, every
+    pair of radios is linked when each hears the other by world.in_range
+    under its own profile, with no reach test and no call to world.linked."""
+    check_distinct(positions)
+    ids = sorted(positions)
+    adj = {n: set() for n in ids}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            pa, pb = positions[a], positions[b]
+            if in_range(pa, pb, profiles[a]) and in_range(pa, pb, profiles[b]):
+                adj[a].add(b)
+                adj[b].add(a)
+    return adj
+
+
 def _static_graph(s: Scenario):
     """The communication graph at the start positions, rebuilt here."""
-    return comm_graph({n.node_id: n.position for n in s.nodes},
-                      {n.node_id: n.kind for n in s.nodes},
+    return comm_graph(radio_positions(s),
                       {n.node_id: effective_profile(n) for n in s.nodes})
 
 

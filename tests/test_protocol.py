@@ -25,7 +25,7 @@ LINE_KINDS = {"ms": NodeKind.MOBILE_STATION, "m1": NodeKind.MOTE,
 def _line_world():
     """ms - m1 - m2 - m3 - bs1 chain, 80 m spacing, 100 m radios."""
     profiles = {n: profile_for_range(100) for n in LINE_POSITIONS}
-    return comm_graph(LINE_POSITIONS, LINE_KINDS, profiles), LINE_KINDS
+    return comm_graph(LINE_POSITIONS, profiles), LINE_KINDS
 
 
 def _rows(graph, kinds, mote):
@@ -41,7 +41,7 @@ def test_detect_loss():
     assert detect_loss(graph["ms"], kinds)  # bs1 is 320 m away
     positions = {"ms": Point(0, 0), "bs1": Point(90, 0)}
     kinds2 = {"ms": NodeKind.MOBILE_STATION, "bs1": NodeKind.BASE_STATION}
-    near = comm_graph(positions, kinds2,
+    near = comm_graph(positions,
                       {n: profile_for_range(100) for n in positions})
     assert not detect_loss(near["ms"], kinds2)
 
@@ -178,7 +178,7 @@ def test_multi_bs_unicast_picks_smallest_id():
     positions = {"m1": Point(0, 0), "bs9": Point(50, 0), "bs2": Point(60, 0)}
     kinds = {"m1": NodeKind.MOTE, "bs9": NodeKind.BASE_STATION,
              "bs2": NodeKind.BASE_STATION}
-    graph = comm_graph(positions, kinds,
+    graph = comm_graph(positions,
                        {n: profile_for_range(100) for n in positions})
     states = {"m1": MoteState()}
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16)

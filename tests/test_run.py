@@ -7,7 +7,8 @@ import random
 from collections import deque
 
 import pytest
-from invariants import check_dv_tables, check_relay_paths, check_run
+from invariants import (all_pairs_graph, check_dv_tables, check_relay_paths,
+                        check_run, radio_positions)
 
 from wsnhandoff import simulation
 from wsnhandoff.protocol import (DecisionOutcome, DiscoveryRequest,
@@ -20,8 +21,7 @@ from wsnhandoff.report import parse_report_ledger, serialize_report
 from wsnhandoff.simulation import Frame, RunReport, Simulation, run
 from wsnhandoff.stats import RegistryMismatchError
 from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind,
-                              PacketOutcome, Point, RadioProfile,
-                              check_distinct, comm_graph, linked,
+                              PacketOutcome, Point, RadioProfile, comm_graph,
                               position_at, profile_for_range)
 
 
@@ -47,6 +47,47 @@ def test_covered_station_never_searches():
     # the mesh still gossips routes while the mobile stays quiet
     assert _get(rep, "app_bellman_ford.update_packets_received") > 0
     assert all(mode == "active" for _, mode in rep.mote_energy.values())
+
+
+def test_a_pending_discovery_waits_for_its_deadline():
+    # ms1 walks beside m01, which hears no base station, so no flood is
+    # answered; coverage ticks four times a second, but a new flood goes
+    # out only once the pending one times out, each second
+    nodes = (
+        NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 0.0)),
+        NodeSpec("ms1", NodeKind.MOBILE_STATION, Point(1000.0, 0.0)),
+        NodeSpec("m01", NodeKind.MOTE, Point(1050.0, 0.0)),
+        NodeSpec("msc1", NodeKind.MSC, Point(10.0, 80.0)),
+    )
+    walk = MobilityPath((Point(1000.0, 100.0),), speed=1.0, halt_fraction=1.0)
+    s = Scenario(nodes, {"ms1": walk}, duration=10.0, seed=1,
+                 params=SimParams(coverage_check_period=0.25,
+                                  discovery_timeout=1.0))
+    sim = Simulation(s)
+    report = check_run(sim)
+    assert [h.deadline for h in sim.handoffs.values()] == [
+        t + 1.0 for t in range(11)]
+    assert report.escalations == () and report.decisions == ()
+
+
+def test_a_corrupted_discovery_at_a_base_station_is_counted_not_escalated():
+    # m01's hotter radio links it with bs1 280 m away, inside the base
+    # station's 1 dB error band (267-300 m): bs1 locks on m01's discovery
+    # forward but cannot read it
+    nodes = (
+        NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 0.0)),
+        NodeSpec("ms1", NodeKind.MOBILE_STATION, Point(400.0, 0.0)),
+        NodeSpec("m01", NodeKind.MOTE, Point(280.0, 0.0),
+                 profile_for_range(400.0, error_margin_db=1.0)),
+        NodeSpec("msc1", NodeKind.MSC, Point(10.0, 80.0)),
+    )
+    sim = Simulation(Scenario(nodes, {}, duration=5.0, seed=1))
+    assert sim.bs_rows["m01"] == ("bs1",)
+    assert sim.outcome_rows["m01"]["bs1"] is PacketOutcome.ERRORED
+    report = check_run(sim)
+    assert _get(report, "phy80211.signals_received_with_errors") == 1
+    assert _get(report, "mac_link.frames_received") == 0
+    assert report.escalations == () and report.decisions == ()
 
 
 def test_isolated_halted_station_goes_straight_to_satellite():
@@ -579,33 +620,16 @@ def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl():
 # ---- per-handset coverage against the full communication graph ----------
 
 
-def _all_pairs_comm_graph(positions: dict, kinds: dict,
-                          profiles: dict) -> dict:
-    """Oracle: world.comm_graph before it skipped pairs out of reach, which
-    puts every pair of nodes through the edge rule."""
-    check_distinct(positions)
-    ids = sorted(positions)
-    adj = {n: set() for n in ids}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if linked(a, b, positions, kinds, profiles):
-                adj[a].add(b)
-                adj[b].add(a)
-    return adj
-
-
 def _graph_inputs_at(s: Scenario, t: float):
-    """comm_graph's arguments with every node positioned at t."""
-    positions = {n.node_id: (position_at(s.mobility[n.node_id], n.position, t)
-                             if n.node_id in s.mobility else n.position)
-                 for n in s.nodes}
-    return (positions, {n.node_id: n.kind for n in s.nodes},
-            {n.node_id: effective_profile(n) for n in s.nodes})
+    """comm_graph's arguments with every radio positioned at t."""
+    positions = {n: (position_at(s.mobility[n], p, t) if n in s.mobility
+                     else p) for n, p in radio_positions(s).items()}
+    return positions, {n.node_id: effective_profile(n) for n in s.nodes}
 
 
 def _full_graph_at(s: Scenario, t: float):
-    """Oracle: every node positioned at t and the whole graph rebuilt."""
-    return _all_pairs_comm_graph(*_graph_inputs_at(s, t))
+    """Oracle: every radio positioned at t and the whole graph rebuilt."""
+    return all_pairs_graph(*_graph_inputs_at(s, t))
 
 
 def _random_walk_world(rng) -> Scenario:
@@ -806,7 +830,7 @@ def test_comm_graph_matches_the_all_pairs_oracle():
     for s in worlds:
         for t in [0.0, 1.0, 13.0, 60.0]:
             inputs = _graph_inputs_at(s, t)
-            assert comm_graph(*inputs) == _all_pairs_comm_graph(*inputs), t
+            assert comm_graph(*inputs) == all_pairs_graph(*inputs), t
 
 
 def _crossing_world(walkers) -> Scenario:
@@ -849,6 +873,31 @@ def test_walking_onto_another_node_raises_at_the_oracle_tick(walkers):
         sim.run()
     assert str(e.value) == expected
     assert sim.queue.clock == t
+
+
+@pytest.mark.parametrize("walker", [
+    ("ms1", Point(0.0, 436.0), Point(0.0, 1460.0)),  # msc1's point at t = 8
+    ("ms1", Point(0.0, 836.0), Point(0.0, 1860.0)),  # sat1's point at t = 8
+], ids=["msc", "satellite"])
+def test_walking_onto_a_node_that_is_not_a_radio_runs_to_completion(walker):
+    # switching centres and satellites are in no radio graph, so a handset
+    # may share their point
+    s = _crossing_world([walker])
+    here = position_at(s.mobility["ms1"], walker[1], 8.0)
+    assert here in {n.position for n in s.nodes
+                    if n.kind in (NodeKind.MSC, NodeKind.SATELLITE)}
+    sim = Simulation(s)
+    check_run(sim)
+    assert sim.queue.clock == s.duration
+
+
+def test_the_reference_walker_halting_on_the_msc_runs_to_completion():
+    s = reference_scenario()
+    walk = dataclasses.replace(s.mobility["ms1"],
+                               waypoints=(Point(500.0, 200.0),),
+                               halt_fraction=1.0)
+    s = dataclasses.replace(s, mobility={**s.mobility, "ms1": walk})
+    assert run(s).events_processed == 2430
 
 
 # At t = 45 ms1 queues a payload for bs1, then loses the steered beam and

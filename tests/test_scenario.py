@@ -5,6 +5,7 @@ from collections import deque
 from pathlib import Path
 
 import pytest
+from invariants import radio_positions
 
 from wsnhandoff.scenario import (DEFAULT_PROFILES, NodeSpec, ParseError,
                                  Scenario, SimParams, ValidationError,
@@ -134,6 +135,9 @@ NINES = "9" * 400  # an int too large for a float
     ("[node]\nms1 mobile_station 0 0\n[mobility]\n"
      "ms1 speed=1 speed=9 waypoints=5,5\n", 4,
      "duplicate mobility key 'speed'"),
+    ("[node]\nms1 mobile_station 0 0\n[mobility]\n"
+     "ms1 speed=1 waypoints=5,5\nms1 speed=2 waypoints=6,6\n", 5,
+     "duplicate mobility for 'ms1'"),
 ])
 def test_bad_numbers_are_parse_errors(text, line, reason):
     with pytest.raises(ParseError) as e:
@@ -408,6 +412,43 @@ def test_profile_and_walk_rules_in_a_scenario_built_in_code(build, problem):
         assert e.value.problems == [problem]
 
 
+def _with_m99(**spec) -> Scenario:
+    ref = reference_scenario()
+    spec = {"kind": NodeKind.MOTE, "position": Point(5.0, 5.0), **spec}
+    return dataclasses.replace(ref, nodes=(*ref.nodes, NodeSpec("m99",
+                                                                 **spec)))
+
+
+@pytest.mark.parametrize("build, problem", [
+    (lambda: _with_m99(kind="mote"), "kind of 'm99' must be a NodeKind"),
+    (lambda: _with_m99(position=(5.0, 5.0)),
+     "position of 'm99' must be a Point"),
+    (lambda: _with_m99(profile=(0.0, -80.0)),
+     "profile of 'm99' must be a RadioProfile"),
+    (lambda: _with_ms1_path(reference_scenario(), ((1000.0, 190.0),)),
+     "mobility of 'ms1' must be a MobilityPath"),
+    (lambda: _with_ms1_path(reference_scenario(),
+                            MobilityPath([Point(1000.0, 190.0)], 8.0)),
+     "waypoints of 'ms1' must be a tuple"),
+    (lambda: _with_ms1_path(reference_scenario(),
+                            MobilityPath(((1000.0, 190.0),), 8.0)),
+     "waypoint of 'ms1' must be a Point"),
+    (lambda: dataclasses.replace(reference_scenario(), params=None),
+     "params must be a SimParams"),
+    (lambda: dataclasses.replace(reference_scenario(), mobility=None),
+     "mobility must be a dict"),
+])
+def test_parts_of_the_wrong_type_are_rejected(build, problem):
+    # The str kind and the list of waypoints once validated, and then
+    # failed to run or to round-trip; the others raised a raw
+    # AttributeError or TypeError from validate_scenario itself.
+    s = build()
+    for check in (validate_scenario, Simulation):
+        with pytest.raises(ValidationError) as e:
+            check(s)
+        assert e.value.problems == [problem]
+
+
 def _with_mote_named(node_id) -> Scenario:
     ref = reference_scenario()
     return dataclasses.replace(ref, nodes=(
@@ -605,10 +646,10 @@ def test_builtin_walkers_halt_midway_between_cells():
 
 def test_builtin_mesh_is_connected_and_touches_a_base_station():
     s = reference_scenario()
-    positions = {n.node_id: n.position for n in s.nodes}
+    positions = radio_positions(s)
     kinds = {n.node_id: n.kind for n in s.nodes}
     profiles = {n.node_id: effective_profile(n) for n in s.nodes}
-    g = comm_graph(positions, kinds, profiles)
+    g = comm_graph(positions, profiles)
     motes = sorted(n.node_id for n in s.by_kind(NodeKind.MOTE))
     # BFS across mote-mote edges
     seen = {motes[0]}
@@ -628,7 +669,7 @@ def test_builtin_mesh_is_connected_and_touches_a_base_station():
         start = positions[ms_id]
         halted = {**positions,
                   ms_id: position_at(path, start, halt_time(path, start))}
-        g2 = comm_graph({k: halted[k] for k in positions}, kinds, profiles)
+        g2 = comm_graph({k: halted[k] for k in positions}, profiles)
         assert any(kinds[v] is NodeKind.MOTE for v in g2[ms_id])
 
 

@@ -4,12 +4,12 @@ import math
 import random
 
 import pytest
+from invariants import all_pairs_graph
 
-from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind,
-                              PacketOutcome, Point, RadioProfile,
-                              ZeroDistanceError, comm_graph, halt_time,
-                              in_range, packet_outcome, position_at,
-                              profile_for_range, received_power,
+from wsnhandoff.world import (CoLocatedError, MobilityPath, PacketOutcome,
+                              Point, RadioProfile, ZeroDistanceError,
+                              comm_graph, halt_time, in_range, packet_outcome,
+                              position_at, profile_for_range, received_power,
                               route_length)
 
 
@@ -185,56 +185,29 @@ def test_mobility_validation():
 # ---- communication graph ------------------------------------------------
 
 
-def _brute_force_edges(positions, kinds, profiles):
-    """Pairwise rule check, quadratic and kind-by-kind explicit."""
-    edges = set()
-    ids = sorted(positions)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            ka, kb = kinds[a], kinds[b]
-            if ka is NodeKind.MSC or kb is NodeKind.MSC:
-                continue
-            if ka is NodeKind.SATELLITE or kb is NodeKind.SATELLITE:
-                edges.add((a, b))
-                continue
-            if (in_range(positions[a], positions[b], profiles[a])
-                    and in_range(positions[a], positions[b], profiles[b])):
-                edges.add((a, b))
-    return edges
-
-
 def _random_world(rng):
-    kinds_pool = [NodeKind.MOTE] * 6 + [NodeKind.BASE_STATION,
-                                        NodeKind.MOBILE_STATION,
-                                        NodeKind.SATELLITE, NodeKind.MSC]
     n = rng.randint(2, 10)
-    positions, kinds, profiles = {}, {}, {}
+    positions, profiles = {}, {}
     for i in range(n):
         nid = f"n{i:02d}"
         positions[nid] = Point(round(rng.uniform(0, 400), 3),
                                round(rng.uniform(0, 400), 3))
-        kinds[nid] = rng.choice(kinds_pool)
-        profiles[nid] = (None if kinds[nid] is NodeKind.MSC else
-                         profile_for_range(rng.choice([60, 120, 200, 350])))
-    return positions, kinds, profiles
+        profiles[nid] = profile_for_range(rng.choice([60, 120, 200, 350]))
+    return positions, profiles
 
 
 def test_comm_graph_matches_brute_force_oracle():
     rng = random.Random(99)
     for _ in range(60):
-        positions, kinds, profiles = _random_world(rng)
-        g = comm_graph(positions, kinds, profiles)
-        got = set()
-        for a in g:
-            for b in g[a]:
-                got.add(tuple(sorted((a, b))))
-        assert got == _brute_force_edges(positions, kinds, profiles)
+        positions, profiles = _random_world(rng)
+        g = comm_graph(positions, profiles)
+        assert g == all_pairs_graph(positions, profiles)
 
 
 def test_comm_graph_symmetry_and_membership():
     rng = random.Random(5)
-    positions, kinds, profiles = _random_world(rng)
-    g = comm_graph(positions, kinds, profiles)
+    positions, profiles = _random_world(rng)
+    g = comm_graph(positions, profiles)
     assert sorted(g) == sorted(positions)
     for a in g:
         for b in g[a]:
@@ -242,37 +215,19 @@ def test_comm_graph_symmetry_and_membership():
             assert a != b
 
 
-def test_msc_is_isolated_and_satellite_hears_everyone():
-    positions = {"bs1": Point(0, 0), "m1": Point(10, 0),
-                 "sat1": Point(5000, 5000), "msc1": Point(50, 50),
-                 "ms1": Point(20, 0)}
-    kinds = {"bs1": NodeKind.BASE_STATION, "m1": NodeKind.MOTE,
-             "sat1": NodeKind.SATELLITE, "msc1": NodeKind.MSC,
-             "ms1": NodeKind.MOBILE_STATION}
-    profiles = {n: profile_for_range(150) for n in positions}
-    profiles["msc1"] = None
-    g = comm_graph(positions, kinds, profiles)
-    assert g["msc1"] == set()
-    assert g["sat1"] == {"bs1", "m1", "ms1"}
-    assert "m1" in g["sat1"]
-    assert "msc1" not in g["sat1"]
-
-
 def test_asymmetric_profiles_use_the_weaker_radio():
     # b hears a 200 m away, but a cannot hear b: no edge (links are two-way)
     positions = {"a": Point(0, 0), "b": Point(200, 0)}
-    kinds = {"a": NodeKind.MOTE, "b": NodeKind.MOTE}
     profiles = {"a": profile_for_range(100), "b": profile_for_range(300)}
-    g = comm_graph(positions, kinds, profiles)
+    g = comm_graph(positions, profiles)
     assert g["a"] == set()
     positions["b"] = Point(90, 0)
-    g = comm_graph(positions, kinds, profiles)
+    g = comm_graph(positions, profiles)
     assert g["a"] == {"b"}
 
 
 def test_co_located_nodes_rejected():
     positions = {"a": Point(1, 1), "b": Point(1, 1)}
-    kinds = {"a": NodeKind.MOTE, "b": NodeKind.MOTE}
     profiles = {"a": profile_for_range(100), "b": profile_for_range(100)}
     with pytest.raises(CoLocatedError):
-        comm_graph(positions, kinds, profiles)
+        comm_graph(positions, profiles)
