@@ -6,8 +6,7 @@ from .protocol import (DecisionOutcome, DiscoveryRequest, Escalation,
                        LinkRecord, MoteMode, MoteState, MscDecision,
                        NoMotesInRangeError, NoSatelliteError)
 from .queues import FifoQueue, StrictPriorityQueue
-from .routing import (INFINITY_METRIC, RoutingLoopError, UnknownNeighborError,
-                      UnreachableError)
+from .routing import INFINITY_METRIC, RoutingLoopError, UnreachableError
 from .report import parse_report_ledger, render_report, serialize_report
 from .scenario import (ParseError, Scenario, SimParams, ValidationError,
                        load_scenario, reference_scenario, serialize_scenario,

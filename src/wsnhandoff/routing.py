@@ -1,38 +1,64 @@
 """Distance-vector routing over the mote mesh (Bellman-Ford with metric 16
-as infinity, unit link cost, triggered updates and no route aging).
+as infinity, unit link cost, triggered updates and no route aging), with
+adverts that carry only what changed.
 
 Each mote has a lane, its index in the sorted mote names of one shared
-`Lanes`.  A table's metrics are one int, 8 bits per destination lane (16
-unreachable, the owner's 0); its next hops are a {neighbour: mask} dict of
-disjoint masks setting bit 7 of each lane routed through that neighbour.
-An advert is (sender, C), C = min(16, T + 1) lane-wise for the sender's
-metrics T, as every link costs LINK_COST.  The receiver adopts C where it
-beats the current metric, or where the route goes through the sender and C
-differs: the rule of a per-destination merge that counts a missing entry as
-(16, no next hop), which is what a lane never heard of holds, done in a few
-big-int operations.  Lanes stay in 0..17, so no carry or borrow leaves one.
+`Lanes`.  A table keeps one metric byte per lane (16 unreachable, the
+owner's 0), one next hop per lane, the lane of the neighbour it goes
+through (NO_HOP for none, the owner's lane included), and `changed`: the
+lanes changed since the owner's last advert that its queue accepted, at
+first just the owner's own.  An advert is (sender, ((lane, C), ...)) with
+C = min(16, T + 1) for the sender's metric T of each lane in that set, as
+every link costs LINK_COST; the caller clears the set once the sender's
+queue accepts the advert.  The receiver adopts each C below its metric,
+with the sender's lane as next hop, and marks the lane changed.
+
+That is exact: it leaves every table as the general merge of full adverts
+would, which adopts C = min(16, T + 1) on every lane where C beats the
+current metric, or where the route goes through the sender and C differs
+(RIP's two rules).  Five facts of the model give it:
+
+1. a mote hears a given mote the same way for the whole run, as motes never
+   move and their outcome rows are fixed at set-up;
+2. a sleeping mote never wakes, since only release_motes changes a mode;
+3. a sender's queue is FIFO and every frame takes one hop_delay, so its
+   adverts arrive in the order its queue accepted them;
+4. an advert dropped at a full queue, or never sent by a sleeping sender,
+   reaches nobody;
+5. a broadcast's targets are the sender's awake mote neighbours when it is
+   offered.
+
+So a receiver merging an advert has merged every advert the sender's queue
+accepted before it.  An earlier one it missed went unsent because the
+sender slept, or left out the receiver because it slept (5), or was lost
+or errored on the way to it; by 1, 2 and 4 this one would have missed it
+too.  A lane outside the advert's set has not changed in the sender's
+table since its previous accepted advert (for its first, since the start,
+where it was 16 and gives C = 16), so its C is what the receiver merged
+before.
 
 No lane of any table rises during a run.  By induction over the merges in
 run order: while none has raised a lane, every table's metrics have only
-fallen, and so have a sender's adverts, each C taken from its table when
-the advert is queued, in the order it sends them (C is monotone in T).  A
-receiver merges them in that order, as the sender's FIFO queue transmits
-them in order and each arrives one hop_delay later; one lost, errored,
-dropped from a full queue or unsent by a sleeping mote only leaves a
-subsequence.  Every metric but the owner's starts at 16 with no next hop,
-and nothing ages a route, so a lane routed through a sender holds C of the
-last advert from it that the receiver merged: the lane took that value
-when it went through the sender or changed while it did.  The rule for a
-route through the sender then takes a C no larger, and the other rule only
-a smaller one.
+fallen, and so have a sender's candidates, each C taken from its table
+when the advert is queued, in the order it sends them (C is monotone in
+T).  By 3 and 4 a receiver merges them in that order, or a subsequence of
+it.  Every metric but the owner's starts at 16 with no next hop, and
+nothing ages a route, so a lane routed through a sender holds C of the last
+advert from it that the receiver merged: the lane took that value when it
+went through the sender or changed while it did.  The rule for a route
+through the sender then takes a C no larger, and the other rule only a
+smaller one.
+
+Hence each general merge leaves every lane at or below that advert's C,
+and a C unchanged since the previous merge from the same sender changes
+nothing: it is no lower than the lane, and equals it where the lane goes
+through the sender.  Only lanes in the set can change, and on them the
+general rule comes down to adopting a lower C.
 """
 
 INFINITY_METRIC = 16
 LINK_COST = 1
-
-
-class UnknownNeighborError(ValueError):
-    """Update received from a node that is not a current neighbor."""
+NO_HOP = 0xFFFF  # the next hop of a lane with none; every lane is below it
 
 
 class UnreachableError(ValueError):
@@ -44,62 +70,59 @@ class RoutingLoopError(ValueError):
 
 
 class Lanes:
-    """The lane of every mote; `ones` sets bit 0 and `high` bit 7 of each."""
-    __slots__ = ("names", "index", "ones", "high")
+    """The lane of every mote, in sorted name order."""
+    __slots__ = ("names", "index")
 
     def __init__(self, motes):
         self.names = tuple(sorted(motes))
         self.index = {name: i for i, name in enumerate(self.names)}
-        self.ones = int.from_bytes(b"\x01" * len(self.names), "little")
-        self.high = self.ones << 7
 
 
 class Table:
-    """Routing table of one mote: packed metrics and next-hop masks."""
-    __slots__ = ("owner", "lanes", "metrics", "via")
+    """Routing table of one mote: a metric and a next hop per lane, and the
+    lanes its next advert carries."""
+    __slots__ = ("owner", "lanes", "metrics", "hops", "changed")
 
     def __init__(self, owner: str, lanes: Lanes):
-        self.owner, self.lanes, self.via = owner, lanes, {}
-        self.metrics = (lanes.ones * INFINITY_METRIC
-                        & ~(0xFF << 8 * lanes.index[owner]))
+        n, own = len(lanes.names), lanes.index[owner]
+        self.owner, self.lanes = owner, lanes
+        self.metrics = bytearray([INFINITY_METRIC]) * n
+        self.metrics[own] = 0
+        # two bytes a lane; a memoryview spares loading the array module
+        self.hops = memoryview(bytearray(b"\xff\xff") * n).cast("H")
+        self.changed = {own}
 
     def metric(self, dst: str) -> int:
-        return self.metrics >> 8 * self.lanes.index[dst] & 0xFF
+        return self.metrics[self.lanes.index[dst]]
 
     def next_hop(self, dst: str):
         if dst == self.owner:
             return dst
-        bit = 0x80 << 8 * self.lanes.index[dst]
-        return next((n for n, mask in self.via.items() if mask & bit), None)
+        hop = self.hops[self.lanes.index[dst]]
+        return None if hop == NO_HOP else self.lanes.names[hop]
 
 
 def periodic_update(table: Table) -> tuple:
-    """The advert (owner, C) of the table as it is now."""
-    t, ones = table.metrics, table.lanes.ones
-    return table.owner, t + ones - (t >> 4 & ones)
+    """The advert (owner, ((lane, C), ...)) of the table's changed lanes."""
+    metrics = table.metrics
+    return table.owner, tuple([
+        (lane, min(INFINITY_METRIC, metrics[lane] + LINK_COST))
+        for lane in table.changed])
 
 
-def apply_update(table: Table, update: tuple, neighbors) -> int:
-    """Merge a neighbour's advert into `table`.  Returns the changed lanes'
-    mask; a non-zero one obliges the caller to send a triggered update."""
-    sender, cand = update
-    if sender not in neighbors:
-        raise UnknownNeighborError(
-            f"{table.owner} got update from non-neighbor {sender}")
-    lanes, via, cur = table.lanes, table.via, table.metrics
-    high = lanes.high
-    through = via.get(sender, 0)
-    changed = ((cur | high) - cand - lanes.ones) & high   # cand < cur
-    if through:  # cand != cur
-        changed |= through & ((cand ^ cur) + high - lanes.ones)
-    if changed:
-        table.metrics = cur ^ ((cur ^ cand) & (changed >> 7) * 0xFF)
-        gained = changed & ~through
-        if gained:
-            for n, mask in via.items():
-                if mask & gained:
-                    via[n] = mask & ~gained
-            via[sender] = through | gained
+def apply_update(table: Table, update: tuple) -> bool:
+    """Merge a neighbour's advert into `table`.  Returns whether a lane
+    changed, which obliges the caller to send a triggered update."""
+    sender, cands = update
+    metrics, hops, marked = table.metrics, table.hops, table.changed
+    hop = table.lanes.index[sender]
+    changed = False
+    for lane, c in cands:
+        if c < metrics[lane]:
+            metrics[lane] = c
+            hops[lane] = hop
+            marked.add(lane)
+            changed = True
     return changed
 
 

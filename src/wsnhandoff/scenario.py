@@ -92,10 +92,14 @@ class Scenario:
     params: SimParams = field(default_factory=SimParams)
 
     def __post_init__(self):
+        # validate_scenario judges an entry that is not a NodeSpec of a
+        # NodeKind; building leaves it as it is
         object.__setattr__(self, "nodes", tuple(sorted(
-            (replace(n, profile=None)
-             if n.profile == DEFAULT_PROFILES.get(n.kind) else n
-             for n in self.nodes), key=lambda n: str(n.node_id))))
+            (replace(n, profile=None) if isinstance(n, NodeSpec)
+             and isinstance(n.kind, NodeKind)
+             and n.profile == DEFAULT_PROFILES[n.kind] else n
+             for n in self.nodes),
+            key=lambda n: str(n.node_id) if isinstance(n, NodeSpec) else "")))
 
     def by_kind(self, kind: NodeKind) -> list:
         return [n for n in self.nodes if n.kind is kind]
@@ -294,6 +298,7 @@ def validate_scenario(s: Scenario):
     problems = []
     kinds = {}
     positions = {}
+    mscs = 0
 
     def typed(name: str, value, cls) -> bool:
         """True when value is a cls, else one problem naming the part."""
@@ -306,6 +311,9 @@ def validate_scenario(s: Scenario):
         scalars.update(asdict(s.params))
     checks = [(name, (scalars[name],)) for name in _SCALARS if name in scalars]
     for n in s.nodes:
+        if not typed(f"node {n!r}", n, NodeSpec):
+            continue
+        mscs += n.kind is NodeKind.MSC
         # an id that a `[node]` line reads back as itself
         if not (isinstance(n.node_id, str) and "#" not in n.node_id and
                 n.node_id.split() == [n.node_id] and n.node_id[0] != "["):
@@ -318,10 +326,12 @@ def validate_scenario(s: Scenario):
         typed(f"kind of {n.node_id!r}", n.kind, NodeKind)
         if typed(f"position of {n.node_id!r}", n.position, Point):
             key = (n.position.x, n.position.y)
-            if key in positions:
-                problems.append(
-                    f"nodes {positions[key]!r} and {n.node_id!r} co-located")
-            positions[key] = n.node_id
+            # the number rule below judges coordinates that are not numbers
+            if all(isinstance(c, (int, float)) for c in key):
+                if key in positions:
+                    problems.append(f"nodes {positions[key]!r} and "
+                                    f"{n.node_id!r} co-located")
+                positions[key] = n.node_id
             checks.append((f"position of {n.node_id!r}", key))
         if n.profile is not None and n.kind is NodeKind.MSC:
             problems.append(f"msc {n.node_id!r} carries a radio profile")
@@ -329,7 +339,7 @@ def validate_scenario(s: Scenario):
                                              n.profile, RadioProfile):
             checks.append((f"profile of {n.node_id!r}",
                            tuple(asdict(n.profile).values())))
-    if len(s.by_kind(NodeKind.MSC)) > 1:
+    if mscs > 1:
         problems.append("more than one msc")
     walks = s.mobility.items() if typed("mobility", s.mobility, dict) else ()
     for node_id, path in walks:

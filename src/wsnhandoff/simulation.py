@@ -15,6 +15,8 @@ burst (one heap entry whose seqs and targets are the receivers', in order),
 a unicast frame as one deliver event.  Steered beams and satellite links
 are logical channels: their frames always arrive.  No frame is changed
 after _send(), so one object can be queued and delivered many times.
+_send() returns whether the queue took the frame, and a distance-vector
+advert clears its table's changed lanes only then (routing.py).
 _close_ledger() sets the queue counters, then those that copy or add up
 others (stats.DERIVED), once at the end.
 
@@ -290,11 +292,11 @@ class Simulation:
 
     # ---- frame pipeline ---------------------------------------------
 
-    def _send(self, node_id: str, frame: Frame):
+    def _send(self, node_id: str, frame: Frame) -> bool:
         q = self.node_queues[node_id]
         if not q.items:  # empty before the offer: no drain is pending
             self.queue.schedule(self.queue.clock, node_id, ("drain", node_id))
-        q.enqueue(frame)
+        return q.enqueue(frame)
 
     def _on_drain(self, t: float, payload):
         node_id = payload[1]
@@ -387,9 +389,7 @@ class Simulation:
     def _rx_dv(self, t: float, frame: Frame, rx: str):
         c = self.counts
         c[DV_RECEIVED] += 1
-        changed = apply_update(self.tables[rx], frame.payload,
-                               self.mote_rows[rx])
-        if changed:
+        if apply_update(self.tables[rx], frame.payload):
             c[DV_TRIGGERED] += 1
             self._broadcast_dv(rx, self.active_rows[rx])
 
@@ -408,8 +408,10 @@ class Simulation:
     def _broadcast_dv(self, mote: str, targets: tuple):
         if not targets:
             return
-        self._send(mote, Frame("dv", mote, targets=targets,
-                               payload=periodic_update(self.tables[mote])))
+        table = self.tables[mote]
+        if self._send(mote, Frame("dv", mote, targets=targets,
+                                  payload=periodic_update(table))):
+            table.changed.clear()  # every target that hears it merges it
 
     def _on_dv_send(self, t: float, payload):
         mote = payload[1]

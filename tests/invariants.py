@@ -1,10 +1,12 @@
 """Invariants a run must satisfy, shared by the test modules."""
 
 import math
+import sys
 
+import packed_dv
 from wsnhandoff import simulation
 from wsnhandoff.protocol import MoteMode
-from wsnhandoff.routing import INFINITY_METRIC
+from wsnhandoff.routing import INFINITY_METRIC, NO_HOP
 from wsnhandoff.scenario import Scenario, effective_profile
 from wsnhandoff.world import (NodeKind, PacketOutcome, check_distinct,
                               comm_graph, in_range, packet_outcome,
@@ -65,7 +67,7 @@ def _watch_traffic(sim):
             backlog[node_id] = held + 1
             counts["net_fifo.peak_queue_size"] = max(
                 counts["net_fifo.peak_queue_size"], held + 1)
-        send(node_id, frame)
+        return send(node_id, frame)
 
     def watched_transmit(t, node_id, frame):
         if frame.dst is None or frame.channel == "radio":
@@ -132,11 +134,14 @@ def check_run(sim):
     """Run `sim` and assert the model's invariants; returns its report.
 
     During the run: the traffic facts of _watch_traffic, a dispatch clock
-    that never goes back, and no distance-vector merge (apply_update,
-    watched through the name simulation.py calls) that raises a lane of its
-    table, as routing.py proves none can.  At the end: every node queue
-    conserves its frames (queued == dequeued + dropped + backlog); the
-    ledger's send and queue counters equal the counts _watch_traffic made,
+    that never goes back, and every distance-vector merge (apply_update,
+    watched through the name simulation.py calls) checked against the
+    general merge in lockstep by _watch_dv: no advert missing a changed
+    lane, adverts merged in the order their sender's queue accepted them,
+    no lane rising, as routing.py proves, and the same change and tables
+    as the general merge.  At the end: every node queue conserves its
+    frames (queued == dequeued + dropped + backlog); the ledger's send and
+    queue counters equal the counts _watch_traffic made,
     and so do the sums of the queues' own counters over the mote queues and
     over the others, and the largest FIFO peak; the ledger's transmit,
     broadcast and reception counters, the eight that the run sets at its end
@@ -169,17 +174,7 @@ def check_run(sim):
             for m in path:
                 frozen.setdefault(m, mote_states[m].energy_consumed)
 
-    merge, high = simulation.apply_update, sim.lanes.high
-
-    def watched_merge(table, update, neighbors):
-        before = table.metrics
-        changed = merge(table, update, neighbors)
-        # lanes hold at most 16, so bit 7 of each lane of (before | high) -
-        # after stays set exactly where the lane did not rise
-        assert ((before | high) - table.metrics) & high == high, (
-            "a lane rose", table.owner, update[0])
-        return changed
-
+    merge, watched_merge = _watch_dv(sim)
     sim._dispatch = watched_dispatch
     simulation.release_motes = watched_release
     simulation.apply_update = watched_merge
@@ -241,6 +236,105 @@ def check_run(sim):
             assert outcome is not PacketOutcome.LOST, (m, rx)
     check_handoffs(sim, report)
     return report
+
+
+def _same_hops(table, oracle) -> bool:
+    """Whether delta `table` and packed `oracle` give every lane the same
+    next hop.  Both become one int of a 16-bit field per lane, its next
+    hop's lane (NO_HOP for none): the oracle's masks are disjoint, so each
+    field of their weighted sum is at most NO_HOP and nothing borrows."""
+    n, index = len(table.hops), table.lanes.index
+    wide = bytearray(2 * n)
+    want = (1 << 16 * n) - 1  # NO_HOP in every field
+    for name, mask in oracle.via.items():
+        if mask:
+            wide[::2] = (mask >> 7).to_bytes(n, "little")
+            want -= int.from_bytes(wide, "little") * (NO_HOP - index[name])
+    return int.from_bytes(table.hops.tobytes(), sys.byteorder) == want
+
+
+def _watch_dv(sim):
+    """Run the general merge (packed_dv, over full adverts) in lockstep
+    with the simulator's delta merge.  Returns the merge simulation.py
+    calls and the watched one to put in its place.
+
+    A wrapper on sim._send builds, for each advert a mote offers, the full
+    advert of its oracle table, and asserts that the delta advert is that
+    full advert on its own lanes and that every other lane matches the full
+    advert of the sender's previous accepted one (all 16 before the first):
+    the set of changed lanes misses nothing.  It also asserts that no
+    candidate rises from one accepted advert to the next.  Each accepted
+    advert gets the next number of its sender, held until its broadcast is
+    delivered.  On every merge, the watched merge asserts that the advert
+    is the one after the last merged from that sender by that receiver,
+    that no lane of the receiver's table rises, and that the oracle merge
+    of the full advert (which raises UnknownNeighborError unless the sender
+    is a static mote neighbour) agrees on whether anything changed and
+    leaves every lane with the same metric and next hop."""
+    lanes = packed_dv.Lanes(sim.mote_states)
+    oracle = {m: packed_dv.Table(m, lanes) for m in lanes.names}
+    width, high = len(lanes.names), lanes.high
+    accepted = dict.fromkeys(lanes.names, lanes.ones * INFINITY_METRIC)
+    count = dict.fromkeys(lanes.names, 0)  # adverts accepted per sender
+    in_flight = {}  # id(advert) -> (advert, its number, its full advert)
+    merged = {}  # (sender, receiver) -> number of the last advert merged
+    # receiver -> its next hops when last matched to the oracle's (none)
+    checked = dict.fromkeys(lanes.names, b"\xff\xff" * width)
+    send, deliver_burst = sim._send, sim._deliver_burst
+    merge = simulation.apply_update
+
+    def watched_send(node_id, frame):
+        if frame.kind != "dv":
+            return send(node_id, frame)
+        advert, full = frame.payload, packed_dv.periodic_update(
+            oracle[node_id])
+        cands = bytearray(accepted[node_id].to_bytes(width, "little"))
+        for lane, c in advert[1]:
+            cands[lane] = c
+        assert int.from_bytes(cands, "little") == full[1], (
+            "an advert left out a changed lane", node_id)
+        assert ((accepted[node_id] | high) - full[1]) & high == high, (
+            "an advert lane rose", node_id)
+        ok = send(node_id, frame)
+        if ok:
+            accepted[node_id] = full[1]
+            count[node_id] += 1
+            in_flight[id(advert)] = advert, count[node_id], full
+        return ok
+
+    def watched_burst(t, seq, receivers, payload):
+        deliver_burst(t, seq, receivers, payload)
+        if payload[1].kind == "dv":
+            del in_flight[id(payload[1].payload)]
+
+    def watched_merge(table, update):
+        sender, rx = update[0], table.owner
+        advert, number, full = in_flight[id(update)]
+        assert advert is update
+        assert merged.get((sender, rx), 0) == number - 1, (
+            "an advert merged out of turn", sender, rx, number)
+        merged[sender, rx] = number
+        before = int.from_bytes(table.metrics, "little")
+        changed = merge(table, update)
+        after = int.from_bytes(table.metrics, "little")
+        # lanes hold at most 16, so bit 7 of each lane of (before | high) -
+        # after stays set exactly where the lane did not rise
+        assert ((before | high) - after) & high == high, (
+            "a lane rose", rx, sender)
+        want = packed_dv.apply_update(oracle[rx], full, sim.mote_rows[rx])
+        assert bool(changed) == bool(want), ("the merges disagree", rx, sender)
+        assert after == oracle[rx].metrics, ("a metric differs", rx, sender)
+        # the oracle's next hops move only in a merge that changes a lane
+        hops = table.hops.tobytes()
+        assert (_same_hops(table, oracle[rx]) if want
+                else hops == checked[rx]), (
+            "a next hop differs", rx, sender)
+        checked[rx] = hops
+        return changed
+
+    sim._send = watched_send
+    sim._deliver_burst = watched_burst
+    return merge, watched_merge
 
 
 def check_handoffs(sim, report):
@@ -324,35 +418,30 @@ def check_relay_paths(s: Scenario, report) -> int:
 
 
 def check_dv_tables(sim) -> int:
-    """Assert that every packed distance-vector table of the finished run
-    `sim` is well formed, and that every converged route it recorded is a
-    real mote path.
+    """Assert that every distance-vector table of the finished run `sim` is
+    well formed, and that every converged route it recorded is a real mote
+    path.
 
-    In each table the owner's lane is 0 and every lane at most 16.  The
-    next-hop masks are keyed by the owner's mote neighbours only, set only
-    bit 7 of lanes other than the owner's, and are pairwise disjoint; each
-    lane below 16, other than the owner's, is in exactly one of them.  Each
-    non-None entry of `dv_paths` runs between the endpoints of its link's
-    relay path, is a simple path of motes along static-graph edges (rebuilt
-    here from the start positions), and has as many hops as its source's
-    metric.  Returns the number of routes checked."""
-    names = sim.lanes.names
+    Each table has a metric and a next hop for every lane.  The owner's
+    lane is 0 with no next hop, every lane at most 16, and each other lane
+    has a next hop exactly when it is below 16, the lane of one of the
+    owner's mote neighbours.  Its set of changed lanes holds lanes only.
+    Each non-None entry of `dv_paths` runs between the endpoints of its
+    link's relay path, is a simple path of motes along static-graph edges
+    (rebuilt here from the start positions), and has as many hops as its
+    source's metric.  Returns the number of routes checked."""
+    names, index = sim.lanes.names, sim.lanes.index
     assert sorted(sim.tables) == list(names)
     for owner, table in sim.tables.items():
-        own = names.index(owner)
-        metrics = table.metrics.to_bytes(len(names), "little")
-        assert metrics[own] == 0, owner
-        assert max(metrics) <= INFINITY_METRIC, owner
-        assert set(table.via) <= set(sim.mote_rows[owner]), owner
-        seen = 0
-        for mask in table.via.values():
-            assert mask & ~sim.lanes.high == 0, owner
-            assert not mask & seen, owner
-            seen |= mask
-        assert not seen >> 8 * own & 0x80, owner
-        for i, metric in enumerate(metrics):
-            if metric < INFINITY_METRIC and i != own:
-                assert seen >> 8 * i & 0x80, (owner, names[i])
+        own, rows = index[owner], {index[m] for m in sim.mote_rows[owner]}
+        assert len(table.metrics) == len(table.hops) == len(names), owner
+        assert table.metrics[own] == 0, owner
+        assert max(table.metrics) <= INFINITY_METRIC, owner
+        assert table.changed <= set(range(len(names))), owner
+        for i, (metric, hop) in enumerate(zip(table.metrics, table.hops)):
+            routed = metric < INFINITY_METRIC and i != own
+            assert hop in rows if routed else hop == NO_HOP, (
+                owner, names[i])
     kinds = sim.kinds
     graph = _static_graph(sim.s)
     routes = [(link, path) for link, path in zip(sim.links, sim.dv_paths)

@@ -1,5 +1,7 @@
-"""Distance-vector routing against an all-pairs BFS oracle and against the
-per-destination dict merge that the packed tables replaced."""
+"""Distance-vector routing: the delta tables against an all-pairs BFS oracle
+and, in lockstep, against the general merge over full adverts
+(packed_dv); that merge against the per-destination dict merge it replaced
+in turn."""
 
 import heapq
 import itertools
@@ -7,48 +9,45 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+import packed_dv
 import pytest
 
-from wsnhandoff.routing import (INFINITY_METRIC, LINK_COST, Lanes,
-                                RoutingLoopError, Table,
-                                UnknownNeighborError, UnreachableError,
+from wsnhandoff.routing import (INFINITY_METRIC, LINK_COST, NO_HOP, Lanes,
+                                RoutingLoopError, Table, UnreachableError,
                                 apply_update, periodic_update,
                                 shortest_path)
 
 
-def _pack(owner, lanes, entries):
-    """A packed table holding `entries`, the dict form
-    {destination: (metric, next_hop)}."""
+def _table(owner, lanes, entries):
+    """A delta table holding `entries`, the dict form {destination:
+    (metric, next_hop)}; its changed set is the owner's lane, as at the
+    start."""
     t = Table(owner, lanes)
     for dst, (metric, hop) in entries.items():
         i = lanes.index[dst]
-        t.metrics = t.metrics & ~(0xFF << 8 * i) | metric << 8 * i
+        t.metrics[i] = metric
         if dst != owner:
-            t.via[hop] = t.via.get(hop, 0) | 0x80 << 8 * i
+            t.hops[i] = lanes.index[hop]
     return t
 
 
 def _entries(t):
-    """The dict form of a packed table: every destination with a metric
-    below 16 or a next hop (a missing entry reads as (16, None))."""
+    """The dict form of a table: every destination with a metric below 16
+    or a next hop (a missing entry reads as (16, None))."""
     return {dst: (t.metric(dst), t.next_hop(dst)) for dst in t.lanes.names
             if t.metric(dst) < INFINITY_METRIC or t.next_hop(dst) is not None}
 
 
 def _advert(sender, lanes, vector):
-    """The packed advert of a dict vector {destination: advertised metric}:
-    min(16, advertised + 1) per lane, 16 where nothing is advertised."""
-    cand = lanes.ones * INFINITY_METRIC
-    for dst, adv in vector.items():
-        i = lanes.index[dst]
-        c = min(INFINITY_METRIC, adv + LINK_COST)
-        cand = cand & ~(0xFF << 8 * i) | c << 8 * i
-    return sender, cand
+    """The delta advert of a dict vector {destination: advertised metric}:
+    min(16, advertised + 1) for each destination in it."""
+    return sender, tuple((lanes.index[dst], min(INFINITY_METRIC,
+                                                adv + LINK_COST))
+                         for dst, adv in vector.items())
 
 
-def _names(mask, lanes):
-    """The destinations whose lane is set in a changed or next-hop mask."""
-    return {n for i, n in enumerate(lanes.names) if mask >> 8 * i & 0x80}
+def _lane_names(changed, lanes):
+    return {lanes.names[i] for i in changed}
 
 
 def test_init_table_self_entry():
@@ -56,6 +55,7 @@ def test_init_table_self_entry():
     assert t.owner == "m3"
     assert _entries(t) == {"m3": (0, "m3")}
     assert t.metric("m3") == 0 and t.next_hop("m3") == "m3"
+    assert t.changed == {0}
 
 
 def test_lanes_are_sorted_and_shared():
@@ -64,7 +64,10 @@ def test_lanes_are_sorted_and_shared():
     assert lanes.index == {"m1": 0, "m10": 1, "m2": 2}
     a, b = Table("m10", lanes), Table("m2", lanes)
     assert a.lanes is b.lanes
-    assert a.metrics == 0x100010 and a.via == {}
+    assert a.metrics == bytearray([16, 0, 16])
+    assert list(a.hops) == [NO_HOP] * 3 and a.changed == {1}
+    packed = packed_dv.Table("m10", packed_dv.Lanes({"m2", "m10", "m1"}))
+    assert packed.metrics == 0x100010 and packed.via == {}
 
 
 def test_missing_destination_reads_as_infinity():
@@ -73,75 +76,75 @@ def test_missing_destination_reads_as_infinity():
     assert t.next_hop("nowhere") is None
 
 
-def test_periodic_update_snapshots_metrics():
+def test_periodic_update_carries_the_changed_lanes():
     lanes = Lanes("abcde")
-    t = _pack("a", lanes, {"a": (0, "a"), "b": (1, "b"), "c": (2, "b"),
-                           "d": (15, "b")})
-    sender, cand = periodic_update(t)
+    t = _table("a", lanes, {"a": (0, "a"), "b": (1, "b"),
+                                 "c": (2, "b"), "d": (15, "b")})
+    assert periodic_update(t) == ("a", ((0, 1),))
+    t.changed |= {1, 3, 4}
+    sender, cands = periodic_update(t)
     assert sender == "a"
     # one link more than the table's metric, clamped at infinity
-    assert cand.to_bytes(5, "little") == bytes([1, 2, 3, 16, 16])
-    assert periodic_update(t) == (sender, cand)
+    assert dict(cands) == {0: 1, 1: 2, 3: 16, 4: 16}
+    assert periodic_update(t) == (sender, cands)
+    t.changed.clear()
+    assert periodic_update(t) == ("a", ())
 
 
 def test_apply_update_learns_new_routes():
     lanes = Lanes("abc")
     t = Table("a", lanes)
-    changed = apply_update(t, _advert("b", lanes, {"b": 0, "c": 1}), {"b"})
-    assert _names(changed, lanes) == {"b", "c"}
+    assert apply_update(t, _advert("b", lanes, {"b": 0, "c": 1}))
+    assert _lane_names(t.changed, lanes) == {"a", "b", "c"}
     assert _entries(t)["b"] == (1, "b")
     assert _entries(t)["c"] == (2, "b")
 
 
 def test_apply_update_keeps_better_existing_route():
     lanes = Lanes("abc")
-    t = _pack("a", lanes, {"a": (0, "a"), "c": (1, "c")})
-    changed = apply_update(t, _advert("b", lanes, {"c": 3}), {"b", "c"})
-    assert changed == 0
+    t = _table("a", lanes, {"a": (0, "a"), "c": (1, "c")})
+    assert not apply_update(t, _advert("b", lanes, {"c": 3}))
     assert _entries(t)["c"] == (1, "c")
+    assert t.changed == {0}
 
 
-def test_route_through_sender_is_relearned_even_when_worse():
-    lanes = Lanes("abc")
-    t = _pack("a", lanes, {"a": (0, "a"), "c": (2, "b")})
-    changed = apply_update(t, _advert("b", lanes, {"c": 5}), {"b"})
-    assert _names(changed, lanes) == {"c"}
-    assert _entries(t)["c"] == (6, "b")
-
-
-def test_adopted_route_leaves_the_previous_next_hop():
+def test_adopted_lane_takes_the_senders_lane():
     lanes = Lanes("abcd")
-    t = _pack("a", lanes, {"a": (0, "a"), "c": (3, "c"), "d": (4, "c")})
-    changed = apply_update(t, _advert("b", lanes, {"c": 1}), {"b", "c"})
-    assert _names(changed, lanes) == {"c"}
+    t = _table("a", lanes, {"a": (0, "a"), "c": (3, "c"),
+                                  "d": (4, "c")})
+    assert apply_update(t, _advert("b", lanes, {"c": 1}))
     assert _entries(t) == {"a": (0, "a"), "c": (2, "b"), "d": (4, "c")}
-    assert _names(t.via["c"], lanes) == {"d"}
+    assert list(t.hops) == [NO_HOP, NO_HOP, 1, 2]
+    assert _lane_names(t.changed, lanes) == {"a", "c"}
 
 
-def test_metric_clamps_at_infinity():
+def test_a_candidate_of_sixteen_is_never_adopted():
     lanes = Lanes(["a", "b", "x"])
     t = Table("a", lanes)
-    apply_update(t, _advert("b", lanes, {"x": INFINITY_METRIC}), {"b"})
-    assert t.metric("x") == INFINITY_METRIC
-    # unreachable via the sender stays 16, no matter how often repeated
-    apply_update(t, _advert("b", lanes, {"x": INFINITY_METRIC}), {"b"})
-    assert t.metric("x") == INFINITY_METRIC
-
-
-def test_update_from_unknown_neighbor_rejected():
-    lanes = Lanes(["a", "b", "c", "stranger"])
-    t = Table("a", lanes)
-    with pytest.raises(UnknownNeighborError):
-        apply_update(t, _advert("stranger", lanes, {"stranger": 0}),
-                     {"b", "c"})
+    for _ in range(2):  # no matter how often repeated
+        assert not apply_update(t, _advert("b", lanes,
+                                           {"x": INFINITY_METRIC}))
+        assert t.metric("x") == INFINITY_METRIC
+        assert t.next_hop("x") is None
 
 
 def test_apply_update_is_idempotent():
     lanes = Lanes("abcd")
     t = Table("a", lanes)
     up = _advert("b", lanes, {"b": 0, "c": 1, "d": 2})
-    assert _names(apply_update(t, up, {"b"}), lanes) == {"b", "c", "d"}
-    assert apply_update(t, up, {"b"}) == 0
+    assert apply_update(t, up)
+    assert _lane_names(t.changed, lanes) == {"a", "b", "c", "d"}
+    assert not apply_update(t, up)
+
+
+def test_next_hops_hold_lanes_past_255():
+    names = [f"n{i:03d}" for i in range(300)]
+    lanes = Lanes(names)
+    t = Table("n000", lanes)
+    assert len(t.hops) == 300 and t.next_hop("n299") is None
+    assert apply_update(t, ("n299", ((298, 1), (299, 1))))
+    assert t.next_hop("n298") == t.next_hop("n299") == "n299"
+    assert t.hops[299] == 299 and t.next_hop("n100") is None
 
 
 # ---- convergence vs BFS -------------------------------------------------
@@ -159,16 +162,23 @@ def _bfs_hops(adj, src):
     return dist
 
 
-def _converge(adj):
-    """Synchronous rounds of full-table exchange until nothing changes."""
+def _tables(adj):
     lanes = Lanes(adj)
-    tables = {n: Table(n, lanes) for n in adj}
+    return {n: Table(n, lanes) for n in adj}
+
+
+def _converge(adj):
+    """Synchronous rounds in which every node adverts its changed lanes to
+    every neighbour, until nothing changes."""
+    tables = _tables(adj)
     for _ in range(len(adj) + 2):
         updates = {n: periodic_update(tables[n]) for n in sorted(adj)}
+        for t in tables.values():
+            t.changed.clear()  # every advert of the round is heard
         any_change = False
         for n in sorted(adj):
             for nb in sorted(adj[n]):
-                if apply_update(tables[n], updates[nb], adj[n]):
+                if apply_update(tables[n], updates[nb]):
                     any_change = True
         if not any_change:
             break
@@ -211,14 +221,17 @@ def test_cross_partition_metrics_are_infinity():
 
 
 def test_quiescent_tables_are_stable_under_reapplication():
+    # a full advert of a converged table, every lane in it, changes no
+    # neighbour
     rng = random.Random(77)
     for _ in range(10):
         adj = _random_graph(rng, max_nodes=8)
         tables = _converge(adj)
         for n in sorted(adj):
+            tables[n].changed = set(range(len(adj)))
             up = periodic_update(tables[n])
             for nb in sorted(adj[n]):
-                assert apply_update(tables[nb], up, adj[nb]) == 0
+                assert not apply_update(tables[nb], up)
 
 
 def test_shortest_path_on_a_line():
@@ -261,14 +274,176 @@ def test_inconsistent_tables_raise_loop_error():
     # a and b each claim the route goes through the other
     lanes = Lanes(["a", "b", "x"])
     tables = {
-        "a": _pack("a", lanes, {"a": (0, "a"), "x": (2, "b")}),
-        "b": _pack("b", lanes, {"b": (0, "b"), "x": (2, "a")}),
+        "a": _table("a", lanes, {"a": (0, "a"), "x": (2, "b")}),
+        "b": _table("b", lanes, {"b": (0, "b"), "x": (2, "a")}),
     }
     with pytest.raises(RoutingLoopError):
         shortest_path(tables, "a", "x")
 
 
-# ---- the packed merge against the per-destination dict merge ------------
+# ---- the delta merge against the general merge, in lockstep -------------
+
+
+def _same_tables(delta, packed):
+    names = delta.lanes.names
+    assert [(delta.metric(d), delta.next_hop(d)) for d in names] == \
+        [(packed.metric(d), packed.next_hop(d)) for d in names]
+
+
+def test_delta_and_general_merges_agree_in_lockstep():
+    """Both merges receive one schedule on seeded random adjacencies, as
+    the simulator's mesh gives it.  Each sender's queue, drawn per offer,
+    accepts or drops the advert; the delta table clears its changed set
+    only when the advert is accepted.  Accepted adverts leave in order,
+    each after a random delay, and reach every neighbour that is awake
+    when they are offered and hears the sender: some pairs never hear each
+    other, and some motes fall asleep for good, after which they neither
+    send nor receive.  Every merge must give both tables the same change
+    and the same metric and next hop on every lane."""
+    rng = random.Random(2310)
+    merges = changes = drops = 0
+    for _ in range(40):
+        adj = _random_graph(rng, max_nodes=14)
+        delta = _tables(adj)
+        lanes = packed_dv.Lanes(adj)
+        packed = {n: packed_dv.Table(n, lanes) for n in adj}
+        deaf = {(a, b) for a in adj for b in adj[a] if rng.random() < 0.1}
+        awake = set(adj)
+        in_flight, last_at, seq = [], dict.fromkeys(adj, 0), itertools.count()
+
+        def offer(n, now):
+            nonlocal drops
+            targets = sorted(adj[n] & awake)
+            if not targets:
+                return
+            advert, full = (periodic_update(delta[n]),
+                            packed_dv.periodic_update(packed[n]))
+            if rng.random() < 0.2:
+                drops += 1
+                return
+            delta[n].changed.clear()
+            last_at[n] = max(last_at[n], now + rng.randint(1, 4))
+            heapq.heappush(in_flight, (last_at[n], next(seq), n, targets,
+                                       advert, full))
+
+        now, quiet = 0, 0
+        while quiet < 3:  # three rounds of periodic adverts change nothing
+            order = sorted(awake)
+            rng.shuffle(order)
+            for n in order:
+                offer(n, now)
+            if len(awake) > 2 and rng.random() < 0.1:
+                awake.discard(rng.choice(sorted(awake)))
+            changed_any = False
+            while in_flight:
+                now, _, sender, targets, advert, full = heapq.heappop(
+                    in_flight)
+                if sender not in awake:
+                    continue  # asleep before it was sent
+                for rx in targets:
+                    if rx not in awake or (sender, rx) in deaf:
+                        continue
+                    got = apply_update(delta[rx], advert)
+                    want = packed_dv.apply_update(packed[rx], full, adj[rx])
+                    assert got == bool(want)
+                    _same_tables(delta[rx], packed[rx])
+                    merges += 1
+                    if got:
+                        changes += 1
+                        changed_any = True
+                        offer(rx, now)
+            quiet = 0 if changed_any else quiet + 1
+        for n in adj:
+            _same_tables(delta[n], packed[n])
+    assert merges > 2000 and changes > 400 and drops > 400, (
+        merges, changes, drops)
+
+
+# ---- the general merge against the per-destination dict merge -----------
+
+
+def _pack(owner, lanes, entries):
+    """A packed table holding `entries`, the dict form
+    {destination: (metric, next_hop)}."""
+    t = packed_dv.Table(owner, lanes)
+    for dst, (metric, hop) in entries.items():
+        i = lanes.index[dst]
+        t.metrics = t.metrics & ~(0xFF << 8 * i) | metric << 8 * i
+        if dst != owner:
+            t.via[hop] = t.via.get(hop, 0) | 0x80 << 8 * i
+    return t
+
+
+def _full_advert(sender, lanes, vector):
+    """The packed advert of a dict vector {destination: advertised metric}:
+    min(16, advertised + 1) per lane, 16 where nothing is advertised."""
+    cand = lanes.ones * INFINITY_METRIC
+    for dst, adv in vector.items():
+        i = lanes.index[dst]
+        c = min(INFINITY_METRIC, adv + LINK_COST)
+        cand = cand & ~(0xFF << 8 * i) | c << 8 * i
+    return sender, cand
+
+
+def _names(mask, lanes):
+    """The destinations whose lane is set in a changed or next-hop mask."""
+    return {n for i, n in enumerate(lanes.names) if mask >> 8 * i & 0x80}
+
+
+def test_periodic_update_snapshots_metrics():
+    lanes = packed_dv.Lanes("abcde")
+    t = _pack("a", lanes, {"a": (0, "a"), "b": (1, "b"), "c": (2, "b"),
+                           "d": (15, "b")})
+    sender, cand = packed_dv.periodic_update(t)
+    assert sender == "a"
+    # one link more than the table's metric, clamped at infinity
+    assert cand.to_bytes(5, "little") == bytes([1, 2, 3, 16, 16])
+    assert packed_dv.periodic_update(t) == (sender, cand)
+
+
+def test_route_through_sender_is_relearned_even_when_worse():
+    lanes = packed_dv.Lanes("abc")
+    t = _pack("a", lanes, {"a": (0, "a"), "c": (2, "b")})
+    changed = packed_dv.apply_update(
+        t, _full_advert("b", lanes, {"c": 5}), {"b"})
+    assert _names(changed, lanes) == {"c"}
+    assert _packed_entries(t)["c"] == (6, "b")
+
+
+def test_adopted_route_leaves_the_previous_next_hop():
+    lanes = packed_dv.Lanes("abcd")
+    t = _pack("a", lanes, {"a": (0, "a"), "c": (3, "c"), "d": (4, "c")})
+    changed = packed_dv.apply_update(
+        t, _full_advert("b", lanes, {"c": 1}), {"b", "c"})
+    assert _names(changed, lanes) == {"c"}
+    assert _packed_entries(t) == {"a": (0, "a"), "c": (2, "b"),
+                                  "d": (4, "c")}
+    assert _names(t.via["c"], lanes) == {"d"}
+
+
+def test_metric_clamps_at_infinity():
+    lanes = packed_dv.Lanes(["a", "b", "x"])
+    t = packed_dv.Table("a", lanes)
+    packed_dv.apply_update(
+        t, _full_advert("b", lanes, {"x": INFINITY_METRIC}), {"b"})
+    assert t.metric("x") == INFINITY_METRIC
+    # unreachable via the sender stays 16, no matter how often repeated
+    packed_dv.apply_update(
+        t, _full_advert("b", lanes, {"x": INFINITY_METRIC}), {"b"})
+    assert t.metric("x") == INFINITY_METRIC
+
+
+def test_update_from_unknown_neighbor_rejected():
+    lanes = packed_dv.Lanes(["a", "b", "c", "stranger"])
+    t = packed_dv.Table("a", lanes)
+    with pytest.raises(packed_dv.UnknownNeighborError):
+        packed_dv.apply_update(
+            t, _full_advert("stranger", lanes, {"stranger": 0}), {"b", "c"})
+
+
+def _packed_entries(t):
+    return {dst: (t.metric(dst), t.next_hop(dst)) for dst in t.lanes.names
+            if t.metric(dst) < INFINITY_METRIC or t.next_hop(dst) is not None}
 
 
 _UNREACHABLE = (INFINITY_METRIC, None)
@@ -302,7 +477,7 @@ def _reference_apply_update(table, update, neighbors):
     """The merge as first written, per-entry metric()/next_hop() lookups over
     the sorted vector; kept as the oracle for the packed merge."""
     if update.sender not in neighbors:
-        raise UnknownNeighborError(
+        raise packed_dv.UnknownNeighborError(
             f"{table.owner} got update from non-neighbor {update.sender}")
     changed = set()
     for dst in sorted(update.vector):
@@ -325,7 +500,7 @@ def _random_table(rng, owner, names, senders):
 
 
 def _assert_same_table(packed, reference):
-    assert _entries(packed) == reference.entries
+    assert _packed_entries(packed) == reference.entries
     for dst in packed.lanes.names:
         assert (packed.metric(dst), packed.next_hop(dst)) == \
             (reference.metric(dst), reference.next_hop(dst)), dst
@@ -334,7 +509,7 @@ def _assert_same_table(packed, reference):
 def test_apply_update_matches_reference_merge_on_random_tables():
     rng = random.Random(2024)
     names = [f"n{i:02d}" for i in range(20)]
-    lanes = Lanes(names)
+    lanes = packed_dv.Lanes(names)
     cases = {"adopted": 0, "missing": 0, "sixteen_via_sender": 0,
              "worse_via_sender": 0, "advertised_15": 0, "advertised_16": 0}
     for _ in range(400):
@@ -354,8 +529,8 @@ def test_apply_update_matches_reference_merge_on_random_tables():
             cases["advertised_16"] += adv == INFINITY_METRIC
         want = _reference_apply_update(expected, RouteUpdate(sender, vector),
                                        {sender, other})
-        got = apply_update(table, _advert(sender, lanes, vector),
-                           {sender, other})
+        got = packed_dv.apply_update(
+            table, _full_advert(sender, lanes, vector), {sender, other})
         assert _names(got, lanes) == want
         assert bool(got) == bool(want)
         _assert_same_table(table, expected)
@@ -366,18 +541,19 @@ def test_apply_update_matches_reference_merge_on_random_tables():
 def test_apply_update_rejects_non_neighbours_like_the_reference():
     rng = random.Random(5)
     names = [f"n{i}" for i in range(6)]
-    lanes = Lanes(names)
+    lanes = packed_dv.Lanes(names)
     for _ in range(20):
         owner, sender, other = rng.sample(names, 3)
         reference = _random_table(rng, owner, names, [sender, other])
         table = _pack(owner, lanes, reference.entries)
         before = (table.metrics, dict(table.via))
         vector = {d: 1 for d in names}
-        with pytest.raises(UnknownNeighborError):
+        with pytest.raises(packed_dv.UnknownNeighborError):
             _reference_apply_update(reference, RouteUpdate(sender, vector),
                                     {other})
-        with pytest.raises(UnknownNeighborError):
-            apply_update(table, _advert(sender, lanes, vector), {other})
+        with pytest.raises(packed_dv.UnknownNeighborError):
+            packed_dv.apply_update(
+                table, _full_advert(sender, lanes, vector), {other})
         assert (table.metrics, table.via) == before
 
 
@@ -391,15 +567,15 @@ def test_packed_and_dict_tables_agree_in_lockstep_until_converged():
     merges = changes = 0
     for _ in range(25):
         adj = _random_graph(rng, max_nodes=14)
-        lanes = Lanes(adj)
-        packed = {n: Table(n, lanes) for n in adj}
+        lanes = packed_dv.Lanes(adj)
+        packed = {n: packed_dv.Table(n, lanes) for n in adj}
         dicts = {n: DistanceVector(n, {n: (0, n)}) for n in adj}
         in_flight, last_at, seq = [], dict.fromkeys(adj, 0), itertools.count()
 
         def send(n, now):
             last_at[n] = max(last_at[n], now + rng.randint(1, 4))
             heapq.heappush(in_flight, (last_at[n], next(seq), n,
-                                       periodic_update(packed[n]),
+                                       packed_dv.periodic_update(packed[n]),
                                        _reference_periodic_update(dicts[n])))
 
         now, quiet = 0, 0
@@ -412,7 +588,7 @@ def test_packed_and_dict_tables_agree_in_lockstep_until_converged():
             while in_flight:
                 now, _, sender, advert, update = heapq.heappop(in_flight)
                 for rx in sorted(adj[sender]):
-                    got = apply_update(packed[rx], advert, adj[rx])
+                    got = packed_dv.apply_update(packed[rx], advert, adj[rx])
                     want = _reference_apply_update(dicts[rx], update,
                                                    adj[rx])
                     assert _names(got, lanes) == want

@@ -314,13 +314,29 @@ def test_check_run_fails_a_merge_that_raises_a_lane(monkeypatch):
     # it on every merge
     merge = simulation.apply_update
 
-    def raise_one_lane(table, update, neighbors):
-        changed = merge(table, update, neighbors)
-        table.metrics += 1 << 8 * table.lanes.index[table.owner]  # 0 to 1
+    def raise_one_lane(table, update):
+        changed = merge(table, update)
+        table.metrics[table.lanes.index[table.owner]] += 1  # 0 to 1
         return changed
 
     monkeypatch.setattr(simulation, "apply_update", raise_one_lane)
     with pytest.raises(AssertionError, match="a lane rose"):
+        check_run(Simulation(reference_scenario()))
+
+
+def test_check_run_fails_a_merge_that_sets_a_wrong_next_hop(monkeypatch):
+    # the lockstep oracle compares every lane's next hop after each merge
+    merge = simulation.apply_update
+
+    def misroute_one_lane(table, update):
+        changed = merge(table, update)
+        if changed:  # an adopted lane goes through the sender: use the owner
+            lane = table.hops.tolist().index(table.lanes.index[update[0]])
+            table.hops[lane] = table.lanes.index[table.owner]
+        return changed
+
+    monkeypatch.setattr(simulation, "apply_update", misroute_one_lane)
+    with pytest.raises(AssertionError, match="a next hop differs"):
         check_run(Simulation(reference_scenario()))
 
 

@@ -421,6 +421,13 @@ def _with_m99(**spec) -> Scenario:
 
 @pytest.mark.parametrize("build, problem", [
     (lambda: _with_m99(kind="mote"), "kind of 'm99' must be a NodeKind"),
+    pytest.param(lambda: _with_m99(kind=["mote"]),
+                 "kind of 'm99' must be a NodeKind", id="list-kind"),
+    (lambda: dataclasses.replace(reference_scenario(), nodes=(
+        *reference_scenario().nodes, ("m99", NodeKind.MOTE, Point(5.0, 5.0)))),
+     f"node {('m99', NodeKind.MOTE, Point(5.0, 5.0))!r} must be a NodeSpec"),
+    (lambda: _with_m99(position=Point([5.0], 5.0)),
+     "position of 'm99' must be a number"),
     (lambda: _with_m99(position=(5.0, 5.0)),
      "position of 'm99' must be a Point"),
     (lambda: _with_m99(profile=(0.0, -80.0)),
@@ -440,8 +447,9 @@ def _with_m99(**spec) -> Scenario:
 ])
 def test_parts_of_the_wrong_type_are_rejected(build, problem):
     # The str kind and the list of waypoints once validated, and then
-    # failed to run or to round-trip; the others raised a raw
-    # AttributeError or TypeError from validate_scenario itself.
+    # failed to run or to round-trip; the list kind and the tuple node
+    # raised a raw TypeError or AttributeError when the Scenario was built;
+    # the others raised one from validate_scenario itself.
     s = build()
     for check in (validate_scenario, Simulation):
         with pytest.raises(ValidationError) as e:
