@@ -11,7 +11,6 @@ mobile or falls back to a satellite link; once the link is up, every mote
 on the delivered path goes to sleep to save its battery.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -47,15 +46,17 @@ SLEEPING = MoteMode.SLEEPING
 BASE_STATION = NodeKind.BASE_STATION
 
 
-@dataclass
 class MoteState:
-    mode: MoteMode = MoteMode.ACTIVE
-    seen: set = field(default_factory=set)
-    energy_consumed: int = 0
+    __slots__ = ("mode", "seen", "energy_consumed")
+
+    def __init__(self, mode: MoteMode = MoteMode.ACTIVE, seen: set = None,
+                 energy_consumed: int = 0):
+        self.mode = mode
+        self.seen = set() if seen is None else seen
+        self.energy_consumed = energy_consumed
 
 
-@dataclass(frozen=True)
-class Escalation:
+class Escalation(NamedTuple):
     request_id: int
     ms_id: str
     ms_location: Point
@@ -68,21 +69,18 @@ class DecisionOutcome(Enum):
     SATELLITE_FALLBACK = "satellite_fallback"
 
 
-@dataclass(frozen=True)
-class MscDecision:
+class MscDecision(NamedTuple):
     request_id: int
     outcome: DecisionOutcome
     bs_id: str = None
 
 
-@dataclass(frozen=True)
-class LinkEndpoint:
+class LinkEndpoint(NamedTuple):
     kind: NodeKind
     node_id: str
 
 
-@dataclass(frozen=True)
-class LinkRecord:
+class LinkRecord(NamedTuple):
     ms_id: str
     endpoint: LinkEndpoint
     established_at: float

@@ -29,7 +29,8 @@ validate_scenario alone judges the values, read or built in code.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .world import (MobilityPath, NodeKind, Point, RadioProfile,
                     profile_for_range)
@@ -48,8 +49,7 @@ class ValidationError(ValueError):
         self.problems = list(problems)
 
 
-@dataclass(frozen=True)
-class SimParams:
+class SimParams(NamedTuple):
     default_ttl: int = 16
     coverage_check_period: float = 1.0
     hop_delay: float = 0.01
@@ -68,15 +68,13 @@ _INT_PARAMS = ("default_ttl", "queue_capacity")
 _PERIODS = ("coverage_check_period", "tx_slot", "dv_period", "app_interval")
 _DELAYS = ("hop_delay", "backhaul_delay", "steering_delay",
            "satellite_acquisition_delay")
-_PARAM_NAMES = [f.name for f in fields(SimParams)]
 _INTEGERS = ("seed", *_INT_PARAMS)
 # Every scalar, in the order validate_scenario checks them.
 _SCALARS = ("duration", "seed", *_INT_PARAMS, *_PERIODS, *_DELAYS,
             "max_steer_range", "discovery_timeout")
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     node_id: str
     kind: NodeKind
     position: Point
@@ -89,14 +87,19 @@ class Scenario:
     mobility: dict          # node_id -> MobilityPath
     duration: float = 90.0
     seed: int = 1
-    params: SimParams = field(default_factory=SimParams)
+    params: SimParams = SimParams()
 
     def __post_init__(self):
-        # validate_scenario judges an entry that is not a NodeSpec of a
-        # NodeKind; building leaves it as it is
+        # validate_scenario judges nodes that are a string, a record or no
+        # collection at all, and an entry that is not a NodeSpec of a
+        # NodeKind; building leaves them as they are
+        if (isinstance(self.nodes, str) or hasattr(self.nodes, "_fields")
+                or not hasattr(self.nodes, "__iter__")):
+            return
         object.__setattr__(self, "nodes", tuple(sorted(
-            (replace(n, profile=None) if isinstance(n, NodeSpec)
+            (n._replace(profile=None) if isinstance(n, NodeSpec)
              and isinstance(n.kind, NodeKind)
+             and isinstance(n.profile, RadioProfile)
              and n.profile == DEFAULT_PROFILES[n.kind] else n
              for n in self.nodes),
             key=lambda n: str(n.node_id) if isinstance(n, NodeSpec) else "")))
@@ -189,7 +192,7 @@ def _parse_node(parts, line_no: int) -> NodeSpec:
                                 _OVERRIDE_FIELDS)
         changes = {_OVERRIDE_FIELDS[key]: _parse_number(value, line_no, key)
                    for key, value in overrides.items()}
-        profile = replace(DEFAULT_PROFILES[kind], **changes)
+        profile = DEFAULT_PROFILES[kind]._replace(**changes)
     return NodeSpec(node_id, kind, pos, profile)
 
 
@@ -301,16 +304,18 @@ def validate_scenario(s: Scenario):
     mscs = 0
 
     def typed(name: str, value, cls) -> bool:
-        """True when value is a cls, else one problem naming the part."""
-        if not isinstance(value, cls):
+        """True when value is a cls, else one problem naming the part.  A
+        record is a tuple too, so a tuple must be a plain one."""
+        ok = type(value) is tuple if cls is tuple else isinstance(value, cls)
+        if not ok:
             problems.append(f"{name} must be a {cls.__name__}")
-        return isinstance(value, cls)
+        return ok
 
     scalars = {"duration": s.duration, "seed": s.seed}
     if typed("params", s.params, SimParams):
-        scalars.update(asdict(s.params))
+        scalars.update(s.params._asdict())
     checks = [(name, (scalars[name],)) for name in _SCALARS if name in scalars]
-    for n in s.nodes:
+    for n in s.nodes if typed("nodes", s.nodes, tuple) else ():
         if not typed(f"node {n!r}", n, NodeSpec):
             continue
         mscs += n.kind is NodeKind.MSC
@@ -337,8 +342,7 @@ def validate_scenario(s: Scenario):
             problems.append(f"msc {n.node_id!r} carries a radio profile")
         elif n.profile is not None and typed(f"profile of {n.node_id!r}",
                                              n.profile, RadioProfile):
-            checks.append((f"profile of {n.node_id!r}",
-                           tuple(asdict(n.profile).values())))
+            checks.append((f"profile of {n.node_id!r}", tuple(n.profile)))
     if mscs > 1:
         problems.append("more than one msc")
     walks = s.mobility.items() if typed("mobility", s.mobility, dict) else ()
@@ -371,10 +375,8 @@ def serialize_scenario(s: Scenario) -> str:
     out = ["[params]",
            f"duration = {_fmt(s.duration)}",
            f"seed = {s.seed}"]
-    defaults = SimParams()
-    for name in _PARAM_NAMES:
-        value = getattr(s.params, name)
-        if value != getattr(defaults, name):
+    for name, value, default in zip(SimParams._fields, s.params, SimParams()):
+        if value != default:
             out.append(f"{name} = {value if name in _INT_PARAMS else _fmt(value)}")
     out.append("")
     out.append("[node]")

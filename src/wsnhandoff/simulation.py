@@ -60,7 +60,7 @@ global is read several times faster than an Enum class attribute.
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import EventQueue, RngStream
 from .protocol import (DecisionOutcome, LinkRecord, MoteMode, MoteState,
@@ -116,38 +116,50 @@ SAT_REPLIES = {"sat_request": ("sat_grant", False),
                "sat_page": ("sat_ack", True)}
 
 
-@dataclass(slots=True)
 class Frame:
-    kind: str
-    src: str
-    dst: str = None          # None means broadcast
-    targets: tuple = ()      # receivers of a broadcast, fixed at emission
-    payload: object = None
-    ip_ttl: int = DEFAULT_IP_TTL
-    channel: str = "radio"   # radio | steered | satlink
-    relay: bool = False      # satellite forwards this traffic to the core
+    __slots__ = ("kind", "src", "dst", "targets", "payload", "ip_ttl",
+                 "channel", "relay")
+
+    def __init__(self, kind: str, src: str, dst: str = None,
+                 targets: tuple = (), payload: object = None,
+                 ip_ttl: int = DEFAULT_IP_TTL, channel: str = "radio",
+                 relay: bool = False):
+        self.kind = kind
+        self.src = src
+        self.dst = dst            # None means broadcast
+        self.targets = targets    # receivers of a broadcast, fixed at emission
+        self.payload = payload
+        self.ip_ttl = ip_ttl
+        self.channel = channel    # radio | steered | satlink
+        self.relay = relay        # satellite forwards this traffic to the core
 
 
-@dataclass(slots=True)
 class Handoff:
     """One request's progress, from its discovery to its link."""
-    deadline: float           # when an unanswered discovery times out
-    bases: set = field(default_factory=set)    # escalated by these
-    paths: list = field(default_factory=list)  # as they reach the msc
-    decision: MscDecision = None
-    link: LinkRecord = None
+    __slots__ = ("deadline", "bases", "paths", "decision", "link")
+
+    def __init__(self, deadline: float, bases: set = None,
+                 paths: list = None, decision: MscDecision = None,
+                 link: LinkRecord = None):
+        self.deadline = deadline  # when an unanswered discovery times out
+        self.bases = set() if bases is None else bases  # escalated by these
+        self.paths = [] if paths is None else paths     # as they reach the msc
+        self.decision = decision
+        self.link = link
 
 
-@dataclass
 class MsState:
-    pending: Handoff = None   # the discovery awaiting an answer
-    awaiting_link: bool = False
-    link: LinkRecord = None
-    failed_after_halt: int = 0
+    __slots__ = ("pending", "awaiting_link", "link", "failed_after_halt")
+
+    def __init__(self, pending: Handoff = None, awaiting_link: bool = False,
+                 link: LinkRecord = None, failed_after_halt: int = 0):
+        self.pending = pending    # the discovery awaiting an answer
+        self.awaiting_link = awaiting_link
+        self.link = link
+        self.failed_after_halt = failed_after_halt
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     ledger: StatsLedger
     links: tuple
     mote_energy: dict        # mote id -> (energy units, "active"|"sleeping")

@@ -15,8 +15,8 @@ BAD_WHEN_RISING, where a fall is.  The headline quality-of-service figure is
 over the significant movers.
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class UnknownCounterError(KeyError):
@@ -143,8 +143,7 @@ class Category(Enum):
     INSIGNIFICANT = "Insignificant"
 
 
-@dataclass
-class Classification:
+class Classification(NamedTuple):
     per_counter: dict  # token -> (delta, Category)
     desirable: int
     undesirable: int

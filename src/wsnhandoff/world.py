@@ -14,8 +14,8 @@ hands them to the graph functions here.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class ZeroDistanceError(ValueError):
@@ -26,8 +26,7 @@ class CoLocatedError(ValueError):
     """Two nodes share the exact same position."""
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: float
     y: float
 
@@ -43,8 +42,7 @@ class NodeKind(Enum):
     MSC = "msc"
 
 
-@dataclass(frozen=True)
-class RadioProfile:
+class RadioProfile(NamedTuple):
     """A radio's link budget; `scenario.validate_scenario` checks it."""
     tx_power_dbm: float
     sensitivity_dbm: float
@@ -101,8 +99,7 @@ def packet_outcome(profile: RadioProfile, rx_power_dbm: float) -> PacketOutcome:
     return PacketOutcome.DELIVERED
 
 
-@dataclass(frozen=True)
-class MobilityPath:
+class MobilityPath(NamedTuple):
     """Waypoint route walked at constant speed, frozen at the halt point.
 
     The route is the polyline from the node's start position through the

@@ -26,11 +26,10 @@ import pytest
 
 from test_scenario import _readme_scenario
 from wsnhandoff.protocol import NoSatelliteError
-from wsnhandoff.scenario import (_PARAM_NAMES, DEFAULT_PROFILES, ParseError,
-                                 SimParams, ValidationError,
-                                 effective_profile, load_scenario,
-                                 reference_scenario, serialize_scenario,
-                                 validate_scenario)
+from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, SimParams,
+                                 ValidationError, effective_profile,
+                                 load_scenario, reference_scenario,
+                                 serialize_scenario, validate_scenario)
 from wsnhandoff.simulation import run
 from wsnhandoff.world import CoLocatedError, NodeKind, Point
 
@@ -48,7 +47,7 @@ NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e-?\d+)?")
 # event count grows with duration over the smallest period.
 ODD_NUMBERS = ["0", "-0", "-1", "0.5", "3", "7.25", "99999", "1e-17",
                "1e-320", "1e308", "-1e308", "nan", "inf", "1 0", "0x10"]
-PARAM_KEYS = ["duration", "seed", *_PARAM_NAMES]
+PARAM_KEYS = ["duration", "seed", *SimParams._fields]
 ODD_CHARS = " \t=#[],;.-e0123456789xk\n"
 
 
@@ -144,7 +143,7 @@ def test_mutated_scenarios_load_or_are_rejected_and_loaded_ones_run():
 # not ints, a float on the edge of overflow, and plain valid numbers.
 CORRUPT_VALUES = [float("nan"), float("inf"), float("-inf"), 10**400,
                   -10**400, -1, 0, 1e-320, 2.5, "1", None, True, 1e308, 3]
-CORRUPT_NAMES = ["duration", "seed", *_PARAM_NAMES]
+CORRUPT_NAMES = ["duration", "seed", *SimParams._fields]
 # Ids that a `[node]` line could not read back as themselves.
 BAD_IDS = [7, "", "#x", "a#b", "[node]", "x y"]
 CORRUPTIONS = 1000  # seeds swept in tier-1
@@ -171,32 +170,32 @@ def corrupted_scenario(seed: int):
     if rng.random() < 0.25:
         x = rng.choice(CORRUPT_VALUES)
         s = dataclasses.replace(s, nodes=tuple(
-            dataclasses.replace(n, position=Point(x, n.position.y))
+            n._replace(position=Point(x, n.position.y))
             if n.node_id == "m05" else n for n in s.nodes))
     if rng.random() < 0.25:
         s = dataclasses.replace(s, nodes=rng.sample(s.nodes, len(s.nodes)))
     if rng.random() < 0.125:
         s = dataclasses.replace(s, nodes=tuple(
-            dataclasses.replace(n, profile=DEFAULT_PROFILES[
-                NodeKind.BASE_STATION]) if n.node_id == "msc1" else n
+            n._replace(profile=DEFAULT_PROFILES[NodeKind.BASE_STATION])
+            if n.node_id == "msc1" else n
             for n in s.nodes))
     if rng.random() < 0.125:
         field = rng.choice(["speed", "halt_fraction", "waypoints"])
         value = () if field == "waypoints" else rng.choice(CORRUPT_VALUES)
         s = dataclasses.replace(s, mobility={**s.mobility, "ms1": (
-            dataclasses.replace(s.mobility["ms1"], **{field: value}))})
+            s.mobility["ms1"]._replace(**{field: value}))})
     if rng.random() < 0.125:
         node = rng.choice([n for n in s.nodes if n.kind is not NodeKind.MSC])
         field = rng.choice(["error_margin_db", "path_loss_exponent"])
-        profile = dataclasses.replace(effective_profile(node), **{
+        profile = effective_profile(node)._replace(**{
             field: rng.choice(CORRUPT_VALUES)})
         s = dataclasses.replace(s, nodes=tuple(
-            dataclasses.replace(n, profile=profile) if n is node else n
+            n._replace(profile=profile) if n is node else n
             for n in s.nodes))
     if rng.random() < 0.0625:
         node = rng.choice(s.nodes)
         s = dataclasses.replace(s, nodes=tuple(
-            dataclasses.replace(n, node_id=rng.choice(BAD_IDS))
+            n._replace(node_id=rng.choice(BAD_IDS))
             if n is node else n for n in s.nodes))
     return s
 

@@ -909,9 +909,8 @@ def test_walking_onto_a_node_that_is_not_a_radio_runs_to_completion(walker):
 
 def test_the_reference_walker_halting_on_the_msc_runs_to_completion():
     s = reference_scenario()
-    walk = dataclasses.replace(s.mobility["ms1"],
-                               waypoints=(Point(500.0, 200.0),),
-                               halt_fraction=1.0)
+    walk = s.mobility["ms1"]._replace(waypoints=(Point(500.0, 200.0),),
+                                      halt_fraction=1.0)
     s = dataclasses.replace(s, mobility={**s.mobility, "ms1": walk})
     assert run(s).events_processed == 2430
 

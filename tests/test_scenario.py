@@ -1,12 +1,15 @@
 """Scenario text format, validation, and the built-in deployment."""
 
 import dataclasses
+import importlib
+import pkgutil
 from collections import deque
 from pathlib import Path
 
 import pytest
 from invariants import radio_positions
 
+import wsnhandoff
 from wsnhandoff.scenario import (DEFAULT_PROFILES, NodeSpec, ParseError,
                                  Scenario, SimParams, ValidationError,
                                  effective_profile, load_scenario,
@@ -254,14 +257,14 @@ def _with_ms1_path(s: Scenario, path: MobilityPath) -> Scenario:
 
 def _with_m01(s: Scenario, **change) -> Scenario:
     return dataclasses.replace(s, nodes=tuple(
-        dataclasses.replace(n, **change) if n.node_id == "m01" else n
+        n._replace(**change) if n.node_id == "m01" else n
         for n in s.nodes))
 
 
 def _with_m01_profile(s: Scenario, **change) -> Scenario:
     return dataclasses.replace(s, nodes=tuple(
-        dataclasses.replace(n, profile=dataclasses.replace(
-            effective_profile(n), **change)) if n.node_id == "m01" else n
+        n._replace(profile=effective_profile(n)._replace(**change))
+        if n.node_id == "m01" else n
         for n in s.nodes))
 
 
@@ -296,9 +299,9 @@ NAN_PROBLEMS = {
     (dict(duration=10**400), "duration must be finite"),
     (dict(params=SimParams(tx_slot=10**400)), "tx_slot must be finite"),
     # nan in every field, so that no field goes unchecked
-    *[(dict(params=SimParams(**{f.name: NAN})),
-       f"{f.name} {NAN_PROBLEMS[f.name]}")
-      for f in dataclasses.fields(SimParams)],
+    *[(dict(params=SimParams(**{name: NAN})),
+       f"{name} {NAN_PROBLEMS[name]}")
+      for name in SimParams._fields],
 ])
 def test_non_finite_values_rejected_in_a_scenario_built_in_code(change,
                                                                  problem):
@@ -444,12 +447,29 @@ def _with_m99(**spec) -> Scenario:
      "params must be a SimParams"),
     (lambda: dataclasses.replace(reference_scenario(), mobility=None),
      "mobility must be a dict"),
+    pytest.param(lambda: _with_m99(
+        profile=tuple(DEFAULT_PROFILES[NodeKind.MOTE])),
+        "profile of 'm99' must be a RadioProfile", id="tuple-default-profile"),
+    pytest.param(lambda: _with_ms1_path(
+        reference_scenario(), MobilityPath(Point(1000.0, 190.0), 8.0)),
+        "waypoints of 'ms1' must be a tuple", id="point-waypoints"),
+    pytest.param(lambda: Scenario(None, {}), "nodes must be a tuple",
+                 id="none-nodes"),
+    pytest.param(lambda: Scenario(5, {}), "nodes must be a tuple",
+                 id="int-nodes"),
+    pytest.param(lambda: Scenario("bs1", {}), "nodes must be a tuple",
+                 id="str-nodes"),
+    pytest.param(lambda: Scenario(reference_scenario().nodes[0], {}),
+                 "nodes must be a tuple", id="nodespec-nodes"),
 ])
 def test_parts_of_the_wrong_type_are_rejected(build, problem):
     # The str kind and the list of waypoints once validated, and then
-    # failed to run or to round-trip; the list kind and the tuple node
-    # raised a raw TypeError or AttributeError when the Scenario was built;
-    # the others raised one from validate_scenario itself.
+    # failed to run or to round-trip; the list kind, the tuple node and
+    # nodes of None, 5 or one NodeSpec raised a raw TypeError or
+    # AttributeError when the Scenario was built, and a str of nodes got one
+    # problem per character; the others raised one from validate_scenario
+    # itself.  A record is itself a tuple, so a Point of waypoints and a
+    # NodeSpec of nodes must not be walked as if they held records.
     s = build()
     for check in (validate_scenario, Simulation):
         with pytest.raises(ValidationError) as e:
@@ -568,7 +588,7 @@ def test_an_msc_built_in_code_with_a_profile_is_rejected():
     # the text format refuses it at parse time, with its line number
     s = reference_scenario()
     s = dataclasses.replace(s, nodes=tuple(
-        dataclasses.replace(n, profile=DEFAULT_PROFILES[NodeKind.BASE_STATION])
+        n._replace(profile=DEFAULT_PROFILES[NodeKind.BASE_STATION])
         if n.kind is NodeKind.MSC else n for n in s.nodes))
     for build in (validate_scenario, Simulation):
         with pytest.raises(ValidationError) as e:
@@ -594,6 +614,19 @@ def test_roundtrip_of_builtin_scenario():
     assert load_scenario(serialize_scenario(s)) == s
 
 
+def test_scenario_is_the_only_dataclass():
+    # The records are NamedTuples and the per-run state slotted classes:
+    # generating dataclass code was a large share of set-up time.
+    found = []
+    for info in pkgutil.iter_modules(wsnhandoff.__path__):
+        module = importlib.import_module(f"wsnhandoff.{info.name}")
+        found += [f"{module.__name__}.{name}"
+                  for name, cls in vars(module).items()
+                  if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                  and cls.__module__ == module.__name__]
+    assert found == ["wsnhandoff.scenario.Scenario"]
+
+
 def test_nodes_are_sorted_by_id_when_built():
     ref = reference_scenario()
     s = dataclasses.replace(ref, nodes=reversed(ref.nodes))
@@ -607,7 +640,7 @@ def test_roundtrip_of_a_profile_equal_to_its_kind_default():
     # text without overrides loads
     from_text = load_scenario("[node]\nm1 mote 0 0 tx_power=0\n")
     built = dataclasses.replace(reference_scenario(), nodes=tuple(
-        dataclasses.replace(n, profile=effective_profile(n))
+        n._replace(profile=effective_profile(n))
         if n.node_id == "bs1" else n for n in reference_scenario().nodes))
     assert built == reference_scenario()
     for s in (from_text, built):
