@@ -128,7 +128,7 @@ def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
                            req.ttl - 1, path)
     if bs_neighbors:
         return fwd, bs_neighbors[0], ()
-    return fwd, None, tuple(n for n in active_neighbors if n not in path)
+    return fwd, None, tuple([n for n in active_neighbors if n not in path])
 
 
 def bs_notify_msc(bs_id: str, req: DiscoveryRequest, escalated_by: set):

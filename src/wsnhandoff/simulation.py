@@ -4,21 +4,21 @@ ledger, all on the deterministic event queue.
 
 Frame life cycle: a protocol handler calls _send(), which puts the Frame
 itself into the node's FIFO network queue (a full one drops it; motes offer
-only control frames, so no node needs priorities), scheduling a drain at
-the current clock if the queue was empty.  A drain dequeues one frame and
+only control frames, so no node needs priorities), scheduling a drain at the
+current clock if the queue was empty.  A drain dequeues one frame and
 transmits it, charging a mote ENERGY_PER_TX (a sleeping mote's frame goes
 unsent and free), and another follows one tx_slot later while the queue
-holds more; _transmit() counts the frame, classifies
-the reception for every receiver against the radio model and schedules
-delivery one hop_delay later: a broadcast, always by radio, as one engine
-burst (one heap entry whose seqs and targets are the receivers', in order),
-a unicast frame as one deliver event.  Steered beams and satellite links
-are logical channels: their frames always arrive.  No frame is changed
-after _send(), so one object can be queued and delivered many times.
-_send() returns whether the queue took the frame, and a distance-vector
-advert clears its table's changed lanes only then (routing.py).
-_close_ledger() sets the queue counters, then those that copy or add up
-others (stats.DERIVED), once at the end.
+holds more; _transmit() counts the frame and schedules delivery one
+hop_delay later: a broadcast, always by radio, as one engine burst (one heap
+entry whose seqs and targets are the receivers', in order) that carries its
+sender's outcome mapping, receiver -> PacketOutcome, so a receiver costs one
+lookup; a unicast frame as one deliver event with its outcome.  Steered
+beams and satellite links are logical channels: their frames always arrive.
+No frame is changed after _send(), so one object can be queued and delivered
+many times.  _send() returns whether the queue took the frame, and a
+distance-vector advert clears its table's changed lanes only then
+(routing.py).  _close_ledger() sets the queue counters, then those that copy
+or add up others (stats.DERIVED), once at the end.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the run's digest: the
@@ -43,8 +43,9 @@ coverage check positions each handset once and puts through the graph's
 edge rule only the base stations and motes within reach of both ends: they
 are all it reads.  Radio frames are heard only by motes and base stations,
 which never move, so how each static neighbour hears a mote is classified
-once, at start, into the mote's outcome row; a handset's outcomes are
-worked out on each transmit, from where it is then.
+once, at start, into the mote's outcome row, which its bursts carry; a
+handset's outcomes are worked out on each transmit, from where it is then.
+A mote drops a repeated discovery copy at its `seen` set.
 
 Each request id, a discovery's or a direct satellite fallback's, names one
 Handoff in self.handoffs: its discovery deadline, the base stations that
@@ -54,7 +55,7 @@ record and says whether a bring-up is in flight.  Any decision, stale ones
 included, ends its handset's pending discovery.
 
 The per-event paths compare against Enum members bound once at import
-(LOST, SLEEPING, BASE_STATION, ...), like the ledger slots, as a module
+(DELIVERED, SLEEPING, BASE_STATION, ...), like the ledger slots, as a module
 global is read several times faster than an Enum class attribute.
 """
 
@@ -101,7 +102,6 @@ DV_TRIGGERED = slot("app_bellman_ford.triggered_updates")
 DV_RECEIVED = slot("app_bellman_ford.update_packets_received")
 
 # Enum members the per-event paths compare against, bound at import.
-LOST = PacketOutcome.LOST
 ERRORED = PacketOutcome.ERRORED
 DELIVERED = PacketOutcome.DELIVERED
 ACTIVE = MoteMode.ACTIVE
@@ -289,18 +289,18 @@ class Simulation:
         return packet_outcome(profile, received_power(
             profile, here.distance_to(self.start_pos[rx])))
 
-    def _radio_outcomes(self, src: str, receivers: tuple, t: float) -> tuple:
-        """The PacketOutcome of a radio frame sent by src at t, for each
-        receiver in order: a mote's from its outcome row, a handset's from
-        where it is at t.  A handset on a receiver's point raises
-        CoLocatedError, as a coverage check would."""
+    def _radio_outcomes(self, src: str, receivers: tuple, t: float) -> dict:
+        """How each receiver hears a radio frame sent by src at t, as a
+        mapping receiver -> PacketOutcome: a mote's own outcome row, or, for
+        a handset, one worked out from where it is at t.  A handset on a
+        receiver's point raises CoLocatedError, as a coverage check would."""
         row = self.outcome_rows.get(src)
         if row is not None:
-            return tuple([row[rx] for rx in receivers])
+            return row
         path, start = self.s.mobility.get(src), self.start_pos
         here = start[src] if path is None else position_at(path, start[src], t)
         check_distinct({src: here, **{rx: start[rx] for rx in receivers}})
-        return tuple([self._outcome(here, rx) for rx in receivers])
+        return {rx: self._outcome(here, rx) for rx in receivers}
 
     # ---- frame pipeline ---------------------------------------------
 
@@ -330,14 +330,16 @@ class Simulation:
             c[MAC_BCAST_SENT] += 1
             receivers = frame.targets
             if receivers:
-                self.queue.schedule_burst(at, receivers, (
-                    "deliver", frame,
-                    self._radio_outcomes(node_id, receivers, t)))
+                outcomes = self.outcome_rows.get(node_id)
+                if outcomes is None:  # a handset, which moves
+                    outcomes = self._radio_outcomes(node_id, receivers, t)
+                self.queue.schedule_burst(at, receivers,
+                                          ("deliver", frame, outcomes))
             return
         c[SAT_SENT if frame.channel == "satlink" else LINK_SENT] += 1
         rx = frame.dst
         if frame.channel == "radio":
-            (outcome,) = self._radio_outcomes(node_id, (rx,), t)
+            outcome = self._radio_outcomes(node_id, (rx,), t)[rx]
         else:
             outcome = DELIVERED
         self.queue.schedule(at, rx, ("deliver", frame, rx, outcome))
@@ -365,16 +367,15 @@ class Simulation:
         receive = self._receivers[frame.kind]
         motes = self.mote_states
         clear = errors = 0
-        for rx, outcome in zip(receivers, outcomes):
+        for rx in receivers:
             if motes[rx].mode is SLEEPING:
                 continue  # radio powered down
-            if outcome is LOST:
-                continue
-            if outcome is ERRORED:
+            outcome = outcomes[rx]
+            if outcome is DELIVERED:
+                clear += 1
+                receive(t, frame, rx)
+            elif outcome is ERRORED:
                 errors += 1
-                continue
-            clear += 1
-            receive(t, frame, rx)
         c = self.counts
         c[PHY_ERRORS] += errors
         c[PHY_TO_MAC] += clear
@@ -385,18 +386,20 @@ class Simulation:
 
     def _rx_discovery(self, t: float, frame: Frame, rx: str):
         req = frame.payload
-        if self.kinds[rx] is BASE_STATION:
+        state = self.mote_states.get(rx)
+        if state is None:  # a base station
             esc = bs_notify_msc(rx, req, self.handoffs[req.request_id].bases)
             if esc is not None and self.msc_id is not None:
                 self.queue.schedule(t + self.p.backhaul_delay, self.msc_id,
                                     ("backhaul", esc))
             return
-        forward = mote_forward(rx, self.mote_states[rx], req,
-                               self.bs_rows[rx], self.active_rows[rx])
+        if req.request_id in state.seen:
+            return  # a repeat, which mote_forward would only mark again
+        forward = mote_forward(rx, state, req, self.bs_rows[rx],
+                               self.active_rows[rx])
         if forward is not None:
             fwd, dst, targets = forward
-            self._send(rx, Frame("discovery", rx, dst=dst, targets=targets,
-                                 payload=fwd, ip_ttl=fwd.ttl))
+            self._send(rx, Frame("discovery", rx, dst, targets, fwd, fwd.ttl))
 
     def _rx_dv(self, t: float, frame: Frame, rx: str):
         c = self.counts
@@ -421,8 +424,8 @@ class Simulation:
         if not targets:
             return
         table = self.tables[mote]
-        if self._send(mote, Frame("dv", mote, targets=targets,
-                                  payload=periodic_update(table))):
+        if self._send(mote, Frame("dv", mote, None, targets,
+                                  periodic_update(table))):
             table.changed.clear()  # every target that hears it merges it
 
     def _on_dv_send(self, t: float, payload):

@@ -96,9 +96,10 @@ def _watch_traffic(sim):
     def watched_burst(t, seq, receivers, payload):
         # no handler changes a mote's mode, so the receivers awake now are
         # those the burst reaches
-        for rx, outcome in zip(receivers, payload[2]):
+        outcomes = payload[2]
+        for rx in receivers:
             traffic["broadcast_errored"] += (
-                outcome is PacketOutcome.ERRORED
+                outcomes[rx] is PacketOutcome.ERRORED
                 and sim.mote_states[rx].mode is MoteMode.ACTIVE)
         deliver_burst(t, seq, receivers, payload)
 

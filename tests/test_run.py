@@ -197,7 +197,7 @@ def test_a_burst_reaches_its_awake_receivers_that_hear_it_in_order(seed):
     rng = random.Random(seed)
     sim = Simulation(reference_scenario())
     receivers = tuple(rng.sample(sim.mote_rows["m06"], rng.randint(1, 8)))
-    outcomes = tuple(rng.choice(list(PacketOutcome)) for _ in receivers)
+    outcomes = {rx: rng.choice(list(PacketOutcome)) for rx in receivers}
     asleep = rng.sample(receivers, rng.randint(0, min(2, len(receivers))))
     for m in asleep:
         sim.mote_states[m].mode = MoteMode.SLEEPING
@@ -212,8 +212,8 @@ def test_a_burst_reaches_its_awake_receivers_that_hear_it_in_order(seed):
              for seq, rx in enumerate(receivers, 1)]
     assert sim._digest.hexdigest() == hashlib.sha256(
         "\n".join(lines).encode()).hexdigest()
-    locked = [(rx, outcome) for rx, outcome in zip(receivers, outcomes)
-              if rx not in asleep and outcome is not PacketOutcome.LOST]
+    locked = [(rx, outcomes[rx]) for rx in receivers
+              if rx not in asleep and outcomes[rx] is not PacketOutcome.LOST]
     assert heard == [rx for rx, outcome in locked
                      if outcome is PacketOutcome.DELIVERED]
     clear = len(heard)
@@ -273,6 +273,123 @@ def test_a_forward_queued_at_a_mote_that_sleeps_before_its_drain_costs_nothing()
     assert sim.mote_states["m06"].energy_consumed == 0
     assert sim.mote_states["m11"].energy_consumed == simulation.ENERGY_PER_TX
     assert sim.ledger.get("phy80211.signals_transmitted") == 1
+
+
+def test_a_repeated_discovery_copy_is_dropped_before_mote_forward(
+        monkeypatch):
+    # m06 hears request 1 clearly from ms1, then again from m02, which
+    # forwarded it: the first copy is forwarded, and the second moves only
+    # the reception counters, without reaching mote_forward
+    forwarded = []
+    real_forward = simulation.mote_forward
+
+    def counted_forward(mote_id, *args):
+        forwarded.append(mote_id)
+        return real_forward(mote_id, *args)
+
+    monkeypatch.setattr(simulation, "mote_forward", counted_forward)
+    sim = Simulation(reference_scenario())
+    offers = []
+    send = sim._send
+
+    def recorded_send(node_id, frame):
+        offers.append((node_id, frame.kind, frame.payload.path))
+        return send(node_id, frame)
+
+    sim._send = recorded_send
+    req = DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 16)
+    first = Frame("discovery", "ms1", targets=("m06",), payload=req)
+    sim._deliver_burst(0.0, 1, ("m06",),
+                       ("deliver", first, {"m06": PacketOutcome.DELIVERED}))
+    assert forwarded == ["m06"]
+    assert offers == [("m06", "discovery", ("m06",))]
+    assert len(sim.queue) == 1  # m06's drain
+    state = sim.mote_states["m06"]
+    seen, energy = set(state.seen), state.energy_consumed
+    before = sim.ledger.as_dict()
+    repeat = Frame("discovery", "m02", targets=("m06",), ip_ttl=15,
+                   payload=req._replace(ttl=15, path=("m02",)))
+    sim._deliver_burst(0.0, 2, ("m06",),
+                       ("deliver", repeat, sim.outcome_rows["m02"]))
+    assert forwarded == ["m06"]
+    assert len(offers) == 1 and len(sim.node_queues["m06"]) == 1
+    assert len(sim.queue) == 1
+    assert state.seen == seen == {1}
+    assert state.energy_consumed == energy
+    moved = {token: value - before[token]
+             for token, value in sim.ledger.as_dict().items()
+             if value != before[token]}
+    assert moved == {"phy80211.signals_received_forwarded_to_mac": 1,
+                     "mac80211.broadcast_received_clearly": 1,
+                     "net_ip.in_delivers_ttl_sum": 15}
+
+
+def test_a_base_station_escalates_a_request_the_motes_have_seen_once():
+    # every mote has seen request 1; bs1 hears it from m05 and then from
+    # m01, and escalates it to the switching centre on the first copy only
+    sim = Simulation(reference_scenario())
+    handoff = sim.handoffs[1] = simulation.Handoff(1.0)
+    for state in sim.mote_states.values():
+        state.seen.add(1)
+    deliver = sim._handlers["deliver"]
+    for path in (("m06", "m05"), ("m02", "m01")):
+        relay = path[-1]
+        req = DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 14, path)
+        frame = Frame("discovery", relay, dst="bs1", payload=req, ip_ttl=14)
+        deliver(0.0, ("deliver", frame, "bs1",
+                      sim.outcome_rows[relay]["bs1"]))
+    assert handoff.bases == {"bs1"}
+    assert len(sim.queue) == 1
+    t, _, target, (kind, esc) = sim.queue.pop()
+    assert (t, target, kind) == (sim.p.backhaul_delay, "msc1", "backhaul")
+    assert (esc.request_id, esc.bs_id, esc.relay_path) == (
+        1, "bs1", ("m06", "m05"))
+
+
+def test_a_mote_burst_carries_the_motes_own_outcome_row():
+    # no per-transmit copy: every burst of m06 holds the row built at set-up
+    sim = Simulation(reference_scenario())
+    for t in (0.0, 1.0):
+        sim._transmit(t, "m06",
+                      Frame("dv", "m06", targets=sim.mote_rows["m06"]))
+    bursts = [sim.queue.pop() for _ in range(2)]
+    assert [ev[2] for ev in bursts] == [sim.mote_rows["m06"]] * 2
+    assert all(ev[3][2] is sim.outcome_rows["m06"] for ev in bursts)
+
+
+def test_a_handset_burst_is_classified_where_the_handset_is_at_transmit():
+    # ms1 walks east from (0, 190) at 8 m/s.  Its discovery's targets are
+    # those it heard at t = 10, from (80, 190), and the frame leaves at
+    # t = 25, from (200, 190).  A radio here reaches 150 m, and its last
+    # 1 dB (beyond 133.7 m) locks in error: by then m01 (134.2 m away) hears
+    # the frame in error, and m09 (184.4 m) is out of reach
+    sim = Simulation(reference_scenario())
+    targets = ("m01", "m02", "m05", "m06", "m09")
+    D, E, L = (PacketOutcome.DELIVERED, PacketOutcome.ERRORED,
+               PacketOutcome.LOST)
+    assert sim._radio_outcomes("ms1", targets, 10.0) == {
+        "m01": D, "m02": D, "m05": D, "m06": D, "m09": E}
+    heard = []
+    sim._receivers["discovery"] = lambda t, frame, rx: heard.append(rx)
+    req = DiscoveryRequest(1, "ms1", Point(80.0, 190.0), 16)
+    sim._transmit(25.0, "ms1",
+                  Frame("discovery", "ms1", targets=targets, payload=req))
+    bursts = []
+
+    def dispatch(ev):
+        bursts.append(ev)
+        sim._dispatch(ev)
+
+    assert sim.queue.run_until(26.0, dispatch) == len(targets)
+    assert [ev[3][2] for ev in bursts] == [
+        {"m01": E, "m02": D, "m05": D, "m06": D, "m09": L}]
+    assert heard == ["m02", "m05", "m06"]
+    sim._close_ledger()
+    got = sim.ledger.get
+    assert got("phy80211.signals_locked") == 4  # nothing counted for m09
+    assert got("phy80211.signals_received_with_errors") == 1
+    assert got("phy80211.signals_received_forwarded_to_mac") == 3
+    assert got("mac80211.broadcast_received_clearly") == 3
 
 
 # ms1 is steered to bs1 from a discovery at t = 0, and the link comes up at
