@@ -3,8 +3,7 @@ handoff with satellite fallback."""
 
 from .engine import EventQueue, PastTimeError, RngStream
 from .protocol import (DecisionOutcome, DiscoveryRequest, Escalation,
-                       LinkRecord, MoteMode, MoteState, MscDecision,
-                       NoMotesInRangeError, NoSatelliteError)
+                       LinkRecord, MoteMode, MoteState, MscDecision)
 from .queues import FifoQueue, StrictPriorityQueue
 from .routing import INFINITY_METRIC, RoutingLoopError, UnreachableError
 from .report import parse_report_ledger, render_report, serialize_report
@@ -14,8 +13,8 @@ from .scenario import (ParseError, Scenario, SimParams, ValidationError,
 from .simulation import RunReport, Simulation, run
 from .stats import (Category, NoSignificantChangeError, StatsLedger,
                     classify, qos_improvement)
-from .world import (CoLocatedError, MobilityPath, NodeKind, PacketOutcome,
-                    Point, RadioProfile, ZeroDistanceError, comm_graph,
-                    packet_outcome, position_at, profile_for_range)
+from .world import (MobilityPath, NodeKind, PacketOutcome, Point,
+                    RadioProfile, comm_graph, packet_outcome, position_at,
+                    profile_for_range)
 
 __version__ = "0.1.0"

@@ -6,14 +6,12 @@ import math
 import os
 import sys
 
-from .protocol import NoSatelliteError
 from .report import (parse_report_ledger, render_report, render_run,
                      serialize_report)
 from .scenario import (ParseError, ValidationError, load_scenario,
                        reference_scenario, strip_wsn)
 from .simulation import run
 from .stats import RegistryMismatchError, classify
-from .world import CoLocatedError
 
 
 class Failure(Exception):
@@ -151,12 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Exit 0 on success, 2 on a usage error, and 1 with one `error:` line
-    when a file, which it names, cannot be used or a scenario cannot run."""
+    when a file, which it names, cannot be read, parsed or written, or a
+    scenario is invalid."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (Failure, ParseError, ValidationError, RegistryMismatchError,
-            OSError, CoLocatedError, NoSatelliteError) as exc:
+            OSError) as exc:
         print(f"error: {_reason(exc)}", file=sys.stderr)
         return 1
 

@@ -4,11 +4,12 @@ decisions, link establishment and mote release.
 
 The flow mirrors one handoff round trip: a mobile station that hears no
 base station broadcasts a discovery request; active motes flood it (TTL
-guarded, duplicate suppressed, path accumulating) until some mote with a
-base station in range hands it over; the base station escalates to the
-switching centre, which steers the nearest feasible base station onto the
-mobile or falls back to a satellite link; once the link is up, every mote
-on the delivered path goes to sleep to save its battery.
+guarded, path accumulating; the simulation drops repeated copies) until
+some mote with a base station in range hands it over; the base station
+escalates to the switching centre, which steers the nearest feasible base
+station onto the mobile, falls back to a satellite link, or, with neither,
+decides nothing; once the link is up, every mote on the delivered path goes
+to sleep to save its battery.
 """
 
 from enum import Enum
@@ -17,14 +18,6 @@ from typing import NamedTuple
 from .world import NodeKind, Point
 
 DEFAULT_TTL = 16
-
-
-class NoMotesInRangeError(RuntimeError):
-    """The mobile station is totally isolated: no active mote can hear it."""
-
-
-class NoSatelliteError(RuntimeError):
-    """Fallback required but the scenario deploys no satellite."""
 
 
 class DiscoveryRequest(NamedTuple):
@@ -40,9 +33,8 @@ class MoteMode(Enum):
     SLEEPING = "sleeping"
 
 
-# Members compared on every received copy, bound once: a module global is
-# read several times faster than an Enum class attribute.
-SLEEPING = MoteMode.SLEEPING
+# Compared on every coverage check, bound once: a module global is read
+# several times faster than an Enum class attribute.
 BASE_STATION = NodeKind.BASE_STATION
 
 
@@ -92,36 +84,27 @@ def detect_loss(row, kinds: dict) -> bool:
     return not any(kinds[n] is BASE_STATION for n in row)
 
 
-def make_discovery(ms_id: str, location: Point, adjacent_active_motes,
-                   ids, ttl: int = DEFAULT_TTL) -> DiscoveryRequest:
-    """Create a fresh discovery request, id next(ids), for nearby motes.
-
-    Raises NoMotesInRangeError when the adjacency list is empty; total
-    isolation is the caller's cue for a direct satellite fallback.
-    """
-    if not adjacent_active_motes:
-        raise NoMotesInRangeError(f"{ms_id} hears no active motes")
+def make_discovery(ms_id: str, location: Point, ids,
+                   ttl: int = DEFAULT_TTL) -> DiscoveryRequest:
+    """Create a fresh discovery request, id next(ids), from location."""
     return DiscoveryRequest(next(ids), ms_id, location, ttl)
 
 
-def mote_forward(mote_id: str, state: MoteState, req: DiscoveryRequest,
-                 bs_neighbors: tuple, active_neighbors: tuple):
-    """Process one received discovery copy at a mote.
+def mote_forward(mote_id: str, req: DiscoveryRequest, bs_neighbors: tuple,
+                 active_neighbors: tuple):
+    """Process the first copy of a discovery that an awake mote, off the
+    request's path, receives: the simulation drops the rest.
 
     `bs_neighbors` are the mote's base-station neighbours in the static
     graph and `active_neighbors` its mote neighbours that are awake, each
-    sorted by id.  Sleeping motes, duplicates, exhausted TTLs and path
-    revisits return None; the request id still lands in `seen` so later
-    copies are recognised.  A forwarding mote appends itself to the path,
-    decrements the TTL and returns (request, dst, targets): (fwd, first
-    adjacent base station, ()) to hand the request over, else (fwd, None,
-    active neighbours not on the path) to re-flood it.  It spends no energy
-    here: the mote pays when its queue transmits the forward.
+    sorted by id.  An exhausted TTL returns None.  Otherwise the mote
+    appends itself to the path, decrements the TTL and returns (request,
+    dst, targets): (fwd, first adjacent base station, ()) to hand the
+    request over, else (fwd, None, active neighbours not on the path) to
+    re-flood it.  It spends no energy here: the mote pays when its queue
+    transmits the forward.
     """
-    duplicate = req.request_id in state.seen
-    state.seen.add(req.request_id)
-    if (state.mode is SLEEPING or duplicate
-            or req.ttl == 0 or mote_id in req.path):
+    if req.ttl == 0:
         return None
     path = req.path + (mote_id,)
     fwd = DiscoveryRequest(req.request_id, req.ms_id, req.ms_location,
@@ -148,12 +131,12 @@ def steer_feasible(bs_position: Point, ms_location: Point,
 
 
 def msc_decide(request_id: int, ms_location: Point, bs_set: dict,
-               max_steer_range: float, has_satellite: bool) -> MscDecision:
-    """Pick the nearest steer-feasible base station, else satellite.
+               max_steer_range: float, has_satellite: bool):
+    """Pick the nearest steer-feasible base station, else satellite: an
+    MscDecision, or None when neither is there to offer.
 
     bs_set maps base station id to Point; ties on distance break on the
-    smaller id.  Raises NoSatelliteError when fallback is needed but the
-    scenario has no satellite.
+    smaller id.
     """
     feasible = [(ms_location.distance_to(p), b)
                 for b, p in bs_set.items()
@@ -162,8 +145,7 @@ def msc_decide(request_id: int, ms_location: Point, bs_set: dict,
         _, best = min(feasible)
         return MscDecision(request_id, DecisionOutcome.STEER, best)
     if not has_satellite:
-        raise NoSatelliteError(
-            f"request {request_id}: no feasible base station and no satellite")
+        return None
     return MscDecision(request_id, DecisionOutcome.SATELLITE_FALLBACK)
 
 
@@ -176,8 +158,6 @@ def establish_link(decision: MscDecision, ms_id: str, relay_path: tuple,
         endpoint = LinkEndpoint(NodeKind.BASE_STATION, decision.bs_id)
         at = decided_at + steering_delay
     else:
-        if satellite_id is None:
-            raise NoSatelliteError("satellite fallback without a satellite id")
         endpoint = LinkEndpoint(NodeKind.SATELLITE, satellite_id)
         at = decided_at + satellite_acquisition_delay
     return LinkRecord(ms_id, endpoint, at, tuple(relay_path))
@@ -190,4 +170,4 @@ def release_motes(path, mote_states: dict):
     and re-releasing an already sleeping mote is a no-op.
     """
     for m in path:
-        mote_states[m].mode = SLEEPING
+        mote_states[m].mode = MoteMode.SLEEPING

@@ -45,14 +45,16 @@ are all it reads.  Radio frames are heard only by motes and base stations,
 which never move, so how each static neighbour hears a mote is classified
 once, at start, into the mote's outcome row, which its bursts carry; a
 handset's outcomes are worked out on each transmit, from where it is then.
-A mote drops a repeated discovery copy at its `seen` set.
+A mote drops a repeated discovery copy at its `seen` set, so only a first
+copy, at an awake mote off the request's path, reaches mote_forward.
 
 Each request id, a discovery's or a direct satellite fallback's, names one
 Handoff in self.handoffs: its discovery deadline, the base stations that
 escalated it and the relay paths that reached the switching centre, then its
 decision and link.  A handset's MsState points at its pending discovery's
 record and says whether a bring-up is in flight.  Any decision, stale ones
-included, ends its handset's pending discovery.
+included, ends its handset's pending discovery.  A switching centre with
+nothing to offer decides nothing, and the discovery times out.
 
 The per-event paths compare against Enum members bound once at import
 (DELIVERED, SLEEPING, BASE_STATION, ...), like the ledger slots, as a module
@@ -73,9 +75,9 @@ from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
                       apply_update, periodic_update, shortest_path)
 from .scenario import Scenario, effective_profile, validate_scenario
 from .stats import StatsLedger, slot
-from .world import (NodeKind, PacketOutcome, check_distinct, comm_graph,
-                    halt_time, links_within_reach, packet_outcome,
-                    position_at, reach_sq, received_power)
+from .world import (NodeKind, PacketOutcome, comm_graph, halt_time,
+                    links_within_reach, packet_outcome, position_at,
+                    reach_sq, received_power)
 
 DEFAULT_IP_TTL = 16
 ENERGY_PER_TX = 1  # what a mote pays for each frame it transmits
@@ -269,15 +271,13 @@ class Simulation:
     def handset_graph(self, t: float) -> dict:
         """The handsets' base-station and mote neighbours at time t.
 
-        Moves every handset to its position at t (self.here), raises
-        CoLocatedError when any two radios then share a point, and returns
+        Moves every handset to its position at t (self.here) and returns
         handset id -> set of neighbour ids, by world.links_within_reach, so
         every edge decision is the full graph's.
         """
         here = self.here
         for n, path in self.s.mobility.items():
             here[n] = position_at(path, self.start_pos[n], t)
-        check_distinct(here)
         return {a: set(links_within_reach(
                     (a, here[a].x, here[a].y, reach), self.fixed_radios,
                     here, self.profiles))
@@ -292,14 +292,12 @@ class Simulation:
     def _radio_outcomes(self, src: str, receivers: tuple, t: float) -> dict:
         """How each receiver hears a radio frame sent by src at t, as a
         mapping receiver -> PacketOutcome: a mote's own outcome row, or, for
-        a handset, one worked out from where it is at t.  A handset on a
-        receiver's point raises CoLocatedError, as a coverage check would."""
+        a handset, one worked out from where it is at t."""
         row = self.outcome_rows.get(src)
         if row is not None:
             return row
         path, start = self.s.mobility.get(src), self.start_pos
         here = start[src] if path is None else position_at(path, start[src], t)
-        check_distinct({src: here, **{rx: start[rx] for rx in receivers}})
         return {rx: self._outcome(here, rx) for rx in receivers}
 
     # ---- frame pipeline ---------------------------------------------
@@ -394,8 +392,9 @@ class Simulation:
                                     ("backhaul", esc))
             return
         if req.request_id in state.seen:
-            return  # a repeat, which mote_forward would only mark again
-        forward = mote_forward(rx, state, req, self.bs_rows[rx],
+            return  # a repeat
+        state.seen.add(req.request_id)
+        forward = mote_forward(rx, req, self.bs_rows[rx],
                                self.active_rows[rx])
         if forward is not None:
             fwd, dst, targets = forward
@@ -467,8 +466,8 @@ class Simulation:
         motes = [m for m in sorted(row) if self.kinds[m] is MOTE
                  and self.mote_states[m].mode is ACTIVE]
         if motes and not (halted and st.failed_after_halt > 0):
-            req = make_discovery(ms_id, self.here[ms_id], motes,
-                                 self.ids, self.p.default_ttl)
+            req = make_discovery(ms_id, self.here[ms_id], self.ids,
+                                 self.p.default_ttl)
             st.pending = self.handoffs[req.request_id] = Handoff(
                 t + self.p.discovery_timeout)
             self._send(ms_id, Frame("discovery", ms_id, targets=tuple(motes),
@@ -511,6 +510,8 @@ class Simulation:
         handoff.decision = decision = msc_decide(
             esc.request_id, esc.ms_location, self.bs_positions,
             self.p.max_steer_range, self.satellite_id is not None)
+        if decision is None:
+            return  # nothing to offer
         self.decision_log.append((esc.ms_id, decision))
         st = self.ms_states[esc.ms_id]
         st.pending = None  # whichever request of the handset it answers

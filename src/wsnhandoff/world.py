@@ -5,25 +5,20 @@ log-distance path loss model
 
     rx_dbm = tx_power_dbm - reference_loss_db - 10 * exponent * log10(d)
 
-and a link between two radios exists only when each end would hear the other
-under its own profile, i.e. the more restrictive of the two range radii
-decides.  The communication graph holds radios only: handsets, base stations
-and motes.  Satellites and switching centres are reached over engineered
-links (satellite frames, backhaul), which the caller models, so it never
-hands them to the graph functions here.
+for d of at least the 1 m reference distance, where reference_loss_db
+applies; nearer, d is held at 1 m, as in ns-3's
+LogDistancePropagationLossModel, so radios on one point still hear each
+other.  A link between two radios exists only when each end would hear the
+other under its own profile, i.e. the more restrictive of the two range
+radii decides.  The communication graph holds radios only: handsets, base
+stations and motes.  Satellites and switching centres are reached over
+engineered links (satellite frames, backhaul), which the caller models, so
+it never hands them to the graph functions here.
 """
 
 import math
 from enum import Enum
 from typing import NamedTuple
-
-
-class ZeroDistanceError(ValueError):
-    """Path loss is undefined at zero distance."""
-
-
-class CoLocatedError(ValueError):
-    """Two nodes share the exact same position."""
 
 
 class Point(NamedTuple):
@@ -69,10 +64,9 @@ def profile_for_range(radius: float, tx_power_dbm: float = 0.0,
 
 
 def received_power(profile: RadioProfile, distance: float) -> float:
-    if distance == 0:
-        raise ZeroDistanceError("received power undefined at distance 0")
     return (profile.tx_power_dbm - profile.reference_loss_db
-            - 10.0 * profile.path_loss_exponent * math.log10(distance))
+            - 10.0 * profile.path_loss_exponent
+            * math.log10(distance if distance > 1.0 else 1.0))
 
 
 def in_range(a: Point, b: Point, profile: RadioProfile) -> bool:
@@ -150,21 +144,6 @@ def position_at(path: MobilityPath, start: Point, t: float) -> Point:
     return pts[-1]
 
 
-def check_distinct(positions: dict):
-    """Raise CoLocatedError when two nodes occupy the same Point.
-
-    The pair named is the first repeat in node id order, so every caller
-    reports the same pair for the same positions.
-    """
-    seen = {}
-    for n in sorted(positions):
-        p = positions[n]
-        key = (p.x, p.y)
-        if key in seen:
-            raise CoLocatedError(f"nodes {seen[key]} and {n} share {key}")
-        seen[key] = n
-
-
 def linked(a: str, b: str, positions: dict, profiles: dict) -> bool:
     """The edge rule of the communication graph for one pair of radios: each
     end hears the other under its own profile.  Symmetric in a and b."""
@@ -208,11 +187,9 @@ def comm_graph(positions: dict, profiles: dict) -> dict:
     neighbour ids.
 
     positions/profiles map each radio's id to its Point / RadioProfile.
-    Raises CoLocatedError when two radios occupy the same Point.  Each
-    radio is put through links_within_reach against the radios after it in
-    id order, so each pair is tested once.
+    Each radio is put through links_within_reach against the radios after
+    it in id order, so each pair is tested once.
     """
-    check_distinct(positions)
     ids = sorted(positions)
     adj = {n: set() for n in ids}
     nodes = [(n, positions[n].x, positions[n].y, reach_sq(profiles[n]))

@@ -8,9 +8,8 @@ from wsnhandoff import simulation
 from wsnhandoff.protocol import MoteMode
 from wsnhandoff.routing import INFINITY_METRIC, NO_HOP
 from wsnhandoff.scenario import Scenario, effective_profile
-from wsnhandoff.world import (NodeKind, PacketOutcome, check_distinct,
-                              comm_graph, in_range, packet_outcome,
-                              received_power)
+from wsnhandoff.world import (NodeKind, PacketOutcome, comm_graph, in_range,
+                              packet_outcome, received_power)
 
 RADIO_SENDERS = (NodeKind.MOTE, NodeKind.MOBILE_STATION)
 RADIO_RECEIVERS = (NodeKind.MOTE, NodeKind.BASE_STATION)
@@ -135,9 +134,11 @@ def check_run(sim):
     """Run `sim` and assert the model's invariants; returns its report.
 
     During the run: the traffic facts of _watch_traffic, a dispatch clock
-    that never goes back, and every distance-vector merge (apply_update,
-    watched through the name simulation.py calls) checked against the
-    general merge in lockstep by _watch_dv: no advert missing a changed
+    that never goes back, every discovery copy that reaches mote_forward
+    (watched through the name simulation.py calls) at an awake mote that
+    is not on the request's path, and every distance-vector merge
+    (apply_update, watched through the name simulation.py calls) checked
+    against the general merge in lockstep by _watch_dv: no advert missing a changed
     lane, adverts merged in the order their sender's queue accepted them,
     no lane rising, as routing.py proves, and the same change and tables
     as the general merge.  At the end: every node queue conserves its
@@ -175,14 +176,25 @@ def check_run(sim):
             for m in path:
                 frozen.setdefault(m, mote_states[m].energy_consumed)
 
+    forward = simulation.mote_forward
+
+    def watched_forward(mote_id, req, *rows):
+        assert sim.mote_states[mote_id].mode is MoteMode.ACTIVE, (
+            "a sleeping mote forwards", mote_id, req.request_id)
+        assert mote_id not in req.path, (
+            "a mote on the path forwards", mote_id, req.request_id)
+        return forward(mote_id, req, *rows)
+
     merge, watched_merge = _watch_dv(sim)
     sim._dispatch = watched_dispatch
     simulation.release_motes = watched_release
+    simulation.mote_forward = watched_forward
     simulation.apply_update = watched_merge
     try:
         report = sim.run()
     finally:
         simulation.release_motes = release
+        simulation.mote_forward = forward
         simulation.apply_update = merge
 
     for node_id, q in sim.node_queues.items():
@@ -375,10 +387,9 @@ def radio_positions(s: Scenario) -> dict:
 
 
 def all_pairs_graph(positions: dict, profiles: dict) -> dict:
-    """Oracle for world.comm_graph: after the same co-location check, every
-    pair of radios is linked when each hears the other by world.in_range
-    under its own profile, with no reach test and no call to world.linked."""
-    check_distinct(positions)
+    """Oracle for world.comm_graph: every pair of radios is linked when each
+    hears the other by world.in_range under its own profile, with no reach
+    test and no call to world.linked."""
     ids = sorted(positions)
     adj = {n: set() for n in ids}
     for i, a in enumerate(ids):

@@ -25,13 +25,12 @@ from pathlib import Path
 import pytest
 
 from test_scenario import _readme_scenario
-from wsnhandoff.protocol import NoSatelliteError
 from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, SimParams,
                                  ValidationError, effective_profile,
                                  load_scenario, reference_scenario,
                                  serialize_scenario, validate_scenario)
 from wsnhandoff.simulation import run
-from wsnhandoff.world import CoLocatedError, NodeKind, Point
+from wsnhandoff.world import NodeKind, Point
 
 # Mutants per text, 300 in all.  A mesh-dv run costs about 1 s whatever its
 # length (its first route adverts cascade over 100 motes), so the small
@@ -101,13 +100,11 @@ def _on_alarm(signum, frame):
 
 
 def _short_run(s, seconds=RUN_SECONDS):
-    """Run `s` for at most `seconds` of simulated time.  CoLocatedError
-    and NoSatelliteError are the run's own documented failures."""
+    """Run `s` for at most `seconds` of simulated time.  A valid scenario
+    runs to its end, so any exception fails the caller."""
     signal.alarm(TIMEOUT_S)
     try:
         run(dataclasses.replace(s, duration=min(s.duration, seconds)))
-    except (CoLocatedError, NoSatelliteError):
-        pass
     finally:
         signal.alarm(0)
 

@@ -5,14 +5,14 @@ from itertools import count
 import pytest
 
 from wsnhandoff.protocol import (DEFAULT_TTL, DecisionOutcome,
-                                 DiscoveryRequest, MoteMode, MoteState,
-                                 NoMotesInRangeError, NoSatelliteError,
+                                 DiscoveryRequest, MoteMode,
                                  bs_notify_msc, detect_loss, establish_link,
                                  make_discovery, mote_forward, msc_decide,
                                  release_motes, steer_feasible)
 from wsnhandoff.scenario import NodeSpec, Scenario
-from wsnhandoff.simulation import Simulation
-from wsnhandoff.world import NodeKind, Point, comm_graph, profile_for_range
+from wsnhandoff.simulation import Frame, Simulation
+from wsnhandoff.world import (NodeKind, PacketOutcome, Point, comm_graph,
+                              profile_for_range)
 
 
 LINE_POSITIONS = {"ms": Point(0, 0), "m1": Point(80, 0), "m2": Point(160, 0),
@@ -36,6 +36,24 @@ def _rows(graph, kinds, mote):
             tuple(n for n in row if kinds[n] is NodeKind.MOTE))
 
 
+def _line_sim():
+    """A Simulation of the line world, with no switching centre."""
+    return Simulation(Scenario(tuple(
+        NodeSpec(n, LINE_KINDS[n], p, profile_for_range(100))
+        for n, p in sorted(LINE_POSITIONS.items())), {}))
+
+
+def _hear(sim, rx, req, src="ms"):
+    """Deliver one clear copy of discovery `req` from src to mote rx, as a
+    one-receiver burst, the way a run delivers every broadcast.  Returns
+    the requests rx's queue then holds."""
+    frame = Frame("discovery", src, targets=(rx,), payload=req,
+                  ip_ttl=req.ttl)
+    sim._deliver_burst(0.0, 1, (rx,),
+                       ("deliver", frame, {rx: PacketOutcome.DELIVERED}))
+    return [f.payload for f in sim.node_queues[rx].items]
+
+
 def test_detect_loss():
     graph, kinds = _line_world()
     assert detect_loss(graph["ms"], kinds)  # bs1 is 320 m away
@@ -49,38 +67,32 @@ def test_detect_loss():
 def test_make_discovery_ids_and_fields():
     ids = count(1)
     loc = Point(5, 5)
-    r1 = make_discovery("ms", loc, ["m1", "m2"], ids)
-    r2 = make_discovery("ms", loc, ["m1"], ids, ttl=3)
+    r1 = make_discovery("ms", loc, ids)
+    r2 = make_discovery("ms", loc, ids, ttl=3)
     assert (r1.request_id, r2.request_id) == (1, 2)
     assert r1.ttl == DEFAULT_TTL == 16
     assert r2.ttl == 3
     assert r1.ms_location == loc and r1.ms_id == "ms" and r1.path == ()
 
 
-def test_make_discovery_requires_a_mote():
-    with pytest.raises(NoMotesInRangeError):
-        make_discovery("ms", Point(0, 0), [], count(1))
-
-
 def test_forward_unicasts_to_adjacent_base_station():
     graph, kinds = _line_world()
-    states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16, path=("m1", "m2"))
-    forward = mote_forward("m3", states["m3"], req,
-                           *_rows(graph, kinds, "m3"))
+    forward = mote_forward("m3", req, *_rows(graph, kinds, "m3"))
     assert forward == (DiscoveryRequest(
         1, "ms", Point(0, 0), ttl=15, path=("m1", "m2", "m3")), "bs1", ())
-    # the mote pays when its queue transmits the forward, not here
-    assert states["m3"].energy_consumed == 0
-    assert 1 in states["m3"].seen
+    # received through a burst, the copy is marked seen and the forward
+    # queued; the mote pays when its queue transmits it, not here
+    sim = _line_sim()
+    assert _hear(sim, "m3", req, src="m2") == [forward[0]]
+    assert sim.mote_states["m3"].seen == {1}
+    assert sim.mote_states["m3"].energy_consumed == 0
 
 
 def test_forward_floods_when_no_base_station_adjacent():
     graph, kinds = _line_world()
-    states = {m: MoteState() for m in ("m1", "m2", "m3")}
     req = DiscoveryRequest(7, "ms", Point(0, 0), ttl=16)
-    fwd, bs_id, targets = mote_forward("m1", states["m1"], req,
-                                       *_rows(graph, kinds, "m1"))
+    fwd, bs_id, targets = mote_forward("m1", req, *_rows(graph, kinds, "m1"))
     assert bs_id is None
     assert targets == ("m2",)  # ms is not a mote, m1 now on the path
     assert fwd.ttl == 15
@@ -88,16 +100,14 @@ def test_forward_floods_when_no_base_station_adjacent():
 
 
 def test_forward_excludes_path_and_sleeping_targets():
-    sim = Simulation(Scenario(tuple(
-        NodeSpec(n, LINE_KINDS[n], p, profile_for_range(100))
-        for n, p in sorted(LINE_POSITIONS.items())), {}))
+    sim = _line_sim()
     assert sim.active_rows["m2"] == ("m1", "m3")
     sim._release(("m3",))
     assert sim.mote_states["m3"].mode is MoteMode.SLEEPING
     assert not any("m3" in row for row in sim.active_rows.values())
     states = sim.mote_states
     req = DiscoveryRequest(9, "ms", Point(0, 0), ttl=16, path=("m1",))
-    forward = mote_forward("m2", states["m2"], req, sim.bs_rows["m2"],
+    forward = mote_forward("m2", req, sim.bs_rows["m2"],
                            sim.active_rows["m2"])
     # m1 is on the path and m3 sleeps: the radio still keys, to nobody
     assert forward == (DiscoveryRequest(
@@ -117,61 +127,59 @@ def test_discovery_request_is_immutable_and_compares_by_field():
     assert len({req, same, DiscoveryRequest(2, "ms", Point(0, 0), 16)}) == 2
 
 
-def test_forward_drops_duplicates_without_energy_cost():
-    graph, kinds = _line_world()
-    states = {m: MoteState() for m in ("m1", "m2", "m3")}
+def test_a_mote_drops_duplicates_without_energy_cost():
+    # the second copy stops at the mote's seen set
+    sim = _line_sim()
     req = DiscoveryRequest(4, "ms", Point(0, 0), ttl=16)
-    first = mote_forward("m1", states["m1"], req,
-                         *_rows(graph, kinds, "m1"))
-    assert first and states["m1"].energy_consumed == 0
-    again = mote_forward("m1", states["m1"], req,
-                         *_rows(graph, kinds, "m1"))
-    assert again is None
-    assert states["m1"].energy_consumed == 0
+    first = _hear(sim, "m1", req)
+    assert len(first) == 1 and sim.mote_states["m1"].energy_consumed == 0
+    assert _hear(sim, "m1", req._replace(ttl=15, path=("m2",)),
+                 src="m2") == first
+    assert sim.mote_states["m1"].seen == {4}
+    assert sim.mote_states["m1"].energy_consumed == 0
 
 
-def test_forward_ignores_exhausted_ttl_and_path_revisit():
+def test_a_mote_ignores_an_exhausted_ttl_and_a_path_revisit():
     graph, kinds = _line_world()
-    states = {m: MoteState() for m in ("m1", "m2", "m3")}
     dead = DiscoveryRequest(5, "ms", Point(0, 0), ttl=0)
-    assert mote_forward("m1", states["m1"], dead,
-                        *_rows(graph, kinds, "m1")) is None
-    assert 5 in states["m1"].seen
-    looped = DiscoveryRequest(6, "ms", Point(0, 0), ttl=16, path=("m2",))
-    assert mote_forward("m2", states["m2"], looped,
-                        *_rows(graph, kinds, "m2")) is None
-    assert states["m1"].energy_consumed == 0
-    assert states["m2"].energy_consumed == 0
+    assert mote_forward("m1", dead, *_rows(graph, kinds, "m1")) is None
+    sim = _line_sim()
+    assert _hear(sim, "m1", dead) == []
+    assert sim.mote_states["m1"].seen == {5}  # later copies stop there
+    # a mote on a request's path has already forwarded it, so a copy that
+    # comes back to it stops at its seen set
+    req = DiscoveryRequest(6, "ms", Point(0, 0), ttl=16)
+    [fwd] = _hear(sim, "m2", req)
+    looped = fwd._replace(ttl=14, path=("m2", "m3"))
+    assert _hear(sim, "m2", looped, src="m3") == [fwd]
+    assert sim.mote_states["m1"].energy_consumed == 0
+    assert sim.mote_states["m2"].energy_consumed == 0
 
 
-def test_sleeping_mote_is_inert_but_remembers():
-    graph, kinds = _line_world()
-    states = {m: MoteState() for m in ("m1", "m2", "m3")}
-    states["m1"].mode = MoteMode.SLEEPING
+def test_a_sleeping_mote_is_inert():
+    # a burst skips a sleeping receiver: its radio is powered down, so it
+    # neither forwards nor marks the request seen, and spends nothing
+    sim = _line_sim()
+    sim._release(("m1",))
     req = DiscoveryRequest(8, "ms", Point(0, 0), ttl=16)
-    assert mote_forward("m1", states["m1"], req,
-                        *_rows(graph, kinds, "m1")) is None
-    assert 8 in states["m1"].seen
-    assert states["m1"].energy_consumed == 0
+    assert _hear(sim, "m1", req) == []
+    assert sim.mote_states["m1"].seen == set()
+    assert sim.mote_states["m1"].energy_consumed == 0
+    assert sim.ledger.get("mac80211.broadcast_received_clearly") == 0
 
 
 def test_hand_traced_flood_along_the_line():
     graph, kinds = _line_world()
-    states = {m: MoteState() for m in ("m1", "m2", "m3")}
-    req = make_discovery("ms", Point(0, 0), ["m1"], count(1))
+    req = make_discovery("ms", Point(0, 0), count(1))
     # hop 1: m1 floods to m2
-    r1, _, _ = mote_forward("m1", states["m1"], req,
-                            *_rows(graph, kinds, "m1"))
+    r1, _, _ = mote_forward("m1", req, *_rows(graph, kinds, "m1"))
     # hop 2: m2 floods to m3
-    r2, _, _ = mote_forward("m2", states["m2"], r1,
-                            *_rows(graph, kinds, "m2"))
+    r2, _, _ = mote_forward("m2", r1, *_rows(graph, kinds, "m2"))
     # hop 3: m3 sees bs1 and unicasts
-    r3, bs_id, targets = mote_forward("m3", states["m3"], r2,
-                                      *_rows(graph, kinds, "m3"))
+    r3, bs_id, targets = mote_forward("m3", r2, *_rows(graph, kinds, "m3"))
     assert bs_id == "bs1" and targets == ()
     assert r3.path == ("m1", "m2", "m3")
     assert r3.ttl == 13
-    assert all(states[m].energy_consumed == 0 for m in states)
 
 
 def test_multi_bs_unicast_picks_smallest_id():
@@ -180,10 +188,8 @@ def test_multi_bs_unicast_picks_smallest_id():
              "bs2": NodeKind.BASE_STATION}
     graph = comm_graph(positions,
                        {n: profile_for_range(100) for n in positions})
-    states = {"m1": MoteState()}
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16)
-    _, bs_id, _ = mote_forward("m1", states["m1"], req,
-                               *_rows(graph, kinds, "m1"))
+    _, bs_id, _ = mote_forward("m1", req, *_rows(graph, kinds, "m1"))
     assert bs_id == "bs2"
 
 
@@ -236,10 +242,9 @@ def test_msc_falls_back_to_satellite_beyond_steer_range():
     assert d.bs_id is None
 
 
-def test_msc_without_satellite_raises():
-    with pytest.raises(NoSatelliteError):
-        msc_decide(1, Point(900, 0), {"bs1": Point(0, 0)}, 450.0,
-                   has_satellite=False)
+def test_msc_without_satellite_decides_nothing():
+    assert msc_decide(1, Point(900, 0), {"bs1": Point(0, 0)}, 450.0,
+                      has_satellite=False) is None
     # feasible steering never needs the satellite
     d = msc_decide(2, Point(100, 0), {"bs1": Point(0, 0)}, 450.0,
                    has_satellite=False)
@@ -266,15 +271,9 @@ def test_establish_link_delays():
     assert rec.established_at == 12.0
 
 
-def test_establish_fallback_without_satellite_id_raises():
-    fb = msc_decide(1, Point(900, 0), {"bs1": Point(0, 0)}, 450.0, True)
-    with pytest.raises(NoSatelliteError):
-        establish_link(fb, "ms", (), 0.0, 0.5, 2.0, satellite_id=None)
-
-
 def test_release_motes_sleeps_path_and_freezes_energy():
-    graph, kinds = _line_world()
-    states = {m: MoteState() for m in ("m1", "m2", "m3")}
+    sim = _line_sim()
+    states = sim.mote_states
     states["m1"].energy_consumed = 4
     release_motes(("m1", "m2"), states)
     assert states["m1"].mode is MoteMode.SLEEPING
@@ -284,6 +283,5 @@ def test_release_motes_sleeps_path_and_freezes_energy():
     assert states["m1"].mode is MoteMode.SLEEPING
     # a released mote no longer forwards or spends energy
     req = DiscoveryRequest(11, "ms", Point(0, 0), ttl=16)
-    assert mote_forward("m1", states["m1"], req,
-                        *_rows(graph, kinds, "m1")) is None
+    assert _hear(sim, "m1", req) == []
     assert states["m1"].energy_consumed == 4

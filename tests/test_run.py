@@ -20,9 +20,9 @@ from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
 from wsnhandoff.report import parse_report_ledger, serialize_report
 from wsnhandoff.simulation import Frame, RunReport, Simulation, run
 from wsnhandoff.stats import RegistryMismatchError
-from wsnhandoff.world import (CoLocatedError, MobilityPath, NodeKind,
-                              PacketOutcome, Point, RadioProfile, comm_graph,
-                              position_at, profile_for_range)
+from wsnhandoff.world import (MobilityPath, NodeKind, PacketOutcome, Point,
+                              RadioProfile, comm_graph, position_at,
+                              profile_for_range)
 
 
 def _get(report: RunReport, token: str) -> int:
@@ -455,6 +455,43 @@ def test_check_run_fails_a_merge_that_sets_a_wrong_next_hop(monkeypatch):
     monkeypatch.setattr(simulation, "apply_update", misroute_one_lane)
     with pytest.raises(AssertionError, match="a next hop differs"):
         check_run(Simulation(reference_scenario()))
+
+
+def test_check_run_fails_a_copy_that_reaches_a_sleeping_mote(monkeypatch):
+    # a burst skips sleeping receivers, so no copy reaches mote_forward at
+    # a sleeping mote; check_run asserts it of every copy.  With the mode
+    # compared to a member no mote holds, the skip never happens, and in
+    # this world a later flood reaches a mote put to sleep
+    monkeypatch.setattr(simulation, "SLEEPING", object())
+    with pytest.raises(AssertionError, match="a sleeping mote forwards"):
+        check_run(Simulation(_timed_world(7252)))
+
+
+class _Forgetful(set):
+    """A `seen` set that never holds anything."""
+
+    def add(self, item):
+        pass
+
+
+def test_check_run_fails_a_copy_that_reaches_a_mote_on_its_path(
+        monkeypatch):
+    # a flood targets only motes off its path, and a mote on the path has
+    # seen the request; with both guards gone, a copy comes back
+    forward = simulation.mote_forward
+
+    def flood_back(mote_id, req, bs_neighbors, active_neighbors):
+        out = forward(mote_id, req, bs_neighbors, active_neighbors)
+        if out is None or out[1] is not None:
+            return out
+        return out[0], None, active_neighbors
+
+    monkeypatch.setattr(simulation, "mote_forward", flood_back)
+    sim = Simulation(reference_scenario())
+    for state in sim.mote_states.values():
+        state.seen = _Forgetful()
+    with pytest.raises(AssertionError, match="a mote on the path forwards"):
+        check_run(sim)
 
 
 def test_seed_moves_the_route_gossip_schedule():
@@ -982,30 +1019,40 @@ def _crossing_world(walkers) -> Scenario:
     return s
 
 
-@pytest.mark.parametrize("walkers", [
+def _shared_points(positions: dict) -> list:
+    """The points that two or more of `positions` share."""
+    ids = {}
+    for n, p in positions.items():
+        ids.setdefault(p, []).append(n)
+    return [sorted(group) for group in ids.values() if len(group) > 1]
+
+
+@pytest.mark.parametrize("walkers, pair", [
     # walks through m01's exact point at t = 8 (powers of two keep the
     # walk exact)
-    [("ms1", Point(0.0, 0.0), Point(1024.0, 0.0))],
+    ([("ms1", Point(0.0, 0.0), Point(1024.0, 0.0))], ["m01", "ms1"]),
     # two handsets meet at (64, -64) at t = 8, beside no other node
-    [("ms1", Point(0.0, -64.0), Point(1024.0, -64.0)),
-     ("ms2", Point(64.0, -128.0), Point(64.0, 896.0))],
+    ([("ms1", Point(0.0, -64.0), Point(1024.0, -64.0)),
+      ("ms2", Point(64.0, -128.0), Point(64.0, 896.0))], ["ms1", "ms2"]),
 ])
-def test_walking_onto_another_node_raises_at_the_oracle_tick(walkers):
+def test_walking_onto_another_node_runs_to_completion(walkers, pair):
+    # radios on one point hear each other at reference power, so the
+    # coverage check at the tick where they meet links them
     s = _crossing_world(walkers)
-    t, expected = 0.0, None
-    while expected is None:
-        try:
-            _full_graph_at(s, t)
-        except CoLocatedError as e:
-            expected = str(e)
-        else:
-            t += s.params.coverage_check_period
+    t = 0.0
+    while not _shared_points(_graph_inputs_at(s, t)[0]):
+        t += s.params.coverage_check_period
     assert t == 8.0
+    assert _shared_points(_graph_inputs_at(s, t)[0]) == [pair]
+    oracle = _full_graph_at(s, t)
+    assert pair[1] in oracle[pair[0]]
     sim = Simulation(s)
-    with pytest.raises(CoLocatedError) as e:
-        sim.run()
-    assert str(e.value) == expected
-    assert sim.queue.clock == t
+    rows = sim.handset_graph(t)
+    for ms_id in sim.ms_states:
+        assert rows[ms_id] == {n for n in oracle[ms_id]
+                               if sim.kinds[n] is not NodeKind.MOBILE_STATION}
+    check_run(sim)
+    assert sim.queue.clock == s.duration
 
 
 @pytest.mark.parametrize("walker", [
@@ -1051,13 +1098,106 @@ ms1 speed=10 halt=1 waypoints=1000,190
 """
 
 
-def test_a_handset_transmitting_from_a_receivers_point_raises_co_located():
+def test_a_handset_transmitting_from_a_receivers_point_is_heard_at_reference(
+        monkeypatch):
+    heard = []  # (receiver profile, distance, received power)
+    real_power = simulation.received_power
+
+    def recorded_power(profile, distance):
+        power = real_power(profile, distance)
+        heard.append((profile, distance, power))
+        return power
+
+    monkeypatch.setattr(simulation, "received_power", recorded_power)
     sim = Simulation(load_scenario(DISCOVERY_FROM_A_MOTE_POINT.format(
         mx_x=455)))
-    with pytest.raises(CoLocatedError) as e:
-        sim.run()
-    assert str(e.value) == "nodes ms1 and mx share (455.0, 190.0)"
-    assert sim.queue.clock == 45.5
-    # a metre further on, the same discovery is heard and the run completes
-    report = run(load_scenario(DISCOVERY_FROM_A_MOTE_POINT.format(mx_x=456)))
-    assert report.events_processed == 83
+    report = check_run(sim)
+    [(profile, _, power)] = [h for h in heard if h[1] == 0.0]
+    assert power == profile.tx_power_dbm - profile.reference_loss_db
+    assert simulation.packet_outcome(profile, power) is PacketOutcome.DELIVERED
+    assert sim.queue.clock == sim.s.duration
+    # a metre further on, mx hears the same power: the same run
+    monkeypatch.undo()
+    moved = Simulation(load_scenario(DISCOVERY_FROM_A_MOTE_POINT.format(
+        mx_x=456)))
+    moved_report = moved.run()
+    assert moved_report.events_processed == report.events_processed == 83
+    assert moved_report.digest == report.digest
+    assert moved.mote_states["mx"].seen == sim.mote_states["mx"].seen != set()
+
+
+def test_the_reference_scenario_without_its_satellite_runs_to_completion():
+    # ms1's first request steers it to bs1.  Both handsets then walk more
+    # than 450 m from either base station, where the switching centre has
+    # nothing to offer: it decides nothing on their later escalations, and
+    # both keep searching to the end
+    s = reference_scenario()
+    s = dataclasses.replace(s, nodes=tuple(
+        n for n in s.nodes if n.kind is not NodeKind.SATELLITE))
+    sim = Simulation(s)
+    report = check_run(sim)
+    assert report.events_processed == 2794
+    [link] = report.links
+    assert (link.ms_id, link.endpoint.node_id) == ("ms1", "bs1")
+    assert [(ms, d.request_id) for ms, d in report.decisions] == [("ms1", 1)]
+    unanswered = [esc for esc in report.escalations if esc.request_id != 1]
+    assert [esc.ms_id for esc in unanswered] == ["ms2"] + ["ms1"] * 6
+    assert all(sim.handoffs[esc.request_id].decision is None
+               for esc in unanswered)
+    assert all(st.link is None for st in sim.ms_states.values())
+    assert sim.queue.clock == s.duration
+
+
+def _satellite_free_crossing_world(seed: int):
+    """A _random_walk_world without its satellite, in which ms0 walks east
+    along a row onto a mote's point, moved to whole metres, at t = 8, a
+    coverage tick (powers of two keep the walk exact).  Returns the world
+    and the mote, or None when the world has no mote or its moved nodes
+    break a rule."""
+    rng = random.Random(seed)
+    s = _random_walk_world(rng)
+    motes = [n for n in s.nodes if n.kind is NodeKind.MOTE]
+    if not motes:
+        return None
+    crossed = rng.choice(motes)
+    at = Point(float(round(crossed.position.x)),
+               float(round(crossed.position.y)))
+    moved = {crossed.node_id: at, "ms0": Point(at.x - 64.0, at.y)}
+    s = dataclasses.replace(s, nodes=tuple(
+        n._replace(position=moved.get(n.node_id, n.position))
+        for n in s.nodes if n.kind is not NodeKind.SATELLITE), mobility={
+        **s.mobility,
+        "ms0": MobilityPath((Point(at.x + 960.0, at.y),), 8.0, 1.0)})
+    try:
+        validate_scenario(s)
+    except ValidationError:
+        return None
+    return s, crossed.node_id
+
+
+def test_satellite_free_worlds_with_a_handset_crossing_a_mote_run_to_the_end(
+        monkeypatch):
+    decisions = []  # every msc_decide answer, None for nothing to offer
+    real_decide = simulation.msc_decide
+
+    def recorded_decide(*args):
+        decisions.append(real_decide(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(simulation, "msc_decide", recorded_decide)
+    ran = 0
+    for seed in range(30):
+        world = _satellite_free_crossing_world(seed)
+        if world is None:
+            continue
+        s, mote = world
+        sim = Simulation(s)
+        assert sim.handset_graph(8.0)["ms0"] >= {mote}
+        assert sim.here["ms0"] == sim.start_pos[mote]
+        check_relay_paths(s, check_run(sim))
+        assert sim.queue.clock == s.duration
+        ran += 1
+    assert ran >= 20
+    # the switching centre had nothing to offer, and offered steering
+    assert None in decisions
+    assert any(d is not None for d in decisions)

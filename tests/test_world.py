@@ -6,11 +6,10 @@ import random
 import pytest
 from invariants import all_pairs_graph
 
-from wsnhandoff.world import (CoLocatedError, MobilityPath, PacketOutcome,
-                              Point, RadioProfile, ZeroDistanceError,
-                              comm_graph, halt_time, in_range, packet_outcome,
-                              position_at, profile_for_range, received_power,
-                              route_length)
+from wsnhandoff.world import (MobilityPath, PacketOutcome, Point,
+                              RadioProfile, comm_graph, halt_time, in_range,
+                              packet_outcome, position_at, profile_for_range,
+                              received_power, route_length)
 
 
 def test_distance():
@@ -31,10 +30,16 @@ def test_received_power_matches_log_distance_formula():
         assert received_power(profile, d) == pytest.approx(expect)
 
 
-def test_received_power_rejects_zero_distance():
-    profile = profile_for_range(100.0)
-    with pytest.raises(ZeroDistanceError):
-        received_power(profile, 0.0)
+def test_received_power_is_held_at_its_1_m_reference_inside_it():
+    # reference_loss_db is the loss at 1 m; nearer, the distance is held
+    # there, so radios on one point hear each other at tx - reference_loss
+    for profile in (profile_for_range(100.0),
+                    RadioProfile(7.5, -80.0, 1.0, 3.5, 31.0)):
+        at_reference = profile.tx_power_dbm - profile.reference_loss_db
+        assert [received_power(profile, d) for d in (0.0, 0.5, 1.0)] == [
+            at_reference] * 3
+        assert received_power(profile, 10.0) == (
+            at_reference - 10.0 * profile.path_loss_exponent)
 
 
 def test_range_radius_against_bisection_oracle():
@@ -226,8 +231,11 @@ def test_asymmetric_profiles_use_the_weaker_radio():
     assert g["a"] == {"b"}
 
 
-def test_co_located_nodes_rejected():
-    positions = {"a": Point(1, 1), "b": Point(1, 1)}
-    profiles = {"a": profile_for_range(100), "b": profile_for_range(100)}
-    with pytest.raises(CoLocatedError):
-        comm_graph(positions, profiles)
+def test_co_located_radios_link_at_reference_power():
+    positions = {"a": Point(1, 1), "b": Point(1, 1), "c": Point(1, 1.5),
+                 "d": Point(500, 1)}
+    profiles = {n: profile_for_range(100) for n in positions}
+    graph = comm_graph(positions, profiles)
+    assert graph == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"},
+                     "d": set()}
+    assert graph == all_pairs_graph(positions, profiles)
