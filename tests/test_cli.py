@@ -190,10 +190,13 @@ NO_SATELLITE_WORLD = "\n".join(
        "ms1 speed=20 halt=1 waypoints=2000,190", ""])
 
 
-@pytest.mark.parametrize("world", [
+WORLDS_THAT_FAILED_MID_RUN = pytest.mark.parametrize("world", [
     COLOCATED_WALK, DISCOVERY_FROM_A_MOTE_POINT.format(mx_x=455),
     NO_SATELLITE_WORLD],
     ids=["colocated-walk", "colocated-transmit", "no-satellite"])
+
+
+@WORLDS_THAT_FAILED_MID_RUN
 def test_co_located_radios_and_no_satellite_run_to_the_end(tmp_path, world):
     # radios on one point hear each other at reference power, and a
     # switching centre with nothing to offer decides nothing
@@ -209,10 +212,10 @@ def test_co_located_radios_and_no_satellite_run_to_the_end(tmp_path, world):
     assert out.read_text() == serialize_report(report)
 
 
+@WORLDS_THAT_FAILED_MID_RUN
 @pytest.mark.parametrize("out", ["new", "existing", "scenario"])
 def test_failing_run_leaves_the_out_path_as_it_was(tmp_path, monkeypatch,
-                                                    capsys, out):
-    world = serialize_scenario(reference_scenario())
+                                                    capsys, world, out):
     scen = tmp_path / "world.scn"
     scen.write_text(world)
     old = tmp_path / "old.report"
@@ -220,7 +223,11 @@ def test_failing_run_leaves_the_out_path_as_it_was(tmp_path, monkeypatch,
     path = {"new": tmp_path / "r.report", "existing": old,
             "scenario": scen}[out]
 
+    real_run = cli.run
+
     def failing_run(scenario):
+        # the world runs to its end; the failure comes after it
+        real_run(scenario)
         raise OSError("the run failed")
 
     monkeypatch.setattr(cli, "run", failing_run)
