@@ -39,13 +39,12 @@ BASE_STATION = NodeKind.BASE_STATION
 
 
 class MoteState:
-    __slots__ = ("mode", "seen", "energy_consumed")
+    """A mote's mode and spent energy; it keeps no per-request state."""
+    __slots__ = ("mode", "energy_consumed")
 
-    def __init__(self, mode: MoteMode = MoteMode.ACTIVE, seen: set = None,
-                 energy_consumed: int = 0):
-        self.mode = mode
-        self.seen = set() if seen is None else seen
-        self.energy_consumed = energy_consumed
+    def __init__(self):
+        self.mode = MoteMode.ACTIVE
+        self.energy_consumed = 0
 
 
 class Escalation(NamedTuple):
@@ -114,12 +113,9 @@ def mote_forward(mote_id: str, req: DiscoveryRequest, bs_neighbors: tuple,
     return fwd, None, tuple([n for n in active_neighbors if n not in path])
 
 
-def bs_notify_msc(bs_id: str, req: DiscoveryRequest, escalated_by: set):
-    """Escalate req to the switching centre, once per base station: None
-    when bs_id is already in `escalated_by`, the set that escalated req."""
-    if bs_id in escalated_by:
-        return None
-    escalated_by.add(bs_id)
+def bs_notify_msc(bs_id: str, req: DiscoveryRequest) -> Escalation:
+    """Base station bs_id's escalation of req to the switching centre.  The
+    simulation calls it for the first copy of req that bs_id receives."""
     return Escalation(req.request_id, req.ms_id, req.ms_location,
                       req.path, bs_id)
 

@@ -15,10 +15,11 @@ sender's outcome mapping, receiver -> PacketOutcome, so a receiver costs one
 lookup; a unicast frame as one deliver event with its outcome.  Steered
 beams and satellite links are logical channels: their frames always arrive.
 No frame is changed after _send(), so one object can be queued and delivered
-many times.  _send() returns whether the queue took the frame, and a
-distance-vector advert clears its table's changed lanes only then
-(routing.py).  _close_ledger() sets the queue counters, then those that copy
-or add up others (stats.DERIVED), once at the end.
+many times; only the set in a discovery's payload grows (below).  _send()
+returns whether the queue took the frame, and a distance-vector advert
+clears its table's changed lanes only then (routing.py).  _close_ledger()
+sets the queue counters, then those that copy or add up others
+(stats.DERIVED), once at the end.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the run's digest: the
@@ -45,16 +46,20 @@ are all it reads.  Radio frames are heard only by motes and base stations,
 which never move, so how each static neighbour hears a mote is classified
 once, at start, into the mote's outcome row, which its bursts carry; a
 handset's outcomes are worked out on each transmit, from where it is then.
-A mote drops a repeated discovery copy at its `seen` set, so only a first
-copy, at an awake mote off the request's path, reaches mote_forward.
+A discovery frame's payload is (request, reached): one set per flood, shared
+by all its copies, of the motes and base stations it has reached.  A copy
+whose receiver is in it stops, so only a first copy, at an awake mote off
+the request's path, reaches mote_forward, and a base station escalates a
+request once.  Only queued and in-flight frames hold the set, so it is
+freed with the flood's last copy.
 
 Each request id, a discovery's or a direct satellite fallback's, names one
-Handoff in self.handoffs: its discovery deadline, the base stations that
-escalated it and the relay paths that reached the switching centre, then its
-decision and link.  A handset's MsState points at its pending discovery's
-record and says whether a bring-up is in flight.  Any decision, stale ones
-included, ends its handset's pending discovery.  A switching centre with
-nothing to offer decides nothing, and the discovery times out.
+Handoff in self.handoffs: its discovery deadline and the relay paths that
+reached the switching centre, then its decision and link.  A handset's
+MsState points at its pending discovery's record and says whether a
+bring-up is in flight.  Any decision, stale ones included, ends its
+handset's pending discovery.  A switching centre with nothing to offer
+decides nothing, and the discovery times out.
 
 The per-event paths compare against Enum members bound once at import
 (DELIVERED, SLEEPING, BASE_STATION, ...), like the ledger slots, as a module
@@ -138,16 +143,13 @@ class Frame:
 
 class Handoff:
     """One request's progress, from its discovery to its link."""
-    __slots__ = ("deadline", "bases", "paths", "decision", "link")
+    __slots__ = ("deadline", "paths", "decision", "link")
 
-    def __init__(self, deadline: float, bases: set = None,
-                 paths: list = None, decision: MscDecision = None,
-                 link: LinkRecord = None):
+    def __init__(self, deadline: float, decision: MscDecision = None):
         self.deadline = deadline  # when an unanswered discovery times out
-        self.bases = set() if bases is None else bases  # escalated by these
-        self.paths = [] if paths is None else paths     # as they reach the msc
+        self.paths = []           # as they reach the msc
         self.decision = decision
-        self.link = link
+        self.link = None
 
 
 class MsState:
@@ -383,22 +385,21 @@ class Simulation:
     # ---- per-kind receive handlers ----------------------------------
 
     def _rx_discovery(self, t: float, frame: Frame, rx: str):
-        req = frame.payload
-        state = self.mote_states.get(rx)
-        if state is None:  # a base station
-            esc = bs_notify_msc(rx, req, self.handoffs[req.request_id].bases)
-            if esc is not None and self.msc_id is not None:
-                self.queue.schedule(t + self.p.backhaul_delay, self.msc_id,
-                                    ("backhaul", esc))
-            return
-        if req.request_id in state.seen:
+        req, reached = frame.payload
+        if rx in reached:
             return  # a repeat
-        state.seen.add(req.request_id)
+        reached.add(rx)
+        if rx not in self.mote_states:  # a base station
+            if self.msc_id is not None:
+                self.queue.schedule(t + self.p.backhaul_delay, self.msc_id,
+                                    ("backhaul", bs_notify_msc(rx, req)))
+            return
         forward = mote_forward(rx, req, self.bs_rows[rx],
                                self.active_rows[rx])
         if forward is not None:
             fwd, dst, targets = forward
-            self._send(rx, Frame("discovery", rx, dst, targets, fwd, fwd.ttl))
+            self._send(rx, Frame("discovery", rx, dst, targets,
+                                 (fwd, reached), fwd.ttl))
 
     def _rx_dv(self, t: float, frame: Frame, rx: str):
         c = self.counts
@@ -471,7 +472,7 @@ class Simulation:
             st.pending = self.handoffs[req.request_id] = Handoff(
                 t + self.p.discovery_timeout)
             self._send(ms_id, Frame("discovery", ms_id, targets=tuple(motes),
-                                    payload=req, ip_ttl=req.ttl))
+                                    payload=(req, set()), ip_ttl=req.ttl))
         elif halted and self.satellite_id is not None:
             # persistent isolation once the walk is over: go to satellite
             self._direct_satellite_fallback(t, ms_id)

@@ -134,16 +134,18 @@ def check_run(sim):
     """Run `sim` and assert the model's invariants; returns its report.
 
     During the run: the traffic facts of _watch_traffic, a dispatch clock
-    that never goes back, every discovery copy that reaches mote_forward
-    (watched through the name simulation.py calls) at an awake mote that
-    is not on the request's path, and every distance-vector merge
-    (apply_update, watched through the name simulation.py calls) checked
-    against the general merge in lockstep by _watch_dv: no advert missing a changed
-    lane, adverts merged in the order their sender's queue accepted them,
-    no lane rising, as routing.py proves, and the same change and tables
-    as the general merge.  At the end: every node queue conserves its
-    frames (queued == dequeued + dropped + backlog); the ledger's send and
-    queue counters equal the counts _watch_traffic made,
+    that never goes back, every discovery copy received with each mote on
+    its path already in its reached set (which is why a copy that comes
+    back to its path is a repeat), every discovery copy that reaches
+    mote_forward (watched through the name simulation.py calls) at an
+    awake mote that is not on the request's path, and every distance-vector
+    merge (apply_update, watched through the name simulation.py calls)
+    checked against the general merge in lockstep by _watch_dv: no advert
+    missing a changed lane, adverts merged in the order their sender's
+    queue accepted them, no lane rising, as routing.py proves, and the same
+    change and tables as the general merge.  At the end: every node queue
+    conserves its frames (queued == dequeued + dropped + backlog); the
+    ledger's send and queue counters equal the counts _watch_traffic made,
     and so do the sums of the queues' own counters over the mote queues and
     over the others, and the largest FIFO peak; the ledger's transmit,
     broadcast and reception counters, the eight that the run sets at its end
@@ -185,8 +187,18 @@ def check_run(sim):
             "a mote on the path forwards", mote_id, req.request_id)
         return forward(mote_id, req, *rows)
 
+    receive = sim._receivers["discovery"]
+
+    def watched_discovery(t, frame, rx):
+        req, reached = frame.payload
+        assert reached.issuperset(req.path), (
+            "a mote on the path is not in the reached set", rx,
+            req.request_id)
+        receive(t, frame, rx)
+
     merge, watched_merge = _watch_dv(sim)
     sim._dispatch = watched_dispatch
+    sim._receivers["discovery"] = watched_discovery
     simulation.release_motes = watched_release
     simulation.mote_forward = watched_forward
     simulation.apply_update = watched_merge
@@ -355,17 +367,23 @@ def check_handoffs(sim, report):
     request id it issued, and that the records account for the report:
     each link and each decision is that of exactly one record, and the
     records' relay paths number the escalations.  A record with a link has
-    a decision; a record holds no more paths than base stations that
-    escalated it (no switching centre, no paths); and a handset's pending
+    a decision; a record's paths are those of the report's escalations of
+    its request id, in order, and those escalations name distinct base
+    stations (no switching centre, no paths); and a handset's pending
     record, when there is one, has neither a decision nor a link: any
     decision for a handset ends its pending discovery."""
     records = sim.handoffs
     assert list(records) == list(range(1, next(sim.ids))), list(records)
     assert len({id(h) for h in records.values()}) == len(records)
+    escalations = {}  # request id -> its escalations, in arrival order
+    for esc in report.escalations:
+        escalations.setdefault(esc.request_id, []).append(esc)
     for request_id, h in records.items():
         assert h.link is None or h.decision is not None, request_id
         assert h.decision is None or h.decision.request_id == request_id
-        assert len(h.paths) <= len(h.bases), request_id
+        escs = escalations.get(request_id, [])
+        assert h.paths == [esc.relay_path for esc in escs], request_id
+        assert len({esc.bs_id for esc in escs}) == len(escs), request_id
     for name, logged in (("link", report.links),
                          ("decision", [d for _, d in report.decisions])):
         held = [getattr(h, name) for h in records.values()]

@@ -36,18 +36,20 @@ def _rows(graph, kinds, mote):
             tuple(n for n in row if kinds[n] is NodeKind.MOTE))
 
 
-def _line_sim():
-    """A Simulation of the line world, with no switching centre."""
-    return Simulation(Scenario(tuple(
+def _line_sim(*extra):
+    """A Simulation of the line world and the `extra` nodes; with no
+    switching centre among them, it has none."""
+    return Simulation(Scenario((*(
         NodeSpec(n, LINE_KINDS[n], p, profile_for_range(100))
-        for n, p in sorted(LINE_POSITIONS.items())), {}))
+        for n, p in sorted(LINE_POSITIONS.items())), *extra), {}))
 
 
-def _hear(sim, rx, req, src="ms"):
-    """Deliver one clear copy of discovery `req` from src to mote rx, as a
-    one-receiver burst, the way a run delivers every broadcast.  Returns
-    the requests rx's queue then holds."""
-    frame = Frame("discovery", src, targets=(rx,), payload=req,
+def _hear(sim, rx, req, reached, src="ms"):
+    """Deliver one clear copy of discovery `req`, whose flood has reached
+    the nodes in `reached`, from src to mote rx, as a one-receiver burst,
+    the way a run delivers every broadcast.  Returns the payloads, each
+    (request, reached set), that rx's queue then holds."""
+    frame = Frame("discovery", src, targets=(rx,), payload=(req, reached),
                   ip_ttl=req.ttl)
     sim._deliver_burst(0.0, 1, (rx,),
                        ("deliver", frame, {rx: PacketOutcome.DELIVERED}))
@@ -81,11 +83,14 @@ def test_forward_unicasts_to_adjacent_base_station():
     forward = mote_forward("m3", req, *_rows(graph, kinds, "m3"))
     assert forward == (DiscoveryRequest(
         1, "ms", Point(0, 0), ttl=15, path=("m1", "m2", "m3")), "bs1", ())
-    # received through a burst, the copy is marked seen and the forward
-    # queued; the mote pays when its queue transmits it, not here
+    # received through a burst, the copy adds m3 to the flood's reached
+    # set, and the forward, carrying that same set, is queued; the mote
+    # pays when its queue transmits it, not here
     sim = _line_sim()
-    assert _hear(sim, "m3", req, src="m2") == [forward[0]]
-    assert sim.mote_states["m3"].seen == {1}
+    reached = {"m1", "m2"}
+    [(fwd, carried)] = _hear(sim, "m3", req, reached, src="m2")
+    assert fwd == forward[0] and carried is reached
+    assert reached == {"m1", "m2", "m3"}
     assert sim.mote_states["m3"].energy_consumed == 0
 
 
@@ -128,14 +133,15 @@ def test_discovery_request_is_immutable_and_compares_by_field():
 
 
 def test_a_mote_drops_duplicates_without_energy_cost():
-    # the second copy stops at the mote's seen set
+    # the second copy finds m1 in the flood's reached set and stops there
     sim = _line_sim()
     req = DiscoveryRequest(4, "ms", Point(0, 0), ttl=16)
-    first = _hear(sim, "m1", req)
+    reached = set()
+    first = _hear(sim, "m1", req, reached)
     assert len(first) == 1 and sim.mote_states["m1"].energy_consumed == 0
-    assert _hear(sim, "m1", req._replace(ttl=15, path=("m2",)),
+    assert _hear(sim, "m1", req._replace(ttl=15, path=("m2",)), reached,
                  src="m2") == first
-    assert sim.mote_states["m1"].seen == {4}
+    assert reached == {"m1"}
     assert sim.mote_states["m1"].energy_consumed == 0
 
 
@@ -144,26 +150,30 @@ def test_a_mote_ignores_an_exhausted_ttl_and_a_path_revisit():
     dead = DiscoveryRequest(5, "ms", Point(0, 0), ttl=0)
     assert mote_forward("m1", dead, *_rows(graph, kinds, "m1")) is None
     sim = _line_sim()
-    assert _hear(sim, "m1", dead) == []
-    assert sim.mote_states["m1"].seen == {5}  # later copies stop there
-    # a mote on a request's path has already forwarded it, so a copy that
-    # comes back to it stops at its seen set
+    reached = set()
+    assert _hear(sim, "m1", dead, reached) == []
+    assert reached == {"m1"}  # later copies stop there
+    # a mote on a request's path has already forwarded it, so it is in the
+    # flood's reached set, and a copy that comes back to it stops there
     req = DiscoveryRequest(6, "ms", Point(0, 0), ttl=16)
-    [fwd] = _hear(sim, "m2", req)
+    reached = set()
+    [(fwd, _)] = _hear(sim, "m2", req, reached)
+    reached.add("m3")
     looped = fwd._replace(ttl=14, path=("m2", "m3"))
-    assert _hear(sim, "m2", looped, src="m3") == [fwd]
+    assert _hear(sim, "m2", looped, reached, src="m3") == [(fwd, reached)]
     assert sim.mote_states["m1"].energy_consumed == 0
     assert sim.mote_states["m2"].energy_consumed == 0
 
 
 def test_a_sleeping_mote_is_inert():
     # a burst skips a sleeping receiver: its radio is powered down, so it
-    # neither forwards nor marks the request seen, and spends nothing
+    # neither forwards nor joins the flood's reached set, and spends nothing
     sim = _line_sim()
     sim._release(("m1",))
     req = DiscoveryRequest(8, "ms", Point(0, 0), ttl=16)
-    assert _hear(sim, "m1", req) == []
-    assert sim.mote_states["m1"].seen == set()
+    reached = set()
+    assert _hear(sim, "m1", req, reached) == []
+    assert reached == set()
     assert sim.mote_states["m1"].energy_consumed == 0
     assert sim.ledger.get("mac80211.broadcast_received_clearly") == 0
 
@@ -194,24 +204,38 @@ def test_multi_bs_unicast_picks_smallest_id():
 
 
 def test_bs_escalates_each_request_once():
-    # each request carries the set of base stations that escalated it
-    escalated_by = set()
     req = DiscoveryRequest(3, "ms", Point(1, 2), ttl=12, path=("m1", "m2"))
-    esc = bs_notify_msc("bs1", req, escalated_by)
+    esc = bs_notify_msc("bs1", req)
     assert esc.request_id == 3 and esc.bs_id == "bs1"
     assert esc.relay_path == ("m1", "m2")
     assert esc.ms_location == Point(1, 2)
-    assert bs_notify_msc("bs1", req, escalated_by) is None
-    assert escalated_by == {"bs1"}
-    other = DiscoveryRequest(4, "ms", Point(1, 2), ttl=12)
-    assert bs_notify_msc("bs1", other, set()) is not None
+    # a base station joins the flood's reached set on the first copy it
+    # receives and escalates that copy over the backhaul; later copies of
+    # the flood stop at the set
+    sim = _line_sim(NodeSpec("bs2", NodeKind.BASE_STATION, Point(320, 300)),
+                    NodeSpec("msc1", NodeKind.MSC, Point(160, -300)))
+
+    def escalated(bs_id, req, reached):
+        sim._rx_discovery(0.0, Frame("discovery", req.path[-1], dst=bs_id,
+                                     payload=(req, reached)), bs_id)
+        events = [sim.queue.pop() for _ in range(len(sim.queue))]
+        assert all(ev[0] == sim.p.backhaul_delay and ev[2] == "msc1"
+                   and ev[3][0] == "backhaul" for ev in events)
+        return [ev[3][1] for ev in events]
+
+    reached = {"m1", "m2"}
+    assert escalated("bs1", req, reached) == [esc]
+    assert escalated("bs1", req, reached) == []
+    assert reached == {"m1", "m2", "bs1"}
+    other = DiscoveryRequest(4, "ms", Point(1, 2), ttl=12, path=("m3",))
+    assert escalated("bs1", other, {"m3"}) != []
     # a second base station escalates the same request, once
-    again = DiscoveryRequest(3, "ms", Point(1, 2), ttl=11, path=("m5",))
-    esc = bs_notify_msc("bs2", again, escalated_by)
+    again = DiscoveryRequest(3, "ms", Point(1, 2), ttl=11, path=("m3",))
+    [esc] = escalated("bs2", again, reached)
     assert esc.request_id == 3 and esc.bs_id == "bs2"
-    assert esc.relay_path == ("m5",)
-    assert bs_notify_msc("bs2", again, escalated_by) is None
-    assert escalated_by == {"bs1", "bs2"}
+    assert esc.relay_path == ("m3",)
+    assert escalated("bs2", again, reached) == []
+    assert reached == {"m1", "m2", "bs1", "bs2"}
 
 
 def test_steer_feasible_boundary_inclusive():
@@ -283,5 +307,5 @@ def test_release_motes_sleeps_path_and_freezes_energy():
     assert states["m1"].mode is MoteMode.SLEEPING
     # a released mote no longer forwards or spends energy
     req = DiscoveryRequest(11, "ms", Point(0, 0), ttl=16)
-    assert _hear(sim, "m1", req) == []
+    assert _hear(sim, "m1", req, set()) == []
     assert states["m1"].energy_consumed == 4

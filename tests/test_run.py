@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import math
 import random
+import weakref
 from collections import deque
 
 import pytest
 from invariants import (all_pairs_graph, check_dv_tables, check_relay_paths,
                         check_run, radio_positions)
+from test_goldens import grid_scenario
 
 from wsnhandoff import simulation
 from wsnhandoff.protocol import (DecisionOutcome, DiscoveryRequest,
@@ -260,8 +262,8 @@ def test_a_forward_queued_at_a_mote_that_sleeps_before_its_drain_costs_nothing()
     # two motes decide to forward a discovery; m06 is put to sleep before
     # its queue drains, so only m11 transmits, and only m11 pays
     sim = Simulation(reference_scenario())
-    copy = Frame("discovery", "ms1",
-                 payload=DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 16))
+    copy = Frame("discovery", "ms1", payload=(
+        DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 16), set()))
     for mote in ("m06", "m11"):
         sim._rx_discovery(0.0, copy, mote)
     assert all(len(sim.node_queues[m]) == 1 for m in ("m06", "m11"))
@@ -293,28 +295,29 @@ def test_a_repeated_discovery_copy_is_dropped_before_mote_forward(
     send = sim._send
 
     def recorded_send(node_id, frame):
-        offers.append((node_id, frame.kind, frame.payload.path))
+        offers.append((node_id, frame.kind, frame.payload[0].path))
         return send(node_id, frame)
 
     sim._send = recorded_send
-    req = DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 16)
-    first = Frame("discovery", "ms1", targets=("m06",), payload=req)
+    req, reached = DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 16), set()
+    first = Frame("discovery", "ms1", targets=("m06",),
+                  payload=(req, reached))
     sim._deliver_burst(0.0, 1, ("m06",),
                        ("deliver", first, {"m06": PacketOutcome.DELIVERED}))
     assert forwarded == ["m06"]
     assert offers == [("m06", "discovery", ("m06",))]
     assert len(sim.queue) == 1  # m06's drain
     state = sim.mote_states["m06"]
-    seen, energy = set(state.seen), state.energy_consumed
+    held, energy = set(reached), state.energy_consumed
     before = sim.ledger.as_dict()
     repeat = Frame("discovery", "m02", targets=("m06",), ip_ttl=15,
-                   payload=req._replace(ttl=15, path=("m02",)))
+                   payload=(req._replace(ttl=15, path=("m02",)), reached))
     sim._deliver_burst(0.0, 2, ("m06",),
                        ("deliver", repeat, sim.outcome_rows["m02"]))
     assert forwarded == ["m06"]
     assert len(offers) == 1 and len(sim.node_queues["m06"]) == 1
     assert len(sim.queue) == 1
-    assert state.seen == seen == {1}
+    assert reached == held == {"m06"}
     assert state.energy_consumed == energy
     moved = {token: value - before[token]
              for token, value in sim.ledger.as_dict().items()
@@ -325,20 +328,21 @@ def test_a_repeated_discovery_copy_is_dropped_before_mote_forward(
 
 
 def test_a_base_station_escalates_a_request_the_motes_have_seen_once():
-    # every mote has seen request 1; bs1 hears it from m05 and then from
-    # m01, and escalates it to the switching centre on the first copy only
+    # request 1's flood has reached every mote; bs1 hears it from m05 and
+    # then from m01, and escalates it to the switching centre on the first
+    # copy only, with no Handoff record to read
     sim = Simulation(reference_scenario())
-    handoff = sim.handoffs[1] = simulation.Handoff(1.0)
-    for state in sim.mote_states.values():
-        state.seen.add(1)
+    reached = set(sim.mote_states)
     deliver = sim._handlers["deliver"]
     for path in (("m06", "m05"), ("m02", "m01")):
         relay = path[-1]
         req = DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 14, path)
-        frame = Frame("discovery", relay, dst="bs1", payload=req, ip_ttl=14)
+        frame = Frame("discovery", relay, dst="bs1", payload=(req, reached),
+                      ip_ttl=14)
         deliver(0.0, ("deliver", frame, "bs1",
                       sim.outcome_rows[relay]["bs1"]))
-    assert handoff.bases == {"bs1"}
+    assert reached - set(sim.mote_states) == {"bs1"}
+    assert sim.handoffs == {}
     assert len(sim.queue) == 1
     t, _, target, (kind, esc) = sim.queue.pop()
     assert (t, target, kind) == (sim.p.backhaul_delay, "msc1", "backhaul")
@@ -467,8 +471,88 @@ def test_check_run_fails_a_copy_that_reaches_a_sleeping_mote(monkeypatch):
         check_run(Simulation(_timed_world(7252)))
 
 
+def _reach_with(sim, make):
+    """Wrap sim._send so that each discovery flood a handset starts
+    carries make(request, fresh) as its reached set, where fresh is the set
+    the handset made; the frame is rebuilt only around another set."""
+    send = sim._send
+
+    def swapped(node_id, frame):
+        if frame.kind == "discovery" and node_id in sim.ms_states:
+            req, fresh = frame.payload
+            reached = make(req, fresh)
+            if reached is not fresh:
+                frame = Frame("discovery", node_id, frame.dst, frame.targets,
+                              (req, reached), frame.ip_ttl)
+        return send(node_id, frame)
+
+    sim._send = swapped
+
+
+def _held_reached_sets(sim, *events) -> set:
+    """The ids of the reached sets held by discovery frames that are still
+    queued at a node or still to be delivered by a pending event or by one
+    of `events`."""
+    frames = [f for q in sim.node_queues.values() for f in q.items]
+    frames += [ev[3][1] for ev in (*sim.queue._heap, *sim.queue._now, *events)
+               if ev[3][0] == "deliver"]
+    return {id(f.payload[1]) for f in frames if f.kind == "discovery"}
+
+
+@pytest.mark.parametrize("walkers", [3, 16])
+def test_a_floods_reached_set_is_freed_with_its_last_copy(walkers):
+    # Only queued and in-flight frames hold a flood's reached set, so it is
+    # freed with the flood's last copy.  A weak reference follows each set
+    # a handset makes (3 walkers is grid4-three-walkers).  Before every
+    # event but a drain (which may come off the engine's same-instant lane
+    # while its loop still names the event before) and at the end, every
+    # set still alive is held by a queued frame or a delivery, pending or
+    # about to run
+    sim = Simulation(grid_scenario(4, [
+        (f"ms{i + 1}", 190.0 - 7 * i, 8.0 + 0.25 * i)
+        for i in range(walkers)]))
+    alive = {}  # id of a weak reference -> it, while its set lives
+    made = peak = 0
+
+    def tracked(req, fresh):
+        nonlocal made, peak
+        ref = weakref.ref(fresh, lambda r: alive.pop(id(r)))
+        alive[id(ref)] = ref
+        made += 1
+        peak = max(peak, len(alive))
+        return fresh
+
+    def unheld(*events):
+        held = _held_reached_sets(sim, *events)
+        return [ref() for ref in alive.values() if id(ref()) not in held]
+
+    _reach_with(sim, tracked)
+    dispatch, checks = sim._dispatch, []
+
+    def checked(ev):
+        if ev[3][0] != "drain":
+            checks.append(len(alive))
+            assert unheld(ev) == [], ev[:3]
+        dispatch(ev)
+
+    sim._dispatch = checked
+    sim.run()
+    assert unheld() == []
+    assert max(checks) == peak  # checked while the most floods ran
+    # a handset has one discovery pending at most, and these floods end
+    # long before it times out: at most one set per handset lives at once
+    assert 0 < peak <= walkers < made
+
+
 class _Forgetful(set):
-    """A `seen` set that never holds anything."""
+    """A reached set that never finds what it holds."""
+
+    def __contains__(self, item):
+        return False
+
+
+class _Unreached(set):
+    """A reached set that nothing joins."""
 
     def add(self, item):
         pass
@@ -476,8 +560,8 @@ class _Forgetful(set):
 
 def test_check_run_fails_a_copy_that_reaches_a_mote_on_its_path(
         monkeypatch):
-    # a flood targets only motes off its path, and a mote on the path has
-    # seen the request; with both guards gone, a copy comes back
+    # a flood targets only motes off its path, and a mote on the path is in
+    # the flood's reached set; with both guards gone, a copy comes back
     forward = simulation.mote_forward
 
     def flood_back(mote_id, req, bs_neighbors, active_neighbors):
@@ -488,9 +572,19 @@ def test_check_run_fails_a_copy_that_reaches_a_mote_on_its_path(
 
     monkeypatch.setattr(simulation, "mote_forward", flood_back)
     sim = Simulation(reference_scenario())
-    for state in sim.mote_states.values():
-        state.seen = _Forgetful()
+    _reach_with(sim, lambda req, fresh: _Forgetful())
     with pytest.raises(AssertionError, match="a mote on the path forwards"):
+        check_run(sim)
+
+
+def test_check_run_fails_a_copy_whose_path_left_its_reached_set():
+    # a receiver that does not join the flood's reached set leaves a mote
+    # on the path of the next copy outside it, and check_run asserts at
+    # every discovery reception that the path is inside the set
+    sim = Simulation(reference_scenario())
+    _reach_with(sim, lambda req, fresh: _Unreached())
+    with pytest.raises(AssertionError,
+                       match="a mote on the path is not in the reached set"):
         check_run(sim)
 
 
@@ -1109,9 +1203,18 @@ def test_a_handset_transmitting_from_a_receivers_point_is_heard_at_reference(
         return power
 
     monkeypatch.setattr(simulation, "received_power", recorded_power)
+    floods = []  # (request id, reached set) of each flood, in both runs
+
+    def kept(req, fresh):
+        floods.append((req.request_id, fresh))
+        return fresh
+
     sim = Simulation(load_scenario(DISCOVERY_FROM_A_MOTE_POINT.format(
         mx_x=455)))
+    _reach_with(sim, kept)
     report = check_run(sim)
+    reached_mx = {i for i, reached in floods if "mx" in reached}
+    floods.clear()
     [(profile, _, power)] = [h for h in heard if h[1] == 0.0]
     assert power == profile.tx_power_dbm - profile.reference_loss_db
     assert simulation.packet_outcome(profile, power) is PacketOutcome.DELIVERED
@@ -1120,10 +1223,13 @@ def test_a_handset_transmitting_from_a_receivers_point_is_heard_at_reference(
     monkeypatch.undo()
     moved = Simulation(load_scenario(DISCOVERY_FROM_A_MOTE_POINT.format(
         mx_x=456)))
+    _reach_with(moved, kept)
     moved_report = moved.run()
     assert moved_report.events_processed == report.events_processed == 83
     assert moved_report.digest == report.digest
-    assert moved.mote_states["mx"].seen == sim.mote_states["mx"].seen != set()
+    # the floods that reach mx are the same
+    assert {i for i, reached in floods
+            if "mx" in reached} == reached_mx != set()
 
 
 def test_the_reference_scenario_without_its_satellite_runs_to_completion():
