@@ -92,21 +92,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.auto_baseline:
-        if not args.scenario:
-            print("error: --auto-baseline needs --scenario",
-                  file=sys.stderr)
-            return 2
+    files = (args.baseline, args.with_wsn)
+    if args.auto_baseline and args.scenario and files == (None, None):
         scenario = _scenario(args.scenario)
         baseline = run(strip_wsn(scenario)).ledger
         candidate = run(scenario).ledger
-    else:
-        if not (args.baseline and args.with_wsn):
-            print("error: need --baseline and --with-wsn, or "
-                  "--scenario with --auto-baseline", file=sys.stderr)
-            return 2
+    elif all(files) and not args.auto_baseline and args.scenario is None:
         baseline = _load(args.baseline, parse_report_ledger)
         candidate = _load(args.with_wsn, parse_report_ledger)
+    else:
+        print("error: need --baseline and --with-wsn, or --scenario with "
+              "--auto-baseline, and not both", file=sys.stderr)
+        return 2
     result = classify(baseline, candidate, epsilon=args.epsilon)
     text = render_report(candidate, result)
     print(text)

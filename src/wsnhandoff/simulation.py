@@ -44,8 +44,9 @@ coverage check positions each handset once and puts through the graph's
 edge rule only the base stations and motes within reach of both ends: they
 are all it reads.  Radio frames are heard only by motes and base stations,
 which never move, so how each static neighbour hears a mote is classified
-once, at start, into the mote's outcome row, which its bursts carry; a
-handset's outcomes are worked out on each transmit, from where it is then.
+once, at start, into the mote's outcome row, which its bursts carry and
+its unicasts read; a handset sends only broadcasts by radio, and their
+outcomes are worked out on each transmit, from where it is then.
 A discovery frame's payload is (request, reached): one set per flood, shared
 by all its copies, of the motes and base stations it has reached.  A copy
 whose receiver is in it stops, so only a first copy, at an awake mote off
@@ -292,12 +293,9 @@ class Simulation:
             profile, here.distance_to(self.start_pos[rx])))
 
     def _radio_outcomes(self, src: str, receivers: tuple, t: float) -> dict:
-        """How each receiver hears a radio frame sent by src at t, as a
-        mapping receiver -> PacketOutcome: a mote's own outcome row, or, for
-        a handset, one worked out from where it is at t."""
-        row = self.outcome_rows.get(src)
-        if row is not None:
-            return row
+        """How each receiver hears a broadcast sent by handset src at t, as
+        a mapping receiver -> PacketOutcome worked out from where src is at
+        t.  A mote's frames read its outcome row instead."""
         path, start = self.s.mobility.get(src), self.start_pos
         here = start[src] if path is None else position_at(path, start[src], t)
         return {rx: self._outcome(here, rx) for rx in receivers}
@@ -338,10 +336,9 @@ class Simulation:
             return
         c[SAT_SENT if frame.channel == "satlink" else LINK_SENT] += 1
         rx = frame.dst
-        if frame.channel == "radio":
-            outcome = self._radio_outcomes(node_id, (rx,), t)[rx]
-        else:
-            outcome = DELIVERED
+        # a radio unicast is a mote's discovery forward to a base station
+        outcome = (self.outcome_rows[node_id][rx] if frame.channel == "radio"
+                   else DELIVERED)
         self.queue.schedule(at, rx, ("deliver", frame, rx, outcome))
 
     def _on_deliver(self, t: float, payload):

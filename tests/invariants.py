@@ -22,19 +22,21 @@ def _watch_traffic(sim):
     assert the traffic facts simulation.py relies on: motes offer only
     discovery forwards and distance-vector adverts (all of one class, which
     is why a mote's queue is a plain FIFO), every radio sender is a mote or
-    a handset, every radio receiver a mote or a base station, every
-    broadcast target a mote, no unicast frame addressed to a mote, every
-    relay frame addressed to a satellite, no unicast frame delivered LOST,
-    and no drain finds its queue empty.  They also count what the ledger
-    must report, apart from the queues' own counters: the frames sent, the
-    offers and drains per queue family (mote or other), and the largest
-    backlog of a queue other than a mote's, which a shadow count of each
-    such queue's frames tracks and checks at every drain.  Wrappers on the
-    two delivery paths and on every receive handler count the receptions,
-    clear and errored, of unicast and of broadcast frames; the transmit
-    wrapper counts transmits and broadcasts, and each mote's transmits.
-    Returns the first counts keyed by counter token, the second keyed by
-    name and the third keyed by mote, all filled in as the run goes."""
+    a handset, every radio unicast sender a mote (which is why a unicast
+    reads its sender's outcome row), every radio receiver a mote or a base
+    station, every broadcast target a mote, no unicast frame addressed to a
+    mote, every relay frame addressed to a satellite, no unicast frame
+    delivered LOST, and no drain finds its queue empty.  They also count
+    what the ledger must report, apart from the queues' own counters: the
+    frames sent, the offers and drains per queue family (mote or other),
+    and the largest backlog of a queue other than a mote's, which a shadow
+    count of each such queue's frames tracks and checks at every drain.
+    Wrappers on the two delivery paths and on every receive handler count
+    the receptions, clear and errored, of unicast and of broadcast frames;
+    the transmit wrapper counts transmits and broadcasts, and each mote's
+    transmits.  Returns the first counts keyed by counter token, the second
+    keyed by name and the third keyed by mote, all filled in as the run
+    goes."""
     kinds, capacity = sim.kinds, sim.p.queue_capacity
     send, transmit = sim._send, sim._transmit
     drain = sim._handlers["drain"]
@@ -79,6 +81,9 @@ def _watch_traffic(sim):
                                                            frame.kind)
             assert frame.channel != "radio" or kinds[frame.dst] in (
                 RADIO_RECEIVERS), (t, node_id, frame.kind)
+            assert frame.channel != "radio" or kinds[node_id] is (
+                NodeKind.MOTE), ("a radio unicast from a non-mote", t,
+                                 node_id, frame.kind)
         assert not frame.relay or kinds[frame.dst] is NodeKind.SATELLITE, (
             t, node_id, frame.kind)
         traffic["transmits"] += 1

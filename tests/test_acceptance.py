@@ -1,32 +1,30 @@
 """Acceptance gate: the seven headline properties of the simulator.
 
 Each test prints one `criterion N (...): PASS/FAIL` line (run pytest with
--s to see them) and enforces its own wall-clock budget.  The file is
-self-contained on purpose: it re-derives its oracles instead of importing
-them from the other test modules.
+-s to see them) and enforces its own wall-clock budget.  Criteria 4 and 5
+draw their random worlds and breadth-first oracles from `worlds.py`, which
+the rest of the suite shares; the other criteria derive theirs here.
 """
 
 import dataclasses
 import random
 import time
-from collections import deque
 from types import SimpleNamespace
 
 import pytest
+from worlds import (bs_reachable_by_bfs, check_flood_against_oracle,
+                    check_metrics_against_bfs, check_quiescent, converge,
+                    line_world, random_graph, unit_disk_world)
 
 from wsnhandoff.protocol import DecisionOutcome, detect_loss
 from wsnhandoff.queues import StrictPriorityQueue
-from wsnhandoff.routing import (INFINITY_METRIC, Lanes, Table, apply_update,
-                                periodic_update)
-from wsnhandoff.scenario import (NodeSpec, Scenario, effective_profile,
-                                 reference_scenario, strip_wsn,
-                                 validate_scenario)
+from wsnhandoff.scenario import (effective_profile, reference_scenario,
+                                 strip_wsn)
 from wsnhandoff.report import serialize_report
 from wsnhandoff.simulation import run
 from wsnhandoff.stats import (BAD_WHEN_RISING, REGISTRY, StatsLedger,
                               classify, qos_improvement)
-from wsnhandoff.world import (NodeKind, Point, comm_graph, halt_time,
-                              position_at, profile_for_range)
+from wsnhandoff.world import NodeKind, comm_graph, halt_time, position_at
 
 
 def _gate(n, label, budget_s, body):
@@ -144,94 +142,19 @@ def test_criterion_3_directions_reproduce_across_seeds():
 
 # ---- 4. flooding vs breadth-first search -----------------------------------
 
-_R = 120.0
-
-
-def _unit_disk(rng, n_motes):
-    profile = profile_for_range(_R)
-    side = rng.choice([300.0, 450.0, 600.0])
-    while True:
-        nodes = [NodeSpec("bs1", NodeKind.BASE_STATION,
-                          Point(round(rng.uniform(0, side), 2),
-                                round(rng.uniform(0, side), 2)), profile)]
-        for i in range(n_motes):
-            nodes.append(NodeSpec(f"m{i:02d}", NodeKind.MOTE,
-                                  Point(round(rng.uniform(0, side), 2),
-                                        round(rng.uniform(0, side), 2)),
-                                  profile))
-        ms_pos = Point(round(rng.uniform(0, side), 2),
-                       round(rng.uniform(0, side), 2))
-        if ms_pos.distance_to(nodes[0].position) <= _R:
-            continue
-        if len({n.position for n in nodes} | {ms_pos}) != len(nodes) + 1:
-            continue
-        nodes.append(NodeSpec("ms1", NodeKind.MOBILE_STATION, ms_pos,
-                              profile))
-        nodes.append(NodeSpec("sat1", NodeKind.SATELLITE,
-                              Point(-500.0, -500.0), profile))
-        nodes.append(NodeSpec("msc1", NodeKind.MSC, Point(-400.0, -600.0)))
-        s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), {},
-                     duration=3.0, seed=rng.randrange(2**32))
-        validate_scenario(s)
-        return s
-
-
-def _bfs_reaches_bs(s, ttl=16):
-    pos = {n.node_id: n.position for n in s.nodes}
-    motes = [n.node_id for n in s.nodes if n.kind is NodeKind.MOTE]
-    near = lambda a, b: pos[a].distance_to(pos[b]) <= _R
-    frontier = deque((m, 1) for m in motes if near("ms1", m))
-    seen = {m for m, _ in frontier}
-    while frontier:
-        m, hops = frontier.popleft()
-        if near(m, "bs1"):
-            return True
-        if hops == ttl:
-            continue
-        for other in motes:
-            if other not in seen and near(m, other):
-                seen.add(other)
-                frontier.append((other, hops + 1))
-    return False
-
-
-def _line(n_motes):
-    profile = profile_for_range(_R)
-    nodes = [NodeSpec("ms1", NodeKind.MOBILE_STATION, Point(0.0, 0.0),
-                      profile),
-             NodeSpec("bs1", NodeKind.BASE_STATION,
-                      Point(100.0 * (n_motes + 1), 0.0), profile),
-             NodeSpec("sat1", NodeKind.SATELLITE, Point(0.0, 900.0),
-                      profile),
-             NodeSpec("msc1", NodeKind.MSC, Point(-50.0, -50.0))]
-    for i in range(n_motes):
-        nodes.append(NodeSpec(f"m{i:02d}", NodeKind.MOTE,
-                              Point(100.0 * (i + 1), 0.0), profile))
-    return Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), {},
-                    duration=3.0, seed=4)
-
 
 def test_criterion_4_flooding_matches_bfs_oracle():
     def body():
         rng = random.Random(20260815)
-        scenarios = [_unit_disk(rng, rng.randint(0, 20)) for _ in range(50)]
-        scenarios += [_line(16), _line(17)]  # exact ttl boundary
+        scenarios = [unit_disk_world(rng, rng.randint(0, 20),
+                                     rng.choice([300.0, 450.0, 600.0]))
+                     for _ in range(50)]
+        # the exact ttl boundary
+        scenarios += [line_world(16, 4), line_world(17, 4)]
         reachable_count = 0
         for s in scenarios:
-            reachable = _bfs_reaches_bs(s)
-            reachable_count += reachable
-            rep = run(s)
-            delivered = [e for e in rep.escalations if e.bs_id == "bs1"]
-            assert bool(delivered) == reachable
-            pos = {n.node_id: n.position for n in s.nodes}
-            for esc in delivered:
-                path = esc.relay_path
-                assert 0 < len(path) <= 16
-                assert len(set(path)) == len(path)
-                assert pos["ms1"].distance_to(pos[path[0]]) <= _R
-                assert pos[path[-1]].distance_to(pos["bs1"]) <= _R
-                for a, b in zip(path, path[1:]):
-                    assert pos[a].distance_to(pos[b]) <= _R
+            reachable_count += bs_reachable_by_bfs(s)
+            check_flood_against_oracle(s)
         assert 5 <= reachable_count <= 47  # both sides of the iff exercised
 
     _gate(4, "flood delivery iff <=16-hop path, 52 scenarios", 30.0, body)
@@ -243,48 +166,12 @@ def test_criterion_4_flooding_matches_bfs_oracle():
 def test_criterion_5_distance_vector_equals_bfs():
     def body():
         rng = random.Random(5150)
-        for round_no in range(30):
-            n = rng.randint(2, 12)
-            names = [f"n{i}" for i in range(n)]
-            adj = {m: set() for m in names}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.3:
-                        adj[names[i]].add(names[j])
-                        adj[names[j]].add(names[i])
-            lanes = Lanes(names)
-            tables = {m: Table(m, lanes) for m in names}
-            for _ in range(n + 2):
-                updates = {m: periodic_update(tables[m]) for m in names}
-                for t in tables.values():
-                    t.changed.clear()  # every advert of the round is heard
-                changed = False
-                for m in sorted(names):
-                    for nb in sorted(adj[m]):
-                        if apply_update(tables[m], updates[nb]):
-                            changed = True
-                if not changed:
-                    break
-            for src in names:
-                # breadth-first hop counts as the oracle
-                dist = {src: 0}
-                dq = deque([src])
-                while dq:
-                    u = dq.popleft()
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            dq.append(v)
-                for dst in names:
-                    want = min(dist.get(dst, INFINITY_METRIC),
-                               INFINITY_METRIC)
-                    assert tables[src].metric(dst) == want, (src, dst)
+        for _ in range(30):
+            adj = random_graph(rng)
+            tables = converge(adj)
+            check_metrics_against_bfs(tables, adj)
             # idempotence at quiescence, for an advert of every lane
-            for m in sorted(names):
-                tables[m].changed = set(range(n))
-                up = periodic_update(tables[m])
-                for nb in sorted(adj[m]):
-                    assert not apply_update(tables[nb], up)
+            check_quiescent(tables, adj)
 
     _gate(5, "converged metrics equal BFS hops, 30 graphs", 30.0, body)
 

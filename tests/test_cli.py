@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from invariants import check_run
-from test_run import DISCOVERY_FROM_A_MOTE_POINT
+from worlds import DISCOVERY_FROM_A_MOTE_POINT
 
 import wsnhandoff
 from wsnhandoff import cli
@@ -326,7 +326,15 @@ def test_compare_rejects_corrupt_report(tmp_path, capsys):
     assert f"error: {bad}: bad report" in err and str(good) not in err
 
 
-def test_compare_requires_a_mode(capsys):
-    assert main(["compare"]) == 2
-    assert main(["compare", "--auto-baseline"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [
+    [], ["--auto-baseline"],
+    # one form or the other, not both: the files named need not exist
+    ["--scenario", "reference", "--auto-baseline", "--baseline", "nope"],
+    ["--scenario", "reference", "--auto-baseline", "--with-wsn", "nope"],
+    ["--scenario", "reference", "--baseline", "nope", "--with-wsn", "nope"],
+])
+def test_compare_requires_a_mode(argv, capsys):
+    assert main(["compare", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

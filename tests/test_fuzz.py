@@ -23,8 +23,8 @@ import signal
 from pathlib import Path
 
 import pytest
+from worlds import readme_scenario
 
-from test_scenario import _readme_scenario
 from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, SimParams,
                                  ValidationError, effective_profile,
                                  load_scenario, reference_scenario,
@@ -58,7 +58,7 @@ def _seed_texts() -> dict:
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     texts = {name: gen(1) for name, gen in workloads.GENERATORS.items()}
-    return {**texts, "README": _readme_scenario()}
+    return {**texts, "README": readme_scenario()}
 
 
 def _mutate(text: str, rng: random.Random) -> str:

@@ -6,13 +6,12 @@ runs of the same build.  A refactor or optimisation must leave all three
 unchanged; only a change that means to alter behaviour may update them, and
 it says so in CHANGES.md.
 
-The scenarios are built here, independently of the benchmark's generators:
-the reference corridor, the same corridor without motes, and a k=4 mote grid
-(100 m pitch from (80,130), base stations at (0,200) and (100k+600,200), a
-satellite and a switching centre mid-field, 90 s, seed 1) walked by one or by
-three handsets.  "reference-drops" is the reference corridor cut to 20 s with
-one-frame queues and a payload every millisecond: its motes tail-drop frames
-during the first distance-vector exchanges, which pins the drop path.
+The scenarios are built in code, independently of the benchmark's
+generators: the reference corridor, the same corridor without motes, and
+`worlds.grid_world`'s k=4 mote grid walked by one or by three handsets.
+"reference-drops" is the reference corridor cut to 20 s with one-frame
+queues and a payload every millisecond: its motes tail-drop frames during
+the first distance-vector exchanges, which pins the drop path.
 """
 
 import dataclasses
@@ -20,38 +19,12 @@ import hashlib
 
 import pytest
 from invariants import check_dv_tables, check_relay_paths, check_run
+from worlds import grid_world
 
-from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
-                                 reference_scenario, strip_wsn,
-                                 validate_scenario)
+from wsnhandoff.scenario import (Scenario, SimParams, reference_scenario,
+                                 strip_wsn)
 from wsnhandoff.report import serialize_report
 from wsnhandoff.simulation import HASH_BLOCK, Simulation
-from wsnhandoff.world import MobilityPath, NodeKind, Point
-
-
-def grid_scenario(k: int, walkers) -> Scenario:
-    """k x k motes between two base stations; `walkers` holds
-    (id, start_y, speed) for handsets walking east from x = 0 toward bs2
-    and halting halfway."""
-    width = 100.0 * k + 600.0
-    nodes = [NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 200.0)),
-             NodeSpec("bs2", NodeKind.BASE_STATION, Point(width, 200.0)),
-             NodeSpec("msc1", NodeKind.MSC, Point(width / 2, 200.0)),
-             NodeSpec("sat1", NodeKind.SATELLITE, Point(width / 2, 800.0))]
-    idx = 1
-    for row in range(k):
-        for col in range(k):
-            nodes.append(NodeSpec(f"m{idx:03d}", NodeKind.MOTE,
-                                  Point(80.0 + 100 * col, 130.0 + 100 * row)))
-            idx += 1
-    mobility = {}
-    for ms_id, y, speed in walkers:
-        nodes.append(NodeSpec(ms_id, NodeKind.MOBILE_STATION, Point(0.0, y)))
-        mobility[ms_id] = MobilityPath((Point(width, y),), speed, 0.5)
-    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
-                 duration=90.0, seed=1)
-    validate_scenario(s)
-    return s
 
 
 def drop_scenario() -> Scenario:
@@ -63,8 +36,8 @@ def drop_scenario() -> Scenario:
 SCENARIOS = {
     "reference": reference_scenario,
     "reference-no-motes": lambda: strip_wsn(reference_scenario()),
-    "grid4-one-walker": lambda: grid_scenario(4, [("ms1", 190.0, 8.0)]),
-    "grid4-three-walkers": lambda: grid_scenario(
+    "grid4-one-walker": lambda: grid_world(4, [("ms1", 190.0, 8.0)]),
+    "grid4-three-walkers": lambda: grid_world(
         4, [(f"ms{i + 1}", 190.0 - 7 * i, 8.0 + 0.25 * i) for i in range(3)]),
     "reference-drops": drop_scenario,
 }

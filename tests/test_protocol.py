@@ -22,8 +22,9 @@ LINE_KINDS = {"ms": NodeKind.MOBILE_STATION, "m1": NodeKind.MOTE,
               "bs1": NodeKind.BASE_STATION}
 
 
-def _line_world():
-    """ms - m1 - m2 - m3 - bs1 chain, 80 m spacing, 100 m radios."""
+def _line_graph():
+    """The graph and kinds of the ms - m1 - m2 - m3 - bs1 chain, 80 m
+    spacing, 100 m radios."""
     profiles = {n: profile_for_range(100) for n in LINE_POSITIONS}
     return comm_graph(LINE_POSITIONS, profiles), LINE_KINDS
 
@@ -57,7 +58,7 @@ def _hear(sim, rx, req, reached, src="ms"):
 
 
 def test_detect_loss():
-    graph, kinds = _line_world()
+    graph, kinds = _line_graph()
     assert detect_loss(graph["ms"], kinds)  # bs1 is 320 m away
     positions = {"ms": Point(0, 0), "bs1": Point(90, 0)}
     kinds2 = {"ms": NodeKind.MOBILE_STATION, "bs1": NodeKind.BASE_STATION}
@@ -78,7 +79,7 @@ def test_make_discovery_ids_and_fields():
 
 
 def test_forward_unicasts_to_adjacent_base_station():
-    graph, kinds = _line_world()
+    graph, kinds = _line_graph()
     req = DiscoveryRequest(1, "ms", Point(0, 0), ttl=16, path=("m1", "m2"))
     forward = mote_forward("m3", req, *_rows(graph, kinds, "m3"))
     assert forward == (DiscoveryRequest(
@@ -95,7 +96,7 @@ def test_forward_unicasts_to_adjacent_base_station():
 
 
 def test_forward_floods_when_no_base_station_adjacent():
-    graph, kinds = _line_world()
+    graph, kinds = _line_graph()
     req = DiscoveryRequest(7, "ms", Point(0, 0), ttl=16)
     fwd, bs_id, targets = mote_forward("m1", req, *_rows(graph, kinds, "m1"))
     assert bs_id is None
@@ -146,7 +147,7 @@ def test_a_mote_drops_duplicates_without_energy_cost():
 
 
 def test_a_mote_ignores_an_exhausted_ttl_and_a_path_revisit():
-    graph, kinds = _line_world()
+    graph, kinds = _line_graph()
     dead = DiscoveryRequest(5, "ms", Point(0, 0), ttl=0)
     assert mote_forward("m1", dead, *_rows(graph, kinds, "m1")) is None
     sim = _line_sim()
@@ -179,7 +180,7 @@ def test_a_sleeping_mote_is_inert():
 
 
 def test_hand_traced_flood_along_the_line():
-    graph, kinds = _line_world()
+    graph, kinds = _line_graph()
     req = make_discovery("ms", Point(0, 0), count(1))
     # hop 1: m1 floods to m2
     r1, _, _ = mote_forward("m1", req, *_rows(graph, kinds, "m1"))

@@ -6,11 +6,12 @@ in turn."""
 import heapq
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import packed_dv
 import pytest
+from worlds import (check_metrics_against_bfs, check_quiescent, converge,
+                    random_graph)
 
 from wsnhandoff.routing import (INFINITY_METRIC, LINK_COST, NO_HOP, Lanes,
                                 RoutingLoopError, Table, UnreachableError,
@@ -150,70 +151,18 @@ def test_next_hops_hold_lanes_past_255():
 # ---- convergence vs BFS -------------------------------------------------
 
 
-def _bfs_hops(adj, src):
-    dist = {src: 0}
-    dq = deque([src])
-    while dq:
-        u = dq.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
-
-
-def _tables(adj):
-    lanes = Lanes(adj)
-    return {n: Table(n, lanes) for n in adj}
-
-
-def _converge(adj):
-    """Synchronous rounds in which every node adverts its changed lanes to
-    every neighbour, until nothing changes."""
-    tables = _tables(adj)
-    for _ in range(len(adj) + 2):
-        updates = {n: periodic_update(tables[n]) for n in sorted(adj)}
-        for t in tables.values():
-            t.changed.clear()  # every advert of the round is heard
-        any_change = False
-        for n in sorted(adj):
-            for nb in sorted(adj[n]):
-                if apply_update(tables[n], updates[nb]):
-                    any_change = True
-        if not any_change:
-            break
-    return tables
-
-
-def _random_graph(rng, max_nodes=12):
-    n = rng.randint(2, max_nodes)
-    names = [f"n{i}" for i in range(n)]
-    adj = {m: set() for m in names}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.3:
-                adj[names[i]].add(names[j])
-                adj[names[j]].add(names[i])
-    return adj
-
-
 def test_converged_metrics_equal_bfs_hop_counts():
     rng = random.Random(1234)
     for _ in range(40):
-        adj = _random_graph(rng)
-        tables = _converge(adj)
-        for src in adj:
-            hops = _bfs_hops(adj, src)
-            for dst in adj:
-                want = min(hops.get(dst, INFINITY_METRIC), INFINITY_METRIC)
-                assert tables[src].metric(dst) == want, (src, dst)
+        adj = random_graph(rng)
+        check_metrics_against_bfs(converge(adj), adj)
 
 
 def test_cross_partition_metrics_are_infinity():
     # two disjoint triangles
     adj = {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"},
            "x": {"y", "z"}, "y": {"x", "z"}, "z": {"x", "y"}}
-    tables = _converge(adj)
+    tables = converge(adj)
     assert tables["a"].metric("x") == INFINITY_METRIC
     assert tables["x"].metric("c") == INFINITY_METRIC
     with pytest.raises(UnreachableError):
@@ -225,18 +174,13 @@ def test_quiescent_tables_are_stable_under_reapplication():
     # neighbour
     rng = random.Random(77)
     for _ in range(10):
-        adj = _random_graph(rng, max_nodes=8)
-        tables = _converge(adj)
-        for n in sorted(adj):
-            tables[n].changed = set(range(len(adj)))
-            up = periodic_update(tables[n])
-            for nb in sorted(adj[n]):
-                assert not apply_update(tables[nb], up)
+        adj = random_graph(rng, max_nodes=8)
+        check_quiescent(converge(adj), adj)
 
 
 def test_shortest_path_on_a_line():
     adj = {"a": {"b"}, "b": {"a", "c"}, "c": {"b", "d"}, "d": {"c"}}
-    tables = _converge(adj)
+    tables = converge(adj)
     path = shortest_path(tables, "a", "d")
     assert path == ["a", "b", "c", "d"]
     assert len(path) - 1 == tables["a"].metric("d")
@@ -244,7 +188,7 @@ def test_shortest_path_on_a_line():
 
 
 def test_shortest_path_to_a_node_without_a_lane_is_unreachable():
-    tables = _converge({"a": {"b"}, "b": {"a"}})
+    tables = converge({"a": {"b"}, "b": {"a"}})
     with pytest.raises(UnreachableError):
         shortest_path(tables, "a", "bs1")
     with pytest.raises(UnreachableError):
@@ -254,8 +198,8 @@ def test_shortest_path_to_a_node_without_a_lane_is_unreachable():
 def test_shortest_path_length_matches_metric_on_random_graphs():
     rng = random.Random(31)
     for _ in range(15):
-        adj = _random_graph(rng)
-        tables = _converge(adj)
+        adj = random_graph(rng)
+        tables = converge(adj)
         for src in sorted(adj):
             for dst in sorted(adj):
                 m = tables[src].metric(dst)
@@ -303,9 +247,9 @@ def test_delta_and_general_merges_agree_in_lockstep():
     rng = random.Random(2310)
     merges = changes = drops = 0
     for _ in range(40):
-        adj = _random_graph(rng, max_nodes=14)
-        delta = _tables(adj)
-        lanes = packed_dv.Lanes(adj)
+        adj = random_graph(rng, max_nodes=14)
+        delta_lanes, lanes = Lanes(adj), packed_dv.Lanes(adj)
+        delta = {n: Table(n, delta_lanes) for n in adj}
         packed = {n: packed_dv.Table(n, lanes) for n in adj}
         deaf = {(a, b) for a in adj for b in adj[a] if rng.random() < 0.1}
         awake = set(adj)
@@ -566,7 +510,7 @@ def test_packed_and_dict_tables_agree_in_lockstep_until_converged():
     rng = random.Random(4242)
     merges = changes = 0
     for _ in range(25):
-        adj = _random_graph(rng, max_nodes=14)
+        adj = random_graph(rng, max_nodes=14)
         lanes = packed_dv.Lanes(adj)
         packed = {n: packed_dv.Table(n, lanes) for n in adj}
         dicts = {n: DistanceVector(n, {n: (0, n)}) for n in adj}
@@ -599,9 +543,5 @@ def test_packed_and_dict_tables_agree_in_lockstep_until_converged():
                         changed_any = True
                         send(rx, now)
             quiet = 0 if changed_any else quiet + 1
-        for src in adj:
-            hops = _bfs_hops(adj, src)
-            for dst in adj:
-                want = min(hops.get(dst, INFINITY_METRIC), INFINITY_METRIC)
-                assert packed[src].metric(dst) == want, (src, dst)
+        check_metrics_against_bfs(packed, adj)
     assert merges > 1000 and changes > 200, (merges, changes)

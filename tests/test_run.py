@@ -5,12 +5,15 @@ import hashlib
 import math
 import random
 import weakref
-from collections import deque
 
 import pytest
 from invariants import (all_pairs_graph, check_dv_tables, check_relay_paths,
                         check_run, radio_positions)
-from test_goldens import grid_scenario
+from worlds import (DISCOVERY_FROM_A_MOTE_POINT, RADIO_RANGE,
+                    bs_reachable_by_bfs, check_flood_against_oracle,
+                    crossing_world, grid_world, line_world, random_walk_world,
+                    satellite_free_crossing_world, timed_world,
+                    unit_disk_world)
 
 from wsnhandoff import simulation
 from wsnhandoff.protocol import (DecisionOutcome, DiscoveryRequest,
@@ -245,7 +248,8 @@ def test_a_full_one_frame_queue_drops_the_offer_and_keeps_one_drain():
                             params=SimParams(queue_capacity=1))
     sim = Simulation(s)
     for _ in range(2):
-        sim._send("ms1", Frame("sat_request", "ms1", dst="sat1"))
+        sim._send("ms1", Frame("sat_request", "ms1", dst="sat1",
+                               channel="satlink"))
     q = sim.node_queues["ms1"]
     assert (q.queued, q.dropped, len(q)) == (2, 1, 1)
     assert len(sim.queue) == 1
@@ -468,7 +472,7 @@ def test_check_run_fails_a_copy_that_reaches_a_sleeping_mote(monkeypatch):
     # this world a later flood reaches a mote put to sleep
     monkeypatch.setattr(simulation, "SLEEPING", object())
     with pytest.raises(AssertionError, match="a sleeping mote forwards"):
-        check_run(Simulation(_timed_world(7252)))
+        check_run(Simulation(timed_world(7252)))
 
 
 def _reach_with(sim, make):
@@ -508,7 +512,7 @@ def test_a_floods_reached_set_is_freed_with_its_last_copy(walkers):
     # while its loop still names the event before) and at the end, every
     # set still alive is held by a queued frame or a delivery, pending or
     # about to run
-    sim = Simulation(grid_scenario(4, [
+    sim = Simulation(grid_world(4, [
         (f"ms{i + 1}", 190.0 - 7 * i, 8.0 + 0.25 * i)
         for i in range(walkers)]))
     alive = {}  # id of a weak reference -> it, while its set lives
@@ -574,6 +578,23 @@ def test_check_run_fails_a_copy_that_reaches_a_mote_on_its_path(
     sim = Simulation(reference_scenario())
     _reach_with(sim, lambda req, fresh: _Forgetful())
     with pytest.raises(AssertionError, match="a mote on the path forwards"):
+        check_run(sim)
+
+
+def test_check_run_fails_a_radio_unicast_from_a_handset():
+    # only a mote sends a radio unicast, a forward handed to a base station,
+    # so _transmit reads the sender's outcome row; check_run asserts it of
+    # every radio unicast.  Here the handsets send their floods to bs1
+    sim = Simulation(reference_scenario())
+    send = sim._send
+
+    def unicast(node_id, frame):
+        if frame.kind == "discovery" and node_id in sim.ms_states:
+            frame = Frame("discovery", node_id, "bs1", (), frame.payload)
+        return send(node_id, frame)
+
+    sim._send = unicast
+    with pytest.raises(AssertionError, match="radio unicast from a non-mote"):
         check_run(sim)
 
 
@@ -727,88 +748,12 @@ def test_report_parser_rejects_a_value_that_is_not_a_count(value):
 
 # ---- flooding vs breadth-first search ------------------------------------
 
-RADIO_RANGE = 120.0
-
-
-def unit_disk_scenario(rng, n_motes=None, duration=3.0):
-    """Random flat world with one mobile station, one cell, one satellite.
-
-    Every radio uses the same range and a zero error margin, so the
-    communication graph is exactly the unit-disk graph and reachability
-    has a clean breadth-first oracle.
-    """
-    profile = profile_for_range(RADIO_RANGE)
-    if n_motes is None:
-        n_motes = rng.randint(0, 20)
-    while True:
-        nodes = [NodeSpec("bs1", NodeKind.BASE_STATION,
-                          Point(round(rng.uniform(0, 600), 2),
-                                round(rng.uniform(0, 600), 2)), profile)]
-        for i in range(n_motes):
-            nodes.append(NodeSpec(f"m{i:02d}", NodeKind.MOTE,
-                                  Point(round(rng.uniform(0, 600), 2),
-                                        round(rng.uniform(0, 600), 2)),
-                                  profile))
-        ms_pos = Point(round(rng.uniform(0, 600), 2),
-                       round(rng.uniform(0, 600), 2))
-        if ms_pos.distance_to(nodes[0].position) <= RADIO_RANGE:
-            continue  # still covered: no discovery would ever start
-        positions = {n.position for n in nodes}
-        if ms_pos in positions or len(positions) != len(nodes):
-            continue
-        nodes.append(NodeSpec("ms1", NodeKind.MOBILE_STATION, ms_pos,
-                              profile))
-        nodes.append(NodeSpec("sat1", NodeKind.SATELLITE,
-                              Point(-500.0, -500.0), profile))
-        nodes.append(NodeSpec("msc1", NodeKind.MSC, Point(-400.0, -600.0)))
-        s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), {},
-                     duration=duration, seed=rng.randrange(2**32))
-        validate_scenario(s)
-        return s
-
-
-def bs_reachable_by_bfs(s: Scenario, ttl: int = 16) -> bool:
-    """Oracle: does a mote chain of at most `ttl` hops join ms1 to bs1?"""
-    pos = {n.node_id: n.position for n in s.nodes}
-    motes = [n.node_id for n in s.nodes if n.kind is NodeKind.MOTE]
-    near = lambda a, b: pos[a].distance_to(pos[b]) <= RADIO_RANGE
-    frontier = deque((m, 1) for m in motes if near("ms1", m))
-    seen = {m for m, _ in frontier}
-    while frontier:
-        m, hops = frontier.popleft()
-        if near(m, "bs1"):
-            return True
-        if hops == ttl:
-            continue
-        for other in motes:
-            if other not in seen and near(m, other):
-                seen.add(other)
-                frontier.append((other, hops + 1))
-    return False
-
-
-def check_flood_against_oracle(s: Scenario):
-    rep = run(s)
-    reachable = bs_reachable_by_bfs(s)
-    delivered = [e for e in rep.escalations if e.bs_id == "bs1"]
-    assert bool(delivered) == reachable, serialize_report(rep)
-    pos = {n.node_id: n.position for n in s.nodes}
-    for esc in delivered:
-        path = esc.relay_path
-        assert 0 < len(path) <= 16
-        assert len(set(path)) == len(path)  # simple
-        assert pos["ms1"].distance_to(pos[path[0]]) <= RADIO_RANGE
-        assert pos[path[-1]].distance_to(pos["bs1"]) <= RADIO_RANGE
-        for a, b in zip(path, path[1:]):
-            assert pos[a].distance_to(pos[b]) <= RADIO_RANGE
-    return rep
-
 
 def test_flood_reaches_exactly_the_bfs_reachable_cell():
     rng = random.Random(90125)
     hits = misses = 0
     for _ in range(25):
-        s = unit_disk_scenario(rng)
+        s = unit_disk_world(rng, rng.randint(0, 20))
         if bs_reachable_by_bfs(s):
             hits += 1
         else:
@@ -817,29 +762,12 @@ def test_flood_reaches_exactly_the_bfs_reachable_cell():
     assert hits and misses  # the sample exercises both sides of the iff
 
 
-def _line_scenario(n_motes: int) -> Scenario:
-    """ms - m01 - m02 - ... - bs1 chain with 100 m spacing."""
-    profile = profile_for_range(RADIO_RANGE)
-    nodes = [NodeSpec("ms1", NodeKind.MOBILE_STATION, Point(0.0, 0.0),
-                      profile)]
-    for i in range(n_motes):
-        nodes.append(NodeSpec(f"m{i:02d}", NodeKind.MOTE,
-                              Point(100.0 * (i + 1), 0.0), profile))
-    nodes.append(NodeSpec("bs1", NodeKind.BASE_STATION,
-                          Point(100.0 * (n_motes + 1), 0.0), profile))
-    nodes.append(NodeSpec("sat1", NodeKind.SATELLITE, Point(0.0, 900.0),
-                          profile))
-    nodes.append(NodeSpec("msc1", NodeKind.MSC, Point(-50.0, -50.0)))
-    return Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), {},
-                    duration=3.0, seed=9)
-
-
 def test_flood_range_is_bounded_by_ttl():
     # sixteen relays exhaust the hop budget exactly; seventeen exceed it
-    rep16 = check_flood_against_oracle(_line_scenario(16))
+    rep16 = check_flood_against_oracle(line_world(16, 9))
     assert [e.bs_id for e in rep16.escalations] == ["bs1"]
     assert len(rep16.escalations[0].relay_path) == 16
-    rep17 = check_flood_against_oracle(_line_scenario(17))
+    rep17 = check_flood_against_oracle(line_world(17, 9))
     assert rep17.escalations == ()
 
 
@@ -847,7 +775,7 @@ def test_flood_delivery_is_sound_with_two_cells():
     rng = random.Random(777)
     profile = profile_for_range(RADIO_RANGE)
     for _ in range(6):
-        s = unit_disk_scenario(rng, n_motes=14)
+        s = unit_disk_world(rng, 14)
         far = NodeSpec("bs2", NodeKind.BASE_STATION, Point(620.0, -620.0),
                        profile)
         motes = [n.node_id for n in s.nodes if n.kind is NodeKind.MOTE]
@@ -868,13 +796,13 @@ def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl():
     rng = random.Random(31337)
     checked = routes = 0
     for _ in range(30):
-        s = _random_walk_world(rng)
+        s = random_walk_world(rng)
         sim = Simulation(dataclasses.replace(
             s, params=SimParams(default_ttl=rng.randint(1, 6))))
         checked += check_relay_paths(sim.s, check_run(sim))
         routes += check_dv_tables(sim)
     for n in (3, 5):  # chains the flood crosses with its last hop of TTL
-        s = dataclasses.replace(_line_scenario(n),
+        s = dataclasses.replace(line_world(n, 9),
                                 params=SimParams(default_ttl=n))
         checked += check_relay_paths(s, run(s))
     assert checked > 50
@@ -894,59 +822,6 @@ def _graph_inputs_at(s: Scenario, t: float):
 def _full_graph_at(s: Scenario, t: float):
     """Oracle: every radio positioned at t and the whole graph rebuilt."""
     return all_pairs_graph(*_graph_inputs_at(s, t))
-
-
-def _random_walk_world(rng) -> Scenario:
-    nodes = [NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 200.0)),
-             NodeSpec("bs2", NodeKind.BASE_STATION, Point(900.0, 200.0)),
-             NodeSpec("msc1", NodeKind.MSC, Point(450.0, 200.0)),
-             NodeSpec("sat1", NodeKind.SATELLITE, Point(450.0, 900.0))]
-    for i in range(rng.randint(0, 30)):
-        # some motes get a hotter or deafer radio, so links go one-way
-        profile = (profile_for_range(rng.uniform(60.0, 260.0),
-                                     error_margin_db=1.0)
-                   if rng.random() < 0.3 else None)
-        nodes.append(NodeSpec(f"m{i:02d}", NodeKind.MOTE,
-                              Point(rng.uniform(0.0, 900.0),
-                                    rng.uniform(0.0, 400.0)), profile))
-    mobility = {}
-    for i in range(rng.randint(1, 4)):
-        ms_id = f"ms{i}"
-        nodes.append(NodeSpec(ms_id, NodeKind.MOBILE_STATION,
-                              Point(rng.uniform(0.0, 900.0),
-                                    rng.uniform(0.0, 400.0))))
-        if rng.random() < 0.8:  # the rest stand still
-            waypoints = tuple(Point(rng.uniform(0.0, 900.0),
-                                    rng.uniform(0.0, 400.0))
-                              for _ in range(rng.randint(1, 3)))
-            mobility[ms_id] = MobilityPath(waypoints, rng.uniform(2.0, 30.0),
-                                           rng.uniform(0.2, 1.0))
-    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
-                 duration=60.0, seed=1)
-    validate_scenario(s)
-    return s
-
-
-def _timed_world(seed: int) -> Scenario:
-    """A _random_walk_world under non-default timing.  Short discovery
-    timeouts against slow backhaul let one handset hold several requests
-    at once; a quarter of the worlds bring links up with no delay, so an
-    escalation can reach the switching centre after its link is up."""
-    rng = random.Random(seed)
-    s = _random_walk_world(rng)
-    if rng.random() < 0.25:
-        steer = acquire = 0.0
-        hop = rng.choice((0.05, 0.2))
-    else:
-        steer = rng.choice((0.5, 3.0))
-        acquire = rng.choice((2.0, 5.0))
-        hop = rng.choice((0.01, 0.05, 0.2))
-    return dataclasses.replace(s, params=SimParams(
-        discovery_timeout=rng.choice((0.02, 0.05, 0.2, 1.0)),
-        hop_delay=hop, backhaul_delay=rng.choice((0.05, 0.5, 1.5)),
-        steering_delay=steer, satellite_acquisition_delay=acquire,
-        coverage_check_period=rng.choice((0.25, 1.0)),
-        default_ttl=rng.randint(2, 16)))
 
 
 # seed -> (digest, events_processed, sha256 of serialize_report, sha256 of
@@ -1011,7 +886,7 @@ CORNER_WORLDS = {
 
 @pytest.mark.parametrize("seed", sorted(CORNER_WORLDS))
 def test_cross_request_corners_match_their_pins(seed):
-    report = check_run(Simulation(_timed_world(seed)))
+    report = check_run(Simulation(timed_world(seed)))
     logs = repr((report.decisions, report.escalations))
     got = (report.digest, report.events_processed,
            hashlib.sha256(serialize_report(report).encode()).hexdigest(),
@@ -1023,7 +898,7 @@ def test_a_decision_for_a_served_handset_clears_its_pending_discovery():
     # the decision for request 9 reaches ms1 while a link serves it: it is
     # logged and brings nothing up, but it still ends the discovery, which
     # would otherwise stay pending until its deadline
-    sim = Simulation(_timed_world(7252))
+    sim = Simulation(timed_world(7252))
     report = sim.run()
     st, answered = sim.ms_states["ms1"], sim.handoffs[9]
     assert st.link is not None and st.pending is None
@@ -1074,7 +949,7 @@ def test_handset_rows_match_a_full_graph_rebuild():
     # a coverage check reads only a handset's base stations and motes
     fixed = (NodeKind.BASE_STATION, NodeKind.MOTE)
     rng = random.Random(4242)
-    worlds = [_random_walk_world(rng) for _ in range(40)]
+    worlds = [random_walk_world(rng) for _ in range(40)]
     compared = 0
     for s in worlds + _boundary_worlds():
         sim = Simulation(s)
@@ -1090,27 +965,11 @@ def test_handset_rows_match_a_full_graph_rebuild():
 
 def test_comm_graph_matches_the_all_pairs_oracle():
     rng = random.Random(4343)
-    worlds = [_random_walk_world(rng) for _ in range(40)] + _boundary_worlds()
+    worlds = [random_walk_world(rng) for _ in range(40)] + _boundary_worlds()
     for s in worlds:
         for t in [0.0, 1.0, 13.0, 60.0]:
             inputs = _graph_inputs_at(s, t)
             assert comm_graph(*inputs) == all_pairs_graph(*inputs), t
-
-
-def _crossing_world(walkers) -> Scenario:
-    nodes = [NodeSpec("bs1", NodeKind.BASE_STATION, Point(-300.0, 0.0)),
-             NodeSpec("m01", NodeKind.MOTE, Point(64.0, 0.0)),
-             NodeSpec("m02", NodeKind.MOTE, Point(160.0, 0.0)),
-             NodeSpec("msc1", NodeKind.MSC, Point(0.0, 500.0)),
-             NodeSpec("sat1", NodeKind.SATELLITE, Point(0.0, 900.0))]
-    mobility = {}
-    for ms_id, start, end in walkers:
-        nodes.append(NodeSpec(ms_id, NodeKind.MOBILE_STATION, start))
-        mobility[ms_id] = MobilityPath((end,), 8.0, 1.0)
-    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
-                 duration=20.0, seed=1)
-    validate_scenario(s)
-    return s
 
 
 def _shared_points(positions: dict) -> list:
@@ -1132,7 +991,7 @@ def _shared_points(positions: dict) -> list:
 def test_walking_onto_another_node_runs_to_completion(walkers, pair):
     # radios on one point hear each other at reference power, so the
     # coverage check at the tick where they meet links them
-    s = _crossing_world(walkers)
+    s = crossing_world(walkers)
     t = 0.0
     while not _shared_points(_graph_inputs_at(s, t)[0]):
         t += s.params.coverage_check_period
@@ -1156,7 +1015,7 @@ def test_walking_onto_another_node_runs_to_completion(walkers, pair):
 def test_walking_onto_a_node_that_is_not_a_radio_runs_to_completion(walker):
     # switching centres and satellites are in no radio graph, so a handset
     # may share their point
-    s = _crossing_world([walker])
+    s = crossing_world([walker])
     here = position_at(s.mobility["ms1"], walker[1], 8.0)
     assert here in {n.position for n in s.nodes
                     if n.kind in (NodeKind.MSC, NodeKind.SATELLITE)}
@@ -1171,25 +1030,6 @@ def test_the_reference_walker_halting_on_the_msc_runs_to_completion():
                                       halt_fraction=1.0)
     s = dataclasses.replace(s, mobility={**s.mobility, "ms1": walk})
     assert run(s).events_processed == 2430
-
-
-# At t = 45 ms1 queues a payload for bs1, then loses the steered beam and
-# queues a discovery for mx; the payload takes the t = 45 slot, so the
-# discovery goes out at 45.5 from (455, 190), mx's point, where no coverage
-# tick looked.
-DISCOVERY_FROM_A_MOTE_POINT = """[params]
-duration = 50
-app_interval = 29.43
-tx_slot = 0.5
-[node]
-bs1 base_station 0 200
-msc1 msc 500 -400
-ms1 mobile_station 0 190
-m00 mote 60 130
-mx mote {mx_x} 190
-[mobility]
-ms1 speed=10 halt=1 waypoints=1000,190
-"""
 
 
 def test_a_handset_transmitting_from_a_receivers_point_is_heard_at_reference(
@@ -1254,33 +1094,6 @@ def test_the_reference_scenario_without_its_satellite_runs_to_completion():
     assert sim.queue.clock == s.duration
 
 
-def _satellite_free_crossing_world(seed: int):
-    """A _random_walk_world without its satellite, in which ms0 walks east
-    along a row onto a mote's point, moved to whole metres, at t = 8, a
-    coverage tick (powers of two keep the walk exact).  Returns the world
-    and the mote, or None when the world has no mote or its moved nodes
-    break a rule."""
-    rng = random.Random(seed)
-    s = _random_walk_world(rng)
-    motes = [n for n in s.nodes if n.kind is NodeKind.MOTE]
-    if not motes:
-        return None
-    crossed = rng.choice(motes)
-    at = Point(float(round(crossed.position.x)),
-               float(round(crossed.position.y)))
-    moved = {crossed.node_id: at, "ms0": Point(at.x - 64.0, at.y)}
-    s = dataclasses.replace(s, nodes=tuple(
-        n._replace(position=moved.get(n.node_id, n.position))
-        for n in s.nodes if n.kind is not NodeKind.SATELLITE), mobility={
-        **s.mobility,
-        "ms0": MobilityPath((Point(at.x + 960.0, at.y),), 8.0, 1.0)})
-    try:
-        validate_scenario(s)
-    except ValidationError:
-        return None
-    return s, crossed.node_id
-
-
 def test_satellite_free_worlds_with_a_handset_crossing_a_mote_run_to_the_end(
         monkeypatch):
     decisions = []  # every msc_decide answer, None for nothing to offer
@@ -1293,7 +1106,7 @@ def test_satellite_free_worlds_with_a_handset_crossing_a_mote_run_to_the_end(
     monkeypatch.setattr(simulation, "msc_decide", recorded_decide)
     ran = 0
     for seed in range(30):
-        world = _satellite_free_crossing_world(seed)
+        world = satellite_free_crossing_world(seed)
         if world is None:
             continue
         s, mote = world

@@ -4,10 +4,10 @@ import dataclasses
 import importlib
 import pkgutil
 from collections import deque
-from pathlib import Path
 
 import pytest
 from invariants import radio_positions
+from worlds import readme_scenario
 
 import wsnhandoff
 from wsnhandoff.scenario import (DEFAULT_PROFILES, NodeSpec, ParseError,
@@ -538,15 +538,8 @@ def test_every_valid_scenario_built_in_code_serializes():
     assert load_scenario(serialize_scenario(s)) == s
 
 
-def _readme_scenario() -> str:
-    """The example under README's "Scenario files" heading."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("## Scenario files", 1)[1]
-    return section.split("```", 2)[1].split("\n", 1)[1]
-
-
 def test_readme_scenario_example_loads_and_runs():
-    s = load_scenario(_readme_scenario())
+    s = load_scenario(readme_scenario())
     assert load_scenario(serialize_scenario(s)) == s
     assert s.mobility and s.by_kind(NodeKind.MOTE)
     report = run(s)

@@ -1,101 +1,68 @@
 """The seeded worlds the tests share, pinned.
 
-Each pin is the SHA-256 of `serialize_scenario` of every world one
-generator draws for the seeds and arguments the suite uses, in the order
-the suite draws them (a text world is hashed as its text).  A change to a
-generator, or to how a test draws from it, changes what existing tests
-check; it shows here first.  A random graph is hashed as the repr of its
-sorted adjacency.  The graphs of the two lockstep merge tests of
-test_routing.py are not pinned: those tests draw between graphs.
+Each pin is the SHA-256 of every world one generator of `worlds.py` draws
+for the seeds and arguments the suite uses, in the suite's draw order, as
+`serialize_scenario` writes it (a graph as its sorted adjacency).  A change
+to a generator, or to how a test draws from it, changes what existing tests
+check, and shows here first.  The graphs of test_routing.py's two lockstep
+tests are not pinned: those tests draw between graphs.
 """
 
 import hashlib
 import random
 
 import pytest
-from test_acceptance import _line, _unit_disk
-from test_goldens import grid_scenario
-from test_routing import _random_graph
-from test_run import (DISCOVERY_FROM_A_MOTE_POINT, _crossing_world,
-                      _line_scenario, _random_walk_world,
-                      _satellite_free_crossing_world, _timed_world,
-                      unit_disk_scenario)
-from test_scenario import _readme_scenario
+from worlds import (DISCOVERY_FROM_A_MOTE_POINT, crossing_world, grid_world,
+                    line_world, random_graph, random_walk_world,
+                    readme_scenario, satellite_free_crossing_world,
+                    timed_world, unit_disk_world)
 
 from wsnhandoff.scenario import serialize_scenario
 from wsnhandoff.world import Point
 
 
-def _unit_disk_draws():
-    rng = random.Random(90125)
-    worlds = [unit_disk_scenario(rng, rng.randint(0, 20)) for _ in range(25)]
-    rng = random.Random(777)
-    worlds += [unit_disk_scenario(rng, 14) for _ in range(6)]
-    rng = random.Random(20260815)
-    worlds += [_unit_disk(rng, rng.randint(0, 20)) for _ in range(50)]
-    return worlds
+def _seeded(seed, count, draw):
+    rng = random.Random(seed)
+    return [draw(rng) for _ in range(count)]
 
 
-def _line_draws():
-    return ([_line(n) for n in (16, 17)]
-            + [_line_scenario(n) for n in (16, 17, 3, 5)])
+def _walk_then_ttl(rng):
+    world = random_walk_world(rng)
+    rng.randint(1, 6)  # the relay-path test's TTL, drawn between worlds
+    return world
 
 
-def _random_walk_draws():
-    worlds = []
-    rng = random.Random(31337)
-    for _ in range(30):
-        worlds.append(_random_walk_world(rng))
-        rng.randint(1, 6)  # the relay-path test's TTL, drawn between worlds
-    for seed in (4242, 4343):
-        rng = random.Random(seed)
-        worlds += [_random_walk_world(rng) for _ in range(40)]
-    return worlds
-
-
-def _crossing_draws():
-    return [_crossing_world(walkers) for walkers in (
+DRAWS = {
+    "unit-disk": lambda: (
+        _seeded(90125, 25, lambda rng: unit_disk_world(rng,
+                                                       rng.randint(0, 20)))
+        + _seeded(777, 6, lambda rng: unit_disk_world(rng, 14))
+        + _seeded(20260815, 50, lambda rng: unit_disk_world(
+            rng, rng.randint(0, 20), rng.choice([300.0, 450.0, 600.0])))),
+    "line": lambda: ([line_world(n, 4) for n in (16, 17)]
+                     + [line_world(n, 9) for n in (16, 17, 3, 5)]),
+    "random-walk": lambda: (_seeded(31337, 30, _walk_then_ttl)
+                            + _seeded(4242, 40, random_walk_world)
+                            + _seeded(4343, 40, random_walk_world)),
+    "timed": lambda: [timed_world(seed) for seed in (
+        65, 628, 832, 1072, 1273, 2670, 4868, 5184, 7252)],
+    "crossing": lambda: [crossing_world(walkers) for walkers in (
         [("ms1", Point(0.0, 0.0), Point(1024.0, 0.0))],
         [("ms1", Point(0.0, -64.0), Point(1024.0, -64.0)),
          ("ms2", Point(64.0, -128.0), Point(64.0, 896.0))],
         [("ms1", Point(0.0, 436.0), Point(0.0, 1460.0))],
-        [("ms1", Point(0.0, 836.0), Point(0.0, 1860.0))])]
-
-
-def _satellite_free_crossing_draws():
-    draws = []
-    for seed in range(30):
-        world = _satellite_free_crossing_world(seed)
-        draws += ["None"] if world is None else list(world)
-    return draws
-
-
-def _random_graph_draws():
-    graphs = []
-    for seed, count, max_nodes in ((1234, 40, 12), (77, 10, 8), (31, 15, 12),
-                                   (5150, 30, 12)):
-        rng = random.Random(seed)
-        graphs += [_random_graph(rng, max_nodes) for _ in range(count)]
-    return graphs
-
-
-def _grid_draws():
-    return [grid_scenario(4, [(f"ms{i + 1}", 190.0 - 7 * i, 8.0 + 0.25 * i)
-                              for i in range(n)]) for n in (1, 3, 16)]
-
-
-DRAWS = {
-    "unit-disk": _unit_disk_draws,
-    "line": _line_draws,
-    "random-walk": _random_walk_draws,
-    "timed": lambda: [_timed_world(seed) for seed in (
-        65, 628, 832, 1072, 1273, 2670, 4868, 5184, 7252)],
-    "crossing": _crossing_draws,
-    "satellite-free-crossing": _satellite_free_crossing_draws,
-    "grid": _grid_draws,
-    "random-graph": _random_graph_draws,
+        [("ms1", Point(0.0, 836.0), Point(0.0, 1860.0))])],
+    "satellite-free-crossing": lambda: [
+        satellite_free_crossing_world(seed) for seed in range(30)],
+    "grid": lambda: [grid_world(4, [
+        (f"ms{i + 1}", 190.0 - 7 * i, 8.0 + 0.25 * i) for i in range(n)])
+        for n in (1, 3, 16)],
+    "random-graph": lambda: (
+        _seeded(1234, 40, random_graph)
+        + _seeded(77, 10, lambda rng: random_graph(rng, 8))
+        + _seeded(31, 15, random_graph) + _seeded(5150, 30, random_graph)),
     "text": lambda: [DISCOVERY_FROM_A_MOTE_POINT.format(mx_x=x)
-                     for x in (455, 456)] + [_readme_scenario()],
+                     for x in (455, 456)] + [readme_scenario()],
 }
 
 PINS = {
@@ -121,16 +88,23 @@ PINS = {
 
 
 def _text(world) -> str:
-    if isinstance(world, str):
-        return world
-    if isinstance(world, dict):  # a graph's adjacency
-        return repr(sorted((n, sorted(nbs)) for n, nbs in world.items()))
-    return serialize_scenario(world)
+    """A world as hashed: a text or None as itself, a graph as its sorted
+    adjacency, a (scenario, mote) pair as the scenario's text and the mote,
+    each ended by a NUL."""
+    if world is None or isinstance(world, str):
+        text = str(world)
+    elif isinstance(world, dict):
+        text = repr(sorted((n, sorted(nbs)) for n, nbs in world.items()))
+    elif isinstance(world, tuple):
+        return _text(world[0]) + _text(world[1])
+    else:
+        text = serialize_scenario(world)
+    return text + "\0"
 
 
 @pytest.mark.parametrize("family", sorted(DRAWS))
 def test_the_suites_worlds_are_the_pinned_ones(family):
     digest = hashlib.sha256()
     for world in DRAWS[family]():
-        digest.update(_text(world).encode() + b"\0")
+        digest.update(_text(world).encode())
     assert digest.hexdigest() == PINS[family]
