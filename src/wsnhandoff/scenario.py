@@ -258,9 +258,10 @@ def load_scenario(text: str) -> Scenario:
 
 
 def _broken_rule(name: str, values: tuple, duration):
-    """The first rule that `values`, checked together as `name`, break, or
-    None.  A position need only be finite numbers; the scalars also have
-    range, period and integer rules, and a finite profile or walk its own."""
+    """The first rule that `values`, checked together as `name` (a scalar's
+    name, "position", "profile" or "mobility"), break, or None.  A position
+    need only be finite numbers; the scalars also have range, period and
+    integer rules, and a finite profile or walk its own."""
     if not all(isinstance(v, (int, float)) for v in values):
         return "must be a number"
     value = values[0]
@@ -280,13 +281,13 @@ def _broken_rule(name: str, values: tuple, duration):
         return "is too small to advance the clock"
     if name in _INTEGERS and type(value) is not int:
         return "must be an integer"
-    if name.startswith("profile of "):
+    if name == "profile":
         _, _, margin, exponent, _ = values
         if margin < 0:
             return "must be error_margin_db >= 0"
         if not 1 <= exponent <= 6:
             return "must be 1 <= path_loss_exponent <= 6"
-    if name.startswith("mobility of "):
+    if name == "mobility":
         speed, halt, *coords = values
         if not coords:
             return "must be a walk to at least one waypoint"
@@ -303,20 +304,24 @@ def validate_scenario(s: Scenario):
     positions = {}
     mscs = 0
 
-    def typed(name: str, value, cls) -> bool:
-        """True when value is a cls, else one problem naming the part.  A
-        record is a tuple too, so a tuple must be a plain one."""
+    def typed(what: str, value, cls, *of) -> bool:
+        """True when value is a cls, else one problem naming the part:
+        `what`, then the repr of what `of` holds.  A record is a tuple too,
+        so a tuple must be a plain one."""
         ok = type(value) is tuple if cls is tuple else isinstance(value, cls)
         if not ok:
-            problems.append(f"{name} must be a {cls.__name__}")
+            problems.append(" ".join((what, *map(repr, of)))
+                            + f" must be a {cls.__name__}")
         return ok
 
     scalars = {"duration": s.duration, "seed": s.seed}
     if typed("params", s.params, SimParams):
         scalars.update(s.params._asdict())
-    checks = [(name, (scalars[name],)) for name in _SCALARS if name in scalars]
+    # (what is checked, the node it belongs to, if any, its values)
+    checks = [(name, (), (scalars[name],)) for name in _SCALARS
+              if name in scalars]
     for n in s.nodes if typed("nodes", s.nodes, tuple) else ():
-        if not typed(f"node {n!r}", n, NodeSpec):
+        if not typed("node", n, NodeSpec, n):
             continue
         mscs += n.kind is NodeKind.MSC
         # an id that a `[node]` line reads back as itself
@@ -328,8 +333,8 @@ def validate_scenario(s: Scenario):
         if n.node_id in kinds:
             problems.append(f"duplicate node id {n.node_id!r}")
         kinds.setdefault(n.node_id, n.kind)
-        typed(f"kind of {n.node_id!r}", n.kind, NodeKind)
-        if typed(f"position of {n.node_id!r}", n.position, Point):
+        typed("kind of", n.kind, NodeKind, n.node_id)
+        if typed("position of", n.position, Point, n.node_id):
             key = (n.position.x, n.position.y)
             # the number rule below judges coordinates that are not numbers
             if all(isinstance(c, (int, float)) for c in key):
@@ -337,12 +342,12 @@ def validate_scenario(s: Scenario):
                     problems.append(f"nodes {positions[key]!r} and "
                                     f"{n.node_id!r} co-located")
                 positions[key] = n.node_id
-            checks.append((f"position of {n.node_id!r}", key))
+            checks.append(("position", (n.node_id,), key))
         if n.profile is not None and n.kind is NodeKind.MSC:
             problems.append(f"msc {n.node_id!r} carries a radio profile")
-        elif n.profile is not None and typed(f"profile of {n.node_id!r}",
-                                             n.profile, RadioProfile):
-            checks.append((f"profile of {n.node_id!r}", tuple(n.profile)))
+        elif n.profile is not None and typed("profile of", n.profile,
+                                             RadioProfile, n.node_id):
+            checks.append(("profile", (n.node_id,), tuple(n.profile)))
     if mscs > 1:
         problems.append("more than one msc")
     walks = s.mobility.items() if typed("mobility", s.mobility, dict) else ()
@@ -351,17 +356,18 @@ def validate_scenario(s: Scenario):
             problems.append(f"mobility for unknown node {node_id!r}")
         elif kinds[node_id] is not NodeKind.MOBILE_STATION:
             problems.append(f"mobility on non-mobile node {node_id!r}")
-        if (typed(f"mobility of {node_id!r}", path, MobilityPath)
-                and typed(f"waypoints of {node_id!r}", path.waypoints, tuple)
-                and all(typed(f"waypoint of {node_id!r}", w, Point)
+        if (typed("mobility of", path, MobilityPath, node_id)
+                and typed("waypoints of", path.waypoints, tuple, node_id)
+                and all(typed("waypoint of", w, Point, node_id)
                         for w in path.waypoints)):
-            checks.append((f"mobility of {node_id!r}", (
+            checks.append(("mobility", (node_id,), (
                 path.speed, path.halt_fraction,
                 *(c for w in path.waypoints for c in (w.x, w.y)))))
     # Each scalar, each node's position and profile, and each walk gets at
     # most one problem: the first rule it breaks.
-    problems += [f"{name} {rule}" for name, values in checks
-                 if (rule := _broken_rule(name, values, s.duration))]
+    problems += [" of ".join((what, *map(repr, of))) + f" {rule}"
+                 for what, of, values in checks
+                 if (rule := _broken_rule(what, values, s.duration))]
     if problems:
         raise ValidationError(problems)
 

@@ -434,13 +434,15 @@ def check_relay_paths(s: Scenario, report) -> int:
     """Assert that every non-empty relay path of a link or an escalation in
     `report` is a simple path of motes, at most `default_ttl` long, whose
     consecutive motes are adjacent in the static graph (rebuilt here from
-    the start positions) and whose last mote neighbours a base station.
-    Returns the number of paths checked."""
+    the start positions) and whose last mote neighbours a base station: for
+    an escalation, the one that escalated it.  Returns the number of paths
+    checked."""
     kinds = {n.node_id: n.kind for n in s.nodes}
     graph = _static_graph(s)
-    paths = [link.relay_path for link in report.links if link.relay_path]
-    paths += [esc.relay_path for esc in report.escalations]
-    for path in paths:
+    paths = [(link.relay_path, None) for link in report.links
+             if link.relay_path]
+    paths += [(esc.relay_path, esc.bs_id) for esc in report.escalations]
+    for path, bs_id in paths:
         assert path, "an escalation without a relay path"
         assert all(kinds[m] is NodeKind.MOTE for m in path), path
         assert len(set(path)) == len(path), path
@@ -449,6 +451,7 @@ def check_relay_paths(s: Scenario, report) -> int:
             assert b in graph[a], (a, b, path)
         assert any(kinds[n] is NodeKind.BASE_STATION
                    for n in graph[path[-1]]), path
+        assert bs_id is None or bs_id in graph[path[-1]], (bs_id, path)
     return len(paths)
 
 

@@ -94,28 +94,42 @@ def test_criterion_2_reference_scenario_behavior():
 
         rep = run(s)
 
-        # (b) the switching layer decided on satellite fallback for both
-        fallback = {ms for ms, d in rep.decisions
-                    if d.outcome is DecisionOutcome.SATELLITE_FALLBACK}
-        assert fallback == {"ms1", "ms2"}
+        # (b) the switching layer first steered ms1 to bs1 over a relay
+        # path the mesh discovered, and last decided on satellite fallback
+        # for both
+        first = rep.links[0]
+        assert (first.ms_id, first.endpoint) == ("ms1", (
+            NodeKind.BASE_STATION, "bs1"))
+        assert first.relay_path
+        last = {ms: d.outcome for ms, d in rep.decisions}
+        fallback = DecisionOutcome.SATELLITE_FALLBACK
+        assert last == {"ms1": fallback, "ms2": fallback}
 
-        # (c) both hold satellite links by the end of the run
+        # (c) both hold satellite links by the end of the run, and the
+        # satellite switched traffic for the relayed fallbacks
         final = {}
         for link in rep.links:
             final[link.ms_id] = link
         assert final["ms1"].endpoint.kind is NodeKind.SATELLITE
         assert final["ms2"].endpoint.kind is NodeKind.SATELLITE
+        assert rep.ledger.get("mac_satcom.frames_relayed") > 0
 
-        # (d) every mote on a delivered request path sleeps on frozen energy
+        # (d) every mote on a delivered request path sleeps, and every
+        # sleeping mote keeps its energy for the rest of the run, while
+        # awake motes keep paying for periodic route gossip
+        sleepers = {m for m, (_, mode) in rep.mote_energy.items()
+                    if mode == "sleeping"}
         path_motes = {m for link in rep.links for m in link.relay_path}
-        assert path_motes
+        assert path_motes and path_motes <= sleepers
+        assert all(rep.mote_energy[m][0] > 0 for m in path_motes)
         longer = run(dataclasses.replace(s, duration=s.duration + 30.0))
-        for m in path_motes:
-            units, mode = rep.mote_energy[m]
-            assert mode == "sleeping", m
-            assert longer.mote_energy[m] == (units, "sleeping"), m
+        for m in sleepers:
+            assert longer.mote_energy[m] == rep.mote_energy[m], m
+        assert any(longer.mote_energy[m][0] > units
+                   for m, (units, _) in rep.mote_energy.items()
+                   if m not in sleepers)
 
-    _gate(2, "reference scenario: loss, fallback, sleep", 10.0, body)
+    _gate(2, "reference scenario: loss, steer, fallback, sleep", 10.0, body)
 
 
 # ---- 3. direction reproduction over seeds ----------------------------------
@@ -128,16 +142,29 @@ def test_criterion_3_directions_reproduce_across_seeds():
                    "mac_satcom.frames_relayed",
                    "app_bellman_ford.triggered_updates",
                    "app_bellman_ford.update_packets_received"]
+        silent = ["mac80211.broadcast_sent", "mac_satcom.frames_relayed",
+                  "app_bellman_ford.update_packets_received"]
         s = reference_scenario()
+        digests = set()
         for seed in range(1, 11):
             with_wsn = run(dataclasses.replace(s, seed=seed))
             without = run(dataclasses.replace(strip_wsn(s), seed=seed))
             for token in watched:
                 a, b = with_wsn.ledger.get(token), without.ledger.get(token)
                 assert a > b, f"seed {seed}: {token} {a} !> {b}"
+            # without motes nothing is flooded, routed or relayed: every
+            # decision is a direct satellite fallback
+            assert without.escalations == () and without.mote_energy == {}
+            assert all(d.outcome is DecisionOutcome.SATELLITE_FALLBACK
+                       for _, d in without.decisions)
+            assert all(link.endpoint.kind is NodeKind.SATELLITE
+                       and link.relay_path == () for link in without.links)
+            assert [without.ledger.get(token) for token in silent] == [0] * 3
+            digests.add(with_wsn.digest)
+        assert len(digests) == 10  # the seed moves the route gossip schedule
 
-    _gate(3, "five counters strictly higher with motes, 10 seeds", 60.0,
-          body)
+    _gate(3, "five counters strictly higher with motes, satellite only "
+          "without, 10 seeds", 60.0, body)
 
 
 # ---- 4. flooding vs breadth-first search -----------------------------------
@@ -146,18 +173,26 @@ def test_criterion_3_directions_reproduce_across_seeds():
 def test_criterion_4_flooding_matches_bfs_oracle():
     def body():
         rng = random.Random(20260815)
-        scenarios = [unit_disk_world(rng, rng.randint(0, 20),
-                                     rng.choice([300.0, 450.0, 600.0]))
-                     for _ in range(50)]
-        # the exact ttl boundary
-        scenarios += [line_world(16, 4), line_world(17, 4)]
-        reachable_count = 0
-        for s in scenarios:
-            reachable_count += bs_reachable_by_bfs(s)
-            check_flood_against_oracle(s)
-        assert 5 <= reachable_count <= 47  # both sides of the iff exercised
+        drawn = [unit_disk_world(rng, rng.randint(0, 20),
+                                 rng.choice([300.0, 450.0, 600.0]))
+                 for _ in range(50)]
+        rng = random.Random(90125)
+        wide = [unit_disk_world(rng, rng.randint(0, 20)) for _ in range(25)]
+        for worlds, low, high in ((drawn, 4, 46), (wide, 1, 24)):
+            # each sample exercises both sides of the iff
+            assert low <= sum(map(bs_reachable_by_bfs, worlds)) <= high
+            for s in worlds:
+                check_flood_against_oracle(s)
+        # the exact ttl boundary: sixteen relays exhaust the hop budget
+        # exactly; seventeen exceed it
+        for seed in (4, 9):
+            rep = check_flood_against_oracle(line_world(16, seed))
+            assert [(e.bs_id, len(e.relay_path))
+                    for e in rep.escalations] == [("bs1", 16)]
+            assert check_flood_against_oracle(
+                line_world(17, seed)).escalations == ()
 
-    _gate(4, "flood delivery iff <=16-hop path, 52 scenarios", 30.0, body)
+    _gate(4, "flood delivery iff <=16-hop path, 79 scenarios", 30.0, body)
 
 
 # ---- 5. distance-vector vs BFS ---------------------------------------------
@@ -165,15 +200,18 @@ def test_criterion_4_flooding_matches_bfs_oracle():
 
 def test_criterion_5_distance_vector_equals_bfs():
     def body():
-        rng = random.Random(5150)
-        for _ in range(30):
-            adj = random_graph(rng)
-            tables = converge(adj)
-            check_metrics_against_bfs(tables, adj)
-            # idempotence at quiescence, for an advert of every lane
-            check_quiescent(tables, adj)
+        # (seed, graphs drawn, the most nodes a graph may have)
+        for seed, count, most in ((5150, 30, 12), (1234, 40, 12),
+                                  (77, 10, 8)):
+            rng = random.Random(seed)
+            for _ in range(count):
+                adj = random_graph(rng, most)
+                tables = converge(adj)
+                check_metrics_against_bfs(tables, adj)
+                # idempotence at quiescence, for an advert of every lane
+                check_quiescent(tables, adj)
 
-    _gate(5, "converged metrics equal BFS hops, 30 graphs", 30.0, body)
+    _gate(5, "converged metrics equal BFS hops, 80 graphs", 30.0, body)
 
 
 # ---- 6. determinism ---------------------------------------------------------
@@ -185,6 +223,8 @@ def test_criterion_6_identical_runs_are_byte_identical():
         a, b = run(s), run(s)
         assert a.digest == b.digest
         assert serialize_report(a) == serialize_report(b)
+        # the report rounds each link's established_at; the records do not
+        assert a.links == b.links
 
     _gate(6, "same scenario and seed, byte-identical reports", 20.0, body)
 
@@ -194,39 +234,48 @@ def test_criterion_6_identical_runs_are_byte_identical():
 
 def test_criterion_7_queue_trace_properties():
     def body():
-        rng = random.Random(86)
-        q = StrictPriorityQueue(capacity_per_class=4)
-        lanes = [[], [], []]  # reference model
-        attempts = taken = lost = 0
-        peaks = [0, 0, 0]
-        for op in range(1000):
-            if rng.random() < 0.6:
-                # the queue reads only priority_class
-                pkt = SimpleNamespace(packet_id=op,
-                                      priority_class=rng.randrange(3))
-                attempts += 1
-                lane = lanes[pkt.priority_class]
-                if len(lane) >= 4:
-                    lost += 1
-                    assert q.enqueue(pkt) is False
+        # (seed, capacity per class, the sizes a packet draws one of, if
+        # any); the queue reads only priority_class
+        for seed, capacity, sizes in ((86, 4, ()), (2024, 5, (64, 512))):
+            rng = random.Random(seed)
+            q = StrictPriorityQueue(capacity_per_class=capacity)
+            lanes = [[], [], []]  # reference model
+            attempts = taken = lost = 0
+            peaks = [0, 0, 0]
+            for op in range(1000):
+                if rng.random() < 0.6:
+                    pkt = SimpleNamespace(packet_id=op,
+                                          priority_class=rng.randrange(3))
+                    if sizes:
+                        pkt.size = rng.choice(sizes)
+                    attempts += 1
+                    lane = lanes[pkt.priority_class]
+                    if len(lane) >= capacity:
+                        lost += 1
+                        assert q.enqueue(pkt) is False
+                    else:
+                        lane.append(pkt)
+                        peaks[pkt.priority_class] = max(
+                            peaks[pkt.priority_class], len(lane))
+                        assert q.enqueue(pkt) is True
                 else:
-                    lane.append(pkt)
-                    peaks[pkt.priority_class] = max(
-                        peaks[pkt.priority_class], len(lane))
-                    assert q.enqueue(pkt) is True
-            else:
-                lowest = next((i for i, lane in enumerate(lanes) if lane),
-                              None)
-                got = q.dequeue()
-                if lowest is None:
-                    assert got is None
-                else:
-                    taken += 1
-                    # strict priority: never serve k while j < k waits
-                    assert got == lanes[lowest].pop(0)
-            assert q.queued == q.dequeued + q.dropped + len(q)
-            assert (q.queued, q.dequeued, q.dropped) == \
-                (attempts, taken, lost)
-            assert q.peak_size == max(peaks)
+                    lowest = next((i for i, lane in enumerate(lanes)
+                                   if lane), None)
+                    got = q.dequeue()
+                    if lowest is None:
+                        assert got is None
+                    else:
+                        taken += 1
+                        # strict priority: never serve k while j < k waits
+                        assert got == lanes[lowest].pop(0)
+                assert q.queued == q.dequeued + q.dropped + len(q)
+                assert (q.queued, q.dequeued, q.dropped) == \
+                    (attempts, taken, lost)
+                assert q.peak_size == max(peaks)
+            # the drain hands back what the model holds, lowest class first
+            rest = [pkt for lane in lanes for pkt in lane]
+            assert [q.dequeue() for _ in rest] == rest
+            assert q.dequeue() is None
+            assert q.queued == q.dequeued + q.dropped
 
-    _gate(7, "1000-op trace: priority, conservation, peak", 5.0, body)
+    _gate(7, "two 1000-op traces: priority, conservation, peak", 5.0, body)

@@ -19,18 +19,6 @@ from wsnhandoff.report import render_run, serialize_report
 from wsnhandoff.simulation import Simulation, run
 
 
-def test_run_builtin_scenario(tmp_path, capsys):
-    out = tmp_path / "report.txt"
-    assert main(["run", "--scenario", "reference", "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert "phy80211.signals_transmitted=" in stdout
-    assert "link: ms1 -> base_station:bs1" in stdout
-    assert "digest: " in stdout
-    text = out.read_text()
-    assert text.startswith("phy80211.signals_transmitted=")
-    assert "digest " in text
-
-
 # SHA-256 of what the CLI prints and writes for the reference corridor.  The
 # report text has one writer per layout, so any byte that moves shows here.
 RUN_STDOUT_SHA = \
@@ -49,16 +37,30 @@ def _sha(data: bytes) -> str:
 def test_run_text_is_pinned(tmp_path, capsys):
     out = tmp_path / "with-wsn.report"
     assert main(["run", "--scenario", "reference", "--out", str(out)]) == 0
-    assert _sha(capsys.readouterr().out.encode()) == RUN_STDOUT_SHA
+    stdout = capsys.readouterr().out
+    assert _sha(stdout.encode()) == RUN_STDOUT_SHA
     assert _sha(out.read_bytes()) == RUN_FILE_SHA
+    # what a re-pinned layout must still show
+    assert "phy80211.signals_transmitted=" in stdout
+    assert "link: ms1 -> base_station:bs1" in stdout
+    assert "digest: " in stdout
+    text = out.read_text()
+    assert text.startswith("phy80211.signals_transmitted=")
+    assert "digest " in text
 
 
 def test_compare_auto_baseline_text_is_pinned(tmp_path, capsys):
     out = tmp_path / "cmp.txt"
     assert main(["compare", "--scenario", "reference", "--auto-baseline",
                  "--out", str(out)]) == 0
-    assert _sha(capsys.readouterr().out.encode()) == COMPARE_SHA
+    stdout = capsys.readouterr().out
+    assert _sha(stdout.encode()) == COMPARE_SHA
     assert _sha(out.read_bytes()) == COMPARE_SHA
+    # what a re-pinned layout must still show
+    assert "QoS improvement: " in stdout
+    assert "Desirable" in stdout and "Undesirable" in stdout
+    assert out.read_text().rstrip().splitlines()[-1].startswith(
+        "QoS improvement:")
 
 
 def test_compare_report_files_text_is_pinned(tmp_path, capsys):
@@ -70,8 +72,11 @@ def test_compare_report_files_text_is_pinned(tmp_path, capsys):
     out = tmp_path / "cmp.txt"
     assert main(["compare", "--baseline", str(base), "--with-wsn", str(cand),
                  "--out", str(out)]) == 0
-    assert _sha(capsys.readouterr().out.encode()) == COMPARE_SHA
+    stdout = capsys.readouterr().out
+    assert _sha(stdout.encode()) == COMPARE_SHA
     assert _sha(out.read_bytes()) == COMPARE_SHA
+    assert "app_bellman_ford.update_packets_received: Desirable" in stdout
+    assert "net_strict_prior.packets_queued: Undesirable" in stdout
 
 
 def test_run_scenario_file_with_overrides(tmp_path, capsys):
@@ -269,30 +274,6 @@ def test_run_out_write_error_names_the_path():
     _fails_cleanly(proc)
     assert "error: /dev/full: " in proc.stderr
     assert os.path.exists("/dev/full")
-
-
-def test_compare_auto_baseline(tmp_path, capsys):
-    out = tmp_path / "cmp.txt"
-    assert main(["compare", "--scenario", "reference", "--auto-baseline",
-                 "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert "QoS improvement: " in stdout
-    assert "Desirable" in stdout and "Undesirable" in stdout
-    assert out.read_text().rstrip().splitlines()[-1].startswith(
-        "QoS improvement:")
-
-
-def test_compare_report_files(tmp_path, capsys):
-    s = reference_scenario()
-    base = tmp_path / "base.txt"
-    cand = tmp_path / "cand.txt"
-    base.write_text(serialize_report(run(strip_wsn(s))))
-    cand.write_text(serialize_report(run(s)))
-    assert main(["compare", "--baseline", str(base),
-                 "--with-wsn", str(cand)]) == 0
-    stdout = capsys.readouterr().out
-    assert "app_bellman_ford.update_packets_received: Desirable" in stdout
-    assert "net_strict_prior.packets_queued: Undesirable" in stdout
 
 
 def test_compare_epsilon_suppresses_small_moves(tmp_path, capsys):

@@ -64,67 +64,6 @@ def test_default_capacity():
     assert q.capacity == DEFAULT_CAPACITY == 50
 
 
-class _RefStrictPriority:
-    """Reference model: plain lists, re-derives every counter on demand."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.lists = [[] for _ in range(PRIORITY_CLASSES)]
-        self.attempts = 0
-        self.taken = 0
-        self.lost = 0
-        self.peaks = [0] * PRIORITY_CLASSES
-
-    def enqueue(self, pkt):
-        self.attempts += 1
-        lane = self.lists[pkt.priority_class]
-        if len(lane) >= self.capacity:
-            self.lost += 1
-            return False
-        lane.append(pkt)
-        self.peaks[pkt.priority_class] = max(
-            self.peaks[pkt.priority_class], len(lane))
-        return True
-
-    def dequeue(self):
-        for lane in self.lists:
-            if lane:
-                self.taken += 1
-                return lane.pop(0)
-        return None
-
-
-def test_thousand_op_random_trace_matches_reference():
-    rng = random.Random(2024)
-    q = StrictPriorityQueue(capacity_per_class=5)
-    ref = _RefStrictPriority(capacity=5)
-    for op in range(1000):
-        if rng.random() < 0.6:
-            pkt = _pkt(op, cls=rng.randrange(PRIORITY_CLASSES),
-                       size=rng.choice([64, 512]))
-            got = q.enqueue(pkt)
-            want = ref.enqueue(pkt)
-            assert got is want
-        else:
-            got = q.dequeue()
-            want = ref.dequeue()
-            assert got == want
-        # conservation and counter equality at every step
-        assert q.queued == q.dequeued + q.dropped + len(q)
-        assert q.queued == ref.attempts
-        assert q.dequeued == ref.taken
-        assert q.dropped == ref.lost
-        assert len(q) == sum(len(lane) for lane in ref.lists)
-        assert q.peak_size == max(ref.peaks)
-    # drain fully; order must match the reference to the last packet
-    while True:
-        got, want = q.dequeue(), ref.dequeue()
-        assert got == want
-        if got is None:
-            break
-    assert q.queued == q.dequeued + q.dropped
-
-
 def test_fifo_random_trace_conservation():
     rng = random.Random(404)
     q = FifoQueue(capacity=3)

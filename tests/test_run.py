@@ -9,9 +9,8 @@ import weakref
 import pytest
 from invariants import (all_pairs_graph, check_dv_tables, check_relay_paths,
                         check_run, radio_positions)
-from worlds import (DISCOVERY_FROM_A_MOTE_POINT, RADIO_RANGE,
-                    bs_reachable_by_bfs, check_flood_against_oracle,
-                    crossing_world, grid_world, line_world, random_walk_world,
+from worlds import (DISCOVERY_FROM_A_MOTE_POINT, RADIO_RANGE, crossing_world,
+                    grid_world, line_world, random_walk_world,
                     satellite_free_crossing_world, timed_world,
                     unit_disk_world)
 
@@ -26,8 +25,8 @@ from wsnhandoff.report import parse_report_ledger, serialize_report
 from wsnhandoff.simulation import Frame, RunReport, Simulation, run
 from wsnhandoff.stats import RegistryMismatchError
 from wsnhandoff.world import (MobilityPath, NodeKind, PacketOutcome, Point,
-                              RadioProfile, comm_graph, position_at,
-                              profile_for_range)
+                              RadioProfile, comm_graph, halt_time,
+                              position_at, profile_for_range)
 
 
 def _get(report: RunReport, token: str) -> int:
@@ -95,14 +94,17 @@ def test_a_corrupted_discovery_at_a_base_station_is_counted_not_escalated():
     assert report.escalations == () and report.decisions == ()
 
 
+# a base station, a handset 2 km from it, the switching centre, a satellite
+ISOLATED = (
+    NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 0.0)),
+    NodeSpec("ms1", NodeKind.MOBILE_STATION, Point(2000.0, 0.0)),
+    NodeSpec("msc1", NodeKind.MSC, Point(10.0, 80.0)),
+    NodeSpec("sat1", NodeKind.SATELLITE, Point(0.0, 900.0)),
+)
+
+
 def test_isolated_halted_station_goes_straight_to_satellite():
-    nodes = (
-        NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 0.0)),
-        NodeSpec("ms1", NodeKind.MOBILE_STATION, Point(2000.0, 0.0)),
-        NodeSpec("msc1", NodeKind.MSC, Point(10.0, 80.0)),
-        NodeSpec("sat1", NodeKind.SATELLITE, Point(0.0, 900.0)),
-    )
-    s = Scenario(nodes, {}, duration=6.0, seed=1)
+    s = Scenario(ISOLATED, {}, duration=6.0, seed=1)
     rep = run(s)
     assert len(rep.links) == 1
     link = rep.links[0]
@@ -121,13 +123,22 @@ def test_isolated_halted_station_goes_straight_to_satellite():
 
 
 def test_isolated_station_without_satellite_keeps_searching():
-    nodes = (
-        NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 0.0)),
-        NodeSpec("ms1", NodeKind.MOBILE_STATION, Point(2000.0, 0.0)),
-        NodeSpec("msc1", NodeKind.MSC, Point(10.0, 80.0)),
-    )
-    rep = run(Scenario(nodes, {}, duration=5.0, seed=1))
+    rep = run(Scenario(ISOLATED[:3], {}, duration=5.0, seed=1))
     assert rep.links == () and rep.decisions == ()
+
+
+def test_a_walk_that_goes_nowhere_stands_at_its_start():
+    # every waypoint is the start, so the route has no segment
+    start = ISOLATED[1].position
+    walk = MobilityPath((start, start), speed=8.0)
+    assert halt_time(walk, start) == 0
+    assert all(position_at(walk, start, t) == start
+               for t in (0.0, 0.5, 2.0, 6.0, 1e9))
+    sim = Simulation(Scenario(ISOLATED, {"ms1": walk}, duration=6.0, seed=1))
+    rep = check_run(sim)
+    assert [link.endpoint.kind for link in rep.links] == [NodeKind.SATELLITE]
+    assert rep.digest == run(Scenario(ISOLATED, {}, duration=6.0,
+                                      seed=1)).digest
 
 
 def test_construction_validates_a_scenario_built_in_code():
@@ -137,16 +148,6 @@ def test_construction_validates_a_scenario_built_in_code():
     with pytest.raises(ValidationError) as e:
         Simulation(s)
     assert e.value.problems == ["coverage_check_period must be positive"]
-
-
-def test_run_is_deterministic():
-    a = run(reference_scenario())
-    b = run(reference_scenario())
-    assert a.digest == b.digest
-    assert serialize_report(a) == serialize_report(b)
-    assert a.ledger.as_dict() == b.ledger.as_dict()
-    assert a.links == b.links
-    assert a.mote_energy == b.mote_energy
 
 
 def test_fixed_pairs_are_classified_once_and_handset_pairs_per_transmit(
@@ -609,116 +610,7 @@ def test_check_run_fails_a_copy_whose_path_left_its_reached_set():
         check_run(sim)
 
 
-def test_seed_moves_the_route_gossip_schedule():
-    s = reference_scenario()
-    a = run(s)
-    b = run(dataclasses.replace(s, seed=2))
-    assert a.digest != b.digest
-
-
-def test_reference_run_steers_first_then_falls_back_to_satellite():
-    rep = run(reference_scenario())
-    assert len(rep.links) >= 2
-    first = rep.links[0]
-    assert first.ms_id == "ms1"
-    assert first.endpoint.kind is NodeKind.BASE_STATION
-    assert first.endpoint.node_id == "bs1"
-    assert first.relay_path  # discovered through the mesh
-    # final connectivity for both walkers is the satellite
-    final = {}
-    for link in rep.links:
-        final[link.ms_id] = link
-    assert final["ms1"].endpoint.kind is NodeKind.SATELLITE
-    assert final["ms2"].endpoint.kind is NodeKind.SATELLITE
-    outcomes = {ms: d.outcome for ms, d in rep.decisions}
-    assert outcomes["ms1"] is DecisionOutcome.SATELLITE_FALLBACK
-    assert outcomes["ms2"] is DecisionOutcome.SATELLITE_FALLBACK
-    # every mote on a winning relay path was put to sleep
-    for link in rep.links:
-        for m in link.relay_path:
-            units, mode = rep.mote_energy[m]
-            assert mode == "sleeping"
-            assert units > 0
-    # the satellite switched traffic for the relayed fallbacks
-    assert _get(rep, "mac_satcom.frames_relayed") > 0
-
-
-def test_sleeping_energy_is_frozen_for_the_rest_of_the_run():
-    s = reference_scenario()
-    short = run(s)
-    long = run(dataclasses.replace(s, duration=120.0))
-    sleepers = {m for m, (_, mode) in short.mote_energy.items()
-                if mode == "sleeping"}
-    assert sleepers
-    for m in sleepers:
-        assert long.mote_energy[m] == short.mote_energy[m]
-    # awake motes keep paying for periodic route gossip
-    awake = set(short.mote_energy) - sleepers
-    assert any(long.mote_energy[m][0] > short.mote_energy[m][0]
-               for m in awake)
-
-
-def test_ledger_structural_invariants_after_a_run():
-    rep = run(reference_scenario())
-    g = lambda token: _get(rep, token)
-    assert g("phy80211.signals_locked") == \
-        g("phy80211.signals_received_forwarded_to_mac") + \
-        g("phy80211.signals_received_with_errors")
-    assert g("phy80211.signals_received_with_errors") > 0
-    assert g("net_ip.in_received") == g("net_ip.in_delivers") == \
-        g("transport_udp.packets_to_app")
-    assert g("transport_udp.packets_from_app") == g("net_ip.out_requests")
-    # every send attempt lands in exactly one of the two queue families
-    assert g("net_ip.out_requests") == \
-        g("net_strict_prior.packets_queued") + g("net_fifo.packets_queued")
-    dequeued = (g("net_strict_prior.packets_dequeued")
-                + g("net_fifo.packets_dequeued"))
-    assert g("phy80211.signals_transmitted") <= dequeued
-    assert g("phy80211.signals_transmitted") == \
-        g("mac80211.packets_from_network") == \
-        g("mac_link.link_utilization")
-    assert g("mac80211.broadcast_sent") == g("mac_dcf.broadcast_sent")
-    assert g("mac80211.broadcast_received_clearly") == \
-        g("mac_dcf.broadcast_received")
-    assert g("net_ip.in_delivers_ttl_sum") >= g("net_ip.in_delivers")
-
-
-def test_baseline_without_motes_is_satellite_only():
-    rep = run(strip_wsn(reference_scenario()))
-    assert rep.escalations == ()
-    assert all(d.outcome is DecisionOutcome.SATELLITE_FALLBACK
-               for _, d in rep.decisions)
-    assert all(link.endpoint.kind is NodeKind.SATELLITE
-               for link in rep.links)
-    assert all(link.relay_path == () for link in rep.links)
-    assert _get(rep, "mac80211.broadcast_sent") == 0
-    assert _get(rep, "mac_satcom.frames_relayed") == 0
-    assert _get(rep, "app_bellman_ford.update_packets_received") == 0
-    assert rep.mote_energy == {}
-
-
-def test_discovered_relay_matches_converged_route_length():
-    rep = run(reference_scenario())
-    compared = 0
-    for link, dv in zip(rep.links, rep.dv_paths):
-        if dv is None:
-            continue
-        assert dv[0] == link.relay_path[0]
-        assert dv[-1] == link.relay_path[-1]
-        assert len(dv) == len(link.relay_path)  # both are hop-minimal
-        compared += 1
-    assert compared > 0
-
-
 # ---- report files --------------------------------------------------------
-
-
-def test_report_file_roundtrip(tmp_path):
-    rep = run(reference_scenario())
-    text = serialize_report(rep)
-    assert f"digest {rep.digest}" in text
-    led = parse_report_ledger(text)
-    assert led.as_dict() == rep.ledger.as_dict()
 
 
 def test_report_parser_rejects_foreign_or_broken_registries():
@@ -746,50 +638,7 @@ def test_report_parser_rejects_a_value_that_is_not_a_count(value):
         parse_report_ledger("\n".join(lines))
 
 
-# ---- flooding vs breadth-first search ------------------------------------
-
-
-def test_flood_reaches_exactly_the_bfs_reachable_cell():
-    rng = random.Random(90125)
-    hits = misses = 0
-    for _ in range(25):
-        s = unit_disk_world(rng, rng.randint(0, 20))
-        if bs_reachable_by_bfs(s):
-            hits += 1
-        else:
-            misses += 1
-        check_flood_against_oracle(s)
-    assert hits and misses  # the sample exercises both sides of the iff
-
-
-def test_flood_range_is_bounded_by_ttl():
-    # sixteen relays exhaust the hop budget exactly; seventeen exceed it
-    rep16 = check_flood_against_oracle(line_world(16, 9))
-    assert [e.bs_id for e in rep16.escalations] == ["bs1"]
-    assert len(rep16.escalations[0].relay_path) == 16
-    rep17 = check_flood_against_oracle(line_world(17, 9))
-    assert rep17.escalations == ()
-
-
-def test_flood_delivery_is_sound_with_two_cells():
-    rng = random.Random(777)
-    profile = profile_for_range(RADIO_RANGE)
-    for _ in range(6):
-        s = unit_disk_world(rng, 14)
-        far = NodeSpec("bs2", NodeKind.BASE_STATION, Point(620.0, -620.0),
-                       profile)
-        motes = [n.node_id for n in s.nodes if n.kind is NodeKind.MOTE]
-        s = dataclasses.replace(
-            s, nodes=tuple(sorted(s.nodes + (far,),
-                                  key=lambda n: n.node_id)))
-        pos = {n.node_id: n.position for n in s.nodes}
-        rep = run(s)
-        for esc in rep.escalations:
-            # no phantom deliveries: the escalating cell really is adjacent
-            # to the last relay
-            assert pos[esc.relay_path[-1]].distance_to(
-                pos[esc.bs_id]) <= RADIO_RANGE
-            assert set(esc.relay_path) <= set(motes)
+# ---- relay paths in random worlds ---------------------------------------
 
 
 def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl():
@@ -804,6 +653,14 @@ def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl():
     for n in (3, 5):  # chains the flood crosses with its last hop of TTL
         s = dataclasses.replace(line_world(n, 9),
                                 params=SimParams(default_ttl=n))
+        checked += check_relay_paths(s, run(s))
+    # two cells, so that an escalation could name one its relays miss
+    rng = random.Random(777)
+    far = NodeSpec("bs2", NodeKind.BASE_STATION, Point(620.0, -620.0),
+                   profile_for_range(RADIO_RANGE))
+    for _ in range(6):
+        s = unit_disk_world(rng, 14)
+        s = dataclasses.replace(s, nodes=s.nodes + (far,))
         checked += check_relay_paths(s, run(s))
     assert checked > 50
     assert routes >= 10
@@ -963,13 +820,31 @@ def test_handset_rows_match_a_full_graph_rebuild():
     assert compared > 300
 
 
+def _scattered_radios(rng):
+    """2..10 radios at random points of a 400 m square, each with one of
+    four ranges: comm_graph's arguments."""
+    positions, profiles = {}, {}
+    for i in range(rng.randint(2, 10)):
+        nid = f"n{i:02d}"
+        positions[nid] = Point(round(rng.uniform(0, 400), 3),
+                               round(rng.uniform(0, 400), 3))
+        profiles[nid] = profile_for_range(rng.choice([60, 120, 200, 350]))
+    return positions, profiles
+
+
 def test_comm_graph_matches_the_all_pairs_oracle():
+    # the oracle's graph holds every radio and no self-loop, and is
+    # symmetric, so equality checks those too
     rng = random.Random(4343)
     worlds = [random_walk_world(rng) for _ in range(40)] + _boundary_worlds()
-    for s in worlds:
-        for t in [0.0, 1.0, 13.0, 60.0]:
-            inputs = _graph_inputs_at(s, t)
-            assert comm_graph(*inputs) == all_pairs_graph(*inputs), t
+    inputs = [_graph_inputs_at(s, t) for s in worlds
+              for t in [0.0, 1.0, 13.0, 60.0]]
+    inputs.append(_scattered_radios(random.Random(5)))
+    rng = random.Random(99)
+    inputs += [_scattered_radios(rng) for _ in range(60)]
+    for positions, profiles in inputs:
+        assert comm_graph(positions, profiles) == all_pairs_graph(
+            positions, profiles)
 
 
 def _shared_points(positions: dict) -> list:

@@ -7,7 +7,7 @@ from collections import deque
 
 import pytest
 from invariants import radio_positions
-from worlds import readme_scenario
+from worlds import grid_world, readme_scenario
 
 import wsnhandoff
 from wsnhandoff.scenario import (DEFAULT_PROFILES, NodeSpec, ParseError,
@@ -202,6 +202,7 @@ def test_epsilon_is_no_longer_a_parameter():
 
 
 @pytest.mark.parametrize("param, value", [
+    ("duration", "0"),
     ("coverage_check_period", "0"), ("tx_slot", "0"), ("dv_period", "-1"),
     ("app_interval", "0"), ("hop_delay", "-0.01"),
     ("backhaul_delay", "-1"), ("steering_delay", "-1"),
@@ -477,6 +478,24 @@ def test_parts_of_the_wrong_type_are_rejected(build, problem):
         assert e.value.problems == [problem]
 
 
+def test_a_node_is_formatted_only_in_its_own_problem(monkeypatch):
+    # validation runs at every set-up, so it formats a label only for a
+    # broken rule or a wrong type
+    calls, nodespec_repr = [], NodeSpec.__repr__
+    monkeypatch.setattr(NodeSpec, "__repr__",
+                        lambda n: calls.append(n) or nodespec_repr(n))
+    ref = reference_scenario()
+    validate_scenario(ref)
+    validate_scenario(grid_world(10, [("ms1", 190.0, 8.0)]))
+    assert calls == []
+    with pytest.raises(ValidationError) as e:
+        validate_scenario(dataclasses.replace(ref, nodes=(*ref.nodes,
+                                                          [ref.nodes[0]])))
+    assert e.value.problems == [
+        f"node [{nodespec_repr(ref.nodes[0])}] must be a NodeSpec"]
+    assert calls == [ref.nodes[0]]
+
+
 def _with_mote_named(node_id) -> Scenario:
     ref = reference_scenario()
     return dataclasses.replace(ref, nodes=(
@@ -589,22 +608,12 @@ def test_an_msc_built_in_code_with_a_profile_is_rejected():
         assert e.value.problems == ["msc 'msc1' carries a radio profile"]
 
 
-def test_nonpositive_duration_rejected():
-    with pytest.raises(ValidationError):
-        load_scenario("[params]\nduration = 0\n[node]\nm1 mote 0 0\n")
-
-
 def test_roundtrip_is_stable():
     s = load_scenario(GOOD)
     text = serialize_scenario(s)
     s2 = load_scenario(text)
     assert s2 == s
     assert serialize_scenario(s2) == text
-
-
-def test_roundtrip_of_builtin_scenario():
-    s = reference_scenario()
-    assert load_scenario(serialize_scenario(s)) == s
 
 
 def test_scenario_is_the_only_dataclass():

@@ -133,23 +133,6 @@ def test_classify_epsilon_threshold():
         classify(base, cand, epsilon=-1)
 
 
-def test_eleven_four_thirteen_split_yields_7333_percent():
-    # eleven significant improvements, four significant regressions
-    base, cand = StatsLedger(), StatsLedger()
-    good = [k for k in REGISTRY
-            if k not in BAD_WHEN_RISING and k != SAT_RECEIVED]
-    for k in good[:11]:
-        cand.record(k, 10)
-    cand.record(ERRORS, 6)
-    cand.record(SP_QUEUED, 9)
-    cand.record(FIFO_QUEUED, 9)
-    base.record(SAT_RECEIVED, 13)
-    cand.record(SAT_RECEIVED, 6)
-    c = classify(base, cand)
-    assert (c.desirable, c.undesirable, c.insignificant) == (11, 4, 13)
-    assert qos_improvement(c) == pytest.approx(73.33, abs=0.01)
-
-
 def test_qos_even_split_is_fifty_percent():
     base, cand = StatsLedger(), StatsLedger()
     cand.record(LOCKED, 5)

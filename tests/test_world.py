@@ -190,36 +190,6 @@ def test_mobility_validation():
 # ---- communication graph ------------------------------------------------
 
 
-def _random_world(rng):
-    n = rng.randint(2, 10)
-    positions, profiles = {}, {}
-    for i in range(n):
-        nid = f"n{i:02d}"
-        positions[nid] = Point(round(rng.uniform(0, 400), 3),
-                               round(rng.uniform(0, 400), 3))
-        profiles[nid] = profile_for_range(rng.choice([60, 120, 200, 350]))
-    return positions, profiles
-
-
-def test_comm_graph_matches_brute_force_oracle():
-    rng = random.Random(99)
-    for _ in range(60):
-        positions, profiles = _random_world(rng)
-        g = comm_graph(positions, profiles)
-        assert g == all_pairs_graph(positions, profiles)
-
-
-def test_comm_graph_symmetry_and_membership():
-    rng = random.Random(5)
-    positions, profiles = _random_world(rng)
-    g = comm_graph(positions, profiles)
-    assert sorted(g) == sorted(positions)
-    for a in g:
-        for b in g[a]:
-            assert a in g[b]
-            assert a != b
-
-
 def test_asymmetric_profiles_use_the_weaker_radio():
     # b hears a 200 m away, but a cannot hear b: no edge (links are two-way)
     positions = {"a": Point(0, 0), "b": Point(200, 0)}
