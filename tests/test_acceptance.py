@@ -1,9 +1,10 @@
 """Acceptance gate: the seven headline properties of the simulator.
 
 Each test prints one `criterion N (...): PASS/FAIL` line (run pytest with
--s to see them) and enforces its own wall-clock budget.  Criteria 4 and 5
-draw their random worlds and breadth-first oracles from `worlds.py`, which
-the rest of the suite shares; the other criteria derive theirs here.
+-s to see them) and enforces its own wall-clock budget; criteria 4, 5 and 7
+run one case per seeded input set.  Criteria 4 and 5 draw their random
+worlds and breadth-first oracles from `worlds.py`, which the rest of the
+suite shares; the other criteria derive theirs here.
 """
 
 import dataclasses
@@ -170,48 +171,60 @@ def test_criterion_3_directions_reproduce_across_seeds():
 # ---- 4. flooding vs breadth-first search -----------------------------------
 
 
-def test_criterion_4_flooding_matches_bfs_oracle():
+# (seed, worlds drawn, the sides a world draws one of, if not 600 m, how
+# few and how many of them may reach a base station, budget in seconds)
+@pytest.mark.parametrize("seed, count, sides, low, high, budget_s", [
+    (20260815, 50, (300.0, 450.0, 600.0), 4, 46, 18.0),
+    (90125, 25, (), 1, 24, 8.0)])
+def test_criterion_4_flooding_matches_bfs_oracle(seed, count, sides, low,
+                                                 high, budget_s):
     def body():
-        rng = random.Random(20260815)
-        drawn = [unit_disk_world(rng, rng.randint(0, 20),
-                                 rng.choice([300.0, 450.0, 600.0]))
-                 for _ in range(50)]
-        rng = random.Random(90125)
-        wide = [unit_disk_world(rng, rng.randint(0, 20)) for _ in range(25)]
-        for worlds, low, high in ((drawn, 4, 46), (wide, 1, 24)):
-            # each sample exercises both sides of the iff
-            assert low <= sum(map(bs_reachable_by_bfs, worlds)) <= high
-            for s in worlds:
-                check_flood_against_oracle(s)
-        # the exact ttl boundary: sixteen relays exhaust the hop budget
-        # exactly; seventeen exceed it
-        for seed in (4, 9):
-            rep = check_flood_against_oracle(line_world(16, seed))
-            assert [(e.bs_id, len(e.relay_path))
-                    for e in rep.escalations] == [("bs1", 16)]
-            assert check_flood_against_oracle(
-                line_world(17, seed)).escalations == ()
+        rng = random.Random(seed)
+        worlds = []
+        for _ in range(count):
+            n = rng.randint(0, 20)
+            worlds.append(unit_disk_world(rng, n, rng.choice(sides))
+                          if sides else unit_disk_world(rng, n))
+        # each sample exercises both sides of the iff
+        assert low <= sum(map(bs_reachable_by_bfs, worlds)) <= high
+        for s in worlds:
+            check_flood_against_oracle(s)
 
-    _gate(4, "flood delivery iff <=16-hop path, 79 scenarios", 30.0, body)
+    _gate(4, f"flood delivery iff <=16-hop path, {count} worlds of seed "
+          f"{seed}", budget_s, body)
+
+
+@pytest.mark.parametrize("seed", [4, 9])
+def test_criterion_4_ttl_boundary_is_exact(seed):
+    def body():
+        # sixteen relays exhaust the hop budget exactly; seventeen exceed it
+        rep = check_flood_against_oracle(line_world(16, seed))
+        assert [(e.bs_id, len(e.relay_path))
+                for e in rep.escalations] == [("bs1", 16)]
+        assert check_flood_against_oracle(
+            line_world(17, seed)).escalations == ()
+
+    _gate(4, f"ttl boundary, line worlds of seed {seed}", 2.0, body)
 
 
 # ---- 5. distance-vector vs BFS ---------------------------------------------
 
 
-def test_criterion_5_distance_vector_equals_bfs():
+# (seed, graphs drawn, the most nodes a graph may have, budget in seconds)
+@pytest.mark.parametrize("seed, count, most, budget_s", [
+    (5150, 30, 12, 11.0), (1234, 40, 12, 15.0), (77, 10, 8, 4.0)])
+def test_criterion_5_distance_vector_equals_bfs(seed, count, most, budget_s):
     def body():
-        # (seed, graphs drawn, the most nodes a graph may have)
-        for seed, count, most in ((5150, 30, 12), (1234, 40, 12),
-                                  (77, 10, 8)):
-            rng = random.Random(seed)
-            for _ in range(count):
-                adj = random_graph(rng, most)
-                tables = converge(adj)
-                check_metrics_against_bfs(tables, adj)
-                # idempotence at quiescence, for an advert of every lane
-                check_quiescent(tables, adj)
+        rng = random.Random(seed)
+        for _ in range(count):
+            adj = random_graph(rng, most)
+            tables = converge(adj)
+            check_metrics_against_bfs(tables, adj)
+            # idempotence at quiescence, for an advert of every lane
+            check_quiescent(tables, adj)
 
-    _gate(5, "converged metrics equal BFS hops, 80 graphs", 30.0, body)
+    _gate(5, f"converged metrics equal BFS hops, {count} graphs of seed "
+          f"{seed}", budget_s, body)
 
 
 # ---- 6. determinism ---------------------------------------------------------
@@ -232,50 +245,52 @@ def test_criterion_6_identical_runs_are_byte_identical():
 # ---- 7. queue properties -----------------------------------------------------
 
 
-def test_criterion_7_queue_trace_properties():
+# (seed, capacity per class, the sizes a packet draws one of, if any); the
+# queue reads only priority_class
+@pytest.mark.parametrize("seed, capacity, sizes", [
+    (86, 4, ()), (2024, 5, (64, 512))])
+def test_criterion_7_queue_trace_properties(seed, capacity, sizes):
     def body():
-        # (seed, capacity per class, the sizes a packet draws one of, if
-        # any); the queue reads only priority_class
-        for seed, capacity, sizes in ((86, 4, ()), (2024, 5, (64, 512))):
-            rng = random.Random(seed)
-            q = StrictPriorityQueue(capacity_per_class=capacity)
-            lanes = [[], [], []]  # reference model
-            attempts = taken = lost = 0
-            peaks = [0, 0, 0]
-            for op in range(1000):
-                if rng.random() < 0.6:
-                    pkt = SimpleNamespace(packet_id=op,
-                                          priority_class=rng.randrange(3))
-                    if sizes:
-                        pkt.size = rng.choice(sizes)
-                    attempts += 1
-                    lane = lanes[pkt.priority_class]
-                    if len(lane) >= capacity:
-                        lost += 1
-                        assert q.enqueue(pkt) is False
-                    else:
-                        lane.append(pkt)
-                        peaks[pkt.priority_class] = max(
-                            peaks[pkt.priority_class], len(lane))
-                        assert q.enqueue(pkt) is True
+        rng = random.Random(seed)
+        q = StrictPriorityQueue(capacity_per_class=capacity)
+        lanes = [[], [], []]  # reference model
+        attempts = taken = lost = 0
+        peaks = [0, 0, 0]
+        for op in range(1000):
+            if rng.random() < 0.6:
+                pkt = SimpleNamespace(packet_id=op,
+                                      priority_class=rng.randrange(3))
+                if sizes:
+                    pkt.size = rng.choice(sizes)
+                attempts += 1
+                lane = lanes[pkt.priority_class]
+                if len(lane) >= capacity:
+                    lost += 1
+                    assert q.enqueue(pkt) is False
                 else:
-                    lowest = next((i for i, lane in enumerate(lanes)
-                                   if lane), None)
-                    got = q.dequeue()
-                    if lowest is None:
-                        assert got is None
-                    else:
-                        taken += 1
-                        # strict priority: never serve k while j < k waits
-                        assert got == lanes[lowest].pop(0)
-                assert q.queued == q.dequeued + q.dropped + len(q)
-                assert (q.queued, q.dequeued, q.dropped) == \
-                    (attempts, taken, lost)
-                assert q.peak_size == max(peaks)
-            # the drain hands back what the model holds, lowest class first
-            rest = [pkt for lane in lanes for pkt in lane]
-            assert [q.dequeue() for _ in rest] == rest
-            assert q.dequeue() is None
-            assert q.queued == q.dequeued + q.dropped
+                    lane.append(pkt)
+                    peaks[pkt.priority_class] = max(
+                        peaks[pkt.priority_class], len(lane))
+                    assert q.enqueue(pkt) is True
+            else:
+                lowest = next((i for i, lane in enumerate(lanes)
+                               if lane), None)
+                got = q.dequeue()
+                if lowest is None:
+                    assert got is None
+                else:
+                    taken += 1
+                    # strict priority: never serve k while j < k waits
+                    assert got == lanes[lowest].pop(0)
+            assert q.queued == q.dequeued + q.dropped + len(q)
+            assert (q.queued, q.dequeued, q.dropped) == \
+                (attempts, taken, lost)
+            assert q.peak_size == max(peaks)
+        # the drain hands back what the model holds, lowest class first
+        rest = [pkt for lane in lanes for pkt in lane]
+        assert [q.dequeue() for _ in rest] == rest
+        assert q.dequeue() is None
+        assert q.queued == q.dequeued + q.dropped
 
-    _gate(7, "two 1000-op traces: priority, conservation, peak", 5.0, body)
+    _gate(7, f"1000-op trace of seed {seed}: priority, conservation, peak",
+          2.5, body)

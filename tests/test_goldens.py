@@ -95,34 +95,54 @@ class _DigestRecorder:
         return self._sha.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_run_matches_golden(name):
-    """One run per scenario, under check_run, check_relay_paths and
-    check_dv_tables: its golden, what it exercises, the ledger inequalities
-    check_run leaves open, and the digest as one line per event."""
-    sim = Simulation(SCENARIOS[name]())
+@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+def golden(request):
+    """One run per scenario under check_run, its digest input recorded;
+    the tests below each check one behaviour of it."""
+    sim = Simulation(SCENARIOS[request.param]())
     sim._digest = recorder = _DigestRecorder()
-    report = check_run(sim)
-    dropped = sum(q.dropped for q in sim.node_queues.values())
-    g = report.ledger.get
-    assert (len(report.links), check_relay_paths(sim.s, report),
-            check_dv_tables(sim), dropped,
-            g("phy80211.signals_received_with_errors")) == EXERCISED[name]
-    text = serialize_report(report)
+    return request.param, sim, check_run(sim), recorder
+
+
+def test_run_matches_golden(golden):
+    name, _, report, _ = golden
     got = (report.digest, report.events_processed,
-           hashlib.sha256(text.encode()).hexdigest())
+           hashlib.sha256(serialize_report(report).encode()).hexdigest())
     assert got == GOLDENS[name]
-    # the report file ends with the digest and reads back to the ledger
-    assert text.endswith(f"digest {report.digest}\n")
-    assert parse_report_ledger(text).as_dict() == report.ledger.as_dict()
+
+
+def test_run_exercises_its_pinned_paths(golden):
+    """What the run reaches, under check_relay_paths and check_dv_tables."""
+    name, sim, report, _ = golden
+    dropped = sum(q.dropped for q in sim.node_queues.values())
+    assert (len(report.links), check_relay_paths(sim.s, report),
+            check_dv_tables(sim), dropped, report.ledger.get(
+                "phy80211.signals_received_with_errors")) == EXERCISED[name]
     # in these runs the flood's relay path and the converged route that
     # check_dv_tables checks are both hop-minimal
     assert all(len(dv) == len(link.relay_path) for link, dv in zip(
         report.links, report.dv_paths) if dv is not None)
+
+
+def test_report_file_roundtrip(golden):
+    # the report file ends with the digest and reads back to the ledger
+    report = golden[2]
+    text = serialize_report(report)
+    assert text.endswith(f"digest {report.digest}\n")
+    assert parse_report_ledger(text).as_dict() == report.ledger.as_dict()
+
+
+def test_ledger_structural_invariants_after_a_run(golden):
+    # the ledger inequalities that check_run's equalities leave open
+    g = golden[2].ledger.get
     assert g("net_ip.in_delivers_ttl_sum") >= g("net_ip.in_delivers")
     assert g("phy80211.signals_transmitted") <= (
         g("net_strict_prior.packets_dequeued")
         + g("net_fifo.packets_dequeued"))
+
+
+def test_digest_hashes_one_line_per_event(golden):
+    _, _, report, recorder = golden
     hashed = b"".join(recorder.updates)
     assert hashlib.sha256(hashed).hexdigest() == report.digest
     lines = [line.split(" ") for line in hashed.decode().split("\n")]

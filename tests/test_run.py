@@ -641,29 +641,42 @@ def test_report_parser_rejects_a_value_that_is_not_a_count(value):
 # ---- relay paths in random worlds ---------------------------------------
 
 
-def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl():
+def _walks_with_a_ttl():
     rng = random.Random(31337)
-    checked = routes = 0
     for _ in range(30):
         s = random_walk_world(rng)
-        sim = Simulation(dataclasses.replace(
-            s, params=SimParams(default_ttl=rng.randint(1, 6))))
-        checked += check_relay_paths(sim.s, check_run(sim))
-        routes += check_dv_tables(sim)
+        yield dataclasses.replace(
+            s, params=SimParams(default_ttl=rng.randint(1, 6)))
+
+
+def _chains():
     for n in (3, 5):  # chains the flood crosses with its last hop of TTL
-        s = dataclasses.replace(line_world(n, 9),
-                                params=SimParams(default_ttl=n))
-        checked += check_relay_paths(s, run(s))
+        yield dataclasses.replace(line_world(n, 9),
+                                  params=SimParams(default_ttl=n))
+
+
+def _two_cells():
     # two cells, so that an escalation could name one its relays miss
     rng = random.Random(777)
     far = NodeSpec("bs2", NodeKind.BASE_STATION, Point(620.0, -620.0),
                    profile_for_range(RADIO_RANGE))
     for _ in range(6):
         s = unit_disk_world(rng, 14)
-        s = dataclasses.replace(s, nodes=s.nodes + (far,))
-        checked += check_relay_paths(s, run(s))
-    assert checked > 50
-    assert routes >= 10
+        yield dataclasses.replace(s, nodes=s.nodes + (far,))
+
+
+@pytest.mark.parametrize("worlds, least_paths, least_routes", [
+    (_walks_with_a_ttl, 51, 10), (_chains, 4, 0), (_two_cells, 4, 0)],
+    ids=["walks-31337", "chains", "two-cells-777"])
+def test_relay_paths_in_random_worlds_are_mote_paths_within_the_ttl(
+        worlds, least_paths, least_routes):
+    checked = routes = 0
+    for s in worlds():
+        sim = Simulation(s)
+        checked += check_relay_paths(sim.s, check_run(sim))
+        routes += check_dv_tables(sim)
+    assert checked >= least_paths
+    assert routes >= least_routes
 
 
 # ---- per-handset coverage against the full communication graph ----------
@@ -805,10 +818,8 @@ def _boundary_worlds() -> list:
 def test_handset_rows_match_a_full_graph_rebuild():
     # a coverage check reads only a handset's base stations and motes
     fixed = (NodeKind.BASE_STATION, NodeKind.MOTE)
-    rng = random.Random(4242)
-    worlds = [random_walk_world(rng) for _ in range(40)]
     compared = 0
-    for s in worlds + _boundary_worlds():
+    for s in _walks(4242, 40) + _boundary_worlds():
         sim = Simulation(s)
         for t in [0.0, 0.5, 1.0, 7.25, 13.0, 31.5, 60.0]:
             oracle = _full_graph_at(s, t)
@@ -818,6 +829,16 @@ def test_handset_rows_match_a_full_graph_rebuild():
                                        if sim.kinds[n] in fixed}
                 compared += 1
     assert compared > 300
+
+
+def _walks(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [random_walk_world(rng) for _ in range(count)]
+
+
+def _at_four_instants(worlds: list) -> list:
+    return [_graph_inputs_at(s, t) for s in worlds
+            for t in [0.0, 1.0, 13.0, 60.0]]
 
 
 def _scattered_radios(rng):
@@ -832,17 +853,20 @@ def _scattered_radios(rng):
     return positions, profiles
 
 
-def test_comm_graph_matches_the_all_pairs_oracle():
+def _scattered(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [_scattered_radios(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("inputs", [
+    lambda: _at_four_instants(_walks(4343, 40)),
+    lambda: _at_four_instants(_boundary_worlds()),
+    lambda: _scattered(5, 1), lambda: _scattered(99, 60)],
+    ids=["walks-4343", "boundary", "scattered-5", "scattered-99"])
+def test_comm_graph_matches_the_all_pairs_oracle(inputs):
     # the oracle's graph holds every radio and no self-loop, and is
     # symmetric, so equality checks those too
-    rng = random.Random(4343)
-    worlds = [random_walk_world(rng) for _ in range(40)] + _boundary_worlds()
-    inputs = [_graph_inputs_at(s, t) for s in worlds
-              for t in [0.0, 1.0, 13.0, 60.0]]
-    inputs.append(_scattered_radios(random.Random(5)))
-    rng = random.Random(99)
-    inputs += [_scattered_radios(rng) for _ in range(60)]
-    for positions, profiles in inputs:
+    for positions, profiles in inputs():
         assert comm_graph(positions, profiles) == all_pairs_graph(
             positions, profiles)
 
