@@ -16,6 +16,7 @@ sweep can import them from this file:
 """
 
 import dataclasses
+import hashlib
 import importlib.util
 import random
 import re
@@ -146,6 +147,10 @@ BAD_IDS = [7, "", "#x", "a#b", "[node]", "x y"]
 CORRUPTIONS = 1000  # seeds swept in tier-1
 CORRUPT_RUN_S = 5.0  # simulated seconds of each accepted corruption's run
 PROBLEM_NAME = re.compile(r"(.*?) (?:must be|is too small)")
+# SHA-256 of repr((seed, outcome)) for seeds 0..CORRUPTIONS-1, where the
+# outcome is check_corrupted's: an accepted text or a rejection's problems.
+CORRUPTION_OUTCOMES = ("73ae62e16d716bbc87ee6941d91359f0"
+                       "6345bb67f766396d9bc1c68e71d88d0f")
 
 
 def corrupted_scenario(seed: int):
@@ -200,7 +205,8 @@ def corrupted_scenario(seed: int):
 def check_corrupted(seed: int):
     """Validate corrupted_scenario(seed).  A rejection must be a
     ValidationError naming no value twice; an accepted scenario must
-    round-trip through its text, and is returned."""
+    round-trip through its text.  Returns the accepted scenario, or None,
+    and the outcome: the accepted text, or the rejection's problems."""
     s = corrupted_scenario(seed)
     try:
         validate_scenario(s)
@@ -208,9 +214,17 @@ def check_corrupted(seed: int):
         names = [m.group(1) for m in map(PROBLEM_NAME.match, e.problems)
                  if m]
         assert len(names) == len(set(names)), (seed, e.problems)
-        return None
-    assert load_scenario(serialize_scenario(s)) == s, seed
-    return s
+        return None, e.problems
+    text = serialize_scenario(s)
+    assert load_scenario(text) == s, seed
+    return s, text
+
+
+def test_corruption_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(CORRUPTIONS):
+        digest.update(repr((seed, check_corrupted(seed)[1])).encode())
+    assert digest.hexdigest() == CORRUPTION_OUTCOMES
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
@@ -219,7 +233,7 @@ def test_corrupted_scenarios_built_in_code_are_rejected_or_run():
     accepted = []
     try:
         for seed in range(CORRUPTIONS):
-            s = check_corrupted(seed)
+            s, _ = check_corrupted(seed)
             if s is not None:
                 try:
                     _short_run(s, CORRUPT_RUN_S)
