@@ -78,10 +78,10 @@ def count(text: str) -> int:
 
 def cmd_run(args) -> int:
     scenario = _scenario(args.scenario)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    if args.until is not None:
-        scenario = dataclasses.replace(scenario, duration=args.until)
+    changes = {name: value for name, value in (("seed", args.seed),
+               ("duration", args.until)) if value is not None}
+    if changes:  # one build, so the overridden scenario is validated once
+        scenario = dataclasses.replace(scenario, **changes)
     if args.out:
         _output(args.out)  # before the run, which may be long
     report = run(scenario)

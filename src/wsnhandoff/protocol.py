@@ -17,8 +17,6 @@ from typing import NamedTuple
 
 from .world import NodeKind, Point
 
-DEFAULT_TTL = 16
-
 
 class DiscoveryRequest(NamedTuple):
     request_id: int
@@ -83,8 +81,7 @@ def detect_loss(row, kinds: dict) -> bool:
     return not any(kinds[n] is BASE_STATION for n in row)
 
 
-def make_discovery(ms_id: str, location: Point, ids,
-                   ttl: int = DEFAULT_TTL) -> DiscoveryRequest:
+def make_discovery(ms_id: str, location: Point, ids, ttl) -> DiscoveryRequest:
     """Create a fresh discovery request, id next(ids), from location."""
     return DiscoveryRequest(next(ids), ms_id, location, ttl)
 

@@ -25,7 +25,8 @@ A key appears once in `[params]`, with a one-token value, and once on a
 `[node]` or `[mobility]` line.  Text that cannot be read, such as a repeated
 key or a number that does not parse (`seed`, `default_ttl` and
 `queue_capacity` parse as ints), raises ParseError with its line number.
-validate_scenario alone judges the values, read or built in code.
+validate_scenario alone judges the values, read or built in code: building
+a Scenario runs it, so an invalid one raises ValidationError as it is built.
 """
 
 import math
@@ -83,6 +84,7 @@ class NodeSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A deployment, built valid: building it runs validate_scenario."""
     nodes: tuple            # NodeSpec, sorted by str(node_id) when built
     mobility: dict          # node_id -> MobilityPath
     duration: float = 90.0
@@ -90,19 +92,20 @@ class Scenario:
     params: SimParams = SimParams()
 
     def __post_init__(self):
-        # validate_scenario judges nodes that are a string, a record or no
-        # collection at all, and an entry that is not a NodeSpec of a
-        # NodeKind; building leaves them as they are
-        if (isinstance(self.nodes, str) or hasattr(self.nodes, "_fields")
+        # Nodes that are a string, a record or no collection at all, and an
+        # entry that is not a NodeSpec of a NodeKind, are left as they are
+        # for validate_scenario to judge.
+        if not (isinstance(self.nodes, str) or hasattr(self.nodes, "_fields")
                 or not hasattr(self.nodes, "__iter__")):
-            return
-        object.__setattr__(self, "nodes", tuple(sorted(
-            (n._replace(profile=None) if isinstance(n, NodeSpec)
-             and isinstance(n.kind, NodeKind)
-             and isinstance(n.profile, RadioProfile)
-             and n.profile == DEFAULT_PROFILES[n.kind] else n
-             for n in self.nodes),
-            key=lambda n: str(n.node_id) if isinstance(n, NodeSpec) else "")))
+            object.__setattr__(self, "nodes", tuple(sorted(
+                (n._replace(profile=None) if isinstance(n, NodeSpec)
+                 and isinstance(n.kind, NodeKind)
+                 and isinstance(n.profile, RadioProfile)
+                 and n.profile == DEFAULT_PROFILES[n.kind] else n
+                 for n in self.nodes),
+                key=lambda n: str(n.node_id) if isinstance(n, NodeSpec)
+                else "")))
+        validate_scenario(self)
 
     def by_kind(self, kind: NodeKind) -> list:
         return [n for n in self.nodes if n.kind is kind]
@@ -251,10 +254,8 @@ def load_scenario(text: str) -> Scenario:
 
     duration = raw_params.pop("duration", 90.0)
     seed = raw_params.pop("seed", 1)
-    scenario = Scenario(tuple(nodes), mobility, duration, seed,
-                        SimParams(**raw_params))
-    validate_scenario(scenario)
-    return scenario
+    return Scenario(tuple(nodes), mobility, duration, seed,
+                    SimParams(**raw_params))
 
 
 def _broken_rule(name: str, values: tuple, duration):
@@ -436,14 +437,10 @@ def reference_scenario() -> Scenario:
         "ms2": MobilityPath((Point(0.0, 210.0),), speed=9.0,
                             halt_fraction=0.5),
     }
-    s = Scenario(tuple(nodes), mobility, duration=90.0, seed=1)
-    validate_scenario(s)
-    return s
+    return Scenario(tuple(nodes), mobility, duration=90.0, seed=1)
 
 
 def strip_wsn(s: Scenario) -> Scenario:
     """Baseline variant: same scenario with every mote removed."""
     kept = tuple(n for n in s.nodes if n.kind is not NodeKind.MOTE)
-    stripped = Scenario(kept, dict(s.mobility), s.duration, s.seed, s.params)
-    validate_scenario(stripped)
-    return stripped
+    return Scenario(kept, dict(s.mobility), s.duration, s.seed, s.params)

@@ -79,7 +79,7 @@ from .protocol import (DecisionOutcome, LinkRecord, MoteMode, MoteState,
 from .queues import FifoQueue
 from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
                       apply_update, periodic_update, shortest_path)
-from .scenario import Scenario, effective_profile, validate_scenario
+from .scenario import Scenario, effective_profile
 from .stats import StatsLedger, slot
 from .world import (NodeKind, PacketOutcome, comm_graph, halt_time,
                     links_within_reach, packet_outcome, position_at,
@@ -177,7 +177,6 @@ class RunReport(NamedTuple):
 
 class Simulation:
     def __init__(self, scenario: Scenario):
-        validate_scenario(scenario)
         self.s = scenario
         self.p = scenario.params
         self.queue = EventQueue()

@@ -34,6 +34,16 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def reference_reports(tmp_path_factory):
+    """Report files of the reference corridor without and with its motes."""
+    s, folder = reference_scenario(), tmp_path_factory.mktemp("reports")
+    base, cand = folder / "base.report", folder / "cand.report"
+    base.write_text(serialize_report(run(strip_wsn(s))))
+    cand.write_text(serialize_report(run(s)))
+    return base, cand
+
+
 def test_run_text_is_pinned(tmp_path, capsys):
     out = tmp_path / "with-wsn.report"
     assert main(["run", "--scenario", "reference", "--out", str(out)]) == 0
@@ -63,12 +73,9 @@ def test_compare_auto_baseline_text_is_pinned(tmp_path, capsys):
         "QoS improvement:")
 
 
-def test_compare_report_files_text_is_pinned(tmp_path, capsys):
-    s = reference_scenario()
-    base = tmp_path / "base.report"
-    cand = tmp_path / "cand.report"
-    base.write_text(serialize_report(run(strip_wsn(s))))
-    cand.write_text(serialize_report(run(s)))
+def test_compare_report_files_text_is_pinned(tmp_path, capsys,
+                                             reference_reports):
+    base, cand = reference_reports
     out = tmp_path / "cmp.txt"
     assert main(["compare", "--baseline", str(base), "--with-wsn", str(cand),
                  "--out", str(out)]) == 0
@@ -162,6 +169,21 @@ def _fails_cleanly(proc):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["no-out", "bad-out"])
+def test_an_override_that_breaks_a_rule_is_one_error(tmp_path, out):
+    # 1e300 is a valid --until, but no period can advance a clock that far;
+    # the scenario is judged before --out, which names a directory here
+    proc = _cli("run", "--scenario", "reference", "--until", "1e300",
+                *(["--out", str(tmp_path)] if out else []))
+    _fails_cleanly(proc)
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: invalid scenario: coverage_check_period is too small to "
+        "advance the clock; tx_slot is too small to advance the clock; "
+        "dv_period is too small to advance the clock; app_interval is too "
+        "small to advance the clock\n")
 
 
 def test_a_walk_that_breaks_a_rule_is_one_error_naming_the_file(tmp_path):
@@ -276,12 +298,8 @@ def test_run_out_write_error_names_the_path():
     assert os.path.exists("/dev/full")
 
 
-def test_compare_epsilon_suppresses_small_moves(tmp_path, capsys):
-    s = reference_scenario()
-    base = tmp_path / "base.txt"
-    cand = tmp_path / "cand.txt"
-    base.write_text(serialize_report(run(strip_wsn(s))))
-    cand.write_text(serialize_report(run(s)))
+def test_compare_epsilon_suppresses_small_moves(capsys, reference_reports):
+    base, cand = reference_reports
     assert main(["compare", "--baseline", str(base), "--with-wsn",
                  str(cand), "--epsilon", "1000000"]) == 0
     stdout = capsys.readouterr().out
@@ -296,10 +314,9 @@ def test_bad_epsilon_is_a_usage_error(epsilon):
     assert "--epsilon" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_compare_rejects_corrupt_report(tmp_path, capsys):
-    good = tmp_path / "good.txt"
+def test_compare_rejects_corrupt_report(tmp_path, capsys, reference_reports):
+    good = reference_reports[0]
     bad = tmp_path / "bad.txt"
-    good.write_text(serialize_report(run(strip_wsn(reference_scenario()))))
     bad.write_text("not a report\n")
     assert main(["compare", "--baseline", str(bad),
                  "--with-wsn", str(good)]) == 1

@@ -3,7 +3,7 @@ of scenarios built in code.
 
 Mutants of the three benchmark workload texts and of the README example
 must either load or raise ParseError/ValidationError.  Corruptions of the
-reference scenario must either validate or raise ValidationError, with at
+reference scenario must either build or raise ValidationError, with at
 most one problem per value.  Every mutant or corruption that is accepted
 must round-trip through serialize_scenario and finish a short run, bounded
 in-process by SIGALRM.
@@ -26,10 +26,10 @@ from pathlib import Path
 import pytest
 from worlds import readme_scenario
 
-from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, SimParams,
-                                 ValidationError, effective_profile,
-                                 load_scenario, reference_scenario,
-                                 serialize_scenario, validate_scenario)
+from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, Scenario,
+                                 SimParams, ValidationError,
+                                 effective_profile, load_scenario,
+                                 reference_scenario, serialize_scenario)
 from wsnhandoff.simulation import run
 from wsnhandoff.world import NodeKind, Point
 
@@ -156,60 +156,58 @@ CORRUPTION_OUTCOMES = ("73ae62e16d716bbc87ee6941d91359f0"
 def corrupted_scenario(seed: int):
     """The reference scenario with one to three of `duration`, `seed` and
     the SimParams fields, and one time in four m05's x, set to values drawn
-    from CORRUPT_VALUES.  Then, one time in four, its nodes are shuffled,
-    and one time in eight msc1 is given a radio profile.  Last, one time in
-    eight each, ms1's speed or halt is drawn from CORRUPT_VALUES or its
-    waypoints emptied, and a node's error_margin_db or path_loss_exponent
-    is drawn from CORRUPT_VALUES; one time in sixteen a node gets a bad
-    id."""
+    from CORRUPT_VALUES.  Then, one time in four, its nodes are shuffled
+    (building sorts them back), and one time in eight msc1 is given a
+    radio profile.  Last, one time in eight each, ms1's speed or halt is
+    drawn from CORRUPT_VALUES or its waypoints emptied, and a node's
+    error_margin_db or path_loss_exponent is drawn from CORRUPT_VALUES; one
+    time in sixteen a node gets a bad id."""
     rng = random.Random(seed)
+    ref = reference_scenario()
     names = rng.sample(CORRUPT_NAMES, rng.randint(1, 3))
     change = {name: rng.choice(CORRUPT_VALUES) for name in names}
-    top = {name: change.pop(name) for name in ("duration", "seed")
-           if name in change}
-    s = dataclasses.replace(reference_scenario(), params=SimParams(**change),
-                            **top)
+    top = {"duration": ref.duration, "seed": ref.seed,
+           **{name: change.pop(name) for name in ("duration", "seed")
+              if name in change}}
+    nodes, mobility = ref.nodes, ref.mobility
     if rng.random() < 0.25:
         x = rng.choice(CORRUPT_VALUES)
-        s = dataclasses.replace(s, nodes=tuple(
-            n._replace(position=Point(x, n.position.y))
-            if n.node_id == "m05" else n for n in s.nodes))
+        nodes = tuple(n._replace(position=Point(x, n.position.y))
+                      if n.node_id == "m05" else n for n in nodes)
     if rng.random() < 0.25:
-        s = dataclasses.replace(s, nodes=rng.sample(s.nodes, len(s.nodes)))
+        # drawn, then sorted back by id, as building the scenario would
+        nodes = tuple(sorted(rng.sample(nodes, len(nodes)),
+                             key=lambda n: n.node_id))
     if rng.random() < 0.125:
-        s = dataclasses.replace(s, nodes=tuple(
+        nodes = tuple(
             n._replace(profile=DEFAULT_PROFILES[NodeKind.BASE_STATION])
-            if n.node_id == "msc1" else n
-            for n in s.nodes))
+            if n.node_id == "msc1" else n for n in nodes)
     if rng.random() < 0.125:
         field = rng.choice(["speed", "halt_fraction", "waypoints"])
         value = () if field == "waypoints" else rng.choice(CORRUPT_VALUES)
-        s = dataclasses.replace(s, mobility={**s.mobility, "ms1": (
-            s.mobility["ms1"]._replace(**{field: value}))})
+        mobility = {**mobility,
+                    "ms1": mobility["ms1"]._replace(**{field: value})}
     if rng.random() < 0.125:
-        node = rng.choice([n for n in s.nodes if n.kind is not NodeKind.MSC])
+        node = rng.choice([n for n in nodes if n.kind is not NodeKind.MSC])
         field = rng.choice(["error_margin_db", "path_loss_exponent"])
         profile = effective_profile(node)._replace(**{
             field: rng.choice(CORRUPT_VALUES)})
-        s = dataclasses.replace(s, nodes=tuple(
-            n._replace(profile=profile) if n is node else n
-            for n in s.nodes))
+        nodes = tuple(n._replace(profile=profile) if n is node else n
+                      for n in nodes)
     if rng.random() < 0.0625:
-        node = rng.choice(s.nodes)
-        s = dataclasses.replace(s, nodes=tuple(
-            n._replace(node_id=rng.choice(BAD_IDS))
-            if n is node else n for n in s.nodes))
-    return s
+        node = rng.choice(nodes)
+        nodes = tuple(n._replace(node_id=rng.choice(BAD_IDS))
+                      if n is node else n for n in nodes)
+    return Scenario(nodes, mobility, params=SimParams(**change), **top)
 
 
 def check_corrupted(seed: int):
-    """Validate corrupted_scenario(seed).  A rejection must be a
+    """Build corrupted_scenario(seed).  A rejection must be a
     ValidationError naming no value twice; an accepted scenario must
     round-trip through its text.  Returns the accepted scenario, or None,
     and the outcome: the accepted text, or the rejection's problems."""
-    s = corrupted_scenario(seed)
     try:
-        validate_scenario(s)
+        s = corrupted_scenario(seed)
     except ValidationError as e:
         names = [m.group(1) for m in map(PROBLEM_NAME.match, e.problems)
                  if m]

@@ -4,12 +4,11 @@ from itertools import count
 
 import pytest
 
-from wsnhandoff.protocol import (DEFAULT_TTL, DecisionOutcome,
-                                 DiscoveryRequest, MoteMode,
-                                 bs_notify_msc, detect_loss, establish_link,
-                                 make_discovery, mote_forward, msc_decide,
-                                 release_motes, steer_feasible)
-from wsnhandoff.scenario import NodeSpec, Scenario
+from wsnhandoff.protocol import (DecisionOutcome, DiscoveryRequest,
+                                 MoteMode, bs_notify_msc, detect_loss,
+                                 establish_link, make_discovery, mote_forward,
+                                 msc_decide, release_motes, steer_feasible)
+from wsnhandoff.scenario import NodeSpec, Scenario, SimParams
 from wsnhandoff.simulation import Frame, Simulation
 from wsnhandoff.world import (NodeKind, PacketOutcome, Point, comm_graph,
                               profile_for_range)
@@ -70,10 +69,10 @@ def test_detect_loss():
 def test_make_discovery_ids_and_fields():
     ids = count(1)
     loc = Point(5, 5)
-    r1 = make_discovery("ms", loc, ids)
+    r1 = make_discovery("ms", loc, ids, SimParams().default_ttl)
     r2 = make_discovery("ms", loc, ids, ttl=3)
     assert (r1.request_id, r2.request_id) == (1, 2)
-    assert r1.ttl == DEFAULT_TTL == 16
+    assert r1.ttl == SimParams().default_ttl == 16
     assert r2.ttl == 3
     assert r1.ms_location == loc and r1.ms_id == "ms" and r1.path == ()
 
@@ -181,7 +180,7 @@ def test_a_sleeping_mote_is_inert():
 
 def test_hand_traced_flood_along_the_line():
     graph, kinds = _line_graph()
-    req = make_discovery("ms", Point(0, 0), count(1))
+    req = make_discovery("ms", Point(0, 0), count(1), SimParams().default_ttl)
     # hop 1: m1 floods to m2
     r1, _, _ = mote_forward("m1", req, *_rows(graph, kinds, "m1"))
     # hop 2: m2 floods to m3

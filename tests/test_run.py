@@ -19,8 +19,7 @@ from wsnhandoff.protocol import (DecisionOutcome, DiscoveryRequest,
                                  MoteMode)
 from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
                                  ValidationError, effective_profile,
-                                 load_scenario, reference_scenario, strip_wsn,
-                                 validate_scenario)
+                                 load_scenario, reference_scenario, strip_wsn)
 from wsnhandoff.report import parse_report_ledger, serialize_report
 from wsnhandoff.simulation import Frame, RunReport, Simulation, run
 from wsnhandoff.stats import RegistryMismatchError
@@ -42,9 +41,7 @@ def test_covered_station_never_searches():
         NodeSpec("msc1", NodeKind.MSC, Point(10.0, 80.0)),
         NodeSpec("sat1", NodeKind.SATELLITE, Point(0.0, 900.0)),
     )
-    s = Scenario(nodes, {}, duration=15.0, seed=3)
-    validate_scenario(s)
-    rep = run(s)
+    rep = run(Scenario(nodes, {}, duration=15.0, seed=3))
     assert rep.links == ()
     assert rep.decisions == ()
     assert rep.escalations == ()
@@ -143,10 +140,9 @@ def test_a_walk_that_goes_nowhere_stands_at_its_start():
 
 def test_construction_validates_a_scenario_built_in_code():
     # run() would reschedule this coverage check at t = 0 forever
-    s = dataclasses.replace(reference_scenario(), duration=5.0,
-                            params=SimParams(coverage_check_period=0.0))
     with pytest.raises(ValidationError) as e:
-        Simulation(s)
+        dataclasses.replace(reference_scenario(), duration=5.0,
+                            params=SimParams(coverage_check_period=0.0))
     assert e.value.problems == ["coverage_check_period must be positive"]
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import pkgutil
+import sys
 from collections import deque
 
 import pytest
@@ -10,11 +11,12 @@ from invariants import radio_positions
 from worlds import grid_world, readme_scenario
 
 import wsnhandoff
+from wsnhandoff import scenario as scenario_module
 from wsnhandoff.scenario import (DEFAULT_PROFILES, NodeSpec, ParseError,
                                  Scenario, SimParams, ValidationError,
                                  effective_profile, load_scenario,
                                  reference_scenario, serialize_scenario,
-                                 strip_wsn, validate_scenario)
+                                 strip_wsn)
 from wsnhandoff.simulation import Simulation, run
 from wsnhandoff.world import (MobilityPath, NodeKind, Point, RadioProfile,
                               comm_graph, halt_time, position_at)
@@ -220,18 +222,19 @@ def test_nonpositive_periods_and_negative_delays_rejected(param, value):
 def test_a_period_too_small_to_advance_time_is_rejected(param):
     # duration + 1e-320 == duration, so the event would be rescheduled at
     # the same instant forever and run() would never return
-    s = dataclasses.replace(reference_scenario(),
-                            params=SimParams(**{param: 1e-320}))
     problem = f"{param} is too small to advance the clock"
     with pytest.raises(ValidationError) as e:
-        Simulation(s)
+        dataclasses.replace(reference_scenario(),
+                            params=SimParams(**{param: 1e-320}))
     assert e.value.problems == [problem]
+    text = serialize_scenario(reference_scenario()).replace(
+        "seed = 1\n", f"seed = 1\n{param} = 1e-320\n")
     with pytest.raises(ValidationError) as e:
-        load_scenario(serialize_scenario(s))
+        load_scenario(text)
     assert e.value.problems == [problem]
     # a small period that still moves the clock is accepted
-    validate_scenario(dataclasses.replace(s, params=SimParams(
-        **{param: 1e-12})))
+    dataclasses.replace(reference_scenario(),
+                        params=SimParams(**{param: 1e-12}))
 
 
 def test_zero_delays_are_allowed():
@@ -242,11 +245,9 @@ def test_zero_delays_are_allowed():
 
 def test_nan_timings_rejected_in_a_scenario_built_in_code():
     nan = float("nan")
-    s = dataclasses.replace(
-        reference_scenario(), duration=nan,
-        params=SimParams(dv_period=nan, hop_delay=nan))
     with pytest.raises(ValidationError) as e:
-        validate_scenario(s)
+        dataclasses.replace(reference_scenario(), duration=nan,
+                            params=SimParams(dv_period=nan, hop_delay=nan))
     assert e.value.problems == ["duration must be positive",
                                 "dv_period must be positive",
                                 "hop_delay must be >= 0"]
@@ -308,9 +309,8 @@ def test_non_finite_values_rejected_in_a_scenario_built_in_code(change,
                                                                  problem):
     # Each of these once passed validation and then made
     # serialize_scenario raise OverflowError or ValueError.
-    s = dataclasses.replace(reference_scenario(), **change)
     with pytest.raises(ValidationError) as e:
-        validate_scenario(s)
+        dataclasses.replace(reference_scenario(), **change)
     assert e.value.problems == [problem]
 
 
@@ -325,9 +325,8 @@ def test_non_integer_counts_rejected_in_a_scenario_built_in_code(change,
                                                                  problem):
     # seed = 1.5 once raised a raw TypeError from Simulation, and
     # default_ttl = 2.5 ran but serialized to text that did not load
-    s = dataclasses.replace(reference_scenario(), **change)
     with pytest.raises(ValidationError) as e:
-        Simulation(s)
+        dataclasses.replace(reference_scenario(), **change)
     assert e.value.problems == [problem]
 
 
@@ -346,7 +345,7 @@ def test_non_integer_counts_rejected_in_a_scenario_built_in_code(change,
 def test_non_numbers_rejected_in_a_scenario_built_in_code(build, problem):
     # each of these once raised a raw TypeError from Simulation
     with pytest.raises(ValidationError) as e:
-        Simulation(build(reference_scenario()))
+        build(reference_scenario())
     assert e.value.problems == [problem]
 
 
@@ -377,7 +376,7 @@ def test_non_numbers_rejected_in_a_scenario_built_in_code(build, problem):
 def test_non_finite_coordinates_rejected_in_a_scenario_built_in_code(
         build, problem):
     with pytest.raises(ValidationError) as e:
-        validate_scenario(build(reference_scenario()))
+        build(reference_scenario())
     assert e.value.problems == [problem]
 
 
@@ -404,16 +403,12 @@ def test_non_finite_coordinates_rejected_in_a_scenario_built_in_code(
 ])
 def test_profile_and_walk_rules_in_a_scenario_built_in_code(build, problem):
     # RadioProfile and MobilityPath once raised a ValueError for each of
-    # these when built.  A walk with no waypoints has no text form.
-    s = build(reference_scenario())
-    for check in (validate_scenario, Simulation):
-        with pytest.raises(ValidationError) as e:
-            check(s)
-        assert e.value.problems == [problem]
-    if s.mobility["ms1"].waypoints:
-        with pytest.raises(ValidationError) as e:
-            load_scenario(serialize_scenario(s))
-        assert e.value.problems == [problem]
+    # these when built.  The same rules read from text are judged in
+    # test_values_read_from_text_are_judged_by_validate_scenario; a walk
+    # with no waypoints has no text form.
+    with pytest.raises(ValidationError) as e:
+        build(reference_scenario())
+    assert e.value.problems == [problem]
 
 
 def _with_m99(**spec) -> Scenario:
@@ -471,29 +466,45 @@ def test_parts_of_the_wrong_type_are_rejected(build, problem):
     # problem per character; the others raised one from validate_scenario
     # itself.  A record is itself a tuple, so a Point of waypoints and a
     # NodeSpec of nodes must not be walked as if they held records.
-    s = build()
-    for check in (validate_scenario, Simulation):
-        with pytest.raises(ValidationError) as e:
-            check(s)
-        assert e.value.problems == [problem]
+    with pytest.raises(ValidationError) as e:
+        build()
+    assert e.value.problems == [problem]
 
 
 def test_a_node_is_formatted_only_in_its_own_problem(monkeypatch):
-    # validation runs at every set-up, so it formats a label only for a
-    # broken rule or a wrong type
+    # every Scenario is validated when built, so validation formats a
+    # label only for a broken rule or a wrong type
     calls, nodespec_repr = [], NodeSpec.__repr__
     monkeypatch.setattr(NodeSpec, "__repr__",
                         lambda n: calls.append(n) or nodespec_repr(n))
     ref = reference_scenario()
-    validate_scenario(ref)
-    validate_scenario(grid_world(10, [("ms1", 190.0, 8.0)]))
+    grid_world(10, [("ms1", 190.0, 8.0)])
     assert calls == []
     with pytest.raises(ValidationError) as e:
-        validate_scenario(dataclasses.replace(ref, nodes=(*ref.nodes,
-                                                          [ref.nodes[0]])))
+        dataclasses.replace(ref, nodes=(*ref.nodes, [ref.nodes[0]]))
     assert e.value.problems == [
         f"node [{nodespec_repr(ref.nodes[0])}] must be a NodeSpec"]
     assert calls == [ref.nodes[0]]
+
+
+def test_a_set_up_validates_its_scenario_once(monkeypatch):
+    ref = reference_scenario()
+    texts = {"reference": serialize_scenario(ref),
+             "grid": serialize_scenario(grid_world(10, [("ms1", 190.0, 8.0)]))}
+    calls, validate = [], scenario_module.validate_scenario
+    # every module of the package that holds the function calls the wrapper
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "wsnhandoff"
+                and getattr(module, "validate_scenario", None) is validate):
+            monkeypatch.setattr(module, "validate_scenario",
+                                lambda s: calls.append(s) or validate(s))
+    for set_up in (lambda: Simulation(load_scenario(texts["reference"])),
+                   lambda: Simulation(load_scenario(texts["grid"])),
+                   reference_scenario,
+                   lambda: dataclasses.replace(ref, seed=5)):
+        calls.clear()
+        set_up()
+        assert len(calls) == 1
 
 
 def _with_mote_named(node_id) -> Scenario:
@@ -506,19 +517,16 @@ def _with_mote_named(node_id) -> Scenario:
 def test_bad_node_ids_are_rejected(node_id):
     # 7 once raised a raw TypeError when the scenario was built, and 'x y'
     # validated and then failed its own round trip
-    s = _with_mote_named(node_id)
-    for check in (validate_scenario, Simulation):
-        with pytest.raises(ValidationError) as e:
-            check(s)
-        assert e.value.problems == [
-            f"node id {node_id!r} must be one token, without '#' and not "
-            "starting with '['"]
+    with pytest.raises(ValidationError) as e:
+        _with_mote_named(node_id)
+    assert e.value.problems == [
+        f"node id {node_id!r} must be one token, without '#' and not "
+        "starting with '['"]
 
 
 @pytest.mark.parametrize("node_id", ["7", "a[b]", "x=y", "n'1", "]", "ü"])
 def test_accepted_node_ids_round_trip(node_id):
     s = _with_mote_named(node_id)
-    validate_scenario(s)
     assert load_scenario(serialize_scenario(s)) == s
 
 
@@ -527,15 +535,17 @@ def test_each_value_gets_at_most_one_problem_in_a_fixed_order():
     # each value reports only the first rule it breaks: default_ttl = 0.5 is
     # out of range, and is not also reported as not an integer, and ms2's
     # walk, with no waypoint, no speed and no halt, is reported once.
-    s = _with_m01(dataclasses.replace(
-        _with_mote_named("x y"), duration="90", seed=2.5,
-        mobility={**reference_scenario().mobility,
+    ref = reference_scenario()
+    nodes = tuple(n._replace(position=Point(None, 0.0))
+                  if n.node_id == "m01" else n for n in ref.nodes)
+    with pytest.raises(ValidationError) as e:
+        Scenario((*nodes, NodeSpec("x y", NodeKind.MOTE, Point(5.0, 5.0))),
+                 {**ref.mobility,
                   "ghost": MobilityPath((Point(1.0, 1.0),), 1.0),
                   "ms2": MobilityPath((), 0.0, 0.0)},
-        params=SimParams(default_ttl=0.5, hop_delay=-1, tx_slot=10**400,
-                         max_steer_range=NAN)), position=Point(None, 0.0))
-    with pytest.raises(ValidationError) as e:
-        validate_scenario(s)
+                 duration="90", seed=2.5,
+                 params=SimParams(default_ttl=0.5, hop_delay=-1,
+                                  tx_slot=10**400, max_steer_range=NAN))
     assert e.value.problems == ["node id 'x y' must be one token, without "
                                 "'#' and not starting with '['",
                                 "mobility for unknown node 'ghost'",
@@ -553,7 +563,6 @@ def test_each_value_gets_at_most_one_problem_in_a_fixed_order():
 def test_every_valid_scenario_built_in_code_serializes():
     s = dataclasses.replace(reference_scenario(),
                             params=SimParams(max_steer_range=1e300))
-    validate_scenario(s)
     assert load_scenario(serialize_scenario(s)) == s
 
 
@@ -599,13 +608,11 @@ def test_two_switching_centres_rejected():
 def test_an_msc_built_in_code_with_a_profile_is_rejected():
     # the text format refuses it at parse time, with its line number
     s = reference_scenario()
-    s = dataclasses.replace(s, nodes=tuple(
-        n._replace(profile=DEFAULT_PROFILES[NodeKind.BASE_STATION])
-        if n.kind is NodeKind.MSC else n for n in s.nodes))
-    for build in (validate_scenario, Simulation):
-        with pytest.raises(ValidationError) as e:
-            build(s)
-        assert e.value.problems == ["msc 'msc1' carries a radio profile"]
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(s, nodes=tuple(
+            n._replace(profile=DEFAULT_PROFILES[NodeKind.BASE_STATION])
+            if n.kind is NodeKind.MSC else n for n in s.nodes))
+    assert e.value.problems == ["msc 'msc1' carries a radio profile"]
 
 
 def test_roundtrip_is_stable():
@@ -670,7 +677,6 @@ def test_builtin_census():
     assert len(s.by_kind(NodeKind.SATELLITE)) == 1
     assert len(s.by_kind(NodeKind.MSC)) == 1
     assert s.duration == 90.0 and s.seed == 1
-    validate_scenario(s)  # must not raise
 
 
 def test_builtin_walkers_halt_midway_between_cells():

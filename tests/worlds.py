@@ -15,8 +15,7 @@ from pathlib import Path
 
 from wsnhandoff.routing import (INFINITY_METRIC, Lanes, Table, apply_update,
                                 periodic_update)
-from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
-                                 ValidationError, validate_scenario)
+from wsnhandoff.scenario import NodeSpec, Scenario, SimParams, ValidationError
 from wsnhandoff.report import serialize_report
 from wsnhandoff.simulation import run
 from wsnhandoff.world import MobilityPath, NodeKind, Point, profile_for_range
@@ -56,10 +55,8 @@ def unit_disk_world(rng, n_motes: int, side: float = 600.0) -> Scenario:
         nodes.append(NodeSpec("sat1", NodeKind.SATELLITE,
                               Point(-500.0, -500.0), profile))
         nodes.append(NodeSpec("msc1", NodeKind.MSC, Point(-400.0, -600.0)))
-        s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), {},
-                     duration=3.0, seed=rng.randrange(2**32))
-        validate_scenario(s)
-        return s
+        return Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), {},
+                        duration=3.0, seed=rng.randrange(2**32))
 
 
 def line_world(n_motes: int, seed: int) -> Scenario:
@@ -213,10 +210,8 @@ def random_walk_world(rng) -> Scenario:
                               for _ in range(rng.randint(1, 3)))
             mobility[ms_id] = MobilityPath(waypoints, rng.uniform(2.0, 30.0),
                                            rng.uniform(0.2, 1.0))
-    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
-                 duration=60.0, seed=1)
-    validate_scenario(s)
-    return s
+    return Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
+                    duration=60.0, seed=1)
 
 
 def timed_world(seed: int) -> Scenario:
@@ -254,10 +249,8 @@ def crossing_world(walkers) -> Scenario:
     for ms_id, start, end in walkers:
         nodes.append(NodeSpec(ms_id, NodeKind.MOBILE_STATION, start))
         mobility[ms_id] = MobilityPath((end,), 8.0, 1.0)
-    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
-                 duration=20.0, seed=1)
-    validate_scenario(s)
-    return s
+    return Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
+                    duration=20.0, seed=1)
 
 
 def satellite_free_crossing_world(seed: int):
@@ -275,13 +268,12 @@ def satellite_free_crossing_world(seed: int):
     at = Point(float(round(crossed.position.x)),
                float(round(crossed.position.y)))
     moved = {crossed.node_id: at, "ms0": Point(at.x - 64.0, at.y)}
-    s = dataclasses.replace(s, nodes=tuple(
-        n._replace(position=moved.get(n.node_id, n.position))
-        for n in s.nodes if n.kind is not NodeKind.SATELLITE), mobility={
-        **s.mobility,
-        "ms0": MobilityPath((Point(at.x + 960.0, at.y),), 8.0, 1.0)})
     try:
-        validate_scenario(s)
+        s = dataclasses.replace(s, nodes=tuple(
+            n._replace(position=moved.get(n.node_id, n.position))
+            for n in s.nodes if n.kind is not NodeKind.SATELLITE), mobility={
+            **s.mobility,
+            "ms0": MobilityPath((Point(at.x + 960.0, at.y),), 8.0, 1.0)})
     except ValidationError:
         return None
     return s, crossed.node_id
@@ -308,10 +300,8 @@ def grid_world(k: int, walkers) -> Scenario:
     for ms_id, y, speed in walkers:
         nodes.append(NodeSpec(ms_id, NodeKind.MOBILE_STATION, Point(0.0, y)))
         mobility[ms_id] = MobilityPath((Point(width, y),), speed, 0.5)
-    s = Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
-                 duration=90.0, seed=1)
-    validate_scenario(s)
-    return s
+    return Scenario(tuple(sorted(nodes, key=lambda n: n.node_id)), mobility,
+                    duration=90.0, seed=1)
 
 
 # ---- scenario texts --------------------------------------------------------
