@@ -207,7 +207,8 @@ def _parse_mobility(parts, line_no: int):
     if "speed" not in keys or "waypoints" not in keys:
         raise ParseError(line_no, "mobility needs speed= and waypoints=")
     speed = _parse_number(keys["speed"], line_no, "speed")
-    halt = _parse_number(keys.get("halt", "0.5"), line_no, "halt")
+    halt = ({"halt_fraction": _parse_number(keys["halt"], line_no, "halt")}
+            if "halt" in keys else {})
     waypoints = []
     for pair in keys["waypoints"].split(";"):
         xy = pair.split(",")
@@ -215,7 +216,7 @@ def _parse_mobility(parts, line_no: int):
             raise ParseError(line_no, f"bad waypoint {pair!r}")
         waypoints.append(Point(_parse_number(xy[0], line_no, "x"),
                                _parse_number(xy[1], line_no, "y")))
-    return parts[0], MobilityPath(tuple(waypoints), speed, halt)
+    return parts[0], MobilityPath(tuple(waypoints), speed, **halt)
 
 
 def load_scenario(text: str) -> Scenario:
@@ -252,10 +253,10 @@ def load_scenario(text: str) -> Scenario:
                 raise ParseError(line_no, f"duplicate mobility for {node_id!r}")
             mobility[node_id] = path
 
-    duration = raw_params.pop("duration", 90.0)
-    seed = raw_params.pop("seed", 1)
-    return Scenario(tuple(nodes), mobility, duration, seed,
-                    SimParams(**raw_params))
+    top = {key: raw_params.pop(key) for key in ("duration", "seed")
+           if key in raw_params}
+    return Scenario(tuple(nodes), mobility, params=SimParams(**raw_params),
+                    **top)
 
 
 def _broken_rule(name: str, values: tuple, duration):

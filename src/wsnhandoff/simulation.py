@@ -41,12 +41,12 @@ neighbours, the targets of its discovery floods and distance-vector
 broadcasts, are kept as one tuple per mote (active_rows) and refreshed only
 when motes are put to sleep, since nothing else changes a mote's mode.  A
 coverage check positions each handset once and puts through the graph's
-edge rule only the base stations and motes within reach of both ends: they
+link rule only the base stations and motes within reach of both ends: they
 are all it reads.  Radio frames are heard only by motes and base stations,
-which never move, so how each static neighbour hears a mote is classified
-once, at start, into the mote's outcome row, which its bursts carry and
-its unicasts read; a handset sends only broadcasts by radio, and their
-outcomes are worked out on each transmit, from where it is then.
+which never move, so the static graph's outcomes, how each neighbour hears
+a mote, are the mote's outcome row, which its bursts carry and its unicasts
+read; a handset sends only broadcasts by radio, and their outcomes are
+worked out by the same rule on each transmit, from where it is then.
 A discovery frame's payload is (request, reached): one set per flood, shared
 by all its copies, of the motes and base stations it has reached.  A copy
 whose receiver is in it stops, so only a first copy, at an awake mote off
@@ -211,28 +211,27 @@ class Simulation:
                             for n in scenario.nodes
                             if n.kind is not NodeKind.MSC}
 
-        # The radios' positions at the latest coverage check; only handsets
-        # get updated.
-        fixed = {n.node_id: n.position for n in scenario.nodes
-                 if n.kind in (BASE_STATION, MOTE)}
-        self.here = {**fixed, **{ms: self.start_pos[ms]
-                                 for ms in self.ms_states}}
+        # The handsets' positions at the latest coverage check.
+        self.here = {ms: self.start_pos[ms] for ms in self.ms_states}
         # Motes and base stations never move, so their adjacency is fixed;
         # the static graph drives all flood forwarding decisions through
         # each mote's sorted base-station and mote neighbours, and how each
-        # of them hears the mote is classified here, once.
+        # of them hears the mote, as the graph classified it, is its
+        # outcome row.
+        fixed = {n.node_id: n.position for n in scenario.nodes
+                 if n.kind in (BASE_STATION, MOTE)}
         static_graph = comm_graph(fixed, self.profiles)
         kinds = self.kinds
         self.bs_rows, self.mote_rows, self.outcome_rows = {}, {}, {}
         for m in self.mote_states:
-            row = sorted(static_graph[m])
+            heard = static_graph[m]
+            row = sorted(heard)
             self.bs_rows[m] = tuple(
                 n for n in row if kinds[n] is BASE_STATION)
             self.mote_rows[m] = tuple(
                 n for n in row if kinds[n] is MOTE)
             self.outcome_rows[m] = {
-                rx: self._outcome(self.start_pos[m], rx)
-                for rx in self.bs_rows[m] + self.mote_rows[m]}
+                rx: heard[rx] for rx in self.bs_rows[m] + self.mote_rows[m]}
         # Each mote's awake mote neighbours, in mote_rows order; _release
         # keeps them current, as only release_motes changes a mode.
         self.active_rows = dict(self.mote_rows)
@@ -280,16 +279,10 @@ class Simulation:
         here = self.here
         for n, path in self.s.mobility.items():
             here[n] = position_at(path, self.start_pos[n], t)
-        return {a: set(links_within_reach(
+        return {a: {b for b, _, _ in links_within_reach(
                     (a, here[a].x, here[a].y, reach), self.fixed_radios,
-                    here, self.profiles))
+                    self.profiles)}
                 for a, reach in self.handset_reach.items()}
-
-    def _outcome(self, here, rx: str):
-        """How rx, which never moves, hears a frame sent from point here."""
-        profile = self.profiles[rx]
-        return packet_outcome(profile, received_power(
-            profile, here.distance_to(self.start_pos[rx])))
 
     def _radio_outcomes(self, src: str, receivers: tuple, t: float) -> dict:
         """How each receiver hears a broadcast sent by handset src at t, as
@@ -297,7 +290,10 @@ class Simulation:
         t.  A mote's frames read its outcome row instead."""
         path, start = self.s.mobility.get(src), self.start_pos
         here = start[src] if path is None else position_at(path, start[src], t)
-        return {rx: self._outcome(here, rx) for rx in receivers}
+        profiles = self.profiles
+        return {rx: packet_outcome(profiles[rx], received_power(
+                    profiles[rx], here.distance_to(start[rx])))
+                for rx in receivers}
 
     # ---- frame pipeline ---------------------------------------------
 

@@ -8,9 +8,10 @@ log-distance path loss model
 for d of at least the 1 m reference distance, where reference_loss_db
 applies; nearer, d is held at 1 m, as in ns-3's
 LogDistancePropagationLossModel, so radios on one point still hear each
-other.  A link between two radios exists only when each end would hear the
-other under its own profile, i.e. the more restrictive of the two range
-radii decides.  The communication graph holds radios only: handsets, base
+other.  One rule classifies every reception: packet_outcome of the received
+power under the receiver's own profile.  Two radios link when neither hears
+the other as LOST, and the communication graph keeps, for each link, how
+each end hears the other.  The graph holds radios only: handsets, base
 stations and motes.  Satellites and switching centres are reached over
 engineered links (satellite frames, backhaul), which the caller models, so
 it never hands them to the graph functions here.
@@ -67,11 +68,6 @@ def received_power(profile: RadioProfile, distance: float) -> float:
     return (profile.tx_power_dbm - profile.reference_loss_db
             - 10.0 * profile.path_loss_exponent
             * math.log10(distance if distance > 1.0 else 1.0))
-
-
-def in_range(a: Point, b: Point, profile: RadioProfile) -> bool:
-    """True when b hears a under `profile` (boundary inclusive)."""
-    return received_power(profile, a.distance_to(b)) >= profile.sensitivity_dbm
 
 
 class PacketOutcome(Enum):
@@ -144,13 +140,6 @@ def position_at(path: MobilityPath, start: Point, t: float) -> Point:
     return pts[-1]
 
 
-def linked(a: str, b: str, positions: dict, profiles: dict) -> bool:
-    """The edge rule of the communication graph for one pair of radios: each
-    end hears the other under its own profile.  Symmetric in a and b."""
-    return (in_range(positions[a], positions[b], profiles[a])
-            and in_range(positions[a], positions[b], profiles[b]))
-
-
 def reach_sq(profile: RadioProfile) -> float:
     """Squared distance past which `profile` hears nothing, as received
     power only falls with distance: (1 + 1e-6) * range_radius()**2, or inf
@@ -159,43 +148,50 @@ def reach_sq(profile: RadioProfile) -> float:
         r = profile.range_radius()
     except OverflowError:
         return math.inf
-    edge = Point(r * (1 + 4e-7), 0.0)
-    if r == 0 or in_range(Point(0.0, 0.0), edge, profile):
+    if r == 0 or received_power(
+            profile, r * (1 + 4e-7)) >= profile.sensitivity_dbm:
         return math.inf
     return (1 + 1e-6) * r * r
 
 
-def links_within_reach(node: tuple, others, positions: dict, profiles: dict):
-    """Yield the ids of the `others` that `node` links with, in order.
+def links_within_reach(node: tuple, others, profiles: dict):
+    """Yield (b, how b hears node, how node hears b) for each of the
+    `others`, in order, that `node` links with: neither outcome is LOST.
 
     `node` and each of `others` is an (id, x, y, reach_sq) entry.  A pair
-    farther apart than either end's reach cannot link and skips the edge
-    rule; every other pair goes through `linked`.
+    farther apart than either end's reach cannot link and is skipped; the
+    distance of every other pair is worked out once, for both ends.
     """
     a, x, y, reach_a = node
+    profile_a, lost = profiles[a], PacketOutcome.LOST
     for b, bx, by, reach_b in others:
         dx, dy = x - bx, y - by
         d2 = dx * dx + dy * dy
         if d2 > reach_a or d2 > reach_b:
             continue
-        if linked(a, b, positions, profiles):
-            yield b
+        d, profile_b = math.hypot(dx, dy), profiles[b]
+        b_hears = packet_outcome(profile_b, received_power(profile_b, d))
+        a_hears = packet_outcome(profile_a, received_power(profile_a, d))
+        if b_hears is not lost and a_hears is not lost:
+            yield b, b_hears, a_hears
 
 
 def comm_graph(positions: dict, profiles: dict) -> dict:
     """The communication graph of some radios at one instant: radio id ->
-    neighbour ids.
+    {neighbour id: how that neighbour hears the radio}.
 
     positions/profiles map each radio's id to its Point / RadioProfile.
     Each radio is put through links_within_reach against the radios after
     it in id order, so each pair is tested once.
     """
     ids = sorted(positions)
-    adj = {n: set() for n in ids}
+    adj = {n: {} for n in ids}
     nodes = [(n, positions[n].x, positions[n].y, reach_sq(profiles[n]))
              for n in ids]
     for i, node in enumerate(nodes):
-        for b in links_within_reach(node, nodes[i + 1:], positions, profiles):
-            adj[node[0]].add(b)
-            adj[b].add(node[0])
+        a = node[0]
+        for b, b_hears, a_hears in links_within_reach(node, nodes[i + 1:],
+                                                      profiles):
+            adj[a][b] = b_hears
+            adj[b][a] = a_hears
     return adj

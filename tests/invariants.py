@@ -8,7 +8,7 @@ from wsnhandoff import simulation
 from wsnhandoff.protocol import MoteMode
 from wsnhandoff.routing import INFINITY_METRIC, NO_HOP
 from wsnhandoff.scenario import Scenario, effective_profile
-from wsnhandoff.world import (NodeKind, PacketOutcome, comm_graph, in_range,
+from wsnhandoff.world import (NodeKind, PacketOutcome, comm_graph,
                               packet_outcome, received_power)
 
 RADIO_SENDERS = (NodeKind.MOTE, NodeKind.MOBILE_STATION)
@@ -139,9 +139,13 @@ def check_run(sim):
     """Run `sim` and assert the model's invariants; returns its report.
 
     During the run: the traffic facts of _watch_traffic, a dispatch clock
-    that never goes back, every discovery copy received with each mote on
-    its path already in its reached set (which is why a copy that comes
-    back to its path is a repeat), every discovery copy that reaches
+    that never goes back, no handset bringing up a link (awaiting_link)
+    that is also discovering (pending) or linked (link) after a coverage,
+    backhaul or establish event (a link for an older request may come up
+    while a newer discovery is pending, so those two may meet), every
+    discovery copy received with each mote on its path already in its
+    reached set (which is why a copy that comes back to its path is a
+    repeat), every discovery copy that reaches
     mote_forward (watched through the name simulation.py calls) at an
     awake mote that is not on the request's path, and every distance-vector
     merge (apply_update, watched through the name simulation.py calls)
@@ -162,7 +166,7 @@ def check_run(sim):
     graph (rebuilt here) that are awake, sorted by id; and each mote's
     outcome row is keyed by exactly its base-station and mote neighbours in
     that graph, each entry the outcome worked out here from the start
-    positions, and none LOST, since the edge rule means every neighbour
+    positions, and none LOST, since the link rule means every neighbour
     hears the mote.  Last, the handoff records (check_handoffs)."""
     counts, traffic, sent = _watch_traffic(sim)
     dispatch = sim._dispatch
@@ -201,6 +205,19 @@ def check_run(sim):
             req.request_id)
         receive(t, frame, rx)
 
+    def watched_states(handler):
+        def watched_handler(t, payload):
+            handler(t, payload)
+            for ms_id, st in sim.ms_states.items():
+                assert not st.awaiting_link or (
+                    st.pending is None and st.link is None), (
+                    "a handset bringing up a link is discovering or linked",
+                    ms_id, t, payload[0])
+        return watched_handler
+
+    # the only handlers that change a handset's state
+    for kind in ("coverage", "backhaul", "establish"):
+        sim._handlers[kind] = watched_states(sim._handlers[kind])
     merge, watched_merge = _watch_dv(sim)
     sim._dispatch = watched_dispatch
     sim._receivers["discovery"] = watched_discovery
@@ -409,18 +426,31 @@ def radio_positions(s: Scenario) -> dict:
     return {n.node_id: n.position for n in s.nodes if n.kind in RADIOS}
 
 
+def _band(profile, power: float):
+    """How a radio with `profile` hears a frame at `power`, from the bounds
+    of the two bands, sensitivity and sensitivity plus the error margin."""
+    if power >= profile.sensitivity_dbm + profile.error_margin_db:
+        return PacketOutcome.DELIVERED
+    if power >= profile.sensitivity_dbm:
+        return PacketOutcome.ERRORED
+    return PacketOutcome.LOST
+
+
 def all_pairs_graph(positions: dict, profiles: dict) -> dict:
-    """Oracle for world.comm_graph: every pair of radios is linked when each
-    hears the other by world.in_range under its own profile, with no reach
-    test and no call to world.linked."""
+    """Oracle for world.comm_graph: radio id -> {neighbour: how the
+    neighbour hears the radio}.  Every pair of radios is linked when each
+    hears the other, at or above its own sensitivity, with no reach test
+    and no call to world.packet_outcome."""
     ids = sorted(positions)
-    adj = {n: set() for n in ids}
+    adj = {n: {} for n in ids}
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            pa, pb = positions[a], positions[b]
-            if in_range(pa, pb, profiles[a]) and in_range(pa, pb, profiles[b]):
-                adj[a].add(b)
-                adj[b].add(a)
+            d = positions[a].distance_to(positions[b])
+            a_hears = _band(profiles[a], received_power(profiles[a], d))
+            b_hears = _band(profiles[b], received_power(profiles[b], d))
+            if PacketOutcome.LOST not in (a_hears, b_hears):
+                adj[a][b] = b_hears
+                adj[b][a] = a_hears
     return adj
 
 

@@ -218,20 +218,26 @@ def check_corrupted(seed: int):
     return s, text
 
 
-def test_corruption_outcomes_are_pinned():
+@pytest.fixture(scope="module")
+def corruptions():
+    """check_corrupted of seeds 0..CORRUPTIONS-1, in seed order, built once
+    for the tests that read them."""
+    return [check_corrupted(seed) for seed in range(CORRUPTIONS)]
+
+
+def test_corruption_outcomes_are_pinned(corruptions):
     digest = hashlib.sha256()
-    for seed in range(CORRUPTIONS):
-        digest.update(repr((seed, check_corrupted(seed)[1])).encode())
+    for seed, (_, outcome) in enumerate(corruptions):
+        digest.update(repr((seed, outcome)).encode())
     assert digest.hexdigest() == CORRUPTION_OUTCOMES
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
-def test_corrupted_scenarios_built_in_code_are_rejected_or_run():
+def test_corrupted_scenarios_built_in_code_are_rejected_or_run(corruptions):
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     accepted = []
     try:
-        for seed in range(CORRUPTIONS):
-            s, _ = check_corrupted(seed)
+        for seed, (s, _) in enumerate(corruptions):
             if s is not None:
                 try:
                     _short_run(s, CORRUPT_RUN_S)

@@ -148,20 +148,34 @@ def test_construction_validates_a_scenario_built_in_code():
 
 def test_fixed_pairs_are_classified_once_and_handset_pairs_per_transmit(
         monkeypatch):
-    classified = []
+    classified, powers = [], []
     real_outcome = simulation.packet_outcome
+    real_power = simulation.received_power
 
     def counted_outcome(profile, rx_power_dbm):
         classified.append(rx_power_dbm)
         return real_outcome(profile, rx_power_dbm)
 
+    def counted_power(profile, distance):
+        powers.append(distance)
+        return real_power(profile, distance)
+
     monkeypatch.setattr(simulation, "packet_outcome", counted_outcome)
-    sim = Simulation(reference_scenario())
-    # set-up classifies each mote's static neighbours once each
+    monkeypatch.setattr(simulation, "received_power", counted_power)
+    s = reference_scenario()
+    sim = Simulation(s)
+    # set-up reads each mote's row from the static graph, which classified
+    # each pair as it built it: the rows are the oracle's outcomes
+    assert classified == powers == []
+    oracle = all_pairs_graph(radio_positions(s), sim.profiles)
+    assert sim.outcome_rows == {
+        m: {rx: outcome for rx, outcome in oracle[m].items()
+            if sim.kinds[rx] is not NodeKind.MOBILE_STATION}
+        for m in sim.mote_states}
+    # each row is built in its mote's row order
+    assert all(tuple(row) == sim.bs_rows[m] + sim.mote_rows[m]
+               for m, row in sim.outcome_rows.items())
     rows = {(m, rx) for m, row in sim.outcome_rows.items() for rx in row}
-    assert rows == {(m, rx) for m in sim.mote_states
-                    for rx in sim.bs_rows[m] + sim.mote_rows[m]}
-    assert len(classified) == len(rows)
     transmits = []  # (t, src, radio receivers, classifications made)
     real_transmit = sim._transmit
 

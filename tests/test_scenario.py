@@ -60,6 +60,18 @@ def test_comments_and_blank_lines_ignored():
     assert len(s.nodes) == 1
 
 
+def test_a_text_without_defaulted_keys_loads_as_the_record_built_without():
+    # no duration, seed or halt: the loaded scenario takes the records'
+    # own defaults
+    text = ("[node]\nbs1 base_station 0 0\nms1 mobile_station 400 0\n"
+            "[mobility]\nms1 speed=4 waypoints=0,0\n")
+    built = Scenario(
+        (NodeSpec("bs1", NodeKind.BASE_STATION, Point(0.0, 0.0)),
+         NodeSpec("ms1", NodeKind.MOBILE_STATION, Point(400.0, 0.0))),
+        {"ms1": MobilityPath((Point(0.0, 0.0),), 4.0)})
+    assert load_scenario(text) == built
+
+
 def test_effective_profile_falls_back_to_kind_default():
     node = {n.node_id: n for n in load_scenario(GOOD).nodes}
     assert effective_profile(node["bs1"]) == \

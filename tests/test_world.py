@@ -7,9 +7,11 @@ import pytest
 from invariants import all_pairs_graph
 
 from wsnhandoff.world import (MobilityPath, PacketOutcome, Point,
-                              RadioProfile, comm_graph, halt_time, in_range,
-                              packet_outcome, position_at, profile_for_range,
-                              received_power, route_length)
+                              RadioProfile, comm_graph, halt_time,
+                              links_within_reach, packet_outcome, position_at,
+                              profile_for_range, received_power, route_length)
+
+DELIVERED, ERRORED = PacketOutcome.DELIVERED, PacketOutcome.ERRORED
 
 
 def test_distance():
@@ -69,14 +71,6 @@ def test_profile_for_range_roundtrip():
         profile = profile_for_range(radius, tx_power_dbm=rng.uniform(-5, 30),
                                     path_loss_exponent=n)
         assert profile.range_radius() == pytest.approx(radius, rel=1e-12)
-
-
-def test_in_range_is_boundary_inclusive():
-    profile = profile_for_range(150.0)
-    a = Point(0, 0)
-    assert in_range(a, Point(150.0, 0), profile)
-    assert not in_range(a, Point(150.0 + 1e-6, 0), profile)
-    assert in_range(a, Point(1.0, 0), profile)
 
 
 def test_packet_outcome_bands():
@@ -190,15 +184,31 @@ def test_mobility_validation():
 # ---- communication graph ------------------------------------------------
 
 
+def _links(d: float, profiles: dict) -> list:
+    """What links_within_reach yields for radio a at the origin and radio b
+    d metres east, with no reach skip in the way."""
+    return list(links_within_reach(("a", 0.0, 0.0, math.inf),
+                                   [("b", d, 0.0, math.inf)], profiles))
+
+
+def test_the_link_rule_is_boundary_inclusive():
+    profiles = {n: profile_for_range(150.0) for n in "ab"}
+    assert _links(150.0, profiles) == [("b", DELIVERED, DELIVERED)]
+    assert _links(150.0 + 1e-6, profiles) == []
+    assert _links(1.0, profiles) == [("b", DELIVERED, DELIVERED)]
+
+
 def test_asymmetric_profiles_use_the_weaker_radio():
     # b hears a 200 m away, but a cannot hear b: no edge (links are two-way)
     positions = {"a": Point(0, 0), "b": Point(200, 0)}
-    profiles = {"a": profile_for_range(100), "b": profile_for_range(300)}
-    g = comm_graph(positions, profiles)
-    assert g["a"] == set()
+    profiles = {"a": profile_for_range(100, error_margin_db=1.0),
+                "b": profile_for_range(300)}
+    assert comm_graph(positions, profiles) == {"a": {}, "b": {}}
+    # 90 m apart, b hears a clearly, and a hears b inside its error band
+    # (89.1-100 m): each end's outcome is its own
     positions["b"] = Point(90, 0)
-    g = comm_graph(positions, profiles)
-    assert g["a"] == {"b"}
+    assert comm_graph(positions, profiles) == {"a": {"b": DELIVERED},
+                                               "b": {"a": ERRORED}}
 
 
 def test_co_located_radios_link_at_reference_power():
@@ -206,6 +216,7 @@ def test_co_located_radios_link_at_reference_power():
                  "d": Point(500, 1)}
     profiles = {n: profile_for_range(100) for n in positions}
     graph = comm_graph(positions, profiles)
-    assert graph == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"},
-                     "d": set()}
+    assert graph == {"a": {"b": DELIVERED, "c": DELIVERED},
+                     "b": {"a": DELIVERED, "c": DELIVERED},
+                     "c": {"a": DELIVERED, "b": DELIVERED}, "d": {}}
     assert graph == all_pairs_graph(positions, profiles)
