@@ -84,7 +84,8 @@ class NodeSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A deployment, built valid: building it runs validate_scenario."""
+    """A deployment, built valid: building it runs validate_scenario, then
+    gives a radio without a profile its kind's default (an msc keeps None)."""
     nodes: tuple            # NodeSpec, sorted by str(node_id) when built
     mobility: dict          # node_id -> MobilityPath
     duration: float = 90.0
@@ -93,19 +94,18 @@ class Scenario:
 
     def __post_init__(self):
         # Nodes that are a string, a record or no collection at all, and an
-        # entry that is not a NodeSpec of a NodeKind, are left as they are
-        # for validate_scenario to judge.
+        # entry that is not a NodeSpec, are left as they are for
+        # validate_scenario to judge.
         if not (isinstance(self.nodes, str) or hasattr(self.nodes, "_fields")
                 or not hasattr(self.nodes, "__iter__")):
             object.__setattr__(self, "nodes", tuple(sorted(
-                (n._replace(profile=None) if isinstance(n, NodeSpec)
-                 and isinstance(n.kind, NodeKind)
-                 and isinstance(n.profile, RadioProfile)
-                 and n.profile == DEFAULT_PROFILES[n.kind] else n
-                 for n in self.nodes),
-                key=lambda n: str(n.node_id) if isinstance(n, NodeSpec)
-                else "")))
+                self.nodes, key=lambda n: str(n.node_id)
+                if isinstance(n, NodeSpec) else "")))
         validate_scenario(self)
+        object.__setattr__(self, "nodes", tuple(
+            n if n.profile is not None else
+            NodeSpec(n.node_id, n.kind, n.position, DEFAULT_PROFILES[n.kind])
+            for n in self.nodes))
 
     def by_kind(self, kind: NodeKind) -> list:
         return [n for n in self.nodes if n.kind is kind]
@@ -138,11 +138,6 @@ _OVERRIDE_FIELDS = {
     "path_loss_exponent": "path_loss_exponent",
     "reference_loss": "reference_loss_db",
 }
-
-
-def effective_profile(node: NodeSpec) -> RadioProfile:
-    return node.profile if node.profile is not None \
-        else DEFAULT_PROFILES[node.kind]
 
 
 def _finite(x) -> bool:

@@ -79,7 +79,7 @@ from .protocol import (DecisionOutcome, LinkRecord, MoteMode, MoteState,
 from .queues import FifoQueue
 from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
                       apply_update, periodic_update, shortest_path)
-from .scenario import Scenario, effective_profile
+from .scenario import Scenario
 from .stats import StatsLedger, slot
 from .world import (NodeKind, PacketOutcome, comm_graph, halt_time,
                     links_within_reach, packet_outcome, position_at,
@@ -191,8 +191,7 @@ class Simulation:
         self.ids = itertools.count(1)  # request ids
 
         self.kinds = {n.node_id: n.kind for n in scenario.nodes}
-        self.profiles = {n.node_id: effective_profile(n)
-                         for n in scenario.nodes}
+        self.profiles = {n.node_id: n.profile for n in scenario.nodes}
         self.start_pos = {n.node_id: n.position for n in scenario.nodes}
         self.halt_at = {n: halt_time(path, self.start_pos[n])
                         for n, path in scenario.mobility.items()}

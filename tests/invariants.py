@@ -7,7 +7,7 @@ import packed_dv
 from wsnhandoff import simulation
 from wsnhandoff.protocol import MoteMode
 from wsnhandoff.routing import INFINITY_METRIC, NO_HOP
-from wsnhandoff.scenario import Scenario, effective_profile
+from wsnhandoff.scenario import Scenario
 from wsnhandoff.world import (NodeKind, PacketOutcome, comm_graph,
                               packet_outcome, received_power)
 
@@ -276,7 +276,7 @@ def check_run(sim):
         assert set(row) == {n for n in graph[m]
                             if kinds[n] in RADIO_RECEIVERS}, m
         for rx, outcome in row.items():
-            profile = effective_profile(nodes[rx])
+            profile = nodes[rx].profile
             d = nodes[m].position.distance_to(nodes[rx].position)
             assert outcome is packet_outcome(
                 profile, received_power(profile, d)), (m, rx)
@@ -457,7 +457,7 @@ def all_pairs_graph(positions: dict, profiles: dict) -> dict:
 def _static_graph(s: Scenario):
     """The communication graph at the start positions, rebuilt here."""
     return comm_graph(radio_positions(s),
-                      {n.node_id: effective_profile(n) for n in s.nodes})
+                      {n.node_id: n.profile for n in s.nodes})
 
 
 def check_relay_paths(s: Scenario, report) -> int:
@@ -493,14 +493,17 @@ def check_dv_tables(sim) -> int:
     Each table has a metric and a next hop for every lane.  The owner's
     lane is 0 with no next hop, every lane at most 16, and each other lane
     has a next hop exactly when it is below 16, the lane of one of the
-    owner's mote neighbours.  Its set of changed lanes holds lanes only.
+    owner's mote neighbours, whose own metric for that lane is strictly
+    smaller: a lane adopts C = T + 1 and the sender's T only falls after
+    that, so no chain of next hops loops.  Its set of changed lanes holds
+    lanes only.
     Each non-None entry of `dv_paths` runs between the endpoints of its
     link's relay path, is a simple path of motes along static-graph edges
     (rebuilt here from the start positions), and has as many hops as its
     source's metric.  Returns the number of routes checked."""
-    names, index = sim.lanes.names, sim.lanes.index
-    assert sorted(sim.tables) == list(names)
-    for owner, table in sim.tables.items():
+    names, index, tables = sim.lanes.names, sim.lanes.index, sim.tables
+    assert sorted(tables) == list(names)
+    for owner, table in tables.items():
         own, rows = index[owner], {index[m] for m in sim.mote_rows[owner]}
         assert len(table.metrics) == len(table.hops) == len(names), owner
         assert table.metrics[own] == 0, owner
@@ -509,6 +512,8 @@ def check_dv_tables(sim) -> int:
         for i, (metric, hop) in enumerate(zip(table.metrics, table.hops)):
             routed = metric < INFINITY_METRIC and i != own
             assert hop in rows if routed else hop == NO_HOP, (
+                owner, names[i])
+            assert not routed or tables[names[hop]].metrics[i] < metric, (
                 owner, names[i])
     kinds = sim.kinds
     graph = _static_graph(sim.s)

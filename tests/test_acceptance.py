@@ -19,8 +19,7 @@ from worlds import (bs_reachable_by_bfs, check_flood_against_oracle,
 
 from wsnhandoff.protocol import DecisionOutcome, detect_loss
 from wsnhandoff.queues import StrictPriorityQueue
-from wsnhandoff.scenario import (effective_profile, reference_scenario,
-                                 strip_wsn)
+from wsnhandoff.scenario import reference_scenario, strip_wsn
 from wsnhandoff.report import serialize_report
 from wsnhandoff.simulation import run
 from wsnhandoff.stats import (BAD_WHEN_RISING, REGISTRY, StatsLedger,
@@ -81,7 +80,7 @@ def test_criterion_2_reference_scenario_behavior():
         positions = {n.node_id: n.position for n in s.nodes
                      if n.kind not in (NodeKind.SATELLITE, NodeKind.MSC)}
         kinds = {n.node_id: n.kind for n in s.nodes}
-        profiles = {n.node_id: effective_profile(n) for n in s.nodes}
+        profiles = {n.node_id: n.profile for n in s.nodes}
 
         # (a) both walkers are out of cell coverage at their halt points
         for ms_id in ("ms1", "ms2"):

@@ -27,8 +27,7 @@ import pytest
 from worlds import readme_scenario
 
 from wsnhandoff.scenario import (DEFAULT_PROFILES, ParseError, Scenario,
-                                 SimParams, ValidationError,
-                                 effective_profile, load_scenario,
+                                 SimParams, ValidationError, load_scenario,
                                  reference_scenario, serialize_scenario)
 from wsnhandoff.simulation import run
 from wsnhandoff.world import NodeKind, Point
@@ -190,7 +189,7 @@ def corrupted_scenario(seed: int):
     if rng.random() < 0.125:
         node = rng.choice([n for n in nodes if n.kind is not NodeKind.MSC])
         field = rng.choice(["error_margin_db", "path_loss_exponent"])
-        profile = effective_profile(node)._replace(**{
+        profile = node.profile._replace(**{
             field: rng.choice(CORRUPT_VALUES)})
         nodes = tuple(n._replace(profile=profile) if n is node else n
                       for n in nodes)

@@ -16,11 +16,13 @@ the first distance-vector exchanges, which pins the drop path.
 
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import pytest
 from invariants import check_dv_tables, check_relay_paths, check_run
 from worlds import grid_world
 
+import wsnhandoff
 from wsnhandoff.scenario import (Scenario, SimParams, reference_scenario,
                                  strip_wsn)
 from wsnhandoff.report import parse_report_ledger, serialize_report
@@ -177,3 +179,18 @@ def test_digest_lines_are_hashed_in_bounded_blocks():
         "\n".join(lines).encode()).hexdigest()
     assert len(recorder.updates) >= 5
     assert max(pending) <= HASH_BLOCK  # the buffer stays bounded
+
+
+def test_every_benchmark_hook_installs(monkeypatch):
+    # the benchmark's tracer wraps program names from outside; one that the
+    # program no longer has would read 0 in every layer metric it feeds
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+    tracer = tracing.Tracer(0)
+    installed = []
+    try:
+        installed = tracing.install(wsnhandoff, tracer)
+    finally:
+        tracing.uninstall(installed)
+    assert tracer.unhooked == []

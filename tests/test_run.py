@@ -17,9 +17,9 @@ from worlds import (DISCOVERY_FROM_A_MOTE_POINT, RADIO_RANGE, crossing_world,
 from wsnhandoff import simulation
 from wsnhandoff.protocol import (DecisionOutcome, DiscoveryRequest,
                                  MoteMode)
-from wsnhandoff.scenario import (NodeSpec, Scenario, SimParams,
-                                 ValidationError, effective_profile,
-                                 load_scenario, reference_scenario, strip_wsn)
+from wsnhandoff.scenario import (DEFAULT_PROFILES, NodeSpec, Scenario,
+                                 SimParams, ValidationError, load_scenario,
+                                 reference_scenario, strip_wsn)
 from wsnhandoff.report import parse_report_ledger, serialize_report
 from wsnhandoff.simulation import Frame, RunReport, Simulation, run
 from wsnhandoff.stats import RegistryMismatchError
@@ -696,7 +696,7 @@ def _graph_inputs_at(s: Scenario, t: float):
     """comm_graph's arguments with every radio positioned at t."""
     positions = {n: (position_at(s.mobility[n], p, t) if n in s.mobility
                      else p) for n, p in radio_positions(s).items()}
-    return positions, {n.node_id: effective_profile(n) for n in s.nodes}
+    return positions, {n.node_id: n.profile for n in s.nodes}
 
 
 def _full_graph_at(s: Scenario, t: float):
@@ -796,14 +796,14 @@ def _boundary_worlds() -> list:
     values of huge magnitude (a handset 0.5% past it still links)."""
     hot = profile_for_range(400.0, error_margin_db=1.0)
     huge = RadioProfile(1e15, 1e15 - 83.52, 1.0)
-    cases = [(NodeKind.MOTE, None, None), (NodeKind.BASE_STATION, None, hot),
-             (NodeKind.MOTE, hot, None)]
+    mote, bs, handset = (DEFAULT_PROFILES[k] for k in (
+        NodeKind.MOTE, NodeKind.BASE_STATION, NodeKind.MOBILE_STATION))
+    cases = [(NodeKind.MOTE, mote, handset), (NodeKind.BASE_STATION, bs, hot),
+             (NodeKind.MOTE, hot, handset)]
     worlds = []
     for kind, fixed_profile, ms_profile in cases:
         node = NodeSpec("n0", kind, Point(0.0, 0.0), fixed_profile)
-        ms = effective_profile(NodeSpec("ms", NodeKind.MOBILE_STATION,
-                                        Point(0.0, 0.0), ms_profile))
-        r = min(effective_profile(node).range_radius(), ms.range_radius())
+        r = min(fixed_profile.range_radius(), ms_profile.range_radius())
         spots = [Point(r, 0.0), Point(0.0, math.nextafter(r, 0.0)),
                  Point(-math.nextafter(r, math.inf), 0.0)]
         worlds.append([node] + [

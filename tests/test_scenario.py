@@ -14,9 +14,8 @@ import wsnhandoff
 from wsnhandoff import scenario as scenario_module
 from wsnhandoff.scenario import (DEFAULT_PROFILES, NodeSpec, ParseError,
                                  Scenario, SimParams, ValidationError,
-                                 effective_profile, load_scenario,
-                                 reference_scenario, serialize_scenario,
-                                 strip_wsn)
+                                 load_scenario, reference_scenario,
+                                 serialize_scenario, strip_wsn)
 from wsnhandoff.simulation import Simulation, run
 from wsnhandoff.world import (MobilityPath, NodeKind, Point, RadioProfile,
                               comm_graph, halt_time, position_at)
@@ -50,7 +49,7 @@ def test_load_good_scenario():
     node = {n.node_id: n for n in s.nodes}
     assert node["ms1"].kind is NodeKind.MOBILE_STATION
     assert node["m1"].profile.tx_power_dbm == 3.0
-    assert node["bs1"].profile is None
+    assert node["bs1"].profile == DEFAULT_PROFILES[NodeKind.BASE_STATION]
     assert s.mobility["ms1"].speed == 4.0
     assert s.mobility["ms1"].waypoints == (Point(0, 0),)
 
@@ -72,11 +71,14 @@ def test_a_text_without_defaulted_keys_loads_as_the_record_built_without():
     assert load_scenario(text) == built
 
 
-def test_effective_profile_falls_back_to_kind_default():
-    node = {n.node_id: n for n in load_scenario(GOOD).nodes}
-    assert effective_profile(node["bs1"]) == \
-        DEFAULT_PROFILES[NodeKind.BASE_STATION]
-    assert effective_profile(node["m1"]).tx_power_dbm == 3.0
+def test_a_radio_without_overrides_holds_its_kind_default():
+    # as read from text (GOOD's m1 has an override) and as built in code
+    # with profile=None; an msc holds None
+    for s in (load_scenario(GOOD), reference_scenario()):
+        for n in s.nodes:
+            if n.node_id != "m1":
+                assert n.profile == DEFAULT_PROFILES[n.kind], n.node_id
+        assert [n.profile for n in s.by_kind(NodeKind.MSC)] == [None]
 
 
 def _line_no(excinfo):
@@ -277,7 +279,7 @@ def _with_m01(s: Scenario, **change) -> Scenario:
 
 def _with_m01_profile(s: Scenario, **change) -> Scenario:
     return dataclasses.replace(s, nodes=tuple(
-        n._replace(profile=effective_profile(n)._replace(**change))
+        n._replace(profile=n.profile._replace(**change))
         if n.node_id == "m01" else n
         for n in s.nodes))
 
@@ -657,15 +659,20 @@ def test_nodes_are_sorted_by_id_when_built():
 
 
 def test_roundtrip_of_a_profile_equal_to_its_kind_default():
-    # a profile equal to its kind's default is stored as no profile, as
-    # text without overrides loads
+    # a kind's default, given as text, in code or as None, builds the same
+    # scenario, which writes no override for it
     from_text = load_scenario("[node]\nm1 mote 0 0 tx_power=0\n")
-    built = dataclasses.replace(reference_scenario(), nodes=tuple(
-        n._replace(profile=effective_profile(n))
-        if n.node_id == "bs1" else n for n in reference_scenario().nodes))
-    assert built == reference_scenario()
-    for s in (from_text, built):
-        assert all(n.profile is None for n in s.nodes)
+    assert serialize_scenario(from_text).endswith("\nm1 mote 0 0\n")
+    ref = reference_scenario()
+    builds = [ref] + [dataclasses.replace(ref, nodes=tuple(
+        n._replace(profile=profile) if n.node_id == "bs1" else n
+        for n in ref.nodes))
+        for profile in (DEFAULT_PROFILES[NodeKind.BASE_STATION], None)]
+    assert builds == [ref] * 3
+    assert {serialize_scenario(s) for s in builds} == {
+        serialize_scenario(ref)}
+    for s in (from_text, *builds):
+        assert all(n.profile == DEFAULT_PROFILES[n.kind] for n in s.nodes)
         assert load_scenario(serialize_scenario(s)) == s
 
 
@@ -709,7 +716,7 @@ def test_builtin_mesh_is_connected_and_touches_a_base_station():
     s = reference_scenario()
     positions = radio_positions(s)
     kinds = {n.node_id: n.kind for n in s.nodes}
-    profiles = {n.node_id: effective_profile(n) for n in s.nodes}
+    profiles = {n.node_id: n.profile for n in s.nodes}
     g = comm_graph(positions, profiles)
     motes = sorted(n.node_id for n in s.by_kind(NodeKind.MOTE))
     # BFS across mote-mote edges
