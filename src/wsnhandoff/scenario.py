@@ -182,7 +182,7 @@ def _parse_node(parts, line_no: int) -> NodeSpec:
     kind = _KIND_TOKENS[kind_tok]
     pos = Point(_parse_number(parts[2], line_no, "x"),
                 _parse_number(parts[3], line_no, "y"))
-    profile = None
+    profile = DEFAULT_PROFILES[kind]
     if len(parts) > 4:
         if kind is NodeKind.MSC:
             raise ParseError(line_no, "msc nodes carry no radio profile")
@@ -190,7 +190,7 @@ def _parse_node(parts, line_no: int) -> NodeSpec:
                                 _OVERRIDE_FIELDS)
         changes = {_OVERRIDE_FIELDS[key]: _parse_number(value, line_no, key)
                    for key, value in overrides.items()}
-        profile = DEFAULT_PROFILES[kind]._replace(**changes)
+        profile = profile._replace(**changes)
     return NodeSpec(node_id, kind, pos, profile)
 
 
@@ -342,8 +342,11 @@ def validate_scenario(s: Scenario):
             checks.append(("position", (n.node_id,), key))
         if n.profile is not None and n.kind is NodeKind.MSC:
             problems.append(f"msc {n.node_id!r} carries a radio profile")
-        elif n.profile is not None and typed("profile of", n.profile,
-                                             RadioProfile, n.node_id):
+        # a kind's default profile is valid by construction
+        elif n.profile is not None and not (
+                isinstance(n.kind, NodeKind)
+                and n.profile is DEFAULT_PROFILES[n.kind]) and typed(
+                "profile of", n.profile, RadioProfile, n.node_id):
             checks.append(("profile", (n.node_id,), tuple(n.profile)))
     if mscs > 1:
         problems.append("more than one msc")

@@ -55,12 +55,12 @@ request once.  Only queued and in-flight frames hold the set, so it is
 freed with the flood's last copy.
 
 Each request id, a discovery's or a direct satellite fallback's, names one
-Handoff in self.handoffs: its discovery deadline and the relay paths that
-reached the switching centre, then its decision and link.  A handset's
-MsState points at its pending discovery's record and says whether a
-bring-up is in flight.  Any decision, stale ones included, ends its
-handset's pending discovery.  A switching centre with nothing to offer
-decides nothing, and the discovery times out.
+Handoff in self.handoffs, its only record: handset, deadline, escalations in
+arrival order, decision, link and converged route.  The report is read from
+these and from self.linked, those whose link came up, in that order.  A
+handset's MsState points at its pending discovery's record and says whether
+a bring-up is in flight; any decision, stale ones included, ends that
+discovery.  An msc with nothing to offer decides nothing.
 
 The per-event paths compare against Enum members bound once at import
 (DELIVERED, SLEEPING, BASE_STATION, ...), like the ledger slots, as a module
@@ -143,14 +143,17 @@ class Frame:
 
 
 class Handoff:
-    """One request's progress, from its discovery to its link."""
-    __slots__ = ("deadline", "paths", "decision", "link")
+    """One request's history, from its discovery to its link."""
+    __slots__ = ("ms_id", "deadline", "escalations", "decision", "link",
+                 "dv_route")
 
-    def __init__(self, deadline: float, decision: MscDecision = None):
+    def __init__(self, ms_id: str, deadline: float, decision=None):
+        self.ms_id = ms_id
         self.deadline = deadline  # when an unanswered discovery times out
-        self.paths = []           # as they reach the msc
+        self.escalations = []     # as they reach the msc
         self.decision = decision
         self.link = None
+        self.dv_route = None      # set at link-up
 
 
 class MsState:
@@ -166,12 +169,12 @@ class MsState:
 
 class RunReport(NamedTuple):
     ledger: StatsLedger
-    links: tuple
+    links: tuple             # LinkRecord in link-up order
     mote_energy: dict        # mote id -> (energy units, "active"|"sleeping")
     digest: str
     events_processed: int
-    decisions: tuple         # (ms_id, MscDecision) in decision order
-    escalations: tuple       # Escalation in arrival order at the msc
+    decisions: tuple         # (ms_id, MscDecision) by request id
+    escalations: tuple       # Escalation by request id, then arrival
     dv_paths: tuple          # per link: converged hop route or None
 
 
@@ -244,10 +247,7 @@ class Simulation:
                              for n, p in fixed.items()]
 
         self.handoffs = {}  # request id -> Handoff
-        self.links = []
-        self.dv_paths = []
-        self.decision_log = []
-        self.escalation_log = []
+        self.linked = []    # the Handoffs whose link came up, in that order
 
         self._handlers = {"coverage": self._on_coverage,
                           "drain": self._on_drain,
@@ -461,7 +461,7 @@ class Simulation:
             req = make_discovery(ms_id, self.here[ms_id], self.ids,
                                  self.p.default_ttl)
             st.pending = self.handoffs[req.request_id] = Handoff(
-                t + self.p.discovery_timeout)
+                ms_id, t + self.p.discovery_timeout)
             self._send(ms_id, Frame("discovery", ms_id, targets=tuple(motes),
                                     payload=(req, set()), ip_ttl=req.ttl))
         elif halted and self.satellite_id is not None:
@@ -470,31 +470,28 @@ class Simulation:
 
     def _direct_satellite_fallback(self, t: float, ms_id: str):
         request_id = next(self.ids)
-        handoff = self.handoffs[request_id] = Handoff(t, decision=MscDecision(
+        handoff = self.handoffs[request_id] = Handoff(ms_id, t, MscDecision(
             request_id, DecisionOutcome.SATELLITE_FALLBACK))
-        self.decision_log.append((ms_id, handoff.decision))
         self._send(ms_id, Frame("sat_request", ms_id,
                                 dst=self.satellite_id, channel="satlink"))
-        self._bring_up(t, ms_id, handoff, ())
+        self._bring_up(t, handoff, ())
 
-    def _bring_up(self, t: float, ms_id: str, handoff: Handoff,
-                  relay_path: tuple):
+    def _bring_up(self, t: float, handoff: Handoff, relay_path: tuple):
         """Start the link `handoff`'s decision chose; establish ends it."""
-        self.ms_states[ms_id].awaiting_link = True
-        record = establish_link(handoff.decision, ms_id, relay_path, t,
-                                self.p.steering_delay,
+        self.ms_states[handoff.ms_id].awaiting_link = True
+        record = establish_link(handoff.decision, handoff.ms_id, relay_path,
+                                t, self.p.steering_delay,
                                 self.p.satellite_acquisition_delay,
                                 self.satellite_id)
-        self.queue.schedule(record.established_at, ms_id,
-                            ("establish", ms_id, record, handoff))
+        self.queue.schedule(record.established_at, handoff.ms_id,
+                            ("establish", record, handoff))
 
     # ---- escalation, decision, establishment ------------------------
 
     def _on_backhaul(self, t: float, payload):
         esc = payload[1]
-        self.escalation_log.append(esc)
         handoff = self.handoffs[esc.request_id]
-        handoff.paths.append(esc.relay_path)
+        handoff.escalations.append(esc)
         if handoff.link is not None:  # decided too: put the path to sleep
             self._release(esc.relay_path)
         if handoff.decision is not None:
@@ -504,7 +501,6 @@ class Simulation:
             self.p.max_steer_range, self.satellite_id is not None)
         if decision is None:
             return  # nothing to offer
-        self.decision_log.append((esc.ms_id, decision))
         st = self.ms_states[esc.ms_id]
         st.pending = None  # whichever request of the handset it answers
         if st.link is not None:
@@ -512,7 +508,7 @@ class Simulation:
         if decision.outcome is DecisionOutcome.SATELLITE_FALLBACK:
             self.queue.schedule(t + self.p.backhaul_delay, self.satellite_id,
                                 ("sat_locate", esc.ms_id))
-        self._bring_up(t, esc.ms_id, handoff, esc.relay_path)
+        self._bring_up(t, handoff, esc.relay_path)
 
     def _on_sat_locate(self, t: float, payload):
         # the switching centre uplinks the mobile's location; the satellite
@@ -524,16 +520,17 @@ class Simulation:
                                             dst=ms_id, channel="satlink"))
 
     def _on_establish(self, t: float, payload):
-        _, ms_id, record, handoff = payload
+        _, record, handoff = payload
+        ms_id = handoff.ms_id
         st = self.ms_states[ms_id]
         st.awaiting_link = False  # by any request's establish
         if st.link is not None:
             return  # the first link up wins
         st.link = handoff.link = record
-        self.links.append(record)
-        self.dv_paths.append(self._dv_route(record))
-        for path in handoff.paths:
-            self._release(path)
+        handoff.dv_route = self._dv_route(record)
+        self.linked.append(handoff)
+        for esc in handoff.escalations:
+            self._release(esc.relay_path)
         # Frames are never changed after _send(), so one serves the link.
         sat = record.endpoint.kind is SATELLITE
         frame = Frame("payload", ms_id, dst=record.endpoint.node_id,
@@ -616,12 +613,15 @@ class Simulation:
         processed = self.queue.run_until(self.s.duration, self._dispatch)
         self._hash_lines()
         self._close_ledger()
-        digest = self._digest.hexdigest()
         energy = {m: (st.energy_consumed, st.mode.value)
                   for m, st in sorted(self.mote_states.items())}
-        return RunReport(self.ledger, tuple(self.links), energy, digest,
-                         processed, tuple(self.decision_log),
-                         tuple(self.escalation_log), tuple(self.dv_paths))
+        records, linked = self.handoffs.values(), self.linked
+        return RunReport(
+            self.ledger, tuple(h.link for h in linked), energy,
+            self._digest.hexdigest(), processed,
+            tuple((h.ms_id, h.decision) for h in records if h.decision),
+            tuple(esc for h in records for esc in h.escalations),
+            tuple(h.dv_route for h in linked))
 
 
 def run(scenario: Scenario) -> RunReport:

@@ -384,40 +384,51 @@ def _watch_dv(sim):
     return merge, watched_merge
 
 
-def check_handoffs(sim, report):
+def check_handoffs(sim, report) -> int:
     """Assert that the finished run `sim` keeps one Handoff record per
-    request id it issued, and that the records account for the report:
-    each link and each decision is that of exactly one record, and the
-    records' relay paths number the escalations.  A record with a link has
-    a decision; a record's paths are those of the report's escalations of
-    its request id, in order, and those escalations name distinct base
-    stations (no switching centre, no paths); and a handset's pending
-    record, when there is one, has neither a decision nor a link: any
-    decision for a handset ends its pending discovery."""
+    request id it issued, each the one home of its request's history, and
+    that the report's logs are what the records give.  A record with a
+    link has a decision, and a decision names the record's request id;
+    every escalation on a record names the record's request and handset,
+    and its escalations name distinct base stations (no switching centre,
+    no escalations); sim.linked holds each record with a link exactly
+    once, with non-decreasing link-up times; a handset's pending record,
+    when there is one, has neither a decision nor a link: any decision for
+    a handset ends its pending discovery.  The report's links and
+    converged routes are those of sim.linked, in order, and its decisions
+    and escalations those of the records in request-id order.  Returns the
+    number of records checked."""
     records = sim.handoffs
-    assert list(records) == list(range(1, next(sim.ids))), list(records)
+    # ids run 1, 2, ...; the counter is read, not advanced, so that a
+    # second check of the same run sees the same ids
+    assert list(records) == list(range(1, len(records) + 1)), list(records)
+    assert repr(sim.ids) == f"count({len(records) + 1})", sim.ids
     assert len({id(h) for h in records.values()}) == len(records)
-    escalations = {}  # request id -> its escalations, in arrival order
-    for esc in report.escalations:
-        escalations.setdefault(esc.request_id, []).append(esc)
     for request_id, h in records.items():
         assert h.link is None or h.decision is not None, request_id
         assert h.decision is None or h.decision.request_id == request_id
-        escs = escalations.get(request_id, [])
-        assert h.paths == [esc.relay_path for esc in escs], request_id
-        assert len({esc.bs_id for esc in escs}) == len(escs), request_id
-    for name, logged in (("link", report.links),
-                         ("decision", [d for _, d in report.decisions])):
-        held = [getattr(h, name) for h in records.values()]
-        held = sorted(id(x) for x in held if x is not None)
-        assert held == sorted(id(x) for x in logged), name
-        assert len(set(held)) == len(held), name
-    assert (sum(len(h.paths) for h in records.values())
-            == len(report.escalations))
+        assert all((esc.request_id, esc.ms_id) == (request_id, h.ms_id)
+                   for esc in h.escalations), request_id
+        assert len({esc.bs_id for esc in h.escalations}) == len(
+            h.escalations), request_id
+    linked = sim.linked
+    assert len({id(h) for h in linked}) == len(linked)
+    assert {id(h) for h in linked} == {id(h) for h in records.values()
+                                       if h.link is not None}
+    assert all(a.link.established_at <= b.link.established_at
+               for a, b in zip(linked, linked[1:]))
+    assert report.links == tuple(h.link for h in linked)
+    assert report.dv_paths == tuple(h.dv_route for h in linked)
+    assert report.decisions == tuple((h.ms_id, h.decision)
+                                     for h in records.values()
+                                     if h.decision is not None)
+    assert report.escalations == tuple(
+        esc for h in records.values() for esc in h.escalations)
     for ms_id, st in sim.ms_states.items():
         if st.pending is not None:
             assert st.pending.decision is None, ms_id
             assert any(h is st.pending for h in records.values()), ms_id
+    return len(records)
 
 
 def radio_positions(s: Scenario) -> dict:
@@ -497,8 +508,8 @@ def check_dv_tables(sim) -> int:
     smaller: a lane adopts C = T + 1 and the sender's T only falls after
     that, so no chain of next hops loops.  Its set of changed lanes holds
     lanes only.
-    Each non-None entry of `dv_paths` runs between the endpoints of its
-    link's relay path, is a simple path of motes along static-graph edges
+    Each converged route recorded at a link-up (sim.linked) runs between
+    the endpoints of its link's relay path, is a simple path of motes along static-graph edges
     (rebuilt here from the start positions), and has as many hops as its
     source's metric.  Returns the number of routes checked."""
     names, index, tables = sim.lanes.names, sim.lanes.index, sim.tables
@@ -517,8 +528,8 @@ def check_dv_tables(sim) -> int:
                 owner, names[i])
     kinds = sim.kinds
     graph = _static_graph(sim.s)
-    routes = [(link, path) for link, path in zip(sim.links, sim.dv_paths)
-              if path is not None]
+    routes = [(h.link, h.dv_route) for h in sim.linked
+              if h.dv_route is not None]
     for link, path in routes:
         assert (path[0], path[-1]) == (link.relay_path[0],
                                        link.relay_path[-1]), path

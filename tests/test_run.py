@@ -445,6 +445,44 @@ def test_a_link_dropped_at_its_bring_up_instant_ends_its_payload_cycle():
     assert _get(report, "mac_satcom.frames_relayed") == 0
 
 
+# At t = 0, ms1 floods request 1 over two motes to bs1 and ms2 request 2
+# over one mote to bs2.  Request 2 is decided first (t = 0.5), for the
+# satellite, since ms2 is out of every beam's reach; request 1 a hop later
+# (t = 0.625), a steer to bs1.  The satellite's longer acquisition makes
+# both links come up at t = 1.125: request 2's first, as it was scheduled
+# first.
+LINK_UP_ORDER_WORLD = """[params]
+duration = 3
+hop_delay = 0.125
+backhaul_delay = 0.25
+steering_delay = 0.5
+satellite_acquisition_delay = 0.625
+max_steer_range = 170
+[node]
+bs1 base_station 0 0
+m1 mote 160 125
+m2 mote 40 125
+ms1 mobile_station 160 0
+bs2 base_station -1000 0
+m3 mote -880 0
+ms2 mobile_station -780 0
+sat1 satellite 0 5000
+msc1 msc 0 -500
+"""
+
+
+def test_links_keep_link_up_order_and_decisions_request_id_order():
+    # links sorted by time, ties broken by request id, would put ms1 first
+    sim = Simulation(load_scenario(LINK_UP_ORDER_WORLD))
+    report = check_run(sim)
+    assert [(link.ms_id, link.established_at) for link in report.links] == [
+        ("ms2", 1.125), ("ms1", 1.125)]
+    assert [h.decision.request_id for h in sim.linked] == [2, 1]
+    assert [(ms, d.request_id) for ms, d in report.decisions] == [
+        ("ms1", 1), ("ms2", 2)]
+    assert [esc.request_id for esc in report.escalations] == [1, 2]
+
+
 def test_check_run_fails_a_merge_that_raises_a_lane(monkeypatch):
     # routing.py proves that no merge raises a lane, and check_run asserts
     # it on every merge
@@ -725,42 +763,42 @@ CORNER_WORLDS = {
         "6329805f247b0b53bdf691b157e489336265e4f46e2fa609eea4a470533265b9",
         4832,
         "359733e8f443476031c1b8e4543ee0c95a0f85c48c7bd86cc2145db52279ee76",
-        "956e6dba7788af7418605117f6a594b33ddeb18a90de76442c87b763574f59f6"),
+        "2491302e1940e3ee668bbdde0b0e34aa2ff816e2e6e66ac7e250d80e6aaaed4a"),
     832: (
         "c373e2253a33c21054bef82fd916a6a1b8baccbc3908f7d686dbb1c8a5965f4e",
         4013,
         "9a4900dbf1e8320d1a75ac4d07b4ea95fa58ce9e91ce99e7dbf22562614910d5",
-        "3cd98d7f3563e0488c5654d53b97cb56d227e08d1c4218589445ca24e3475e00"),
+        "893ccbd8196bb36093db3aeb6c431583e82a89eff47fb0c1ad940624c4801727"),
     1072: (
         "264e8ed40261d8a1912fa3bcc8a9e2440825fac8be97798d90c6d62a688a6a18",
         3804,
         "82704b216cce2cb2c6bf4faea760fb03e6e37313081ce965a874e911b430ba0b",
-        "1cdd1d0627db99c0d3e682c0a4d204c7d500fbf555e30cb6303e208b2d213ed3"),
+        "13ead316ab6d934edf227c85466e09eebaa9d20737c7c75e231384c66fef20a1"),
     1273: (
         "c39f05764947eee183850b4002808d5be81e93e0db53cf5485a8ad05ba83f5a7",
         2054,
         "9e6bfc9759b1034bf813f677543e6abdccbe2fd2e2c017865430b6e4ad973890",
-        "867246fc370691bc3c37cc6f308927b58a4c0ea2cccfbad4e1b2b60671fb9171"),
+        "fdc63b288b1b18ca2800893ffb37f22d39dd612a5ae3596c5ae445bd51f3d746"),
     2670: (
         "aa893ed7f9eb9f5229cee4ce6be69f2af6937efa33c1e102f69b17fcd8e716ce",
         4068,
         "535ed19b28fc9a3b7a3d7fc2851d173a355fab876ee6a549a84cdf36cfe4f887",
-        "4d7cee0874b477ea2bd30aef804fe332a756baf4edb7143700792852f685f2b3"),
+        "5748708b5871795fb13c1c9f03785e813ce76571e2cf6093e24fd94d4156d6e4"),
     4868: (
         "286ab492bf31db65e9b2fd3a48b1841991055a92e35f3406ea5f3b3ccdeabc5a",
         4212,
         "3be4ad69942273e1768e148fd4734cdac7e497a94eac9dc02edc9640c74d7dcd",
-        "f6ac6e8a78d58930f045214f77e0e188273231e694a49a054ed6958fc3d9af63"),
+        "c0c52a31d1ae8c88dfd6b9c55ab27a68668d73f012d2488077a608b2d9d0e26c"),
     5184: (
         "a50f484eec181add84fbc73b703251385aa19813e4a27d909648fccddae18965",
         4224,
         "5fd84a347b08376c1d3f9a6d98558108181a9cb6d02343f19b58927e0f5b891a",
-        "0782bc74ac73ff64cae7909760a5e0f32e1d4311d76f40b79cbc2fe86d50827e"),
+        "60732746d54224a4cf9878b8819044465184b73d48f1ff1b74214303b08fd679"),
     7252: (
         "cd2203dee95bfab825b5a19d482d884d0ce210805644bfd112f483c3a662d3cc",
         3849,
         "8771fe2c20fcf2a5fa0fd16128ace6ec4e0ccda4bc4f545491a2d87d00489c6a",
-        "d3624ea870e9b0cd89cc2b445761823ffab113cadbf00cab604f6c261abec27a"),
+        "1156786a4cc9219f0be4dfcbe05abcabbbd093e94c455bff18c163c13136485b"),
 }
 
 

@@ -436,6 +436,10 @@ def _with_m99(**spec) -> Scenario:
     (lambda: _with_m99(kind="mote"), "kind of 'm99' must be a NodeKind"),
     pytest.param(lambda: _with_m99(kind=["mote"]),
                  "kind of 'm99' must be a NodeKind", id="list-kind"),
+    pytest.param(lambda: _with_m99(kind=["mote"],
+                                   profile=DEFAULT_PROFILES[NodeKind.MOTE]),
+                 "kind of 'm99' must be a NodeKind",
+                 id="list-kind-default-profile"),
     (lambda: dataclasses.replace(reference_scenario(), nodes=(
         *reference_scenario().nodes, ("m99", NodeKind.MOTE, Point(5.0, 5.0)))),
      f"node {('m99', NodeKind.MOTE, Point(5.0, 5.0))!r} must be a NodeSpec"),
@@ -627,6 +631,16 @@ def test_an_msc_built_in_code_with_a_profile_is_rejected():
             n._replace(profile=DEFAULT_PROFILES[NodeKind.BASE_STATION])
             if n.kind is NodeKind.MSC else n for n in s.nodes))
     assert e.value.problems == ["msc 'msc1' carries a radio profile"]
+
+
+def test_every_kind_default_profile_passes_the_profile_rule():
+    # validate_scenario skips a profile that is its node's kind's default,
+    # which the parser gives every radio line without overrides
+    for kind, profile in DEFAULT_PROFILES.items():
+        assert profile is None or scenario_module._broken_rule(
+            "profile", tuple(profile), 90.0) is None, kind
+    [mote] = load_scenario("[node]\nm1 mote 0 0\n").nodes
+    assert mote.profile is DEFAULT_PROFILES[NodeKind.MOTE]
 
 
 def test_roundtrip_is_stable():
