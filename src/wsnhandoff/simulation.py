@@ -10,9 +10,9 @@ transmits it, charging a mote ENERGY_PER_TX (a sleeping mote's frame goes
 unsent and free), and another follows one tx_slot later while the queue
 holds more; _transmit() counts the frame and schedules delivery one
 hop_delay later: a broadcast, always by radio, as one engine burst (one heap
-entry whose seqs and targets are the receivers', in order) that carries its
-sender's outcome mapping, receiver -> PacketOutcome, so a receiver costs one
-lookup; a unicast frame as one deliver event with its outcome.  Steered
+entry whose seqs and targets are the receivers', in order) that carries the
+frame's outcome row (below), so a receiver costs one lookup; a unicast frame
+as one deliver event with its outcome, from that row on the radio.  Steered
 beams and satellite links are logical channels: their frames always arrive.
 No frame is changed after _send(), so one object can be queued and delivered
 many times; only the set in a discovery's payload grows (below).  _send()
@@ -43,10 +43,10 @@ when motes are put to sleep, since nothing else changes a mote's mode.  A
 coverage check positions each handset once and puts through the graph's
 link rule only the base stations and motes within reach of both ends: they
 are all it reads.  Radio frames are heard only by motes and base stations,
-which never move, so the static graph's outcomes, how each neighbour hears
-a mote, are the mote's outcome row, which its bursts carry and its unicasts
-read; a handset sends only broadcasts by radio, and their outcomes are
-worked out by the same rule on each transmit, from where it is then.
+each through the outcome row the frame carries from when it was built.  A
+mote's frames carry its entry in the static graph, as motes never move; a
+handset's one radio frame, the discovery its coverage check offers, carries
+that check's row, so it is heard as from where the check placed the handset.
 A discovery frame's payload is (request, reached): one set per flood, shared
 by all its copies, of the motes and base stations it has reached.  A copy
 whose receiver is in it stops, so only a first copy, at an awake mote off
@@ -81,6 +81,7 @@ from .routing import (Lanes, RoutingLoopError, Table, UnreachableError,
                       apply_update, periodic_update, shortest_path)
 from .scenario import Scenario
 from .stats import StatsLedger, slot
+# packet_outcome and received_power are here for perfbench's hooks only
 from .world import (NodeKind, PacketOutcome, comm_graph, halt_time,
                     links_within_reach, packet_outcome, position_at,
                     reach_sq, received_power)
@@ -125,17 +126,18 @@ SAT_REPLIES = {"sat_request": ("sat_grant", False),
 
 
 class Frame:
-    __slots__ = ("kind", "src", "dst", "targets", "payload", "ip_ttl",
-                 "channel", "relay")
+    __slots__ = ("kind", "src", "dst", "targets", "outcomes", "payload",
+                 "ip_ttl", "channel", "relay")
 
     def __init__(self, kind: str, src: str, dst: str = None,
-                 targets: tuple = (), payload: object = None,
-                 ip_ttl: int = DEFAULT_IP_TTL, channel: str = "radio",
-                 relay: bool = False):
+                 targets: tuple = (), outcomes: dict = None,
+                 payload: object = None, ip_ttl: int = DEFAULT_IP_TTL,
+                 channel: str = "radio", relay: bool = False):
         self.kind = kind
         self.src = src
         self.dst = dst            # None means broadcast
         self.targets = targets    # receivers of a broadcast, fixed at emission
+        self.outcomes = outcomes  # on the radio: receiver -> how it hears src
         self.payload = payload
         self.ip_ttl = ip_ttl
         self.channel = channel    # radio | steered | satlink
@@ -159,12 +161,11 @@ class Handoff:
 class MsState:
     __slots__ = ("pending", "awaiting_link", "link", "failed_after_halt")
 
-    def __init__(self, pending: Handoff = None, awaiting_link: bool = False,
-                 link: LinkRecord = None, failed_after_halt: int = 0):
-        self.pending = pending    # the discovery awaiting an answer
-        self.awaiting_link = awaiting_link
-        self.link = link
-        self.failed_after_halt = failed_after_halt
+    def __init__(self):
+        self.pending = None       # the discovery awaiting an answer
+        self.awaiting_link = False
+        self.link = None          # a LinkRecord while one serves the handset
+        self.failed_after_halt = 0
 
 
 class RunReport(NamedTuple):
@@ -209,31 +210,30 @@ class Simulation:
         mscs = scenario.by_kind(NodeKind.MSC)
         self.msc_id = mscs[0].node_id if mscs else None
 
+        # Base stations and the msc offer no frame: they talk over backhaul.
         self.node_queues = {n.node_id: FifoQueue(self.p.queue_capacity)
-                            for n in scenario.nodes
-                            if n.kind is not NodeKind.MSC}
+                            for n in scenario.nodes if n.kind in (
+                                MOTE, NodeKind.MOBILE_STATION, SATELLITE)}
 
         # The handsets' positions at the latest coverage check.
         self.here = {ms: self.start_pos[ms] for ms in self.ms_states}
         # Motes and base stations never move, so their adjacency is fixed;
         # the static graph drives all flood forwarding decisions through
-        # each mote's sorted base-station and mote neighbours, and how each
-        # of them hears the mote, as the graph classified it, is its
-        # outcome row.
+        # each mote's sorted base-station and mote neighbours; its entry,
+        # how each of them hears the mote, as the graph classified it, is
+        # its outcome row.
         fixed = {n.node_id: n.position for n in scenario.nodes
                  if n.kind in (BASE_STATION, MOTE)}
         static_graph = comm_graph(fixed, self.profiles)
         kinds = self.kinds
         self.bs_rows, self.mote_rows, self.outcome_rows = {}, {}, {}
         for m in self.mote_states:
-            heard = static_graph[m]
-            row = sorted(heard)
+            row = sorted(static_graph[m])
             self.bs_rows[m] = tuple(
                 n for n in row if kinds[n] is BASE_STATION)
             self.mote_rows[m] = tuple(
                 n for n in row if kinds[n] is MOTE)
-            self.outcome_rows[m] = {
-                rx: heard[rx] for rx in self.bs_rows[m] + self.mote_rows[m]}
+            self.outcome_rows[m] = static_graph[m]
         # Each mote's awake mote neighbours, in mote_rows order; _release
         # keeps them current, as only release_motes changes a mode.
         self.active_rows = dict(self.mote_rows)
@@ -272,27 +272,17 @@ class Simulation:
         """The handsets' base-station and mote neighbours at time t.
 
         Moves every handset to its position at t (self.here) and returns
-        handset id -> set of neighbour ids, by world.links_within_reach, so
-        every edge decision is the full graph's.
+        handset id -> {neighbour id: how it hears the handset}, by
+        world.links_within_reach, so every edge decision and outcome is the
+        full graph's.  A handset's discovery carries its row.
         """
         here = self.here
         for n, path in self.s.mobility.items():
             here[n] = position_at(path, self.start_pos[n], t)
-        return {a: {b for b, _, _ in links_within_reach(
+        return {a: {b: b_hears for b, b_hears, _ in links_within_reach(
                     (a, here[a].x, here[a].y, reach), self.fixed_radios,
                     self.profiles)}
                 for a, reach in self.handset_reach.items()}
-
-    def _radio_outcomes(self, src: str, receivers: tuple, t: float) -> dict:
-        """How each receiver hears a broadcast sent by handset src at t, as
-        a mapping receiver -> PacketOutcome worked out from where src is at
-        t.  A mote's frames read its outcome row instead."""
-        path, start = self.s.mobility.get(src), self.start_pos
-        here = start[src] if path is None else position_at(path, start[src], t)
-        profiles = self.profiles
-        return {rx: packet_outcome(profiles[rx], received_power(
-                    profiles[rx], here.distance_to(start[rx])))
-                for rx in receivers}
 
     # ---- frame pipeline ---------------------------------------------
 
@@ -322,17 +312,13 @@ class Simulation:
             c[MAC_BCAST_SENT] += 1
             receivers = frame.targets
             if receivers:
-                outcomes = self.outcome_rows.get(node_id)
-                if outcomes is None:  # a handset, which moves
-                    outcomes = self._radio_outcomes(node_id, receivers, t)
                 self.queue.schedule_burst(at, receivers,
-                                          ("deliver", frame, outcomes))
+                                          ("deliver", frame, frame.outcomes))
             return
         c[SAT_SENT if frame.channel == "satlink" else LINK_SENT] += 1
         rx = frame.dst
         # a radio unicast is a mote's discovery forward to a base station
-        outcome = (self.outcome_rows[node_id][rx] if frame.channel == "radio"
-                   else DELIVERED)
+        outcome = frame.outcomes[rx] if frame.channel == "radio" else DELIVERED
         self.queue.schedule(at, rx, ("deliver", frame, rx, outcome))
 
     def _on_deliver(self, t: float, payload):
@@ -390,7 +376,8 @@ class Simulation:
         if forward is not None:
             fwd, dst, targets = forward
             self._send(rx, Frame("discovery", rx, dst, targets,
-                                 (fwd, reached), fwd.ttl))
+                                 self.outcome_rows[rx], (fwd, reached),
+                                 fwd.ttl))
 
     def _rx_dv(self, t: float, frame: Frame, rx: str):
         c = self.counts
@@ -416,6 +403,7 @@ class Simulation:
             return
         table = self.tables[mote]
         if self._send(mote, Frame("dv", mote, None, targets,
+                                  self.outcome_rows[mote],
                                   periodic_update(table))):
             table.changed.clear()  # every target that hears it merges it
 
@@ -436,7 +424,7 @@ class Simulation:
         if nxt <= self.s.duration:
             self.queue.schedule(nxt, "sim", payload)
 
-    def _check_ms(self, t: float, ms_id: str, row: set):
+    def _check_ms(self, t: float, ms_id: str, row: dict):
         st = self.ms_states[ms_id]
         link = st.link
         if link is not None:
@@ -463,7 +451,8 @@ class Simulation:
             st.pending = self.handoffs[req.request_id] = Handoff(
                 ms_id, t + self.p.discovery_timeout)
             self._send(ms_id, Frame("discovery", ms_id, targets=tuple(motes),
-                                    payload=(req, set()), ip_ttl=req.ttl))
+                                    payload=(req, set()), ip_ttl=req.ttl,
+                                    outcomes=row))
         elif halted and self.satellite_id is not None:
             # persistent isolation once the walk is over: go to satellite
             self._direct_satellite_fallback(t, ms_id)

@@ -22,11 +22,19 @@ def _watch_traffic(sim):
     assert the traffic facts simulation.py relies on: motes offer only
     discovery forwards and distance-vector adverts (all of one class, which
     is why a mote's queue is a plain FIFO), every radio sender is a mote or
-    a handset, every radio unicast sender a mote (which is why a unicast
-    reads its sender's outcome row), every radio receiver a mote or a base
-    station, every broadcast target a mote, no unicast frame addressed to a
-    mote, every relay frame addressed to a satellite, no unicast frame
-    delivered LOST, and no drain finds its queue empty.  They also count
+    a handset, every radio unicast sender a mote, every radio receiver a
+    mote or a base station, every broadcast target a mote, no unicast frame
+    addressed to a mote, every relay frame addressed to a satellite, no
+    unicast frame delivered LOST, and no drain finds its queue empty.  The
+    send wrapper checks each frame's outcome row as it is offered: a mote's
+    radio frame carries that mote's outcome_rows entry itself, a handset's
+    exactly its row in the all-pairs oracle's graph with the handset where
+    sim.here puts it and the other radios at their start positions; every
+    broadcast target and radio unicast destination is a key of the row,
+    and no value is LOST; a frame on another channel carries no row.  The
+    delivery wrappers check that each burst is heard through its frame's
+    row, and each unicast with its row's outcome (DELIVERED off the radio).
+    They also count
     what the ledger must report, apart from the queues' own counters: the
     frames sent, the offers and drains per queue family (mote or other),
     and the largest backlog of a queue other than a mote's, which a shadow
@@ -38,6 +46,9 @@ def _watch_traffic(sim):
     keyed by name and the third keyed by mote, all filled in as the run
     goes."""
     kinds, capacity = sim.kinds, sim.p.queue_capacity
+    profiles = {n.node_id: n.profile for n in sim.s.nodes}
+    receivers = {n.node_id: n.position for n in sim.s.nodes
+                 if n.kind in RADIO_RECEIVERS}
     send, transmit = sim._send, sim._transmit
     drain = sim._handlers["drain"]
     deliver, deliver_burst = sim._handlers["deliver"], sim._deliver_burst
@@ -57,6 +68,20 @@ def _watch_traffic(sim):
                 else "net_fifo")
 
     def watched_send(node_id, frame):
+        row = frame.outcomes
+        if frame.channel == "radio":
+            if kinds[node_id] is NodeKind.MOTE:
+                assert row is sim.outcome_rows[node_id], (
+                    "a mote's frame carries another row", node_id)
+            else:
+                assert row == oracle_row(node_id, {
+                    **receivers, node_id: sim.here[node_id]}, profiles), (
+                    "a handset's frame carries another row", node_id)
+            heard = frame.targets if frame.dst is None else (frame.dst,)
+            assert row.keys() >= set(heard), (node_id, frame.kind)
+            assert PacketOutcome.LOST not in row.values(), node_id
+        else:
+            assert row is None, (node_id, frame.kind)
         family = layer(node_id)
         if family == "net_strict_prior":
             assert frame.kind in MOTE_FRAMES, (node_id, frame.kind)
@@ -93,14 +118,20 @@ def _watch_traffic(sim):
         transmit(t, node_id, frame)
 
     def watched_deliver(t, payload):
-        assert payload[3] is not PacketOutcome.LOST, (t, payload[2])
-        traffic["unicast_errored"] += payload[3] is PacketOutcome.ERRORED
+        _, frame, rx, outcome = payload
+        assert outcome is (frame.outcomes[rx] if frame.channel == "radio"
+                           else PacketOutcome.DELIVERED), (
+            "a unicast is not heard as its row says", t, rx)
+        assert outcome is not PacketOutcome.LOST, (t, rx)
+        traffic["unicast_errored"] += outcome is PacketOutcome.ERRORED
         deliver(t, payload)
 
     def watched_burst(t, seq, receivers, payload):
         # no handler changes a mote's mode, so the receivers awake now are
         # those the burst reaches
         outcomes = payload[2]
+        assert outcomes is payload[1].outcomes, (
+            "a burst is not heard through its frame's row", t)
         for rx in receivers:
             traffic["broadcast_errored"] += (
                 outcomes[rx] is PacketOutcome.ERRORED
@@ -447,22 +478,26 @@ def _band(profile, power: float):
     return PacketOutcome.LOST
 
 
-def all_pairs_graph(positions: dict, profiles: dict) -> dict:
-    """Oracle for world.comm_graph: radio id -> {neighbour: how the
-    neighbour hears the radio}.  Every pair of radios is linked when each
-    hears the other, at or above its own sensitivity, with no reach test
-    and no call to world.packet_outcome."""
-    ids = sorted(positions)
-    adj = {n: {} for n in ids}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
+def oracle_row(a: str, positions: dict, profiles: dict) -> dict:
+    """Radio `a`'s row of the oracle graph of the radios of `positions`:
+    each other radio that links with `a` -> how it hears `a`.  Two radios
+    link when each hears the other, at or above its own sensitivity, with
+    no reach test and no call to world.packet_outcome."""
+    row = {}
+    for b in sorted(positions):
+        if b != a:
             d = positions[a].distance_to(positions[b])
             a_hears = _band(profiles[a], received_power(profiles[a], d))
             b_hears = _band(profiles[b], received_power(profiles[b], d))
             if PacketOutcome.LOST not in (a_hears, b_hears):
-                adj[a][b] = b_hears
-                adj[b][a] = a_hears
-    return adj
+                row[b] = b_hears
+    return row
+
+
+def all_pairs_graph(positions: dict, profiles: dict) -> dict:
+    """Oracle for world.comm_graph: radio id -> {neighbour: how the
+    neighbour hears the radio}, each radio's oracle_row."""
+    return {a: oracle_row(a, positions, profiles) for a in sorted(positions)}
 
 
 def _static_graph(s: Scenario):

@@ -25,7 +25,8 @@ from wsnhandoff.simulation import Frame, RunReport, Simulation, run
 from wsnhandoff.stats import RegistryMismatchError
 from wsnhandoff.world import (MobilityPath, NodeKind, PacketOutcome, Point,
                               RadioProfile, comm_graph, halt_time,
-                              position_at, profile_for_range)
+                              packet_outcome, position_at, profile_for_range,
+                              received_power)
 
 
 def _get(report: RunReport, token: str) -> int:
@@ -146,7 +147,7 @@ def test_construction_validates_a_scenario_built_in_code():
     assert e.value.problems == ["coverage_check_period must be positive"]
 
 
-def test_fixed_pairs_are_classified_once_and_handset_pairs_per_transmit(
+def test_no_transmit_classifies_and_each_burst_is_heard_through_its_frames_row(
         monkeypatch):
     classified, powers = [], []
     real_outcome = simulation.packet_outcome
@@ -172,33 +173,29 @@ def test_fixed_pairs_are_classified_once_and_handset_pairs_per_transmit(
         m: {rx: outcome for rx, outcome in oracle[m].items()
             if sim.kinds[rx] is not NodeKind.MOBILE_STATION}
         for m in sim.mote_states}
-    # each row is built in its mote's row order
-    assert all(tuple(row) == sim.bs_rows[m] + sim.mote_rows[m]
-               for m, row in sim.outcome_rows.items())
     rows = {(m, rx) for m, row in sim.outcome_rows.items() for rx in row}
-    transmits = []  # (t, src, radio receivers, classifications made)
-    real_transmit = sim._transmit
+    bursts = []  # (t, sender, receivers, the frame's row, the burst's)
+    burst = sim._deliver_burst
 
-    def counted_transmit(t, node_id, frame):
-        before = len(classified)
-        real_transmit(t, node_id, frame)
-        if frame.channel == "radio":
-            receivers = frame.targets if frame.dst is None else (frame.dst,)
-            transmits.append((t, node_id, receivers,
-                              len(classified) - before))
+    def recorded_burst(t, seq, receivers, payload):
+        frame = payload[1]
+        bursts.append((t, frame.src, receivers, frame.outcomes, payload[2]))
+        burst(t, seq, receivers, payload)
 
-    sim._transmit = counted_transmit
+    sim._deliver_burst = recorded_burst
     sim.run()
+    # the coverage checks classified the handsets' pairs through world's
+    # names, and no transmit classified anything
+    assert classified == powers == []
     moving = sim.s.mobility
     fixed_seen, fixed_sends, handset_times = set(), 0, set()
-    for t, src, receivers, made in transmits:
+    for t, src, receivers, row, outcomes in bursts:
+        assert outcomes is row and row.keys() >= set(receivers), (t, src)
         if src in moving:
-            # a handset moves: classified on every transmit
-            assert made == len(receivers), (t, src, receivers)
             handset_times.add(t)
         else:
-            # a mote reads its row and classifies nothing
-            assert made == 0, (t, src, receivers)
+            # a mote's frames carry its row, built once at set-up
+            assert row is sim.outcome_rows[src], (t, src)
             fixed_sends += len(receivers)
             fixed_seen.update((src, rx) for rx in receivers)
     assert fixed_seen <= rows
@@ -365,34 +362,47 @@ def test_a_base_station_escalates_a_request_the_motes_have_seen_once():
         1, "bs1", ("m06", "m05"))
 
 
-def test_a_mote_burst_carries_the_motes_own_outcome_row():
-    # no per-transmit copy: every burst of m06 holds the row built at set-up
+def test_a_motes_frames_carry_its_own_outcome_row():
+    # no copy per frame: m06's advert and flood and m01's forward to bs1
+    # hold the row built at set-up, which their burst or unicast reads
     sim = Simulation(reference_scenario())
-    for t in (0.0, 1.0):
-        sim._transmit(t, "m06",
-                      Frame("dv", "m06", targets=sim.mote_rows["m06"]))
-    bursts = [sim.queue.pop() for _ in range(2)]
-    assert [ev[2] for ev in bursts] == [sim.mote_rows["m06"]] * 2
-    assert all(ev[3][2] is sim.outcome_rows["m06"] for ev in bursts)
+    req = DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 16)
+    sim._broadcast_dv("m06", sim.mote_rows["m06"])
+    for mote in ("m06", "m01"):
+        sim._rx_discovery(0.0, Frame("discovery", "ms1",
+                                     payload=(req, set())), mote)
+    frames = [(m, f) for m in ("m06", "m01") for f in sim.node_queues[m].items]
+    assert [(m, f.kind, f.dst) for m, f in frames] == [
+        ("m06", "dv", None), ("m06", "discovery", None),
+        ("m01", "discovery", "bs1")]
+    assert all(f.outcomes is sim.outcome_rows[m] for m, f in frames)
+    for m, f in frames:
+        sim._transmit(0.0, m, f)
+    events = [sim.queue.pop() for _ in range(len(sim.queue))]
+    delivers = [ev for ev in events if ev[3][0] == "deliver"]
+    assert [ev[2] for ev in delivers] == [sim.mote_rows["m06"]] * 2 + ["bs1"]
+    assert all(ev[3][2] is sim.outcome_rows["m06"] for ev in delivers[:2])
+    assert delivers[2][3][2:] == ("bs1", sim.outcome_rows["m01"]["bs1"])
 
 
-def test_a_handset_burst_is_classified_where_the_handset_is_at_transmit():
-    # ms1 walks east from (0, 190) at 8 m/s.  Its discovery's targets are
-    # those it heard at t = 10, from (80, 190), and the frame leaves at
-    # t = 25, from (200, 190).  A radio here reaches 150 m, and its last
-    # 1 dB (beyond 133.7 m) locks in error: by then m01 (134.2 m away) hears
-    # the frame in error, and m09 (184.4 m) is out of reach
+def test_a_handset_burst_is_heard_as_its_coverage_check_found_it():
+    # ms1 walks east from (0, 190) at 8 m/s.  Its discovery carries the row
+    # of the check at t = 10, from (80, 190), and is heard through it,
+    # though the frame leaves at t = 25, from (200, 190).  A radio here
+    # reaches 150 m, and its last 1 dB (beyond 133.7 m) locks in error:
+    # from there m01 (134.2 m away) would hear the frame in error, and m09
+    # (184.4 m) not at all
     sim = Simulation(reference_scenario())
     targets = ("m01", "m02", "m05", "m06", "m09")
-    D, E, L = (PacketOutcome.DELIVERED, PacketOutcome.ERRORED,
-               PacketOutcome.LOST)
-    assert sim._radio_outcomes("ms1", targets, 10.0) == {
-        "m01": D, "m02": D, "m05": D, "m06": D, "m09": E}
+    D, E = PacketOutcome.DELIVERED, PacketOutcome.ERRORED
+    row = sim.handset_graph(10.0)["ms1"]
+    assert row == {"bs1": D, "m01": D, "m02": D, "m05": D, "m06": D,
+                   "m09": E}
     heard = []
     sim._receivers["discovery"] = lambda t, frame, rx: heard.append(rx)
-    req = DiscoveryRequest(1, "ms1", Point(80.0, 190.0), 16)
-    sim._transmit(25.0, "ms1",
-                  Frame("discovery", "ms1", targets=targets, payload=req))
+    req = DiscoveryRequest(1, "ms1", sim.here["ms1"], 16)
+    sim._transmit(25.0, "ms1", Frame("discovery", "ms1", targets=targets,
+                                     payload=req, outcomes=row))
     bursts = []
 
     def dispatch(ev):
@@ -400,15 +410,61 @@ def test_a_handset_burst_is_classified_where_the_handset_is_at_transmit():
         sim._dispatch(ev)
 
     assert sim.queue.run_until(26.0, dispatch) == len(targets)
-    assert [ev[3][2] for ev in bursts] == [
-        {"m01": E, "m02": D, "m05": D, "m06": D, "m09": L}]
-    assert heard == ["m02", "m05", "m06"]
+    [burst] = bursts
+    assert burst[3][2] is row
+    assert heard == ["m01", "m02", "m05", "m06"]
     sim._close_ledger()
     got = sim.ledger.get
-    assert got("phy80211.signals_locked") == 4  # nothing counted for m09
+    assert got("phy80211.signals_locked") == 5
     assert got("phy80211.signals_received_with_errors") == 1
-    assert got("phy80211.signals_received_forwarded_to_mac") == 3
-    assert got("mac80211.broadcast_received_clearly") == 3
+    assert got("phy80211.signals_received_forwarded_to_mac") == 4
+    assert got("mac80211.broadcast_received_clearly") == 4
+
+
+# ms1 is steered to bs1 by its discovery at t = 15 (through m00).  At t = 45
+# it queues a payload for bs1, then walks out of the beam at (450, 190) and
+# queues a discovery for m01 (130 m west, clear) and m09 (146 m, in error).
+# The payload takes the t = 45 slot, so the discovery leaves one tx_slot
+# later, from (455, 190), where m01 would hear it in error and m09 not at
+# all.
+WAITING_DISCOVERY = """[params]
+duration = 47
+app_interval = 29.43
+tx_slot = 0.5
+[node]
+bs1 base_station 0 200
+msc1 msc 500 -400
+ms1 mobile_station 0 190
+m00 mote 60 130
+m01 mote 320 190
+m09 mote 304 190
+[mobility]
+ms1 speed=10 halt=1 waypoints=1000,190
+"""
+
+
+def test_a_discovery_that_waits_in_its_queue_is_heard_as_its_check_found_it():
+    sim = Simulation(load_scenario(WAITING_DISCOVERY))
+    bursts = []  # (time, request id, receivers, outcomes) of ms1's floods
+    burst = sim._deliver_burst
+
+    def recorded_burst(t, seq, receivers, payload):
+        frame = payload[1]
+        if frame.src == "ms1":
+            bursts.append((t, frame.payload[0].request_id, receivers,
+                           dict(payload[2])))
+        burst(t, seq, receivers, payload)
+
+    sim._deliver_burst = recorded_burst
+    report = check_run(sim)
+    assert [link.established_at for link in report.links] == [15.57]
+    D, E = PacketOutcome.DELIVERED, PacketOutcome.ERRORED
+    hop = sim.p.hop_delay
+    assert bursts[:2] == [(15.0 + hop, 1, ("m00",), {"m00": D}),
+                          (45.5 + hop, 2, ("m01", "m09"),
+                           {"m01": D, "m09": E})]
+    assert position_at(sim.s.mobility["ms1"], sim.start_pos["ms1"],
+                       45.5) == Point(455.0, 190.0)
 
 
 # ms1 is steered to bs1 from a discovery at t = 0, and the link comes up at
@@ -536,7 +592,7 @@ def _reach_with(sim, make):
             reached = make(req, fresh)
             if reached is not fresh:
                 frame = Frame("discovery", node_id, frame.dst, frame.targets,
-                              (req, reached), frame.ip_ttl)
+                              frame.outcomes, (req, reached), frame.ip_ttl)
         return send(node_id, frame)
 
     sim._send = swapped
@@ -639,7 +695,8 @@ def test_check_run_fails_a_radio_unicast_from_a_handset():
 
     def unicast(node_id, frame):
         if frame.kind == "discovery" and node_id in sim.ms_states:
-            frame = Frame("discovery", node_id, "bs1", (), frame.payload)
+            frame = Frame("discovery", node_id, "bs1", (),
+                          payload=frame.payload)
         return send(node_id, frame)
 
     sim._send = unicast
@@ -873,7 +930,8 @@ def test_handset_rows_match_a_full_graph_rebuild():
             oracle = _full_graph_at(s, t)
             rows = sim.handset_graph(t)
             for ms_id in sim.ms_states:
-                assert rows[ms_id] == {n for n in oracle[ms_id]
+                assert rows[ms_id] == {n: outcome for n, outcome
+                                       in oracle[ms_id].items()
                                        if sim.kinds[n] in fixed}
                 compared += 1
     assert compared > 300
@@ -949,8 +1007,9 @@ def test_walking_onto_another_node_runs_to_completion(walkers, pair):
     sim = Simulation(s)
     rows = sim.handset_graph(t)
     for ms_id in sim.ms_states:
-        assert rows[ms_id] == {n for n in oracle[ms_id]
-                               if sim.kinds[n] is not NodeKind.MOBILE_STATION}
+        assert rows[ms_id] == {
+            n: outcome for n, outcome in oracle[ms_id].items()
+            if sim.kinds[n] is not NodeKind.MOBILE_STATION}
     check_run(sim)
     assert sim.queue.clock == s.duration
 
@@ -979,18 +1038,12 @@ def test_the_reference_walker_halting_on_the_msc_runs_to_completion():
     assert run(s).events_processed == 2430
 
 
-def test_a_handset_transmitting_from_a_receivers_point_is_heard_at_reference(
-        monkeypatch):
-    heard = []  # (receiver profile, distance, received power)
-    real_power = simulation.received_power
-
-    def recorded_power(profile, distance):
-        power = real_power(profile, distance)
-        heard.append((profile, distance, power))
-        return power
-
-    monkeypatch.setattr(simulation, "received_power", recorded_power)
+def test_a_discovery_from_a_receivers_point_is_heard_as_its_check_found_it():
+    # ms1's first discovery that reaches mx leaves at t = 45.5 from mx's own
+    # point, and is heard through the row of the check at t = 45, which
+    # placed ms1 5 m west of mx
     floods = []  # (request id, reached set) of each flood, in both runs
+    offers = []  # (the request, its row) of each of ms1's discoveries to mx
 
     def kept(req, fresh):
         floods.append((req.request_id, fresh))
@@ -999,15 +1052,27 @@ def test_a_handset_transmitting_from_a_receivers_point_is_heard_at_reference(
     sim = Simulation(load_scenario(DISCOVERY_FROM_A_MOTE_POINT.format(
         mx_x=455)))
     _reach_with(sim, kept)
+    send = sim._send
+
+    def recorded_send(node_id, frame):
+        if node_id == "ms1" and "mx" in frame.targets:
+            offers.append((frame.payload[0], frame.outcomes))
+        return send(node_id, frame)
+
+    sim._send = recorded_send
     report = check_run(sim)
     reached_mx = {i for i, reached in floods if "mx" in reached}
     floods.clear()
-    [(profile, _, power)] = [h for h in heard if h[1] == 0.0]
-    assert power == profile.tx_power_dbm - profile.reference_loss_db
-    assert simulation.packet_outcome(profile, power) is PacketOutcome.DELIVERED
+    mx = sim.start_pos["mx"]
+    assert position_at(sim.s.mobility["ms1"], sim.start_pos["ms1"],
+                       45.5) == mx
+    req, row = offers[0]
+    assert req.ms_location == Point(450.0, 190.0)
+    profile = sim.profiles["mx"]
+    assert row["mx"] is packet_outcome(profile, received_power(profile, 5.0))
+    assert row["mx"] is PacketOutcome.DELIVERED
     assert sim.queue.clock == sim.s.duration
-    # a metre further on, mx hears the same power: the same run
-    monkeypatch.undo()
+    # a metre further on, mx hears the same: the same run
     moved = Simulation(load_scenario(DISCOVERY_FROM_A_MOTE_POINT.format(
         mx_x=456)))
     _reach_with(moved, kept)
@@ -1058,7 +1123,7 @@ def test_satellite_free_worlds_with_a_handset_crossing_a_mote_run_to_the_end(
             continue
         s, mote = world
         sim = Simulation(s)
-        assert sim.handset_graph(8.0)["ms0"] >= {mote}
+        assert mote in sim.handset_graph(8.0)["ms0"]
         assert sim.here["ms0"] == sim.start_pos[mote]
         check_relay_paths(s, check_run(sim))
         assert sim.queue.clock == s.duration

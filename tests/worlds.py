@@ -309,7 +309,8 @@ def grid_world(k: int, walkers) -> Scenario:
 # At t = 45 ms1 queues a payload for bs1, then loses the steered beam and
 # queues a discovery for mx; the payload takes the t = 45 slot, so the
 # discovery goes out at 45.5 from (455, 190), mx's point, where no coverage
-# tick looked.
+# tick looked.  It is heard as from (450, 190), where the t = 45 check
+# placed ms1.
 DISCOVERY_FROM_A_MOTE_POINT = """[params]
 duration = 50
 app_interval = 29.43
