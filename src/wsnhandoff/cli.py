@@ -82,32 +82,36 @@ def cmd_run(args) -> int:
                ("duration", args.until)) if value is not None}
     if changes:  # one build, so the overridden scenario is validated once
         scenario = dataclasses.replace(scenario, **changes)
-    if args.out:
+    if args.out is not None:
         _output(args.out)  # before the run, which may be long
     report = run(scenario)
     print(render_run(report), end="")
-    if args.out:
+    if args.out is not None:
         _output(args.out, serialize_report(report))
     return 0
 
 
 def cmd_compare(args) -> int:
     files = (args.baseline, args.with_wsn)
-    if args.auto_baseline and args.scenario and files == (None, None):
-        scenario = _scenario(args.scenario)
-        baseline = run(strip_wsn(scenario)).ledger
-        candidate = run(scenario).ledger
-    elif all(files) and not args.auto_baseline and args.scenario is None:
-        baseline = _load(args.baseline, parse_report_ledger)
-        candidate = _load(args.with_wsn, parse_report_ledger)
-    else:
+    auto = args.auto_baseline and args.scenario and files == (None, None)
+    if not (auto or all(files) and not args.auto_baseline
+            and args.scenario is None):
         print("error: need --baseline and --with-wsn, or --scenario with "
               "--auto-baseline, and not both", file=sys.stderr)
         return 2
+    if args.out is not None:
+        _output(args.out)  # before the runs and reads
+    if auto:
+        scenario = _scenario(args.scenario)
+        baseline = run(strip_wsn(scenario)).ledger
+        candidate = run(scenario).ledger
+    else:
+        baseline = _load(args.baseline, parse_report_ledger)
+        candidate = _load(args.with_wsn, parse_report_ledger)
     result = classify(baseline, candidate, epsilon=args.epsilon)
     text = render_report(candidate, result)
     print(text)
-    if args.out:
+    if args.out is not None:
         _output(args.out, text + "\n")
     return 0
 

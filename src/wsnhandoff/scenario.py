@@ -31,6 +31,7 @@ a Scenario runs it, so an invalid one raises ValidationError as it is built.
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .world import (MobilityPath, NodeKind, Point, RadioProfile,
@@ -87,7 +88,7 @@ class Scenario:
     """A deployment, built valid: building it runs validate_scenario, then
     gives a radio without a profile its kind's default (an msc keeps None)."""
     nodes: tuple            # NodeSpec, sorted by str(node_id) when built
-    mobility: dict          # node_id -> MobilityPath
+    mobility: dict          # node_id -> MobilityPath; read-only once built
     duration: float = 90.0
     seed: int = 1
     params: SimParams = SimParams()
@@ -101,11 +102,15 @@ class Scenario:
             object.__setattr__(self, "nodes", tuple(sorted(
                 self.nodes, key=lambda n: str(n.node_id)
                 if isinstance(n, NodeSpec) else "")))
+        if isinstance(self.mobility, MappingProxyType):  # a built one's
+            object.__setattr__(self, "mobility", dict(self.mobility))
         validate_scenario(self)
         object.__setattr__(self, "nodes", tuple(
             n if n.profile is not None else
             NodeSpec(n.node_id, n.kind, n.position, DEFAULT_PROFILES[n.kind])
             for n in self.nodes))
+        object.__setattr__(self, "mobility",
+                           MappingProxyType(dict(self.mobility)))
 
     def by_kind(self, kind: NodeKind) -> list:
         return [n for n in self.nodes if n.kind is kind]
@@ -442,4 +447,4 @@ def reference_scenario() -> Scenario:
 def strip_wsn(s: Scenario) -> Scenario:
     """Baseline variant: same scenario with every mote removed."""
     kept = tuple(n for n in s.nodes if n.kind is not NodeKind.MOTE)
-    return Scenario(kept, dict(s.mobility), s.duration, s.seed, s.params)
+    return Scenario(kept, s.mobility, s.duration, s.seed, s.params)

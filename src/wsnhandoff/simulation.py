@@ -2,24 +2,25 @@
 floods, distance-vector chatter, queue transit, handoffs and the counter
 ledger, all on the deterministic event queue.
 
-Frame life cycle: a protocol handler calls _send(), which puts the Frame
-itself into the node's FIFO network queue (a full one drops it; motes offer
-only control frames, so no node needs priorities), scheduling a drain at the
-current clock if the queue was empty.  A drain dequeues one frame and
-transmits it, charging a mote ENERGY_PER_TX (a sleeping mote's frame goes
-unsent and free), and another follows one tx_slot later while the queue
-holds more; _transmit() counts the frame and schedules delivery one
-hop_delay later: a broadcast, always by radio, as one engine burst (one heap
-entry whose seqs and targets are the receivers', in order) that carries the
-frame's outcome row (below), so a receiver costs one lookup; a unicast frame
-as one deliver event with its outcome, from that row on the radio.  Steered
-beams and satellite links are logical channels: their frames always arrive.
-No frame is changed after _send(), so one object can be queued and delivered
-many times; only the set in a discovery's payload grows (below).  _send()
-returns whether the queue took the frame, and a distance-vector advert
-clears its table's changed lanes only then (routing.py).  _close_ledger()
-sets the queue counters, then those that copy or add up others
-(stats.DERIVED), once at the end.
+Frame life cycle: a protocol handler calls _send(frame), which puts the
+Frame itself into its sender's (frame.src) FIFO network queue (a full one
+drops it; motes offer only control frames, so no node needs priorities),
+scheduling a drain at the current clock if the queue was empty.  A drain
+dequeues one frame and transmits it, charging a mote ENERGY_PER_TX (a
+sleeping mote's frame goes unsent and free), and another follows one tx_slot
+later while the queue holds more; _transmit(t, frame) counts the frame and
+schedules ("deliver", frame) one hop_delay later: a broadcast, always by
+radio, as one engine burst (one heap entry whose seqs and targets are the
+receivers', in order), a unicast as one event at frame.dst.  A delivery
+reads all it needs from the frame: a radio frame's outcome row (below), so
+a receiver costs one lookup, and satlink, which picks a unicast's counters.
+Steered beams and satellite links are logical channels: their frames carry
+no row and always arrive.  No frame is changed after _send(), so one object
+can be queued and delivered many times; only the set in a discovery's
+payload grows (below).  _send() returns whether the queue took the frame,
+and a distance-vector advert clears its table's changed lanes only then
+(routing.py).  _close_ledger() sets the queue counters, then those that copy
+or add up others (stats.DERIVED), once at the end.
 
 Events are dispatched through a table keyed by kind.  Each dispatched event
 contributes one `time seq target kind` line to the run's digest: the
@@ -127,20 +128,20 @@ SAT_REPLIES = {"sat_request": ("sat_grant", False),
 
 class Frame:
     __slots__ = ("kind", "src", "dst", "targets", "outcomes", "payload",
-                 "ip_ttl", "channel", "relay")
+                 "ip_ttl", "satlink", "relay")
 
     def __init__(self, kind: str, src: str, dst: str = None,
                  targets: tuple = (), outcomes: dict = None,
                  payload: object = None, ip_ttl: int = DEFAULT_IP_TTL,
-                 channel: str = "radio", relay: bool = False):
+                 satlink: bool = False, relay: bool = False):
         self.kind = kind
         self.src = src
         self.dst = dst            # None means broadcast
         self.targets = targets    # receivers of a broadcast, fixed at emission
-        self.outcomes = outcomes  # on the radio: receiver -> how it hears src
+        self.outcomes = outcomes  # radio only: receiver -> how it hears src
         self.payload = payload
         self.ip_ttl = ip_ttl
-        self.channel = channel    # radio | steered | satlink
+        self.satlink = satlink    # over a satellite link, not radio or a beam
         self.relay = relay        # satellite forwards this traffic to the core
 
 
@@ -286,10 +287,11 @@ class Simulation:
 
     # ---- frame pipeline ---------------------------------------------
 
-    def _send(self, node_id: str, frame: Frame) -> bool:
-        q = self.node_queues[node_id]
+    def _send(self, frame: Frame) -> bool:
+        src = frame.src
+        q = self.node_queues[src]
         if not q.items:  # empty before the offer: no drain is pending
-            self.queue.schedule(self.queue.clock, node_id, ("drain", node_id))
+            self.queue.schedule(self.queue.clock, src, ("drain", src))
         return q.enqueue(frame)
 
     def _on_drain(self, t: float, payload):
@@ -300,11 +302,11 @@ class Simulation:
         if mote is None or mote.mode is not SLEEPING:
             if mote is not None:
                 mote.energy_consumed += ENERGY_PER_TX
-            self._transmit(t, node_id, frame)
+            self._transmit(t, frame)
         if q.items:
             self.queue.schedule(t + self.p.tx_slot, node_id, payload)
 
-    def _transmit(self, t: float, node_id: str, frame: Frame):
+    def _transmit(self, t: float, frame: Frame):
         c = self.counts
         c[PHY_TX] += 1
         at = t + self.p.hop_delay
@@ -312,25 +314,22 @@ class Simulation:
             c[MAC_BCAST_SENT] += 1
             receivers = frame.targets
             if receivers:
-                self.queue.schedule_burst(at, receivers,
-                                          ("deliver", frame, frame.outcomes))
+                self.queue.schedule_burst(at, receivers, ("deliver", frame))
             return
-        c[SAT_SENT if frame.channel == "satlink" else LINK_SENT] += 1
-        rx = frame.dst
-        # a radio unicast is a mote's discovery forward to a base station
-        outcome = frame.outcomes[rx] if frame.channel == "radio" else DELIVERED
-        self.queue.schedule(at, rx, ("deliver", frame, rx, outcome))
+        c[SAT_SENT if frame.satlink else LINK_SENT] += 1
+        self.queue.schedule(at, frame.dst, ("deliver", frame))
 
     def _on_deliver(self, t: float, payload):
         # Never LOST: a radio unicast is a mote's discovery to a base
-        # station in its bs_row, and the other channels always arrive.
-        _, frame, rx, outcome = payload
+        # station in its bs_row, and the other links always arrive.
+        frame = payload[1]
+        rx, outcomes = frame.dst, frame.outcomes
         c = self.counts
-        if outcome is ERRORED:
+        if outcomes is not None and outcomes[rx] is ERRORED:
             c[PHY_ERRORS] += 1
             return
         c[PHY_TO_MAC] += 1
-        c[SAT_RX if frame.channel == "satlink" else LINK_RX] += 1
+        c[SAT_RX if frame.satlink else LINK_RX] += 1
         c[IP_TTL_SUM] += frame.ip_ttl
         self._receivers[frame.kind](t, frame, rx)
 
@@ -340,7 +339,8 @@ class Simulation:
         stamp = self._stamp
         self._lines.append("".join([f"{stamp}{seq + i} {rx} deliver"
                                     for i, rx in enumerate(receivers)]))
-        _, frame, outcomes = payload
+        frame = payload[1]
+        outcomes = frame.outcomes
         receive = self._receivers[frame.kind]
         motes = self.mote_states
         clear = errors = 0
@@ -375,9 +375,8 @@ class Simulation:
                                self.active_rows[rx])
         if forward is not None:
             fwd, dst, targets = forward
-            self._send(rx, Frame("discovery", rx, dst, targets,
-                                 self.outcome_rows[rx], (fwd, reached),
-                                 fwd.ttl))
+            self._send(Frame("discovery", rx, dst, targets,
+                             self.outcome_rows[rx], (fwd, reached), fwd.ttl))
 
     def _rx_dv(self, t: float, frame: Frame, rx: str):
         c = self.counts
@@ -393,8 +392,7 @@ class Simulation:
 
     def _rx_sat_signal(self, t: float, frame: Frame, rx: str):
         kind, relay = SAT_REPLIES[frame.kind]
-        self._send(rx, Frame(kind, rx, dst=frame.src, channel="satlink",
-                             relay=relay))
+        self._send(Frame(kind, rx, dst=frame.src, satlink=True, relay=relay))
 
     # ---- distance-vector plumbing -----------------------------------
 
@@ -402,9 +400,8 @@ class Simulation:
         if not targets:
             return
         table = self.tables[mote]
-        if self._send(mote, Frame("dv", mote, None, targets,
-                                  self.outcome_rows[mote],
-                                  periodic_update(table))):
+        if self._send(Frame("dv", mote, None, targets,
+                            self.outcome_rows[mote], periodic_update(table))):
             table.changed.clear()  # every target that hears it merges it
 
     def _on_dv_send(self, t: float, payload):
@@ -450,9 +447,9 @@ class Simulation:
                                  self.p.default_ttl)
             st.pending = self.handoffs[req.request_id] = Handoff(
                 ms_id, t + self.p.discovery_timeout)
-            self._send(ms_id, Frame("discovery", ms_id, targets=tuple(motes),
-                                    payload=(req, set()), ip_ttl=req.ttl,
-                                    outcomes=row))
+            self._send(Frame("discovery", ms_id, targets=tuple(motes),
+                             payload=(req, set()), ip_ttl=req.ttl,
+                             outcomes=row))
         elif halted and self.satellite_id is not None:
             # persistent isolation once the walk is over: go to satellite
             self._direct_satellite_fallback(t, ms_id)
@@ -461,8 +458,8 @@ class Simulation:
         request_id = next(self.ids)
         handoff = self.handoffs[request_id] = Handoff(ms_id, t, MscDecision(
             request_id, DecisionOutcome.SATELLITE_FALLBACK))
-        self._send(ms_id, Frame("sat_request", ms_id,
-                                dst=self.satellite_id, channel="satlink"))
+        self._send(Frame("sat_request", ms_id, dst=self.satellite_id,
+                         satlink=True))
         self._bring_up(t, handoff, ())
 
     def _bring_up(self, t: float, handoff: Handoff, relay_path: tuple):
@@ -505,8 +502,8 @@ class Simulation:
         ms_id = payload[1]
         self.counts[SAT_RX] += 1
         self.counts[SAT_RELAYED] += 1
-        self._send(self.satellite_id, Frame("sat_page", self.satellite_id,
-                                            dst=ms_id, channel="satlink"))
+        self._send(Frame("sat_page", self.satellite_id, dst=ms_id,
+                         satlink=True))
 
     def _on_establish(self, t: float, payload):
         _, record, handoff = payload
@@ -523,10 +520,9 @@ class Simulation:
         # Frames are never changed after _send(), so one serves the link.
         sat = record.endpoint.kind is SATELLITE
         frame = Frame("payload", ms_id, dst=record.endpoint.node_id,
-                      channel="satlink" if sat else "steered",
-                      relay=sat and bool(record.relay_path))
+                      satlink=sat, relay=sat and bool(record.relay_path))
         self.queue.schedule(t + self.p.app_interval, ms_id,
-                            ("app", ms_id, record, frame))
+                            ("app", record, frame))
 
     def _release(self, path: tuple):
         """Put the motes on `path` to sleep and refresh the awake rows of
@@ -549,13 +545,13 @@ class Simulation:
             return None
 
     def _on_app(self, t: float, payload):
-        _, ms_id, record, frame = payload
-        if self.ms_states[ms_id].link is not record:
+        _, record, frame = payload
+        if self.ms_states[frame.src].link is not record:
             return  # that link is gone; a new one starts its own cycle
-        self._send(ms_id, frame)
+        self._send(frame)
         nxt = t + self.p.app_interval
         if nxt <= self.s.duration:
-            self.queue.schedule(nxt, ms_id, payload)
+            self.queue.schedule(nxt, frame.src, payload)
 
     # ---- main loop ----------------------------------------------------
 

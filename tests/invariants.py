@@ -14,7 +14,8 @@ from wsnhandoff.world import (NodeKind, PacketOutcome, comm_graph,
 RADIO_SENDERS = (NodeKind.MOTE, NodeKind.MOBILE_STATION)
 RADIO_RECEIVERS = (NodeKind.MOTE, NodeKind.BASE_STATION)
 RADIOS = (NodeKind.MOBILE_STATION, *RADIO_RECEIVERS)  # what a graph holds
-MOTE_FRAMES = ("discovery", "dv")  # what a mote may offer to its queue
+# what a mote may offer to its queue, and the only frames on the radio
+MOTE_FRAMES = ("discovery", "dv")
 
 
 def _watch_traffic(sim):
@@ -26,19 +27,19 @@ def _watch_traffic(sim):
     mote or a base station, every broadcast target a mote, no unicast frame
     addressed to a mote, every relay frame addressed to a satellite, no
     unicast frame delivered LOST, and no drain finds its queue empty.  The
-    send wrapper checks each frame's outcome row as it is offered: a mote's
-    radio frame carries that mote's outcome_rows entry itself, a handset's
-    exactly its row in the all-pairs oracle's graph with the handset where
-    sim.here puts it and the other radios at their start positions; every
-    broadcast target and radio unicast destination is a key of the row,
-    and no value is LOST; a frame on another channel carries no row.  The
-    delivery wrappers check that each burst is heard through its frame's
-    row, and each unicast with its row's outcome (DELIVERED off the radio).
-    They also count
-    what the ledger must report, apart from the queues' own counters: the
-    frames sent, the offers and drains per queue family (mote or other),
-    and the largest backlog of a queue other than a mote's, which a shadow
-    count of each such queue's frames tracks and checks at every drain.
+    send wrapper checks each frame as it is offered.  A frame is on the
+    radio by its kind: a discovery or an advert carries an outcome row, and
+    every other frame None.  A mote's radio frame carries that mote's
+    outcome_rows entry itself, a handset's exactly its row in the all-pairs
+    oracle's graph with the handset where sim.here puts it and the other
+    radios at their start positions; every broadcast target and radio
+    unicast destination is a key of the row, and no value is LOST.  A
+    frame's satlink holds exactly when a satellite is one of its ends.  The
+    wrappers also count what the ledger must report, apart from the
+    queues' own counters: the frames sent, the offers and drains per queue
+    family (mote or other), and the largest backlog of a queue other than a
+    mote's, which a shadow count of each such queue's frames tracks and
+    checks at every drain.
     Wrappers on the two delivery paths and on every receive handler count
     the receptions, clear and errored, of unicast and of broadcast frames;
     the transmit wrapper counts transmits and broadcasts, and each mote's
@@ -67,9 +68,9 @@ def _watch_traffic(sim):
         return ("net_strict_prior" if kinds[node_id] is NodeKind.MOTE
                 else "net_fifo")
 
-    def watched_send(node_id, frame):
-        row = frame.outcomes
-        if frame.channel == "radio":
+    def watched_send(frame):
+        node_id, dst, row = frame.src, frame.dst, frame.outcomes
+        if frame.kind in MOTE_FRAMES:
             if kinds[node_id] is NodeKind.MOTE:
                 assert row is sim.outcome_rows[node_id], (
                     "a mote's frame carries another row", node_id)
@@ -77,11 +78,14 @@ def _watch_traffic(sim):
                 assert row == oracle_row(node_id, {
                     **receivers, node_id: sim.here[node_id]}, profiles), (
                     "a handset's frame carries another row", node_id)
-            heard = frame.targets if frame.dst is None else (frame.dst,)
+            heard = frame.targets if dst is None else (dst,)
             assert row.keys() >= set(heard), (node_id, frame.kind)
             assert PacketOutcome.LOST not in row.values(), node_id
         else:
             assert row is None, (node_id, frame.kind)
+        assert frame.satlink == (NodeKind.SATELLITE in (
+            kinds[node_id], kinds.get(dst))), (
+            "satlink is not whether a satellite is an end", node_id, dst)
         family = layer(node_id)
         if family == "net_strict_prior":
             assert frame.kind in MOTE_FRAMES, (node_id, frame.kind)
@@ -93,10 +97,11 @@ def _watch_traffic(sim):
             backlog[node_id] = held + 1
             counts["net_fifo.peak_queue_size"] = max(
                 counts["net_fifo.peak_queue_size"], held + 1)
-        return send(node_id, frame)
+        return send(frame)
 
-    def watched_transmit(t, node_id, frame):
-        if frame.dst is None or frame.channel == "radio":
+    def watched_transmit(t, frame):
+        node_id, radio = frame.src, frame.outcomes is not None
+        if frame.dst is None or radio:
             assert kinds[node_id] in RADIO_SENDERS, (t, node_id, frame.kind)
         if frame.dst is None:
             for rx in frame.targets:
@@ -104,9 +109,9 @@ def _watch_traffic(sim):
         else:
             assert kinds[frame.dst] is not NodeKind.MOTE, (t, node_id,
                                                            frame.kind)
-            assert frame.channel != "radio" or kinds[frame.dst] in (
+            assert not radio or kinds[frame.dst] in (
                 RADIO_RECEIVERS), (t, node_id, frame.kind)
-            assert frame.channel != "radio" or kinds[node_id] is (
+            assert not radio or kinds[node_id] is (
                 NodeKind.MOTE), ("a radio unicast from a non-mote", t,
                                  node_id, frame.kind)
         assert not frame.relay or kinds[frame.dst] is NodeKind.SATELLITE, (
@@ -115,13 +120,13 @@ def _watch_traffic(sim):
         traffic["broadcasts"] += frame.dst is None
         if node_id in sent:
             sent[node_id] += 1
-        transmit(t, node_id, frame)
+        transmit(t, frame)
 
     def watched_deliver(t, payload):
-        _, frame, rx, outcome = payload
-        assert outcome is (frame.outcomes[rx] if frame.channel == "radio"
-                           else PacketOutcome.DELIVERED), (
-            "a unicast is not heard as its row says", t, rx)
+        frame = payload[1]
+        rx = frame.dst
+        outcome = (PacketOutcome.DELIVERED if frame.outcomes is None
+                   else frame.outcomes[rx])
         assert outcome is not PacketOutcome.LOST, (t, rx)
         traffic["unicast_errored"] += outcome is PacketOutcome.ERRORED
         deliver(t, payload)
@@ -129,9 +134,7 @@ def _watch_traffic(sim):
     def watched_burst(t, seq, receivers, payload):
         # no handler changes a mote's mode, so the receivers awake now are
         # those the burst reaches
-        outcomes = payload[2]
-        assert outcomes is payload[1].outcomes, (
-            "a burst is not heard through its frame's row", t)
+        outcomes = payload[1].outcomes
         for rx in receivers:
             traffic["broadcast_errored"] += (
                 outcomes[rx] is PacketOutcome.ERRORED
@@ -361,9 +364,10 @@ def _watch_dv(sim):
     send, deliver_burst = sim._send, sim._deliver_burst
     merge = simulation.apply_update
 
-    def watched_send(node_id, frame):
+    def watched_send(frame):
+        node_id = frame.src
         if frame.kind != "dv":
-            return send(node_id, frame)
+            return send(frame)
         advert, full = frame.payload, packed_dv.periodic_update(
             oracle[node_id])
         cands = bytearray(accepted[node_id].to_bytes(width, "little"))
@@ -373,7 +377,7 @@ def _watch_dv(sim):
             "an advert left out a changed lane", node_id)
         assert ((accepted[node_id] | high) - full[1]) & high == high, (
             "an advert lane rose", node_id)
-        ok = send(node_id, frame)
+        ok = send(frame)
         if ok:
             accepted[node_id] = full[1]
             count[node_id] += 1

@@ -288,6 +288,28 @@ def test_run_out_to_a_directory_exits_one(tmp_path):
     assert proc.stdout == ""  # rejected before the run, not after it
 
 
+def test_compare_out_in_a_missing_directory_exits_one_before_the_runs(
+        tmp_path):
+    path = tmp_path / "missing" / "x"
+    proc = _cli("compare", "--scenario", "reference", "--auto-baseline",
+                "--out", str(path))
+    _fails_cleanly(proc)
+    assert f"error: {path}: " in proc.stderr
+    assert proc.stdout == ""  # rejected before the runs, not after them
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "reference"],
+    ["compare", "--scenario", "reference", "--auto-baseline"],
+], ids=["run", "compare"])
+def test_an_empty_out_path_is_one_error(argv, capsys):
+    # an empty path names no file: it is not an absent --out
+    assert main([*argv, "--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: : ") and err.count("\n") == 1, err
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs a device that refuses writes")
 def test_run_out_write_error_names_the_path():

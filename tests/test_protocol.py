@@ -49,10 +49,10 @@ def _hear(sim, rx, req, reached, src="ms"):
     the nodes in `reached`, from src to mote rx, as a one-receiver burst,
     the way a run delivers every broadcast.  Returns the payloads, each
     (request, reached set), that rx's queue then holds."""
-    frame = Frame("discovery", src, targets=(rx,), payload=(req, reached),
-                  ip_ttl=req.ttl)
-    sim._deliver_burst(0.0, 1, (rx,),
-                       ("deliver", frame, {rx: PacketOutcome.DELIVERED}))
+    frame = Frame("discovery", src, targets=(rx,),
+                  outcomes={rx: PacketOutcome.DELIVERED},
+                  payload=(req, reached), ip_ttl=req.ttl)
+    sim._deliver_burst(0.0, 1, (rx,), ("deliver", frame))
     return [f.payload for f in sim.node_queues[rx].items]
 
 

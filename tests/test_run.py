@@ -174,12 +174,13 @@ def test_no_transmit_classifies_and_each_burst_is_heard_through_its_frames_row(
             if sim.kinds[rx] is not NodeKind.MOBILE_STATION}
         for m in sim.mote_states}
     rows = {(m, rx) for m, row in sim.outcome_rows.items() for rx in row}
-    bursts = []  # (t, sender, receivers, the frame's row, the burst's)
+    bursts = []  # (t, sender, receivers, the frame's row, the payload)
     burst = sim._deliver_burst
 
     def recorded_burst(t, seq, receivers, payload):
         frame = payload[1]
-        bursts.append((t, frame.src, receivers, frame.outcomes, payload[2]))
+        bursts.append((t, frame.src, receivers, frame.outcomes,
+                       payload == ("deliver", frame)))
         burst(t, seq, receivers, payload)
 
     sim._deliver_burst = recorded_burst
@@ -189,8 +190,9 @@ def test_no_transmit_classifies_and_each_burst_is_heard_through_its_frames_row(
     assert classified == powers == []
     moving = sim.s.mobility
     fixed_seen, fixed_sends, handset_times = set(), 0, set()
-    for t, src, receivers, row, outcomes in bursts:
-        assert outcomes is row and row.keys() >= set(receivers), (t, src)
+    for t, src, receivers, row, frame_only in bursts:
+        # the burst carries its frame alone, so it is heard through its row
+        assert frame_only and row.keys() >= set(receivers), (t, src)
         if src in moving:
             handset_times.add(t)
         else:
@@ -216,8 +218,9 @@ def test_a_burst_reaches_its_awake_receivers_that_hear_it_in_order(seed):
         sim.mote_states[m].mode = MoteMode.SLEEPING
     heard = []
     sim._receivers["dv"] = lambda t, frame, rx: heard.append(rx)
-    frame = Frame("dv", "m06", targets=receivers, ip_ttl=9)
-    sim.queue.schedule_burst(0.0, receivers, ("deliver", frame, outcomes))
+    frame = Frame("dv", "m06", targets=receivers, outcomes=outcomes,
+                  ip_ttl=9)
+    sim.queue.schedule_burst(0.0, receivers, ("deliver", frame))
     assert sim.queue.run_until(0.0, sim._dispatch) == len(receivers)
     sim._hash_lines()  # what run() does when its window ends
     sim._close_ledger()
@@ -244,7 +247,8 @@ def test_a_burst_reaches_its_awake_receivers_that_hear_it_in_order(seed):
 def test_a_broadcast_without_receivers_keys_the_radio_and_schedules_nothing():
     # a discovery forward with no eligible neighbour is still transmitted
     sim = Simulation(reference_scenario())
-    sim._transmit(0.0, "m06", Frame("discovery", "m06", targets=()))
+    sim._transmit(0.0, Frame("discovery", "m06", targets=(),
+                             outcomes=sim.outcome_rows["m06"]))
     assert len(sim.queue) == 0
     assert sim.ledger.get("mac80211.broadcast_sent") == 1
 
@@ -256,8 +260,7 @@ def test_a_full_one_frame_queue_drops_the_offer_and_keeps_one_drain():
                             params=SimParams(queue_capacity=1))
     sim = Simulation(s)
     for _ in range(2):
-        sim._send("ms1", Frame("sat_request", "ms1", dst="sat1",
-                               channel="satlink"))
+        sim._send(Frame("sat_request", "ms1", dst="sat1", satlink=True))
     q = sim.node_queues["ms1"]
     assert (q.queued, q.dropped, len(q)) == (2, 1, 1)
     assert len(sim.queue) == 1
@@ -306,26 +309,26 @@ def test_a_repeated_discovery_copy_is_dropped_before_mote_forward(
     offers = []
     send = sim._send
 
-    def recorded_send(node_id, frame):
-        offers.append((node_id, frame.kind, frame.payload[0].path))
-        return send(node_id, frame)
+    def recorded_send(frame):
+        offers.append((frame.src, frame.kind, frame.payload[0].path))
+        return send(frame)
 
     sim._send = recorded_send
     req, reached = DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 16), set()
     first = Frame("discovery", "ms1", targets=("m06",),
+                  outcomes={"m06": PacketOutcome.DELIVERED},
                   payload=(req, reached))
-    sim._deliver_burst(0.0, 1, ("m06",),
-                       ("deliver", first, {"m06": PacketOutcome.DELIVERED}))
+    sim._deliver_burst(0.0, 1, ("m06",), ("deliver", first))
     assert forwarded == ["m06"]
     assert offers == [("m06", "discovery", ("m06",))]
     assert len(sim.queue) == 1  # m06's drain
     state = sim.mote_states["m06"]
     held, energy = set(reached), state.energy_consumed
     before = sim.ledger.as_dict()
-    repeat = Frame("discovery", "m02", targets=("m06",), ip_ttl=15,
+    repeat = Frame("discovery", "m02", targets=("m06",),
+                   outcomes=sim.outcome_rows["m02"], ip_ttl=15,
                    payload=(req._replace(ttl=15, path=("m02",)), reached))
-    sim._deliver_burst(0.0, 2, ("m06",),
-                       ("deliver", repeat, sim.outcome_rows["m02"]))
+    sim._deliver_burst(0.0, 2, ("m06",), ("deliver", repeat))
     assert forwarded == ["m06"]
     assert len(offers) == 1 and len(sim.node_queues["m06"]) == 1
     assert len(sim.queue) == 1
@@ -349,10 +352,10 @@ def test_a_base_station_escalates_a_request_the_motes_have_seen_once():
     for path in (("m06", "m05"), ("m02", "m01")):
         relay = path[-1]
         req = DiscoveryRequest(1, "ms1", Point(0.0, 190.0), 14, path)
-        frame = Frame("discovery", relay, dst="bs1", payload=(req, reached),
-                      ip_ttl=14)
-        deliver(0.0, ("deliver", frame, "bs1",
-                      sim.outcome_rows[relay]["bs1"]))
+        frame = Frame("discovery", relay, dst="bs1",
+                      outcomes=sim.outcome_rows[relay],
+                      payload=(req, reached), ip_ttl=14)
+        deliver(0.0, ("deliver", frame))
     assert reached - set(sim.mote_states) == {"bs1"}
     assert sim.handoffs == {}
     assert len(sim.queue) == 1
@@ -377,12 +380,12 @@ def test_a_motes_frames_carry_its_own_outcome_row():
         ("m01", "discovery", "bs1")]
     assert all(f.outcomes is sim.outcome_rows[m] for m, f in frames)
     for m, f in frames:
-        sim._transmit(0.0, m, f)
+        sim._transmit(0.0, f)
     events = [sim.queue.pop() for _ in range(len(sim.queue))]
     delivers = [ev for ev in events if ev[3][0] == "deliver"]
     assert [ev[2] for ev in delivers] == [sim.mote_rows["m06"]] * 2 + ["bs1"]
-    assert all(ev[3][2] is sim.outcome_rows["m06"] for ev in delivers[:2])
-    assert delivers[2][3][2:] == ("bs1", sim.outcome_rows["m01"]["bs1"])
+    # each delivery carries its frame alone, and so reads the frame's row
+    assert [ev[3] for ev in delivers] == [("deliver", f) for _, f in frames]
 
 
 def test_a_handset_burst_is_heard_as_its_coverage_check_found_it():
@@ -401,8 +404,9 @@ def test_a_handset_burst_is_heard_as_its_coverage_check_found_it():
     heard = []
     sim._receivers["discovery"] = lambda t, frame, rx: heard.append(rx)
     req = DiscoveryRequest(1, "ms1", sim.here["ms1"], 16)
-    sim._transmit(25.0, "ms1", Frame("discovery", "ms1", targets=targets,
-                                     payload=req, outcomes=row))
+    frame = Frame("discovery", "ms1", targets=targets, payload=req,
+                  outcomes=row)
+    sim._transmit(25.0, frame)
     bursts = []
 
     def dispatch(ev):
@@ -411,7 +415,7 @@ def test_a_handset_burst_is_heard_as_its_coverage_check_found_it():
 
     assert sim.queue.run_until(26.0, dispatch) == len(targets)
     [burst] = bursts
-    assert burst[3][2] is row
+    assert burst[3] == ("deliver", frame) and frame.outcomes is row
     assert heard == ["m01", "m02", "m05", "m06"]
     sim._close_ledger()
     got = sim.ledger.get
@@ -452,7 +456,7 @@ def test_a_discovery_that_waits_in_its_queue_is_heard_as_its_check_found_it():
         frame = payload[1]
         if frame.src == "ms1":
             bursts.append((t, frame.payload[0].request_id, receivers,
-                           dict(payload[2])))
+                           dict(frame.outcomes)))
         burst(t, seq, receivers, payload)
 
     sim._deliver_burst = recorded_burst
@@ -586,14 +590,14 @@ def _reach_with(sim, make):
     the handset made; the frame is rebuilt only around another set."""
     send = sim._send
 
-    def swapped(node_id, frame):
-        if frame.kind == "discovery" and node_id in sim.ms_states:
+    def swapped(frame):
+        if frame.kind == "discovery" and frame.src in sim.ms_states:
             req, fresh = frame.payload
             reached = make(req, fresh)
             if reached is not fresh:
-                frame = Frame("discovery", node_id, frame.dst, frame.targets,
+                frame = Frame("discovery", frame.src, frame.dst, frame.targets,
                               frame.outcomes, (req, reached), frame.ip_ttl)
-        return send(node_id, frame)
+        return send(frame)
 
     sim._send = swapped
 
@@ -693,11 +697,11 @@ def test_check_run_fails_a_radio_unicast_from_a_handset():
     sim = Simulation(reference_scenario())
     send = sim._send
 
-    def unicast(node_id, frame):
-        if frame.kind == "discovery" and node_id in sim.ms_states:
-            frame = Frame("discovery", node_id, "bs1", (),
-                          payload=frame.payload)
-        return send(node_id, frame)
+    def unicast(frame):
+        if frame.kind == "discovery" and frame.src in sim.ms_states:
+            frame = Frame("discovery", frame.src, "bs1", (), frame.outcomes,
+                          frame.payload)
+        return send(frame)
 
     sim._send = unicast
     with pytest.raises(AssertionError, match="radio unicast from a non-mote"):
@@ -1054,10 +1058,10 @@ def test_a_discovery_from_a_receivers_point_is_heard_as_its_check_found_it():
     _reach_with(sim, kept)
     send = sim._send
 
-    def recorded_send(node_id, frame):
-        if node_id == "ms1" and "mx" in frame.targets:
+    def recorded_send(frame):
+        if frame.src == "ms1" and "mx" in frame.targets:
             offers.append((frame.payload[0], frame.outcomes))
-        return send(node_id, frame)
+        return send(frame)
 
     sim._send = recorded_send
     report = check_run(sim)

@@ -651,6 +651,30 @@ def test_roundtrip_is_stable():
     assert serialize_scenario(s2) == text
 
 
+def test_a_built_scenarios_walks_cannot_change_in_place():
+    # a walk changed after validation would never be checked again
+    walks = {"ms1": MobilityPath((Point(0, 0),), speed=4.0)}
+    s = load_scenario(GOOD)
+    built = Scenario(s.nodes, walks, s.duration, s.seed, s.params)
+    walks["ms1"] = "not a walk"  # the caller's dict is not the scenario's
+    assert built == s
+    bad = MobilityPath((Point(0, 0),), speed=-1.0)
+    with pytest.raises(TypeError):
+        s.mobility["ms1"] = bad
+    with pytest.raises(TypeError):
+        del s.mobility["ms1"]
+    assert load_scenario(serialize_scenario(s)) == s
+    # a rebuilt scenario takes its walks from the built one, and is judged
+    rebuilt = dataclasses.replace(s, seed=8)
+    assert rebuilt.mobility == s.mobility
+    assert load_scenario(serialize_scenario(rebuilt)) == rebuilt
+    with pytest.raises(ValidationError):
+        dataclasses.replace(s, mobility={**s.mobility, "ms1": bad})
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(s, mobility=[])
+    assert e.value.problems == ["mobility must be a dict"]
+
+
 def test_scenario_is_the_only_dataclass():
     # The records are NamedTuples and the per-run state slotted classes:
     # generating dataclass code was a large share of set-up time.
